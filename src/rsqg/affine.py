@@ -7,12 +7,11 @@ equation with a spectral parameter.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 
-from .matrices import SMatrix, act_12, act_13, act_23, flip_map, kron
+from .matrices import SMatrix, act_12, act_13, act_23, flip_map, kron, tensor_units
 from .rep import EvaluationRep, KAPPA, build_evaluation, build_fundamental
-from .report import CheckItem, Report, first_mismatch
+from .report import Report, first_mismatch
 from .rmatrix import (
     CoefficientTables,
     eigenvalues,
@@ -42,25 +41,21 @@ def affine_rhat(family: str, rank: int, ring: ScalarRing, z: Scalar | None = Non
     z = z if z is not None else ring.atom("z")
     one = ring.one
     R = lambda **p: ring.mono(**p)
-
-    def unit(i, j):
-        return SMatrix.from_entries(ring, N, N, [(i - 1, j - 1, one)])
-
-    acc = SMatrix.zero(ring, N * N, N * N)
+    ent: list[tuple[int, int, int, int, Scalar]] = []
     if family == "A":
         lam = R(r=1, s=-1)
         for i in range(1, N + 1):
-            acc = acc + kron(unit(i, i), unit(i, i)).scale(one - z * lam)
+            ent.append((i, i, i, i, one - z * lam))
             for j in range(1, N + 1):
                 if i == j:
                     continue
                 if i > j:
-                    acc = acc + kron(unit(i, j), unit(j, i)).scale((one - z) * R(r=1))
-                    acc = acc + kron(unit(i, i), unit(j, j)).scale(one - lam)
+                    ent.append((i, j, j, i, (one - z) * R(r=1)))
+                    ent.append((i, i, j, j, one - lam))
                 else:
-                    acc = acc + kron(unit(i, j), unit(j, i)).scale((one - z) * R(s=-1))
-                    acc = acc + kron(unit(i, i), unit(j, j)).scale((one - lam) * z)
-        return acc
+                    ent.append((i, j, j, i, (one - z) * R(s=-1)))
+                    ent.append((i, i, j, j, (one - lam) * z))
+        return tensor_units(ring, N, ent)
 
     tab = CoefficientTables(rep)
     xi = xi_constant(family, rank, ring)
@@ -87,16 +82,16 @@ def affine_rhat(family: str, rank: int, ring: ScalarRing, z: Scalar | None = Non
 
     for i in range(1, N + 1):
         if not (family == "B" and i == n + 1):
-            acc = acc + kron(unit(i, i), unit(i, i)).scale((z - lam0) * (z - xi))
+            ent.append((i, i, i, i, (z - lam0) * (z - xi)))
         for j in range(1, N + 1):
             if j not in (i, pr(i)):
-                acc = acc + kron(unit(i, j), unit(j, i)).scale(a_z(i, j))
+                ent.append((i, j, j, i, a_z(i, j)))
                 if i > j:
-                    acc = acc + kron(unit(i, i), unit(j, j)).scale((one - lam0) * (z - xi))
+                    ent.append((i, i, j, j, (one - lam0) * (z - xi)))
                 else:
-                    acc = acc + kron(unit(i, i), unit(j, j)).scale((one - lam0) * z * (z - xi))
-            acc = acc + kron(unit(pr(i), j), unit(i, pr(j))).scale(b_z(i, j))
-    return acc
+                    ent.append((i, i, j, j, (one - lam0) * z * (z - xi)))
+            ent.append((pr(i), j, i, pr(j), b_z(i, j)))
+    return tensor_units(ring, N, ent)
 
 
 def build_affine_rhat(family: str, rank: int, ring: ScalarRing | None = None) -> SMatrix:
@@ -110,22 +105,18 @@ def one_param_r_affine_A(rank: int, ring: ScalarRing) -> SMatrix:
     one = ring.one
     z = ring.atom("z")
     Q = lambda k: ring.mono(q=k)
-
-    def unit(i, j):
-        return SMatrix.from_entries(ring, N, N, [(i - 1, j - 1, one)])
-
-    acc = SMatrix.zero(ring, N * N, N * N)
+    ent: list[tuple[int, int, int, int, Scalar]] = []
     for i in range(1, N + 1):
-        acc = acc + kron(unit(i, i), unit(i, i)).scale(one - z * Q(2))
+        ent.append((i, i, i, i, one - z * Q(2)))
         for j in range(1, N + 1):
             if i == j:
                 continue
-            acc = acc + kron(unit(i, i), unit(j, j)).scale((one - z) * Q(1))
+            ent.append((i, i, j, j, (one - z) * Q(1)))
             if i > j:
-                acc = acc + kron(unit(i, j), unit(j, i)).scale(one - Q(2))
+                ent.append((i, j, j, i, one - Q(2)))
             else:
-                acc = acc + kron(unit(i, j), unit(j, i)).scale((one - Q(2)) * z)
-    return acc
+                ent.append((i, j, j, i, (one - Q(2)) * z))
+    return tensor_units(ring, N, ent)
 
 
 # ---------------------------------------------------------------------------
@@ -208,36 +199,26 @@ def check_baxterize_match(family: str, rank: int) -> Report:
     entrywise; also reports which generic scheme produces it."""
     ring = rs_ring("z")
     out = Report()
-    t0 = time.perf_counter()
-    explicit = affine_rhat(family, rank, ring)
-    bullet = baxterize_bullet(family, rank, ring)
-    w = first_mismatch(bullet, explicit)
-    out.add(CheckItem("baxterize-match", family, rank, w == "", w, time.perf_counter() - t0))
+    with out.timed("baxterize-match", family, rank) as it:
+        explicit = affine_rhat(family, rank, ring)
+        bullet = baxterize_bullet(family, rank, ring)
+        it.witness = first_mismatch(bullet, explicit)
 
-    t0 = time.perf_counter()
-    rep = build_fundamental(family, rank, ring)
-    rhat = rhat_explicit(rep)
-    rbar = rbar_inverse_printed(rep)
-    lam = eigenvalues(rep)
-    z = ring.atom("z")
-    if family == "A":
-        scheme_used, ok = "two-eigen", baxterize(rhat, rbar, [lam[0], lam[1]], "two-eigen", z) == explicit
-    else:
-        match_a = baxterize(rhat, rbar, lam, "three-eigen-a", z) == explicit
-        match_b = baxterize(rhat, rbar, lam, "three-eigen-b", z) == explicit
-        scheme_used = "three-eigen-a" if match_a else ("three-eigen-b" if match_b else "none")
-        ok = match_a or match_b
-    out.add(
-        CheckItem(
-            "baxterize-scheme",
-            family,
-            rank,
-            ok,
-            "" if ok else "no generic scheme reproduces the explicit operator",
-            time.perf_counter() - t0,
-        )
-    )
-    out.items[-1].witness = out.items[-1].witness or f"scheme={scheme_used}"
+    with out.timed("baxterize-scheme", family, rank) as it:
+        rep = build_fundamental(family, rank, ring)
+        rhat = rhat_explicit(rep)
+        rbar = rbar_inverse_printed(rep)
+        lam = eigenvalues(rep)
+        z = ring.atom("z")
+        if family == "A":
+            scheme_used, ok = "two-eigen", baxterize(rhat, rbar, [lam[0], lam[1]], "two-eigen", z) == explicit
+        else:
+            match_a = baxterize(rhat, rbar, lam, "three-eigen-a", z) == explicit
+            match_b = baxterize(rhat, rbar, lam, "three-eigen-b", z) == explicit
+            scheme_used = "three-eigen-a" if match_a else ("three-eigen-b" if match_b else "none")
+            ok = match_a or match_b
+        it.ok = ok
+        it.witness = f"scheme={scheme_used}" if ok else "no generic scheme reproduces the explicit operator"
     return out
 
 
@@ -268,35 +249,28 @@ def check_affine_intertwiner(
 ) -> Report:
     """R̂(x/y) intertwines the two tensor-product module structures for every
     generator, with a symbolic and b = (rs)^{-κ} a^{-1}; with the constraint
-    dropped (b = a^{-1}) the affine-node checks must fail."""
+    dropped (b = a^{-1}) the affine-node checks must fail.  The modules and
+    R̂(x/y) are built on the clock of the first generator kind."""
     ring = rs_ring("x", "y", "a")
-    kappa = KAPPA[family]
-    a = ring.atom("a")
-    b = (ring.mono(r=-kappa, s=-kappa) if enforce_constraint else ring.one) * a.inv()
-    ev_x = build_evaluation(family, rank, ring=ring, spectral="x", a=a, b=b)
-    ev_y = build_evaluation(family, rank, ring=ring, spectral="y", a=a, b=b)
-    z = ring.atom("x") * ring.atom("y").inv()
-    rz = affine_rhat(family, rank, ring, z=z)
     out = Report()
     for kind in ("e", "f", "omega", "omega-prime"):
-        t0 = time.perf_counter()
-        w = ""
-        for i in range(rank + 1):
-            lhs = rz @ _tensor_action(ev_x, ev_y, kind, i)
-            rhs = _tensor_action(ev_y, ev_x, kind, i) @ rz
-            ww = first_mismatch(lhs, rhs)
-            if ww:
-                w = w or f"{kind}_{i}: {ww}"
-        out.add(
-            CheckItem(
-                f"affine-intertwiner-{kind}",
-                family,
-                rank,
-                w == "",
-                w,
-                time.perf_counter() - t0,
-            )
-        )
+        with out.timed(f"affine-intertwiner-{kind}", family, rank) as it:
+            if kind == "e":
+                kappa = KAPPA[family]
+                a = ring.atom("a")
+                b = (ring.mono(r=-kappa, s=-kappa) if enforce_constraint else ring.one) * a.inv()
+                ev_x = build_evaluation(family, rank, ring=ring, spectral="x", a=a, b=b)
+                ev_y = build_evaluation(family, rank, ring=ring, spectral="y", a=a, b=b)
+                z = ring.atom("x") * ring.atom("y").inv()
+                rz = affine_rhat(family, rank, ring, z=z)
+            w = ""
+            for i in range(rank + 1):
+                lhs = rz @ _tensor_action(ev_x, ev_y, kind, i)
+                rhs = _tensor_action(ev_y, ev_x, kind, i) @ rz
+                ww = first_mismatch(lhs, rhs)
+                if ww:
+                    w = w or f"{kind}_{i}: {ww}"
+            it.witness = w
     return out
 
 
@@ -309,29 +283,29 @@ def check_spectral_ybe(family: str, rank: int) -> Report:
     """R₁₂(x) R₁₃(xy) R₂₃(y) = R₂₃(y) R₁₃(xy) R₁₂(x) on V⊗V⊗V with two
     independent ratio variables, for R(z) = R̂(z)∘τ."""
     ring = rs_ring("x", "y")
-    N = build_fundamental(family, rank).N
     out = Report()
-    t0 = time.perf_counter()
-    tau = flip_map(ring, N)
+    with out.timed("spectral-ybe", family, rank) as it:
+        N = build_fundamental(family, rank).N
+        tau = flip_map(ring, N)
 
-    def r_of(z: Scalar) -> SMatrix:
-        return affine_rhat(family, rank, ring, z=z) @ tau
+        def r_of(z: Scalar) -> SMatrix:
+            return affine_rhat(family, rank, ring, z=z) @ tau
 
-    x = ring.atom("x")
-    y = ring.atom("y")
-    r12 = act_12(r_of(x), N)
-    r23 = act_23(r_of(y), N)
-    r13 = act_13(r_of(x * y), N)
-    lhs = r12 @ r13 @ r23
-    w = first_mismatch(lhs, r23 @ r13 @ r12)
-    # degree sanity: three factors of z-degree ≤ 2 each
-    if not w:
-        bound = 2 if family == "A" else 4
-        for i, row in lhs.rows.items():
-            for j, v in row.items():
-                if v.z_degree("x") > bound or v.z_degree("y") > bound:
-                    w = w or f"entry ({i},{j}) exceeds the spectral degree bound"
-    out.add(CheckItem("spectral-ybe", family, rank, w == "", w, time.perf_counter() - t0))
+        x = ring.atom("x")
+        y = ring.atom("y")
+        r12 = act_12(r_of(x), N)
+        r23 = act_23(r_of(y), N)
+        r13 = act_13(r_of(x * y), N)
+        lhs = r12 @ r13 @ r23
+        w = first_mismatch(lhs, r23 @ r13 @ r12)
+        # degree sanity: three factors of z-degree ≤ 2 each
+        if not w:
+            bound = 2 if family == "A" else 4
+            for i, row in lhs.rows.items():
+                for j, v in row.items():
+                    if v.z_degree("x") > bound or v.z_degree("y") > bound:
+                        w = w or f"entry ({i},{j}) exceeds the spectral degree bound"
+        it.witness = w
     return out
 
 
@@ -343,18 +317,18 @@ def check_spectral_ybe(family: str, rank: int) -> Report:
 def check_degree_bounds(family: str, rank: int) -> Report:
     """Entrywise polynomial degree in z stays ≤ 1 (A) or ≤ 2 (B/C/D)."""
     ring = rs_ring("z")
-    rz = affine_rhat(family, rank, ring)
     bound = 1 if family == "A" else 2
     out = Report()
-    t0 = time.perf_counter()
-    w = ""
-    for i, row in rz.rows.items():
-        for j, v in row.items():
-            if not v.den_is_one():
-                w = w or f"entry ({i},{j}) is not polynomial in z"
-            elif v.z_degree("z") > bound:
-                w = w or f"entry ({i},{j}) has z-degree {v.z_degree('z')}"
-    out.add(CheckItem("z-degree-bound", family, rank, w == "", w, time.perf_counter() - t0))
+    with out.timed("z-degree-bound", family, rank) as it:
+        rz = affine_rhat(family, rank, ring)
+        w = ""
+        for i, row in rz.rows.items():
+            for j, v in row.items():
+                if not v.den_is_one():
+                    w = w or f"entry ({i},{j}) is not polynomial in z"
+                elif v.z_degree("z") > bound:
+                    w = w or f"entry ({i},{j}) has z-degree {v.z_degree('z')}"
+        it.witness = w
     return out
 
 
@@ -362,34 +336,22 @@ def check_unit_point(family: str, rank: int) -> Report:
     """At z = 1 the operator collapses to the scalar (1-λ₀)(1-ξ) times the
     identity (type A: (1 - rs^{-1}) Id)."""
     ring = rs_ring("z")
-    rep = build_fundamental(family, rank, ring)
-    rz = affine_rhat(family, rank, ring)
-    at_one = rz.substituted({"z": ring.one})
-    if family == "A":
-        c = ring.one - ring.mono(r=1, s=-1)
-    else:
-        lam0 = ring.mono(r=-2, s=2) if family == "B" else ring.mono(r=-1, s=1)
-        c = (ring.one - lam0) * (ring.one - xi_constant(family, rank, ring))
     out = Report()
-    t0 = time.perf_counter()
-    w = first_mismatch(at_one, SMatrix.identity(ring, rep.N * rep.N).scale(c))
-    out.add(CheckItem("unit-point", family, rank, w == "", w, time.perf_counter() - t0))
+    with out.timed("unit-point", family, rank) as it:
+        rep = build_fundamental(family, rank, ring)
+        rz = affine_rhat(family, rank, ring)
+        at_one = rz.substituted({"z": ring.one})
+        if family == "A":
+            c = ring.one - ring.mono(r=1, s=-1)
+        else:
+            lam0 = ring.mono(r=-2, s=2) if family == "B" else ring.mono(r=-1, s=1)
+            c = (ring.one - lam0) * (ring.one - xi_constant(family, rank, ring))
+        it.witness = first_mismatch(at_one, SMatrix.identity(ring, rep.N * rep.N).scale(c))
     return out
 
 
 def run_affine_checks(family: str, rank: int, checks: list[str]) -> Report:
-    out = Report()
-    for c in checks:
-        if c == "intertwine":
-            out = out.merged(check_affine_intertwiner(family, rank))
-        elif c == "ybe":
-            out = out.merged(check_spectral_ybe(family, rank))
-        elif c == "baxterize-match":
-            out = out.merged(check_baxterize_match(family, rank))
-        elif c == "degree":
-            out = out.merged(check_degree_bounds(family, rank))
-        elif c == "unit":
-            out = out.merged(check_unit_point(family, rank))
-        else:
-            raise ValueError(f"unknown check {c!r}")
-    return out
+    """The named affine checks of the catalogue, over one shared case context."""
+    from .catalogue import run_group
+
+    return run_group("affine", family, rank, checks)

@@ -1,0 +1,170 @@
+"""The one catalogue of named checks.
+
+Every check the command line can run is listed here once, with its group,
+the cases it applies to and how it runs.  The ``certify-all`` suite, the
+``verify`` drivers and their default ``--checks`` are all read off this
+table.  A check applies to a case when ``applies(family, rank, long)`` holds:
+``certify-all`` runs it when that holds for its own ``--long`` setting, and a
+``verify`` subcommand accepts it by name when it holds with ``long=True``.
+
+Runners reach the check functions through their modules at call time, so a
+wrapper installed on a module attribute sees every call.
+"""
+
+from __future__ import annotations
+
+import traceback
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Iterator
+
+from . import affine, embed, lyndon, pairing, rmatrix, rootvec
+from . import rep as rep_module
+from .report import Report
+
+GROUPS = ("rep", "rootvec", "pairing", "rmatrix", "affine", "embed")
+
+
+class CaseContext:
+    """Operators shared by the checks of one (family, rank) case, each built
+    on first use and at most once."""
+
+    def __init__(self, family: str, rank: int):
+        self.family = family
+        self.rank = rank
+
+    @cached_property
+    def rep(self):
+        return rep_module.build_fundamental(self.family, self.rank)
+
+    @cached_property
+    def order(self):
+        return lyndon.lalonde_ram(self.rep.rs)
+
+    @cached_property
+    def rvm(self):
+        return rootvec.build_root_vector_matrices(self.rep, self.order)
+
+    @cached_property
+    def rhat(self):
+        return rmatrix.rhat_explicit(self.rep)
+
+    @cached_property
+    def erep(self):
+        return rep_module.build_evaluation(self.family, self.rank)
+
+
+@dataclass(frozen=True)
+class Check:
+    group: str
+    name: str
+    applies: Callable[[str, int, bool], bool]
+    run: Callable[[CaseContext], Report]
+
+
+def _always(family: str, rank: int, long: bool) -> bool:
+    return True
+
+
+def _a_or_b(family: str, rank: int, long: bool) -> bool:
+    return family in ("A", "B")
+
+
+def _affine(family: str, rank: int, long: bool) -> bool:
+    return rank >= rep_module.MIN_AFFINE_RANK[family]
+
+
+def _ybe(family: str, rank: int, long: bool) -> bool:
+    return _affine(family, rank, long) and (long or (family, rank) in (("A", 2), ("C", 2)))
+
+
+def _twist(c: CaseContext) -> Report:
+    if c.family == "A":
+        return embed.verify_twist_A(c.rank, "finite").merged(embed.verify_twist_A(c.rank, "affine"))
+    return embed.b_type_obstruction(c.rank)
+
+
+CATALOGUE = (
+    Check("rep", "relations", _always, lambda c: rep_module.verify_finite_relations(c.rep)),
+    Check("rep", "highest-weight", _always, lambda c: rep_module.verify_highest_weight(c.rep)),
+    Check("rep", "affine-relations", _affine, lambda c: rep_module.verify_affine_relations(c.erep)),
+    Check("rootvec", "closed-forms", _always, lambda c: rootvec.verify_closed_forms(c.rvm)),
+    Check("rootvec", "nilpotency", _always, lambda c: rootvec.verify_nilpotency(c.rvm)),
+    Check("pairing", "constants", _always, lambda c: pairing.verify_pairing_constants(c.rep.rs, c.rep.ring, c.order, 2)),
+    Check("pairing", "pbw", _a_or_b, lambda c: pairing.verify_pbw_orthogonality(c.rep.rs, c.rep.ring, c.order, 3)),
+    Check("rmatrix", "route", _always, lambda c: rmatrix.check_route_equivalence(c.rep)),
+    Check("rmatrix", "eigen", _always, lambda c: rmatrix.check_eigenvalues(c.rep, c.rhat)),
+    Check("rmatrix", "intertwine", _always, lambda c: rmatrix.check_intertwining(c.rep, c.rhat)),
+    Check("rmatrix", "minpoly", _always, lambda c: rmatrix.check_min_poly(c.rep, c.rhat)),
+    Check("rmatrix", "inverse", _always, lambda c: rmatrix.check_inverse(c.rep)),
+    Check("rmatrix", "weights", _always, lambda c: rmatrix.check_weight_preservation(c.rep, c.rhat)),
+    Check("rmatrix", "tables", _always, lambda c: rmatrix.verify_tables(c.rep)),
+    Check("rmatrix", "braid", _always, lambda c: rmatrix.check_braid(c.rep, c.rhat)),
+    Check("rmatrix", "specialize", _a_or_b, lambda c: rmatrix.specialize_and_compare(c.family, c.rank)),
+    Check("affine", "intertwine", _affine, lambda c: affine.check_affine_intertwiner(c.family, c.rank)),
+    Check("affine", "ybe", _ybe, lambda c: affine.check_spectral_ybe(c.family, c.rank)),
+    Check("affine", "baxterize-match", _affine, lambda c: affine.check_baxterize_match(c.family, c.rank)),
+    Check("affine", "degree", _affine, lambda c: affine.check_degree_bounds(c.family, c.rank)),
+    Check("affine", "unit", _affine, lambda c: affine.check_unit_point(c.family, c.rank)),
+    Check("embed", "dj", _always, lambda c: embed.verify_dj_relations(c.rep)),
+    Check("embed", "kappa", _always, lambda c: embed.verify_kappa_recursion(c.rep, c.order)),
+    Check("embed", "rootvec", _always, lambda c: embed.verify_root_vector_embedding(c.rep, c.order)),
+    Check("embed", "twist", _a_or_b, _twist),
+)
+
+
+def names(group: str) -> list[str]:
+    return [c.name for c in CATALOGUE if c.group == group]
+
+
+def default_checks(group: str, family: str, rank: int, long: bool = False) -> list[str]:
+    """The checks of ``group`` that ``certify-all`` runs for this case."""
+    return [c.name for c in CATALOGUE if c.group == group and c.applies(family, rank, long)]
+
+
+def select(group: str, family: str, rank: int, wanted: list[str]) -> list[Check]:
+    """The catalogue entries for ``wanted``, in catalogue order; ValueError on
+    an empty selection or on a name that is unknown or does not apply."""
+    entries = {c.name: c for c in CATALOGUE if c.group == group}
+    for name in wanted:
+        if name not in entries:
+            raise ValueError(f"unknown {group} check {name!r}; choose from {', '.join(entries)}")
+        if not entries[name].applies(family, rank, True):
+            raise ValueError(f"{group} check {name!r} does not apply to {family}{rank}")
+    if not wanted:
+        raise ValueError(f"no {group} check applies to {family}{rank}")
+    return [c for c in entries.values() if c.name in wanted]
+
+
+_open_case: ContextVar[CaseContext | None] = ContextVar("open_case", default=None)
+
+
+@contextmanager
+def open_case(family: str, rank: int) -> Iterator[CaseContext]:
+    """Share one CaseContext among the ``run_group`` calls for this case made
+    inside the block; it is dropped when the block ends."""
+    token = _open_case.set(CaseContext(family, rank))
+    try:
+        yield _open_case.get()
+    finally:
+        _open_case.reset(token)
+
+
+def run_group(group: str, family: str, rank: int, wanted: list[str]) -> Report:
+    """Run the named checks of one group.  A check that raises is recorded as
+    a failure with the exception as its witness, and its traceback goes to
+    standard error."""
+    entries = select(group, family, rank, wanted)
+    ctx = _open_case.get()
+    if ctx is None or (ctx.family, ctx.rank) != (family, rank):
+        ctx = CaseContext(family, rank)
+    out = Report()
+    for entry in entries:
+        try:
+            out = out.merged(entry.run(ctx))
+        except Exception as exc:
+            traceback.print_exc()
+            out.fault(entry.name, family, rank, exc)
+    return out

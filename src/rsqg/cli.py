@@ -1,6 +1,7 @@
 """Command-line driver: table dumps, matrix exports, and the certificate
 runner.  Exit code 0 when every selected check passes, 1 on a failing check
-(with a witness), 2 on usage errors.
+(with a witness), 2 on usage errors, which are found before any work or
+output.
 """
 
 from __future__ import annotations
@@ -11,45 +12,20 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .affine import (
-    build_affine_rhat,
-    check_affine_intertwiner,
-    check_baxterize_match,
-    check_degree_bounds,
-    check_spectral_ybe,
-    check_unit_point,
-    run_affine_checks,
-)
+from .affine import build_affine_rhat, run_affine_checks
+from .catalogue import GROUPS, default_checks, names, open_case, run_group, select
 from .embed import run_embed_checks
 from .lyndon import is_convex, lalonde_ram, minimal_pair
 from .matrices import matrix_to_json
-from .pairing import (
-    PairingOracle,
-    closed_form_pairing,
-    pairing_power,
-    verify_pairing_constants,
-    verify_pbw_orthogonality,
-)
-from .rep import (
-    build_evaluation,
-    build_fundamental,
-    verify_affine_relations,
-    verify_finite_relations,
-    verify_highest_weight,
-)
+from .pairing import PairingOracle, check_oracle_range, closed_form_pairing, pairing_power
+from .rep import MIN_AFFINE_RANK, build_evaluation, build_fundamental, check_affine_rank
 from .report import Report
-from .rmatrix import (
-    build_rbar_inverse,
-    build_rhat_explicit,
-    build_rhat_factorized,
-    run_rmatrix_checks,
-)
-from .rootdata import affine_data, build_root_system, weyl_dimension
-from .rootvec import build_root_vector_matrices, verify_closed_forms, verify_nilpotency
+from .rmatrix import build_rhat_explicit, build_rhat_factorized, run_rmatrix_checks
+from .rootdata import affine_data, build_root_system
+from .rootvec import build_root_vector_matrices
 from .scalars import rs_ring, scalar_to_json, text_form
 
 FAMILIES = ("A", "B", "C", "D")
-AFFINE_MIN = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 
 def _write_json(obj, path: str | None) -> None:
@@ -79,7 +55,7 @@ def cmd_rootdata_dump(args) -> int:
             for rt in rs.positive
         ],
     }
-    if rs.n >= AFFINE_MIN[rs.family]:
+    if rs.n >= MIN_AFFINE_RANK[rs.family]:
         aff = affine_data(rs, ring)
         obj["omega"] = {
             f"{i},{j}": text_form(aff.omega[(i, j)]) for i in range(rs.n + 1) for j in range(rs.n + 1)
@@ -185,9 +161,7 @@ def cmd_rmatrix_build(args) -> int:
 
 
 def cmd_rmatrix_verify(args) -> int:
-    checks = args.checks.split(",")
-    rep = run_rmatrix_checks(args.family, args.rank, checks)
-    return _finish(rep)
+    return _finish(run_rmatrix_checks(args.family, args.rank, args.checks))
 
 
 def cmd_affine_build(args) -> int:
@@ -196,15 +170,11 @@ def cmd_affine_build(args) -> int:
 
 
 def cmd_affine_verify(args) -> int:
-    checks = args.checks.split(",")
-    rep = run_affine_checks(args.family, args.rank, checks)
-    return _finish(rep)
+    return _finish(run_affine_checks(args.family, args.rank, args.checks))
 
 
 def cmd_embed_verify(args) -> int:
-    checks = args.checks.split(",")
-    rep = run_embed_checks(args.family, args.rank, checks)
-    return _finish(rep)
+    return _finish(run_embed_checks(args.family, args.rank, args.checks))
 
 
 def _finish(rep: Report) -> int:
@@ -228,44 +198,37 @@ def _desk_cases(max_rank: int) -> list[tuple[str, int]]:
 
 
 def _certify_one(case: tuple[str, int, bool]) -> Report:
+    """Every catalogue check that applies to one case, over one shared case
+    context; each group runs through its module's driver where it has one."""
     fam, rank, long_mode = case
-    rep = build_fundamental(fam, rank)
+    drivers = {"rmatrix": run_rmatrix_checks, "affine": run_affine_checks, "embed": run_embed_checks}
     out = Report()
-    out = out.merged(verify_finite_relations(rep))
-    out = out.merged(verify_highest_weight(rep))
-    order = lalonde_ram(rep.rs)
-    rvm = build_root_vector_matrices(rep, order)
-    out = out.merged(verify_closed_forms(rvm))
-    out = out.merged(verify_nilpotency(rvm))
-    out = out.merged(verify_pairing_constants(rep.rs, rep.ring, order, max_m=2))
-    out = out.merged(
-        run_rmatrix_checks(
-            fam, rank, ["route", "eigen", "intertwine", "minpoly", "inverse", "weights", "tables", "braid"]
-        )
-    )
-    if fam in ("A", "B"):
-        out = out.merged(run_rmatrix_checks(fam, rank, ["specialize"]))
-    if rank >= AFFINE_MIN[fam]:
-        erep = build_evaluation(fam, rank)
-        out = out.merged(verify_affine_relations(erep))
-        out = out.merged(check_baxterize_match(fam, rank))
-        out = out.merged(check_degree_bounds(fam, rank))
-        out = out.merged(check_unit_point(fam, rank))
-        out = out.merged(check_affine_intertwiner(fam, rank))
-        if long_mode or (fam, rank) in (("A", 2), ("C", 2)):
-            out = out.merged(check_spectral_ybe(fam, rank))
-    out = out.merged(run_embed_checks(fam, rank, ["dj", "kappa", "rootvec", "twist"]))
-    if fam in ("A", "B"):
-        out = out.merged(verify_pbw_orthogonality(rep.rs, rep.ring, order, 3))
+    with open_case(fam, rank):
+        for group in GROUPS:
+            checks = default_checks(group, fam, rank, long_mode)
+            if checks:
+                driver = drivers.get(group)
+                out = out.merged(driver(fam, rank, checks) if driver else run_group(group, fam, rank, checks))
     return out
+
+
+def _jobs(value: str, n_cases: int) -> int:
+    """Worker processes for ``RSQG_JOBS=value``: an integer ≥ 1, clamped to
+    the number of cases and of CPUs."""
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"RSQG_JOBS must be an integer >= 1, got {value!r}")
+    return min(jobs, n_cases, os.cpu_count() or 1)
 
 
 def cmd_certify_all(args) -> int:
     cases = [(f, r, args.long) for (f, r) in _desk_cases(args.max_rank)]
-    jobs = int(os.environ.get("RSQG_JOBS", "1"))
     reports: list[Report]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(_certify_one, cases))
     else:
         reports = [_certify_one(c) for c in cases]
@@ -286,9 +249,18 @@ def cmd_certify_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_family_rank(p, affine_min=False):
+def _add_family_rank(p):
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--rank", required=True, type=int)
+
+
+def _add_checks(p, group: str) -> None:
+    p.add_argument(
+        "--checks",
+        help=f"comma-separated, from: {','.join(names(group))} "
+        "(default: every one that certify-all runs for the case)",
+    )
+    p.set_defaults(group=group)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -337,10 +309,7 @@ def make_parser() -> argparse.ArgumentParser:
     d.set_defaults(fn=cmd_rmatrix_build)
     d = ssub.add_parser("verify")
     _add_family_rank(d)
-    d.add_argument(
-        "--checks",
-        default="route,eigen,intertwine,braid,minpoly,inverse,weights,tables",
-    )
+    _add_checks(d, "rmatrix")
     d.set_defaults(fn=cmd_rmatrix_verify)
 
     p = sub.add_parser("affine", help="spectral R-matrices")
@@ -351,14 +320,14 @@ def make_parser() -> argparse.ArgumentParser:
     d.set_defaults(fn=cmd_affine_build)
     d = ssub.add_parser("verify")
     _add_family_rank(d)
-    d.add_argument("--checks", default="intertwine,baxterize-match,degree,unit")
+    _add_checks(d, "affine")
     d.set_defaults(fn=cmd_affine_verify)
 
     p = sub.add_parser("embed", help="one-parameter subalgebra and twists")
     ssub = p.add_subparsers(dest="sub", required=True)
     d = ssub.add_parser("verify")
     _add_family_rank(d)
-    d.add_argument("--checks", default="dj,kappa,rootvec,twist")
+    _add_checks(d, "embed")
     d.set_defaults(fn=cmd_embed_verify)
 
     d = sub.add_parser("certify-all", help="run the full certificate suite")
@@ -370,17 +339,33 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _validate(args) -> None:
+    """Reject out-of-range or inapplicable input with ValueError, and resolve
+    the defaults that depend on the case."""
+    if hasattr(args, "family"):
+        rs = build_root_system(args.family, args.rank)
+        if getattr(args, "affine", False):
+            check_affine_rank(args.family, args.rank)
+    if hasattr(args, "max_m"):
+        check_oracle_range(args.max_m, max(rt.height for rt in rs.positive))
+    if hasattr(args, "group"):
+        wanted = args.checks.split(",") if args.checks is not None else default_checks(args.group, args.family, args.rank)
+        args.checks = [c.name for c in select(args.group, args.family, args.rank, wanted)]
+    if args.cmd == "certify-all":
+        args.jobs = _jobs(os.environ.get("RSQG_JOBS", "1"), len(_desk_cases(args.max_rank)))
+
+
 def run(argv: list[str] | None = None) -> int:
     ap = make_parser()
     try:
         args = ap.parse_args(argv)
+        _validate(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.fn(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return args.fn(args)
 
 
 def main() -> None:

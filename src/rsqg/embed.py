@@ -11,14 +11,13 @@ facts are certified.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lyndon import ConvexOrder, lalonde_ram, minimal_pair
+from .lyndon import ConvexOrder, minimal_pair
 from .matrices import SMatrix, flip_map
 from .rep import Representation, build_fundamental
-from .report import CheckItem, Report, first_mismatch
+from .report import Report, first_mismatch
 from .rmatrix import CoefficientTables, rhat_explicit
 from .rootdata import Root, omega_pairing
 from .scalars import (
@@ -62,57 +61,54 @@ def verify_dj_relations(rep: Representation) -> Report:
     commutator identity with (ω̃_i - ω̃_i^{-1})/(q_i - q_i^{-1}), and the
     q-Serre sums."""
     ring, rs, n, N = rep.ring, rep.rs, rep.n, rep.N
-    mg = modified_generators(rep)
     out = Report()
-    zero = SMatrix.zero(ring, N, N)
 
-    def add(name, w, t0):
-        out.add(CheckItem(name, rep.family, n, w == "", w, time.perf_counter() - t0))
+    with out.timed("dj-cartan", rep.family, n) as it:
+        mg = modified_generators(rep)
+        w = ""
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                w = w or first_mismatch(mg.omega[i] @ mg.omega[j], mg.omega[j] @ mg.omega[i])
+                aij = rs.sym_form(rs.simple[i - 1].alpha, rs.simple[j - 1].alpha)
+                qf = q_scalar(ring) ** int(aij)
+                w = w or first_mismatch(mg.omega[i] @ mg.e[j], (mg.e[j] @ mg.omega[i]).scale(qf))
+                w = w or first_mismatch(mg.omega[i] @ mg.f[j], (mg.f[j] @ mg.omega[i]).scale(qf.inv()))
+        it.witness = w
 
-    t0 = time.perf_counter()
-    w = ""
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            w = w or first_mismatch(mg.omega[i] @ mg.omega[j], mg.omega[j] @ mg.omega[i])
-            aij = rs.sym_form(rs.simple[i - 1].alpha, rs.simple[j - 1].alpha)
-            qf = q_scalar(ring) ** int(aij)
-            w = w or first_mismatch(mg.omega[i] @ mg.e[j], (mg.e[j] @ mg.omega[i]).scale(qf))
-            w = w or first_mismatch(mg.omega[i] @ mg.f[j], (mg.f[j] @ mg.omega[i]).scale(qf.inv()))
-    add("dj-cartan", w, t0)
+    with out.timed("dj-commutator", rep.family, n) as it:
+        zero = SMatrix.zero(ring, N, N)
+        w = ""
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                comm = mg.e[i] @ mg.f[j] - mg.f[j] @ mg.e[i]
+                if i != j:
+                    w = w or first_mismatch(comm, zero)
+                else:
+                    qi = q_scalar(ring, rs.d[i - 1])
+                    rhs = (mg.omega[i] - mg.omega[i].diagonal_inv()).scale((qi - qi.inv()).inv())
+                    w = w or first_mismatch(comm, rhs)
+        it.witness = w
 
-    t0 = time.perf_counter()
-    w = ""
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            comm = mg.e[i] @ mg.f[j] - mg.f[j] @ mg.e[i]
-            if i != j:
-                w = w or first_mismatch(comm, zero)
-            else:
-                qi = q_scalar(ring, rs.d[i - 1])
-                rhs = (mg.omega[i] - mg.omega[i].diagonal_inv()).scale((qi - qi.inv()).inv())
-                w = w or first_mismatch(comm, rhs)
-    add("dj-commutator", w, t0)
-
-    t0 = time.perf_counter()
-    w = ""
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            m = 1 - rs.cartan[i - 1][j - 1]
-            for mats, tag in ((mg.e, "e"), (mg.f, "f")):
-                acc = SMatrix.zero(ring, N, N)
-                pows = [SMatrix.identity(ring, N)]
-                for _ in range(m):
-                    pows.append(pows[-1] @ mats[i])
-                for k in range(m + 1):
-                    c = q_binomial(ring, m, k, d=rs.d[i - 1])
-                    if k % 2:
-                        c = -c
-                    acc = acc + (pows[m - k] @ mats[j] @ pows[k]).scale(c)
-                if not acc.is_zero():
-                    w = w or f"q-serre {tag} ({i},{j})"
-    add("dj-serre", w, t0)
+    with out.timed("dj-serre", rep.family, n) as it:
+        w = ""
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                m = 1 - rs.cartan[i - 1][j - 1]
+                for mats, tag in ((mg.e, "e"), (mg.f, "f")):
+                    acc = SMatrix.zero(ring, N, N)
+                    pows = [SMatrix.identity(ring, N)]
+                    for _ in range(m):
+                        pows.append(pows[-1] @ mats[i])
+                    for k in range(m + 1):
+                        c = q_binomial(ring, m, k, d=rs.d[i - 1])
+                        if k % 2:
+                            c = -c
+                        acc = acc + (pows[m - k] @ mats[j] @ pows[k]).scale(c)
+                    if not acc.is_zero():
+                        w = w or f"q-serre {tag} ({i},{j})"
+        it.witness = w
     return out
 
 
@@ -157,22 +153,22 @@ def verify_kappa_recursion(rep: Representation, order: ConvexOrder) -> Report:
     closed tables, and κ is 1 on simple roots."""
     ring, rs = rep.ring, rep.rs
     out = Report()
-    t0 = time.perf_counter()
-    w = ""
-    for gamma in rs.positive:
-        if gamma.is_simple():
-            if not kappa_constants(rep, gamma).is_one():
-                w = w or f"kappa({gamma.label()}) != 1"
-            continue
-        a, b = minimal_pair(order, gamma)
-        rec = (
-            kappa_constants(rep, a)
-            * kappa_constants(rep, b)
-            * omega_pairing(rs, ring, b.alpha, a.alpha).sqrt_monomial()
-        )
-        if rec != kappa_constants(rep, gamma):
-            w = w or f"kappa recursion fails at {gamma.label()}"
-    out.add(CheckItem("kappa-recursion", rep.family, rep.n, w == "", w, time.perf_counter() - t0))
+    with out.timed("kappa-recursion", rep.family, rep.n) as it:
+        w = ""
+        for gamma in rs.positive:
+            if gamma.is_simple():
+                if not kappa_constants(rep, gamma).is_one():
+                    w = w or f"kappa({gamma.label()}) != 1"
+                continue
+            a, b = minimal_pair(order, gamma)
+            rec = (
+                kappa_constants(rep, a)
+                * kappa_constants(rep, b)
+                * omega_pairing(rs, ring, b.alpha, a.alpha).sqrt_monomial()
+            )
+            if rec != kappa_constants(rep, gamma):
+                w = w or f"kappa recursion fails at {gamma.label()}"
+        it.witness = w
     return out
 
 
@@ -183,35 +179,35 @@ def verify_root_vector_embedding(rep: Representation, order: ConvexOrder) -> Rep
     from .rootvec import build_root_vector_matrices
 
     ring, rs = rep.ring, rep.rs
-    mg = modified_generators(rep)
-    rvm = build_root_vector_matrices(rep, order)
     out = Report()
-    t0 = time.perf_counter()
-    w = ""
-    e_one: dict[tuple, SMatrix] = {}
-    f_one: dict[tuple, SMatrix] = {}
-    for rt in sorted(rs.positive, key=lambda r: r.height):
-        if rt.is_simple():
-            idx = rt.alpha.index(1) + 1
-            e_one[rt.alpha] = mg.e[idx]
-            f_one[rt.alpha] = mg.f[idx]
-        else:
-            a, b = minimal_pair(order, rt)
-            qf = q_scalar(ring) ** int(rs.sym_form(a.alpha, b.alpha))
-            e_one[rt.alpha] = e_one[a.alpha] @ e_one[b.alpha] - (e_one[b.alpha] @ e_one[a.alpha]).scale(qf)
-            f_one[rt.alpha] = f_one[b.alpha] @ f_one[a.alpha] - (f_one[a.alpha] @ f_one[b.alpha]).scale(qf.inv())
-        kap = kappa_constants(rep, rt)
-        om_half_inv = rep.omega_of(rt.alpha).diagonal_sqrt().diagonal_inv()
-        omp_half_inv = rep.omega_prime_of(rt.alpha).diagonal_sqrt().diagonal_inv()
-        ww = first_mismatch(e_one[rt.alpha], (rvm.e_of(rt) @ om_half_inv).scale(kap.inv()))
-        if ww:
-            w = w or f"e-tower at {rt.label()}: {ww}"
-        ww = first_mismatch(
-            f_one[rt.alpha], (rvm.f_of(rt) @ omp_half_inv).scale(d_gamma(rep, rt) * kap.inv())
-        )
-        if ww:
-            w = w or f"f-tower at {rt.label()}: {ww}"
-    out.add(CheckItem("root-vector-embedding", rep.family, rep.n, w == "", w, time.perf_counter() - t0))
+    with out.timed("root-vector-embedding", rep.family, rep.n) as it:
+        mg = modified_generators(rep)
+        rvm = build_root_vector_matrices(rep, order)
+        w = ""
+        e_one: dict[tuple, SMatrix] = {}
+        f_one: dict[tuple, SMatrix] = {}
+        for rt in sorted(rs.positive, key=lambda r: r.height):
+            if rt.is_simple():
+                idx = rt.alpha.index(1) + 1
+                e_one[rt.alpha] = mg.e[idx]
+                f_one[rt.alpha] = mg.f[idx]
+            else:
+                a, b = minimal_pair(order, rt)
+                qf = q_scalar(ring) ** int(rs.sym_form(a.alpha, b.alpha))
+                e_one[rt.alpha] = e_one[a.alpha] @ e_one[b.alpha] - (e_one[b.alpha] @ e_one[a.alpha]).scale(qf)
+                f_one[rt.alpha] = f_one[b.alpha] @ f_one[a.alpha] - (f_one[a.alpha] @ f_one[b.alpha]).scale(qf.inv())
+            kap = kappa_constants(rep, rt)
+            om_half_inv = rep.omega_of(rt.alpha).diagonal_sqrt().diagonal_inv()
+            omp_half_inv = rep.omega_prime_of(rt.alpha).diagonal_sqrt().diagonal_inv()
+            ww = first_mismatch(e_one[rt.alpha], (rvm.e_of(rt) @ om_half_inv).scale(kap.inv()))
+            if ww:
+                w = w or f"e-tower at {rt.label()}: {ww}"
+            ww = first_mismatch(
+                f_one[rt.alpha], (rvm.f_of(rt) @ omp_half_inv).scale(d_gamma(rep, rt) * kap.inv())
+            )
+            if ww:
+                w = w or f"f-tower at {rt.label()}: {ww}"
+        it.witness = w
     return out
 
 
@@ -245,37 +241,36 @@ def verify_twist_A(rank: int, form: str = "finite") -> Report:
     if form not in ("finite", "affine"):
         raise ValueError("form must be 'finite' or 'affine'")
     out = Report()
-    t0 = time.perf_counter()
-    extra = ("z",) if form == "affine" else ()
-    ring = quarter_ring(*extra)
-    N = rank + 1
-    qh = ring.atom("q")
+    with out.timed(f"twist-A-{form}", "A", rank) as it:
+        extra = ("z",) if form == "affine" else ()
+        ring = quarter_ring(*extra)
+        N = rank + 1
+        qh = ring.atom("q")
 
-    if form == "finite":
-        rep = build_fundamental("A", rank)
-        r_two_rs = rhat_explicit(rep) @ flip_map(rep.ring, N)
-        r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring))
-        r_one = r_two_rs.substituted({"r": qh, "s": qh.inv()}, ring=ring)
-    else:
-        from .affine import affine_rhat, one_param_r_affine_A
+        if form == "finite":
+            rep = build_fundamental("A", rank)
+            r_two_rs = rhat_explicit(rep) @ flip_map(rep.ring, N)
+            r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring))
+            r_one = r_two_rs.substituted({"r": qh, "s": qh.inv()}, ring=ring)
+        else:
+            from .affine import affine_rhat, one_param_r_affine_A
 
-        zring = rs_ring("z")
-        r_two_rs = affine_rhat("A", rank, zring) @ flip_map(zring, N)
-        r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring))
-        r_one = one_param_r_affine_A(rank, ring)
+            zring = rs_ring("z")
+            r_two_rs = affine_rhat("A", rank, zring) @ flip_map(zring, N)
+            r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring))
+            r_one = one_param_r_affine_A(rank, ring)
 
-    # F(v_i ⊗ v_j) = w^{±1} v_i ⊗ v_j with w = (rs)^{1/4}; the orientation
-    # (+1 on i < j) is the one that makes the identity true — the text fixes
-    # only exp(2φ_ij) up to the skew orientation
-    rows = {}
-    for i in range(N):
-        for j in range(N):
-            idx = i * N + j
-            e = 0 if i == j else (-1 if i > j else 1)
-            rows[idx] = {idx: ring.mono(w=e)}
-    f_inv = SMatrix(ring, N * N, N * N, rows).diagonal_inv()
-    w = first_mismatch(r_two, f_inv @ r_one @ f_inv)
-    out.add(CheckItem(f"twist-A-{form}", "A", rank, w == "", w, time.perf_counter() - t0))
+        # F(v_i ⊗ v_j) = w^{±1} v_i ⊗ v_j with w = (rs)^{1/4}; the orientation
+        # (+1 on i < j) is the one that makes the identity true — the text fixes
+        # only exp(2φ_ij) up to the skew orientation
+        rows = {}
+        for i in range(N):
+            for j in range(N):
+                idx = i * N + j
+                e = 0 if i == j else (-1 if i > j else 1)
+                rows[idx] = {idx: ring.mono(w=e)}
+        f_inv = SMatrix(ring, N * N, N * N, rows).diagonal_inv()
+        it.witness = first_mismatch(r_two, f_inv @ r_one @ f_inv)
     return out
 
 
@@ -285,71 +280,56 @@ def b_type_obstruction(rank: int) -> Report:
     families force the twist uniquely, and the residual on the
     E_{i'j'} ⊗ E_{ij} family is then nonzero.  Both facts are asserted."""
     out = Report()
-    t0 = time.perf_counter()
-    rep = build_fundamental("B", rank)
-    N, n = rep.N, rep.n
-    tab = CoefficientTables(rep)
-    pr = rep.prime
-    ring = quarter_ring()
-    qh = ring.atom("q")
+    with out.timed("twist-B-obstruction", "B", rank) as it:
+        rep = build_fundamental("B", rank)
+        N, n = rep.N, rep.n
+        tab = CoefficientTables(rep)
+        pr = rep.prime
+        ring = quarter_ring()
+        qh = ring.atom("q")
 
-    r_two_rs = rhat_explicit(rep) @ flip_map(rep.ring, N)
-    r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring))
-    r_one = r_two_rs.substituted({"r": qh, "s": qh.inv()}, ring=ring)
+        r_two_rs = rhat_explicit(rep) @ flip_map(rep.ring, N)
+        r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring))
+        r_one = r_two_rs.substituted({"r": qh, "s": qh.inv()}, ring=ring)
 
-    # forced twist: exp(2φ_ii) = 1, exp(2φ_{ii'}) = 1, exp(2φ_ij) = a_ij^{-1};
-    # skew-symmetry fixes the rest (consistent because a_ij a_ji = 1)
-    def exp_phi(i, j):
-        if j == i or j == pr(i):
-            return ring.one
-        return _to_quarter_ring(tab.a(i, j).inv(), ring).sqrt_monomial()
+        # forced twist: exp(2φ_ii) = 1, exp(2φ_{ii'}) = 1, exp(2φ_ij) = a_ij^{-1};
+        # skew-symmetry fixes the rest (consistent because a_ij a_ji = 1)
+        def exp_phi(i, j):
+            if j == i or j == pr(i):
+                return ring.one
+            return _to_quarter_ring(tab.a(i, j).inv(), ring).sqrt_monomial()
 
-    rows = {}
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            idx = (i - 1) * N + (j - 1)
-            rows[idx] = {idx: exp_phi(i, j)}
-    f_inv = SMatrix(ring, N * N, N * N, rows).diagonal_inv()
-    diff = r_two - f_inv @ r_one @ f_inv
+        rows = {}
+        for i in range(1, N + 1):
+            for j in range(1, N + 1):
+                idx = (i - 1) * N + (j - 1)
+                rows[idx] = {idx: exp_phi(i, j)}
+        f_inv = SMatrix(ring, N * N, N * N, rows).diagonal_inv()
+        diff = r_two - f_inv @ r_one @ f_inv
 
-    w = ""
-    last_family = []
-    for ii, row in diff.rows.items():
-        p, q = ii // N + 1, ii % N + 1  # output pair (v_p ⊗ v_q)
-        for jj, val in row.items():
-            p2, q2 = jj // N + 1, jj % N + 1  # input pair
-            if p == pr(q) and p2 == pr(q2) and q < q2 and q2 != pr(q):
-                last_family.append(((ii, jj), val))
-                continue  # the E_{i'j'} ⊗ E_{ij} family, allowed to differ
-            w = w or f"unexpected residual at (({p},{q}),({p2},{q2}))"
-    # the five constrained families matched; the last family must not
-    if not last_family:
-        w = w or "twist unexpectedly matches in type B"
-    witness = w
-    if not w:
-        (ii, jj), val = last_family[0]
-        witness = f"nonzero residual at entry ({ii},{jj}): {val}"
-    out.add(CheckItem("twist-B-obstruction", "B", rank, w == "", witness, time.perf_counter() - t0))
+        w = ""
+        last_family = []
+        for ii, row in diff.rows.items():
+            p, q = ii // N + 1, ii % N + 1  # output pair (v_p ⊗ v_q)
+            for jj, val in row.items():
+                p2, q2 = jj // N + 1, jj % N + 1  # input pair
+                if p == pr(q) and p2 == pr(q2) and q < q2 and q2 != pr(q):
+                    last_family.append(((ii, jj), val))
+                    continue  # the E_{i'j'} ⊗ E_{ij} family, allowed to differ
+                w = w or f"unexpected residual at (({p},{q}),({p2},{q2}))"
+        # the five constrained families matched; the last family must not
+        if not last_family:
+            w = w or "twist unexpectedly matches in type B"
+        it.ok = not w
+        if not w:
+            (ii, jj), val = last_family[0]
+            w = f"nonzero residual at entry ({ii},{jj}): {val}"
+        it.witness = w
     return out
 
 
 def run_embed_checks(family: str, rank: int, checks: list[str]) -> Report:
-    rep = build_fundamental(family, rank)
-    order = lalonde_ram(rep.rs)
-    out = Report()
-    for c in checks:
-        if c == "dj":
-            out = out.merged(verify_dj_relations(rep))
-        elif c == "kappa":
-            out = out.merged(verify_kappa_recursion(rep, order))
-        elif c == "rootvec":
-            out = out.merged(verify_root_vector_embedding(rep, order))
-        elif c == "twist":
-            if family == "A":
-                out = out.merged(verify_twist_A(rank, "finite"))
-                out = out.merged(verify_twist_A(rank, "affine"))
-            elif family == "B":
-                out = out.merged(b_type_obstruction(rank))
-        else:
-            raise ValueError(f"unknown check {c!r}")
-    return out
+    """The named embed checks of the catalogue, over one shared case context."""
+    from .catalogue import run_group
+
+    return run_group("embed", family, rank, checks)

@@ -68,9 +68,6 @@ class ConvexOrder:
     roots: list[Root]  # increasing
     word_of: dict[tuple[int, ...], Word]  # keyed by root.alpha
 
-    def position(self, rt: Root) -> int:
-        return self._pos[rt.alpha]
-
     def __post_init__(self):
         self._pos = {rt.alpha: k for k, rt in enumerate(self.roots)}
 

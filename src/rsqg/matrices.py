@@ -49,11 +49,6 @@ class SMatrix:
                 row[j] = nv
         return cls(ring, nrows, ncols, {i: r for i, r in rows.items() if r})
 
-    def unit(self, i: int, j: int, coeff: Scalar | None = None) -> "SMatrix":
-        """Matrix unit E_{ij} (1-indexed, matching the formulas)."""
-        c = coeff if coeff is not None else self.ring.one
-        return SMatrix.from_entries(self.ring, self.nrows, self.ncols, [(i - 1, j - 1, c)])
-
     # -- access --------------------------------------------------------------
 
     def get(self, i: int, j: int) -> Scalar:
@@ -235,6 +230,16 @@ def kron(a: SMatrix, b: SMatrix) -> SMatrix:
     return SMatrix(a.ring, a.nrows * b.nrows, a.ncols * b.ncols, rows)
 
 
+def tensor_units(
+    ring: ScalarRing, n: int, terms: Iterable[tuple[int, int, int, int, Scalar]]
+) -> SMatrix:
+    """Σ c·E_ij ⊗ E_kl on V ⊗ V (dim V = n) over terms (i, j, k, l, c), with
+    1-indexed matrix units as in the printed displays; repeated terms add up
+    and entries that sum to zero are dropped."""
+    entries = (((i - 1) * n + k - 1, (j - 1) * n + l - 1, c) for i, j, k, l, c in terms)
+    return SMatrix.from_entries(ring, n * n, n * n, entries)
+
+
 def flip_map(ring: ScalarRing, n: int) -> SMatrix:
     """The flip v_i ⊗ v_j ↦ v_j ⊗ v_i on V ⊗ V."""
     rows = {}
@@ -286,10 +291,6 @@ def vec_scale(vec: dict[int, Scalar], c: Scalar) -> dict[int, Scalar]:
         if not w.is_zero():
             out[i] = w
     return out
-
-
-def vec_eq(a: dict[int, Scalar], b: dict[int, Scalar]) -> bool:
-    return a == b
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,11 @@ and the orthogonality of ordered monomials.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .lyndon import ConvexOrder, minimal_pair
-from .report import CheckItem, Report
+from .report import Report
 from .rootdata import Root, RootSystem, omega_pairing
 from .scalars import Scalar, ScalarRing, rs_factorial, rs_integer
 
@@ -234,20 +233,22 @@ def abstract_root_vector(
     return AbstractRootVector(gamma, e, f)
 
 
+def check_oracle_range(m: int, height: int) -> None:
+    """The oracle's word expansion is exponential in m·height; inputs beyond
+    the supported desk range (m ≤ 3 and m·height ≤ 9) are rejected rather
+    than truncated."""
+    if m > 3 or m * height > 9:
+        raise ValueError(f"pairing power out of the supported range: m={m}, height={height}")
+
+
 def pairing_power(
     oracle: PairingOracle, order: ConvexOrder, gamma: Root, m: int
 ) -> Scalar:
-    """(f_γ^m, e_γ^m) computed by the oracle on fully expanded words.
-
-    The expansion is exponential in m·height(γ); inputs beyond the supported
-    desk range (m ≤ 3 and m·height ≤ 9) are rejected rather than truncated.
-    """
+    """(f_γ^m, e_γ^m) computed by the oracle on fully expanded words, within
+    the range ``check_oracle_range`` accepts."""
     if m == 0:
         return oracle.ring.one
-    if m > 3 or m * gamma.height > 9:
-        raise ValueError(
-            f"pairing power out of the supported range: m={m}, height={gamma.height}"
-        )
+    check_oracle_range(m, gamma.height)
     rv = abstract_root_vector(order, gamma, oracle.ring)
     return oracle.hopf_pair(rv.f.power(m), rv.e.power(m))
 
@@ -359,25 +360,23 @@ def verify_pairing_constants(
     """Oracle vs closed form vs recursion for every positive root, m ≤ max_m
     (lowered per root where the word expansion would leave the supported
     degree range)."""
-    oracle = PairingOracle(rs, ring)
     out = Report()
-    t0 = time.perf_counter()
-    w = ""
-    for gamma in order.roots:
-        mm = max_m
-        while mm > 1 and mm * gamma.height > 6:
-            mm -= 1
-        for m in range(mm + 1):
-            via_oracle = pairing_power(oracle, order, gamma, m)
-            via_closed = closed_form_pairing(rs, ring, gamma, m)
-            via_c = pairing_from_c(order, gamma, m, ring)
-            if via_oracle != via_closed:
-                w = w or f"{gamma.label()} m={m}: oracle {via_oracle} vs closed {via_closed}"
-            if via_oracle != via_c:
-                w = w or f"{gamma.label()} m={m}: oracle {via_oracle} vs recursion {via_c}"
-    out.add(
-        CheckItem("pairing-constants", rs.family, rs.n, w == "", w, time.perf_counter() - t0)
-    )
+    with out.timed("pairing-constants", rs.family, rs.n) as it:
+        oracle = PairingOracle(rs, ring)
+        w = ""
+        for gamma in order.roots:
+            mm = max_m
+            while mm > 1 and mm * gamma.height > 6:
+                mm -= 1
+            for m in range(mm + 1):
+                via_oracle = pairing_power(oracle, order, gamma, m)
+                via_closed = closed_form_pairing(rs, ring, gamma, m)
+                via_c = pairing_from_c(order, gamma, m, ring)
+                if via_oracle != via_closed:
+                    w = w or f"{gamma.label()} m={m}: oracle {via_oracle} vs closed {via_closed}"
+                if via_oracle != via_c:
+                    w = w or f"{gamma.label()} m={m}: oracle {via_oracle} vs recursion {via_c}"
+        it.witness = w
     return out
 
 
@@ -420,46 +419,37 @@ def verify_pbw_orthogonality(
 ) -> Report:
     """Pairing of ordered monomials vanishes unless the exponents agree, and
     the diagonal values factor into the per-root constants."""
-    oracle = PairingOracle(rs, ring)
     out = Report()
-    t0 = time.perf_counter()
-    w = ""
-    monos = list(pbw_monomials(order, max_height))
-    roots_dec = order.decreasing()
+    with out.timed(f"pbw-orthogonality-h{max_height}", rs.family, rs.n) as it:
+        oracle = PairingOracle(rs, ring)
+        w = ""
+        monos = list(pbw_monomials(order, max_height))
+        roots_dec = order.decreasing()
 
-    def q_degree(exps):
-        deg = [0] * rs.n
-        for rt, m in zip(roots_dec, exps):
-            for k in range(rs.n):
-                deg[k] += m * rt.alpha[k]
-        return tuple(deg)
+        def q_degree(exps):
+            deg = [0] * rs.n
+            for rt, m in zip(roots_dec, exps):
+                for k in range(rs.n):
+                    deg[k] += m * rt.alpha[k]
+            return tuple(deg)
 
-    degrees = [q_degree(e) for e in monos]
-    f_elems = [expand_monomial(order, e, "minus", ring) for e in monos]
-    e_elems = [expand_monomial(order, e, "plus", ring) for e in monos]
-    for a, ma in enumerate(monos):
-        for b, mb in enumerate(monos):
-            if degrees[a] != degrees[b]:
-                continue  # vanishes by degree reasons; nothing to compute
-            val = oracle.hopf_pair(f_elems[a], e_elems[b])
-            if ma != mb:
-                if not val.is_zero():
-                    w = w or f"off-diagonal {ma} vs {mb} paired to {val}"
-            else:
-                expect = ring.one
-                for rt, m in zip(roots_dec, ma):
-                    if m:
-                        expect = expect * pairing_power(oracle, order, rt, m)
-                if val != expect:
-                    w = w or f"diagonal {ma} paired to {val}, expected {expect}"
-    out.add(
-        CheckItem(
-            f"pbw-orthogonality-h{max_height}",
-            rs.family,
-            rs.n,
-            w == "",
-            w,
-            time.perf_counter() - t0,
-        )
-    )
+        degrees = [q_degree(e) for e in monos]
+        f_elems = [expand_monomial(order, e, "minus", ring) for e in monos]
+        e_elems = [expand_monomial(order, e, "plus", ring) for e in monos]
+        for a, ma in enumerate(monos):
+            for b, mb in enumerate(monos):
+                if degrees[a] != degrees[b]:
+                    continue  # vanishes by degree reasons; nothing to compute
+                val = oracle.hopf_pair(f_elems[a], e_elems[b])
+                if ma != mb:
+                    if not val.is_zero():
+                        w = w or f"off-diagonal {ma} vs {mb} paired to {val}"
+                else:
+                    expect = ring.one
+                    for rt, m in zip(roots_dec, ma):
+                        if m:
+                            expect = expect * pairing_power(oracle, order, rt, m)
+                    if val != expect:
+                        w = w or f"diagonal {ma} paired to {val}, expected {expect}"
+        it.witness = w
     return out

@@ -5,12 +5,11 @@ algebra, and mechanical verification of all defining relations.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import SMatrix, kron
-from .report import CheckItem, Report, first_mismatch
+from .report import Report, first_mismatch
 from .rootdata import (
     AffineData,
     RootSystem,
@@ -246,93 +245,90 @@ def verify_finite_relations(rep: Representation) -> Report:
     """Check the defining relations of the two-parameter quantum group as
     exact matrix identities on the fundamental module."""
     rs, ring, n = rep.rs, rep.ring, rep.n
-    rep_report = Report()
-    fam, rank = rep.family, rep.n
-    zero = SMatrix.zero(ring, rep.N, rep.N)
+    out = Report()
+    fam = rep.family
 
-    def add(name, ok_witness, t0):
-        rep_report.add(CheckItem(name, fam, rank, ok_witness == "", ok_witness, time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    w = ""
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for a, b in ((rep.omega[i], rep.omega[j]), (rep.omega[i], rep.omega_prime[j]), (rep.omega_prime[i], rep.omega_prime[j])):
-                w = w or first_mismatch(a @ b, b @ a)
-        ident = SMatrix.identity(ring, rep.N)
-        w = w or first_mismatch(rep.omega[i] @ rep.omega[i].diagonal_inv(), ident)
-        w = w or first_mismatch(rep.omega_prime[i] @ rep.omega_prime[i].diagonal_inv(), ident)
-    add("cartan-commute", w, t0)
-
-    t0 = time.perf_counter()
-    w = ""
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            aj = rs.simple[j - 1].alpha
-            ai = rs.simple[i - 1].alpha
-            cj = ring.mono(r=rs.ringel_form(aj, ai), s=-rs.ringel_form(ai, aj))
-            w = w or _scalar_conj_check(rep.omega[i], rep.e[j], cj)
-            w = w or _scalar_conj_check(rep.omega[i], rep.f[j], cj.inv())
-    add("cartan-conj-e-f", w, t0)
-
-    t0 = time.perf_counter()
-    w = ""
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            aj = rs.simple[j - 1].alpha
-            ai = rs.simple[i - 1].alpha
-            cj = ring.mono(r=-rs.ringel_form(ai, aj), s=rs.ringel_form(aj, ai))
-            w = w or _scalar_conj_check(rep.omega_prime[i], rep.e[j], cj)
-            w = w or _scalar_conj_check(rep.omega_prime[i], rep.f[j], cj.inv())
-    add("cartan-prime-conj-e-f", w, t0)
-
-    t0 = time.perf_counter()
-    w = ""
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            comm = rep.e[i] @ rep.f[j] - rep.f[j] @ rep.e[i]
-            if i != j:
-                w = w or first_mismatch(comm, zero)
-            else:
-                di = rs.d[i - 1]
-                denom = ring.mono(r=di) - ring.mono(s=di)
-                rhs = (rep.omega[i] - rep.omega_prime[i]).scale(denom.inv())
-                w = w or first_mismatch(comm, rhs)
-    add("e-f-commutator", w, t0)
-
-    t0 = time.perf_counter()
-    w = ""
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            cij = rs.cartan[i - 1][j - 1]
-            ai, aj = rs.simple[i - 1].alpha, rs.simple[j - 1].alpha
-            # the (rs)-exponent is the Ringel pairing ⟨α_j, α_i⟩ on the e side
-            # and its transpose on the f side (the two sums are exchanged by
-            # the antiautomorphism e_i ↔ f_i, r ↔ s; only type D separates them)
-            rf = rs.ringel_form(aj, ai)
-            rf_t = rs.ringel_form(ai, aj)
-            for mats, tag, expo in ((rep.e, "e", rf), (rep.f, "f", rf_t)):
-                sm = serre_sum(mats, i, j, cij, ring, rs.d[i - 1], ring.mono(r=expo, s=expo))
-                if not sm.is_zero():
-                    w = w or f"serre {tag} ({i},{j}): {first_mismatch(sm, zero)}"
-    add("serre", w, t0)
-
-    t0 = time.perf_counter()
-    w = ""
-    for k in range(rep.N):
-        lam = rep.weights[k]
+    with out.timed("cartan-commute", fam, n) as it:
+        zero = SMatrix.zero(ring, rep.N, rep.N)
+        w = ""
         for i in range(1, n + 1):
-            ev = rep.omega[i].get(k, k)
-            if ev != omega_on_weight(rs, ring, lam, i):
-                w = w or f"omega[{i}] eigenvalue on v_{k + 1}"
-            evp = rep.omega_prime[i].get(k, k)
-            if evp != omega_prime_on_weight(rs, ring, i, lam).inv():
-                w = w or f"omega'[{i}] eigenvalue on v_{k + 1}"
-    add("weight-labels", w, t0)
+            for j in range(1, n + 1):
+                for a, b in ((rep.omega[i], rep.omega[j]), (rep.omega[i], rep.omega_prime[j]), (rep.omega_prime[i], rep.omega_prime[j])):
+                    w = w or first_mismatch(a @ b, b @ a)
+            ident = SMatrix.identity(ring, rep.N)
+            w = w or first_mismatch(rep.omega[i] @ rep.omega[i].diagonal_inv(), ident)
+            w = w or first_mismatch(rep.omega_prime[i] @ rep.omega_prime[i].diagonal_inv(), ident)
+        it.witness = w
 
-    return rep_report
+    with out.timed("cartan-conj-e-f", fam, n) as it:
+        w = ""
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                aj = rs.simple[j - 1].alpha
+                ai = rs.simple[i - 1].alpha
+                cj = ring.mono(r=rs.ringel_form(aj, ai), s=-rs.ringel_form(ai, aj))
+                w = w or _scalar_conj_check(rep.omega[i], rep.e[j], cj)
+                w = w or _scalar_conj_check(rep.omega[i], rep.f[j], cj.inv())
+        it.witness = w
+
+    with out.timed("cartan-prime-conj-e-f", fam, n) as it:
+        w = ""
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                aj = rs.simple[j - 1].alpha
+                ai = rs.simple[i - 1].alpha
+                cj = ring.mono(r=-rs.ringel_form(ai, aj), s=rs.ringel_form(aj, ai))
+                w = w or _scalar_conj_check(rep.omega_prime[i], rep.e[j], cj)
+                w = w or _scalar_conj_check(rep.omega_prime[i], rep.f[j], cj.inv())
+        it.witness = w
+
+    with out.timed("e-f-commutator", fam, n) as it:
+        w = ""
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                comm = rep.e[i] @ rep.f[j] - rep.f[j] @ rep.e[i]
+                if i != j:
+                    w = w or first_mismatch(comm, zero)
+                else:
+                    di = rs.d[i - 1]
+                    denom = ring.mono(r=di) - ring.mono(s=di)
+                    rhs = (rep.omega[i] - rep.omega_prime[i]).scale(denom.inv())
+                    w = w or first_mismatch(comm, rhs)
+        it.witness = w
+
+    with out.timed("serre", fam, n) as it:
+        w = ""
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                cij = rs.cartan[i - 1][j - 1]
+                ai, aj = rs.simple[i - 1].alpha, rs.simple[j - 1].alpha
+                # the (rs)-exponent is the Ringel pairing ⟨α_j, α_i⟩ on the e side
+                # and its transpose on the f side (the two sums are exchanged by
+                # the antiautomorphism e_i ↔ f_i, r ↔ s; only type D separates them)
+                rf = rs.ringel_form(aj, ai)
+                rf_t = rs.ringel_form(ai, aj)
+                for mats, tag, expo in ((rep.e, "e", rf), (rep.f, "f", rf_t)):
+                    sm = serre_sum(mats, i, j, cij, ring, rs.d[i - 1], ring.mono(r=expo, s=expo))
+                    if not sm.is_zero():
+                        w = w or f"serre {tag} ({i},{j}): {first_mismatch(sm, zero)}"
+        it.witness = w
+
+    with out.timed("weight-labels", fam, n) as it:
+        w = ""
+        for k in range(rep.N):
+            lam = rep.weights[k]
+            for i in range(1, n + 1):
+                ev = rep.omega[i].get(k, k)
+                if ev != omega_on_weight(rs, ring, lam, i):
+                    w = w or f"omega[{i}] eigenvalue on v_{k + 1}"
+                evp = rep.omega_prime[i].get(k, k)
+                if evp != omega_prime_on_weight(rs, ring, i, lam).inv():
+                    w = w or f"omega'[{i}] eigenvalue on v_{k + 1}"
+        it.witness = w
+
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +407,16 @@ def verify_highest_weight(rep: Representation) -> Report:
     """Each candidate vector is annihilated by every Δ(e_i)."""
     from .matrices import mat_vec
 
-    hwt = highest_weight_vectors(rep)
     out = Report()
-    t0 = time.perf_counter()
-    w = ""
-    for k, vec in enumerate(hwt.vectors):
-        for i in range(1, rep.n + 1):
-            img = mat_vec(coproduct_e(rep, i), vec)
-            if img:
-                w = w or f"Δ(e_{i}) does not kill w{k + 1}"
-    out.add(CheckItem("highest-weight-annihilation", rep.family, rep.n, w == "", w, time.perf_counter() - t0))
+    with out.timed("highest-weight-annihilation", rep.family, rep.n) as it:
+        hwt = highest_weight_vectors(rep)
+        w = ""
+        for k, vec in enumerate(hwt.vectors):
+            for i in range(1, rep.n + 1):
+                img = mat_vec(coproduct_e(rep, i), vec)
+                if img:
+                    w = w or f"Δ(e_{i}) does not kill w{k + 1}"
+        it.witness = w
     return out
 
 
@@ -470,6 +466,11 @@ KAPPA = {"A": 1, "B": 2, "C": 1, "D": 1}
 MIN_AFFINE_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 
+def check_affine_rank(family: str, rank: int) -> None:
+    if rank < MIN_AFFINE_RANK[family]:
+        raise ValueError(f"type {family} evaluation module needs rank ≥ {MIN_AFFINE_RANK[family]}")
+
+
 def build_evaluation(
     family: str,
     rank: int,
@@ -486,8 +487,7 @@ def build_evaluation(
     a = 1 and b = (rs)^{-κ} so that the central scalar c is 1.  Explicit
     Scalars for a and b override the mode.
     """
-    if rank < MIN_AFFINE_RANK[family]:
-        raise ValueError(f"type {family} evaluation module needs rank ≥ {MIN_AFFINE_RANK[family]}")
+    check_affine_rank(family, rank)
     kappa = KAPPA[family]
     if ring is None:
         ring = rs_ring(spectral, "a", "b") if mode == "symbolic-a" else rs_ring(spectral)
@@ -588,87 +588,84 @@ def verify_affine_relations(erep: EvaluationRep) -> Report:
     rs, n, N = rep.rs, rep.n, rep.N
     fam = rep.family
     out = Report()
-    zero = SMatrix.zero(ring, N, N)
-    ident = SMatrix.identity(ring, N)
-    omes = {i: erep.omega_at(i) for i in range(n + 1)}
-    omps = {i: erep.omega_prime_at(i) for i in range(n + 1)}
-    es = {i: erep.e_at(i) for i in range(n + 1)}
-    fs = {i: erep.f_at(i) for i in range(n + 1)}
     Om = erep.aff.omega
     cext = erep.aff.cartan_ext
     d_ext = {0: erep.aff.d0, **{i: rs.d[i - 1] for i in range(1, n + 1)}}
 
-    def add(name, w, t0):
-        out.add(CheckItem(name, fam, n, w == "", w, time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    w = ""
-    for i in range(n + 1):
-        for j in range(n + 1):
-            for x, y in ((omes[i], omes[j]), (omes[i], omps[j]), (omps[i], omps[j])):
-                w = w or first_mismatch(x @ y, y @ x)
-        w = w or first_mismatch(omes[i] @ omes[i].diagonal_inv(), ident)
-        w = w or first_mismatch(omps[i] @ omps[i].diagonal_inv(), ident)
-    add("affine-cartan-commute", w, t0)
-
-    t0 = time.perf_counter()
-    w = ""
-    c_id = ident.scale(erep.c)
-    w = w or first_mismatch(erep.gamma, c_id)
-    w = w or first_mismatch(erep.gamma_prime, c_id)
-    for g in list(es.values()) + list(fs.values()):
-        w = w or first_mismatch(erep.gamma @ g, g @ erep.gamma)
-        w = w or first_mismatch(erep.gamma_prime @ g, g @ erep.gamma_prime)
-    add("affine-central", w, t0)
-
-    t0 = time.perf_counter()
-    w = ""
-    for i in range(n + 1):
-        for j in range(n + 1):
-            w = w or _scalar_conj_check(omes[i], es[j], Om[(j, i)])
-            w = w or _scalar_conj_check(omes[i], fs[j], Om[(j, i)].inv())
-            w = w or _scalar_conj_check(omps[i], es[j], Om[(i, j)].inv())
-            w = w or _scalar_conj_check(omps[i], fs[j], Om[(i, j)])
-    add("affine-cartan-conj", w, t0)
-
-    t0 = time.perf_counter()
-    w = ""
-    for i in range(n + 1):
-        for j in range(n + 1):
-            comm = es[i] @ fs[j] - fs[j] @ es[i]
-            if i != j:
-                w = w or first_mismatch(comm, zero)
-            else:
-                denom = ring.mono(r=d_ext[i]) - ring.mono(s=d_ext[i])
-                w = w or first_mismatch(comm, (omes[i] - omps[i]).scale(denom.inv()))
-    add("affine-e-f-commutator", w, t0)
-
-    t0 = time.perf_counter()
-    w = ""
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i == j:
-                continue
-            cij = cext[(i, j)]
-            si_c = ring.mono(s=d_ext[i] * cij)
-            # e side uses Ω_{ji}, f side its transpose Ω_{ij} (cf. the finite case)
-            for mats, tag, om_fac in ((es, "e", Om[(j, i)]), (fs, "f", Om[(i, j)])):
-                sm = serre_sum(mats, i, j, cij, ring, d_ext[i], om_fac * si_c)
-                if not sm.is_zero():
-                    w = w or f"affine serre {tag} ({i},{j})"
-    add("affine-serre", w, t0)
-
-    t0 = time.perf_counter()
-    w = ""
-    x = erep.spectral
-    for scale_var, name in ((erep.aff.r0, "degree-r"), (erep.aff.s0, "degree-s")):
-        sub = {x: scale_var * ring.atom(x)}
+    with out.timed("affine-cartan-commute", fam, n) as it:
+        zero = SMatrix.zero(ring, N, N)
+        ident = SMatrix.identity(ring, N)
+        omes = {i: erep.omega_at(i) for i in range(n + 1)}
+        omps = {i: erep.omega_prime_at(i) for i in range(n + 1)}
+        es = {i: erep.e_at(i) for i in range(n + 1)}
+        fs = {i: erep.f_at(i) for i in range(n + 1)}
+        w = ""
         for i in range(n + 1):
-            expect = scale_var if i == 0 else ring.one
-            w = w or first_mismatch(es[i].substituted(sub), es[i].scale(expect))
-            w = w or first_mismatch(fs[i].substituted(sub), fs[i].scale(expect.inv()))
-            w = w or first_mismatch(omes[i].substituted(sub), omes[i])
-            w = w or first_mismatch(omps[i].substituted(sub), omps[i])
-    add("degree-conjugation", w, t0)
+            for j in range(n + 1):
+                for x, y in ((omes[i], omes[j]), (omes[i], omps[j]), (omps[i], omps[j])):
+                    w = w or first_mismatch(x @ y, y @ x)
+            w = w or first_mismatch(omes[i] @ omes[i].diagonal_inv(), ident)
+            w = w or first_mismatch(omps[i] @ omps[i].diagonal_inv(), ident)
+        it.witness = w
+
+    with out.timed("affine-central", fam, n) as it:
+        w = ""
+        c_id = ident.scale(erep.c)
+        w = w or first_mismatch(erep.gamma, c_id)
+        w = w or first_mismatch(erep.gamma_prime, c_id)
+        for g in list(es.values()) + list(fs.values()):
+            w = w or first_mismatch(erep.gamma @ g, g @ erep.gamma)
+            w = w or first_mismatch(erep.gamma_prime @ g, g @ erep.gamma_prime)
+        it.witness = w
+
+    with out.timed("affine-cartan-conj", fam, n) as it:
+        w = ""
+        for i in range(n + 1):
+            for j in range(n + 1):
+                w = w or _scalar_conj_check(omes[i], es[j], Om[(j, i)])
+                w = w or _scalar_conj_check(omes[i], fs[j], Om[(j, i)].inv())
+                w = w or _scalar_conj_check(omps[i], es[j], Om[(i, j)].inv())
+                w = w or _scalar_conj_check(omps[i], fs[j], Om[(i, j)])
+        it.witness = w
+
+    with out.timed("affine-e-f-commutator", fam, n) as it:
+        w = ""
+        for i in range(n + 1):
+            for j in range(n + 1):
+                comm = es[i] @ fs[j] - fs[j] @ es[i]
+                if i != j:
+                    w = w or first_mismatch(comm, zero)
+                else:
+                    denom = ring.mono(r=d_ext[i]) - ring.mono(s=d_ext[i])
+                    w = w or first_mismatch(comm, (omes[i] - omps[i]).scale(denom.inv()))
+        it.witness = w
+
+    with out.timed("affine-serre", fam, n) as it:
+        w = ""
+        for i in range(n + 1):
+            for j in range(n + 1):
+                if i == j:
+                    continue
+                cij = cext[(i, j)]
+                si_c = ring.mono(s=d_ext[i] * cij)
+                # e side uses Ω_{ji}, f side its transpose Ω_{ij} (cf. the finite case)
+                for mats, tag, om_fac in ((es, "e", Om[(j, i)]), (fs, "f", Om[(i, j)])):
+                    sm = serre_sum(mats, i, j, cij, ring, d_ext[i], om_fac * si_c)
+                    if not sm.is_zero():
+                        w = w or f"affine serre {tag} ({i},{j})"
+        it.witness = w
+
+    with out.timed("degree-conjugation", fam, n) as it:
+        w = ""
+        x = erep.spectral
+        for scale_var, name in ((erep.aff.r0, "degree-r"), (erep.aff.s0, "degree-s")):
+            sub = {x: scale_var * ring.atom(x)}
+            for i in range(n + 1):
+                expect = scale_var if i == 0 else ring.one
+                w = w or first_mismatch(es[i].substituted(sub), es[i].scale(expect))
+                w = w or first_mismatch(fs[i].substituted(sub), fs[i].scale(expect.inv()))
+                w = w or first_mismatch(omes[i].substituted(sub), omes[i])
+                w = w or first_mismatch(omps[i].substituted(sub), omps[i])
+        it.witness = w
 
     return out

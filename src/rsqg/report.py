@@ -1,9 +1,12 @@
-"""Certificate report structures shared by all verification entry points."""
+"""Certificate report structures shared by all verification entry points,
+and the one clock every check runs under."""
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .matrices import SMatrix
 
@@ -38,8 +41,27 @@ class Report:
         self.items.append(item)
         return item
 
+    @contextmanager
+    def timed(self, name: str, family: str, rank: int) -> Iterator[CheckItem]:
+        """Run the body of one named check under a single clock, including
+        every operator the body builds, and record it.  The body sets
+        ``witness`` ("" when the identity holds); ``ok`` follows from the
+        witness unless the body sets it."""
+        item = CheckItem(name, family, rank, None)
+        t0 = time.perf_counter()
+        yield item
+        item.seconds = time.perf_counter() - t0
+        if item.ok is None:
+            item.ok = item.witness == ""
+        self.items.append(item)
+
+    def fault(self, name: str, family: str, rank: int, exc: Exception) -> CheckItem:
+        """Record a check that raised instead of returning a verdict."""
+        return self.add(CheckItem(name, family, rank, False, f"raised {type(exc).__name__}: {exc}"))
+
     def ok(self) -> bool:
-        return all(it.ok for it in self.items)
+        """True when at least one check ran and every check passed."""
+        return bool(self.items) and all(it.ok for it in self.items)
 
     def sorted_items(self) -> list[CheckItem]:
         return sorted(self.items, key=lambda it: (it.name, it.family, it.rank))
@@ -68,8 +90,3 @@ def first_mismatch(a: SMatrix, b: SMatrix) -> str:
         return ""
     i, j, v = d.entries()[0]
     return f"entry ({i},{j}) differs by {v}"
-
-
-def timed_matrix_check(name: str, family: str, rank: int, a: SMatrix, b: SMatrix, t0: float) -> CheckItem:
-    w = first_mismatch(a, b)
-    return CheckItem(name, family, rank, w == "", w, time.perf_counter() - t0)

@@ -7,12 +7,11 @@ one-parameter specialization certificates.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .lyndon import ConvexOrder, lalonde_ram
-from .matrices import SMatrix, act_12, act_23, flip_map, kron
+from .matrices import SMatrix, act_12, act_23, flip_map, kron, tensor_units
 from .pairing import c_gamma, root_d
 from .rep import (
     Representation,
@@ -21,7 +20,7 @@ from .rep import (
     coproduct_f,
     highest_weight_vectors,
 )
-from .report import CheckItem, Report, first_mismatch
+from .report import Report, first_mismatch
 from .rootdata import f_function
 from .rootvec import RootVectorMatrices, build_root_vector_matrices
 from .scalars import Scalar, ScalarRing, Variable, rs_factorial
@@ -72,23 +71,22 @@ class CoefficientTables:
 def verify_tables(rep: Representation) -> Report:
     """a_ij · a_ji = 1 and a_ij = f(ε_i, ε_j) away from j = i, i'."""
     out = Report()
-    t0 = time.perf_counter()
-    w = ""
-    if rep.family == "A":
-        out.add(CheckItem("coefficient-tables", "A", rep.n, True, "", 0.0))
-        return out
-    tab = CoefficientTables(rep)
-    ring = rep.ring
-    for i in range(1, rep.N + 1):
-        for j in range(1, rep.N + 1):
-            if j in (i, rep.prime(i)):
-                continue
-            if not (tab.a(i, j) * tab.a(j, i)).is_one():
-                w = w or f"a_({i},{j}) a_({j},{i}) != 1"
-            fv = f_function(rep.rs, ring, rep.weights[i - 1], rep.weights[j - 1])
-            if tab.a(i, j) != fv:
-                w = w or f"a_({i},{j}) != f(eps_{i},eps_{j})"
-    out.add(CheckItem("coefficient-tables", rep.family, rep.n, w == "", w, time.perf_counter() - t0))
+    with out.timed("coefficient-tables", rep.family, rep.n) as it:
+        if rep.family == "A":
+            return out
+        tab = CoefficientTables(rep)
+        ring = rep.ring
+        w = ""
+        for i in range(1, rep.N + 1):
+            for j in range(1, rep.N + 1):
+                if j in (i, rep.prime(i)):
+                    continue
+                if not (tab.a(i, j) * tab.a(j, i)).is_one():
+                    w = w or f"a_({i},{j}) a_({j},{i}) != 1"
+                fv = f_function(rep.rs, ring, rep.weights[i - 1], rep.weights[j - 1])
+                if tab.a(i, j) != fv:
+                    w = w or f"a_({i},{j}) != f(eps_{i},eps_{j})"
+        it.witness = w
     return out
 
 
@@ -103,19 +101,16 @@ def rhat_explicit(rep: Representation) -> SMatrix:
     R = lambda **p: ring.mono(**p)
     one = ring.one
     pr = rep.prime
-    ent: list[tuple[SMatrix, SMatrix, Scalar]] = []  # (X, Y, coeff) meaning coeff·X⊗Y
-
-    def unit(i, j):
-        return SMatrix.from_entries(ring, N, N, [(i - 1, j - 1, one)])
+    ent: list[tuple[int, int, int, int, Scalar]] = []  # (i, j, k, l, c) meaning c·E_ij⊗E_kl
 
     if fam == "A":
         for i in range(1, N + 1):
-            ent.append((unit(i, i), unit(i, i), one))
+            ent.append((i, i, i, i, one))
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
-                ent.append((unit(j, i), unit(i, j), R(r=1)))
-                ent.append((unit(i, j), unit(j, i), R(s=-1)))
-                ent.append((unit(j, j), unit(i, i), one - R(r=1, s=-1)))
+                ent.append((j, i, i, j, R(r=1)))
+                ent.append((i, j, j, i, R(s=-1)))
+                ent.append((j, j, i, i, one - R(r=1, s=-1)))
     else:
         tab = CoefficientTables(rep)
         if fam == "B":
@@ -123,12 +118,12 @@ def rhat_explicit(rep: Representation) -> SMatrix:
             c = (R(r=2) - R(s=2)) * R(r=-1, s=-1)
             for i in range(1, N + 1):
                 if i == n + 1:
-                    ent.append((unit(i, i), unit(i, i), one))
+                    ent.append((i, i, i, i, one))
                 else:
-                    ent.append((unit(i, i), unit(i, i), lam1))
-                    ent.append((unit(i, pr(i)), unit(pr(i), i), lam1_inv))
+                    ent.append((i, i, i, i, lam1))
+                    ent.append((i, pr(i), pr(i), i, lam1_inv))
             for i in range(1, n + 1):
-                ent.append((unit(pr(i), pr(i)), unit(i, i), c * (R(r=2 * (n - i) + 1, s=2 * (i - n) - 1) - one)))
+                ent.append((pr(i), pr(i), i, i, c * (R(r=2 * (n - i) + 1, s=2 * (i - n) - 1) - one)))
         else:
             half = Fraction(1, 2)
             lam1, lam1_inv = R(r=-half, s=half), R(r=half, s=-half)
@@ -136,32 +131,29 @@ def rhat_explicit(rep: Representation) -> SMatrix:
             # the t_i t_j^{-1} block +c, shared with the B branch
             c = (R(r=1) - R(s=1)) * R(r=-half, s=-half)
             for i in range(1, N + 1):
-                ent.append((unit(i, i), unit(i, i), lam1))
-                ent.append((unit(i, pr(i)), unit(pr(i), i), lam1_inv))
+                ent.append((i, i, i, i, lam1))
+                ent.append((i, pr(i), pr(i), i, lam1_inv))
             for i in range(1, n + 1):
                 if fam == "C":
                     factor = R(r=n + 1 - i, s=i - n - 1) + one
                 else:
                     factor = one - R(r=n - i, s=i - n)
-                ent.append((unit(pr(i), pr(i)), unit(i, i), -c * factor))
+                ent.append((pr(i), pr(i), i, i, -c * factor))
         for i in range(1, N + 1):
             for j in range(1, N + 1):
                 if j in (i, pr(i)):
                     continue
-                ent.append((unit(i, j), unit(j, i), tab.a(i, j)))
+                ent.append((i, j, j, i, tab.a(i, j)))
         for i in range(1, N + 1):
             for j in range(1, N + 1):
                 if j == pr(i) or j == i:
                     continue
                 if i > j:
-                    ent.append((unit(i, i), unit(j, j), -c))
+                    ent.append((i, i, j, j, -c))
                 else:
-                    ent.append((unit(pr(i), j), unit(i, pr(j)), c * tab.t(i) * tab.t(j).inv()))
+                    ent.append((pr(i), j, i, pr(j), c * tab.t(i) * tab.t(j).inv()))
 
-    acc = SMatrix.zero(ring, N * N, N * N)
-    for x, y, coeff in ent:
-        acc = acc + kron(x, y).scale(coeff)
-    return acc
+    return tensor_units(ring, N, ent)
 
 
 def build_rhat_explicit(family: str, rank: int, ring: ScalarRing | None = None) -> SMatrix:
@@ -209,18 +201,21 @@ def theta_product(
     order: ConvexOrder,
     rvm: RootVectorMatrices,
     from_block: int = 1,
+    pairing_fn=None,
 ) -> SMatrix:
     """Ordered product of the local factors, largest root leftmost (the
     convex order read decreasingly).  ``from_block`` truncates to the roots
     whose leading simple-root index is ≥ that value, giving the partial
-    products of the block recursion."""
+    products of the block recursion.  The pairing constants come from
+    ``pairing_fn(gamma, m)`` when given, else from the recursion route."""
     ring = rep.ring
 
-    def pairing_fn(gamma, m):
+    def recursion_pairing(gamma, m):
         d = root_d(rep.rs, gamma)
         pre = ring.mono(s=-Fraction(d * m * (m - 1), 2))
         return pre * c_gamma(order, gamma, ring) ** m * rs_factorial(ring, m, d=d)
 
+    pairing_fn = pairing_fn if pairing_fn is not None else recursion_pairing
     acc = SMatrix.identity(ring, rep.N * rep.N)
     for gamma in order.decreasing():
         if gamma.i < from_block:
@@ -237,12 +232,7 @@ def build_theta(
 ) -> SMatrix:
     """Ordered product of local factors with injectable pairing constants
     (defaults to the recursion route)."""
-    if pairing_fn is None:
-        return theta_product(rep, order, rvm)
-    acc = SMatrix.identity(rep.ring, rep.N * rep.N)
-    for gamma in order.decreasing():
-        acc = acc @ local_theta_factor(rvm, gamma, pairing_fn)
-    return acc
+    return theta_product(rep, order, rvm, pairing_fn=pairing_fn)
 
 
 def rhat_factorized(rep: Representation, order: ConvexOrder | None = None) -> SMatrix:
@@ -301,56 +291,50 @@ def rbar_inverse_printed(rep: Representation) -> SMatrix:
         return (SMatrix.identity(ring, N * N).scale(lam[0] + lam[1]) - rhat).scale(c)
 
     tab = CoefficientTables(rep)
-    ent: list[tuple[SMatrix, SMatrix, Scalar]] = []
-
-    def unit(i, j):
-        return SMatrix.from_entries(ring, N, N, [(i - 1, j - 1, one)])
+    ent: list[tuple[int, int, int, int, Scalar]] = []
 
     if fam == "B":
         c = (R(s=2) - R(r=2)) * R(r=-1, s=-1)
         for i in range(1, N + 1):
             if i == n + 1:
-                ent.append((unit(i, i), unit(i, i), one))
+                ent.append((i, i, i, i, one))
             else:
-                ent.append((unit(i, i), unit(i, i), R(r=1, s=-1)))
-                ent.append((unit(i, pr(i)), unit(pr(i), i), R(r=-1, s=1)))
+                ent.append((i, i, i, i, R(r=1, s=-1)))
+                ent.append((i, pr(i), pr(i), i, R(r=-1, s=1)))
         for i in range(1, n + 1):
-            ent.append((unit(i, i), unit(pr(i), pr(i)), c * (R(r=2 * (i - n) - 1, s=2 * (n - i) + 1) - one)))
+            ent.append((i, i, pr(i), pr(i), c * (R(r=2 * (i - n) - 1, s=2 * (n - i) + 1) - one)))
         for i in range(1, N + 1):
             for j in range(1, N + 1):
                 if j in (i, pr(i)):
                     continue
-                ent.append((unit(i, j), unit(j, i), tab.a(i, j)))
+                ent.append((i, j, j, i, tab.a(i, j)))
                 if i < j:
-                    ent.append((unit(i, i), unit(j, j), -c))
+                    ent.append((i, i, j, j, -c))
                 else:
-                    ent.append((unit(pr(i), j), unit(i, pr(j)), c * tab.t(i) * tab.t(j).inv()))
+                    ent.append((pr(i), j, i, pr(j), c * tab.t(i) * tab.t(j).inv()))
     else:
         half = Fraction(1, 2)
         c = (R(r=1) - R(s=1)) * R(r=-half, s=-half)
         for i in range(1, N + 1):
-            ent.append((unit(i, i), unit(i, i), R(r=half, s=-half)))
-            ent.append((unit(i, pr(i)), unit(pr(i), i), R(r=-half, s=half)))
+            ent.append((i, i, i, i, R(r=half, s=-half)))
+            ent.append((i, pr(i), pr(i), i, R(r=-half, s=half)))
         for i in range(1, n + 1):
             if fam == "C":
                 factor = R(r=i - n - 1, s=n + 1 - i) + one
             else:
                 factor = one - R(r=i - n, s=n - i)
-            ent.append((unit(i, i), unit(pr(i), pr(i)), c * factor))
+            ent.append((i, i, pr(i), pr(i), c * factor))
         for i in range(1, N + 1):
             for j in range(1, N + 1):
                 if j in (i, pr(i)):
                     continue
-                ent.append((unit(i, j), unit(j, i), tab.a(i, j)))
+                ent.append((i, j, j, i, tab.a(i, j)))
                 if i < j:
-                    ent.append((unit(i, i), unit(j, j), c))
+                    ent.append((i, i, j, j, c))
                 else:
-                    ent.append((unit(pr(i), j), unit(i, pr(j)), -c * tab.t(i) * tab.t(j).inv()))
+                    ent.append((pr(i), j, i, pr(j), -c * tab.t(i) * tab.t(j).inv()))
 
-    acc = SMatrix.zero(ring, N * N, N * N)
-    for x, y, coeff in ent:
-        acc = acc + kron(x, y).scale(coeff)
-    return acc
+    return tensor_units(ring, N, ent)
 
 
 def rbar_inverse_exchanged(rep: Representation, order: ConvexOrder | None = None) -> SMatrix:
@@ -373,77 +357,73 @@ def build_rbar_inverse(family: str, rank: int, ring: ScalarRing | None = None) -
 
 def check_route_equivalence(rep: Representation) -> Report:
     out = Report()
-    t0 = time.perf_counter()
-    w = first_mismatch(rhat_explicit(rep), rhat_factorized(rep))
-    out.add(CheckItem("route-equivalence", rep.family, rep.n, w == "", w, time.perf_counter() - t0))
+    with out.timed("route-equivalence", rep.family, rep.n) as it:
+        it.witness = first_mismatch(rhat_explicit(rep), rhat_factorized(rep))
     return out
 
 
 def check_eigenvalues(rep: Representation, rhat: SMatrix | None = None) -> Report:
     from .matrices import mat_vec, vec_scale
 
-    rhat = rhat if rhat is not None else rhat_explicit(rep)
-    hwt = highest_weight_vectors(rep)
-    lam = eigenvalues(rep)
     out = Report()
-    t0 = time.perf_counter()
-    w = ""
-    for k, vec in enumerate(hwt.vectors):
-        got = mat_vec(rhat, vec)
-        want = vec_scale(vec, lam[k])
-        if got != want:
-            w = w or f"w{k + 1} is not an eigenvector with value {lam[k]}"
-    # the first eigenvalue is the weight twist at the highest weight
-    if lam[0] != f_function(rep.rs, rep.ring, rep.weights[0], rep.weights[0]):
-        w = w or "lambda_1 != f(eps_1, eps_1)"
-    out.add(CheckItem("eigenvalues", rep.family, rep.n, w == "", w, time.perf_counter() - t0))
+    with out.timed("eigenvalues", rep.family, rep.n) as it:
+        rhat = rhat if rhat is not None else rhat_explicit(rep)
+        hwt = highest_weight_vectors(rep)
+        lam = eigenvalues(rep)
+        w = ""
+        for k, vec in enumerate(hwt.vectors):
+            got = mat_vec(rhat, vec)
+            want = vec_scale(vec, lam[k])
+            if got != want:
+                w = w or f"w{k + 1} is not an eigenvector with value {lam[k]}"
+        # the first eigenvalue is the weight twist at the highest weight
+        if lam[0] != f_function(rep.rs, rep.ring, rep.weights[0], rep.weights[0]):
+            w = w or "lambda_1 != f(eps_1, eps_1)"
+        it.witness = w
     return out
 
 
 def check_intertwining(rep: Representation, rhat: SMatrix | None = None) -> Report:
     """R̂ commutes with the action of every generator on V ⊗ V."""
-    rhat = rhat if rhat is not None else rhat_explicit(rep)
-    ring = rep.ring
     out = Report()
-    t0 = time.perf_counter()
-    w = ""
-    for i in range(1, rep.n + 1):
-        for mk, tag in (
-            (coproduct_f(rep, i), "f"),
-            (coproduct_e(rep, i), "e"),
-            (kron(rep.omega[i], rep.omega[i]), "omega"),
-            (kron(rep.omega_prime[i], rep.omega_prime[i]), "omega'"),
-        ):
-            ww = first_mismatch(mk @ rhat, rhat @ mk)
-            if ww:
-                w = w or f"Δ({tag}_{i}): {ww}"
-    out.add(CheckItem("intertwining", rep.family, rep.n, w == "", w, time.perf_counter() - t0))
+    with out.timed("intertwining", rep.family, rep.n) as it:
+        rhat = rhat if rhat is not None else rhat_explicit(rep)
+        w = ""
+        for i in range(1, rep.n + 1):
+            for mk, tag in (
+                (coproduct_f(rep, i), "f"),
+                (coproduct_e(rep, i), "e"),
+                (kron(rep.omega[i], rep.omega[i]), "omega"),
+                (kron(rep.omega_prime[i], rep.omega_prime[i]), "omega'"),
+            ):
+                ww = first_mismatch(mk @ rhat, rhat @ mk)
+                if ww:
+                    w = w or f"Δ({tag}_{i}): {ww}"
+        it.witness = w
     return out
 
 
 def check_braid(rep: Representation, rhat: SMatrix | None = None) -> Report:
     """R̂₁₂ R̂₂₃ R̂₁₂ = R̂₂₃ R̂₁₂ R̂₂₃ on V ⊗ V ⊗ V."""
-    rhat = rhat if rhat is not None else rhat_explicit(rep)
     out = Report()
-    t0 = time.perf_counter()
-    r12 = act_12(rhat, rep.N)
-    r23 = act_23(rhat, rep.N)
-    w = first_mismatch(r12 @ r23 @ r12, r23 @ r12 @ r23)
-    out.add(CheckItem("braid", rep.family, rep.n, w == "", w, time.perf_counter() - t0))
+    with out.timed("braid", rep.family, rep.n) as it:
+        rhat = rhat if rhat is not None else rhat_explicit(rep)
+        r12 = act_12(rhat, rep.N)
+        r23 = act_23(rhat, rep.N)
+        it.witness = first_mismatch(r12 @ r23 @ r12, r23 @ r12 @ r23)
     return out
 
 
 def check_min_poly(rep: Representation, rhat: SMatrix | None = None) -> Report:
-    rhat = rhat if rhat is not None else rhat_explicit(rep)
     ring, N = rep.ring, rep.N
     out = Report()
-    t0 = time.perf_counter()
-    acc = SMatrix.identity(ring, N * N)
-    ident = SMatrix.identity(ring, N * N)
-    for lam in eigenvalues(rep):
-        acc = acc @ (rhat - ident.scale(lam))
-    w = "" if acc.is_zero() else first_mismatch(acc, SMatrix.zero(ring, N * N, N * N))
-    out.add(CheckItem("min-poly", rep.family, rep.n, w == "", w, time.perf_counter() - t0))
+    with out.timed("min-poly", rep.family, rep.n) as it:
+        rhat = rhat if rhat is not None else rhat_explicit(rep)
+        acc = SMatrix.identity(ring, N * N)
+        ident = SMatrix.identity(ring, N * N)
+        for lam in eigenvalues(rep):
+            acc = acc @ (rhat - ident.scale(lam))
+        it.witness = "" if acc.is_zero() else first_mismatch(acc, SMatrix.zero(ring, N * N, N * N))
     return out
 
 
@@ -451,36 +431,32 @@ def check_inverse(rep: Representation) -> Report:
     """Explicit operator times the displayed inverse is the identity, and the
     parameter-exchange route reproduces the display."""
     out = Report()
-    t0 = time.perf_counter()
-    rhat = rhat_explicit(rep)
-    rbar = rbar_inverse_printed(rep)
-    ident = SMatrix.identity(rep.ring, rep.N * rep.N)
-    w = first_mismatch(rhat @ rbar, ident) or first_mismatch(rbar @ rhat, ident)
-    if not w:
-        w = first_mismatch(rbar, rbar_inverse_exchanged(rep))
-        if w:
-            w = f"exchange route differs from display: {w}"
-    out.add(CheckItem("inverse", rep.family, rep.n, w == "", w, time.perf_counter() - t0))
+    with out.timed("inverse", rep.family, rep.n) as it:
+        rhat = rhat_explicit(rep)
+        rbar = rbar_inverse_printed(rep)
+        ident = SMatrix.identity(rep.ring, rep.N * rep.N)
+        w = first_mismatch(rhat @ rbar, ident) or first_mismatch(rbar @ rhat, ident)
+        if not w:
+            w = first_mismatch(rbar, rbar_inverse_exchanged(rep))
+            if w:
+                w = f"exchange route differs from display: {w}"
+        it.witness = w
     return out
 
 
 def check_weight_preservation(rep: Representation, rhat: SMatrix | None = None) -> Report:
-    rhat = rhat if rhat is not None else rhat_explicit(rep)
     N = rep.N
     out = Report()
-    t0 = time.perf_counter()
-    w = ""
-    for ii, row in rhat.rows.items():
-        wi = tuple(
-            a + b for a, b in zip(rep.weights[ii // N], rep.weights[ii % N])
-        )
-        for jj in row:
-            wj = tuple(
-                a + b for a, b in zip(rep.weights[jj // N], rep.weights[jj % N])
-            )
-            if wi != wj:
-                w = w or f"entry ({ii},{jj}) connects different weights"
-    out.add(CheckItem("weight-preservation", rep.family, rep.n, w == "", w, time.perf_counter() - t0))
+    with out.timed("weight-preservation", rep.family, rep.n) as it:
+        rhat = rhat if rhat is not None else rhat_explicit(rep)
+        w = ""
+        for ii, row in rhat.rows.items():
+            wi = tuple(a + b for a, b in zip(rep.weights[ii // N], rep.weights[ii % N]))
+            for jj in row:
+                wj = tuple(a + b for a, b in zip(rep.weights[jj // N], rep.weights[jj % N]))
+                if wi != wj:
+                    w = w or f"entry ({ii},{jj}) connects different weights"
+        it.witness = w
     return out
 
 
@@ -500,21 +476,17 @@ def one_param_r_finite(family: str, rank: int, ring: ScalarRing) -> SMatrix:
     n = rank
     one = ring.one
     Q = lambda k: ring.mono(q=k)
-
-    def unit(i, j):
-        return SMatrix.from_entries(ring, N, N, [(i - 1, j - 1, one)])
-
-    acc = SMatrix.zero(ring, N * N, N * N)
+    ent: list[tuple[int, int, int, int, Scalar]] = []
     if family == "A":
         for i in range(1, N + 1):
-            acc = acc + kron(unit(i, i), unit(i, i))
+            ent.append((i, i, i, i, one))
             for j in range(1, N + 1):
                 if i == j:
                     continue
-                acc = acc + kron(unit(i, i), unit(j, j)).scale(Q(1))
+                ent.append((i, i, j, j, Q(1)))
                 if i > j:
-                    acc = acc + kron(unit(i, j), unit(j, i)).scale(one - Q(2))
-        return acc
+                    ent.append((i, j, j, i, one - Q(2)))
+        return tensor_units(ring, N, ent)
     if family != "B":
         raise ValueError("printed one-parameter display available for A and B only")
     pr = lambda i: N + 1 - i
@@ -530,22 +502,22 @@ def one_param_r_finite(family: str, rank: int, ring: ScalarRing) -> SMatrix:
     c = Q(2) - Q(-2)
     for i in range(1, N + 1):
         if i == n + 1:
-            acc = acc + kron(unit(i, i), unit(i, i))
+            ent.append((i, i, i, i, one))
         else:
-            acc = acc + kron(unit(i, i), unit(i, i)).scale(Q(-2))
-            acc = acc + kron(unit(i, i), unit(pr(i), pr(i))).scale(Q(2))
+            ent.append((i, i, i, i, Q(-2)))
+            ent.append((i, i, pr(i), pr(i), Q(2)))
     for i in range(1, n + 1):
-        acc = acc + kron(unit(pr(i), i), unit(i, pr(i))).scale(c * (Q(2 * (2 * n - 2 * i + 1)) - one))
+        ent.append((pr(i), i, i, pr(i), c * (Q(2 * (2 * n - 2 * i + 1)) - one)))
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             if j in (i, pr(i)):
                 continue
-            acc = acc + kron(unit(i, i), unit(j, j))
+            ent.append((i, i, j, j, one))
             if i > j:
-                acc = acc - kron(unit(i, j), unit(j, i)).scale(c)
+                ent.append((i, j, j, i, -c))
             else:
-                acc = acc + kron(unit(pr(i), pr(j)), unit(i, j)).scale(c * tbar(i) * tbar(j).inv())
-    return acc
+                ent.append((pr(i), pr(j), i, j, c * tbar(i) * tbar(j).inv()))
+    return tensor_units(ring, N, ent)
 
 
 def specialize_and_compare(family: str, rank: int) -> Report:
@@ -555,70 +527,44 @@ def specialize_and_compare(family: str, rank: int) -> Report:
     if family not in ("A", "B"):
         raise ValueError("specialization displays exist for types A and B")
     out = Report()
-    t0 = time.perf_counter()
-    rep = build_fundamental(family, rank)
-    qr = q_ring()
-    rhat = rhat_explicit(rep)
-    r_two = rhat @ flip_map(rep.ring, rep.N)
-    qhalf = qr.atom("q")
-    r_spec = r_two.substituted({"r": qhalf, "s": qhalf.inv()}, ring=qr)
-    w = first_mismatch(r_spec, one_param_r_finite(family, rank, qr))
-    out.add(CheckItem("specialize-finite", family, rank, w == "", w, time.perf_counter() - t0))
+    with out.timed("specialize-finite", family, rank) as it:
+        rep = build_fundamental(family, rank)
+        qr = q_ring()
+        rhat = rhat_explicit(rep)
+        r_two = rhat @ flip_map(rep.ring, rep.N)
+        qhalf = qr.atom("q")
+        r_spec = r_two.substituted({"r": qhalf, "s": qhalf.inv()}, ring=qr)
+        it.witness = first_mismatch(r_spec, one_param_r_finite(family, rank, qr))
 
     if family == "A":
         from .affine import affine_rhat, one_param_r_affine_A
-
-        t0 = time.perf_counter()
         from .scalars import rs_ring, substitute
 
-        zr = rs_ring("z")
-        rz = affine_rhat(family, rank, zr) @ flip_map(zr, rep.N)
-        qz = ScalarRing([Variable("q", 2), "z"])
-        qhalf2 = qz.atom("q")
-        rz_spec = rz.substituted({"r": qhalf2, "s": qhalf2.inv(), "z": qz.atom("z")}, ring=qz)
-        w = first_mismatch(rz_spec, one_param_r_affine_A(rank, qz))
-        out.add(CheckItem("specialize-affine", family, rank, w == "", w, time.perf_counter() - t0))
+        with out.timed("specialize-affine", family, rank) as it:
+            zr = rs_ring("z")
+            rz = affine_rhat(family, rank, zr) @ flip_map(zr, rep.N)
+            qz = ScalarRing([Variable("q", 2), "z"])
+            qhalf2 = qz.atom("q")
+            rz_spec = rz.substituted({"r": qhalf2, "s": qhalf2.inv(), "z": qz.atom("z")}, ring=qz)
+            it.witness = first_mismatch(rz_spec, one_param_r_affine_A(rank, qz))
 
-        t0 = time.perf_counter()
-        r_at_zero = rz.substituted({"z": zr.zero})
-        r_two_in_zr = SMatrix(
-            zr,
-            rep.N**2,
-            rep.N**2,
-            {
-                i: {j: substitute(v, {}, ring=zr) for j, v in row.items()}
-                for i, row in r_two.rows.items()
-            },
-        )
-        w = first_mismatch(r_at_zero, r_two_in_zr)
-        out.add(CheckItem("affine-z0-limit", family, rank, w == "", w, time.perf_counter() - t0))
+        with out.timed("affine-z0-limit", family, rank) as it:
+            r_at_zero = rz.substituted({"z": zr.zero})
+            r_two_in_zr = SMatrix(
+                zr,
+                rep.N**2,
+                rep.N**2,
+                {
+                    i: {j: substitute(v, {}, ring=zr) for j, v in row.items()}
+                    for i, row in r_two.rows.items()
+                },
+            )
+            it.witness = first_mismatch(r_at_zero, r_two_in_zr)
     return out
 
 
 def run_rmatrix_checks(family: str, rank: int, checks: list[str]) -> Report:
-    """Named certificate driver used by the command line."""
-    rep = build_fundamental(family, rank)
-    rhat = rhat_explicit(rep)
-    out = Report()
-    for c in checks:
-        if c == "route":
-            out = out.merged(check_route_equivalence(rep))
-        elif c == "eigen":
-            out = out.merged(check_eigenvalues(rep, rhat))
-        elif c == "intertwine":
-            out = out.merged(check_intertwining(rep, rhat))
-        elif c == "braid":
-            out = out.merged(check_braid(rep, rhat))
-        elif c == "minpoly":
-            out = out.merged(check_min_poly(rep, rhat))
-        elif c == "inverse":
-            out = out.merged(check_inverse(rep))
-        elif c == "weights":
-            out = out.merged(check_weight_preservation(rep, rhat))
-        elif c == "tables":
-            out = out.merged(verify_tables(rep))
-        elif c == "specialize":
-            out = out.merged(specialize_and_compare(family, rank))
-        else:
-            raise ValueError(f"unknown check {c!r}")
-    return out
+    """The named rmatrix checks of the catalogue, over one shared case context."""
+    from .catalogue import run_group
+
+    return run_group("rmatrix", family, rank, checks)

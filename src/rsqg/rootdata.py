@@ -222,9 +222,6 @@ class RootSystem:
 
     # -- root set queries -------------------------------------------------------
 
-    def is_positive_root(self, alpha) -> bool:
-        return tuple(alpha) in self._alpha_set
-
     def is_root(self, alpha) -> bool:
         t = tuple(alpha)
         return t in self._alpha_set or tuple(-x for x in t) in self._alpha_set

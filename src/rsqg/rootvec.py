@@ -4,13 +4,12 @@ the per-type closed forms for them.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .lyndon import ConvexOrder, minimal_pair
 from .matrices import SMatrix
 from .rep import Representation
-from .report import CheckItem, Report, first_mismatch
+from .report import Report, first_mismatch
 from .rootdata import Root, omega_pairing
 
 
@@ -119,17 +118,17 @@ def verify_closed_forms(rvm: RootVectorMatrices) -> Report:
     """Recursion output equals the printed closed form for every root."""
     rep = rvm.rep
     out = Report()
-    t0 = time.perf_counter()
-    w = ""
-    for rt in rep.rs.positive:
-        ec, fc = closed_form_root_vectors(rep, rt)
-        we = first_mismatch(rvm.e_of(rt), ec)
-        wf = first_mismatch(rvm.f_of(rt), fc)
-        if we:
-            w = w or f"e_{rt.label()}: {we}"
-        if wf:
-            w = w or f"f_{rt.label()}: {wf}"
-    out.add(CheckItem("root-vector-closed-forms", rep.family, rep.n, w == "", w, time.perf_counter() - t0))
+    with out.timed("root-vector-closed-forms", rep.family, rep.n) as it:
+        w = ""
+        for rt in rep.rs.positive:
+            ec, fc = closed_form_root_vectors(rep, rt)
+            we = first_mismatch(rvm.e_of(rt), ec)
+            wf = first_mismatch(rvm.f_of(rt), fc)
+            if we:
+                w = w or f"e_{rt.label()}: {we}"
+            if wf:
+                w = w or f"f_{rt.label()}: {wf}"
+        it.witness = w
     return out
 
 
@@ -139,24 +138,24 @@ def verify_nilpotency(rvm: RootVectorMatrices) -> Report:
     rep = rvm.rep
     ring, n, N = rep.ring, rep.n, rep.N
     out = Report()
-    t0 = time.perf_counter()
-    w = ""
-    zero = SMatrix.zero(ring, N, N)
-    for rt in rep.rs.positive:
-        e2 = rvm.e_of(rt) @ rvm.e_of(rt)
-        if rep.family == "B" and rt.kind == "g" and rt.j == n:
-            i = rt.i
-            expect = SMatrix.from_entries(
-                ring, N, N, [(i - 1, rep.prime(i) - 1, -ring.mono(s=2 * (n - i)))]
-            )
-            w = w or first_mismatch(e2, expect)
-            w = w or first_mismatch(e2 @ rvm.e_of(rt), zero)
-            f2 = rvm.f_of(rt) @ rvm.f_of(rt)
-            w = w or first_mismatch(f2 @ rvm.f_of(rt), zero)
-        else:
-            w = w or first_mismatch(e2, zero)
-            w = w or first_mismatch(rvm.f_of(rt) @ rvm.f_of(rt), zero)
-    out.add(CheckItem("root-vector-nilpotency", rep.family, rep.n, w == "", w, time.perf_counter() - t0))
+    with out.timed("root-vector-nilpotency", rep.family, rep.n) as it:
+        w = ""
+        zero = SMatrix.zero(ring, N, N)
+        for rt in rep.rs.positive:
+            e2 = rvm.e_of(rt) @ rvm.e_of(rt)
+            if rep.family == "B" and rt.kind == "g" and rt.j == n:
+                i = rt.i
+                expect = SMatrix.from_entries(
+                    ring, N, N, [(i - 1, rep.prime(i) - 1, -ring.mono(s=2 * (n - i)))]
+                )
+                w = w or first_mismatch(e2, expect)
+                w = w or first_mismatch(e2 @ rvm.e_of(rt), zero)
+                f2 = rvm.f_of(rt) @ rvm.f_of(rt)
+                w = w or first_mismatch(f2 @ rvm.f_of(rt), zero)
+            else:
+                w = w or first_mismatch(e2, zero)
+                w = w or first_mismatch(rvm.f_of(rt) @ rvm.f_of(rt), zero)
+        it.witness = w
     return out
 
 
@@ -164,13 +163,13 @@ def verify_weight_shift(rvm: RootVectorMatrices) -> Report:
     """ρ(e_γ) sends the weight-μ line to the weight-(μ+γ) line."""
     rep = rvm.rep
     out = Report()
-    t0 = time.perf_counter()
-    w = ""
-    for rt in rep.rs.positive:
-        for ii, row in rvm.e_of(rt).rows.items():
-            for jj in row:
-                lhs = tuple(a - b for a, b in zip(rep.weights[ii], rep.weights[jj]))
-                if lhs != tuple(rt.eps):
-                    w = w or f"e_{rt.label()} entry ({ii},{jj}) shifts weight by {lhs}"
-    out.add(CheckItem("root-vector-weight-shift", rep.family, rep.n, w == "", w, time.perf_counter() - t0))
+    with out.timed("root-vector-weight-shift", rep.family, rep.n) as it:
+        w = ""
+        for rt in rep.rs.positive:
+            for ii, row in rvm.e_of(rt).rows.items():
+                for jj in row:
+                    lhs = tuple(a - b for a, b in zip(rep.weights[ii], rep.weights[jj]))
+                    if lhs != tuple(rt.eps):
+                        w = w or f"e_{rt.label()} entry ({ii},{jj}) shifts weight by {lhs}"
+        it.witness = w
     return out

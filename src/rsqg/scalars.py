@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, isqrt
 from typing import Iterable, Mapping
 
 Exps = tuple  # integer exponent vector, one slot per ring variable
@@ -362,40 +362,8 @@ def _pgcd(a: dict, b: dict, nv: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# LaurentPoly / Scalar
+# Scalar
 # ---------------------------------------------------------------------------
-
-
-class LaurentPoly:
-    """Finite map from integer exponent vectors to nonzero rationals."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: ScalarRing, terms: dict):
-        self.ring = ring
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == {self.ring._zero_exps: Fraction(1)}
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        return _text(self.ring, self.terms)
 
 
 def _make(ring: ScalarRing, num: dict, den: dict) -> "Scalar":
@@ -458,14 +426,6 @@ class Scalar:
 
     # -- inspection --------------------------------------------------------
 
-    @property
-    def num(self) -> LaurentPoly:
-        return LaurentPoly(self.ring, self._num)
-
-    @property
-    def den(self) -> LaurentPoly:
-        return LaurentPoly(self.ring, self._den)
-
     def is_zero(self) -> bool:
         return not self._num
 
@@ -485,17 +445,6 @@ class Scalar:
             raise ValueError(f"not a monomial: {self}")
         ((e, c),) = self._num.items()
         return e, c
-
-    def as_fraction(self) -> Fraction:
-        """Constant value; raises if the scalar is not constant."""
-        if not self.den_is_one():
-            raise ValueError(f"not constant: {self}")
-        if not self._num:
-            return Fraction(0)
-        ((e, c),) = self._num.items()
-        if any(e):
-            raise ValueError(f"not constant: {self}")
-        return c
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -630,11 +579,8 @@ class Scalar:
 def _int_sqrt_exact(n: int) -> int | None:
     if n < 0:
         return None
-    r = int(n**0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
+    r = isqrt(n)
+    return r if r * r == n else None
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from rsqg.cli import run
 from rsqg.matrices import matrix_from_json, matrix_to_json
 from rsqg.rmatrix import build_rhat_explicit
@@ -117,3 +119,100 @@ def test_report_determinism(capsys):
         assert {k: v for k, v in x.items() if k != "seconds"} == {
             k: v for k, v in y.items() if k != "seconds"
         }
+
+
+# ---------------------------------------------------------------------------
+# input validation happens before any work or output
+# ---------------------------------------------------------------------------
+
+
+def test_inapplicable_check_exits_2_before_output(capsys):
+    assert run(["embed", "verify", "--family", "C", "--rank", "2", "--checks", "twist"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not apply to C2" in captured.err
+
+
+def test_check_below_affine_range_exits_2(capsys):
+    assert run(["affine", "verify", "--family", "D", "--rank", "2", "--checks", "unit"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_unknown_check_exits_2(capsys):
+    assert run(["rmatrix", "verify", "--family", "B", "--rank", "2", "--checks", "braid,nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nope" in captured.err
+
+
+def test_pairing_outside_oracle_range_exits_2_before_output(capsys):
+    assert run(["pairing", "constants", "--family", "A", "--rank", "4", "--max-m", "3"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_affine_rep_dump_below_range_exits_2(capsys):
+    assert run(["rep", "dump", "--family", "D", "--rank", "2", "--affine"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_raising_certificate_is_a_failure_not_usage(monkeypatch, capsys):
+    from rsqg import rmatrix
+
+    def broken(rep, rhat=None):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(rmatrix, "check_braid", broken)
+    code = run(["rmatrix", "verify", "--family", "B", "--rank", "2", "--checks", "braid,eigen"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "[fail] B2 braid" in out and "ValueError: injected fault" in out
+    assert "[pass] B2 eigenvalues" in out
+
+
+def test_empty_report_is_not_ok():
+    from rsqg.report import Report
+
+    assert not Report().ok()
+
+
+def test_verify_default_is_what_certify_all_runs(capsys):
+    assert run(["embed", "verify", "--family", "C", "--rank", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "dj-serre" in out and "kappa-recursion" in out and "root-vector-embedding" in out
+    assert "twist" not in out
+
+
+# ---------------------------------------------------------------------------
+# RSQG_JOBS: validated and clamped without starting a process
+# ---------------------------------------------------------------------------
+
+
+def test_jobs_clamped_to_cases_and_cpus(monkeypatch):
+    from rsqg import cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli._jobs("1", 7) == 1
+    assert cli._jobs("2", 7) == 2
+    assert cli._jobs("64", 7) == 3
+    assert cli._jobs("64", 2) == 2
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._jobs("64", 7) == 1
+
+
+def test_jobs_rejects_non_integer_and_below_one():
+    from rsqg import cli
+
+    for value in ("0", "-3", "two", "2.5", ""):
+        with pytest.raises(ValueError):
+            cli._jobs(value, 7)
+
+
+def test_bad_jobs_exits_2_before_any_case(monkeypatch, capsys):
+    from rsqg import cli
+
+    def no_case(case):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(cli, "_certify_one", no_case)
+    monkeypatch.setenv("RSQG_JOBS", "0")
+    assert run(["certify-all", "--max-rank", "2"]) == 2
+    assert capsys.readouterr().out == ""

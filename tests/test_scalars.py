@@ -251,6 +251,15 @@ def test_monomial_sqrt(R):
         (R.mono(r=Fraction(1, 2))).sqrt_monomial()
 
 
+@pytest.mark.parametrize("root", [10**30 + 12345, 2**600 + 1], ids=["10^30+12345", "2^600+1"])
+def test_exact_integer_sqrt_beyond_float_range(R, root):
+    from rsqg.scalars import _int_sqrt_exact
+
+    assert _int_sqrt_exact(root**2) == root
+    assert _int_sqrt_exact(root**2 + 1) is None
+    assert R.mono(Fraction(root**2, 4), r=2).sqrt_monomial() == R.mono(Fraction(root, 2), r=1)
+
+
 def test_exchange_vars(R):
     x = R.mono(r=2, s=-1) + R.mono(3, r=1)
     y = x.exchange_vars("r", "s")
