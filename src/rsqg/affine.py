@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .matrices import SMatrix, act_12, act_13, act_23, flip_map, kron, tensor_units
-from .rep import EvaluationRep, KAPPA, build_evaluation, build_fundamental
+from .matrices import SMatrix, act_12, act_13, act_23, flip_map, tensor_units
+from .rep import KAPPA, build_evaluation, build_fundamental, coproduct
 from .report import Report, first_mismatch
 from .rmatrix import (
     CoefficientTables,
@@ -227,23 +227,6 @@ def check_baxterize_match(family: str, rank: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _tensor_action(
-    left: EvaluationRep, right: EvaluationRep, kind: str, i: int
-) -> SMatrix:
-    """(ρ_left ⊗ ρ_right) of a generator acting on the tensor product through
-    the coproduct."""
-    ring = left.ring
-    N = left.fin.N
-    ident = SMatrix.identity(ring, N)
-    if kind == "e":
-        return kron(left.e_at(i), ident) + kron(left.omega_at(i), right.e_at(i))
-    if kind == "f":
-        return kron(ident, right.f_at(i)) + kron(left.f_at(i), right.omega_prime_at(i))
-    if kind == "omega":
-        return kron(left.omega_at(i), right.omega_at(i))
-    return kron(left.omega_prime_at(i), right.omega_prime_at(i))
-
-
 def check_affine_intertwiner(
     family: str, rank: int, enforce_constraint: bool = True
 ) -> Report:
@@ -265,8 +248,8 @@ def check_affine_intertwiner(
                 rz = affine_rhat(family, rank, ring, z=z)
             w = ""
             for i in range(rank + 1):
-                lhs = rz @ _tensor_action(ev_x, ev_y, kind, i)
-                rhs = _tensor_action(ev_y, ev_x, kind, i) @ rz
+                lhs = rz @ coproduct(ev_x, ev_y, kind, i)
+                rhs = coproduct(ev_y, ev_x, kind, i) @ rz
                 ww = first_mismatch(lhs, rhs)
                 if ww:
                     w = w or f"{kind}_{i}: {ww}"

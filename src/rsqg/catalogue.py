@@ -23,6 +23,7 @@ from typing import Callable, Iterator
 from . import affine, embed, lyndon, pairing, rmatrix, rootvec
 from . import rep as rep_module
 from .report import Report
+from .rootdata import MIN_AFFINE_RANK
 
 GROUPS = ("rep", "rootvec", "pairing", "rmatrix", "affine", "embed")
 
@@ -73,7 +74,7 @@ def _a_or_b(family: str, rank: int, long: bool) -> bool:
 
 
 def _affine(family: str, rank: int, long: bool) -> bool:
-    return rank >= rep_module.MIN_AFFINE_RANK[family]
+    return rank >= MIN_AFFINE_RANK[family]
 
 
 def _ybe(family: str, rank: int, long: bool) -> bool:

@@ -18,14 +18,12 @@ from .embed import run_embed_checks
 from .lyndon import is_convex, lalonde_ram, minimal_pair
 from .matrices import matrix_to_json
 from .pairing import PairingOracle, check_oracle_range, closed_form_pairing, pairing_power
-from .rep import MIN_AFFINE_RANK, build_evaluation, build_fundamental, check_affine_rank
+from .rep import build_evaluation, build_fundamental, check_affine_rank
 from .report import Report
 from .rmatrix import build_rhat_explicit, build_rhat_factorized, run_rmatrix_checks
-from .rootdata import affine_data, build_root_system
+from .rootdata import FAMILIES, MIN_AFFINE_RANK, affine_data, build_root_system
 from .rootvec import build_root_vector_matrices
 from .scalars import rs_ring, scalar_to_json, text_form
-
-FAMILIES = ("A", "B", "C", "D")
 
 
 def _write_json(obj, path: str | None) -> None:
@@ -94,23 +92,18 @@ def cmd_lyndon_table(args) -> int:
 
 def cmd_rep_dump(args) -> int:
     if args.affine:
-        erep = build_evaluation(args.family, args.rank, mode="symbolic-a")
-        rep = erep.fin
-        gens = {}
-        for i in range(args.rank + 1):
-            gens[f"e{i}"] = matrix_to_json(erep.e_at(i))
-            gens[f"f{i}"] = matrix_to_json(erep.f_at(i))
-            gens[f"omega{i}"] = matrix_to_json(erep.omega_at(i))
-            gens[f"omega_prime{i}"] = matrix_to_json(erep.omega_prime_at(i))
-        gens["central_scalar"] = scalar_to_json(erep.c)
+        mod = build_evaluation(args.family, args.rank, mode="symbolic-a")
+        rep = mod.fin
     else:
-        rep = build_fundamental(args.family, args.rank)
-        gens = {}
-        for i in range(1, args.rank + 1):
-            gens[f"e{i}"] = matrix_to_json(rep.e[i])
-            gens[f"f{i}"] = matrix_to_json(rep.f[i])
-            gens[f"omega{i}"] = matrix_to_json(rep.omega[i])
-            gens[f"omega_prime{i}"] = matrix_to_json(rep.omega_prime[i])
+        mod = rep = build_fundamental(args.family, args.rank)
+    gens = {}
+    for i in mod.e:
+        gens[f"e{i}"] = matrix_to_json(mod.e[i])
+        gens[f"f{i}"] = matrix_to_json(mod.f[i])
+        gens[f"omega{i}"] = matrix_to_json(mod.omega[i])
+        gens[f"omega_prime{i}"] = matrix_to_json(mod.omega_prime[i])
+    if args.affine:
+        gens["central_scalar"] = scalar_to_json(mod.c)
     order = lalonde_ram(rep.rs)
     rvm = build_root_vector_matrices(rep, order)
     obj = {

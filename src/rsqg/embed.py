@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .lyndon import ConvexOrder, minimal_pair
 from .matrices import SMatrix, flip_map
-from .rep import Representation, build_fundamental
+from .rep import Representation, build_fundamental, serre_sum
 from .report import Report, first_mismatch
 from .rmatrix import CoefficientTables, rhat_explicit
 from .rootdata import Root, omega_pairing
@@ -97,15 +97,7 @@ def verify_dj_relations(rep: Representation) -> Report:
                     continue
                 m = 1 - rs.cartan[i - 1][j - 1]
                 for mats, tag in ((mg.e, "e"), (mg.f, "f")):
-                    acc = SMatrix.zero(ring, N, N)
-                    pows = [SMatrix.identity(ring, N)]
-                    for _ in range(m):
-                        pows.append(pows[-1] @ mats[i])
-                    for k in range(m + 1):
-                        c = q_binomial(ring, m, k, d=rs.d[i - 1])
-                        if k % 2:
-                            c = -c
-                        acc = acc + (pows[m - k] @ mats[j] @ pows[k]).scale(c)
+                    acc = serre_sum(mats, i, j, m, lambda k: q_binomial(ring, m, k, d=rs.d[i - 1]))
                     if not acc.is_zero():
                         w = w or f"q-serre {tag} ({i},{j})"
         it.witness = w

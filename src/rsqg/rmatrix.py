@@ -12,18 +12,12 @@ from fractions import Fraction
 
 from .lyndon import ConvexOrder, lalonde_ram
 from .matrices import SMatrix, act_12, act_23, flip_map, kron, tensor_units
-from .pairing import c_gamma, root_d
-from .rep import (
-    Representation,
-    build_fundamental,
-    coproduct_e,
-    coproduct_f,
-    highest_weight_vectors,
-)
+from .pairing import pairing_from_c
+from .rep import Representation, build_fundamental, coproduct, highest_weight_vectors
 from .report import Report, first_mismatch
 from .rootdata import f_function
 from .rootvec import RootVectorMatrices, build_root_vector_matrices
-from .scalars import Scalar, ScalarRing, Variable, rs_factorial
+from .scalars import Scalar, ScalarRing, Variable
 
 # ---------------------------------------------------------------------------
 # per-type coefficient tables
@@ -201,38 +195,24 @@ def theta_product(
     order: ConvexOrder,
     rvm: RootVectorMatrices,
     from_block: int = 1,
-    pairing_fn=None,
 ) -> SMatrix:
     """Ordered product of the local factors, largest root leftmost (the
-    convex order read decreasingly).  ``from_block`` truncates to the roots
-    whose leading simple-root index is ≥ that value, giving the partial
-    products of the block recursion.  The pairing constants come from
-    ``pairing_fn(gamma, m)`` when given, else from the recursion route."""
+    convex order read decreasingly), with the pairing constants of the
+    recursion route.  ``from_block`` truncates to the roots whose leading
+    simple-root index is ≥ that value, giving the partial products of the
+    block recursion."""
     ring = rep.ring
-
-    def recursion_pairing(gamma, m):
-        d = root_d(rep.rs, gamma)
-        pre = ring.mono(s=-Fraction(d * m * (m - 1), 2))
-        return pre * c_gamma(order, gamma, ring) ** m * rs_factorial(ring, m, d=d)
-
-    pairing_fn = pairing_fn if pairing_fn is not None else recursion_pairing
     acc = SMatrix.identity(ring, rep.N * rep.N)
     for gamma in order.decreasing():
         if gamma.i < from_block:
             continue
-        acc = acc @ local_theta_factor(rvm, gamma, pairing_fn)
+        acc = acc @ local_theta_factor(rvm, gamma, lambda g, m: pairing_from_c(order, g, m, ring))
     return acc
 
 
-def build_theta(
-    rep: Representation,
-    order: ConvexOrder,
-    rvm: RootVectorMatrices,
-    pairing_fn=None,
-) -> SMatrix:
-    """Ordered product of local factors with injectable pairing constants
-    (defaults to the recursion route)."""
-    return theta_product(rep, order, rvm, pairing_fn=pairing_fn)
+def build_theta(rep: Representation, order: ConvexOrder, rvm: RootVectorMatrices) -> SMatrix:
+    """The full ordered product of local factors."""
+    return theta_product(rep, order, rvm)
 
 
 def rhat_factorized(rep: Representation, order: ConvexOrder | None = None) -> SMatrix:
@@ -390,15 +370,11 @@ def check_intertwining(rep: Representation, rhat: SMatrix | None = None) -> Repo
         rhat = rhat if rhat is not None else rhat_explicit(rep)
         w = ""
         for i in range(1, rep.n + 1):
-            for mk, tag in (
-                (coproduct_f(rep, i), "f"),
-                (coproduct_e(rep, i), "e"),
-                (kron(rep.omega[i], rep.omega[i]), "omega"),
-                (kron(rep.omega_prime[i], rep.omega_prime[i]), "omega'"),
-            ):
+            for kind in ("f", "e", "omega", "omega-prime"):
+                mk = coproduct(rep, rep, kind, i)
                 ww = first_mismatch(mk @ rhat, rhat @ mk)
                 if ww:
-                    w = w or f"Δ({tag}_{i}): {ww}"
+                    w = w or f"Δ({kind}_{i}): {ww}"
         it.witness = w
     return out
 

@@ -18,7 +18,7 @@ from .scalars import Scalar, ScalarRing
 FAMILIES = ("A", "B", "C", "D")
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 2}
-_MIN_AFFINE_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+MIN_AFFINE_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 
 @dataclass(frozen=True)
@@ -429,9 +429,9 @@ def affine_data(rs: RootSystem, ring: ScalarRing) -> AffineData:
     """Structural constants of the affinization: Ω_{ij} with the 0-th row and
     column built from the negated highest root, the extended Cartan matrix,
     and the 0-node symmetrizer."""
-    if rs.n < _MIN_AFFINE_RANK[rs.family]:
+    if rs.n < MIN_AFFINE_RANK[rs.family]:
         raise ValueError(
-            f"type {rs.family} affine data needs rank ≥ {_MIN_AFFINE_RANK[rs.family]}"
+            f"type {rs.family} affine data needs rank ≥ {MIN_AFFINE_RANK[rs.family]}"
         )
     n = rs.n
     theta = rs.highest_root()

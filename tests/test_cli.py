@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -69,6 +70,20 @@ def test_rep_dump(tmp_path, capsys):
     assert run(["rep", "dump", "--family", "C", "--rank", "2", "--affine", "--out", str(path2)]) == 0
     obj2 = json.loads(path2.read_text())
     assert "e0" in obj2["generators"]
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (["--affine", "--family", "B", "--rank", "2"], "11e3f1c3b10213aaf80624f28d161443e6434ed60d68fc15301048b3edb9620e"),
+        (["--affine", "--family", "D", "--rank", "3"], "12751907fac8ff8c545bc34ba2c43d016fbad66b023810248826d416b978820b"),
+        (["--family", "C", "--rank", "3"], "967e0dbc6bdc77bab01113eb1b4c5e47d9156a4bb64435cae76889bb5c3065b2"),
+    ],
+)
+def test_rep_dump_bytes_are_pinned(tmp_path, args, digest):
+    path = tmp_path / "rep.json"
+    assert run(["rep", "dump", *args, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_pairing_constants_cli(capsys):

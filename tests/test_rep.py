@@ -141,7 +141,7 @@ def test_evaluation_printed_entries():
     expect = SMatrix.from_entries(
         R, N, N, [(N - 1, 1, au), (N - 2, 0, -au * R.mono(r=2, s=2))]
     )
-    assert ev.e0 == expect
+    assert ev.e[0] == expect
     assert ev.c == R.mono(r=2, s=2) * R.atom("a") * R.atom("b")
     ev_a = erep("A", 2)
     assert ev_a.c == ev_a.ring.mono(r=1, s=1) * ev_a.ring.atom("a") * ev_a.ring.atom("b")
@@ -175,16 +175,16 @@ def test_degree_substitution_scalars():
     r0 = ev.aff.r0
     assert r0 == R.mono(r=2)
     sub = {"x": r0 * R.atom("x")}
-    assert ev.e0.substituted(sub) == ev.e0.scale(r0)
-    assert ev.f0.substituted(sub) == ev.f0.scale(r0.inv())
-    assert ev.fin.e[1].substituted(sub) == ev.fin.e[1]
+    assert ev.e[0].substituted(sub) == ev.e[0].scale(r0)
+    assert ev.f[0].substituted(sub) == ev.f[0].scale(r0.inv())
+    assert ev.e[1].substituted(sub) == ev.e[1]
 
 
 def test_affine_conjugation_scalar_example():
     """ω-conjugation of the affine node against the structural constants."""
     ev = erep("B", 2)
-    om1 = ev.fin.omega[1]
-    lhs = om1 @ ev.e0
-    rhs = (ev.e0 @ om1).scale(ev.aff.omega[(0, 1)])
+    om1 = ev.omega[1]
+    lhs = om1 @ ev.e[0]
+    rhs = (ev.e[0] @ om1).scale(ev.aff.omega[(0, 1)])
     assert lhs == rhs
     assert ev.aff.omega[(1, 0)] == ev.ring.mono(r=2, s=2)

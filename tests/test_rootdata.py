@@ -281,6 +281,26 @@ def test_affine_data_consistency():
             assert all(x <= y for x, y in zip(rt.alpha, aff.theta.alpha))
 
 
+@pytest.mark.parametrize(
+    "family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("D", 4)]
+)
+def test_affine_presentation_restricts_to_the_finite_one(family, rank):
+    """On the nodes 1..n the affine Ω and Cartan tables are the finite ones,
+    and the Serre twist Ω_ji s^{d_i c_ij} is (rs)^{⟨α_j,α_i⟩}; the finite and
+    affine relation checks rely on both."""
+    R = ring()
+    rs = rsys(family, rank)
+    aff = affine_data(rs, R)
+    for i in range(1, rank + 1):
+        for j in range(1, rank + 1):
+            ai, aj = rs.simple[i - 1].alpha, rs.simple[j - 1].alpha
+            assert aff.omega[(i, j)] == omega_pairing(rs, R, ai, aj)
+            assert aff.cartan_ext[(i, j)] == rs.cartan[i - 1][j - 1]
+            twist = aff.omega[(j, i)] * R.mono(s=rs.d[i - 1] * rs.cartan[i - 1][j - 1])
+            ji = rs.ringel_form(aj, ai)
+            assert twist == R.mono(r=ji, s=ji)
+
+
 def test_affine_rank_guards():
     R = ring()
     with pytest.raises(ValueError):
