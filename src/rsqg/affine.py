@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .matrices import SMatrix, act_12, act_13, act_23, flip_map, tensor_units
-from .rep import KAPPA, build_evaluation, build_fundamental, coproduct
+from .rep import KAPPA, Representation, build_evaluation, build_fundamental, coproduct
 from .report import Report, first_mismatch
 from .rmatrix import (
     CoefficientTables,
@@ -33,11 +33,11 @@ def xi_constant(family: str, rank: int, ring: ScalarRing) -> Scalar:
     return ring.mono(r=-n + 1, s=n - 1)
 
 
-def affine_rhat(family: str, rank: int, ring: ScalarRing, z: Scalar | None = None) -> SMatrix:
-    """The explicit spectral operator, polynomial in z of degree ≤ 1 (A) or
-    ≤ 2 (B/C/D)."""
-    rep = build_fundamental(family, rank, ring)
-    n, N = rep.n, rep.N
+def affine_rhat(rep: Representation, z: Scalar | None = None) -> SMatrix:
+    """The explicit spectral operator on the fundamental module ``rep``,
+    polynomial in z of degree ≤ 1 (A) or ≤ 2 (B/C/D); z defaults to the ring
+    variable z."""
+    ring, family, n, N = rep.ring, rep.family, rep.n, rep.N
     z = z if z is not None else ring.atom("z")
     one = ring.one
     R = lambda **p: ring.mono(**p)
@@ -58,7 +58,7 @@ def affine_rhat(family: str, rank: int, ring: ScalarRing, z: Scalar | None = Non
         return tensor_units(ring, N, ent)
 
     tab = CoefficientTables(rep)
-    xi = xi_constant(family, rank, ring)
+    xi = xi_constant(family, n, ring)
     pr = rep.prime
     if family == "B":
         lam0 = R(r=-2, s=2)
@@ -95,8 +95,7 @@ def affine_rhat(family: str, rank: int, ring: ScalarRing, z: Scalar | None = Non
 
 
 def build_affine_rhat(family: str, rank: int, ring: ScalarRing | None = None) -> SMatrix:
-    ring = ring if ring is not None else rs_ring("z")
-    return affine_rhat(family, rank, ring)
+    return affine_rhat(build_fundamental(family, rank, ring if ring is not None else rs_ring("z")))
 
 
 def one_param_r_affine_A(rank: int, ring: ScalarRing) -> SMatrix:
@@ -158,20 +157,17 @@ def baxterize(
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def baxterize_bullet(family: str, rank: int, ring: ScalarRing, z: Scalar | None = None) -> SMatrix:
-    """The per-type combination stated alongside the derivation: coefficients
-    written out with the crossing constant ξ."""
-    rep = build_fundamental(family, rank, ring)
-    rhat = rhat_explicit(rep)
-    rbar = rbar_inverse_printed(rep)
-    z = z if z is not None else ring.atom("z")
+def baxterize_bullet(rep: Representation, rhat: SMatrix, rbar: SMatrix, z: Scalar) -> SMatrix:
+    """The per-type combination of R̂ and R̄ = R̂^{-1} on ``rep`` stated
+    alongside the derivation: coefficients written out with the crossing
+    constant ξ."""
+    ring, family, n = rep.ring, rep.family, rep.n
     one = ring.one
     R = lambda **p: ring.mono(**p)
-    n = rank
     ident = SMatrix.identity(ring, rep.N * rep.N)
     if family == "A":
         return rhat + rbar.scale(-z * R(r=1, s=-1))
-    xi = xi_constant(family, rank, ring)
+    xi = xi_constant(family, n, ring)
     half = Fraction(1, 2)
     if family == "B":
         return (
@@ -194,27 +190,26 @@ def baxterize_bullet(family: str, rank: int, ring: ScalarRing, z: Scalar | None 
     )
 
 
-def check_baxterize_match(family: str, rank: int) -> Report:
+def check_baxterize_match(rep: Representation, rz: SMatrix) -> Report:
     """The per-type combination reproduces the explicit spectral operator
-    entrywise; also reports which generic scheme produces it."""
-    ring = rs_ring("z")
+    ``rz`` on ``rep`` (over the z ring) entrywise; also reports which generic
+    scheme produces it.  R̂ and R̄ over the z ring are built once, on the
+    first item's clock."""
+    ring, family, rank = rep.ring, rep.family, rep.n
+    z = ring.atom("z")
     out = Report()
     with out.timed("baxterize-match", family, rank) as it:
-        explicit = affine_rhat(family, rank, ring)
-        bullet = baxterize_bullet(family, rank, ring)
-        it.witness = first_mismatch(bullet, explicit)
-
-    with out.timed("baxterize-scheme", family, rank) as it:
-        rep = build_fundamental(family, rank, ring)
         rhat = rhat_explicit(rep)
         rbar = rbar_inverse_printed(rep)
+        it.witness = first_mismatch(baxterize_bullet(rep, rhat, rbar, z), rz)
+
+    with out.timed("baxterize-scheme", family, rank) as it:
         lam = eigenvalues(rep)
-        z = ring.atom("z")
         if family == "A":
-            scheme_used, ok = "two-eigen", baxterize(rhat, rbar, [lam[0], lam[1]], "two-eigen", z) == explicit
+            scheme_used, ok = "two-eigen", baxterize(rhat, rbar, [lam[0], lam[1]], "two-eigen", z) == rz
         else:
-            match_a = baxterize(rhat, rbar, lam, "three-eigen-a", z) == explicit
-            match_b = baxterize(rhat, rbar, lam, "three-eigen-b", z) == explicit
+            match_a = baxterize(rhat, rbar, lam, "three-eigen-a", z) == rz
+            match_b = baxterize(rhat, rbar, lam, "three-eigen-b", z) == rz
             scheme_used = "three-eigen-a" if match_a else ("three-eigen-b" if match_b else "none")
             ok = match_a or match_b
         it.ok = ok
@@ -244,8 +239,7 @@ def check_affine_intertwiner(
                 b = (ring.mono(r=-kappa, s=-kappa) if enforce_constraint else ring.one) * a.inv()
                 ev_x = build_evaluation(family, rank, ring=ring, spectral="x", a=a, b=b)
                 ev_y = build_evaluation(family, rank, ring=ring, spectral="y", a=a, b=b)
-                z = ring.atom("x") * ring.atom("y").inv()
-                rz = affine_rhat(family, rank, ring, z=z)
+                rz = affine_rhat(ev_x.fin, z=ring.atom("x") * ring.atom("y").inv())
             w = ""
             for i in range(rank + 1):
                 lhs = rz @ coproduct(ev_x, ev_y, kind, i)
@@ -268,11 +262,12 @@ def check_spectral_ybe(family: str, rank: int) -> Report:
     ring = rs_ring("x", "y")
     out = Report()
     with out.timed("spectral-ybe", family, rank) as it:
-        N = build_fundamental(family, rank).N
+        rep = build_fundamental(family, rank, ring)
+        N = rep.N
         tau = flip_map(ring, N)
 
         def r_of(z: Scalar) -> SMatrix:
-            return affine_rhat(family, rank, ring, z=z) @ tau
+            return affine_rhat(rep, z=z) @ tau
 
         x = ring.atom("x")
         y = ring.atom("y")
@@ -297,13 +292,12 @@ def check_spectral_ybe(family: str, rank: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def check_degree_bounds(family: str, rank: int) -> Report:
-    """Entrywise polynomial degree in z stays ≤ 1 (A) or ≤ 2 (B/C/D)."""
-    ring = rs_ring("z")
-    bound = 1 if family == "A" else 2
+def check_degree_bounds(rep: Representation, rz: SMatrix) -> Report:
+    """Entrywise polynomial degree in z of the spectral operator ``rz`` on
+    ``rep`` stays ≤ 1 (A) or ≤ 2 (B/C/D)."""
+    bound = 1 if rep.family == "A" else 2
     out = Report()
-    with out.timed("z-degree-bound", family, rank) as it:
-        rz = affine_rhat(family, rank, ring)
+    with out.timed("z-degree-bound", rep.family, rep.n) as it:
         w = ""
         for i, row in rz.rows.items():
             for j, v in row.items():
@@ -315,14 +309,12 @@ def check_degree_bounds(family: str, rank: int) -> Report:
     return out
 
 
-def check_unit_point(family: str, rank: int) -> Report:
-    """At z = 1 the operator collapses to the scalar (1-λ₀)(1-ξ) times the
-    identity (type A: (1 - rs^{-1}) Id)."""
-    ring = rs_ring("z")
+def check_unit_point(rep: Representation, rz: SMatrix) -> Report:
+    """At z = 1 the spectral operator ``rz`` on ``rep`` collapses to the
+    scalar (1-λ₀)(1-ξ) times the identity (type A: (1 - rs^{-1}) Id)."""
+    ring, family, rank = rep.ring, rep.family, rep.n
     out = Report()
     with out.timed("unit-point", family, rank) as it:
-        rep = build_fundamental(family, rank, ring)
-        rz = affine_rhat(family, rank, ring)
         at_one = rz.substituted({"z": ring.one})
         if family == "A":
             c = ring.one - ring.mono(r=1, s=-1)

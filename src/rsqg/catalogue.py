@@ -22,15 +22,18 @@ from typing import Callable, Iterator
 
 from . import affine, embed, lyndon, pairing, rmatrix, rootvec
 from . import rep as rep_module
-from .report import Report
+from .report import Report, charged
 from .rootdata import MIN_AFFINE_RANK
+from .scalars import rs_ring
 
 GROUPS = ("rep", "rootvec", "pairing", "rmatrix", "affine", "embed")
 
 
 class CaseContext:
     """Operators shared by the checks of one (family, rank) case, each built
-    on first use and at most once."""
+    on first use and at most once: the fundamental module, its convex order
+    and root-vector matrices, the ordered product Θ, R̂ and R̄ over (r, s),
+    the evaluation module, and the module and R̂(z) over the z ring."""
 
     def __init__(self, family: str, rank: int):
         self.family = family
@@ -53,8 +56,24 @@ class CaseContext:
         return rmatrix.rhat_explicit(self.rep)
 
     @cached_property
+    def rbar(self):
+        return rmatrix.rbar_inverse_printed(self.rep)
+
+    @cached_property
+    def theta(self):
+        return rmatrix.build_theta(self.rep, self.order, self.rvm)
+
+    @cached_property
     def erep(self):
         return rep_module.build_evaluation(self.family, self.rank)
+
+    @cached_property
+    def zrep(self):
+        return rep_module.build_fundamental(self.family, self.rank, rs_ring("z"))
+
+    @cached_property
+    def rz(self):
+        return affine.affine_rhat(self.zrep)
 
 
 @dataclass(frozen=True)
@@ -81,10 +100,14 @@ def _ybe(family: str, rank: int, long: bool) -> bool:
     return _affine(family, rank, long) and (long or (family, rank) in (("A", 2), ("C", 2)))
 
 
+def _specialize(c: CaseContext) -> Report:
+    return rmatrix.specialize_and_compare(c.rep, c.rhat, c.rz if c.family == "A" else None)
+
+
 def _twist(c: CaseContext) -> Report:
     if c.family == "A":
-        return embed.verify_twist_A(c.rank, "finite").merged(embed.verify_twist_A(c.rank, "affine"))
-    return embed.b_type_obstruction(c.rank)
+        return embed.verify_twist_A(c.rep, c.rhat).merged(embed.verify_twist_A(c.zrep, c.rz))
+    return embed.b_type_obstruction(c.rep, c.rhat)
 
 
 CATALOGUE = (
@@ -95,23 +118,23 @@ CATALOGUE = (
     Check("rootvec", "nilpotency", _always, lambda c: rootvec.verify_nilpotency(c.rvm)),
     Check("pairing", "constants", _always, lambda c: pairing.verify_pairing_constants(c.rep.rs, c.rep.ring, c.order, 2)),
     Check("pairing", "pbw", _a_or_b, lambda c: pairing.verify_pbw_orthogonality(c.rep.rs, c.rep.ring, c.order, 3)),
-    Check("rmatrix", "route", _always, lambda c: rmatrix.check_route_equivalence(c.rep)),
+    Check("rmatrix", "route", _always, lambda c: rmatrix.check_route_equivalence(c.rep, c.rhat, c.theta)),
     Check("rmatrix", "eigen", _always, lambda c: rmatrix.check_eigenvalues(c.rep, c.rhat)),
     Check("rmatrix", "intertwine", _always, lambda c: rmatrix.check_intertwining(c.rep, c.rhat)),
     Check("rmatrix", "minpoly", _always, lambda c: rmatrix.check_min_poly(c.rep, c.rhat)),
-    Check("rmatrix", "inverse", _always, lambda c: rmatrix.check_inverse(c.rep)),
+    Check("rmatrix", "inverse", _always, lambda c: rmatrix.check_inverse(c.rep, c.rhat, c.rbar, c.theta)),
     Check("rmatrix", "weights", _always, lambda c: rmatrix.check_weight_preservation(c.rep, c.rhat)),
     Check("rmatrix", "tables", _always, lambda c: rmatrix.verify_tables(c.rep)),
     Check("rmatrix", "braid", _always, lambda c: rmatrix.check_braid(c.rep, c.rhat)),
-    Check("rmatrix", "specialize", _a_or_b, lambda c: rmatrix.specialize_and_compare(c.family, c.rank)),
+    Check("rmatrix", "specialize", _a_or_b, _specialize),
     Check("affine", "intertwine", _affine, lambda c: affine.check_affine_intertwiner(c.family, c.rank)),
     Check("affine", "ybe", _ybe, lambda c: affine.check_spectral_ybe(c.family, c.rank)),
-    Check("affine", "baxterize-match", _affine, lambda c: affine.check_baxterize_match(c.family, c.rank)),
-    Check("affine", "degree", _affine, lambda c: affine.check_degree_bounds(c.family, c.rank)),
-    Check("affine", "unit", _affine, lambda c: affine.check_unit_point(c.family, c.rank)),
+    Check("affine", "baxterize-match", _affine, lambda c: affine.check_baxterize_match(c.zrep, c.rz)),
+    Check("affine", "degree", _affine, lambda c: affine.check_degree_bounds(c.zrep, c.rz)),
+    Check("affine", "unit", _affine, lambda c: affine.check_unit_point(c.zrep, c.rz)),
     Check("embed", "dj", _always, lambda c: embed.verify_dj_relations(c.rep)),
     Check("embed", "kappa", _always, lambda c: embed.verify_kappa_recursion(c.rep, c.order)),
-    Check("embed", "rootvec", _always, lambda c: embed.verify_root_vector_embedding(c.rep, c.order)),
+    Check("embed", "rootvec", _always, lambda c: embed.verify_root_vector_embedding(c.rvm)),
     Check("embed", "twist", _a_or_b, _twist),
 )
 
@@ -154,8 +177,9 @@ def open_case(family: str, rank: int) -> Iterator[CaseContext]:
 
 
 def run_group(group: str, family: str, rank: int, wanted: list[str]) -> Report:
-    """Run the named checks of one group.  A check that raises is recorded as
-    a failure with the exception as its witness, and its traceback goes to
+    """Run the named checks of one group.  Each check is charged for the
+    shared operators it is the first to use.  A check that raises is recorded
+    as a failure with the exception as its witness, and its traceback goes to
     standard error."""
     entries = select(group, family, rank, wanted)
     ctx = _open_case.get()
@@ -164,7 +188,7 @@ def run_group(group: str, family: str, rank: int, wanted: list[str]) -> Report:
     out = Report()
     for entry in entries:
         try:
-            out = out.merged(entry.run(ctx))
+            out = out.merged(charged(entry.run, ctx))
         except Exception as exc:
             traceback.print_exc()
             out.fault(entry.name, family, rank, exc)

@@ -92,7 +92,7 @@ def cmd_lyndon_table(args) -> int:
 
 def cmd_rep_dump(args) -> int:
     if args.affine:
-        mod = build_evaluation(args.family, args.rank, mode="symbolic-a")
+        mod = build_evaluation(args.family, args.rank)
         rep = mod.fin
     else:
         mod = rep = build_fundamental(args.family, args.rank)

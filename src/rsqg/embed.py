@@ -16,17 +16,17 @@ from fractions import Fraction
 
 from .lyndon import ConvexOrder, minimal_pair
 from .matrices import SMatrix, flip_map
-from .rep import Representation, build_fundamental, serre_sum
+from .rep import Representation, serre_sum
 from .report import Report, first_mismatch
-from .rmatrix import CoefficientTables, rhat_explicit
+from .rmatrix import CoefficientTables
 from .rootdata import Root, omega_pairing
+from .rootvec import RootVectorMatrices
 from .scalars import (
     Scalar,
     ScalarRing,
     Variable,
     q_binomial,
     q_scalar,
-    rs_ring,
     substitute,
 )
 
@@ -164,17 +164,15 @@ def verify_kappa_recursion(rep: Representation, order: ConvexOrder) -> Report:
     return out
 
 
-def verify_root_vector_embedding(rep: Representation, order: ConvexOrder) -> Report:
+def verify_root_vector_embedding(rvm: RootVectorMatrices) -> Report:
     """The q-bracketed root vectors of the modified generators coincide with
-    the rescaled two-parameter ones:
+    the rescaled two-parameter ones ``rvm``:
     ẽ_γ = κ_γ^{-1} e_γ ω_γ^{-1/2} and f̃_γ = d_γ κ_γ^{-1} f_γ (ω'_γ)^{-1/2}."""
-    from .rootvec import build_root_vector_matrices
-
+    rep, order = rvm.rep, rvm.order
     ring, rs = rep.ring, rep.rs
     out = Report()
     with out.timed("root-vector-embedding", rep.family, rep.n) as it:
         mg = modified_generators(rep)
-        rvm = build_root_vector_matrices(rep, order)
         w = ""
         e_one: dict[tuple, SMatrix] = {}
         f_one: dict[tuple, SMatrix] = {}
@@ -226,30 +224,24 @@ def _to_quarter_ring(x: Scalar, target: ScalarRing) -> Scalar:
     return substitute(x, binds, ring=target)
 
 
-def verify_twist_A(rank: int, form: str = "finite") -> Report:
+def verify_twist_A(rep: Representation, rhat: SMatrix) -> Report:
     """R = F^{-1} R̄ F^{-1} for the diagonal F with entries (rs)^{±1/4}: the
-    two-parameter operator is a diagonal twist of its one-parameter
-    specialization, both finite and spectral."""
-    if form not in ("finite", "affine"):
-        raise ValueError("form must be 'finite' or 'affine'")
+    two-parameter operator ``rhat``∘τ on the type-A module ``rep`` is a
+    diagonal twist of its one-parameter specialization.  The form is spectral
+    when the ring of ``rep`` carries z (``rhat`` is then R̂(z)), else finite."""
+    form = "affine" if "z" in rep.ring.names else "finite"
+    rank, N = rep.n, rep.N
     out = Report()
     with out.timed(f"twist-A-{form}", "A", rank) as it:
-        extra = ("z",) if form == "affine" else ()
-        ring = quarter_ring(*extra)
-        N = rank + 1
+        ring = quarter_ring(*(("z",) if form == "affine" else ()))
         qh = ring.atom("q")
-
+        r_two_rs = rhat @ flip_map(rep.ring, N)
+        r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring))
         if form == "finite":
-            rep = build_fundamental("A", rank)
-            r_two_rs = rhat_explicit(rep) @ flip_map(rep.ring, N)
-            r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring))
             r_one = r_two_rs.substituted({"r": qh, "s": qh.inv()}, ring=ring)
         else:
-            from .affine import affine_rhat, one_param_r_affine_A
+            from .affine import one_param_r_affine_A
 
-            zring = rs_ring("z")
-            r_two_rs = affine_rhat("A", rank, zring) @ flip_map(zring, N)
-            r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring))
             r_one = one_param_r_affine_A(rank, ring)
 
         # F(v_i ⊗ v_j) = w^{±1} v_i ⊗ v_j with w = (rs)^{1/4}; the orientation
@@ -266,21 +258,21 @@ def verify_twist_A(rank: int, form: str = "finite") -> Report:
     return out
 
 
-def b_type_obstruction(rank: int) -> Report:
+def b_type_obstruction(rep: Representation, rhat: SMatrix) -> Report:
     """No diagonal twist relates the B-type operator to its one-parameter
-    specialization: the matching conditions on the first five summand
-    families force the twist uniquely, and the residual on the
-    E_{i'j'} ⊗ E_{ij} family is then nonzero.  Both facts are asserted."""
+    specialization: for the explicit operator ``rhat`` on the type-B module
+    ``rep``, the matching conditions on the first five summand families force
+    the twist uniquely, and the residual on the E_{i'j'} ⊗ E_{ij} family is
+    then nonzero.  Both facts are asserted."""
     out = Report()
-    with out.timed("twist-B-obstruction", "B", rank) as it:
-        rep = build_fundamental("B", rank)
+    with out.timed("twist-B-obstruction", "B", rep.n) as it:
         N, n = rep.N, rep.n
         tab = CoefficientTables(rep)
         pr = rep.prime
         ring = quarter_ring()
         qh = ring.atom("q")
 
-        r_two_rs = rhat_explicit(rep) @ flip_map(rep.ring, N)
+        r_two_rs = rhat @ flip_map(rep.ring, N)
         r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring))
         r_one = r_two_rs.substituted({"r": qh, "s": qh.inv()}, ring=ring)
 

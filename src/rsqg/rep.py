@@ -487,30 +487,22 @@ def check_affine_rank(family: str, rank: int) -> None:
 def build_evaluation(
     family: str,
     rank: int,
-    mode: str = "symbolic-a",
     ring: ScalarRing | None = None,
     spectral: str = "x",
     a: Scalar | None = None,
     b: Scalar | None = None,
 ) -> EvaluationRep:
     """Extend the fundamental module to the affine algebra at evaluation
-    parameters (a, b).
-
-    mode "symbolic-a" keeps a and b as free ring variables; "fixed-a1" sets
-    a = 1 and b = (rs)^{-κ} so that the central scalar c is 1.  Explicit
-    Scalars for a and b override the mode.
+    parameters (a, b).  The ring defaults to r, s, the spectral variable, a
+    and b; a and b each default, independently, to the ring variables of
+    those names.
     """
     check_affine_rank(family, rank)
     kappa = KAPPA[family]
     if ring is None:
-        ring = rs_ring(spectral, "a", "b") if mode == "symbolic-a" else rs_ring(spectral)
-    if a is None or b is None:
-        if mode == "symbolic-a":
-            a, b = ring.atom("a"), ring.atom("b")
-        elif mode == "fixed-a1":
-            a, b = ring.one, ring.mono(r=-kappa, s=-kappa)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        ring = rs_ring(spectral, "a", "b")
+    a = a if a is not None else ring.atom("a")
+    b = b if b is not None else ring.atom("b")
     rep = build_fundamental(family, rank, ring)
     rs = rep.rs
     n, N = rank, rep.N

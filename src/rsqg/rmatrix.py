@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lyndon import ConvexOrder, lalonde_ram
-from .matrices import SMatrix, act_12, act_23, flip_map, kron, tensor_units
+from .matrices import SMatrix, act_12, act_23, flip_map, kron, mat_vec, tensor_units, vec_scale
 from .pairing import pairing_from_c
 from .rep import Representation, build_fundamental, coproduct, highest_weight_vectors
 from .report import Report, first_mismatch
@@ -215,15 +215,15 @@ def build_theta(rep: Representation, order: ConvexOrder, rvm: RootVectorMatrices
     return theta_product(rep, order, rvm)
 
 
-def rhat_factorized(rep: Representation, order: ConvexOrder | None = None) -> SMatrix:
-    order = order if order is not None else lalonde_ram(rep.rs)
-    rvm = build_root_vector_matrices(rep, order)
-    th = theta_product(rep, order, rvm)
-    return th @ ftilde(rep) @ flip_map(rep.ring, rep.N)
+def rhat_factorized(rep: Representation, theta: SMatrix) -> SMatrix:
+    """Θ ∘ (weight twist) ∘ flip, for the ordered product Θ."""
+    return theta @ ftilde(rep) @ flip_map(rep.ring, rep.N)
 
 
 def build_rhat_factorized(family: str, rank: int, ring: ScalarRing | None = None) -> SMatrix:
-    return rhat_factorized(build_fundamental(family, rank, ring))
+    rep = build_fundamental(family, rank, ring)
+    order = lalonde_ram(rep.rs)
+    return rhat_factorized(rep, build_theta(rep, order, build_root_vector_matrices(rep, order)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +317,10 @@ def rbar_inverse_printed(rep: Representation) -> SMatrix:
     return tensor_units(ring, N, ent)
 
 
-def rbar_inverse_exchanged(rep: Representation, order: ConvexOrder | None = None) -> SMatrix:
+def rbar_inverse_exchanged(rep: Representation, theta: SMatrix) -> SMatrix:
     """Independent route, valid in every type: flip ∘ (inverse weight twist)
     ∘ (parameter-exchanged Θ), using the entrywise r ↔ s exchange."""
-    order = order if order is not None else lalonde_ram(rep.rs)
-    rvm = build_root_vector_matrices(rep, order)
-    th_bar = theta_product(rep, order, rvm).exchanged_params()
-    return flip_map(rep.ring, rep.N) @ ftilde(rep).diagonal_inv() @ th_bar
+    return flip_map(rep.ring, rep.N) @ ftilde(rep).diagonal_inv() @ theta.exchanged_params()
 
 
 def build_rbar_inverse(family: str, rank: int, ring: ScalarRing | None = None) -> SMatrix:
@@ -335,19 +332,16 @@ def build_rbar_inverse(family: str, rank: int, ring: ScalarRing | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def check_route_equivalence(rep: Representation) -> Report:
+def check_route_equivalence(rep: Representation, rhat: SMatrix, theta: SMatrix) -> Report:
     out = Report()
     with out.timed("route-equivalence", rep.family, rep.n) as it:
-        it.witness = first_mismatch(rhat_explicit(rep), rhat_factorized(rep))
+        it.witness = first_mismatch(rhat, rhat_factorized(rep, theta))
     return out
 
 
-def check_eigenvalues(rep: Representation, rhat: SMatrix | None = None) -> Report:
-    from .matrices import mat_vec, vec_scale
-
+def check_eigenvalues(rep: Representation, rhat: SMatrix) -> Report:
     out = Report()
     with out.timed("eigenvalues", rep.family, rep.n) as it:
-        rhat = rhat if rhat is not None else rhat_explicit(rep)
         hwt = highest_weight_vectors(rep)
         lam = eigenvalues(rep)
         w = ""
@@ -363,11 +357,10 @@ def check_eigenvalues(rep: Representation, rhat: SMatrix | None = None) -> Repor
     return out
 
 
-def check_intertwining(rep: Representation, rhat: SMatrix | None = None) -> Report:
+def check_intertwining(rep: Representation, rhat: SMatrix) -> Report:
     """R̂ commutes with the action of every generator on V ⊗ V."""
     out = Report()
     with out.timed("intertwining", rep.family, rep.n) as it:
-        rhat = rhat if rhat is not None else rhat_explicit(rep)
         w = ""
         for i in range(1, rep.n + 1):
             for kind in ("f", "e", "omega", "omega-prime"):
@@ -379,22 +372,20 @@ def check_intertwining(rep: Representation, rhat: SMatrix | None = None) -> Repo
     return out
 
 
-def check_braid(rep: Representation, rhat: SMatrix | None = None) -> Report:
+def check_braid(rep: Representation, rhat: SMatrix) -> Report:
     """R̂₁₂ R̂₂₃ R̂₁₂ = R̂₂₃ R̂₁₂ R̂₂₃ on V ⊗ V ⊗ V."""
     out = Report()
     with out.timed("braid", rep.family, rep.n) as it:
-        rhat = rhat if rhat is not None else rhat_explicit(rep)
         r12 = act_12(rhat, rep.N)
         r23 = act_23(rhat, rep.N)
         it.witness = first_mismatch(r12 @ r23 @ r12, r23 @ r12 @ r23)
     return out
 
 
-def check_min_poly(rep: Representation, rhat: SMatrix | None = None) -> Report:
+def check_min_poly(rep: Representation, rhat: SMatrix) -> Report:
     ring, N = rep.ring, rep.N
     out = Report()
     with out.timed("min-poly", rep.family, rep.n) as it:
-        rhat = rhat if rhat is not None else rhat_explicit(rep)
         acc = SMatrix.identity(ring, N * N)
         ident = SMatrix.identity(ring, N * N)
         for lam in eigenvalues(rep):
@@ -403,28 +394,25 @@ def check_min_poly(rep: Representation, rhat: SMatrix | None = None) -> Report:
     return out
 
 
-def check_inverse(rep: Representation) -> Report:
+def check_inverse(rep: Representation, rhat: SMatrix, rbar: SMatrix, theta: SMatrix) -> Report:
     """Explicit operator times the displayed inverse is the identity, and the
     parameter-exchange route reproduces the display."""
     out = Report()
     with out.timed("inverse", rep.family, rep.n) as it:
-        rhat = rhat_explicit(rep)
-        rbar = rbar_inverse_printed(rep)
         ident = SMatrix.identity(rep.ring, rep.N * rep.N)
         w = first_mismatch(rhat @ rbar, ident) or first_mismatch(rbar @ rhat, ident)
         if not w:
-            w = first_mismatch(rbar, rbar_inverse_exchanged(rep))
+            w = first_mismatch(rbar, rbar_inverse_exchanged(rep, theta))
             if w:
                 w = f"exchange route differs from display: {w}"
         it.witness = w
     return out
 
 
-def check_weight_preservation(rep: Representation, rhat: SMatrix | None = None) -> Report:
+def check_weight_preservation(rep: Representation, rhat: SMatrix) -> Report:
     N = rep.N
     out = Report()
     with out.timed("weight-preservation", rep.family, rep.n) as it:
-        rhat = rhat if rhat is not None else rhat_explicit(rep)
         w = ""
         for ii, row in rhat.rows.items():
             wi = tuple(a + b for a, b in zip(rep.weights[ii // N], rep.weights[ii % N]))
@@ -445,11 +433,10 @@ def q_ring() -> ScalarRing:
     return ScalarRing([Variable("q", 2)])
 
 
-def one_param_r_finite(family: str, rank: int, ring: ScalarRing) -> SMatrix:
-    """Printed one-parameter R = R̂∘τ after r ↦ q, s ↦ q^{-1}."""
-    rep_shape = build_fundamental(family, rank)  # only for sizes/indexing
-    N = rep_shape.N
-    n = rank
+def one_param_r_finite(rep: Representation, ring: ScalarRing) -> SMatrix:
+    """Printed one-parameter R = R̂∘τ after r ↦ q, s ↦ q^{-1}, in ``ring``;
+    ``rep`` gives only the type and the indexing."""
+    family, n, N = rep.family, rep.n, rep.N
     one = ring.one
     Q = lambda k: ring.mono(q=k)
     ent: list[tuple[int, int, int, int, Scalar]] = []
@@ -496,46 +483,34 @@ def one_param_r_finite(family: str, rank: int, ring: ScalarRing) -> SMatrix:
     return tensor_units(ring, N, ent)
 
 
-def specialize_and_compare(family: str, rank: int) -> Report:
+def specialize_and_compare(rep: Representation, rhat: SMatrix, rz: SMatrix | None) -> Report:
     """r ↦ q, s ↦ q^{-1} on the two-parameter R = R̂∘τ equals the printed
-    one-parameter operator; for A also the spectral version and its z → 0
-    limit."""
+    one-parameter operator; for A also the spectral version R̂(z)∘τ and its
+    z → 0 limit (``rz`` is read for type A only)."""
+    family, rank = rep.family, rep.n
     if family not in ("A", "B"):
         raise ValueError("specialization displays exist for types A and B")
     out = Report()
     with out.timed("specialize-finite", family, rank) as it:
-        rep = build_fundamental(family, rank)
         qr = q_ring()
-        rhat = rhat_explicit(rep)
         r_two = rhat @ flip_map(rep.ring, rep.N)
         qhalf = qr.atom("q")
         r_spec = r_two.substituted({"r": qhalf, "s": qhalf.inv()}, ring=qr)
-        it.witness = first_mismatch(r_spec, one_param_r_finite(family, rank, qr))
+        it.witness = first_mismatch(r_spec, one_param_r_finite(rep, qr))
 
     if family == "A":
-        from .affine import affine_rhat, one_param_r_affine_A
-        from .scalars import rs_ring, substitute
+        from .affine import one_param_r_affine_A
 
         with out.timed("specialize-affine", family, rank) as it:
-            zr = rs_ring("z")
-            rz = affine_rhat(family, rank, zr) @ flip_map(zr, rep.N)
+            zr = rz.ring
+            rz_two = rz @ flip_map(zr, rep.N)
             qz = ScalarRing([Variable("q", 2), "z"])
             qhalf2 = qz.atom("q")
-            rz_spec = rz.substituted({"r": qhalf2, "s": qhalf2.inv(), "z": qz.atom("z")}, ring=qz)
+            rz_spec = rz_two.substituted({"r": qhalf2, "s": qhalf2.inv(), "z": qz.atom("z")}, ring=qz)
             it.witness = first_mismatch(rz_spec, one_param_r_affine_A(rank, qz))
 
         with out.timed("affine-z0-limit", family, rank) as it:
-            r_at_zero = rz.substituted({"z": zr.zero})
-            r_two_in_zr = SMatrix(
-                zr,
-                rep.N**2,
-                rep.N**2,
-                {
-                    i: {j: substitute(v, {}, ring=zr) for j, v in row.items()}
-                    for i, row in r_two.rows.items()
-                },
-            )
-            it.witness = first_mismatch(r_at_zero, r_two_in_zr)
+            it.witness = first_mismatch(rz_two.substituted({"z": zr.zero}), r_two.substituted({}, ring=zr))
     return out
 
 

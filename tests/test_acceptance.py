@@ -10,7 +10,7 @@ import os
 import time
 from fractions import Fraction
 
-from conftest import order, rep, ring, rsys
+from conftest import case, order, rep, ring, rsys, rvm
 from rsqg.affine import check_affine_intertwiner, check_baxterize_match, check_spectral_ybe
 from rsqg.embed import b_type_obstruction, verify_dj_relations, verify_root_vector_embedding, verify_twist_A
 from rsqg.lyndon import is_convex, telescoped
@@ -38,7 +38,7 @@ def _assert_report(num, label, t0, reports):
 def test_criterion_01_route_equivalence():
     t0 = time.perf_counter()
     reports = [
-        check_route_equivalence(rep(f, n))
+        check_route_equivalence(rep(f, n), case(f, n).rhat, case(f, n).theta)
         for f, n in [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3)]
     ]
     _assert_report(1, "route equivalence (explicit = ordered product)", t0, reports)
@@ -47,22 +47,25 @@ def test_criterion_01_route_equivalence():
 def test_criterion_02_eigenvalue_certificates():
     t0 = time.perf_counter()
     reports = [
-        check_eigenvalues(rep(f, n))
+        check_eigenvalues(rep(f, n), case(f, n).rhat)
         for f, n in [("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3)]
     ]
-    reports += [check_min_poly(rep("A", n)) for n in (2, 3)]
+    reports += [check_min_poly(rep("A", n), case("A", n).rhat) for n in (2, 3)]
     _assert_report(2, "highest-weight eigenvalues and A-type minimal polynomial", t0, reports)
 
 
 def test_criterion_03_inverse_lemmas():
     t0 = time.perf_counter()
-    reports = [check_inverse(rep(f, n)) for f, n in [("B", 2), ("C", 2), ("D", 3)]]
+    reports = [
+        check_inverse(rep(f, n), case(f, n).rhat, case(f, n).rbar, case(f, n).theta)
+        for f, n in [("B", 2), ("C", 2), ("D", 3)]
+    ]
     _assert_report(3, "printed inverses (product with the operator is Id)", t0, reports)
 
 
 def test_criterion_04_braid_relation():
     t0 = time.perf_counter()
-    reports = [check_braid(rep(f, n)) for f, n in [("A", 2), ("B", 2), ("C", 2), ("D", 3)]]
+    reports = [check_braid(rep(f, n), case(f, n).rhat) for f, n in [("A", 2), ("B", 2), ("C", 2), ("D", 3)]]
     _assert_report(4, "braid relation on the triple tensor power", t0, reports)
 
 
@@ -86,7 +89,8 @@ def test_criterion_06_spectral_ybe():
 def test_criterion_07_baxterization():
     t0 = time.perf_counter()
     reports = [
-        check_baxterize_match(f, n) for f, n in [("A", 2), ("B", 2), ("C", 2), ("D", 3)]
+        check_baxterize_match(case(f, n).zrep, case(f, n).rz)
+        for f, n in [("A", 2), ("B", 2), ("C", 2), ("D", 3)]
     ]
     _assert_report(7, "Yang-Baxterization reproduces the spectral operators", t0, reports)
 
@@ -131,13 +135,18 @@ def test_criterion_11_one_param_subalgebra():
     t0 = time.perf_counter()
     cases = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 2), ("D", 3)]
     reports = [verify_dj_relations(rep(f, n)) for f, n in cases]
-    reports += [verify_root_vector_embedding(rep(f, n), order(f, n)) for f, n in cases]
+    reports += [verify_root_vector_embedding(rvm(f, n)) for f, n in cases]
     _assert_report(11, "one-parameter relations and root-vector rescaling", t0, reports)
 
 
 def test_criterion_12_twists():
     t0 = time.perf_counter()
-    reports = [verify_twist_A(2, "finite"), verify_twist_A(2, "affine"), b_type_obstruction(2)]
+    a2, b2 = case("A", 2), case("B", 2)
+    reports = [
+        verify_twist_A(a2.rep, a2.rhat),
+        verify_twist_A(a2.zrep, a2.rz),
+        b_type_obstruction(b2.rep, b2.rhat),
+    ]
     _assert_report(12, "A-type diagonal twist identity; B-type obstruction", t0, reports)
 
 

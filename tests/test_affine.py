@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from conftest import case
 from rsqg.affine import (
     affine_rhat,
     baxterize,
@@ -37,7 +38,7 @@ def test_b_type_middle_entry():
     """b_{n+1,n+1}(z) = r^{-1}s(z-1)(z-ξ) + (r^{-2}s²-1)(ξ-1)z."""
     R = rs_ring("z")
     n = 2
-    rz = affine_rhat("B", n, R)
+    rz = affine_rhat(build_fundamental("B", n, R))
     z = R.atom("z")
     xi = xi_constant("B", n, R)
     N = 2 * n + 1
@@ -50,22 +51,22 @@ def test_b_type_middle_entry():
 
 def test_a_type_entry():
     R = rs_ring("z")
-    rz = affine_rhat("A", 2, R)
+    rz = affine_rhat(build_fundamental("A", 2, R))
     z = R.atom("z")
     assert rz.get(0, 0) == R.one - z * R.mono(r=1, s=-1)
 
 
 @pytest.mark.parametrize("family,rank", AFFINE_DESK + [("A", 1), ("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_baxterize_match(family, rank):
-    out = check_baxterize_match(family, rank)
+    out = check_baxterize_match(case(family, rank).zrep, case(family, rank).rz)
     assert out.ok(), [it.line() for it in out.items if not it.ok]
 
 
 def test_baxterize_schemes_recorded():
-    out = check_baxterize_match("C", 2)
+    out = check_baxterize_match(case("C", 2).zrep, case("C", 2).rz)
     schemes = {it.witness for it in out.items if it.name == "baxterize-scheme"}
     assert schemes == {"scheme=three-eigen-b"}
-    out = check_baxterize_match("B", 2)
+    out = check_baxterize_match(case("B", 2).zrep, case("B", 2).rz)
     schemes = {it.witness for it in out.items if it.name == "baxterize-scheme"}
     assert schemes == {"scheme=three-eigen-a"}
 
@@ -79,7 +80,7 @@ def test_two_eigen_formula_is_linear_combination():
     lam = eigenvalues(r)
     z = R.atom("z")
     combo = baxterize(rhat, rbar, lam, "two-eigen", z)
-    assert combo == affine_rhat("A", 2, R)
+    assert combo == affine_rhat(r)
 
 
 def test_scheme_argument_validation():
@@ -124,9 +125,9 @@ def test_spectral_ybe_long(family, rank):
 
 @pytest.mark.parametrize("family,rank", AFFINE_DESK)
 def test_degree_bounds(family, rank):
-    assert check_degree_bounds(family, rank).ok()
+    assert check_degree_bounds(case(family, rank).zrep, case(family, rank).rz).ok()
 
 
 @pytest.mark.parametrize("family,rank", AFFINE_DESK)
 def test_unit_point(family, rank):
-    assert check_unit_point(family, rank).ok()
+    assert check_unit_point(case(family, rank).zrep, case(family, rank).rz).ok()

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import order, rep, ring
+from conftest import case, order, rep, ring, rvm
 from rsqg.embed import (
     b_type_obstruction,
     d_gamma,
@@ -69,19 +69,20 @@ def test_kappa_recursion(family, rank):
 
 @pytest.mark.parametrize("family,rank", CASES)
 def test_root_vector_embedding(family, rank):
-    out = verify_root_vector_embedding(rep(family, rank), order(family, rank))
+    out = verify_root_vector_embedding(rvm(family, rank))
     assert out.ok(), [it.witness for it in out.items]
 
 
 @pytest.mark.parametrize("rank", [2, 3])
 @pytest.mark.parametrize("form", ["finite", "affine"])
 def test_twist_A(rank, form):
-    out = verify_twist_A(rank, form)
+    c = case("A", rank)
+    out = verify_twist_A(c.rep, c.rhat) if form == "finite" else verify_twist_A(c.zrep, c.rz)
     assert out.ok(), [it.witness for it in out.items]
 
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_b_obstruction(rank):
-    out = b_type_obstruction(rank)
+    out = b_type_obstruction(rep("B", rank), case("B", rank).rhat)
     assert out.ok(), [it.witness for it in out.items]
     assert "nonzero residual" in out.items[0].witness

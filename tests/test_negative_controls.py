@@ -1,11 +1,12 @@
-"""Negative controls for the defining-relation certificates: one small
-perturbation of a module per relation item, after which that item must fail
-with a witness."""
+"""Negative controls for the defining-relation certificates and the operator
+certificates: one small perturbation of a module, or of an operator a check
+is given, per item, after which that item must fail with a witness."""
 
 from __future__ import annotations
 
 import pytest
 
+from rsqg.catalogue import CATALOGUE, CaseContext
 from rsqg.embed import verify_dj_relations
 from rsqg.matrices import SMatrix
 from rsqg.rep import (
@@ -85,5 +86,100 @@ def test_perturbed_module_fails_the_item(relations, item, table, node, change, f
         node = rank if node == "n" else node
         gens[node] = change(gens[node])
     items = {it.name: it for it in verify(mod).items}
+    assert not items[item].ok
+    assert items[item].witness
+
+
+# -- operator certificates -----------------------------------------------------
+
+OPERATOR_CASES = [("A", 2), ("B", 2), ("C", 2), ("D", 3)]
+
+# failing item -> (group, name) of the catalogue check that emits it
+ITEM_CHECK = {
+    "route-equivalence": ("rmatrix", "route"),
+    "eigenvalues": ("rmatrix", "eigen"),
+    "intertwining": ("rmatrix", "intertwine"),
+    "min-poly": ("rmatrix", "minpoly"),
+    "inverse": ("rmatrix", "inverse"),
+    "weight-preservation": ("rmatrix", "weights"),
+    "braid": ("rmatrix", "braid"),
+    "specialize-finite": ("rmatrix", "specialize"),
+    "specialize-affine": ("rmatrix", "specialize"),
+    "affine-z0-limit": ("rmatrix", "specialize"),
+    "baxterize-match": ("affine", "baxterize-match"),
+    "baxterize-scheme": ("affine", "baxterize-match"),
+    "z-degree-bound": ("affine", "degree"),
+    "unit-point": ("affine", "unit"),
+    "root-vector-closed-forms": ("rootvec", "closed-forms"),
+    "root-vector-nilpotency": ("rootvec", "nilpotency"),
+    "root-vector-embedding": ("embed", "rootvec"),
+    "twist-A-finite": ("embed", "twist"),
+    "twist-A-affine": ("embed", "twist"),
+    "twist-B-obstruction": ("embed", "twist"),
+}
+
+
+def _second_entry_times_r(m: SMatrix) -> SMatrix:
+    i, j, v = m.entries()[1]
+    return _add(m, i, j, v * (m.ring.mono(r=1) - m.ring.one))
+
+
+def _corner_plus_one(m: SMatrix) -> SMatrix:
+    return _add(m, 0, m.ncols - 1, m.ring.one)
+
+
+def _times_z_squared(m: SMatrix) -> SMatrix:
+    return m.scale(m.ring.atom("z") ** 2)
+
+
+def _origin_plus_one(m: SMatrix) -> SMatrix:
+    return _add(m, 0, 0, m.ring.one)
+
+
+# (operator of the case context, change, failing items, cases); "e_top" is the
+# root-vector matrix e_γ of the highest root
+OPERATOR_PERTURBATIONS = [
+    (
+        "rhat",
+        _entry_times_r,
+        ["route-equivalence", "eigenvalues", "intertwining", "min-poly", "inverse", "braid"],
+        OPERATOR_CASES,
+    ),
+    ("rhat", _entry_times_r, ["specialize-finite"], [("A", 2), ("B", 2)]),
+    ("rhat", _entry_times_r, ["twist-A-finite"], [("A", 2)]),
+    ("rhat", _entry_times_r, ["twist-B-obstruction"], [("B", 2)]),
+    ("rbar", _entry_times_r, ["inverse"], OPERATOR_CASES),
+    ("theta", _second_entry_times_r, ["route-equivalence", "inverse"], OPERATOR_CASES),
+    ("rhat", _corner_plus_one, ["weight-preservation"], OPERATOR_CASES),
+    ("rz", _entry_times_r, ["baxterize-match", "baxterize-scheme", "unit-point"], OPERATOR_CASES),
+    ("rz", _entry_times_r, ["specialize-affine", "affine-z0-limit", "twist-A-affine"], [("A", 2)]),
+    ("rz", _times_z_squared, ["z-degree-bound"], OPERATOR_CASES),
+    ("e_top", _entry_times_r, ["root-vector-closed-forms", "root-vector-embedding"], OPERATOR_CASES),
+    ("e_top", _origin_plus_one, ["root-vector-nilpotency"], OPERATOR_CASES),
+]
+
+
+def _perturb(ctx: CaseContext, operator: str, change) -> None:
+    if operator == "e_top":
+        top = max(ctx.rep.rs.positive, key=lambda rt: rt.height)
+        ctx.rvm.e[top.alpha] = change(ctx.rvm.e[top.alpha])
+    else:
+        setattr(ctx, operator, change(getattr(ctx, operator)))
+
+
+@pytest.mark.parametrize(
+    "operator,change,item,family,rank",
+    [
+        pytest.param(op, change, item, family, rank, id=f"{op}-{change.__name__}-{item}-{family}{rank}")
+        for op, change, items, cases in OPERATOR_PERTURBATIONS
+        for item in items
+        for family, rank in cases
+    ],
+)
+def test_perturbed_operator_fails_the_item(operator, change, item, family, rank):
+    ctx = CaseContext(family, rank)
+    _perturb(ctx, operator, change)
+    (check,) = [c for c in CATALOGUE if (c.group, c.name) == ITEM_CHECK[item]]
+    items = {it.name: it for it in check.run(ctx).items}
     assert not items[item].ok
     assert items[item].witness

@@ -15,6 +15,7 @@ from rsqg.rep import (
     verify_finite_relations,
     verify_highest_weight,
 )
+from rsqg.scalars import rs_ring
 
 FINITE_CASES = [
     ("A", 1),
@@ -150,10 +151,19 @@ def test_evaluation_printed_entries():
 
 
 def test_evaluation_fixed_a1():
-    ev = build_evaluation("B", 2, mode="fixed-a1")
+    R = rs_ring("x")
+    ev = build_evaluation("B", 2, ring=R, a=R.one, b=R.mono(r=-2, s=-2))
     assert ev.c.is_one()
-    ev = build_evaluation("C", 2, mode="fixed-a1")
+    ev = build_evaluation("C", 2, ring=R, a=R.one, b=R.mono(r=-1, s=-1))
     assert ev.c.is_one()
+
+
+def test_evaluation_keeps_an_explicit_a():
+    """a and b default independently: giving only a keeps it."""
+    R = rs_ring("x", "a", "b")
+    ev = build_evaluation("B", 2, ring=R, a=R.mono(r=1))
+    assert ev.a == R.mono(r=1)
+    assert ev.b == R.atom("b")
 
 
 @pytest.mark.parametrize("family,rank", AFFINE_CASES)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import DESK, order, rep, ring, rvm
+from conftest import DESK, case, order, rep, ring, rvm
 from rsqg.matrices import SMatrix, kron
 from rsqg.rmatrix import (
     CoefficientTables,
@@ -64,7 +64,8 @@ def test_tables():
 
 @pytest.mark.parametrize("family,rank", ROUTE_CASES)
 def test_route_equivalence(family, rank):
-    out = check_route_equivalence(rep(family, rank))
+    c = case(family, rank)
+    out = check_route_equivalence(rep(family, rank), c.rhat, c.theta)
     assert out.ok(), [it.witness for it in out.items]
 
 
@@ -199,8 +200,8 @@ def test_local_factor_term_count():
 @pytest.mark.parametrize("family,rank", ROUTE_CASES)
 def test_eigenvalues_and_min_poly(family, rank):
     r = rep(family, rank)
-    assert check_eigenvalues(r).ok()
-    assert check_min_poly(r).ok()
+    assert check_eigenvalues(r, case(family, rank).rhat).ok()
+    assert check_min_poly(r, case(family, rank).rhat).ok()
 
 
 def test_eigenvalue_scalars():
@@ -214,7 +215,8 @@ def test_eigenvalue_scalars():
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("D", 3), ("A", 2)])
 def test_inverse(family, rank):
-    out = check_inverse(rep(family, rank))
+    c = case(family, rank)
+    out = check_inverse(rep(family, rank), c.rhat, c.rbar, c.theta)
     assert out.ok(), [it.witness for it in out.items]
 
 
@@ -233,25 +235,26 @@ def test_exchange_route_on_sample_entry():
     R = ring()
     m = SMatrix.from_entries(R, 2, 2, [(0, 1, R.mono(r=2, s=-1))])
     assert m.exchanged_params() == SMatrix.from_entries(R, 2, 2, [(0, 1, R.mono(r=-1, s=2))])
-    assert rbar_inverse_exchanged(rep("C", 2)) == rbar_inverse_printed(rep("C", 2))
+    assert rbar_inverse_exchanged(rep("C", 2), case("C", 2).theta) == rbar_inverse_printed(rep("C", 2))
 
 
 @pytest.mark.parametrize("family,rank", DESK)
 def test_intertwining(family, rank):
-    assert check_intertwining(rep(family, rank)).ok()
+    assert check_intertwining(rep(family, rank), case(family, rank).rhat).ok()
 
 
 @pytest.mark.parametrize("family,rank", DESK)
 def test_weight_preservation(family, rank):
-    assert check_weight_preservation(rep(family, rank)).ok()
+    assert check_weight_preservation(rep(family, rank), case(family, rank).rhat).ok()
 
 
 @pytest.mark.parametrize("family,rank", DESK)
 def test_braid(family, rank):
-    assert check_braid(rep(family, rank)).ok()
+    assert check_braid(rep(family, rank), case(family, rank).rhat).ok()
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2)])
 def test_specialization(family, rank):
-    out = specialize_and_compare(family, rank)
+    c = case(family, rank)
+    out = specialize_and_compare(c.rep, c.rhat, c.rz)
     assert out.ok(), [it.line() for it in out.items if not it.ok]

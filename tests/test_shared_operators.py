@@ -1,0 +1,66 @@
+"""The per-case operators: each is built once per case, and its build time is
+charged to the first check that uses it."""
+
+from __future__ import annotations
+
+import sys
+import time
+from collections import Counter
+
+from rsqg import catalogue, cli, lyndon, rep, rmatrix, rootvec
+
+
+def _wrap_everywhere(monkeypatch, original, wrapper) -> None:
+    """Replace every rsqg module binding of ``original`` by ``wrapper``."""
+    for name, mod in list(sys.modules.items()):
+        if name == "rsqg" or name.startswith("rsqg."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
+def test_each_operator_is_built_once_per_case(monkeypatch):
+    calls: Counter = Counter()
+
+    def counted(fn, label):
+        def wrapper(*args, **kwargs):
+            calls[label(*args)] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def ring_of(first, *rest):
+        return "z" if "z" in first.ring.names else "rs"
+
+    for fn, label in (
+        (rmatrix.theta_product, lambda *a: "theta_product"),
+        (rmatrix.rhat_explicit, lambda r: f"rhat_explicit/{ring_of(r)}"),
+        (rmatrix.rbar_inverse_printed, lambda r: f"rbar_inverse_printed/{ring_of(r)}"),
+        (rootvec.build_root_vector_matrices, lambda *a: "build_root_vector_matrices"),
+        (lyndon.lalonde_ram, lambda *a: "lalonde_ram"),
+        (rep.build_fundamental, lambda *a: "build_fundamental"),
+    ):
+        _wrap_everywhere(monkeypatch, fn, counted(fn, label))
+    assert cli._certify_one(("B", 2, False)).ok()
+    assert calls["theta_product"] == 1
+    assert calls["rhat_explicit/rs"] == 1
+    assert calls["build_root_vector_matrices"] == 1
+    assert calls["lalonde_ram"] == 1
+    assert calls["rbar_inverse_printed/z"] == 1
+    # the case's module, the evaluation module, the module over the z ring,
+    # and the two evaluation modules of the affine intertwiner
+    assert calls["build_fundamental"] == 5
+
+
+def test_shared_operator_build_is_charged_to_its_first_check(monkeypatch):
+    rhat_explicit = rmatrix.rhat_explicit
+
+    def slow(r):
+        time.sleep(0.3)
+        return rhat_explicit(r)
+
+    monkeypatch.setattr(rmatrix, "rhat_explicit", slow)
+    out = catalogue.run_group("rmatrix", "B", 2, ["eigen"])
+    (item,) = out.items
+    assert item.name == "eigenvalues" and item.ok
+    assert item.seconds >= 0.3
