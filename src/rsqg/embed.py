@@ -236,7 +236,7 @@ def verify_twist_A(rep: Representation, rhat: SMatrix) -> Report:
         ring = quarter_ring(*(("z",) if form == "affine" else ()))
         qh = ring.atom("q")
         r_two_rs = rhat @ flip_map(rep.ring, N)
-        r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring))
+        r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring), ring=ring)
         if form == "finite":
             r_one = r_two_rs.substituted({"r": qh, "s": qh.inv()}, ring=ring)
         else:
@@ -273,7 +273,7 @@ def b_type_obstruction(rep: Representation, rhat: SMatrix) -> Report:
         qh = ring.atom("q")
 
         r_two_rs = rhat @ flip_map(rep.ring, N)
-        r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring))
+        r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring), ring=ring)
         r_one = r_two_rs.substituted({"r": qh, "s": qh.inv()}, ring=ring)
 
         # forced twist: exp(2φ_ii) = 1, exp(2φ_{ii'}) = 1, exp(2φ_ij) = a_ij^{-1};

@@ -154,7 +154,9 @@ class SMatrix:
 
     # -- structure -----------------------------------------------------------
 
-    def map_entries(self, fn: Callable[[Scalar], Scalar]) -> "SMatrix":
+    def map_entries(self, fn: Callable[[Scalar], Scalar], ring: ScalarRing | None = None) -> "SMatrix":
+        """Entrywise image under fn, as a matrix over ``ring`` (default: this
+        matrix's ring), which must be the ring fn's values live in."""
         rows: dict[int, dict[int, Scalar]] = {}
         for i, r in self.rows.items():
             nr = {}
@@ -164,20 +166,10 @@ class SMatrix:
                     nr[j] = w
             if nr:
                 rows[i] = nr
-        return SMatrix(self.ring, self.nrows, self.ncols, rows)
+        return SMatrix(ring if ring is not None else self.ring, self.nrows, self.ncols, rows)
 
     def substituted(self, bindings: Mapping[str, Scalar], ring: ScalarRing | None = None) -> "SMatrix":
-        target = ring if ring is not None else self.ring
-        rows: dict[int, dict[int, Scalar]] = {}
-        for i, r in self.rows.items():
-            nr = {}
-            for j, v in r.items():
-                w = substitute(v, bindings, ring=target)
-                if not w.is_zero():
-                    nr[j] = w
-            if nr:
-                rows[i] = nr
-        return SMatrix(target, self.nrows, self.ncols, rows)
+        return self.map_entries(lambda v: substitute(v, bindings, ring=ring), ring=ring)
 
     def exchanged_params(self) -> "SMatrix":
         """Entrywise r <-> s exchange."""

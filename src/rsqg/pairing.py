@@ -121,7 +121,9 @@ class PairingOracle:
 
     The generator values 1/(s_i - r_i) are factored out of the recursion: a
     word pairing of degree Σ k_i α_i is (Laurent polynomial)·Π(s_i - r_i)^{-k_i},
-    so the inner recursion is fraction-free.
+    so the inner recursion is fraction-free.  ``hopf_pair`` keeps it so: it
+    sums the scaled word pairings of each degree (letter multiset) and
+    divides each sum once by its Π(s_i - r_i)^{k_i}.
     """
 
     def __init__(self, rs: RootSystem, ring: ScalarRing):
@@ -133,6 +135,13 @@ class PairingOracle:
             i: ring.mono(s=rs.d[i - 1]) - ring.mono(r=rs.d[i - 1])
             for i in range(1, rs.n + 1)
         }
+
+    def _degree_denom(self, letters: Word) -> Scalar:
+        """Π(s_i - r_i) over the letters of a word."""
+        denom = self.ring.one
+        for letter in letters:
+            denom = denom * self._gen_denom[letter]
+        return denom
 
     def _suffix_factor(self, j: int, suffix: Word) -> Scalar:
         """(ω'_j, ω_μ) for μ the degree of the remaining letters the Cartan
@@ -173,23 +182,30 @@ class PairingOracle:
         """Pairing of a pure f-word against a pure e-word."""
         if sorted(fword) != sorted(eword):
             return self.ring.zero
-        denom = self.ring.one
-        for letter in fword:
-            denom = denom * self._gen_denom[letter]
-        return self._pair_scaled(fword, eword) / denom
+        return self._pair_scaled(fword, eword) / self._degree_denom(fword)
 
     def hopf_pair(self, y: HalfElement, x: HalfElement) -> Scalar:
-        """Full pairing (y, x) for y in the minus half, x in the plus half."""
+        """Full pairing (y, x) for y in the minus half, x in the plus half.
+
+        Σ cy·cx·(ω'_κ, ω_ν)·(scaled word pairing) is summed per degree
+        without any division; each degree's sum is then divided once."""
         if y.side != "minus" or x.side != "plus":
             raise ValueError("hopf_pair takes (minus element, plus element)")
-        acc = self.ring.zero
+        x_by_degree: dict[Word, list] = {}
+        for (ew, nu), cx in x.terms.items():
+            x_by_degree.setdefault(tuple(sorted(ew)), []).append((ew, nu, cx))
+        sums: dict[Word, Scalar] = {}
         for (fw, kap), cy in y.terms.items():
-            for (ew, nu), cx in x.terms.items():
-                pw = self.pair_words(fw, ew)
+            deg = tuple(sorted(fw))
+            for ew, nu, cx in x_by_degree.get(deg, ()):
+                pw = self._pair_scaled(fw, ew)
                 if pw.is_zero():
                     continue
-                cart = omega_pairing(self.rs, self.ring, kap, nu)
-                acc = acc + cy * cx * cart * pw
+                term = cy * cx * omega_pairing(self.rs, self.ring, kap, nu) * pw
+                sums[deg] = sums[deg] + term if deg in sums else term
+        acc = self.ring.zero
+        for deg, total in sums.items():
+            acc = acc + total / self._degree_denom(deg)
         return acc
 
 

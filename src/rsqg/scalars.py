@@ -4,8 +4,14 @@ their fraction field.
 The two deformation parameters r and s are carried through half-power
 generators: a variable declared with granularity 2 internally stores the
 exponent of r^(1/2), so every half-integer power of r or s has an integer
-internal exponent.  All coefficients are arbitrary-precision rationals; no
-floating point is used anywhere.
+internal exponent.  Coefficients are exact rationals, held as ``int`` when
+integral and as ``Fraction`` otherwise: the constructors, parsing, JSON and
+every coefficient division (all through ``_cdiv``) give an ``int`` for an
+integral value.  A sum or product of ``Fraction`` coefficients is left as
+Python computes it and may be an integral ``Fraction``; since
+``3 == Fraction(3)`` and their hashes and ``str`` agree, the canonical form,
+the text form and the JSON do not depend on which one is stored.  ``int /
+int`` is never used: its result is inexact.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -49,13 +55,8 @@ class ScalarRing:
         self.index: dict[str, int] = {n: i for i, n in enumerate(names)}
         self.nvars = len(vs)
         self._zero_exps: Exps = (0,) * self.nvars
-        self.zero = Scalar(self, {}, {self._zero_exps: Fraction(1)}, _raw=True)
-        self.one = Scalar(
-            self,
-            {self._zero_exps: Fraction(1)},
-            {self._zero_exps: Fraction(1)},
-            _raw=True,
-        )
+        self.zero = Scalar(self, {}, {self._zero_exps: 1}, _raw=True)
+        self.one = Scalar(self, {self._zero_exps: 1}, {self._zero_exps: 1}, _raw=True)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ScalarRing) and self.variables == other.variables
@@ -70,10 +71,10 @@ class ScalarRing:
 
     def num(self, value) -> Scalar:
         """Constant scalar from an int or Fraction."""
-        c = Fraction(value)
+        c = _coeff(value)
         if c == 0:
             return self.zero
-        return Scalar(self, {self._zero_exps: c}, {self._zero_exps: Fraction(1)}, _raw=True)
+        return Scalar(self, {self._zero_exps: c}, {self._zero_exps: 1}, _raw=True)
 
     def mono(self, coeff=1, **powers) -> Scalar:
         """Monomial from printed-unit powers, e.g. ``ring.mono(r=2, s=-1)``.
@@ -81,7 +82,7 @@ class ScalarRing:
         Powers may be ints or Fractions; they must land on the variable's
         granularity (r accepts half-integers, z only integers).
         """
-        c = Fraction(coeff)
+        c = _coeff(coeff)
         if c == 0:
             return self.zero
         exps = [0] * self.nvars
@@ -94,7 +95,7 @@ class ScalarRing:
                 raise ValueError(f"power {p} of {name} is not a multiple of 1/{self.variables[i].denom}")
             exps[i] = int(e)
         t = tuple(exps)
-        return Scalar(self, {t: c}, {self._zero_exps: Fraction(1)}, _raw=True)
+        return Scalar(self, {t: c}, {self._zero_exps: 1}, _raw=True)
 
     def atom(self, name: str, power: int = 1) -> Scalar:
         """Generator at internal granularity: ``atom('r')`` is r^(1/2) when r
@@ -102,11 +103,11 @@ class ScalarRing:
         i = self.index[name]
         exps = [0] * self.nvars
         exps[i] = power
-        return Scalar(self, {tuple(exps): Fraction(1)}, {self._zero_exps: Fraction(1)}, _raw=True)
+        return Scalar(self, {tuple(exps): 1}, {self._zero_exps: 1}, _raw=True)
 
-    def poly(self, terms: Mapping[Exps, Fraction]) -> Scalar:
+    def poly(self, terms: Mapping[Exps, int | Fraction]) -> Scalar:
         """Scalar from a raw internal-exponent term map (used by parse/JSON)."""
-        return _make(self, dict(terms), {self._zero_exps: Fraction(1)})
+        return _make(self, {e: _coeff(c) for e, c in terms.items() if c}, {self._zero_exps: 1})
 
 
 def ring_create(names: Iterable[Variable | str]) -> ScalarRing:
@@ -118,6 +119,29 @@ def rs_ring(*extra: str) -> ScalarRing:
     """The standard ring in r, s (half-power granularity) plus optional
     plain spectral/evaluation variables."""
     return ScalarRing([Variable("r", 2), Variable("s", 2), *extra])
+
+
+# ---------------------------------------------------------------------------
+# coefficients: int when integral, Fraction otherwise
+# ---------------------------------------------------------------------------
+
+
+def _cdiv(a, b):
+    """Exact coefficient quotient a / b: an int when b divides a, else a
+    Fraction.  Every coefficient division in this module goes through here."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def _coeff(value):
+    """Coefficient from an int, a Fraction or a rational string."""
+    if isinstance(value, int):
+        return value
+    c = Fraction(value)
+    return _cdiv(c.numerator, c.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +164,9 @@ def _pneg(a: dict) -> dict:
     return {e: -c for e, c in a.items()}
 
 
-def _pscale(a: dict, c: Fraction) -> dict:
-    if not c:
-        return {}
-    return {e: cc * c for e, cc in a.items()}
+def _pdivc(a: dict, c) -> dict:
+    """Divide every coefficient by the nonzero constant c."""
+    return {e: _cdiv(cc, c) for e, cc in a.items()}
 
 
 def _pmul(a: dict, b: dict) -> dict:
@@ -164,7 +187,7 @@ def _pmul(a: dict, b: dict) -> dict:
 
 
 def _ppow(a: dict, n: int, nv: int) -> dict:
-    out = {(0,) * nv: Fraction(1)}
+    out = {(0,) * nv: 1}
     base = a
     while n:
         if n & 1:
@@ -196,7 +219,7 @@ def _grlex_key(e: Exps):
     return (sum(e), e)
 
 
-def _plead(a: dict) -> tuple[Exps, Fraction]:
+def _plead(a: dict) -> tuple[Exps, int | Fraction]:
     e = max(a, key=_grlex_key)
     return e, a[e]
 
@@ -220,10 +243,11 @@ def _int_normalize(a: dict) -> dict:
     num_gcd = 0
     for c in a.values():
         num_gcd = int_gcd(num_gcd, c.numerator * (den_lcm // c.denominator))
-    scale = Fraction(den_lcm, num_gcd)
     if a[max(a, key=_grlex_key)] < 0:
-        scale = -scale
-    return {e: c * scale for e, c in a.items()}
+        num_gcd = -num_gcd
+    if den_lcm == 1 and num_gcd == 1:
+        return a
+    return {e: _cdiv(c.numerator * (den_lcm // c.denominator), num_gcd) for e, c in a.items()}
 
 
 def _degs(a: dict, nv: int) -> list[int]:
@@ -268,8 +292,7 @@ def _pdivexact(a: dict, b: dict, nv: int) -> dict:
     if not a:
         return {}
     if _is_const(b):
-        c = next(iter(b.values()))
-        return _pscale(a, Fraction(1) / c)
+        return _pdivc(a, next(iter(b.values())))
     q: dict = {}
     rem = dict(a)
     eb, cb = _plead(b)
@@ -278,7 +301,7 @@ def _pdivexact(a: dict, b: dict, nv: int) -> dict:
         eq = tuple(x - y for x, y in zip(er, eb))
         if any(x < 0 for x in eq):
             raise ArithmeticError("inexact polynomial division")
-        cq = cr / cb
+        cq = _cdiv(cr, cb)
         q[eq] = q.get(eq, 0) + cq
         rem = _padd(rem, _pneg(_pmul({eq: cq}, b)))
     return {e: c for e, c in q.items() if c}
@@ -320,7 +343,7 @@ def _pgcd(a: dict, b: dict, nv: int) -> dict:
         return _int_normalize(b)
     if not b:
         return _int_normalize(a)
-    one = {(0,) * nv: Fraction(1)}
+    one = {(0,) * nv: 1}
     if _is_const(a) or _is_const(b):
         return one
     da, db = _degs(a, nv), _degs(b, nv)
@@ -386,8 +409,8 @@ def _make(ring: ScalarRing, num: dict, den: dict) -> "Scalar":
     if len(den) == 1:
         c = next(iter(den.values()))
         if c != 1:
-            num = _pscale(num, Fraction(1) / c)
-        return Scalar(ring, num, {ring._zero_exps: Fraction(1)}, _raw=True)
+            num = _pdivc(num, c)
+        return Scalar(ring, num, {ring._zero_exps: 1}, _raw=True)
     # reduce: strip numerator monomial, cancel gcd, re-attach
     mnum = _pminexps(num, nv)
     num0 = _pshift(num, tuple(-x for x in mnum))
@@ -396,14 +419,12 @@ def _make(ring: ScalarRing, num: dict, den: dict) -> "Scalar":
         num0 = _pdivexact(num0, g, nv)
         den = _pdivexact(den, g, nv)
         if len(den) == 1:
-            c = next(iter(den.values()))
-            num0 = _pscale(num0, Fraction(1) / c)
-            return Scalar(ring, _pshift(num0, mnum), {ring._zero_exps: Fraction(1)}, _raw=True)
+            num0 = _pdivc(num0, next(iter(den.values())))
+            return Scalar(ring, _pshift(num0, mnum), {ring._zero_exps: 1}, _raw=True)
     _, lc = _plead(den)
     if lc != 1:
-        inv = Fraction(1) / lc
-        num0 = _pscale(num0, inv)
-        den = _pscale(den, inv)
+        num0 = _pdivc(num0, lc)
+        den = _pdivc(den, lc)
     return Scalar(ring, _pshift(num0, mnum), den, _raw=True)
 
 
@@ -430,17 +451,15 @@ class Scalar:
         return not self._num
 
     def is_one(self) -> bool:
-        return self._den == {self.ring._zero_exps: Fraction(1)} and self._num == {
-            self.ring._zero_exps: Fraction(1)
-        }
+        return self.den_is_one() and self._num == self._den
 
     def den_is_one(self) -> bool:
-        return self._den == {self.ring._zero_exps: Fraction(1)}
+        return len(self._den) == 1 and self._den.get(self.ring._zero_exps) == 1
 
     def is_monomial(self) -> bool:
         return self.den_is_one() and len(self._num) == 1
 
-    def monomial_parts(self) -> tuple[Exps, Fraction]:
+    def monomial_parts(self) -> tuple[Exps, int | Fraction]:
         if not self.is_monomial():
             raise ValueError(f"not a monomial: {self}")
         ((e, c),) = self._num.items()
@@ -541,12 +560,7 @@ class Scalar:
         if rn is None or rd is None or c < 0:
             raise ValueError(f"coefficient {c} is not a rational square")
         half = tuple(x // 2 for x in e)
-        return Scalar(
-            self.ring,
-            {half: Fraction(rn, rd)},
-            {self.ring._zero_exps: Fraction(1)},
-            _raw=True,
-        )
+        return Scalar(self.ring, {half: _cdiv(rn, rd)}, {self.ring._zero_exps: 1}, _raw=True)
 
     def exchange_vars(self, name1: str, name2: str) -> "Scalar":
         """Swap the exponents of two variables (e.g. r <-> s)."""
@@ -749,7 +763,7 @@ def _parse_terms(ring: ScalarRing, s: str) -> dict:
     terms: dict = {}
     for part in s.split(" + "):
         factors = part.split(" * ")
-        c = Fraction(factors[0])
+        c = _coeff(factors[0])
         exps = [0] * ring.nvars
         for fac in factors[1:]:
             m = _TERM_FACTOR.match(fac.strip())
@@ -774,7 +788,7 @@ def parse(ring: ScalarRing, s: str) -> Scalar:
         num = _parse_terms(ring, left[1:])
         den = _parse_terms(ring, right[:-1])
         return _make(ring, num, den)
-    return _make(ring, _parse_terms(ring, s), {ring._zero_exps: Fraction(1)})
+    return _make(ring, _parse_terms(ring, s), {ring._zero_exps: 1})
 
 
 def terms_to_json(ring: ScalarRing, terms: dict) -> list[dict]:
@@ -793,6 +807,6 @@ def scalar_to_json(x: Scalar) -> dict:
 
 def scalar_from_json(ring: ScalarRing, obj: dict) -> Scalar:
     def load(terms):
-        return {tuple(t["exps"]): Fraction(t["coeff"]) for t in terms}
+        return {tuple(t["exps"]): _coeff(t["coeff"]) for t in terms}
 
     return _make(ring, load(obj["num"]), load(obj["den"]))

@@ -8,16 +8,20 @@ from fractions import Fraction
 import pytest
 
 from conftest import case, order, rep, ring, rvm
+from rsqg import embed
 from rsqg.embed import (
+    _to_quarter_ring,
     b_type_obstruction,
     d_gamma,
     kappa_constants,
     modified_generators,
+    quarter_ring,
     verify_dj_relations,
     verify_kappa_recursion,
     verify_root_vector_embedding,
     verify_twist_A,
 )
+from rsqg.matrices import SMatrix
 from rsqg.scalars import q_scalar
 
 CASES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3)]
@@ -86,3 +90,32 @@ def test_b_obstruction(rank):
     out = b_type_obstruction(rep("B", rank), case("B", rank).rhat)
     assert out.ok(), [it.witness for it in out.items]
     assert "nonzero residual" in out.items[0].witness
+
+
+def test_quarter_ring_image_is_labelled_with_its_ring():
+    Q = quarter_ring()
+    m = case("A", 2).rhat.map_entries(lambda v: _to_quarter_ring(v, Q), ring=Q)
+    assert m.ring.names == ("w", "q")
+    entries = [v for row in m.rows.values() for v in row.values()]
+    assert entries and all(v.ring == m.ring for v in entries)
+
+
+def test_twist_checks_compare_matrices_over_the_quarter_ring(monkeypatch):
+    """Both twist checks hand on R∘τ mapped into the (w, q) ring, labelled with
+    that ring, not with the (r, s) ring it came from."""
+    seen = []
+
+    def recording_mismatch(a, b):
+        seen.append(a.ring.names)
+        return ""
+
+    def recording_sub(self, other):
+        seen.append(self.ring.names)
+        return SMatrix.__add__(self, -other)
+
+    monkeypatch.setattr(embed, "first_mismatch", recording_mismatch)
+    verify_twist_A(case("A", 2).rep, case("A", 2).rhat)
+    verify_twist_A(case("A", 2).zrep, case("A", 2).rz)
+    monkeypatch.setattr(SMatrix, "__sub__", recording_sub)
+    b_type_obstruction(rep("B", 2), case("B", 2).rhat)
+    assert seen == [("w", "q"), ("w", "q", "z"), ("w", "q")]

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from rsqg import pairing
 from rsqg.catalogue import CATALOGUE, CaseContext
 from rsqg.embed import verify_dj_relations
 from rsqg.matrices import SMatrix
@@ -183,3 +184,48 @@ def test_perturbed_operator_fails_the_item(operator, change, item, family, rank)
     items = {it.name: it for it in check.run(ctx).items}
     assert not items[item].ok
     assert items[item].witness
+
+
+# -- pairing certificates ------------------------------------------------------
+
+
+def _pairing_item(family, rank, name):
+    (check,) = [c for c in CATALOGUE if (c.group, c.name) == ("pairing", name)]
+    (item,) = check.run(CaseContext(family, rank)).items
+    return item
+
+
+@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
+def test_scaled_generator_pairing_fails_pairing_constants(monkeypatch, family, rank, i):
+    """(f_i, e_i) = 1/(r·(s_i − r_i)) in the oracle.  pbw-orthogonality does not
+    see this fault: both of its sides come from the same oracle."""
+    init = pairing.PairingOracle.__init__
+
+    def faulty_init(self, rs, ring):
+        init(self, rs, ring)
+        self._gen_denom[i] = self._gen_denom[i] * ring.mono(r=1)
+
+    monkeypatch.setattr(pairing.PairingOracle, "__init__", faulty_init)
+    item = _pairing_item(family, rank, "constants")
+    assert not item.ok
+    assert item.witness.startswith("gamma[") and "oracle" in item.witness
+
+
+@pytest.mark.parametrize("i,j", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
+def test_scaled_cartan_pairing_fails_pbw_orthogonality(monkeypatch, family, rank, i, j):
+    """(ω'_{α_i}, ω_{α_j}) times r for one pair of distinct simple roots, in
+    every use the pairing module makes of it."""
+    alpha_i = tuple(int(k == i - 1) for k in range(rank))
+    alpha_j = tuple(int(k == j - 1) for k in range(rank))
+    omega_pairing = pairing.omega_pairing
+
+    def faulty(rs, ring, lam, mu):
+        val = omega_pairing(rs, ring, lam, mu)
+        return val * ring.mono(r=1) if (tuple(lam), tuple(mu)) == (alpha_i, alpha_j) else val
+
+    monkeypatch.setattr(pairing, "omega_pairing", faulty)
+    item = _pairing_item(family, rank, "pbw")
+    assert not item.ok
+    assert item.witness.startswith("off-diagonal")

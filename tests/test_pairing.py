@@ -167,3 +167,52 @@ def test_smash_product_normal_ordering():
     ((key, coeff),) = prod.terms.items()
     assert key == ((2,), (1, 0))
     assert coeff == omega_pairing(rs, R, (0, 1), (1, 0))  # (ω'_{α_2}, ω_{α_1})
+
+
+# -- hopf_pair sums per degree and divides once --------------------------------
+
+
+def _termwise(orc, y, x):
+    """Σ cy·cx·(ω'_κ, ω_ν)·(fw, ew) term pair by term pair, through pair_words."""
+    acc = orc.ring.zero
+    for (fw, kap), cy in y.terms.items():
+        for (ew, nu), cx in x.terms.items():
+            acc = acc + cy * cx * omega_pairing(orc.rs, orc.ring, kap, nu) * orc.pair_words(fw, ew)
+    return acc
+
+
+def test_mixed_degrees_pair_termwise(a2):
+    rs, R, o, orc = a2
+    f1, f2 = (HalfElement.letter("minus", rs, R, i) for i in (1, 2))
+    e1, e2 = (HalfElement.letter("plus", rs, R, i) for i in (1, 2))
+    y = f1 + f1 * f2 + HalfElement.cartan("minus", rs, R, (1, 0))
+    x = e1 + e2 * e1
+    got = orc.hopf_pair(y, x)
+    assert got == _termwise(orc, y, x)
+    # (f1, e1) + (f1 f2, e2 e1); the Cartan term pairs with no word of x
+    assert got == orc.pair_words((1,), (1,)) + orc.pair_words((1, 2), (2, 1))
+    assert not got.is_zero()
+
+
+def _half_elements(side):
+    rs, R = rsys("B", 2), ring()
+    term = st.tuples(
+        st.lists(st.integers(1, 2), max_size=3).map(tuple),
+        st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+        st.sampled_from([R.one, -R.mono(r=1, s=-2), R.num(3), R.mono(r=1) + R.mono(s=1)]),
+    )
+
+    def build(terms):
+        acc = HalfElement(side, rs, R, {})
+        for word, cartan, c in terms:
+            acc = acc + HalfElement(side, rs, R, {(word, cartan): c})
+        return acc
+
+    return st.lists(term, max_size=4).map(build)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_half_elements("minus"), _half_elements("plus"))
+def test_hopf_pair_is_the_termwise_sum(y, x):
+    orc = PairingOracle(rsys("B", 2), ring())
+    assert orc.hopf_pair(y, x) == _termwise(orc, y, x)

@@ -20,6 +20,8 @@ from rsqg.scalars import (
     rs_binomial,
     rs_integer,
     rs_ring,
+    scalar_from_json,
+    scalar_to_json,
     specialize_one_param,
     substitute,
     text_form,
@@ -264,3 +266,111 @@ def test_exchange_vars(R):
     x = R.mono(r=2, s=-1) + R.mono(3, r=1)
     y = x.exchange_vars("r", "s")
     assert y == R.mono(s=2, r=-1) + R.mono(3, s=1)
+
+
+# -- int coefficients: exact division and the float trap --------------------
+
+
+def _coefficients(x):
+    return list(x._num.values()) + list(x._den.values())
+
+
+@pytest.mark.parametrize("top,text", [(1, "1/2"), (3, "3/2")])
+def test_exact_division_with_non_integral_quotient(R, top, text):
+    r = R.mono(r=1)
+    got = (top * r + top) / (2 * r + 2)
+    assert got == R.num(Fraction(top, 2))
+    assert type(got.monomial_parts()[1]) is Fraction
+    assert text_form(got) == text
+    assert parse(R, text) == got
+
+
+def test_integral_coefficients_are_ints(R):
+    r = R.mono(r=1)
+    assert type(R.num(Fraction(4, 2)).monomial_parts()[1]) is int
+    assert type(parse(R, "6/3 * r^1").monomial_parts()[1]) is int
+    assert type(((4 * r + 4) / (2 * r + 2)).monomial_parts()[1]) is int
+    assert type(R.mono(Fraction(9, 4), r=2).sqrt_monomial().monomial_parts()[1]) is Fraction
+    assert type(R.mono(Fraction(36, 4), r=2).sqrt_monomial().monomial_parts()[1]) is int
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars2(), scalars2(), st.integers(-3, 3))
+def test_no_operation_leaves_an_inexact_coefficient(a, b, k):
+    results = [a + b, a - b, a * b, parse(_R2, text_form(a)), scalar_from_json(_R2, scalar_to_json(a))]
+    if not b.is_zero():
+        results += [a / b, b.inv(), b**k]
+    for x in results:
+        assert all(type(c) in (int, Fraction) for c in _coefficients(x)), x
+
+
+_int_polys = st.lists(
+    st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-6, 6)), max_size=3
+).map(lambda terms: _poly(_R2, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_polys, _int_polys, st.integers(0, 3))
+def test_integer_polynomials_stay_on_int_coefficients(a, b, k):
+    """With integral inputs, +, −, * and ** never produce a Fraction."""
+    for x in (a, b, a + b, a - b, a * b, a**k):
+        assert all(type(c) is int for c in _coefficients(x)), x
+
+
+# -- an independent oracle for the canonical form: sympy ----------------------
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _sympy_terms(sympy, gens, terms):
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(g**k for g, k in zip(gens, e)))
+            for e, c in terms
+        )
+    )
+
+
+@st.composite
+def scalars_with_expr(draw, ring, sympy, gens):
+    """A scalars2-style random value and the same value built by sympy from
+    the same random terms."""
+    num_terms = draw(_terms(ring.nvars))
+    den_terms = draw(_terms(ring.nvars, max_terms=2, max_exp=1))
+    num, den = _poly(ring, num_terms), _poly(ring, den_terms)
+    expr = _sympy_terms(sympy, gens, num_terms)
+    if den.is_zero():
+        return num, expr
+    return num / den, expr / _sympy_terms(sympy, gens, den_terms)
+
+
+@pytest.mark.parametrize("ring", [_R2, _R3], ids=["r,s", "r,s,z"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_canonical_form_against_sympy(sympy, ring, data):
+    # internal generators: r^(1/2), s^(1/2) and z
+    gens = sympy.symbols(" ".join(f"g{i}" for i in range(ring.nvars)))
+    draw = scalars_with_expr(ring, sympy, gens)
+    a, ea = data.draw(draw)
+    b, eb = data.draw(draw)
+    cases = [(a, ea), (a + b, ea + eb), (a - b, ea - eb), (a * b, ea * eb)]
+    if not b.is_zero():
+        cases.append((a / b, ea / eb))
+    for x, expr in cases:
+        num = _sympy_terms(sympy, gens, x._num.items())
+        den = _sympy_terms(sympy, gens, x._den.items())
+        assert sympy.cancel(num / den - expr) == 0, (x, expr)
+        # the denominator is a polynomial, divisible by no variable, monic in grlex
+        assert all(k >= 0 for e in x._den for k in e)
+        assert all(den.subs(g, 0) != 0 for g in gens)
+        assert sympy.Poly(den, *gens).LC(order="grlex") == 1
+        # numerator and denominator are coprime once the numerator's monomial
+        # part (a unit of the Laurent ring) is removed
+        if x._num:
+            low = [min(e[i] for e in x._num) for i in range(ring.nvars)]
+            shifted = [(tuple(k - m for k, m in zip(e, low)), c) for e, c in x._num.items()]
+            g = sympy.gcd(_sympy_terms(sympy, gens, shifted), den)
+            assert sympy.Poly(g, *gens).is_ground, (x, g)
