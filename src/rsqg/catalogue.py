@@ -78,10 +78,16 @@ class CaseContext:
 
 @dataclass(frozen=True)
 class Check:
+    """One catalogue entry.  ``item`` is the name the check's own report
+    gives its one item, where that differs from the catalogue name; a check
+    that raises is reported under ``item``, or under ``name`` when it has
+    none (the checks that report several items)."""
+
     group: str
     name: str
     applies: Callable[[str, int, bool], bool]
     run: Callable[[CaseContext], Report]
+    item: str = ""
 
 
 def _always(family: str, rank: int, long: bool) -> bool:
@@ -112,29 +118,29 @@ def _twist(c: CaseContext) -> Report:
 
 CATALOGUE = (
     Check("rep", "relations", _always, lambda c: rep_module.verify_finite_relations(c.rep)),
-    Check("rep", "highest-weight", _always, lambda c: rep_module.verify_highest_weight(c.rep)),
+    Check("rep", "highest-weight", _always, lambda c: rep_module.verify_highest_weight(c.rep), "highest-weight-annihilation"),
     Check("rep", "affine-relations", _affine, lambda c: rep_module.verify_affine_relations(c.erep)),
-    Check("rootvec", "closed-forms", _always, lambda c: rootvec.verify_closed_forms(c.rvm)),
-    Check("rootvec", "nilpotency", _always, lambda c: rootvec.verify_nilpotency(c.rvm)),
-    Check("pairing", "constants", _always, lambda c: pairing.verify_pairing_constants(c.rep.rs, c.rep.ring, c.order, 2)),
-    Check("pairing", "pbw", _a_or_b, lambda c: pairing.verify_pbw_orthogonality(c.rep.rs, c.rep.ring, c.order, 3)),
-    Check("rmatrix", "route", _always, lambda c: rmatrix.check_route_equivalence(c.rep, c.rhat, c.theta)),
-    Check("rmatrix", "eigen", _always, lambda c: rmatrix.check_eigenvalues(c.rep, c.rhat)),
-    Check("rmatrix", "intertwine", _always, lambda c: rmatrix.check_intertwining(c.rep, c.rhat)),
-    Check("rmatrix", "minpoly", _always, lambda c: rmatrix.check_min_poly(c.rep, c.rhat)),
+    Check("rootvec", "closed-forms", _always, lambda c: rootvec.verify_closed_forms(c.rvm), "root-vector-closed-forms"),
+    Check("rootvec", "nilpotency", _always, lambda c: rootvec.verify_nilpotency(c.rvm), "root-vector-nilpotency"),
+    Check("pairing", "constants", _always, lambda c: pairing.verify_pairing_constants(c.rep.rs, c.rep.ring, c.order, 2), "pairing-constants"),
+    Check("pairing", "pbw", _a_or_b, lambda c: pairing.verify_pbw_orthogonality(c.rep.rs, c.rep.ring, c.order, 3), "pbw-orthogonality-h3"),
+    Check("rmatrix", "route", _always, lambda c: rmatrix.check_route_equivalence(c.rep, c.rhat, c.theta), "route-equivalence"),
+    Check("rmatrix", "eigen", _always, lambda c: rmatrix.check_eigenvalues(c.rep, c.rhat), "eigenvalues"),
+    Check("rmatrix", "intertwine", _always, lambda c: rmatrix.check_intertwining(c.rep, c.rhat), "intertwining"),
+    Check("rmatrix", "minpoly", _always, lambda c: rmatrix.check_min_poly(c.rep, c.rhat), "min-poly"),
     Check("rmatrix", "inverse", _always, lambda c: rmatrix.check_inverse(c.rep, c.rhat, c.rbar, c.theta)),
-    Check("rmatrix", "weights", _always, lambda c: rmatrix.check_weight_preservation(c.rep, c.rhat)),
-    Check("rmatrix", "tables", _always, lambda c: rmatrix.verify_tables(c.rep)),
+    Check("rmatrix", "weights", _always, lambda c: rmatrix.check_weight_preservation(c.rep, c.rhat), "weight-preservation"),
+    Check("rmatrix", "tables", _always, lambda c: rmatrix.verify_tables(c.rep), "coefficient-tables"),
     Check("rmatrix", "braid", _always, lambda c: rmatrix.check_braid(c.rep, c.rhat)),
     Check("rmatrix", "specialize", _a_or_b, _specialize),
     Check("affine", "intertwine", _affine, lambda c: affine.check_affine_intertwiner(c.family, c.rank)),
-    Check("affine", "ybe", _ybe, lambda c: affine.check_spectral_ybe(c.family, c.rank)),
+    Check("affine", "ybe", _ybe, lambda c: affine.check_spectral_ybe(c.family, c.rank), "spectral-ybe"),
     Check("affine", "baxterize-match", _affine, lambda c: affine.check_baxterize_match(c.zrep, c.rz)),
-    Check("affine", "degree", _affine, lambda c: affine.check_degree_bounds(c.zrep, c.rz)),
-    Check("affine", "unit", _affine, lambda c: affine.check_unit_point(c.zrep, c.rz)),
+    Check("affine", "degree", _affine, lambda c: affine.check_degree_bounds(c.zrep, c.rz), "z-degree-bound"),
+    Check("affine", "unit", _affine, lambda c: affine.check_unit_point(c.zrep, c.rz), "unit-point"),
     Check("embed", "dj", _always, lambda c: embed.verify_dj_relations(c.rep)),
-    Check("embed", "kappa", _always, lambda c: embed.verify_kappa_recursion(c.rep, c.order)),
-    Check("embed", "rootvec", _always, lambda c: embed.verify_root_vector_embedding(c.rvm)),
+    Check("embed", "kappa", _always, lambda c: embed.verify_kappa_recursion(c.rep, c.order), "kappa-recursion"),
+    Check("embed", "rootvec", _always, lambda c: embed.verify_root_vector_embedding(c.rvm), "root-vector-embedding"),
     Check("embed", "twist", _a_or_b, _twist),
 )
 
@@ -191,5 +197,5 @@ def run_group(group: str, family: str, rank: int, wanted: list[str]) -> Report:
             out = out.merged(charged(entry.run, ctx))
         except Exception as exc:
             traceback.print_exc()
-            out.fault(entry.name, family, rank, exc)
+            out.fault(entry.item or entry.name, family, rank, exc)
     return out

@@ -11,6 +11,11 @@ from typing import Callable, Iterable, Mapping
 from .scalars import Scalar, ScalarRing, scalar_from_json, scalar_to_json, substitute
 
 
+def _same_ring(a: "SMatrix", b: "SMatrix") -> None:
+    if a.ring is not b.ring and a.ring != b.ring:
+        raise ValueError(f"mixing matrices over {a.ring} and {b.ring}")
+
+
 class SMatrix:
     """Sparse matrix with Scalar entries, stored row-wise; zero entries are
     never stored.  Immutable by convention."""
@@ -82,6 +87,7 @@ class SMatrix:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "SMatrix") -> "SMatrix":
+        _same_ring(self, other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
         rows: dict[int, dict[int, Scalar]] = {i: dict(r) for i, r in self.rows.items()}
@@ -119,6 +125,7 @@ class SMatrix:
         )
 
     def __matmul__(self, other: "SMatrix") -> "SMatrix":
+        _same_ring(self, other)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
         rows: dict[int, dict[int, Scalar]] = {}
@@ -209,6 +216,7 @@ class SMatrix:
 
 def kron(a: SMatrix, b: SMatrix) -> SMatrix:
     """Kronecker product with (i-1)N+j flattening of v_i ⊗ v_j."""
+    _same_ring(a, b)
     rows: dict[int, dict[int, Scalar]] = {}
     for ia, ra in a.rows.items():
         for ib, rb in b.rows.items():

@@ -6,6 +6,7 @@ algebra, and mechanical verification of all defining relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 from .matrices import SMatrix, kron
@@ -297,6 +298,7 @@ def _serre(mod, Om: dict, cartan: dict, d: dict) -> str:
     (rs)^{⟨α_i,α_j⟩} (only type D separates the two)."""
     ring = mod.ring
     zero = SMatrix.zero(ring, mod.N, mod.N)
+    binomial = cache(lambda m, k, di: rs_binomial(ring, m, k, d=di))
     w = ""
     for i in mod.e:
         for j in mod.e:
@@ -306,7 +308,7 @@ def _serre(mod, Om: dict, cartan: dict, d: dict) -> str:
             ri_si = ring.mono(r=di, s=di)
             s_c = ring.mono(s=di * cartan[(i, j)])
             for x, tag, twist in ((mod.e, "e", Om[(j, i)] * s_c), (mod.f, "f", Om[(i, j)] * s_c)):
-                sm = serre_sum(x, i, j, m, lambda k: rs_binomial(ring, m, k, d=di) * ri_si ** (k * (k - 1) // 2) * twist**k)
+                sm = serre_sum(x, i, j, m, lambda k: binomial(m, k, di) * ri_si ** (k * (k - 1) // 2) * twist**k)
                 if not sm.is_zero():
                     w = w or f"serre {tag} ({i},{j}): {first_mismatch(sm, zero)}"
     return w

@@ -96,7 +96,13 @@ def charged(run: Callable[..., Report], *args) -> Report:
 
 
 def first_mismatch(a: SMatrix, b: SMatrix) -> str:
-    """Coordinates and value of the first differing entry (grlex row order)."""
+    """Coordinates and value of the first differing entry (grlex row order).
+
+    Scalars are canonical, so equal entries are equal as stored and ``a == b``
+    settles a match without the subtraction; a stored explicit zero only
+    sends the comparison on to it."""
+    if a == b:
+        return ""
     d = a - b
     if d.is_zero():
         return ""

@@ -13,6 +13,16 @@ Python computes it and may be an integral ``Fraction``; since
 the text form and the JSON do not depend on which one is stored.  ``int /
 int`` is never used: its result is inexact.
 
+Every value is held in canonical form, and ``_make`` is the one function
+that puts a raw fraction into it.  Three operations skip it, because their
+result is canonical as computed: a product or sum of two Laurent polynomials
+(denominator 1; the product of nonzero ones is nonzero), and a product with
+a Laurent monomial of denominator 1.  A monomial is a unit of the Laurent
+ring, so the other factor's numerator and monic denominator stay coprime and
+its denominator is kept as it is.  All Laurent polynomials of a ring share
+the ring's one unit-denominator dict, which is how these paths recognise
+them.
+
 Values are immutable after construction and safe to share between threads.
 """
 
@@ -22,6 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt
+from operator import add
 from typing import Iterable, Mapping
 
 Exps = tuple  # integer exponent vector, one slot per ring variable
@@ -55,8 +66,10 @@ class ScalarRing:
         self.index: dict[str, int] = {n: i for i, n in enumerate(names)}
         self.nvars = len(vs)
         self._zero_exps: Exps = (0,) * self.nvars
-        self.zero = Scalar(self, {}, {self._zero_exps: 1}, _raw=True)
-        self.one = Scalar(self, {self._zero_exps: 1}, {self._zero_exps: 1}, _raw=True)
+        # the one unit denominator every Laurent polynomial of this ring shares
+        self._one_den: dict = {self._zero_exps: 1}
+        self.zero = Scalar(self, {}, self._one_den, _raw=True)
+        self.one = Scalar(self, {self._zero_exps: 1}, self._one_den, _raw=True)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ScalarRing) and self.variables == other.variables
@@ -74,7 +87,7 @@ class ScalarRing:
         c = _coeff(value)
         if c == 0:
             return self.zero
-        return Scalar(self, {self._zero_exps: c}, {self._zero_exps: 1}, _raw=True)
+        return Scalar(self, {self._zero_exps: c}, self._one_den, _raw=True)
 
     def mono(self, coeff=1, **powers) -> Scalar:
         """Monomial from printed-unit powers, e.g. ``ring.mono(r=2, s=-1)``.
@@ -90,12 +103,15 @@ class ScalarRing:
             if name not in self.index:
                 raise KeyError(f"unknown variable {name!r} in {self.names}")
             i = self.index[name]
-            e = Fraction(p) * self.variables[i].denom
+            denom = self.variables[i].denom
+            if isinstance(p, int):
+                exps[i] = p * denom
+                continue
+            e = Fraction(p) * denom
             if e.denominator != 1:
-                raise ValueError(f"power {p} of {name} is not a multiple of 1/{self.variables[i].denom}")
+                raise ValueError(f"power {p} of {name} is not a multiple of 1/{denom}")
             exps[i] = int(e)
-        t = tuple(exps)
-        return Scalar(self, {t: c}, {self._zero_exps: 1}, _raw=True)
+        return Scalar(self, {tuple(exps): c}, self._one_den, _raw=True)
 
     def atom(self, name: str, power: int = 1) -> Scalar:
         """Generator at internal granularity: ``atom('r')`` is r^(1/2) when r
@@ -103,11 +119,11 @@ class ScalarRing:
         i = self.index[name]
         exps = [0] * self.nvars
         exps[i] = power
-        return Scalar(self, {tuple(exps): 1}, {self._zero_exps: 1}, _raw=True)
+        return Scalar(self, {tuple(exps): 1}, self._one_den, _raw=True)
 
     def poly(self, terms: Mapping[Exps, int | Fraction]) -> Scalar:
         """Scalar from a raw internal-exponent term map (used by parse/JSON)."""
-        return _make(self, {e: _coeff(c) for e, c in terms.items() if c}, {self._zero_exps: 1})
+        return _make(self, {e: _coeff(c) for e, c in terms.items() if c}, self._one_den)
 
 
 def ring_create(names: Iterable[Variable | str]) -> ScalarRing:
@@ -174,10 +190,15 @@ def _pmul(a: dict, b: dict) -> dict:
         return {}
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1:
+        # monomial × polynomial: distinct exponents stay distinct and no
+        # product of nonzero coefficients is zero, so nothing cancels
+        ((ea, ca),) = a.items()
+        return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(map(sum, zip(ea, eb)))
+            e = tuple(map(add, ea, eb))
             nc = out.get(e, 0) + ca * cb
             if nc:
                 out[e] = nc
@@ -201,7 +222,7 @@ def _ppow(a: dict, n: int, nv: int) -> dict:
 def _pshift(a: dict, shift: Exps) -> dict:
     if not any(shift):
         return dict(a)
-    return {tuple(x + y for x, y in zip(e, shift)): c for e, c in a.items()}
+    return {tuple(map(add, e, shift)): c for e, c in a.items()}
 
 
 def _pminexps(a: dict, nv: int) -> Exps:
@@ -410,7 +431,7 @@ def _make(ring: ScalarRing, num: dict, den: dict) -> "Scalar":
         c = next(iter(den.values()))
         if c != 1:
             num = _pdivc(num, c)
-        return Scalar(ring, num, {ring._zero_exps: 1}, _raw=True)
+        return Scalar(ring, num, ring._one_den, _raw=True)
     # reduce: strip numerator monomial, cancel gcd, re-attach
     mnum = _pminexps(num, nv)
     num0 = _pshift(num, tuple(-x for x in mnum))
@@ -420,7 +441,7 @@ def _make(ring: ScalarRing, num: dict, den: dict) -> "Scalar":
         den = _pdivexact(den, g, nv)
         if len(den) == 1:
             num0 = _pdivc(num0, next(iter(den.values())))
-            return Scalar(ring, _pshift(num0, mnum), {ring._zero_exps: 1}, _raw=True)
+            return Scalar(ring, _pshift(num0, mnum), ring._one_den, _raw=True)
     _, lc = _plead(den)
     if lc != 1:
         num0 = _pdivc(num0, lc)
@@ -470,7 +491,7 @@ class Scalar:
             other = self.ring.num(other)
         return (
             isinstance(other, Scalar)
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
             and self._num == other._num
             and self._den == other._den
         )
@@ -487,17 +508,24 @@ class Scalar:
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("mixing scalars from different rings")
             return other
         return self.ring.num(other)
 
+    # __add__ and __mul__ skip _make where the result is canonical already;
+    # the module docstring says where and why.
+
     def __add__(self, other) -> "Scalar":
         o = self._coerce(other)
+        ring = self.ring
+        if self._den is ring._one_den and o._den is ring._one_den:
+            num = _padd(self._num, o._num)
+            return Scalar(ring, num, ring._one_den, _raw=True) if num else ring.zero
         if self._den == o._den:
-            return _make(self.ring, _padd(self._num, o._num), self._den)
+            return _make(ring, _padd(self._num, o._num), self._den)
         return _make(
-            self.ring,
+            ring,
             _padd(_pmul(self._num, o._den), _pmul(o._num, self._den)),
             _pmul(self._den, o._den),
         )
@@ -515,9 +543,16 @@ class Scalar:
 
     def __mul__(self, other) -> "Scalar":
         o = self._coerce(other)
-        return _make(
-            self.ring, _pmul(self._num, o._num), _pmul(self._den, o._den)
-        )
+        ring = self.ring
+        one = ring._one_den
+        if self._den is one and (o._den is one or len(self._num) == 1):
+            den = o._den
+        elif o._den is one and len(o._num) == 1:
+            den = self._den
+        else:
+            return _make(ring, _pmul(self._num, o._num), _pmul(self._den, o._den))
+        num = _pmul(self._num, o._num)
+        return Scalar(ring, num, den, _raw=True) if num else ring.zero
 
     __rmul__ = __mul__
 
@@ -543,9 +578,10 @@ class Scalar:
         if n < 0:
             return self.inv() ** (-n)
         nv = self.ring.nvars
-        return Scalar(
-            self.ring, _ppow(self._num, n, nv), _ppow(self._den, n, nv), _raw=True
-        )
+        den = self._den
+        if den is not self.ring._one_den:
+            den = _ppow(den, n, nv)
+        return Scalar(self.ring, _ppow(self._num, n, nv), den, _raw=True)
 
     # -- structure ----------------------------------------------------------
 
@@ -560,7 +596,7 @@ class Scalar:
         if rn is None or rd is None or c < 0:
             raise ValueError(f"coefficient {c} is not a rational square")
         half = tuple(x // 2 for x in e)
-        return Scalar(self.ring, {half: _cdiv(rn, rd)}, {self.ring._zero_exps: 1}, _raw=True)
+        return Scalar(self.ring, {half: _cdiv(rn, rd)}, self.ring._one_den, _raw=True)
 
     def exchange_vars(self, name1: str, name2: str) -> "Scalar":
         """Swap the exponents of two variables (e.g. r <-> s)."""
@@ -788,7 +824,7 @@ def parse(ring: ScalarRing, s: str) -> Scalar:
         num = _parse_terms(ring, left[1:])
         den = _parse_terms(ring, right[:-1])
         return _make(ring, num, den)
-    return _make(ring, _parse_terms(ring, s), {ring._zero_exps: 1})
+    return _make(ring, _parse_terms(ring, s), ring._one_den)
 
 
 def terms_to_json(ring: ScalarRing, terms: dict) -> list[dict]:

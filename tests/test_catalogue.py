@@ -102,3 +102,29 @@ def test_select_rejects(group, family, rank, wanted, message):
 def test_long_only_checks_are_accepted_by_name():
     assert "ybe" not in catalogue.default_checks("affine", "B", 2)
     assert [c.name for c in catalogue.select("affine", "B", 2, ["ybe"])] == ["ybe"]
+
+
+def test_a_raising_check_is_named_as_its_report_names_it(monkeypatch, capsys):
+    from rsqg import pairing
+
+    def broken(*args):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(pairing, "verify_pairing_constants", broken)
+    report = catalogue.run_group("pairing", "A", 2, ["constants"])
+    (item,) = report.items
+    assert (item.name, item.ok) == ("pairing-constants", False)
+    assert item.witness == "raised ValueError: injected fault"
+    assert "injected fault" in capsys.readouterr().err
+
+
+def test_item_is_the_name_the_check_reports():
+    """A check with ``item`` reports one item of that name; the others report
+    one item under the catalogue name, or several.  Every check applies to A2."""
+    with catalogue.open_case("A", 2):
+        for c in catalogue.CATALOGUE:
+            reported = [it.name for it in catalogue.run_group(c.group, "A", 2, [c.name]).items]
+            if c.item:
+                assert reported == [c.item]
+            else:
+                assert reported == [c.name] or len(reported) > 1, (c.name, reported)

@@ -70,3 +70,24 @@ def test_substituted(R):
     m = SMatrix.from_entries(ring_z, 2, 2, [(0, 0, ring_z.atom("z") - ring_z.one)])
     at_one = m.substituted({"z": ring_z.one})
     assert at_one.is_zero()
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a @ b,
+        kron,
+    ],
+    ids=["add", "sub", "matmul", "kron"],
+)
+def test_operands_over_different_rings_are_rejected(R, op):
+    other = rs_ring("z")
+    a = SMatrix.identity(R, 2)
+    b = SMatrix.identity(other, 2)
+    with pytest.raises(ValueError, match="mixing matrices"):
+        op(a, b)
+    with pytest.raises(ValueError, match="mixing matrices"):
+        op(b, a)
+    assert op(a, SMatrix.identity(rs_ring(), 2)).ring == R  # an equal ring is the same ring

@@ -198,3 +198,21 @@ def test_affine_conjugation_scalar_example():
     rhs = (ev.e[0] @ om1).scale(ev.aff.omega[(0, 1)])
     assert lhs == rhs
     assert ev.aff.omega[(1, 0)] == ev.ring.mono(r=2, s=2)
+
+
+def test_serre_computes_each_binomial_once(monkeypatch):
+    """B3 has Cartan rows (2,-1,0), (-1,2,-1), (0,-2,2) and d = (2,2,1): its
+    off-diagonal pairs need the eleven (m, k, d) binomials with (m, d) in
+    (1,1), (1,2), (2,2), (3,1), each once for both the e and the f side."""
+    from rsqg import rep as rep_module
+
+    calls = []
+    real = rep_module.rs_binomial
+
+    def counting(ring, m, k, d=1):
+        calls.append((m, k, d))
+        return real(ring, m, k, d=d)
+
+    monkeypatch.setattr(rep_module, "rs_binomial", counting)
+    assert verify_finite_relations(build_fundamental("B", 3)).ok()
+    assert len(calls) == len(set(calls)) == 11

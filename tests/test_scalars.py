@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsqg.matrices import SMatrix
+from rsqg.report import first_mismatch
 from rsqg.scalars import (
     Scalar,
     ScalarRing,
@@ -26,6 +28,7 @@ from rsqg.scalars import (
     substitute,
     text_form,
 )
+from rsqg.scalars import _make
 
 
 # -- independent dense-polynomial oracle (two variables, for derived values) --
@@ -374,3 +377,150 @@ def test_canonical_form_against_sympy(sympy, ring, data):
             shifted = [(tuple(k - m for k, m in zip(e, low)), c) for e, c in x._num.items()]
             g = sympy.gcd(_sympy_terms(sympy, gens, shifted), den)
             assert sympy.Poly(g, *gens).is_ground, (x, g)
+
+
+# -- the kernel's fast paths give exactly what _make gives ---------------------
+#
+# Products and sums of Laurent polynomials, and products with a Laurent
+# monomial, skip _make.  These tests rebuild each result from the raw product
+# or sum (computed here term by term, not by the kernel) through _make, and
+# require the same stored numerator and denominator.
+
+
+def _raw_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _raw_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def kernel_values(draw, ring):
+    """A Laurent polynomial, a Laurent monomial with a Fraction coefficient,
+    or a quotient by a polynomial with at least two terms."""
+    kind = draw(st.sampled_from(["laurent", "monomial", "fraction"]))
+    if kind == "monomial":
+        exps = draw(st.tuples(*([st.integers(-3, 3)] * ring.nvars)))
+        c = draw(st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool))
+        return ring.poly({exps: c})
+    num = _poly(ring, draw(_terms(ring.nvars)))
+    if kind == "laurent":
+        return num
+    den = _poly(ring, draw(_terms(ring.nvars, max_terms=2, max_exp=1).filter(lambda t: len(t) == 2)))
+    return num / den if not den.is_zero() else num
+
+
+def _check_against_make(a: Scalar, b: Scalar) -> None:
+    ring = a.ring
+    den = _raw_mul(a._den, b._den)
+    expected = (
+        (a * b, _raw_mul(a._num, b._num)),
+        (a + b, _raw_add(_raw_mul(a._num, b._den), _raw_mul(b._num, a._den))),
+    )
+    for x, num in expected:
+        ref = _make(ring, num, den)
+        assert (x._num, x._den) == (ref._num, ref._den), (a, b, x, ref)
+
+
+@pytest.mark.parametrize("ring", [_R2, _R3], ids=["r,s", "r,s,z"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_products_and_sums_match_make(ring, data):
+    a = data.draw(kernel_values(ring))
+    b = data.draw(kernel_values(ring))
+    _check_against_make(a, b)
+    _check_against_make(b, a)
+    if a.den_is_one() and not a.is_zero():
+        # b / a has a's factors in its denominator, so a * (b / a) must cancel
+        _check_against_make(a, b / a)
+
+
+def _probes():
+    """One pair per fast path, with non-unit Fraction coefficients."""
+    R = _R2
+    r, s = R.mono(r=1), R.mono(s=1)
+    frac = (r + 1) / (R.num(3) * s - r * s + R.num(2))
+    return [
+        (R.mono(Fraction(1, 2), r=1), frac),
+        (frac, R.mono(-3, r=-1, s=2)),
+        (r + R.num(Fraction(2, 3)) * s, R.mono(Fraction(5, 4), s=-1) - r),
+        (r + 1, R.one / (r + 1)),
+        (frac, frac),
+    ]
+
+
+def test_products_and_sums_match_make_on_probes():
+    for a, b in _probes():
+        _check_against_make(a, b)
+
+
+_KERNEL_MUL = Scalar.__mul__
+
+
+def _mul_without_monic_scaling(self, other):
+    """Takes a monomial c·x^e times n/d as (x^e·n)/(d/c): the right value,
+    but d/c is monic only when c = 1."""
+    for m, x in ((self, other), (other, self)):
+        if m.is_monomial() and not x.den_is_one():
+            ((e, c),) = m._num.items()
+            den = {k: Fraction(v) / c for k, v in x._den.items()}
+            return Scalar(x.ring, _raw_mul({e: 1}, x._num), den, _raw=True)
+    return _KERNEL_MUL(self, other)
+
+
+def _mul_without_gcd(self, other):
+    """Takes any Laurent polynomial times n/d without cancelling."""
+    for p, x in ((self, other), (other, self)):
+        if p.den_is_one() and not x.den_is_one():
+            return Scalar(x.ring, _raw_mul(p._num, x._num), x._den, _raw=True)
+    return _KERNEL_MUL(self, other)
+
+
+@pytest.mark.parametrize("mutant", [_mul_without_monic_scaling, _mul_without_gcd])
+def test_a_faulty_fast_path_fails_the_comparison(monkeypatch, mutant):
+    monkeypatch.setattr(Scalar, "__mul__", mutant)
+    failed = 0
+    for a, b in _probes():
+        try:
+            _check_against_make(a, b)
+        except AssertionError:
+            failed += 1
+    assert failed
+
+
+def _stored(ring, values) -> SMatrix:
+    """A 2×2 matrix storing exactly the given entries, zeros included."""
+    rows: dict = {}
+    for k, v in enumerate(values):
+        if v is not None:
+            rows.setdefault(k // 2, {})[k % 2] = v
+    return SMatrix(ring, 2, 2, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_first_mismatch_is_empty_exactly_when_the_difference_is_zero(data):
+    entry = st.one_of(st.none(), st.just(_R2.zero), kernel_values(_R2))
+    a = [data.draw(entry) for _ in range(4)]
+    b = [x if data.draw(st.booleans()) else data.draw(entry) for x in a]
+    ma, mb = _stored(_R2, a), _stored(_R2, b)
+    assert (first_mismatch(ma, mb) == "") == (ma - mb).is_zero()
+    assert first_mismatch(ma, ma) == ""
+
+
+def test_first_mismatch_with_a_stored_zero():
+    R = _R2
+    stored = _stored(R, [None, R.zero, None, None])
+    assert stored != SMatrix.zero(R, 2)
+    assert first_mismatch(stored, stored) == ""
+    assert first_mismatch(SMatrix.zero(R, 2), stored) == ""
+    assert first_mismatch(_stored(R, [None, R.one, None, None]), stored) == "entry (0,1) differs by 1"
