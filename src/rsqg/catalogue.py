@@ -32,8 +32,9 @@ GROUPS = ("rep", "rootvec", "pairing", "rmatrix", "affine", "embed")
 class CaseContext:
     """Operators shared by the checks of one (family, rank) case, each built
     on first use and at most once: the fundamental module, its convex order
-    and root-vector matrices, the ordered product Θ, R̂ and R̄ over (r, s),
-    the evaluation module, and the module and R̂(z) over the z ring."""
+    and root-vector matrices, the pairing context (root vectors, oracle
+    values and c_γ), the ordered product Θ, R̂ and R̄ over (r, s), the
+    evaluation module, and the module and R̂(z) over the z ring."""
 
     def __init__(self, family: str, rank: int):
         self.family = family
@@ -52,6 +53,10 @@ class CaseContext:
         return rootvec.build_root_vector_matrices(self.rep, self.order)
 
     @cached_property
+    def pairing_context(self):
+        return pairing.PairingContext(self.order, self.rep.ring)
+
+    @cached_property
     def rhat(self):
         return rmatrix.rhat_explicit(self.rep)
 
@@ -61,7 +66,7 @@ class CaseContext:
 
     @cached_property
     def theta(self):
-        return rmatrix.build_theta(self.rep, self.order, self.rvm)
+        return rmatrix.build_theta(self.rep, self.order, self.rvm, self.pairing_context)
 
     @cached_property
     def erep(self):
@@ -122,8 +127,8 @@ CATALOGUE = (
     Check("rep", "affine-relations", _affine, lambda c: rep_module.verify_affine_relations(c.erep)),
     Check("rootvec", "closed-forms", _always, lambda c: rootvec.verify_closed_forms(c.rvm), "root-vector-closed-forms"),
     Check("rootvec", "nilpotency", _always, lambda c: rootvec.verify_nilpotency(c.rvm), "root-vector-nilpotency"),
-    Check("pairing", "constants", _always, lambda c: pairing.verify_pairing_constants(c.rep.rs, c.rep.ring, c.order, 2), "pairing-constants"),
-    Check("pairing", "pbw", _a_or_b, lambda c: pairing.verify_pbw_orthogonality(c.rep.rs, c.rep.ring, c.order, 3), "pbw-orthogonality-h3"),
+    Check("pairing", "constants", _always, lambda c: pairing.verify_pairing_constants(c.rep.rs, c.rep.ring, c.order, 2, c.pairing_context), "pairing-constants"),
+    Check("pairing", "pbw", _a_or_b, lambda c: pairing.verify_pbw_orthogonality(c.rep.rs, c.rep.ring, c.order, 3, c.pairing_context), "pbw-orthogonality-h3"),
     Check("rmatrix", "route", _always, lambda c: rmatrix.check_route_equivalence(c.rep, c.rhat, c.theta), "route-equivalence"),
     Check("rmatrix", "eigen", _always, lambda c: rmatrix.check_eigenvalues(c.rep, c.rhat), "eigenvalues"),
     Check("rmatrix", "intertwine", _always, lambda c: rmatrix.check_intertwining(c.rep, c.rhat), "intertwining"),

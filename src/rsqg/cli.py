@@ -17,7 +17,7 @@ from .catalogue import GROUPS, default_checks, names, open_case, run_group, sele
 from .embed import run_embed_checks
 from .lyndon import is_convex, lalonde_ram, minimal_pair
 from .matrices import matrix_to_json
-from .pairing import PairingOracle, check_oracle_range, closed_form_pairing, pairing_power
+from .pairing import PairingContext, check_oracle_range, closed_form_pairing
 from .rep import build_evaluation, build_fundamental, check_affine_rank
 from .report import Report
 from .rmatrix import build_rhat_explicit, build_rhat_factorized, run_rmatrix_checks
@@ -126,12 +126,11 @@ def cmd_rep_dump(args) -> int:
 def cmd_pairing_constants(args) -> int:
     rs = build_root_system(args.family, args.rank)
     ring = rs_ring()
-    order = lalonde_ram(rs)
-    oracle = PairingOracle(rs, ring)
+    pc = PairingContext(lalonde_ram(rs), ring)
     ok = True
-    for rt in order.roots:
+    for rt in pc.order.roots:
         for m in range(1, args.max_m + 1):
-            via_oracle = pairing_power(oracle, order, rt, m)
+            via_oracle = pc.power_pairing(rt, m)
             via_closed = closed_form_pairing(rs, ring, rt, m)
             match = via_oracle == via_closed
             ok = ok and match
@@ -203,6 +202,23 @@ def _certify_one(case: tuple[str, int, bool]) -> Report:
                 driver = drivers.get(group)
                 out = out.merged(driver(fam, rank, checks) if driver else run_group(group, fam, rank, checks))
     return out
+
+
+def _check_max_rank(max_rank: int) -> None:
+    """``certify-all --max-rank`` is at least 2, and every case it runs keeps
+    its highest root within the pairing oracle's range at m = 1, the least
+    that ``pairing-constants`` asks of it."""
+    if max_rank < 2:
+        raise ValueError(f"--max-rank must be at least 2, got {max_rank}")
+    # rank by rank, so that a large value stops at its first case out of
+    # range; D2, which is not a desk case, is always in range
+    for rank in range(2, max_rank + 1):
+        for fam in FAMILIES:
+            height = max(rt.height for rt in build_root_system(fam, rank).positive)
+            try:
+                check_oracle_range(1, height)
+            except ValueError as exc:
+                raise ValueError(f"--max-rank {max_rank} includes {fam}{rank}: {exc}") from None
 
 
 def _jobs(value: str, n_cases: int) -> int:
@@ -345,6 +361,7 @@ def _validate(args) -> None:
         wanted = args.checks.split(",") if args.checks is not None else default_checks(args.group, args.family, args.rank)
         args.checks = [c.name for c in select(args.group, args.family, args.rank, wanted)]
     if args.cmd == "certify-all":
+        _check_max_rank(args.max_rank)
         args.jobs = _jobs(os.environ.get("RSQG_JOBS", "1"), len(_desk_cases(args.max_rank)))
 
 

@@ -90,7 +90,11 @@ class SMatrix:
         _same_ring(self, other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        rows: dict[int, dict[int, Scalar]] = {i: dict(r) for i, r in self.rows.items()}
+        rows: dict[int, dict[int, Scalar]] = {}
+        for i, r in self.rows.items():
+            kept = {j: v for j, v in r.items() if not v.is_zero()}
+            if kept:
+                rows[i] = kept
         for i, orow in other.rows.items():
             row = rows.setdefault(i, {})
             for j, v in orow.items():

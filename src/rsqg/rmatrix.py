@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .lyndon import ConvexOrder, lalonde_ram
 from .matrices import SMatrix, act_12, act_23, flip_map, kron, mat_vec, tensor_units, vec_scale
-from .pairing import pairing_from_c
+from .pairing import PairingContext
 from .rep import Representation, build_fundamental, coproduct, highest_weight_vectors
 from .report import Report, first_mismatch
 from .rootdata import f_function
@@ -195,24 +195,31 @@ def theta_product(
     order: ConvexOrder,
     rvm: RootVectorMatrices,
     from_block: int = 1,
+    context: PairingContext | None = None,
 ) -> SMatrix:
     """Ordered product of the local factors, largest root leftmost (the
     convex order read decreasingly), with the pairing constants of the
-    recursion route.  ``from_block`` truncates to the roots whose leading
-    simple-root index is ≥ that value, giving the partial products of the
-    block recursion."""
-    ring = rep.ring
-    acc = SMatrix.identity(ring, rep.N * rep.N)
+    recursion route, taken from the case's pairing ``context`` or a fresh
+    one.  ``from_block`` truncates to the roots whose leading simple-root
+    index is ≥ that value, giving the partial products of the block
+    recursion."""
+    pc = context or PairingContext(order, rep.ring)
+    acc = SMatrix.identity(rep.ring, rep.N * rep.N)
     for gamma in order.decreasing():
         if gamma.i < from_block:
             continue
-        acc = acc @ local_theta_factor(rvm, gamma, lambda g, m: pairing_from_c(order, g, m, ring))
+        acc = acc @ local_theta_factor(rvm, gamma, pc.pairing_from_c)
     return acc
 
 
-def build_theta(rep: Representation, order: ConvexOrder, rvm: RootVectorMatrices) -> SMatrix:
+def build_theta(
+    rep: Representation,
+    order: ConvexOrder,
+    rvm: RootVectorMatrices,
+    context: PairingContext | None = None,
+) -> SMatrix:
     """The full ordered product of local factors."""
-    return theta_product(rep, order, rvm)
+    return theta_product(rep, order, rvm, context=context)
 
 
 def rhat_factorized(rep: Representation, theta: SMatrix) -> SMatrix:

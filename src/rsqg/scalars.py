@@ -843,6 +843,12 @@ def scalar_to_json(x: Scalar) -> dict:
 
 def scalar_from_json(ring: ScalarRing, obj: dict) -> Scalar:
     def load(terms):
-        return {tuple(t["exps"]): _coeff(t["coeff"]) for t in terms}
+        # a zero coefficient is dropped, as ``ScalarRing.poly`` does
+        out = {}
+        for t in terms:
+            c = _coeff(t["coeff"])
+            if c:
+                out[tuple(t["exps"])] = c
+        return out
 
     return _make(ring, load(obj["num"]), load(obj["den"]))

@@ -231,3 +231,50 @@ def test_bad_jobs_exits_2_before_any_case(monkeypatch, capsys):
     monkeypatch.setenv("RSQG_JOBS", "0")
     assert run(["certify-all", "--max-rank", "2"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("max_rank", ["1", "0", "-5"])
+def test_max_rank_below_two_exits_2_before_any_case(monkeypatch, capsys, max_rank):
+    from rsqg import cli
+
+    def no_case(case):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(cli, "_certify_one", no_case)
+    assert run(["certify-all", "--max-rank", max_rank]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "at least 2" in captured.err
+
+
+@pytest.mark.parametrize("max_rank", ["7", "12", "100000"])
+def test_max_rank_past_the_oracle_range_exits_2_before_any_case(monkeypatch, capsys, max_rank):
+    """B7 and C7 have highest-root height 13; the oracle's bound admits 11."""
+    from rsqg import cli
+
+    def no_case(case):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(cli, "_certify_one", no_case)
+    assert run(["certify-all", "--max-rank", max_rank]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "includes B7" in captured.err and "height=13" in captured.err
+
+
+def test_max_rank_limit_follows_the_oracle_range(monkeypatch):
+    """The highest --max-rank accepted is read off check_oracle_range: 6 now,
+    and 5 under a bound that rejects height 11."""
+    from rsqg import cli
+
+    cli._check_max_rank(6)
+    original = cli.check_oracle_range
+
+    def tighter(m, height):
+        original(m, height)
+        if m * height > 9:
+            raise ValueError("tighter bound")
+
+    monkeypatch.setattr(cli, "check_oracle_range", tighter)
+    cli._check_max_rank(5)
+    with pytest.raises(ValueError, match="includes B6"):
+        cli._check_max_rank(6)

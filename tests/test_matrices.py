@@ -91,3 +91,13 @@ def test_operands_over_different_rings_are_rejected(R, op):
     with pytest.raises(ValueError, match="mixing matrices"):
         op(b, a)
     assert op(a, SMatrix.identity(rs_ring(), 2)).ring == R  # an equal ring is the same ring
+
+
+def test_sum_stores_no_zero_from_either_operand(R):
+    """A stored explicit zero in either operand is not copied into a sum."""
+    stored = SMatrix(R, 2, 2, {0: {1: R.zero}, 1: {1: R.one}})
+    other = SMatrix.from_entries(R, 2, 2, [(0, 0, R.mono(r=1))])
+    expect = SMatrix.from_entries(R, 2, 2, [(0, 0, R.mono(r=1)), (1, 1, R.one)])
+    assert stored + other == expect
+    assert other + stored == expect
+    assert (stored - SMatrix.zero(R, 2)).rows == {1: {1: R.one}}

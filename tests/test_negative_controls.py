@@ -229,3 +229,38 @@ def test_scaled_cartan_pairing_fails_pbw_orthogonality(monkeypatch, family, rank
     item = _pairing_item(family, rank, "pbw")
     assert not item.ok
     assert item.witness.startswith("off-diagonal")
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3)])
+def test_scaled_suffix_factor_fails_pairing_constants(monkeypatch, family, rank):
+    """(ω'_j, ω_μ) times r for every nonempty suffix the aggregated oracle
+    strips past: each root of height ≥ 2 then pairs wrongly."""
+    suffix_factor = pairing.PairingOracle._suffix_factor
+
+    def faulty(self, j, suffix):
+        val = suffix_factor(self, j, suffix)
+        return val * self.ring.mono(r=1) if suffix else val
+
+    monkeypatch.setattr(pairing.PairingOracle, "_suffix_factor", faulty)
+    item = _pairing_item(family, rank, "constants")
+    assert not item.ok
+    assert item.witness.startswith("gamma[") and "oracle" in item.witness
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3)])
+def test_perturbed_cached_c_gamma_fails_constants_and_route(family, rank):
+    """c_γ of the highest root, cached in the case's pairing context, times r:
+    pairing-constants reads it for the recursion and Θ for its local factor."""
+    ctx = CaseContext(family, rank)
+    pc = ctx.pairing_context
+    top = max(ctx.order.roots, key=lambda rt: rt.height)
+    pc._c[top] = pc.c_gamma(top) * pc.ring.mono(r=1)
+    witness = {}
+    for group, name, item_name in (("pairing", "constants", "pairing-constants"), ("rmatrix", "route", "route-equivalence")):
+        (check,) = [c for c in CATALOGUE if (c.group, c.name) == (group, name)]
+        items = {it.name: it for it in check.run(ctx).items}
+        assert not items[item_name].ok
+        witness[item_name] = items[item_name].witness
+    assert witness["route-equivalence"]
+    assert witness["pairing-constants"].startswith(f"{top.label()} m=1: oracle")
+    assert "vs recursion" in witness["pairing-constants"]

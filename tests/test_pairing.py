@@ -10,9 +10,11 @@ import pytest
 from conftest import order, ring, rsys
 from rsqg.pairing import (
     HalfElement,
+    PairingContext,
     PairingOracle,
     abstract_root_vector,
     c_gamma,
+    closed_form_pairing,
     expand_monomial,
     p_max,
     pairing_power,
@@ -216,3 +218,64 @@ def _half_elements(side):
 def test_hopf_pair_is_the_termwise_sum(y, x):
     orc = PairingOracle(rsys("B", 2), ring())
     assert orc.hopf_pair(y, x) == _termwise(orc, y, x)
+
+
+# -- the suffix-aggregated oracle against the term-by-term reference -----------
+
+# degrees (letter multisets) shared by the words of both sides, so that most
+# drawn pairs meet in a degree
+_DEGREES = {("C", 3): [(1, 2, 3), (2, 3, 3), (1, 2, 2, 3)], ("D", 4): [(1, 2, 3), (2, 3, 4), (1, 2, 3, 4)]}
+
+
+def _same_degree_element(data, side, family, rank):
+    rs, R = rsys(family, rank), ring()
+    coeffs = [R.one, -R.mono(r=1, s=-2), R.num(3), R.mono(r=1) + R.mono(s=1)]
+    acc = HalfElement(side, rs, R, {})
+    for _ in range(data.draw(st.integers(1, 4))):
+        deg = data.draw(st.sampled_from(_DEGREES[(family, rank)]))
+        word = tuple(data.draw(st.permutations(deg)))
+        cartan = tuple(data.draw(st.integers(-1, 1)) for _ in range(rank))
+        acc = acc + HalfElement(side, rs, R, {(word, cartan): data.draw(st.sampled_from(coeffs))})
+    return acc
+
+
+@pytest.mark.parametrize("family,rank", [("C", 3), ("D", 4)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_aggregated_hopf_pair_is_the_termwise_sum(family, rank, data):
+    y = _same_degree_element(data, "minus", family, rank)
+    x = _same_degree_element(data, "plus", family, rank)
+    orc = PairingOracle(rsys(family, rank), ring())
+    assert orc.hopf_pair(y, x) == _termwise(orc, y, x)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("D", 5)])
+def test_aggregated_hopf_pair_matches_the_closed_form_on_the_highest_root(family, rank):
+    rs, R = rsys(family, rank), ring()
+    top = max(rs.positive, key=lambda rt: rt.height)
+    rv = abstract_root_vector(order(family, rank), top, R)
+    got = PairingOracle(rs, R).hopf_pair(rv.f, rv.e)
+    assert got == closed_form_pairing(rs, R, top, 1)
+    assert got == c_gamma(order(family, rank), top, R)
+
+
+@pytest.mark.parametrize("family", ["B", "C"])
+def test_pairing_constants_at_rank_6(family):
+    """The highest root has height 11, the top of the oracle's range."""
+    out = verify_pairing_constants(rsys(family, 6), ring(), order(family, 6), max_m=2)
+    assert out.ok(), [it.witness for it in out.items]
+
+
+def test_pairing_context_shares_its_values():
+    """Root vectors, powers, oracle values and c_γ are computed once per
+    context, and agree with the standalone functions."""
+    R, o = ring(), order("B", 2)
+    pc = PairingContext(o, R)
+    top = max(o.roots, key=lambda rt: rt.height)
+    assert pc.root_vector(top) is pc.root_vector(top)
+    assert pc.power(top, 2, "plus") is pc.power(top, 2, "plus")
+    assert pc.power_pairing(top, 1) is pc.power_pairing(top, 1)
+    assert pc.power_pairing(top, 2) == pairing_power(PairingOracle(rsys("B", 2), R), o, top, 2)
+    assert pc.c_gamma(top) is pc.c_gamma(top)
+    assert pc.c_gamma(top) == c_gamma(o, top, R)
+    assert pc.root_vector(top).e.terms == abstract_root_vector(o, top, R).e.terms

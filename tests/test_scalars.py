@@ -524,3 +524,38 @@ def test_first_mismatch_with_a_stored_zero():
     assert first_mismatch(stored, stored) == ""
     assert first_mismatch(SMatrix.zero(R, 2), stored) == ""
     assert first_mismatch(_stored(R, [None, R.one, None, None]), stored) == "entry (0,1) differs by 1"
+
+
+def test_first_mismatch_with_a_stored_zero_in_either_order():
+    R = _R2
+    stored = _stored(R, [None, R.zero, None, None])
+    zero = SMatrix.zero(R, 2)
+    assert first_mismatch(stored, zero) == ""
+    assert first_mismatch(zero, stored) == ""
+    assert (stored + zero).rows == {} and (zero + stored).rows == {}
+    assert (stored - zero).is_zero() and (zero - stored).is_zero()
+
+
+def test_scalar_from_json_drops_zero_coefficients():
+    R = _R2
+    one = {"coeff": "1", "exps": [0, 0]}
+    obj = {"num": [{"coeff": "1", "exps": [2, 0]}, {"coeff": "0", "exps": [0, 0]}], "den": [one]}
+    got = scalar_from_json(R, obj)
+    assert got == R.mono(r=1)
+    assert text_form(got) == text_form(R.mono(r=1))
+    only_zero = scalar_from_json(R, {"num": [{"coeff": "0", "exps": [1, 1]}], "den": [one]})
+    assert only_zero.is_zero() and only_zero == R.zero
+
+
+def test_matrix_from_json_drops_a_zero_entry():
+    from rsqg.matrices import matrix_from_json, matrix_to_json
+
+    R = _R2
+    m = SMatrix.from_entries(R, 2, 2, [(0, 0, R.mono(r=1)), (1, 1, R.one)])
+    obj = matrix_to_json(m)
+    obj["entries"].append(
+        {"row": 0, "col": 1, "num": [{"coeff": "0", "exps": [0, 0]}], "den": [{"coeff": "1", "exps": [0, 0]}]}
+    )
+    again = matrix_from_json(R, obj)
+    assert again.nnz() == 2
+    assert again == m

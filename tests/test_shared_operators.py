@@ -64,3 +64,36 @@ def test_shared_operator_build_is_charged_to_its_first_check(monkeypatch):
     (item,) = out.items
     assert item.name == "eigenvalues" and item.ok
     assert item.seconds >= 0.3
+
+
+def test_each_pairing_value_is_computed_once_per_case(monkeypatch):
+    """In one B2 case, c_γ of each non-simple root is computed once (p_max
+    runs only in that step), and no two oracle calls pair the same
+    elements: pbw reads the (f_γ^m, e_γ^m) that constants computed."""
+    from rsqg import pairing
+
+    p_max_calls: Counter = Counter()
+    p_max = pairing.p_max
+
+    def counted_p_max(rs, alpha, beta):
+        p_max_calls[(alpha.label(), beta.label())] += 1
+        return p_max(rs, alpha, beta)
+
+    def key(element):
+        return tuple(sorted((w, k, str(c)) for (w, k), c in element.terms.items()))
+
+    oracle_calls: Counter = Counter()
+    hopf_pair = pairing.PairingOracle.hopf_pair
+
+    def counted_hopf_pair(self, y, x):
+        oracle_calls[(key(y), key(x))] += 1
+        return hopf_pair(self, y, x)
+
+    monkeypatch.setattr(pairing, "p_max", counted_p_max)
+    monkeypatch.setattr(pairing.PairingOracle, "hopf_pair", counted_hopf_pair)
+    assert cli._certify_one(("B", 2, False)).ok()
+    non_simple = [rt for rt in lyndon.lalonde_ram(rep.build_fundamental("B", 2).rs).roots if not rt.is_simple()]
+    assert len(p_max_calls) == len(non_simple) == 2
+    assert set(p_max_calls.values()) == {1}
+    assert max(oracle_calls.values()) == 1
+    assert sum(oracle_calls.values()) == 25
