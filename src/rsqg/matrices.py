@@ -2,13 +2,32 @@
 
 Tensor convention: the basis vector v_i ⊗ v_j of V ⊗ V (1-indexed) is
 flattened to index (i-1)*N + j, and (X ⊗ Y)(v_a ⊗ v_b) = Xv_a ⊗ Yv_b.
+
+``SMatrix.__matmul__`` works below the Scalar interface where both factors
+of a product are Laurent polynomials (the ring's shared unit denominator):
+it adds the term products of each output entry in place into one raw term
+dict (``scalars._pmuladd``), passes a unit factor's partner through
+unmultiplied, and wraps each nonzero dict once, skipping ``_make`` because a
+sum of Laurent polynomials is canonical already.  This saves a Scalar, a
+dict and an accumulator copy per product, which, not the sparse structure,
+was most of a product's time.  A product with a denominator goes through
+Scalar arithmetic and joins its entry with one ``+``.  ``kron`` shares the
+partner of ``ring.one``; Scalars are immutable, so sharing is safe.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
-from .scalars import Scalar, ScalarRing, scalar_from_json, scalar_to_json, substitute
+from .scalars import (
+    Scalar,
+    ScalarRing,
+    _paddto,
+    _pmuladd,
+    scalar_from_json,
+    scalar_to_json,
+    substitute,
+)
 
 
 def _same_ring(a: "SMatrix", b: "SMatrix") -> None:
@@ -132,27 +151,49 @@ class SMatrix:
         _same_ring(self, other)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
+        ring = self.ring
+        one_den = ring._one_den
+        unit = ring.one._num
         rows: dict[int, dict[int, Scalar]] = {}
         orows = other.rows
         for i, arow in self.rows.items():
-            acc: dict[int, Scalar] = {}
+            # Laurent products accumulate in place on raw term dicts; a
+            # product with a denominator goes through Scalar arithmetic
+            acc: dict[int, dict] = {}
+            rest: dict[int, Scalar] = {}
             for k, a in arow.items():
                 brow = orows.get(k)
                 if not brow:
                     continue
+                an = a._num
+                laurent_a = a._den is one_den
+                unit_a = laurent_a and an == unit
                 for j, b in brow.items():
-                    p = a * b
-                    if j in acc:
-                        nv = acc[j] + p
-                        if nv.is_zero():
-                            del acc[j]
-                        else:
-                            acc[j] = nv
-                    elif not p.is_zero():
-                        acc[j] = p
-            if acc:
-                rows[i] = acc
-        return SMatrix(self.ring, self.nrows, other.ncols, rows)
+                    if not laurent_a or b._den is not one_den:
+                        p = a * b
+                        rest[j] = rest[j] + p if j in rest else p
+                        continue
+                    t = acc.get(j)
+                    if t is None:
+                        t = acc[j] = {}
+                    bn = b._num
+                    if unit_a:
+                        _paddto(t, bn)
+                    elif bn == unit:
+                        _paddto(t, an)
+                    else:
+                        _pmuladd(t, an, bn)
+            row = {j: Scalar(ring, t, one_den, _raw=True) for j, t in acc.items() if t}
+            for j, v in rest.items():
+                if j in row:
+                    v = row[j] + v
+                if v.is_zero():
+                    row.pop(j, None)
+                else:
+                    row[j] = v
+            if row:
+                rows[i] = row
+        return SMatrix(ring, self.nrows, other.ncols, rows)
 
     def pow(self, n: int) -> "SMatrix":
         out = SMatrix.identity(self.ring, self.nrows)
@@ -221,6 +262,7 @@ class SMatrix:
 def kron(a: SMatrix, b: SMatrix) -> SMatrix:
     """Kronecker product with (i-1)N+j flattening of v_i ⊗ v_j."""
     _same_ring(a, b)
+    one = a.ring.one
     rows: dict[int, dict[int, Scalar]] = {}
     for ia, ra in a.rows.items():
         for ib, rb in b.rows.items():
@@ -228,7 +270,8 @@ def kron(a: SMatrix, b: SMatrix) -> SMatrix:
             out: dict[int, Scalar] = {}
             for ja, va in ra.items():
                 for jb, vb in rb.items():
-                    out[ja * b.ncols + jb] = va * vb
+                    # Scalars are immutable, so a unit factor's partner is shared
+                    out[ja * b.ncols + jb] = vb if va is one else va if vb is one else va * vb
             if out:
                 rows[i] = out
     return SMatrix(a.ring, a.nrows * b.nrows, a.ncols * b.ncols, rows)

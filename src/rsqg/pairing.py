@@ -286,15 +286,16 @@ def abstract_root_vector(
 
 def check_oracle_range(m: int, height: int) -> None:
     """The oracle's word expansion is exponential in m·height; inputs beyond
-    the supported range (m ≤ 3 and m·height ≤ 11) are rejected rather than
-    truncated.
+    the supported range (1 ≤ m ≤ 3 and m·height ≤ 11) are rejected rather
+    than truncated.  m = 0 is the unit pairing, which the callers return
+    before they get here, so m < 1 is a caller's range that pairs nothing.
 
     The bound is measured: a sweep of (f_γ^m, e_γ^m) over every root of
     A2–A12, B2–B6, C2–C6 and D3–D7 with m ≤ 3 (Python 3.11, one core of a
     shared 2-vCPU machine) took at most 1.5 s in range (D7 β[1,2], m = 1,
     height 11).  Past it, the A12 highest root (m·height = 12) took 2.4 s
     and the B7 highest root (13) took 14 s."""
-    if m > 3 or m * height > 11:
+    if not 1 <= m <= 3 or m * height > 11:
         raise ValueError(f"pairing power out of the supported range: m={m}, height={height}")
 
 
@@ -571,8 +572,11 @@ def verify_pbw_orthogonality(
     context: PairingContext | None = None,
 ) -> Report:
     """Pairing of ordered monomials vanishes unless the exponents agree, and
-    the diagonal values factor into the per-root constants; over the case's
-    pairing ``context`` or a fresh one."""
+    the diagonal values factor into the per-root closed forms
+    Π_γ ``closed_form_pairing``(γ, m_γ); over the case's pairing
+    ``context`` or a fresh one.  The closed form, not the oracle's own
+    (f_γ^m, e_γ^m), is the reference, so a one-root monomial is not compared
+    with itself."""
     out = Report()
     with out.timed(f"pbw-orthogonality-h{max_height}", rs.family, rs.n) as it:
         pc = context or PairingContext(order, ring)
@@ -588,6 +592,7 @@ def verify_pbw_orthogonality(
             return tuple(deg)
 
         degrees = [q_degree(e) for e in monos]
+        closed: dict[tuple[Root, int], Scalar] = {}
         for a, ma in enumerate(monos):
             for b, mb in enumerate(monos):
                 if degrees[a] != degrees[b]:
@@ -600,7 +605,9 @@ def verify_pbw_orthogonality(
                     expect = ring.one
                     for rt, m in zip(roots_dec, ma):
                         if m:
-                            expect = expect * pc.power_pairing(rt, m)
+                            if (rt, m) not in closed:
+                                closed[rt, m] = closed_form_pairing(rs, ring, rt, m)
+                            expect = expect * closed[rt, m]
                     if val != expect:
                         w = w or f"diagonal {ma} paired to {val}, expected {expect}"
         it.witness = w

@@ -385,7 +385,8 @@ def check_braid(rep: Representation, rhat: SMatrix) -> Report:
     with out.timed("braid", rep.family, rep.n) as it:
         r12 = act_12(rhat, rep.N)
         r23 = act_23(rhat, rep.N)
-        it.witness = first_mismatch(r12 @ r23 @ r12, r23 @ r12 @ r23)
+        a = r12 @ r23  # shared by both sides: (R̂₁₂R̂₂₃)R̂₁₂ = R̂₂₃(R̂₁₂R̂₂₃)
+        it.witness = first_mismatch(a @ r12, r23 @ a)
     return out
 
 

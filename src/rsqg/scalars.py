@@ -23,6 +23,14 @@ its denominator is kept as it is.  All Laurent polynomials of a ring share
 the ring's one unit-denominator dict, which is how these paths recognise
 them.
 
+Sparse matrix products skip it too (``matrices.SMatrix.__matmul__``).  Each
+output entry sums its Laurent products in place on one raw term dict, with
+``_pmuladd`` (the package's one term-pair product loop, which ``_pmul`` also
+uses) and ``_paddto``; a unit factor passes the other factor's terms
+through, with no exponent adds.  A sum of Laurent polynomials is canonical,
+so the nonzero dict becomes a Scalar as it is.  That saves a Scalar, a dict
+and an accumulator copy per product, which is where matmul time went.
+
 Values are immutable after construction and safe to share between threads.
 """
 
@@ -165,14 +173,20 @@ def _coeff(value):
 # ---------------------------------------------------------------------------
 
 
-def _padd(a: dict, b: dict) -> dict:
-    out = dict(a)
+def _paddto(out: dict, b: dict) -> None:
+    """out += b in place."""
+    get = out.get
     for e, c in b.items():
-        nc = out.get(e, 0) + c
+        nc = get(e, 0) + c
         if nc:
             out[e] = nc
-        elif e in out:
-            del out[e]
+        else:
+            del out[e]  # c is nonzero, so a zero sum means e was in out
+
+
+def _padd(a: dict, b: dict) -> dict:
+    out = dict(a)
+    _paddto(out, b)
     return out
 
 
@@ -183,6 +197,21 @@ def _pneg(a: dict) -> dict:
 def _pdivc(a: dict, c) -> dict:
     """Divide every coefficient by the nonzero constant c."""
     return {e: _cdiv(cc, c) for e, cc in a.items()}
+
+
+def _pmuladd(out: dict, a: dict, b: dict) -> None:
+    """out += a·b in place: each term pair adds its coefficient product at
+    the exponent sum, and a coefficient that cancels to zero is deleted on
+    the spot.  The one polynomial-product loop of the package."""
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            nc = get(e, 0) + ca * cb
+            if nc:
+                out[e] = nc
+            else:
+                del out[e]  # ca·cb is nonzero, so a zero sum means e was in out
 
 
 def _pmul(a: dict, b: dict) -> dict:
@@ -196,14 +225,7 @@ def _pmul(a: dict, b: dict) -> dict:
         ((ea, ca),) = a.items()
         return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
     out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
-            nc = out.get(e, 0) + ca * cb
-            if nc:
-                out[e] = nc
-            elif e in out:
-                del out[e]
+    _pmuladd(out, a, b)
     return out
 
 

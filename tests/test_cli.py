@@ -164,6 +164,14 @@ def test_pairing_outside_oracle_range_exits_2_before_output(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("max_m", ["0", "-3"])
+def test_pairing_max_m_below_one_exits_2_before_output(capsys, max_m):
+    """--max-m below 1 would pair nothing and pass vacuously."""
+    assert run(["pairing", "constants", "--family", "B", "--rank", "2", "--max-m", max_m]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"m={max_m}" in captured.err
+
+
 def test_affine_rep_dump_below_range_exits_2(capsys):
     assert run(["rep", "dump", "--family", "D", "--rank", "2", "--affine"]) == 2
     assert capsys.readouterr().out == ""

@@ -1,8 +1,13 @@
-"""Sparse matrices and tensor conventions."""
+"""Sparse matrices and tensor conventions, and the matmul/kron kernel
+against entrywise Scalar arithmetic."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsqg.matrices import SMatrix, act_12, act_13, act_23, flip_map, kron, mat_vec
 from rsqg.scalars import rs_ring
@@ -101,3 +106,122 @@ def test_sum_stores_no_zero_from_either_operand(R):
     assert stored + other == expect
     assert other + stored == expect
     assert (stored - SMatrix.zero(R, 2)).rows == {1: {1: R.one}}
+
+
+# -- the kernel against entrywise Scalar arithmetic -----------------------------
+
+_RINGS = [rs_ring(), rs_ring("x", "y")]
+
+
+def _laurent(ring, max_terms):
+    """Laurent polynomials over a small exponent box, so that products of
+    different entries often share exponents and cancel."""
+    exps = st.tuples(*[st.integers(-1, 1)] * ring.nvars)
+    coeff = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    terms = st.dictionaries(exps, coeff, min_size=1, max_size=max_terms)
+    return terms.map(ring.poly)
+
+
+def _entries(ring):
+    """Units (the ring's own ``one`` and equal copies), monomials, Laurent
+    polynomials and rational functions, with int and Fraction coefficients."""
+    units = st.sampled_from([ring.one, ring.num(1), ring.mono()])
+    laurent = _laurent(ring, 3)
+    rational = st.tuples(laurent, _laurent(ring, 2)).map(lambda nd: nd[0] / nd[1])
+    return st.one_of(units, _laurent(ring, 1), laurent, laurent.map(lambda v: -v), rational)
+
+
+def _matrix(draw, ring, nrows, ncols):
+    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    entries = draw(st.dictionaries(cells, _entries(ring), max_size=nrows * ncols))
+    return SMatrix.from_entries(ring, nrows, ncols, [(i, j, v) for (i, j), v in entries.items()])
+
+
+@st.composite
+def _factors(draw, count=2):
+    """``count`` chained matrices over one ring, each side 1 to 4."""
+    ring = draw(st.sampled_from(_RINGS))
+    dims = [draw(st.integers(1, 4)) for _ in range(count + 1)]
+    return [_matrix(draw, ring, dims[i], dims[i + 1]) for i in range(count)]
+
+
+def _expected_rows(nrows, ncols, entry) -> dict:
+    rows: dict = {}
+    for i in range(nrows):
+        for j in range(ncols):
+            v = entry(i, j)
+            if not v.is_zero():
+                rows.setdefault(i, {})[j] = v
+    return rows
+
+
+def _assert_stored_form(m: SMatrix) -> None:
+    """No empty row, no zero entry, no zero coefficient in an entry, and every
+    Laurent entry holds the ring's shared unit denominator."""
+    for row in m.rows.values():
+        assert row
+        for v in row.values():
+            assert v._num and all(v._num.values())
+            if v.den_is_one():
+                assert v._den is m.ring._one_den
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factors())
+def test_matmul_is_the_entrywise_sum_of_products(ab):
+    a, b = ab
+
+    def entry(i, j):
+        acc = a.ring.zero
+        for k in range(a.ncols):
+            acc = acc + a.get(i, k) * b.get(k, j)
+        return acc
+
+    got = a @ b
+    assert got.rows == _expected_rows(a.nrows, b.ncols, entry)
+    _assert_stored_form(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_factors(count=1), st.integers(1, 3))
+def test_kron_with_identities_is_entrywise(factors, n):
+    (a,) = factors
+    ident = SMatrix.identity(a.ring, n)
+    for got, entry in (
+        (kron(a, ident), lambda i, j: a.get(i // n, j // n) * ident.get(i % n, j % n)),
+        (kron(ident, a), lambda i, j: ident.get(i // a.nrows, j // a.ncols) * a.get(i % a.nrows, j % a.ncols)),
+    ):
+        assert got.rows == _expected_rows(got.nrows, got.ncols, entry)
+        _assert_stored_form(got)
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=["rs", "rsxy"])
+def test_matmul_cancellation_stores_nothing(ring):
+    """An entry whose products cancel is not stored, a row of such entries is
+    not stored, and a term that cancels inside a surviving entry is gone."""
+    r, s = ring.mono(r=1), ring.mono(s=1)
+    a = SMatrix.from_entries(ring, 2, 2, [(0, 0, r), (0, 1, s), (1, 0, r + s), (1, 1, ring.one)])
+    b = SMatrix.from_entries(ring, 2, 2, [(0, 0, s), (1, 0, -r), (0, 1, r - s), (1, 1, s * s)])
+    got = a @ b
+    # row 0: r·s - s·r = 0 and r·(r - s) + s·s^2
+    # row 1: (r + s)·s - r and (r + s)(r - s) + s^2 = r^2, its r·s terms cancelled
+    assert got.rows == {
+        0: {1: r * r - r * s + s**3},
+        1: {0: r * s + s * s - r, 1: r * r},
+    }
+    _assert_stored_form(got)
+    row = SMatrix.from_entries(ring, 1, 2, [(0, 0, r), (0, 1, s)])
+    column = SMatrix.from_entries(ring, 2, 1, [(0, 0, s), (1, 0, -r)])
+    assert (row @ column).rows == {}
+
+
+@pytest.mark.parametrize("unit", ["one", "equal copy"])
+def test_unit_factor_passes_the_other_coefficients_through(R, unit):
+    u = R.one if unit == "one" else R.num(1)
+    p = R.mono(3, r=1) - R.mono(Fraction(1, 2), s=-1)
+    q = p / (R.mono(r=1) - R.mono(s=1))
+    left = SMatrix.from_entries(R, 1, 2, [(0, 0, u), (0, 1, p)])
+    right = SMatrix.from_entries(R, 2, 2, [(0, 0, p), (0, 1, q), (1, 1, u)])
+    assert (left @ right).rows == {0: {0: p, 1: q + p}}
+    assert kron(SMatrix.identity(R, 1), left).rows == left.rows
+    assert kron(left, SMatrix.identity(R, 1)).rows == left.rows

@@ -189,17 +189,18 @@ def test_perturbed_operator_fails_the_item(operator, change, item, family, rank)
 # -- pairing certificates ------------------------------------------------------
 
 
-def _pairing_item(family, rank, name):
+def _pairing_item(family, rank, name, ctx=None):
     (check,) = [c for c in CATALOGUE if (c.group, c.name) == ("pairing", name)]
-    (item,) = check.run(CaseContext(family, rank)).items
+    (item,) = check.run(ctx or CaseContext(family, rank)).items
     return item
 
 
 @pytest.mark.parametrize("i", [1, 2])
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
 def test_scaled_generator_pairing_fails_pairing_constants(monkeypatch, family, rank, i):
-    """(f_i, e_i) = 1/(r·(s_i − r_i)) in the oracle.  pbw-orthogonality does not
-    see this fault: both of its sides come from the same oracle."""
+    """(f_i, e_i) = 1/(r·(s_i − r_i)) in the oracle.  pbw-orthogonality sees
+    it too, on the diagonal of f_i, e_i, which it compares with the closed
+    form."""
     init = pairing.PairingOracle.__init__
 
     def faulty_init(self, rs, ring):
@@ -210,13 +211,19 @@ def test_scaled_generator_pairing_fails_pairing_constants(monkeypatch, family, r
     item = _pairing_item(family, rank, "constants")
     assert not item.ok
     assert item.witness.startswith("gamma[") and "oracle" in item.witness
+    item = _pairing_item(family, rank, "pbw")
+    assert not item.ok
+    assert item.witness.startswith("diagonal")
 
 
 @pytest.mark.parametrize("i,j", [(1, 2), (2, 1)])
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
 def test_scaled_cartan_pairing_fails_pbw_orthogonality(monkeypatch, family, rank, i, j):
     """(ω'_{α_i}, ω_{α_j}) times r for one pair of distinct simple roots, in
-    every use the pairing module makes of it."""
+    every use the pairing module makes of it.  The first witness is the
+    diagonal of a non-simple root, whose root vector brackets with the
+    faulty value; with the oracle's own (f_γ^m, e_γ^m) as the diagonal
+    reference, orthogonality alone still fails."""
     alpha_i = tuple(int(k == i - 1) for k in range(rank))
     alpha_j = tuple(int(k == j - 1) for k in range(rank))
     omega_pairing = pairing.omega_pairing
@@ -228,7 +235,31 @@ def test_scaled_cartan_pairing_fails_pbw_orthogonality(monkeypatch, family, rank
     monkeypatch.setattr(pairing, "omega_pairing", faulty)
     item = _pairing_item(family, rank, "pbw")
     assert not item.ok
+    assert item.witness.startswith("diagonal")
+
+    ctx = CaseContext(family, rank)
+    oracle_diagonal = lambda rs, ring, gamma, m: ctx.pairing_context.power_pairing(gamma, m)  # noqa: E731
+    monkeypatch.setattr(pairing, "closed_form_pairing", oracle_diagonal)
+    item = _pairing_item(family, rank, "pbw", ctx)
+    assert not item.ok
     assert item.witness.startswith("off-diagonal")
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
+def test_cubes_built_as_squares_fail_pbw_orthogonality(monkeypatch, family, rank):
+    """e_γ^3 and f_γ^3 replaced by e_γ^2 and f_γ^2.  Only the diagonal of a
+    one-root monomial sees it, and only against the closed form: the oracle
+    pairs the faulty cubes consistently with themselves."""
+    power = pairing.PairingContext.power
+
+    def faulty(self, gamma, m, side):
+        return power(self, gamma, 2 if m == 3 else m, side)
+
+    monkeypatch.setattr(pairing.PairingContext, "power", faulty)
+    item = _pairing_item(family, rank, "pbw")
+    assert item.name == "pbw-orthogonality-h3"
+    assert not item.ok
+    assert item.witness.startswith("diagonal")
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3)])

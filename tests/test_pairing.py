@@ -14,6 +14,7 @@ from rsqg.pairing import (
     PairingOracle,
     abstract_root_vector,
     c_gamma,
+    check_oracle_range,
     closed_form_pairing,
     expand_monomial,
     p_max,
@@ -105,6 +106,12 @@ def test_pairing_power_guard(a2):
     g12 = rs.by_label[("g", 1, 2)]
     with pytest.raises(ValueError):
         pairing_power(orc, o, g12, 5)
+    for m in (0, -3):
+        with pytest.raises(ValueError, match=f"m={m}"):
+            check_oracle_range(m, g12.height)
+    # m = 0 is returned before the range check
+    assert pairing_power(orc, o, g12, 0).is_one()
+    assert PairingContext(o, R).power_pairing(g12, 0).is_one()
 
 
 def test_b2_constants_match_printed():

@@ -97,3 +97,24 @@ def test_each_pairing_value_is_computed_once_per_case(monkeypatch):
     assert set(p_max_calls.values()) == {1}
     assert max(oracle_calls.values()) == 1
     assert sum(oracle_calls.values()) == 25
+
+
+def test_braid_shares_r12_r23(monkeypatch):
+    """check_braid multiplies R̂₁₂R̂₂₃ once and uses it on both sides: three
+    V⊗³ products, not four."""
+    from rsqg.matrices import SMatrix
+
+    ctx = catalogue.CaseContext("B", 2)
+    rhat = ctx.rhat
+    calls = []
+    matmul = SMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append((a.nrows, b.ncols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(SMatrix, "__matmul__", counted)
+    out = rmatrix.check_braid(ctx.rep, rhat)
+    assert out.ok()
+    n3 = ctx.rep.N**3
+    assert calls == [(n3, n3)] * 3
