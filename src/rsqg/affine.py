@@ -8,9 +8,10 @@ equation with a spectral parameter.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .matrices import SMatrix, act_12, act_13, act_23, flip_map, tensor_units
-from .rep import KAPPA, Representation, build_evaluation, build_fundamental, coproduct
+from .rep import KAPPA, EvaluationRep, Representation, build_evaluation, build_fundamental, coproduct
 from .report import Report, first_mismatch
 from .rmatrix import (
     CoefficientTables,
@@ -222,24 +223,25 @@ def check_baxterize_match(rep: Representation, rz: SMatrix) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def check_affine_intertwiner(
-    family: str, rank: int, enforce_constraint: bool = True
-) -> Report:
-    """R̂(x/y) intertwines the two tensor-product module structures for every
-    generator, with a symbolic and b = (rs)^{-κ} a^{-1}; with the constraint
-    dropped (b = a^{-1}) the affine-node checks must fail.  The modules and
-    R̂(x/y) are built on the clock of the first generator kind."""
+def intertwiner_operators(family: str, rank: int) -> tuple[EvaluationRep, EvaluationRep, SMatrix]:
+    """V(x), V(y) and R̂(x/y) over (r, s, x, y, a), with b = (rs)^{-κ}a^{-1}."""
     ring = rs_ring("x", "y", "a")
+    a = ring.atom("a")
+    b = ring.mono(r=-KAPPA[family], s=-KAPPA[family]) * a.inv()
+    ev_x = build_evaluation(family, rank, ring=ring, spectral="x", a=a, b=b)
+    ev_y = build_evaluation(family, rank, ring=ring, spectral="y", a=a, b=b)
+    return ev_x, ev_y, affine_rhat(ev_x.fin, z=ring.atom("x") * ring.atom("y").inv())
+
+
+def check_affine_intertwiner(family: str, rank: int, operators: tuple | None = None) -> Report:
+    """R̂(x/y) intertwines V(x)⊗V(y) → V(y)⊗V(x) for every generator.  The
+    ``operators`` (V(x), V(y), R̂(x/y)) are the case's, or else built by
+    ``intertwiner_operators`` on the clock of the first generator kind."""
     out = Report()
     for kind in ("e", "f", "omega", "omega-prime"):
         with out.timed(f"affine-intertwiner-{kind}", family, rank) as it:
             if kind == "e":
-                kappa = KAPPA[family]
-                a = ring.atom("a")
-                b = (ring.mono(r=-kappa, s=-kappa) if enforce_constraint else ring.one) * a.inv()
-                ev_x = build_evaluation(family, rank, ring=ring, spectral="x", a=a, b=b)
-                ev_y = build_evaluation(family, rank, ring=ring, spectral="y", a=a, b=b)
-                rz = affine_rhat(ev_x.fin, z=ring.atom("x") * ring.atom("y").inv())
+                ev_x, ev_y, rz = operators or intertwiner_operators(family, rank)
             w = ""
             for i in range(rank + 1):
                 lhs = rz @ coproduct(ev_x, ev_y, kind, i)
@@ -256,24 +258,24 @@ def check_affine_intertwiner(
 # ---------------------------------------------------------------------------
 
 
-def check_spectral_ybe(family: str, rank: int) -> Report:
-    """R₁₂(x) R₁₃(xy) R₂₃(y) = R₂₃(y) R₁₃(xy) R₁₂(x) on V⊗V⊗V with two
-    independent ratio variables, for R(z) = R̂(z)∘τ."""
+def spectral_ybe_operators(family: str, rank: int) -> tuple[SMatrix, SMatrix, SMatrix]:
+    """R(x), R(y) and R(xy) over (r, s, x, y), for R(z) = R̂(z)∘τ."""
     ring = rs_ring("x", "y")
+    rep = build_fundamental(family, rank, ring)
+    tau = flip_map(ring, rep.N)
+    x, y = ring.atom("x"), ring.atom("y")
+    return tuple(affine_rhat(rep, z=z) @ tau for z in (x, y, x * y))
+
+
+def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -> Report:
+    """R₁₂(x) R₁₃(xy) R₂₃(y) = R₂₃(y) R₁₃(xy) R₁₂(x) on V⊗V⊗V with two
+    independent ratio variables.  The ``operators`` (R(x), R(y), R(xy)) are
+    the case's, or else built by ``spectral_ybe_operators`` on its clock."""
     out = Report()
     with out.timed("spectral-ybe", family, rank) as it:
-        rep = build_fundamental(family, rank, ring)
-        N = rep.N
-        tau = flip_map(ring, N)
-
-        def r_of(z: Scalar) -> SMatrix:
-            return affine_rhat(rep, z=z) @ tau
-
-        x = ring.atom("x")
-        y = ring.atom("y")
-        r12 = act_12(r_of(x), N)
-        r23 = act_23(r_of(y), N)
-        r13 = act_13(r_of(x * y), N)
+        r_x, r_y, r_xy = operators or spectral_ybe_operators(family, rank)
+        N = isqrt(r_x.nrows)
+        r12, r23, r13 = act_12(r_x, N), act_23(r_y, N), act_13(r_xy, N)
         lhs = r12 @ r13 @ r23
         w = first_mismatch(lhs, r23 @ r13 @ r12)
         # degree sanity: three factors of z-degree ≤ 2 each

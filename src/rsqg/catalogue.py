@@ -32,9 +32,11 @@ GROUPS = ("rep", "rootvec", "pairing", "rmatrix", "affine", "embed")
 class CaseContext:
     """Operators shared by the checks of one (family, rank) case, each built
     on first use and at most once: the fundamental module, its convex order
-    and root-vector matrices, the pairing context (root vectors, oracle
-    values and c_γ), the ordered product Θ, R̂ and R̄ over (r, s), the
-    evaluation module, and the module and R̂(z) over the z ring."""
+    and root-vector matrices, the modified generators, the pairing context
+    (root vectors, oracle values and c_γ), the ordered product Θ, R̂ and R̄
+    over (r, s), the evaluation module, the module and R̂(z) over the z ring,
+    the affine intertwiner's V(x), V(y) and R̂(x/y), and the spectral YBE's
+    R̂(x)τ, R̂(y)τ and R̂(xy)τ."""
 
     def __init__(self, family: str, rank: int):
         self.family = family
@@ -51,6 +53,10 @@ class CaseContext:
     @cached_property
     def rvm(self):
         return rootvec.build_root_vector_matrices(self.rep, self.order)
+
+    @cached_property
+    def modified(self):
+        return embed.modified_generators(self.rep)
 
     @cached_property
     def pairing_context(self):
@@ -79,6 +85,14 @@ class CaseContext:
     @cached_property
     def rz(self):
         return affine.affine_rhat(self.zrep)
+
+    @cached_property
+    def intertwiner(self):
+        return affine.intertwiner_operators(self.family, self.rank)
+
+    @cached_property
+    def ybe(self):
+        return affine.spectral_ybe_operators(self.family, self.rank)
 
 
 @dataclass(frozen=True)
@@ -135,17 +149,17 @@ CATALOGUE = (
     Check("rmatrix", "minpoly", _always, lambda c: rmatrix.check_min_poly(c.rep, c.rhat), "min-poly"),
     Check("rmatrix", "inverse", _always, lambda c: rmatrix.check_inverse(c.rep, c.rhat, c.rbar, c.theta)),
     Check("rmatrix", "weights", _always, lambda c: rmatrix.check_weight_preservation(c.rep, c.rhat), "weight-preservation"),
-    Check("rmatrix", "tables", _always, lambda c: rmatrix.verify_tables(c.rep), "coefficient-tables"),
+    Check("rmatrix", "tables", _always, lambda c: rmatrix.verify_tables(c.rep, c.rhat), "coefficient-tables"),
     Check("rmatrix", "braid", _always, lambda c: rmatrix.check_braid(c.rep, c.rhat)),
     Check("rmatrix", "specialize", _a_or_b, _specialize),
-    Check("affine", "intertwine", _affine, lambda c: affine.check_affine_intertwiner(c.family, c.rank)),
-    Check("affine", "ybe", _ybe, lambda c: affine.check_spectral_ybe(c.family, c.rank), "spectral-ybe"),
+    Check("affine", "intertwine", _affine, lambda c: affine.check_affine_intertwiner(c.family, c.rank, c.intertwiner)),
+    Check("affine", "ybe", _ybe, lambda c: affine.check_spectral_ybe(c.family, c.rank, c.ybe), "spectral-ybe"),
     Check("affine", "baxterize-match", _affine, lambda c: affine.check_baxterize_match(c.zrep, c.rz)),
     Check("affine", "degree", _affine, lambda c: affine.check_degree_bounds(c.zrep, c.rz), "z-degree-bound"),
     Check("affine", "unit", _affine, lambda c: affine.check_unit_point(c.zrep, c.rz), "unit-point"),
-    Check("embed", "dj", _always, lambda c: embed.verify_dj_relations(c.rep)),
+    Check("embed", "dj", _always, lambda c: embed.verify_dj_relations(c.rep, c.modified)),
     Check("embed", "kappa", _always, lambda c: embed.verify_kappa_recursion(c.rep, c.order), "kappa-recursion"),
-    Check("embed", "rootvec", _always, lambda c: embed.verify_root_vector_embedding(c.rvm), "root-vector-embedding"),
+    Check("embed", "rootvec", _always, lambda c: embed.verify_root_vector_embedding(c.rvm, c.modified), "root-vector-embedding"),
     Check("embed", "twist", _a_or_b, _twist),
 )
 

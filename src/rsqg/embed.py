@@ -55,16 +55,15 @@ def modified_generators(rep: Representation) -> ModifiedGenerators:
     return ModifiedGenerators(rep, e, f, om)
 
 
-def verify_dj_relations(rep: Representation) -> Report:
-    """The modified generators satisfy the one-parameter defining relations
-    at q = r^{1/2} s^{-1/2}: Cartan conjugations by q^{(α_i,α_j)}, the
-    commutator identity with (ω̃_i - ω̃_i^{-1})/(q_i - q_i^{-1}), and the
-    q-Serre sums."""
+def verify_dj_relations(rep: Representation, mg: ModifiedGenerators) -> Report:
+    """The modified generators ``mg`` of ``rep`` satisfy the one-parameter
+    defining relations at q = r^{1/2} s^{-1/2}: Cartan conjugations by
+    q^{(α_i,α_j)}, the commutator identity with
+    (ω̃_i - ω̃_i^{-1})/(q_i - q_i^{-1}), and the q-Serre sums."""
     ring, rs, n, N = rep.ring, rep.rs, rep.n, rep.N
     out = Report()
 
     with out.timed("dj-cartan", rep.family, n) as it:
-        mg = modified_generators(rep)
         w = ""
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -164,15 +163,14 @@ def verify_kappa_recursion(rep: Representation, order: ConvexOrder) -> Report:
     return out
 
 
-def verify_root_vector_embedding(rvm: RootVectorMatrices) -> Report:
-    """The q-bracketed root vectors of the modified generators coincide with
-    the rescaled two-parameter ones ``rvm``:
+def verify_root_vector_embedding(rvm: RootVectorMatrices, mg: ModifiedGenerators) -> Report:
+    """The q-bracketed root vectors of the modified generators ``mg`` coincide
+    with the rescaled two-parameter ones ``rvm``:
     ẽ_γ = κ_γ^{-1} e_γ ω_γ^{-1/2} and f̃_γ = d_γ κ_γ^{-1} f_γ (ω'_γ)^{-1/2}."""
     rep, order = rvm.rep, rvm.order
     ring, rs = rep.ring, rep.rs
     out = Report()
     with out.timed("root-vector-embedding", rep.family, rep.n) as it:
-        mg = modified_generators(rep)
         w = ""
         e_one: dict[tuple, SMatrix] = {}
         f_one: dict[tuple, SMatrix] = {}

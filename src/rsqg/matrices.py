@@ -195,15 +195,6 @@ class SMatrix:
                 rows[i] = row
         return SMatrix(ring, self.nrows, other.ncols, rows)
 
-    def pow(self, n: int) -> "SMatrix":
-        out = SMatrix.identity(self.ring, self.nrows)
-        for _ in range(n):
-            out = out @ self
-        return out
-
-    def commutator(self, other: "SMatrix") -> "SMatrix":
-        return self @ other - other @ self
-
     # -- structure -----------------------------------------------------------
 
     def map_entries(self, fn: Callable[[Scalar], Scalar], ring: ScalarRing | None = None) -> "SMatrix":

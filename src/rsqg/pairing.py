@@ -394,8 +394,9 @@ class PairingContext:
     """The pairing data of one convex order over one ring, each piece
     computed on first use and kept for the life of the context: the abstract
     root vectors, the powers of e_γ and f_γ, the ordered monomials, the
-    oracle's pairings of monomials (so each (f_γ^m, e_γ^m) once), and c_γ
-    from the minimal-pair recursion (each root once, sub-roots included).
+    oracle's pairings of monomials (so each (f_γ^m, e_γ^m) once), the
+    closed forms of (f_γ^m, e_γ^m), and c_γ from the minimal-pair recursion
+    (each root once, sub-roots included).
 
     A case owns one, and its caches are dropped with the case.  Monomials
     are exponent vectors over ``order.decreasing()``."""
@@ -409,6 +410,7 @@ class PairingContext:
         self._powers: dict[tuple[Root, int, str], HalfElement] = {}
         self._monomials: dict[tuple[tuple[int, ...], str], HalfElement] = {}
         self._pairings: dict[tuple[tuple[int, ...], tuple[int, ...]], Scalar] = {}
+        self._closed: dict[tuple[Root, int], Scalar] = {}
         self._c: dict[Root, Scalar] = {}
 
     def root_vector(self, gamma: Root) -> AbstractRootVector:
@@ -472,6 +474,14 @@ class PairingContext:
         exps = tuple(m if rt == gamma else 0 for rt in self._roots)
         return self.pair_monomials(exps, exps)
 
+    def closed_form(self, gamma: Root, m: int) -> Scalar:
+        """(f_γ^m, e_γ^m) by ``closed_form_pairing``."""
+        key = (gamma, m)
+        got = self._closed.get(key)
+        if got is None:
+            got = self._closed[key] = closed_form_pairing(self.order.rs, self.ring, gamma, m)
+        return got
+
     def c_gamma(self, gamma: Root) -> Scalar:
         """c_γ by the minimal-pair recursion (see ``c_gamma``)."""
         got = self._c.get(gamma)
@@ -527,7 +537,7 @@ def verify_pairing_constants(
                 mm -= 1
             for m in range(mm + 1):
                 via_oracle = pc.power_pairing(gamma, m)
-                via_closed = closed_form_pairing(rs, ring, gamma, m)
+                via_closed = pc.closed_form(gamma, m)
                 via_c = pc.pairing_from_c(gamma, m)
                 if via_oracle != via_closed:
                     w = w or f"{gamma.label()} m={m}: oracle {via_oracle} vs closed {via_closed}"
@@ -554,14 +564,6 @@ def pbw_monomials(order: ConvexOrder, max_height: int):
     for exps in rec(0, max_height):
         if any(exps):
             yield exps
-
-
-def expand_monomial(
-    order: ConvexOrder, exps: tuple[int, ...], side: str, ring: ScalarRing
-) -> HalfElement:
-    """Ordered product over the decreasing convex order with the given
-    exponents."""
-    return PairingContext(order, ring).monomial(exps, side)
 
 
 def verify_pbw_orthogonality(
@@ -592,7 +594,6 @@ def verify_pbw_orthogonality(
             return tuple(deg)
 
         degrees = [q_degree(e) for e in monos]
-        closed: dict[tuple[Root, int], Scalar] = {}
         for a, ma in enumerate(monos):
             for b, mb in enumerate(monos):
                 if degrees[a] != degrees[b]:
@@ -605,9 +606,7 @@ def verify_pbw_orthogonality(
                     expect = ring.one
                     for rt, m in zip(roots_dec, ma):
                         if m:
-                            if (rt, m) not in closed:
-                                closed[rt, m] = closed_form_pairing(rs, ring, rt, m)
-                            expect = expect * closed[rt, m]
+                            expect = expect * pc.closed_form(rt, m)
                     if val != expect:
                         w = w or f"diagonal {ma} paired to {val}, expected {expect}"
         it.witness = w

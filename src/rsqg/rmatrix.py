@@ -62,24 +62,28 @@ class CoefficientTables:
         return ring.mono(r=e, s=e)
 
 
-def verify_tables(rep: Representation) -> Report:
-    """a_ij · a_ji = 1 and a_ij = f(ε_i, ε_j) away from j = i, i'."""
+def verify_tables(rep: Representation, rhat: SMatrix) -> Report:
+    """Away from j = i, i' (type A: j ≠ i), the coefficient of v_i ⊗ v_j in
+    ``rhat``(v_j ⊗ v_i) is f(ε_i, ε_j); for B/C/D also a_ij · a_ji = 1 and
+    a_ij = f(ε_i, ε_j)."""
+    N = rep.N
     out = Report()
     with out.timed("coefficient-tables", rep.family, rep.n) as it:
-        if rep.family == "A":
-            return out
         tab = CoefficientTables(rep)
         ring = rep.ring
         w = ""
-        for i in range(1, rep.N + 1):
-            for j in range(1, rep.N + 1):
-                if j in (i, rep.prime(i)):
+        for i in range(1, N + 1):
+            for j in range(1, N + 1):
+                if j == i or (rep.family != "A" and j == rep.prime(i)):
                     continue
-                if not (tab.a(i, j) * tab.a(j, i)).is_one():
-                    w = w or f"a_({i},{j}) a_({j},{i}) != 1"
                 fv = f_function(rep.rs, ring, rep.weights[i - 1], rep.weights[j - 1])
-                if tab.a(i, j) != fv:
-                    w = w or f"a_({i},{j}) != f(eps_{i},eps_{j})"
+                if rep.family != "A":
+                    if not (tab.a(i, j) * tab.a(j, i)).is_one():
+                        w = w or f"a_({i},{j}) a_({j},{i}) != 1"
+                    if tab.a(i, j) != fv:
+                        w = w or f"a_({i},{j}) != f(eps_{i},eps_{j})"
+                if rhat.get((i - 1) * N + j - 1, (j - 1) * N + i - 1) != fv:
+                    w = w or f"swap coefficient of v_{i}v_{j} != f(eps_{i},eps_{j})"
         it.witness = w
     return out
 
@@ -262,25 +266,23 @@ def eigenvalues(rep: Representation) -> list[Scalar]:
 
 
 def rbar_inverse_printed(rep: Representation) -> SMatrix:
-    """The displayed inverse for types B/C/D; type A from the quadratic
-    minimal polynomial (no printed display exists)."""
+    """The displayed inverse R̄ = R̂^{-1}, written out entrywise in every type."""
     ring, n, N = rep.ring, rep.n, rep.N
     fam = rep.family
     R = lambda **p: ring.mono(**p)
     one = ring.one
     pr = rep.prime
-
-    if fam == "A":
-        lam = eigenvalues(rep)
-        rhat = rhat_explicit(rep)
-        # R̂² = (λ1+λ2)R̂ - λ1λ2 ⇒ R̂^{-1} = ((λ1+λ2)Id - R̂)/(λ1 λ2)
-        c = (lam[0] * lam[1]).inv()
-        return (SMatrix.identity(ring, N * N).scale(lam[0] + lam[1]) - rhat).scale(c)
-
     tab = CoefficientTables(rep)
     ent: list[tuple[int, int, int, int, Scalar]] = []
 
-    if fam == "B":
+    if fam == "A":
+        for i in range(1, N + 1):
+            ent.append((i, i, i, i, one))
+            for j in range(i + 1, N + 1):
+                ent.append((j, i, i, j, R(s=1)))
+                ent.append((i, j, j, i, R(r=-1)))
+                ent.append((i, i, j, j, one - R(r=-1, s=1)))
+    elif fam == "B":
         c = (R(s=2) - R(r=2)) * R(r=-1, s=-1)
         for i in range(1, N + 1):
             if i == n + 1:

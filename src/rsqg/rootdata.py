@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .scalars import Scalar, ScalarRing
 
@@ -241,7 +242,10 @@ class RootSystem:
         return f"RootSystem({self.family}{self.n})"
 
 
+@cache
 def build_root_system(family: str, rank: int) -> RootSystem:
+    """The root system of one (family, rank), built once per process; a
+    RootSystem is not changed after construction."""
     return RootSystem(family, rank)
 
 

@@ -710,12 +710,6 @@ def substitute(
     return evn / evd
 
 
-def specialize_one_param(x: Scalar, target: ScalarRing, qname: str = "q") -> Scalar:
-    """Send r ↦ q and s ↦ q^(-1) (on half powers: r^(1/2) ↦ q^(1/2))."""
-    qhalf = target.atom(qname)
-    return substitute(x, {"r": qhalf, "s": qhalf.inv()}, ring=target)
-
-
 # ---------------------------------------------------------------------------
 # (r,s)-combinatorics
 # ---------------------------------------------------------------------------

@@ -134,8 +134,8 @@ def test_criterion_10_dimension_bookkeeping():
 def test_criterion_11_one_param_subalgebra():
     t0 = time.perf_counter()
     cases = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 2), ("D", 3)]
-    reports = [verify_dj_relations(rep(f, n)) for f, n in cases]
-    reports += [verify_root_vector_embedding(rvm(f, n)) for f, n in cases]
+    reports = [verify_dj_relations(case(f, n).rep, case(f, n).modified) for f, n in cases]
+    reports += [verify_root_vector_embedding(case(f, n).rvm, case(f, n).modified) for f, n in cases]
     _assert_report(11, "one-parameter relations and root-vector rescaling", t0, reports)
 
 

@@ -19,7 +19,7 @@ from rsqg.affine import (
     check_unit_point,
     xi_constant,
 )
-from rsqg.rep import build_fundamental
+from rsqg.rep import build_evaluation, build_fundamental
 from rsqg.rmatrix import eigenvalues, rbar_inverse_printed, rhat_explicit
 from rsqg.scalars import rs_ring
 
@@ -101,7 +101,14 @@ def test_affine_intertwiner(family, rank):
 
 
 def test_intertwiner_needs_constraint():
-    out = check_affine_intertwiner("B", 2, enforce_constraint=False)
+    """With b = a^{-1} in place of b = (rs)^{-κ} a^{-1} the affine-node
+    checks fail."""
+    ring = rs_ring("x", "y", "a")
+    a = ring.atom("a")
+    ev_x = build_evaluation("B", 2, ring=ring, spectral="x", a=a, b=a.inv())
+    ev_y = build_evaluation("B", 2, ring=ring, spectral="y", a=a, b=a.inv())
+    rz = affine_rhat(ev_x.fin, z=ring.atom("x") * ring.atom("y").inv())
+    out = check_affine_intertwiner("B", 2, (ev_x, ev_y, rz))
     by_name = {it.name: it.ok for it in out.items}
     assert not by_name["affine-intertwiner-f"]
     assert not by_name["affine-intertwiner-e"]

@@ -29,7 +29,7 @@ CASES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3)]
 
 @pytest.mark.parametrize("family,rank", CASES)
 def test_dj_relations(family, rank):
-    out = verify_dj_relations(rep(family, rank))
+    out = verify_dj_relations(case(family, rank).rep, case(family, rank).modified)
     assert out.ok(), [it.line() for it in out.items if not it.ok]
 
 
@@ -73,7 +73,7 @@ def test_kappa_recursion(family, rank):
 
 @pytest.mark.parametrize("family,rank", CASES)
 def test_root_vector_embedding(family, rank):
-    out = verify_root_vector_embedding(rvm(family, rank))
+    out = verify_root_vector_embedding(case(family, rank).rvm, case(family, rank).modified)
     assert out.ok(), [it.witness for it in out.items]
 
 

@@ -1,28 +1,36 @@
-"""Negative controls for the defining-relation certificates and the operator
-certificates: one small perturbation of a module, or of an operator a check
-is given, per item, after which that item must fail with a witness."""
+"""Negative controls for every certificate: one small perturbation of a
+module, of an operator a check is given, or of a value it computes, per
+item, after which that item must fail with a witness.  A meta-test checks
+that every item ``certify-all --long`` emits has one."""
 
 from __future__ import annotations
 
+import json
+from math import isqrt
+
 import pytest
 
-from rsqg import pairing
+from rsqg import cli, embed, pairing
 from rsqg.catalogue import CATALOGUE, CaseContext
-from rsqg.embed import verify_dj_relations
+from rsqg.embed import modified_generators, verify_dj_relations
 from rsqg.matrices import SMatrix
 from rsqg.rep import (
     build_evaluation,
     build_fundamental,
     verify_affine_relations,
     verify_finite_relations,
+    verify_highest_weight,
 )
+from rsqg.rmatrix import CoefficientTables
 
 CASES = [("B", 2), ("C", 2), ("D", 3)]
+OPERATOR_CASES = [("A", 2), ("B", 2), ("C", 2), ("D", 3)]
 
 RELATIONS = {
     "finite": (build_fundamental, verify_finite_relations),
     "affine": (build_evaluation, verify_affine_relations),
-    "dj": (build_fundamental, verify_dj_relations),
+    "dj": (build_fundamental, lambda mod: verify_dj_relations(mod, modified_generators(mod))),
+    "highest-weight": (build_fundamental, verify_highest_weight),
 }
 
 
@@ -39,6 +47,10 @@ def _entry_times_r(m: SMatrix) -> SMatrix:
     """The first nonzero entry (a diagonal one for a diagonal matrix) times r."""
     i, j, v = m.entries()[0]
     return _add(m, i, j, v * (m.ring.mono(r=1) - m.ring.one))
+
+
+def _origin_plus_one(m: SMatrix) -> SMatrix:
+    return _add(m, 0, 0, m.ring.one)
 
 
 def _times_x(m: SMatrix) -> SMatrix:
@@ -66,6 +78,7 @@ PERTURBATIONS = [
     ("dj", "dj-cartan", "omega", 1, _entry_times_r, CASES),
     ("dj", "dj-commutator", "e", "n", _entry_times_r, CASES),
     ("dj", "dj-serre", "e", "n", _entry_times_r, [("D", 3)]),
+    ("highest-weight", "highest-weight-annihilation", "e", 1, _origin_plus_one, OPERATOR_CASES),
 ]
 
 
@@ -93,8 +106,6 @@ def test_perturbed_module_fails_the_item(relations, item, table, node, change, f
 
 # -- operator certificates -----------------------------------------------------
 
-OPERATOR_CASES = [("A", 2), ("B", 2), ("C", 2), ("D", 3)]
-
 # failing item -> (group, name) of the catalogue check that emits it
 ITEM_CHECK = {
     "route-equivalence": ("rmatrix", "route"),
@@ -103,10 +114,16 @@ ITEM_CHECK = {
     "min-poly": ("rmatrix", "minpoly"),
     "inverse": ("rmatrix", "inverse"),
     "weight-preservation": ("rmatrix", "weights"),
+    "coefficient-tables": ("rmatrix", "tables"),
     "braid": ("rmatrix", "braid"),
     "specialize-finite": ("rmatrix", "specialize"),
     "specialize-affine": ("rmatrix", "specialize"),
     "affine-z0-limit": ("rmatrix", "specialize"),
+    "affine-intertwiner-e": ("affine", "intertwine"),
+    "affine-intertwiner-f": ("affine", "intertwine"),
+    "affine-intertwiner-omega": ("affine", "intertwine"),
+    "affine-intertwiner-omega-prime": ("affine", "intertwine"),
+    "spectral-ybe": ("affine", "ybe"),
     "baxterize-match": ("affine", "baxterize-match"),
     "baxterize-scheme": ("affine", "baxterize-match"),
     "z-degree-bound": ("affine", "degree"),
@@ -129,16 +146,21 @@ def _corner_plus_one(m: SMatrix) -> SMatrix:
     return _add(m, 0, m.ncols - 1, m.ring.one)
 
 
+def _swap_entry_times_r(m: SMatrix) -> SMatrix:
+    """The coefficient of v_1 ⊗ v_2 in R̂(v_2 ⊗ v_1) times r."""
+    N = isqrt(m.nrows)
+    return _add(m, 1, N, m.get(1, N) * (m.ring.mono(r=1) - m.ring.one))
+
+
 def _times_z_squared(m: SMatrix) -> SMatrix:
     return m.scale(m.ring.atom("z") ** 2)
 
 
-def _origin_plus_one(m: SMatrix) -> SMatrix:
-    return _add(m, 0, 0, m.ring.one)
-
+AFFINE_INTERTWINER = [f"affine-intertwiner-{kind}" for kind in ("e", "f", "omega", "omega-prime")]
 
 # (operator of the case context, change, failing items, cases); "e_top" is the
-# root-vector matrix e_γ of the highest root
+# root-vector matrix e_γ of the highest root, "rxy" the affine intertwiner's
+# R̂(x/y), and "ybe" each of the spectral YBE's R(x), R(y) and R(xy)
 OPERATOR_PERTURBATIONS = [
     (
         "rhat",
@@ -152,6 +174,10 @@ OPERATOR_PERTURBATIONS = [
     ("rbar", _entry_times_r, ["inverse"], OPERATOR_CASES),
     ("theta", _second_entry_times_r, ["route-equivalence", "inverse"], OPERATOR_CASES),
     ("rhat", _corner_plus_one, ["weight-preservation"], OPERATOR_CASES),
+    ("rhat", _swap_entry_times_r, ["coefficient-tables"], OPERATOR_CASES),
+    ("rxy", _entry_times_r, AFFINE_INTERTWINER[:2], OPERATOR_CASES),
+    ("rxy", _corner_plus_one, AFFINE_INTERTWINER, OPERATOR_CASES),
+    ("ybe", _entry_times_r, ["spectral-ybe"], OPERATOR_CASES),
     ("rz", _entry_times_r, ["baxterize-match", "baxterize-scheme", "unit-point"], OPERATOR_CASES),
     ("rz", _entry_times_r, ["specialize-affine", "affine-z0-limit", "twist-A-affine"], [("A", 2)]),
     ("rz", _times_z_squared, ["z-degree-bound"], OPERATOR_CASES),
@@ -164,6 +190,11 @@ def _perturb(ctx: CaseContext, operator: str, change) -> None:
     if operator == "e_top":
         top = max(ctx.rep.rs.positive, key=lambda rt: rt.height)
         ctx.rvm.e[top.alpha] = change(ctx.rvm.e[top.alpha])
+    elif operator == "rxy":
+        ev_x, ev_y, rxy = ctx.intertwiner
+        ctx.intertwiner = (ev_x, ev_y, change(rxy))
+    elif operator == "ybe":
+        ctx.ybe = tuple(change(m) for m in ctx.ybe)
     else:
         setattr(ctx, operator, change(getattr(ctx, operator)))
 
@@ -184,6 +215,43 @@ def test_perturbed_operator_fails_the_item(operator, change, item, family, rank)
     items = {it.name: it for it in check.run(ctx).items}
     assert not items[item].ok
     assert items[item].witness
+
+
+def _run(ctx: CaseContext, group: str, name: str) -> dict:
+    (check,) = [c for c in CATALOGUE if (c.group, c.name) == (group, name)]
+    return {it.name: it for it in check.run(ctx).items}
+
+
+@pytest.mark.parametrize("family,rank", CASES)
+def test_scaled_a_ij_fails_coefficient_tables(monkeypatch, family, rank):
+    """a_12 times r in the B/C/D coefficient tables breaks a_12 a_21 = 1."""
+    a = CoefficientTables.a
+
+    def faulty(self, i, j):
+        val = a(self, i, j)
+        return val * self.rep.ring.mono(r=1) if (i, j) == (1, 2) else val
+
+    monkeypatch.setattr(CoefficientTables, "a", faulty)
+    item = _run(CaseContext(family, rank), "rmatrix", "tables")["coefficient-tables"]
+    assert not item.ok
+    assert item.witness == "a_(1,2) a_(2,1) != 1"
+
+
+@pytest.mark.parametrize("family,rank", OPERATOR_CASES)
+def test_scaled_top_kappa_fails_kappa_recursion(monkeypatch, family, rank):
+    """κ of the highest root times r no longer follows from its minimal pair."""
+    ctx = CaseContext(family, rank)
+    top = max(ctx.rep.rs.positive, key=lambda rt: rt.height)
+    kappa_constants = embed.kappa_constants
+
+    def faulty(rep, gamma):
+        val = kappa_constants(rep, gamma)
+        return val * rep.ring.mono(r=1) if gamma == top else val
+
+    monkeypatch.setattr(embed, "kappa_constants", faulty)
+    item = _run(ctx, "embed", "kappa")["kappa-recursion"]
+    assert not item.ok
+    assert item.witness == f"kappa recursion fails at {top.label()}"
 
 
 # -- pairing certificates ------------------------------------------------------
@@ -295,3 +363,24 @@ def test_perturbed_cached_c_gamma_fails_constants_and_route(family, rank):
     assert witness["route-equivalence"]
     assert witness["pairing-constants"].startswith(f"{top.label()} m=1: oracle")
     assert "vs recursion" in witness["pairing-constants"]
+
+
+# -- coverage ------------------------------------------------------------------
+
+# items whose negative control is a dedicated test rather than a table row
+DEDICATED = {
+    "pairing-constants": test_scaled_generator_pairing_fails_pairing_constants,
+    "pbw-orthogonality-h3": test_cubes_built_as_squares_fail_pbw_orthogonality,
+    "kappa-recursion": test_scaled_top_kappa_fails_kappa_recursion,
+}
+
+
+def test_every_certified_item_has_a_negative_control(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.run(["certify-all", "--max-rank", "3", "--long", "--out", str(out)]) == 0
+    capsys.readouterr()
+    emitted = {item["check"] for item in json.loads(out.read_text())}
+    covered = {row[1] for row in PERTURBATIONS}
+    covered |= {item for row in OPERATOR_PERTURBATIONS for item in row[2]}
+    covered |= set(DEDICATED)
+    assert sorted(emitted - covered) == []

@@ -16,7 +16,6 @@ from rsqg.pairing import (
     c_gamma,
     check_oracle_range,
     closed_form_pairing,
-    expand_monomial,
     p_max,
     pairing_power,
     verify_pairing_constants,
@@ -162,7 +161,7 @@ def test_off_diagonal_example():
     g12 = rs.by_label[("g", 1, 2)]
     rv = abstract_root_vector(o, g12, R)
     # the ordered monomial e_{α_2} e_{α_1} (decreasing order) with exponents (1,0,1)
-    mono = expand_monomial(o, (1, 0, 1), "plus", R)
+    mono = PairingContext(o, R).monomial((1, 0, 1), "plus")
     assert orc.hopf_pair(rv.f, mono).is_zero()
 
 

@@ -58,7 +58,7 @@ def test_explicit_entries():
 
 def test_tables():
     for family, rank in ROUTE_CASES:
-        out = verify_tables(rep(family, rank))
+        out = verify_tables(case(family, rank).rep, case(family, rank).rhat)
         assert out.ok(), [it.witness for it in out.items]
 
 

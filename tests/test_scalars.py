@@ -13,8 +13,6 @@ from rsqg.matrices import SMatrix
 from rsqg.report import first_mismatch
 from rsqg.scalars import (
     Scalar,
-    ScalarRing,
-    Variable,
     parse,
     q_binomial,
     q_integer,
@@ -24,7 +22,6 @@ from rsqg.scalars import (
     rs_ring,
     scalar_from_json,
     scalar_to_json,
-    specialize_one_param,
     substitute,
     text_form,
 )
@@ -134,13 +131,6 @@ def test_division_by_zero(R):
         R.one / R.zero
     with pytest.raises(ZeroDivisionError):
         R.zero.inv()
-
-
-def test_substitution_monomial():
-    R = rs_ring()
-    Q = ScalarRing([Variable("q", 2)])
-    x = R.mono(r=1, s=-1)
-    assert specialize_one_param(x, Q) == Q.mono(q=2)
 
 
 def test_substitution_root_of_factor():
