@@ -13,12 +13,7 @@ from math import isqrt
 from .matrices import SMatrix, act_12, act_13, act_23, flip_map, tensor_units
 from .rep import KAPPA, EvaluationRep, Representation, build_evaluation, build_fundamental, coproduct
 from .report import Report, first_mismatch
-from .rmatrix import (
-    CoefficientTables,
-    eigenvalues,
-    rbar_inverse_printed,
-    rhat_explicit,
-)
+from .rmatrix import CoefficientTables, eigenvalues
 from .scalars import Scalar, ScalarRing, rs_ring
 
 
@@ -191,17 +186,14 @@ def baxterize_bullet(rep: Representation, rhat: SMatrix, rbar: SMatrix, z: Scala
     )
 
 
-def check_baxterize_match(rep: Representation, rz: SMatrix) -> Report:
-    """The per-type combination reproduces the explicit spectral operator
-    ``rz`` on ``rep`` (over the z ring) entrywise; also reports which generic
-    scheme produces it.  R̂ and R̄ over the z ring are built once, on the
-    first item's clock."""
+def check_baxterize_match(rep: Representation, rz: SMatrix, rhat: SMatrix, rbar: SMatrix) -> Report:
+    """The per-type combination of ``rhat`` and ``rbar`` (R̂ and R̄ on ``rep``,
+    over the z ring) reproduces the explicit spectral operator ``rz``
+    entrywise; also reports which generic scheme produces it."""
     ring, family, rank = rep.ring, rep.family, rep.n
     z = ring.atom("z")
     out = Report()
     with out.timed("baxterize-match", family, rank) as it:
-        rhat = rhat_explicit(rep)
-        rbar = rbar_inverse_printed(rep)
         it.witness = first_mismatch(baxterize_bullet(rep, rhat, rbar, z), rz)
 
     with out.timed("baxterize-scheme", family, rank) as it:

@@ -34,9 +34,9 @@ class CaseContext:
     on first use and at most once: the fundamental module, its convex order
     and root-vector matrices, the modified generators, the pairing context
     (root vectors, oracle values and c_γ), the ordered product Θ, R̂ and R̄
-    over (r, s), the evaluation module, the module and R̂(z) over the z ring,
-    the affine intertwiner's V(x), V(y) and R̂(x/y), and the spectral YBE's
-    R̂(x)τ, R̂(y)τ and R̂(xy)τ."""
+    over (r, s), the evaluation module, the module with R̂(z), R̂ and R̄ over
+    the z ring, the affine intertwiner's V(x), V(y) and R̂(x/y), and the
+    spectral YBE's R̂(x)τ, R̂(y)τ and R̂(xy)τ."""
 
     def __init__(self, family: str, rank: int):
         self.family = family
@@ -85,6 +85,14 @@ class CaseContext:
     @cached_property
     def rz(self):
         return affine.affine_rhat(self.zrep)
+
+    @cached_property
+    def zrhat(self):
+        return rmatrix.rhat_explicit(self.zrep)
+
+    @cached_property
+    def zrbar(self):
+        return rmatrix.rbar_inverse_printed(self.zrep)
 
     @cached_property
     def intertwiner(self):
@@ -154,7 +162,7 @@ CATALOGUE = (
     Check("rmatrix", "specialize", _a_or_b, _specialize),
     Check("affine", "intertwine", _affine, lambda c: affine.check_affine_intertwiner(c.family, c.rank, c.intertwiner)),
     Check("affine", "ybe", _ybe, lambda c: affine.check_spectral_ybe(c.family, c.rank, c.ybe), "spectral-ybe"),
-    Check("affine", "baxterize-match", _affine, lambda c: affine.check_baxterize_match(c.zrep, c.rz)),
+    Check("affine", "baxterize-match", _affine, lambda c: affine.check_baxterize_match(c.zrep, c.rz, c.zrhat, c.zrbar)),
     Check("affine", "degree", _affine, lambda c: affine.check_degree_bounds(c.zrep, c.rz), "z-degree-bound"),
     Check("affine", "unit", _affine, lambda c: affine.check_unit_point(c.zrep, c.rz), "unit-point"),
     Check("embed", "dj", _always, lambda c: embed.verify_dj_relations(c.rep, c.modified)),

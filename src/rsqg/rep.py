@@ -67,8 +67,25 @@ class Representation:
         return out
 
 
+def _diag(ring: ScalarRing, N: int, listed: dict[int, Scalar]) -> SMatrix:
+    """The N×N diagonal matrix with the ``listed`` entries (1-based) and 1
+    elsewhere."""
+    return SMatrix.from_entries(ring, N, N, [(j - 1, j - 1, listed.get(j, ring.one)) for j in range(1, N + 1)])
+
+
+def _rs_pairs(ring: ScalarRing, N: int, js, d: int) -> dict[int, Scalar]:
+    """(rs)^{-d} at each j in ``js`` and (rs)^d at its partner j' = N+1-j."""
+    lo, hi = ring.mono(r=-d, s=-d), ring.mono(r=d, s=d)
+    return {**{j: lo for j in js}, **{N + 1 - j: hi for j in js}}
+
+
 def build_fundamental(family: str, rank: int, ring: ScalarRing | None = None) -> Representation:
-    """The N-dimensional module: N = n+1 (A), 2n+1 (B), 2n (C and D)."""
+    """The N-dimensional module: N = n+1 (A), 2n+1 (B), 2n (C and D).
+
+    On a vector of weight λ, ω_i acts by (ω'_λ, ω_i) and ω'_i by
+    (ω'_i, ω_λ)^{-1}.  As (ω'_λ, ω_μ) = r^⟨λ,μ⟩ s^{-⟨μ,λ⟩}, the second is the
+    first under the exchange r ↔ s, so each ω'_i is built as the exchanged
+    ω_i."""
     rs = build_root_system(family, rank)
     ring = ring if ring is not None else rs_ring()
     n, N = rs.n, rs.N
@@ -78,129 +95,40 @@ def build_fundamental(family: str, rank: int, ring: ScalarRing | None = None) ->
     def mat(*terms):
         return SMatrix.from_entries(ring, N, N, [(i - 1, j - 1, c) for (i, j, c) in terms])
 
+    diag = lambda listed: _diag(ring, N, listed)
     pr = lambda i: N + 1 - i
     e: dict[int, SMatrix] = {}
     f: dict[int, SMatrix] = {}
     om: dict[int, SMatrix] = {}
-    omp: dict[int, SMatrix] = {}
 
     if family == "A":
         for i in range(1, n + 1):
             e[i] = mat((i, i + 1, one))
             f[i] = mat((i + 1, i, one))
-            om[i] = mat(
-                (i, i, R(r=1)),
-                (i + 1, i + 1, R(s=1)),
-                *[(j, j, one) for j in range(1, N + 1) if j not in (i, i + 1)],
-            )
-            omp[i] = mat(
-                (i, i, R(s=1)),
-                (i + 1, i + 1, R(r=1)),
-                *[(j, j, one) for j in range(1, N + 1) if j not in (i, i + 1)],
-            )
-    elif family == "B":
-        for i in range(1, n + 1):
-            e[i] = mat((i, i + 1, one), (pr(i + 1), pr(i), -one))
-        for i in range(1, n):
-            f[i] = mat((i + 1, i, one), (pr(i), pr(i + 1), -R(r=-2, s=-2)))
-        coeff = R(r=-1) + R(s=-1)
-        f[n] = mat((n + 1, n, coeff), (pr(n), n + 1, -coeff))
-        for i in range(1, n):
-            om[i] = mat(
-                (i, i, R(r=2)),
-                (i + 1, i + 1, R(s=2)),
-                (pr(i), pr(i), R(r=-2)),
-                (pr(i + 1), pr(i + 1), R(s=-2)),
-                (n + 1, n + 1, one),
-                *[t for j in range(1, n + 1) if j not in (i, i + 1) for t in ((j, j, one), (pr(j), pr(j), one))],
-            )
-            omp[i] = mat(
-                (i, i, R(s=2)),
-                (i + 1, i + 1, R(r=2)),
-                (pr(i), pr(i), R(s=-2)),
-                (pr(i + 1), pr(i + 1), R(r=-2)),
-                (n + 1, n + 1, one),
-                *[t for j in range(1, n + 1) if j not in (i, i + 1) for t in ((j, j, one), (pr(j), pr(j), one))],
-            )
-        om[n] = mat(
-            (n, n, R(r=1, s=-1)),
-            (n + 1, n + 1, one),
-            (pr(n), pr(n), R(r=-1, s=1)),
-            *[t for j in range(1, n) for t in ((j, j, R(r=-1, s=-1)), (pr(j), pr(j), R(r=1, s=1)))],
-        )
-        omp[n] = mat(
-            (n, n, R(r=-1, s=1)),
-            (n + 1, n + 1, one),
-            (pr(n), pr(n), R(r=1, s=-1)),
-            *[t for j in range(1, n) for t in ((j, j, R(r=-1, s=-1)), (pr(j), pr(j), R(r=1, s=1)))],
-        )
-    elif family == "C":
-        for i in range(1, n):
-            e[i] = mat((i, i + 1, one), (pr(i + 1), pr(i), -one))
-            f[i] = mat((i + 1, i, one), (pr(i), pr(i + 1), -R(r=-1, s=-1)))
-        e[n] = mat((n, pr(n), one))
-        f[n] = mat((pr(n), n, R(r=-1, s=-1)))
-        for i in range(1, n):
-            om[i] = mat(
-                (i, i, R(r=1)),
-                (i + 1, i + 1, R(s=1)),
-                (pr(i), pr(i), R(r=-1)),
-                (pr(i + 1), pr(i + 1), R(s=-1)),
-                *[t for j in range(1, n + 1) if j not in (i, i + 1) for t in ((j, j, one), (pr(j), pr(j), one))],
-            )
-            omp[i] = mat(
-                (i, i, R(s=1)),
-                (i + 1, i + 1, R(r=1)),
-                (pr(i), pr(i), R(s=-1)),
-                (pr(i + 1), pr(i + 1), R(r=-1)),
-                *[t for j in range(1, n + 1) if j not in (i, i + 1) for t in ((j, j, one), (pr(j), pr(j), one))],
-            )
-        om[n] = mat(
-            (n, n, R(r=1, s=-1)),
-            (pr(n), pr(n), R(r=-1, s=1)),
-            *[t for j in range(1, n) for t in ((j, j, R(r=-1, s=-1)), (pr(j), pr(j), R(r=1, s=1)))],
-        )
-        omp[n] = mat(
-            (n, n, R(r=-1, s=1)),
-            (pr(n), pr(n), R(r=1, s=-1)),
-            *[t for j in range(1, n) for t in ((j, j, R(r=-1, s=-1)), (pr(j), pr(j), R(r=1, s=1)))],
-        )
+            om[i] = diag({i: R(r=1), i + 1: R(s=1)})
     else:
+        # below node n the three types agree up to d = d_i
         for i in range(1, n):
+            d = rs.d[i - 1]
             e[i] = mat((i, i + 1, one), (pr(i + 1), pr(i), -one))
-            f[i] = mat((i + 1, i, one), (pr(i), pr(i + 1), -R(r=-1, s=-1)))
-        e[n] = mat((n - 1, pr(n), R(r=-1, s=-1)), (n, pr(n - 1), -one))
-        f[n] = mat((pr(n), n - 1, one), (pr(n - 1), n, -one))
-        for i in range(1, n):
-            om[i] = mat(
-                (i, i, R(r=1)),
-                (i + 1, i + 1, R(s=1)),
-                (pr(i), pr(i), R(r=-1)),
-                (pr(i + 1), pr(i + 1), R(s=-1)),
-                *[t for j in range(1, n + 1) if j not in (i, i + 1) for t in ((j, j, one), (pr(j), pr(j), one))],
-            )
-            omp[i] = mat(
-                (i, i, R(s=1)),
-                (i + 1, i + 1, R(r=1)),
-                (pr(i), pr(i), R(s=-1)),
-                (pr(i + 1), pr(i + 1), R(r=-1)),
-                *[t for j in range(1, n + 1) if j not in (i, i + 1) for t in ((j, j, one), (pr(j), pr(j), one))],
-            )
-        om[n] = mat(
-            (n - 1, n - 1, R(s=-1)),
-            (n, n, R(r=1)),
-            (pr(n - 1), pr(n - 1), R(s=1)),
-            (pr(n), pr(n), R(r=-1)),
-            *[t for j in range(1, n - 1) for t in ((j, j, R(r=-1, s=-1)), (pr(j), pr(j), R(r=1, s=1)))],
-        )
-        omp[n] = mat(
-            (n - 1, n - 1, R(r=-1)),
-            (n, n, R(s=1)),
-            (pr(n - 1), pr(n - 1), R(r=1)),
-            (pr(n), pr(n), R(s=-1)),
-            *[t for j in range(1, n - 1) for t in ((j, j, R(r=-1, s=-1)), (pr(j), pr(j), R(r=1, s=1)))],
-        )
+            f[i] = mat((i + 1, i, one), (pr(i), pr(i + 1), -R(r=-d, s=-d)))
+            om[i] = diag({i: R(r=d), i + 1: R(s=d), pr(i): R(r=-d), pr(i + 1): R(s=-d)})
+        # ω_n is (rs)^{∓1} on the v_j and v_j' below its own entries
+        if family == "B":
+            e[n] = mat((n, n + 1, one), (n + 1, pr(n), -one))
+            coeff = R(r=-1) + R(s=-1)
+            f[n] = mat((n + 1, n, coeff), (pr(n), n + 1, -coeff))
+            om[n] = diag({**_rs_pairs(ring, N, range(1, n), 1), n: R(r=1, s=-1), pr(n): R(r=-1, s=1)})
+        elif family == "C":
+            e[n] = mat((n, pr(n), one))
+            f[n] = mat((pr(n), n, R(r=-1, s=-1)))
+            om[n] = diag({**_rs_pairs(ring, N, range(1, n), 1), n: R(r=1, s=-1), pr(n): R(r=-1, s=1)})
+        else:
+            e[n] = mat((n - 1, pr(n), R(r=-1, s=-1)), (n, pr(n - 1), -one))
+            f[n] = mat((pr(n), n - 1, one), (pr(n - 1), n, -one))
+            om[n] = diag({**_rs_pairs(ring, N, range(1, n - 1), 1), n - 1: R(s=-1), n: R(r=1), pr(n - 1): R(s=1), pr(n): R(r=-1)})
 
+    omp = {i: m.exchanged_params() for i, m in om.items()}
     return Representation(rs, ring, N, e, f, om, omp, fundamental_weights(rs))
 
 
@@ -517,69 +445,25 @@ def build_evaluation(
     def mat(*terms):
         return SMatrix.from_entries(ring, N, N, [(i - 1, j - 1, v) for (i, j, v) in terms])
 
+    diag = lambda listed: _diag(ring, N, listed)
     pr = rep.prime
+    # ω_0 is c times the c-free diagonal P, and ω'_0 is c times P under r ↔ s;
+    # c is applied after the exchange, since a and b need not be symmetric in r, s
     if family == "A":
         e0 = mat((N, 1, au))
         f0 = mat((1, N, bu))
-        om0 = mat(
-            (1, 1, c * R(r=-1)),
-            (N, N, c * R(s=-1)),
-            *[(i, i, c * R(r=-1, s=-1)) for i in range(2, N)],
-        )
-        omp0 = mat(
-            (1, 1, c * R(s=-1)),
-            (N, N, c * R(r=-1)),
-            *[(i, i, c * R(r=-1, s=-1)) for i in range(2, N)],
-        )
-    elif family == "B":
-        e0 = mat((pr(1), 2, au), (pr(2), 1, -au * R(r=2, s=2)))
-        f0 = mat((2, pr(1), bu), (1, pr(2), -bu))
-        om0 = mat(
-            (1, 1, c * R(s=2)),
-            (2, 2, c * R(r=-2)),
-            (pr(2), pr(2), c * R(r=2)),
-            (pr(1), pr(1), c * R(s=-2)),
-            (n + 1, n + 1, c),
-            *[t for i in range(3, n + 1) for t in ((i, i, c * R(r=-2, s=-2)), (pr(i), pr(i), c * R(r=2, s=2)))],
-        )
-        omp0 = mat(
-            (1, 1, c * R(r=2)),
-            (2, 2, c * R(s=-2)),
-            (pr(2), pr(2), c * R(s=2)),
-            (pr(1), pr(1), c * R(r=-2)),
-            (n + 1, n + 1, c),
-            *[t for i in range(3, n + 1) for t in ((i, i, c * R(r=-2, s=-2)), (pr(i), pr(i), c * R(r=2, s=2)))],
-        )
+        P = diag({1: R(r=-1), N: R(s=-1), **{i: R(r=-1, s=-1) for i in range(2, N)}})
     elif family == "C":
         e0 = mat((pr(1), 1, au))
         f0 = mat((1, pr(1), bu))
-        om0 = mat(
-            (1, 1, c * R(r=-1, s=1)),
-            (pr(1), pr(1), c * R(r=1, s=-1)),
-            *[t for i in range(2, n + 1) for t in ((i, i, c * R(r=-1, s=-1)), (pr(i), pr(i), c * R(r=1, s=1)))],
-        )
-        omp0 = mat(
-            (1, 1, c * R(r=1, s=-1)),
-            (pr(1), pr(1), c * R(r=-1, s=1)),
-            *[t for i in range(2, n + 1) for t in ((i, i, c * R(r=-1, s=-1)), (pr(i), pr(i), c * R(r=1, s=1)))],
-        )
+        P = diag({1: R(r=-1, s=1), pr(1): R(r=1, s=-1), **_rs_pairs(ring, N, range(2, n + 1), 1)})
     else:
-        e0 = mat((pr(1), 2, au), (pr(2), 1, -au * R(r=1, s=1)))
+        d = aff.d0  # B and D
+        e0 = mat((pr(1), 2, au), (pr(2), 1, -au * R(r=d, s=d)))
         f0 = mat((2, pr(1), bu), (1, pr(2), -bu))
-        om0 = mat(
-            (1, 1, c * R(s=1)),
-            (2, 2, c * R(r=-1)),
-            (pr(2), pr(2), c * R(r=1)),
-            (pr(1), pr(1), c * R(s=-1)),
-            *[t for i in range(3, n + 1) for t in ((i, i, c * R(r=-1, s=-1)), (pr(i), pr(i), c * R(r=1, s=1)))],
-        )
-        omp0 = mat(
-            (1, 1, c * R(r=1)),
-            (2, 2, c * R(s=-1)),
-            (pr(2), pr(2), c * R(s=1)),
-            (pr(1), pr(1), c * R(r=-1)),
-            *[t for i in range(3, n + 1) for t in ((i, i, c * R(r=-1, s=-1)), (pr(i), pr(i), c * R(r=1, s=1)))],
-        )
+        P = diag({1: R(s=d), 2: R(r=-d), pr(2): R(r=d), pr(1): R(s=-d), **_rs_pairs(ring, N, range(3, n + 1), d)})
+    om0 = P.scale(c)
+    omp0 = P.exchanged_params().scale(c)
 
     gamma = om0 @ rep.omega_of(aff.theta.alpha)
     gamma_prime = omp0 @ rep.omega_prime_of(aff.theta.alpha)

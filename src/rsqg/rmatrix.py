@@ -93,6 +93,28 @@ def verify_tables(rep: Representation, rhat: SMatrix) -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _bcd_head(rep: Representation) -> tuple[Scalar, Scalar]:
+    """λ₁ = r^{-h} s^h and c = (r^{2h} - s^{2h})(rs)^{-h} of the B/C/D
+    displays of R̂ and R̄, with h = 1 (B) or ½ (C, D)."""
+    R = rep.ring.mono
+    h = 1 if rep.family == "B" else Fraction(1, 2)
+    return R(r=-h, s=h), (R(r=2 * h) - R(s=2 * h)) * R(r=-h, s=-h)
+
+
+def _bcd_diagonal(rep: Representation, lam: Scalar) -> list[tuple[int, int, int, int, Scalar]]:
+    """lam on E_ii⊗E_ii and lam^{-1} on E_ii'⊗E_i'i, except 1 on B's middle
+    E_{n+1,n+1}⊗E_{n+1,n+1}."""
+    n, pr = rep.n, rep.prime
+    ent = []
+    for i in range(1, rep.N + 1):
+        if rep.family == "B" and i == n + 1:
+            ent.append((i, i, i, i, rep.ring.one))
+        else:
+            ent.append((i, i, i, i, lam))
+            ent.append((i, pr(i), pr(i), i, lam.inv()))
+    return ent
+
+
 def rhat_explicit(rep: Representation) -> SMatrix:
     ring, n, N = rep.ring, rep.n, rep.N
     fam = rep.family
@@ -111,41 +133,21 @@ def rhat_explicit(rep: Representation) -> SMatrix:
                 ent.append((j, j, i, i, one - R(r=1, s=-1)))
     else:
         tab = CoefficientTables(rep)
-        if fam == "B":
-            lam1, lam1_inv = R(r=-1, s=1), R(r=1, s=-1)
-            c = (R(r=2) - R(s=2)) * R(r=-1, s=-1)
-            for i in range(1, N + 1):
-                if i == n + 1:
-                    ent.append((i, i, i, i, one))
-                else:
-                    ent.append((i, i, i, i, lam1))
-                    ent.append((i, pr(i), pr(i), i, lam1_inv))
-            for i in range(1, n + 1):
-                ent.append((pr(i), pr(i), i, i, c * (R(r=2 * (n - i) + 1, s=2 * (i - n) - 1) - one)))
-        else:
-            half = Fraction(1, 2)
-            lam1, lam1_inv = R(r=-half, s=half), R(r=half, s=-half)
-            # sign convention below: the i > j diagonal block carries -c and
-            # the t_i t_j^{-1} block +c, shared with the B branch
-            c = (R(r=1) - R(s=1)) * R(r=-half, s=-half)
-            for i in range(1, N + 1):
-                ent.append((i, i, i, i, lam1))
-                ent.append((i, pr(i), pr(i), i, lam1_inv))
-            for i in range(1, n + 1):
-                if fam == "C":
-                    factor = R(r=n + 1 - i, s=i - n - 1) + one
-                else:
-                    factor = one - R(r=n - i, s=i - n)
-                ent.append((pr(i), pr(i), i, i, -c * factor))
+        lam1, c = _bcd_head(rep)
+        ent += _bcd_diagonal(rep, lam1)
+        for i in range(1, n + 1):
+            if fam == "B":
+                factor = c * (R(r=2 * (n - i) + 1, s=2 * (i - n) - 1) - one)
+            elif fam == "C":
+                factor = -c * (R(r=n + 1 - i, s=i - n - 1) + one)
+            else:
+                factor = -c * (one - R(r=n - i, s=i - n))
+            ent.append((pr(i), pr(i), i, i, factor))
         for i in range(1, N + 1):
             for j in range(1, N + 1):
                 if j in (i, pr(i)):
                     continue
                 ent.append((i, j, j, i, tab.a(i, j)))
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                if j == pr(i) or j == i:
-                    continue
                 if i > j:
                     ent.append((i, i, j, j, -c))
                 else:
@@ -282,37 +284,17 @@ def rbar_inverse_printed(rep: Representation) -> SMatrix:
                 ent.append((j, i, i, j, R(s=1)))
                 ent.append((i, j, j, i, R(r=-1)))
                 ent.append((i, i, j, j, one - R(r=-1, s=1)))
-    elif fam == "B":
-        c = (R(s=2) - R(r=2)) * R(r=-1, s=-1)
-        for i in range(1, N + 1):
-            if i == n + 1:
-                ent.append((i, i, i, i, one))
-            else:
-                ent.append((i, i, i, i, R(r=1, s=-1)))
-                ent.append((i, pr(i), pr(i), i, R(r=-1, s=1)))
-        for i in range(1, n + 1):
-            ent.append((i, i, pr(i), pr(i), c * (R(r=2 * (i - n) - 1, s=2 * (n - i) + 1) - one)))
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                if j in (i, pr(i)):
-                    continue
-                ent.append((i, j, j, i, tab.a(i, j)))
-                if i < j:
-                    ent.append((i, i, j, j, -c))
-                else:
-                    ent.append((pr(i), j, i, pr(j), c * tab.t(i) * tab.t(j).inv()))
     else:
-        half = Fraction(1, 2)
-        c = (R(r=1) - R(s=1)) * R(r=-half, s=-half)
-        for i in range(1, N + 1):
-            ent.append((i, i, i, i, R(r=half, s=-half)))
-            ent.append((i, pr(i), pr(i), i, R(r=-half, s=half)))
+        lam1, c = _bcd_head(rep)
+        ent += _bcd_diagonal(rep, lam1.inv())
         for i in range(1, n + 1):
-            if fam == "C":
-                factor = R(r=i - n - 1, s=n + 1 - i) + one
+            if fam == "B":
+                factor = -c * (R(r=2 * (i - n) - 1, s=2 * (n - i) + 1) - one)
+            elif fam == "C":
+                factor = c * (R(r=i - n - 1, s=n + 1 - i) + one)
             else:
-                factor = one - R(r=i - n, s=n - i)
-            ent.append((i, i, pr(i), pr(i), c * factor))
+                factor = c * (one - R(r=i - n, s=n - i))
+            ent.append((i, i, pr(i), pr(i), factor))
         for i in range(1, N + 1):
             for j in range(1, N + 1):
                 if j in (i, pr(i)):

@@ -88,10 +88,8 @@ def test_criterion_06_spectral_ybe():
 
 def test_criterion_07_baxterization():
     t0 = time.perf_counter()
-    reports = [
-        check_baxterize_match(case(f, n).zrep, case(f, n).rz)
-        for f, n in [("A", 2), ("B", 2), ("C", 2), ("D", 3)]
-    ]
+    cases = [case(f, n) for f, n in [("A", 2), ("B", 2), ("C", 2), ("D", 3)]]
+    reports = [check_baxterize_match(c.zrep, c.rz, c.zrhat, c.zrbar) for c in cases]
     _assert_report(7, "Yang-Baxterization reproduces the spectral operators", t0, reports)
 
 

@@ -58,15 +58,18 @@ def test_a_type_entry():
 
 @pytest.mark.parametrize("family,rank", AFFINE_DESK + [("A", 1), ("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_baxterize_match(family, rank):
-    out = check_baxterize_match(case(family, rank).zrep, case(family, rank).rz)
+    c = case(family, rank)
+    out = check_baxterize_match(c.zrep, c.rz, c.zrhat, c.zrbar)
     assert out.ok(), [it.line() for it in out.items if not it.ok]
 
 
 def test_baxterize_schemes_recorded():
-    out = check_baxterize_match(case("C", 2).zrep, case("C", 2).rz)
+    c = case("C", 2)
+    out = check_baxterize_match(c.zrep, c.rz, c.zrhat, c.zrbar)
     schemes = {it.witness for it in out.items if it.name == "baxterize-scheme"}
     assert schemes == {"scheme=three-eigen-b"}
-    out = check_baxterize_match(case("B", 2).zrep, case("B", 2).rz)
+    c = case("B", 2)
+    out = check_baxterize_match(c.zrep, c.rz, c.zrhat, c.zrbar)
     schemes = {it.witness for it in out.items if it.name == "baxterize-scheme"}
     assert schemes == {"scheme=three-eigen-a"}
 

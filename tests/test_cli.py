@@ -9,7 +9,7 @@ import pytest
 
 from rsqg.cli import run
 from rsqg.matrices import matrix_from_json, matrix_to_json
-from rsqg.rmatrix import build_rhat_explicit
+from rsqg.rmatrix import build_rbar_inverse, build_rhat_explicit
 from rsqg.scalars import rs_ring
 
 
@@ -78,12 +78,34 @@ def test_rep_dump(tmp_path, capsys):
         (["--affine", "--family", "B", "--rank", "2"], "11e3f1c3b10213aaf80624f28d161443e6434ed60d68fc15301048b3edb9620e"),
         (["--affine", "--family", "D", "--rank", "3"], "12751907fac8ff8c545bc34ba2c43d016fbad66b023810248826d416b978820b"),
         (["--family", "C", "--rank", "3"], "967e0dbc6bdc77bab01113eb1b4c5e47d9156a4bb64435cae76889bb5c3065b2"),
+        (["--family", "A", "--rank", "3"], "95d9778faedd314f7c48a18dd1814fd26588b1cd31199c0ee4437ec1e9c36c94"),
+        (["--family", "B", "--rank", "3"], "a72c91f0e73720502159f9a26e0cad8a7b08758e82ee9135a0f3cd188d45c60e"),
+        (["--family", "D", "--rank", "4"], "ac415e062ba34bc52e890e55364995c4bd5030ee8a4e11bc88ebf3a084819ae9"),
+        (["--affine", "--family", "A", "--rank", "3"], "d2ae3edfe2d9afc47fe7783705920134572494a80be52aaeb7f7655032c0f8b1"),
+        (["--affine", "--family", "C", "--rank", "3"], "368b40efe2b217405cf3c8a0ea78a267a6dd720dc2ad403517c01ff929d00480"),
     ],
 )
 def test_rep_dump_bytes_are_pinned(tmp_path, args, digest):
     path = tmp_path / "rep.json"
     assert run(["rep", "dump", *args, "--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "builder,family,rank,digest",
+    [
+        (build_rhat_explicit, "B", 2, "a95f846b404494ebe2a45da75c3d2259e13f2942724edff816eeafe9b44a0d46"),
+        (build_rhat_explicit, "C", 3, "c3cbb7bc50be17ea29e90946a4563eb73c4fee4073132bf3296d7694f59f673c"),
+        (build_rhat_explicit, "D", 4, "a90e41dfe9ab314d80a3e14aa426b80941f084180126bd57190fdd79986b9c75"),
+        (build_rbar_inverse, "B", 2, "0552653396532ab77b0ac297ed14dc8a299a4f7005374859d4cb3c62dd05b46c"),
+        (build_rbar_inverse, "C", 3, "5dec5e33e92bca345e27d8ef139772a35e65d186bfd355243289bdf1201de6ac"),
+        (build_rbar_inverse, "D", 4, "f79517d064a810b26718dc3379a10ef0f9b05e9b2f7c4354008180ae05b74988"),
+    ],
+)
+def test_rmatrix_json_is_pinned(builder, family, rank, digest):
+    """SHA-256 of the sorted, compact matrix JSON of the R̂ and R̄ displays."""
+    text = json.dumps(matrix_to_json(builder(family, rank)), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_pairing_constants_cli(capsys):

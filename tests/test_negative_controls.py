@@ -69,9 +69,11 @@ PERTURBATIONS = [
     ("finite", "e-f-commutator", "e", "n", _entry_times_r, CASES),
     ("finite", "serre", "e", "n", _entry_times_r, [("D", 3)]),
     ("finite", "weight-labels", "omega", 1, _entry_times_r, CASES),
+    ("finite", "weight-labels", "omega_prime", 1, _entry_times_r, OPERATOR_CASES),
     ("affine", "affine-cartan-commute", "omega", 0, _off_diagonal, CASES),
     ("affine", "affine-central", "c", None, _scalar_times_r, CASES),
     ("affine", "affine-cartan-conj", "omega", 0, _entry_times_r, CASES),
+    ("affine", "affine-cartan-conj", "omega_prime", 0, _entry_times_r, OPERATOR_CASES),
     ("affine", "affine-e-f-commutator", "e", 0, _entry_times_r, CASES),
     ("affine", "affine-serre", "e", 0, _entry_times_r, [("B", 2), ("D", 3)]),
     ("affine", "degree-conjugation", "e", 0, _times_x, CASES),
@@ -179,6 +181,8 @@ OPERATOR_PERTURBATIONS = [
     ("rxy", _corner_plus_one, AFFINE_INTERTWINER, OPERATOR_CASES),
     ("ybe", _entry_times_r, ["spectral-ybe"], OPERATOR_CASES),
     ("rz", _entry_times_r, ["baxterize-match", "baxterize-scheme", "unit-point"], OPERATOR_CASES),
+    ("zrhat", _entry_times_r, ["baxterize-match", "baxterize-scheme"], OPERATOR_CASES),
+    ("zrbar", _entry_times_r, ["baxterize-match", "baxterize-scheme"], OPERATOR_CASES),
     ("rz", _entry_times_r, ["specialize-affine", "affine-z0-limit", "twist-A-affine"], [("A", 2)]),
     ("rz", _times_z_squared, ["z-degree-bound"], OPERATOR_CASES),
     ("e_top", _entry_times_r, ["root-vector-closed-forms", "root-vector-embedding"], OPERATOR_CASES),

@@ -59,6 +59,7 @@ def test_each_operator_is_built_once_per_case(monkeypatch):
     assert calls["rhat_explicit/rs"] == 1
     assert calls["build_root_vector_matrices"] == 1
     assert calls["lalonde_ram"] == 1
+    assert calls["rhat_explicit/z"] == 1
     assert calls["rbar_inverse_printed/z"] == 1
     # dj and root-vector-embedding share one set
     assert calls["modified_generators"] == 1
