@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .matrices import SMatrix, act_12, act_13, act_23, flip_map, tensor_units
+from .matrices import PairAction, SMatrix, flip_map, tensor_units
 from .rep import KAPPA, EvaluationRep, Representation, build_evaluation, build_fundamental, coproduct
 from .report import Report, first_mismatch
 from .rmatrix import CoefficientTables, eigenvalues
@@ -261,24 +261,54 @@ def spectral_ybe_operators(family: str, rank: int) -> tuple[SMatrix, SMatrix, SM
 
 def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -> Report:
     """R₁₂(x) R₁₃(xy) R₂₃(y) = R₂₃(y) R₁₃(xy) R₁₂(x) on V⊗V⊗V with two
-    independent ratio variables.  The ``operators`` (R(x), R(y), R(xy)) are
-    the case's, or else built by ``spectral_ybe_operators`` on its clock."""
+    independent ratio variables, and every entry of the left side within the
+    spectral degree bound.  The ``operators`` (R(x), R(y), R(xy)) are the
+    case's, or else built by ``spectral_ybe_operators`` on its clock.
+
+    Both sides are applied to one basis vector v_a⊗v_b⊗v_c at a time, so one
+    column of each side is alive at a time and no V⊗³ matrix is built.  A
+    failure names its column and row as basis vectors and gives both sides'
+    values there."""
     out = Report()
     with out.timed("spectral-ybe", family, rank) as it:
         r_x, r_y, r_xy = operators or spectral_ybe_operators(family, rank)
         N = isqrt(r_x.nrows)
-        r12, r23, r13 = act_12(r_x, N), act_23(r_y, N), act_13(r_xy, N)
-        lhs = r12 @ r13 @ r23
-        w = first_mismatch(lhs, r23 @ r13 @ r12)
-        # degree sanity: three factors of z-degree ≤ 2 each
-        if not w:
-            bound = 2 if family == "A" else 4
-            for i, row in lhs.rows.items():
-                for j, v in row.items():
-                    if v.z_degree("x") > bound or v.z_degree("y") > bound:
-                        w = w or f"entry ({i},{j}) exceeds the spectral degree bound"
+        r12, r13, r23 = PairAction(r_x, N, (1, 2)), PairAction(r_xy, N, (1, 3)), PairAction(r_y, N, (2, 3))
+        # three factors of z-degree ≤ 1 (A) or ≤ 2 (B/C/D), two of them in x and two in y
+        bound = 2 if family == "A" else 4
+        one = r_x.ring.one
+        w = ""
+        for col in range(N**3):
+            v = {col: one}
+            w = _ybe_column_witness(col, r12(r13(r23(v))), r23(r13(r12(v))), N, bound)
+            if w:
+                break
         it.witness = w
     return out
+
+
+def _basis3(k: int, N: int) -> str:
+    """v_a⊗v_b⊗v_c (1-indexed) for the flattened V⊗V⊗V index k."""
+    a, bc = divmod(k, N * N)
+    b, c = divmod(bc, N)
+    return f"v_{a + 1}⊗v_{b + 1}⊗v_{c + 1}"
+
+
+def _ybe_column_witness(col: int, lhs: dict, rhs: dict, N: int, bound: int) -> str:
+    """The first row (in index order) where the two sides of column ``col``
+    differ, else the first left-side entry above the degree bound; "" when
+    the column passes."""
+    if lhs != rhs:
+        row = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
+        return f"column {_basis3(col, N)}, row {_basis3(row, N)}: LHS {lhs.get(row, 0)} vs RHS {rhs.get(row, 0)}"
+    for row in sorted(lhs):
+        dx, dy = lhs[row].z_degree("x"), lhs[row].z_degree("y")
+        if dx > bound or dy > bound:
+            return (
+                f"column {_basis3(col, N)}, row {_basis3(row, N)}: LHS entry of x-degree {dx} "
+                f"and y-degree {dy} exceeds the spectral degree bound {bound}"
+            )
+    return ""
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ its denominator is kept as it is.  All Laurent polynomials of a ring share
 the ring's one unit-denominator dict, which is how these paths recognise
 them.
 
-Sparse matrix products skip it too (``matrices.SMatrix.__matmul__``).  Each
+Sparse matrix products and mat-vecs skip it too
+(``matrices.SMatrix.__matmul__`` and ``matrices._combine_columns``).  Each
 output entry sums its Laurent products in place on one raw term dict, with
 ``_pmuladd`` (the package's one term-pair product loop, which ``_pmul`` also
 uses) and ``_paddto``; a unit factor passes the other factor's terms
@@ -621,7 +622,9 @@ class Scalar:
         return Scalar(self.ring, {half: _cdiv(rn, rd)}, self.ring._one_den, _raw=True)
 
     def exchange_vars(self, name1: str, name2: str) -> "Scalar":
-        """Swap the exponents of two variables (e.g. r <-> s)."""
+        """Swap the exponents of two variables (e.g. r <-> s).  A value the
+        swap fixes is returned as itself, so ``ring.one`` stays the shared
+        unit that ``matrices.kron`` recognises by identity."""
         i = self.ring.index[name1]
         j = self.ring.index[name2]
         if self.ring.variables[i].denom != self.ring.variables[j].denom:
@@ -635,7 +638,10 @@ class Scalar:
                 out[tuple(ez)] = c
             return out
 
-        return _make(self.ring, sw(self._num), sw(self._den))
+        num, den = sw(self._num), sw(self._den)
+        if num == self._num and den == self._den:
+            return self
+        return _make(self.ring, num, den)
 
     def z_degree(self, name: str) -> int:
         """Largest exponent of the named variable in the numerator (0 for 0)."""

@@ -5,6 +5,7 @@ constraint), the spectral Yang-Baxter equation, and structure checks."""
 from __future__ import annotations
 
 import os
+from math import isqrt
 
 import pytest
 
@@ -17,8 +18,10 @@ from rsqg.affine import (
     check_degree_bounds,
     check_spectral_ybe,
     check_unit_point,
+    spectral_ybe_operators,
     xi_constant,
 )
+from rsqg.matrices import SMatrix, act_12, act_23, flip_map, kron
 from rsqg.rep import build_evaluation, build_fundamental
 from rsqg.rmatrix import eigenvalues, rbar_inverse_printed, rhat_explicit
 from rsqg.scalars import rs_ring
@@ -131,6 +134,82 @@ def test_spectral_ybe(family, rank):
 @pytest.mark.parametrize("family,rank", [("B", 2), ("D", 3)])
 def test_spectral_ybe_long(family, rank):
     assert check_spectral_ybe(family, rank).ok()
+
+
+def _basis3(k: int, N: int) -> str:
+    a, bc = divmod(k, N * N)
+    return f"v_{a + 1}⊗v_{bc // N + 1}⊗v_{bc % N + 1}"
+
+
+def _matrix_form_witness(family: str, operators: tuple) -> str:
+    """The spectral YBE in matrix form: both sides as V⊗³ matrices from kron
+    and the flip of factors 2 and 3, and the witness the columnwise check
+    must give for them: the first column (index order) whose sides differ,
+    at its first differing row, or else the first left-side entry above the
+    degree bound."""
+    r_x, r_y, r_xy = operators
+    ring, N = r_x.ring, isqrt(r_x.nrows)
+    mid_flip = kron(SMatrix.identity(ring, N), flip_map(ring, N))
+    r12, r23 = act_12(r_x, N), act_23(r_y, N)
+    r13 = mid_flip @ act_12(r_xy, N) @ mid_flip
+    lhs, rhs = r12 @ r13 @ r23, r23 @ r13 @ r12
+    bound = 2 if family == "A" else 4
+    for col in range(N**3):
+        rows = range(N**3)
+        where = lambda row: f"column {_basis3(col, N)}, row {_basis3(row, N)}"
+        diff = [row for row in rows if lhs.get(row, col) != rhs.get(row, col)]
+        if diff:
+            row = diff[0]
+            return f"{where(row)}: LHS {lhs.get(row, col)} vs RHS {rhs.get(row, col)}"
+        for row in rows:
+            dx, dy = lhs.get(row, col).z_degree("x"), lhs.get(row, col).z_degree("y")
+            if dx > bound or dy > bound:
+                return f"{where(row)}: LHS entry of x-degree {dx} and y-degree {dy} exceeds the spectral degree bound {bound}"
+    return ""
+
+
+def _first_entry_times_r(m: SMatrix) -> SMatrix:
+    i, j, v = m.entries()[0]
+    return m + SMatrix.from_entries(m.ring, m.nrows, m.ncols, [(i, j, v * (m.ring.mono(r=1) - m.ring.one))])
+
+
+@pytest.mark.parametrize("change", ["none", "R(xy) entry times r", "R(x) times x^3"])
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("D", 3)])
+def test_columnwise_spectral_ybe_matches_the_matrix_form(family, rank, change):
+    """The columnwise check gives the verdict and the witness that the V⊗³
+    matrix products give, on the case's operators and on perturbed ones."""
+    r_x, r_y, r_xy = spectral_ybe_operators(family, rank)
+    if change == "R(xy) entry times r":
+        r_xy = _first_entry_times_r(r_xy)
+    elif change == "R(x) times x^3":
+        r_x = r_x.scale(r_x.ring.atom("x") ** 3)
+    expect = _matrix_form_witness(family, (r_x, r_y, r_xy))
+    (item,) = check_spectral_ybe(family, rank, (r_x, r_y, r_xy)).items
+    assert item.witness == expect
+    assert item.ok == (change == "none")
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
+def test_columnwise_spectral_ybe_covers_every_column_and_entry(monkeypatch, family, rank):
+    """A passing check applies six factor actions to each of the N³ basis
+    vectors, and reads the degrees of every nonzero entry of the left side:
+    as many as the V⊗³ matrix of the left side has."""
+    from rsqg import matrices, scalars
+
+    operators = spectral_ybe_operators(family, rank)
+    r_x, r_y, r_xy = operators
+    ring, N = r_x.ring, isqrt(r_x.nrows)
+    mid_flip = kron(SMatrix.identity(ring, N), flip_map(ring, N))
+    lhs = act_12(r_x, N) @ (mid_flip @ act_12(r_xy, N) @ mid_flip) @ act_23(r_y, N)
+    applied, degrees = [], []
+    call, z_degree = matrices.PairAction.__call__, scalars.Scalar.z_degree
+    monkeypatch.setattr(matrices.PairAction, "__call__", lambda self, vec: applied.append(vec) or call(self, vec))
+    monkeypatch.setattr(scalars.Scalar, "z_degree", lambda self, name: degrees.append(name) or z_degree(self, name))
+    assert check_spectral_ybe(family, rank, operators).ok()
+    assert len(applied) == 6 * N**3
+    # each side starts from the basis vector: three actions per side
+    assert applied[::3] == [{k: ring.one} for k in range(N**3) for side in ("LHS", "RHS")]
+    assert sorted(degrees) == sorted(["x", "y"] * lhs.nnz())
 
 
 @pytest.mark.parametrize("family,rank", AFFINE_DESK)

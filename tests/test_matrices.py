@@ -1,15 +1,16 @@
-"""Sparse matrices and tensor conventions, and the matmul/kron kernel
-against entrywise Scalar arithmetic."""
+"""Sparse matrices and tensor conventions, and the matmul/kron/mat-vec
+kernel against entrywise Scalar arithmetic."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsqg.matrices import SMatrix, act_12, act_13, act_23, flip_map, kron, mat_vec
+from rsqg.matrices import PairAction, SMatrix, act_12, act_23, flip_map, kron, mat_vec
 from rsqg.scalars import rs_ring
 
 
@@ -38,6 +39,13 @@ def test_flip(R):
     assert tau @ tau == SMatrix.identity(R, N * N)
 
 
+def _act_13(a: SMatrix, n: int) -> SMatrix:
+    """The reference for A on factors 1 and 3: A ⊗ Id conjugated by the flip
+    of factors 2 and 3."""
+    mid_flip = kron(SMatrix.identity(a.ring, n), flip_map(a.ring, n))
+    return mid_flip @ act_12(a, n) @ mid_flip
+
+
 def test_acting_on_three_factors(R):
     N = 2
     x = SMatrix.from_entries(R, N, N, [(0, 1, R.one)])
@@ -48,8 +56,11 @@ def test_acting_on_three_factors(R):
 
     assert mat_vec(act_12(a, N), basis(1, 1, 0)) == basis(0, 0, 0)
     assert mat_vec(act_23(a, N), basis(0, 1, 1)) == basis(0, 0, 0)
-    assert mat_vec(act_13(a, N), basis(1, 0, 1)) == basis(0, 0, 0)
-    assert mat_vec(act_13(a, N), basis(1, 1, 0)) == {}
+    assert mat_vec(_act_13(a, N), basis(1, 0, 1)) == basis(0, 0, 0)
+    assert mat_vec(_act_13(a, N), basis(1, 1, 0)) == {}
+    for factors, v in (((1, 2), basis(1, 1, 0)), ((2, 3), basis(0, 1, 1)), ((1, 3), basis(1, 0, 1))):
+        assert PairAction(a, N, factors)(v) == basis(0, 0, 0)
+    assert PairAction(a, N, (1, 3))(basis(1, 1, 0)) == {}
 
 
 def test_matmul_and_scale(R):
@@ -224,3 +235,75 @@ def test_unit_factor_passes_the_other_coefficients_through(R, unit):
     assert (left @ right).rows == {0: {0: p, 1: q + p}}
     assert kron(SMatrix.identity(R, 1), left).rows == left.rows
     assert kron(left, SMatrix.identity(R, 1)).rows == left.rows
+
+
+# -- mat-vec and the action on two of three factors ------------------------------
+
+
+@st.composite
+def _vectors(draw, ring, dim):
+    """Sparse vectors of length ``dim``, stored zero entries included."""
+    values = st.one_of(_entries(ring), st.just(ring.zero))
+    return draw(st.dictionaries(st.integers(0, dim - 1), values, max_size=dim))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mat_vec_is_the_entrywise_sum_of_products(data):
+    (a,) = data.draw(_factors(count=1))
+    vec = data.draw(_vectors(a.ring, a.ncols))
+    expect = {}
+    for i in range(a.nrows):
+        acc = a.ring.zero
+        for j, v in vec.items():
+            acc = acc + a.get(i, j) * v
+        if not acc.is_zero():
+            expect[i] = acc
+    got = mat_vec(a, vec)
+    assert got == expect
+    _assert_stored_form(SMatrix(a.ring, a.nrows, 1, {i: {0: v} for i, v in got.items()}))
+
+
+def _three_factor_references(a: SMatrix, n: int) -> dict:
+    return {(1, 2): act_12(a, n), (2, 3): act_23(a, n), (1, 3): _act_13(a, n)}
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
+def test_pair_action_on_every_basis_vector(family, rank):
+    """On every v_a⊗v_b⊗v_c, A on two factors equals the V⊗³ matrix that
+    kron and the flip build, for R̂ and for R(x) = R̂(x)τ."""
+    from rsqg.affine import spectral_ybe_operators
+    from rsqg.rmatrix import build_rhat_explicit
+
+    r_x = spectral_ybe_operators(family, rank)[0]
+    for a in (build_rhat_explicit(family, rank), r_x):
+        n = isqrt(a.nrows)
+        one = a.ring.one
+        for factors, ref in _three_factor_references(a, n).items():
+            act = PairAction(a, n, factors)
+            for k in range(n**3):
+                assert act({k: one}) == mat_vec(ref, {k: one}), (factors, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pair_action_on_random_vectors(data):
+    """Random operators on V ⊗ V (dim V from 1 to 3) with denominators and
+    unit entries, applied to random sparse vectors of V⊗V⊗V."""
+    ring = data.draw(st.sampled_from(_RINGS))
+    n = data.draw(st.integers(1, 3))
+    a = _matrix(data.draw, ring, n * n, n * n)
+    vec = data.draw(_vectors(ring, n**3))
+    for factors, ref in _three_factor_references(a, n).items():
+        got = PairAction(a, n, factors)(vec)
+        assert got == mat_vec(ref, vec), factors
+        _assert_stored_form(SMatrix(ring, n**3, 1, {i: {0: v} for i, v in got.items()}))
+
+
+def test_pair_action_rejects_other_factors_and_shapes(R):
+    a = SMatrix.identity(R, 4)
+    for factors in ((2, 1), (1, 1), (3, 4)):
+        with pytest.raises(ValueError, match="factors"):
+            PairAction(a, 2, factors)
+    with pytest.raises(ValueError, match="does not act"):
+        PairAction(a, 3, (1, 2))

@@ -6,6 +6,7 @@ that every item ``certify-all --long`` emits has one."""
 from __future__ import annotations
 
 import json
+import re
 from math import isqrt
 
 import pytest
@@ -219,6 +220,39 @@ def test_perturbed_operator_fails_the_item(operator, change, item, family, rank)
     items = {it.name: it for it in check.run(ctx).items}
     assert not items[item].ok
     assert items[item].witness
+
+
+YBE_CASES = [("A", 3), ("B", 2), ("C", 3), ("D", 4)]
+BASIS3 = r"v_\d+⊗v_\d+⊗v_\d+"
+
+
+@pytest.mark.parametrize("family,rank", YBE_CASES)
+def test_perturbed_r_xy_fails_spectral_ybe_with_a_basis_witness(family, rank):
+    """One entry of R(xy) times r: the witness names the column v_a⊗v_b⊗v_c,
+    the row, and both sides' values there."""
+    ctx = CaseContext(family, rank)
+    r_x, r_y, r_xy = ctx.ybe
+    ctx.ybe = (r_x, r_y, _entry_times_r(r_xy))
+    item = _run(ctx, "affine", "ybe")["spectral-ybe"]
+    assert not item.ok
+    match = re.fullmatch(rf"column ({BASIS3}), row ({BASIS3}): LHS (.+) vs RHS (.+)", item.witness)
+    assert match, item.witness
+    assert match[3] != match[4]
+
+
+@pytest.mark.parametrize("family,rank", YBE_CASES)
+def test_r_x_times_x_cubed_fails_the_spectral_degree_bound(family, rank):
+    """R(x) times x³ scales both sides alike, so the YBE still holds, and
+    only the degree bound on the left side's entries fails."""
+    ctx = CaseContext(family, rank)
+    r_x, r_y, r_xy = ctx.ybe
+    ctx.ybe = (r_x.scale(r_x.ring.atom("x") ** 3), r_y, r_xy)
+    item = _run(ctx, "affine", "ybe")["spectral-ybe"]
+    assert not item.ok
+    pattern = rf"column {BASIS3}, row {BASIS3}: LHS entry of x-degree (\d+) and y-degree \d+ exceeds the spectral degree bound (\d+)"
+    match = re.fullmatch(pattern, item.witness)
+    assert match, item.witness
+    assert int(match[1]) > int(match[2]) == (2 if family == "A" else 4)
 
 
 def _run(ctx: CaseContext, group: str, name: str) -> dict:

@@ -261,6 +261,18 @@ def test_exchange_vars(R):
     assert y == R.mono(s=2, r=-1) + R.mono(3, s=1)
 
 
+def test_exchange_vars_returns_a_fixed_value_itself(R):
+    """A value the r <-> s swap fixes comes back as the same object, so the
+    unit stays ``ring.one``; a value it moves comes back new and canonical."""
+    assert R.one.exchange_vars("r", "s") is R.one
+    for fixed in (R.zero, R.mono(r=1, s=1), R.one / (R.mono(r=1) + R.mono(s=1))):
+        assert fixed.exchange_vars("r", "s") is fixed
+    moved = R.one / (R.mono(r=1) + R.one)
+    assert moved.exchange_vars("r", "s") == R.one / (R.mono(s=1) + R.one)
+    assert moved.exchange_vars("r", "s")._den is not R._one_den
+    assert R.mono(r=1).exchange_vars("r", "s")._den is R._one_den
+
+
 # -- int coefficients: exact division and the float trap --------------------
 
 

@@ -178,3 +178,28 @@ def test_braid_shares_r12_r23(monkeypatch):
     assert out.ok()
     n3 = ctx.rep.N**3
     assert calls == [(n3, n3)] * 3
+
+
+def test_unit_entries_reach_kron_as_the_shared_one(monkeypatch):
+    """``kron`` skips a product by testing a factor for ``ring.one`` by
+    identity.  Over ``certify-all --max-rank 3``, 86 of the entries it is
+    given equal 1 without being that object (311 when ``exchange_vars`` gave
+    the fixed unit entries of every ω′ back as new Scalars)."""
+    import contextlib
+    import io
+
+    from rsqg import matrices
+
+    kron = matrices.kron
+    copies = [0]
+
+    def counted(a, b):
+        one = a.ring.one
+        copies[0] += sum(v is not one and v == one for m in (a, b) for row in m.rows.values() for v in row.values())
+        return kron(a, b)
+
+    _wrap_everywhere(monkeypatch, kron, counted)
+    monkeypatch.setenv("RSQG_JOBS", "1")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["certify-all", "--max-rank", "3"]) == 0
+    assert copies[0] == 86
