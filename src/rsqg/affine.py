@@ -12,7 +12,7 @@ from math import isqrt
 
 from .matrices import PairAction, SMatrix, flip_map, tensor_units
 from .rep import KAPPA, EvaluationRep, Representation, build_evaluation, build_fundamental, coproduct
-from .report import Report, first_mismatch
+from .report import Report, first_column_mismatch, first_mismatch
 from .rmatrix import CoefficientTables, eigenvalues
 from .scalars import Scalar, ScalarRing, rs_ring
 
@@ -194,7 +194,7 @@ def check_baxterize_match(rep: Representation, rz: SMatrix, rhat: SMatrix, rbar:
     z = ring.atom("z")
     out = Report()
     with out.timed("baxterize-match", family, rank) as it:
-        it.witness = first_mismatch(baxterize_bullet(rep, rhat, rbar, z), rz)
+        it.witness = first_mismatch(baxterize_bullet(rep, rhat, rbar, z), rz, rep.N)
 
     with out.timed("baxterize-scheme", family, rank) as it:
         lam = eigenvalues(rep)
@@ -238,7 +238,7 @@ def check_affine_intertwiner(family: str, rank: int, operators: tuple | None = N
             for i in range(rank + 1):
                 lhs = rz @ coproduct(ev_x, ev_y, kind, i)
                 rhs = coproduct(ev_y, ev_x, kind, i) @ rz
-                ww = first_mismatch(lhs, rhs)
+                ww = first_mismatch(lhs, rhs, ev_x.fin.N)
                 if ww:
                     w = w or f"{kind}_{i}: {ww}"
             it.witness = w
@@ -265,10 +265,8 @@ def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -
     spectral degree bound.  The ``operators`` (R(x), R(y), R(xy)) are the
     case's, or else built by ``spectral_ybe_operators`` on its clock.
 
-    Both sides are applied to one basis vector v_a⊗v_b⊗v_c at a time, so one
-    column of each side is alive at a time and no V⊗³ matrix is built.  A
-    failure names its column and row as basis vectors and gives both sides'
-    values there."""
+    Both sides are compared one column at a time (``first_column_mismatch``),
+    and a failure names its column and row as basis vectors."""
     out = Report()
     with out.timed("spectral-ybe", family, rank) as it:
         r_x, r_y, r_xy = operators or spectral_ybe_operators(family, rank)
@@ -276,39 +274,16 @@ def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -
         r12, r13, r23 = PairAction(r_x, N, (1, 2)), PairAction(r_xy, N, (1, 3)), PairAction(r_y, N, (2, 3))
         # three factors of z-degree ≤ 1 (A) or ≤ 2 (B/C/D), two of them in x and two in y
         bound = 2 if family == "A" else 4
-        one = r_x.ring.one
-        w = ""
-        for col in range(N**3):
-            v = {col: one}
-            w = _ybe_column_witness(col, r12(r13(r23(v))), r23(r13(r12(v))), N, bound)
-            if w:
-                break
-        it.witness = w
+
+        def over_bound(lhs: dict) -> tuple[int, str] | None:
+            for row in sorted(lhs):
+                dx, dy = lhs[row].z_degree("x"), lhs[row].z_degree("y")
+                if dx > bound or dy > bound:
+                    return row, f"LHS entry of x-degree {dx} and y-degree {dy} exceeds the spectral degree bound {bound}"
+            return None
+
+        it.witness = first_column_mismatch((r12, r13, r23), (r23, r13, r12), over_bound)
     return out
-
-
-def _basis3(k: int, N: int) -> str:
-    """v_a⊗v_b⊗v_c (1-indexed) for the flattened V⊗V⊗V index k."""
-    a, bc = divmod(k, N * N)
-    b, c = divmod(bc, N)
-    return f"v_{a + 1}⊗v_{b + 1}⊗v_{c + 1}"
-
-
-def _ybe_column_witness(col: int, lhs: dict, rhs: dict, N: int, bound: int) -> str:
-    """The first row (in index order) where the two sides of column ``col``
-    differ, else the first left-side entry above the degree bound; "" when
-    the column passes."""
-    if lhs != rhs:
-        row = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
-        return f"column {_basis3(col, N)}, row {_basis3(row, N)}: LHS {lhs.get(row, 0)} vs RHS {rhs.get(row, 0)}"
-    for row in sorted(lhs):
-        dx, dy = lhs[row].z_degree("x"), lhs[row].z_degree("y")
-        if dx > bound or dy > bound:
-            return (
-                f"column {_basis3(col, N)}, row {_basis3(row, N)}: LHS entry of x-degree {dx} "
-                f"and y-degree {dy} exceeds the spectral degree bound {bound}"
-            )
-    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +320,7 @@ def check_unit_point(rep: Representation, rz: SMatrix) -> Report:
         else:
             lam0 = ring.mono(r=-2, s=2) if family == "B" else ring.mono(r=-1, s=1)
             c = (ring.one - lam0) * (ring.one - xi_constant(family, rank, ring))
-        it.witness = first_mismatch(at_one, SMatrix.identity(ring, rep.N * rep.N).scale(c))
+        it.witness = first_mismatch(at_one, SMatrix.identity(ring, rep.N * rep.N).scale(c), rep.N)
     return out
 
 

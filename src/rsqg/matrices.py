@@ -13,7 +13,8 @@ dict and an accumulator copy per product, which, not the sparse structure,
 was most of a product's time.  A product with a denominator goes through
 Scalar arithmetic and joins its entry with one ``+``.  ``mat_vec`` and
 ``PairAction`` (an operator on two factors of V⊗V⊗V, applied to one sparse
-vector at a time) run the same kernel over the operator's columns.
+vector at a time, and the only way rsqg acts on V⊗V⊗V) run the same kernel
+over the operator's columns.
 ``kron`` shares the partner of ``ring.one``; Scalars are immutable, so
 sharing is safe.
 """
@@ -291,16 +292,6 @@ def flip_map(ring: ScalarRing, n: int) -> SMatrix:
     return SMatrix(ring, n * n, n * n, rows)
 
 
-def act_12(a: SMatrix, n: int) -> SMatrix:
-    """A ⊗ Id on V⊗V⊗V for A acting on the first two factors."""
-    return kron(a, SMatrix.identity(a.ring, n))
-
-
-def act_23(a: SMatrix, n: int) -> SMatrix:
-    """Id ⊗ A on V⊗V⊗V for A acting on the last two factors."""
-    return kron(SMatrix.identity(a.ring, n), a)
-
-
 # ---------------------------------------------------------------------------
 # vectors (columns of V ⊗ V etc.)
 # ---------------------------------------------------------------------------
@@ -388,8 +379,19 @@ class PairAction:
         self.n = n
         self.strides = (si, sj)
         self.columns = {
-            j: [((i // n) * si + (i % n) * sj, v) for i, v in col] for j, col in _columns(a).items()
+            j: [((i // n) * si + (i % n) * sj, v) for i, v in col if not v.is_zero()]
+            for j, col in _columns(a).items()
         }
+
+    def column(self, k: int) -> dict[int, Scalar]:
+        """A·v_k for the basis vector v_k of V⊗V⊗V: the stored column of the
+        acted-on digits moved beside the untouched digit, read with no
+        arithmetic.  Equal to ``self({k: ring.one})``."""
+        n = self.n
+        si, sj = self.strides
+        di, dj = k // si % n, k // sj % n
+        base = k - di * si - dj * sj
+        return {base + off: v for off, v in self.columns.get(di * n + dj, ())}
 
     def __call__(self, vec: dict[int, Scalar]) -> dict[int, Scalar]:
         n, cols = self.n, self.columns

@@ -1,14 +1,17 @@
 """Certificate report structures shared by all verification entry points,
-and the one clock every check runs under."""
+the one clock every check runs under, and the witnesses of a failing
+operator identity: on V ⊗ V (``first_mismatch``) and, one column at a time,
+on V⊗V⊗V (``first_column_mismatch``)."""
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
-from .matrices import SMatrix
+from .matrices import PairAction, SMatrix
+from .scalars import Scalar
 
 
 @dataclass
@@ -95,8 +98,20 @@ def charged(run: Callable[..., Report], *args) -> Report:
     return out
 
 
-def first_mismatch(a: SMatrix, b: SMatrix) -> str:
-    """Coordinates and value of the first differing entry (grlex row order).
+def basis_vector(k: int, n: int, power: int) -> str:
+    """v_a⊗v_b⊗… (1-indexed) for the flattened index k of the tensor power
+    V^⊗power, dim V = n."""
+    digits = []
+    for _ in range(power):
+        k, d = divmod(k, n)
+        digits.append(f"v_{d + 1}")
+    return "⊗".join(reversed(digits))
+
+
+def first_mismatch(a: SMatrix, b: SMatrix, n: int | None = None) -> str:
+    """Coordinates and both values of the first differing entry (grlex row
+    order); with ``n`` = dim V for operators on V ⊗ V, the row and column
+    are named as basis vectors v_a⊗v_b.
 
     Scalars are canonical, so equal entries are equal as stored and ``a == b``
     settles a match without the subtraction; a stored explicit zero only
@@ -106,5 +121,38 @@ def first_mismatch(a: SMatrix, b: SMatrix) -> str:
     d = a - b
     if d.is_zero():
         return ""
-    i, j, v = d.entries()[0]
-    return f"entry ({i},{j}) differs by {v}"
+    i, j, _ = d.entries()[0]
+    where = f"entry ({i},{j})" if n is None else f"row {basis_vector(i, n, 2)}, column {basis_vector(j, n, 2)}"
+    return f"{where}: LHS {a.get(i, j)} vs RHS {b.get(i, j)}"
+
+
+def first_column_mismatch(
+    lhs: Sequence[PairAction],
+    rhs: Sequence[PairAction],
+    column_bound: Callable[[dict[int, Scalar]], tuple[int, str] | None] | None = None,
+) -> str:
+    """The witness of lhs[0]⋯lhs[-1] = rhs[0]⋯rhs[-1] on V⊗V⊗V, for products
+    of operators on two of its factors: both sides are applied to one basis
+    vector v_a⊗v_b⊗v_c at a time, so one column of each side is alive at a
+    time and no V⊗³ matrix is built.  Each side's rightmost operator acts on
+    the basis vector, so its result is read as a stored column.
+
+    The first column (in index order) that fails is named with its first
+    differing row and both sides' values there; where the sides agree,
+    ``column_bound(lhs_column)`` may name a row and what is wrong with it.
+    "" when every column passes."""
+    n = lhs[0].n
+    where = lambda col, row: f"column {basis_vector(col, n, 3)}, row {basis_vector(row, n, 3)}"
+    for col in range(n**3):
+        left, right = lhs[-1].column(col), rhs[-1].column(col)
+        for op in lhs[-2::-1]:
+            left = op(left)
+        for op in rhs[-2::-1]:
+            right = op(right)
+        if left != right:
+            row = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
+            return f"{where(col, row)}: LHS {left.get(row, 0)} vs RHS {right.get(row, 0)}"
+        bad = column_bound(left) if column_bound else None
+        if bad:
+            return f"{where(col, bad[0])}: {bad[1]}"
+    return ""

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lyndon import ConvexOrder, lalonde_ram
-from .matrices import SMatrix, act_12, act_23, flip_map, kron, mat_vec, tensor_units, vec_scale
+from .matrices import PairAction, SMatrix, flip_map, kron, mat_vec, tensor_units, vec_scale
 from .pairing import PairingContext
 from .rep import Representation, build_fundamental, coproduct, highest_weight_vectors
-from .report import Report, first_mismatch
+from .report import Report, first_column_mismatch, first_mismatch
 from .rootdata import f_function
 from .rootvec import RootVectorMatrices, build_root_vector_matrices
 from .scalars import Scalar, ScalarRing, Variable
@@ -326,7 +326,7 @@ def build_rbar_inverse(family: str, rank: int, ring: ScalarRing | None = None) -
 def check_route_equivalence(rep: Representation, rhat: SMatrix, theta: SMatrix) -> Report:
     out = Report()
     with out.timed("route-equivalence", rep.family, rep.n) as it:
-        it.witness = first_mismatch(rhat, rhat_factorized(rep, theta))
+        it.witness = first_mismatch(rhat, rhat_factorized(rep, theta), rep.N)
     return out
 
 
@@ -356,7 +356,7 @@ def check_intertwining(rep: Representation, rhat: SMatrix) -> Report:
         for i in range(1, rep.n + 1):
             for kind in ("f", "e", "omega", "omega-prime"):
                 mk = coproduct(rep, rep, kind, i)
-                ww = first_mismatch(mk @ rhat, rhat @ mk)
+                ww = first_mismatch(mk @ rhat, rhat @ mk, rep.N)
                 if ww:
                     w = w or f"Δ({kind}_{i}): {ww}"
         it.witness = w
@@ -364,13 +364,13 @@ def check_intertwining(rep: Representation, rhat: SMatrix) -> Report:
 
 
 def check_braid(rep: Representation, rhat: SMatrix) -> Report:
-    """R̂₁₂ R̂₂₃ R̂₁₂ = R̂₂₃ R̂₁₂ R̂₂₃ on V ⊗ V ⊗ V."""
+    """R̂₁₂ R̂₂₃ R̂₁₂ = R̂₂₃ R̂₁₂ R̂₂₃ on V ⊗ V ⊗ V, compared one column at a
+    time (``first_column_mismatch``); a failure names its column and row as
+    basis vectors."""
     out = Report()
     with out.timed("braid", rep.family, rep.n) as it:
-        r12 = act_12(rhat, rep.N)
-        r23 = act_23(rhat, rep.N)
-        a = r12 @ r23  # shared by both sides: (R̂₁₂R̂₂₃)R̂₁₂ = R̂₂₃(R̂₁₂R̂₂₃)
-        it.witness = first_mismatch(a @ r12, r23 @ a)
+        r12, r23 = PairAction(rhat, rep.N, (1, 2)), PairAction(rhat, rep.N, (2, 3))
+        it.witness = first_column_mismatch((r12, r23, r12), (r23, r12, r23))
     return out
 
 
@@ -382,7 +382,7 @@ def check_min_poly(rep: Representation, rhat: SMatrix) -> Report:
         ident = SMatrix.identity(ring, N * N)
         for lam in eigenvalues(rep):
             acc = acc @ (rhat - ident.scale(lam))
-        it.witness = "" if acc.is_zero() else first_mismatch(acc, SMatrix.zero(ring, N * N, N * N))
+        it.witness = "" if acc.is_zero() else first_mismatch(acc, SMatrix.zero(ring, N * N, N * N), N)
     return out
 
 
@@ -392,9 +392,9 @@ def check_inverse(rep: Representation, rhat: SMatrix, rbar: SMatrix, theta: SMat
     out = Report()
     with out.timed("inverse", rep.family, rep.n) as it:
         ident = SMatrix.identity(rep.ring, rep.N * rep.N)
-        w = first_mismatch(rhat @ rbar, ident) or first_mismatch(rbar @ rhat, ident)
+        w = first_mismatch(rhat @ rbar, ident, rep.N) or first_mismatch(rbar @ rhat, ident, rep.N)
         if not w:
-            w = first_mismatch(rbar, rbar_inverse_exchanged(rep, theta))
+            w = first_mismatch(rbar, rbar_inverse_exchanged(rep, theta), rep.N)
             if w:
                 w = f"exchange route differs from display: {w}"
         it.witness = w
@@ -488,7 +488,7 @@ def specialize_and_compare(rep: Representation, rhat: SMatrix, rz: SMatrix | Non
         r_two = rhat @ flip_map(rep.ring, rep.N)
         qhalf = qr.atom("q")
         r_spec = r_two.substituted({"r": qhalf, "s": qhalf.inv()}, ring=qr)
-        it.witness = first_mismatch(r_spec, one_param_r_finite(rep, qr))
+        it.witness = first_mismatch(r_spec, one_param_r_finite(rep, qr), rep.N)
 
     if family == "A":
         from .affine import one_param_r_affine_A
@@ -499,10 +499,10 @@ def specialize_and_compare(rep: Representation, rhat: SMatrix, rz: SMatrix | Non
             qz = ScalarRing([Variable("q", 2), "z"])
             qhalf2 = qz.atom("q")
             rz_spec = rz_two.substituted({"r": qhalf2, "s": qhalf2.inv(), "z": qz.atom("z")}, ring=qz)
-            it.witness = first_mismatch(rz_spec, one_param_r_affine_A(rank, qz))
+            it.witness = first_mismatch(rz_spec, one_param_r_affine_A(rank, qz), rep.N)
 
         with out.timed("affine-z0-limit", family, rank) as it:
-            it.witness = first_mismatch(rz_two.substituted({"z": zr.zero}), r_two.substituted({}, ring=zr))
+            it.witness = first_mismatch(rz_two.substituted({"z": zr.zero}), r_two.substituted({}, ring=zr), rep.N)
     return out
 
 

@@ -21,7 +21,7 @@ from rsqg.affine import (
     spectral_ybe_operators,
     xi_constant,
 )
-from rsqg.matrices import SMatrix, act_12, act_23, flip_map, kron
+from rsqg.matrices import PairAction, SMatrix, flip_map, kron
 from rsqg.rep import build_evaluation, build_fundamental
 from rsqg.rmatrix import eigenvalues, rbar_inverse_printed, rhat_explicit
 from rsqg.scalars import rs_ring
@@ -149,9 +149,10 @@ def _matrix_form_witness(family: str, operators: tuple) -> str:
     degree bound."""
     r_x, r_y, r_xy = operators
     ring, N = r_x.ring, isqrt(r_x.nrows)
-    mid_flip = kron(SMatrix.identity(ring, N), flip_map(ring, N))
-    r12, r23 = act_12(r_x, N), act_23(r_y, N)
-    r13 = mid_flip @ act_12(r_xy, N) @ mid_flip
+    ident = SMatrix.identity(ring, N)
+    mid_flip = kron(ident, flip_map(ring, N))
+    r12, r23 = kron(r_x, ident), kron(ident, r_y)
+    r13 = mid_flip @ kron(r_xy, ident) @ mid_flip
     lhs, rhs = r12 @ r13 @ r23, r23 @ r13 @ r12
     bound = 2 if family == "A" else 4
     for col in range(N**3):
@@ -191,24 +192,31 @@ def test_columnwise_spectral_ybe_matches_the_matrix_form(family, rank, change):
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
 def test_columnwise_spectral_ybe_covers_every_column_and_entry(monkeypatch, family, rank):
-    """A passing check applies six factor actions to each of the N³ basis
-    vectors, and reads the degrees of every nonzero entry of the left side:
-    as many as the V⊗³ matrix of the left side has."""
+    """A passing check reads one stored column per side for each of the N³
+    basis vectors (R₂₃(y)'s on the left, R₁₂(x)'s on the right), applies
+    the two other factor actions to it, and reads the degrees of every
+    nonzero entry of the left side: as many as the V⊗³ matrix of the left
+    side has."""
     from rsqg import matrices, scalars
 
     operators = spectral_ybe_operators(family, rank)
     r_x, r_y, r_xy = operators
     ring, N = r_x.ring, isqrt(r_x.nrows)
-    mid_flip = kron(SMatrix.identity(ring, N), flip_map(ring, N))
-    lhs = act_12(r_x, N) @ (mid_flip @ act_12(r_xy, N) @ mid_flip) @ act_23(r_y, N)
-    applied, degrees = [], []
-    call, z_degree = matrices.PairAction.__call__, scalars.Scalar.z_degree
+    ident = SMatrix.identity(ring, N)
+    mid_flip = kron(ident, flip_map(ring, N))
+    lhs = kron(r_x, ident) @ (mid_flip @ kron(r_xy, ident) @ mid_flip) @ kron(ident, r_y)
+    applied, reads, degrees = [], [], []
+    call, column, z_degree = matrices.PairAction.__call__, matrices.PairAction.column, scalars.Scalar.z_degree
     monkeypatch.setattr(matrices.PairAction, "__call__", lambda self, vec: applied.append(vec) or call(self, vec))
+    monkeypatch.setattr(matrices.PairAction, "column", lambda self, k: reads.append((self.strides, k)) or column(self, k))
     monkeypatch.setattr(scalars.Scalar, "z_degree", lambda self, name: degrees.append(name) or z_degree(self, name))
     assert check_spectral_ybe(family, rank, operators).ok()
-    assert len(applied) == 6 * N**3
-    # each side starts from the basis vector: three actions per side
-    assert applied[::3] == [{k: ring.one} for k in range(N**3) for side in ("LHS", "RHS")]
+    assert len(applied) == 4 * N**3
+    strides_23, strides_12 = PairAction(r_y, N, (2, 3)).strides, PairAction(r_x, N, (1, 2)).strides
+    assert reads == [(strides, k) for k in range(N**3) for strides in (strides_23, strides_12)]
+    # each side's first action takes the column read for that side
+    r23, r12 = PairAction(r_y, N, (2, 3)), PairAction(r_x, N, (1, 2))
+    assert applied[::2] == [op.column(k) for k in range(N**3) for op in (r23, r12)]
     assert sorted(degrees) == sorted(["x", "y"] * lhs.nnz())
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsqg.matrices import PairAction, SMatrix, act_12, act_23, flip_map, kron, mat_vec
+from rsqg.matrices import PairAction, SMatrix, flip_map, kron, mat_vec
 from rsqg.scalars import rs_ring
 
 
@@ -39,11 +39,12 @@ def test_flip(R):
     assert tau @ tau == SMatrix.identity(R, N * N)
 
 
-def _act_13(a: SMatrix, n: int) -> SMatrix:
-    """The reference for A on factors 1 and 3: A ⊗ Id conjugated by the flip
-    of factors 2 and 3."""
-    mid_flip = kron(SMatrix.identity(a.ring, n), flip_map(a.ring, n))
-    return mid_flip @ act_12(a, n) @ mid_flip
+def _three_factor_references(a: SMatrix, n: int) -> dict:
+    """The V⊗³ matrices of A on factors (1, 2), (2, 3) and (1, 3): A ⊗ Id,
+    Id ⊗ A, and A ⊗ Id conjugated by the flip of factors 2 and 3."""
+    ident = SMatrix.identity(a.ring, n)
+    mid_flip = kron(ident, flip_map(a.ring, n))
+    return {(1, 2): kron(a, ident), (2, 3): kron(ident, a), (1, 3): mid_flip @ kron(a, ident) @ mid_flip}
 
 
 def test_acting_on_three_factors(R):
@@ -54,10 +55,11 @@ def test_acting_on_three_factors(R):
     def basis(i, j, k):
         return {(i * N + j) * N + k: R.one}
 
-    assert mat_vec(act_12(a, N), basis(1, 1, 0)) == basis(0, 0, 0)
-    assert mat_vec(act_23(a, N), basis(0, 1, 1)) == basis(0, 0, 0)
-    assert mat_vec(_act_13(a, N), basis(1, 0, 1)) == basis(0, 0, 0)
-    assert mat_vec(_act_13(a, N), basis(1, 1, 0)) == {}
+    ref = _three_factor_references(a, N)
+    assert mat_vec(ref[1, 2], basis(1, 1, 0)) == basis(0, 0, 0)
+    assert mat_vec(ref[2, 3], basis(0, 1, 1)) == basis(0, 0, 0)
+    assert mat_vec(ref[1, 3], basis(1, 0, 1)) == basis(0, 0, 0)
+    assert mat_vec(ref[1, 3], basis(1, 1, 0)) == {}
     for factors, v in (((1, 2), basis(1, 1, 0)), ((2, 3), basis(0, 1, 1)), ((1, 3), basis(1, 0, 1))):
         assert PairAction(a, N, factors)(v) == basis(0, 0, 0)
     assert PairAction(a, N, (1, 3))(basis(1, 1, 0)) == {}
@@ -264,10 +266,6 @@ def test_mat_vec_is_the_entrywise_sum_of_products(data):
     _assert_stored_form(SMatrix(a.ring, a.nrows, 1, {i: {0: v} for i, v in got.items()}))
 
 
-def _three_factor_references(a: SMatrix, n: int) -> dict:
-    return {(1, 2): act_12(a, n), (2, 3): act_23(a, n), (1, 3): _act_13(a, n)}
-
-
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
 def test_pair_action_on_every_basis_vector(family, rank):
     """On every v_a⊗v_b⊗v_c, A on two factors equals the V⊗³ matrix that
@@ -298,6 +296,29 @@ def test_pair_action_on_random_vectors(data):
         got = PairAction(a, n, factors)(vec)
         assert got == mat_vec(ref, vec), factors
         _assert_stored_form(SMatrix(ring, n**3, 1, {i: {0: v} for i, v in got.items()}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_column_read_is_the_action_on_a_basis_vector(data):
+    """The stored-column read equals the action on {k: 1} for every basis
+    vector, on random operators with denominators and unit entries, for all
+    three factor pairs."""
+    ring = data.draw(st.sampled_from(_RINGS))
+    n = data.draw(st.integers(1, 3))
+    a = _matrix(data.draw, ring, n * n, n * n)
+    for factors in ((1, 2), (2, 3), (1, 3)):
+        act = PairAction(a, n, factors)
+        for k in range(n**3):
+            assert act.column(k) == act({k: ring.one}), (factors, k)
+
+
+def test_column_read_skips_a_stored_zero(R):
+    a = SMatrix(R, 4, 4, {0: {0: R.zero, 1: R.one}})
+    for factors in ((1, 2), (2, 3), (1, 3)):
+        act = PairAction(a, 2, factors)
+        assert all(act.column(k) == act({k: R.one}) for k in range(8))
+        assert act.column(0) == {}
 
 
 def test_pair_action_rejects_other_factors_and_shapes(R):

@@ -240,6 +240,69 @@ def test_perturbed_r_xy_fails_spectral_ybe_with_a_basis_witness(family, rank):
     assert match[3] != match[4]
 
 
+BRAID_CASES = [("A", 2), ("B", 2), ("C", 3), ("D", 4)]
+
+
+def _last_entry_times_r(m: SMatrix) -> SMatrix:
+    """The last stored entry times r: its first failing braid column lies
+    past the first block v_1⊗v_b⊗v_c, so a loop that stops early or skips
+    columns passes it."""
+    i, j, v = m.entries()[-1]
+    return _add(m, i, j, v * (m.ring.mono(r=1) - m.ring.one))
+
+
+@pytest.mark.parametrize("change", [_entry_times_r, _last_entry_times_r], ids=["first", "last"])
+@pytest.mark.parametrize("family,rank", BRAID_CASES)
+def test_perturbed_rhat_fails_braid_with_a_basis_witness(family, rank, change):
+    """One stored entry of R̂ times r: the witness names the column
+    v_a⊗v_b⊗v_c, the row, and two different values there."""
+    ctx = CaseContext(family, rank)
+    ctx.rhat = change(ctx.rhat)
+    item = _run(ctx, "rmatrix", "braid")["braid"]
+    assert not item.ok
+    match = re.fullmatch(rf"column v_(\d+)⊗v_\d+⊗v_\d+, row ({BASIS3}): LHS (.+) vs RHS (.+)", item.witness)
+    assert match, item.witness
+    assert match[3] != match[4]
+    if change is _last_entry_times_r:
+        assert int(match[1]) > 1
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_columnwise_comparison_reaches_the_last_column(N):
+    """P₁₂P₂₃ for the projection P onto v_N⊗v_N is nonzero on the last basis
+    column v_N⊗v_N⊗v_N only, so against the zero operator only that column
+    fails: a comparison that skips it passes."""
+    from rsqg.matrices import PairAction
+    from rsqg.report import first_column_mismatch
+    from rsqg.scalars import rs_ring
+
+    ring = rs_ring()
+    p = SMatrix.from_entries(ring, N * N, N * N, [(N * N - 1, N * N - 1, ring.one)])
+    zero = SMatrix.zero(ring, N * N)
+    lhs = (PairAction(p, N, (1, 2)), PairAction(p, N, (2, 3)))
+    rhs = (PairAction(zero, N, (1, 2)), PairAction(zero, N, (2, 3)))
+    last = f"v_{N}⊗v_{N}⊗v_{N}"
+    assert first_column_mismatch(lhs, rhs) == f"column {last}, row {last}: LHS 1 vs RHS 0"
+
+
+BASIS2 = r"v_\d+⊗v_\d+"
+
+
+@pytest.mark.parametrize("item", ["route-equivalence", "intertwining", "min-poly", "inverse", "specialize-finite"])
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
+def test_perturbed_rhat_fails_v2_checks_with_a_basis_witness(family, rank, item):
+    """R̂'s first entry times r: each rmatrix check that compares operators
+    on V ⊗ V names the differing entry's row and column as v_a⊗v_b and gives
+    two different values there."""
+    ctx = CaseContext(family, rank)
+    ctx.rhat = _entry_times_r(ctx.rhat)
+    got = _run(ctx, "rmatrix", ITEM_CHECK[item][1])[item]
+    assert not got.ok
+    match = re.search(rf"row {BASIS2}, column {BASIS2}: LHS (.+) vs RHS (.+)$", got.witness)
+    assert match, got.witness
+    assert match[1] != match[2]
+
+
 @pytest.mark.parametrize("family,rank", YBE_CASES)
 def test_r_x_times_x_cubed_fails_the_spectral_degree_bound(family, rank):
     """R(x) times x³ scales both sides alike, so the YBE still holds, and

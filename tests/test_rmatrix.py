@@ -253,6 +253,49 @@ def test_braid(family, rank):
     assert check_braid(rep(family, rank), case(family, rank).rhat).ok()
 
 
+def _basis3(k: int, N: int) -> str:
+    a, bc = divmod(k, N * N)
+    return f"v_{a + 1}⊗v_{bc // N + 1}⊗v_{bc % N + 1}"
+
+
+def _matrix_form_braid_witness(rhat: SMatrix, N: int) -> str:
+    """The braid relation in matrix form: both sides as V⊗³ matrices from
+    kron and an identity, and the witness the columnwise check must give for
+    them: the smallest column whose sides differ, at its smallest differing
+    row, with both values there."""
+    ident = SMatrix.identity(rhat.ring, N)
+    r12, r23 = kron(rhat, ident), kron(ident, rhat)
+    lhs, rhs = r12 @ r23 @ r12, r23 @ r12 @ r23
+    for col in range(N**3):
+        for row in range(N**3):
+            if lhs.get(row, col) != rhs.get(row, col):
+                where = f"column {_basis3(col, N)}, row {_basis3(row, N)}"
+                return f"{where}: LHS {lhs.get(row, col)} vs RHS {rhs.get(row, col)}"
+    return ""
+
+
+def _stored_entry_times_r(m: SMatrix, index: int) -> SMatrix:
+    i, j, v = m.entries()[index]
+    return m + SMatrix.from_entries(m.ring, m.nrows, m.ncols, [(i, j, v * (m.ring.mono(r=1) - m.ring.one))])
+
+
+@pytest.mark.parametrize("change", ["none", "first entry times r", "last entry times r"])
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 3), ("D", 4)])
+def test_columnwise_braid_matches_the_matrix_form(family, rank, change):
+    """The columnwise check gives the verdict and the witness that the V⊗³
+    matrix products give, on R̂ and with its first or last stored entry
+    times r."""
+    c = case(family, rank)
+    rhat = c.rhat
+    if change != "none":
+        rhat = _stored_entry_times_r(rhat, 0 if change.startswith("first") else -1)
+    (item,) = check_braid(c.rep, rhat).items
+    assert item.witness == _matrix_form_braid_witness(rhat, c.rep.N)
+    assert item.ok == (change == "none")
+    if (family, rank, change) == ("B", 2, "first entry times r"):
+        assert item.witness.startswith("column v_1⊗v_2⊗v_4, row v_5⊗v_1⊗v_1: LHS ")
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2)])
 def test_specialization(family, rank):
     c = case(family, rank)

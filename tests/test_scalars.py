@@ -525,7 +525,7 @@ def test_first_mismatch_with_a_stored_zero():
     assert stored != SMatrix.zero(R, 2)
     assert first_mismatch(stored, stored) == ""
     assert first_mismatch(SMatrix.zero(R, 2), stored) == ""
-    assert first_mismatch(_stored(R, [None, R.one, None, None]), stored) == "entry (0,1) differs by 1"
+    assert first_mismatch(_stored(R, [None, R.one, None, None]), stored) == "entry (0,1): LHS 1 vs RHS 0"
 
 
 def test_first_mismatch_with_a_stored_zero_in_either_order():

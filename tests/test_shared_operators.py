@@ -7,6 +7,8 @@ import sys
 import time
 from collections import Counter
 
+import pytest
+
 from rsqg import affine, catalogue, cli, embed, lyndon, pairing, rep, rmatrix, rootdata, rootvec
 from rsqg.scalars import rs_ring
 
@@ -159,32 +161,48 @@ def test_each_pairing_value_is_computed_once_per_case(monkeypatch):
     assert sum(oracle_calls.values()) == 25
 
 
-def test_braid_shares_r12_r23(monkeypatch):
-    """check_braid multiplies R̂₁₂R̂₂₃ once and uses it on both sides: three
-    V⊗³ products, not four."""
-    from rsqg.matrices import SMatrix
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
+def test_braid_builds_no_v3_matrix(monkeypatch, family, rank):
+    """check_braid calls neither kron nor the matrix product, builds no
+    matrix larger than V ⊗ V, and applies two factor actions per side to
+    each of the N³ basis columns (the first one on each side is a column
+    read)."""
+    from rsqg import matrices
+    from rsqg.matrices import PairAction, SMatrix
 
-    ctx = catalogue.CaseContext("B", 2)
-    rhat = ctx.rhat
-    calls = []
-    matmul = SMatrix.__matmul__
+    ctx = catalogue.CaseContext(family, rank)
+    N = ctx.rep.N
+    calls = Counter()
+    rows = []
+    init, call = SMatrix.__init__, PairAction.__call__
 
-    def counted(a, b):
-        calls.append((a.nrows, b.ncols))
-        return matmul(a, b)
+    def recorded_init(self, ring, nrows, ncols, rows_=None):
+        rows.append(nrows)
+        init(self, ring, nrows, ncols, rows_)
 
-    monkeypatch.setattr(SMatrix, "__matmul__", counted)
-    out = rmatrix.check_braid(ctx.rep, rhat)
-    assert out.ok()
-    n3 = ctx.rep.N**3
-    assert calls == [(n3, n3)] * 3
+    def forbidden(name):
+        def fail(*args, **kwargs):
+            calls[name] += 1
+            raise AssertionError(f"check_braid called {name}")
+
+        return fail
+
+    _wrap_everywhere(monkeypatch, matrices.kron, forbidden("kron"))
+    monkeypatch.setattr(SMatrix, "__matmul__", forbidden("matmul"))
+    monkeypatch.setattr(SMatrix, "__init__", recorded_init)
+    monkeypatch.setattr(PairAction, "__call__", lambda self, vec: calls.update(["apply"]) or call(self, vec))
+    out = rmatrix.check_braid(ctx.rep, ctx.rhat)
+    assert out.ok(), out.items[0].witness
+    assert calls == {"apply": 4 * N**3}
+    assert max(rows, default=0) <= N * N
 
 
 def test_unit_entries_reach_kron_as_the_shared_one(monkeypatch):
     """``kron`` skips a product by testing a factor for ``ring.one`` by
-    identity.  Over ``certify-all --max-rank 3``, 86 of the entries it is
+    identity.  Over ``certify-all --max-rank 3``, 46 of the entries it is
     given equal 1 without being that object (311 when ``exchange_vars`` gave
-    the fixed unit entries of every ω′ back as new Scalars)."""
+    the fixed unit entries of every ω′ back as new Scalars, 86 while the
+    braid relation took R̂'s unit entries through kron)."""
     import contextlib
     import io
 
@@ -202,4 +220,4 @@ def test_unit_entries_reach_kron_as_the_shared_one(monkeypatch):
     monkeypatch.setenv("RSQG_JOBS", "1")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(["certify-all", "--max-rank", "3"]) == 0
-    assert copies[0] == 86
+    assert copies[0] == 46
