@@ -14,7 +14,7 @@ from .matrices import PairAction, SMatrix, flip_map, tensor_units
 from .rep import KAPPA, EvaluationRep, Representation, build_evaluation, build_fundamental, coproduct
 from .report import Report, first_column_mismatch, first_mismatch
 from .rmatrix import CoefficientTables, eigenvalues
-from .scalars import Scalar, ScalarRing, rs_ring
+from .scalars import Scalar, ScalarRing, _packed_exp_range, rs_ring
 
 
 def xi_constant(family: str, rank: int, ring: ScalarRing) -> Scalar:
@@ -261,9 +261,10 @@ def spectral_ybe_operators(family: str, rank: int) -> tuple[SMatrix, SMatrix, SM
 
 def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -> Report:
     """R₁₂(x) R₁₃(xy) R₂₃(y) = R₂₃(y) R₁₃(xy) R₁₂(x) on V⊗V⊗V with two
-    independent ratio variables, and every entry of the left side within the
-    spectral degree bound.  The ``operators`` (R(x), R(y), R(xy)) are the
-    case's, or else built by ``spectral_ybe_operators`` on its clock.
+    independent ratio variables, and every entry of the left side a
+    polynomial in x and y (0 ≤ exponent ≤ the spectral degree bound).  The
+    ``operators`` (R(x), R(y), R(xy)) are the case's, or else built by
+    ``spectral_ybe_operators`` on its clock.
 
     Both sides are compared one column at a time (``first_column_mismatch``),
     and a failure names its column and row as basis vectors."""
@@ -274,10 +275,18 @@ def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -
         r12, r13, r23 = PairAction(r_x, N, (1, 2)), PairAction(r_xy, N, (1, 3)), PairAction(r_y, N, (2, 3))
         # three factors of z-degree ≤ 1 (A) or ≤ 2 (B/C/D), two of them in x and two in y
         bound = 2 if family == "A" else 4
+        ix, iy = r_x.ring.index["x"], r_x.ring.index["y"]
 
         def over_bound(lhs: dict) -> tuple[int, str] | None:
+            # the left side's column is packed: a Laurent entry is a packed
+            # term dict, whose x and y exponents are read off its digits
             for row in sorted(lhs):
-                dx, dy = lhs[row].z_degree("x"), lhs[row].z_degree("y")
+                v = lhs[row]
+                if type(v) is not dict:
+                    return row, "LHS entry has a denominator"
+                (lx, dx), (ly, dy) = _packed_exp_range(v, ix), _packed_exp_range(v, iy)
+                if lx < 0 or ly < 0:
+                    return row, f"LHS entry of lowest x-power {lx} and y-power {ly} is not polynomial in x and y"
                 if dx > bound or dy > bound:
                     return row, f"LHS entry of x-degree {dx} and y-degree {dy} exceeds the spectral degree bound {bound}"
             return None
@@ -292,18 +301,20 @@ def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -
 
 
 def check_degree_bounds(rep: Representation, rz: SMatrix) -> Report:
-    """Entrywise polynomial degree in z of the spectral operator ``rz`` on
-    ``rep`` stays ≤ 1 (A) or ≤ 2 (B/C/D)."""
+    """Every entry of the spectral operator ``rz`` on ``rep`` is a polynomial
+    in z (a Laurent polynomial in r, s with no negative power of z) of
+    degree ≤ 1 (A) or ≤ 2 (B/C/D)."""
     bound = 1 if rep.family == "A" else 2
     out = Report()
     with out.timed("z-degree-bound", rep.family, rep.n) as it:
         w = ""
         for i, row in rz.rows.items():
             for j, v in row.items():
-                if not v.den_is_one():
+                lowest, degree = v.z_range("z")
+                if not v.den_is_one() or lowest < 0:
                     w = w or f"entry ({i},{j}) is not polynomial in z"
-                elif v.z_degree("z") > bound:
-                    w = w or f"entry ({i},{j}) has z-degree {v.z_degree('z')}"
+                elif degree > bound:
+                    w = w or f"entry ({i},{j}) has z-degree {degree}"
         it.witness = w
     return out
 

@@ -67,11 +67,11 @@ def verify_dj_relations(rep: Representation, mg: ModifiedGenerators) -> Report:
         w = ""
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                w = w or first_mismatch(mg.omega[i] @ mg.omega[j], mg.omega[j] @ mg.omega[i])
+                w = w or first_mismatch(mg.omega[i] @ mg.omega[j], mg.omega[j] @ mg.omega[i], N)
                 aij = rs.sym_form(rs.simple[i - 1].alpha, rs.simple[j - 1].alpha)
                 qf = q_scalar(ring) ** int(aij)
-                w = w or first_mismatch(mg.omega[i] @ mg.e[j], (mg.e[j] @ mg.omega[i]).scale(qf))
-                w = w or first_mismatch(mg.omega[i] @ mg.f[j], (mg.f[j] @ mg.omega[i]).scale(qf.inv()))
+                w = w or first_mismatch(mg.omega[i] @ mg.e[j], (mg.e[j] @ mg.omega[i]).scale(qf), N)
+                w = w or first_mismatch(mg.omega[i] @ mg.f[j], (mg.f[j] @ mg.omega[i]).scale(qf.inv()), N)
         it.witness = w
 
     with out.timed("dj-commutator", rep.family, n) as it:
@@ -81,11 +81,11 @@ def verify_dj_relations(rep: Representation, mg: ModifiedGenerators) -> Report:
             for j in range(1, n + 1):
                 comm = mg.e[i] @ mg.f[j] - mg.f[j] @ mg.e[i]
                 if i != j:
-                    w = w or first_mismatch(comm, zero)
+                    w = w or first_mismatch(comm, zero, N)
                 else:
                     qi = q_scalar(ring, rs.d[i - 1])
                     rhs = (mg.omega[i] - mg.omega[i].diagonal_inv()).scale((qi - qi.inv()).inv())
-                    w = w or first_mismatch(comm, rhs)
+                    w = w or first_mismatch(comm, rhs, N)
         it.witness = w
 
     with out.timed("dj-serre", rep.family, n) as it:
@@ -187,11 +187,11 @@ def verify_root_vector_embedding(rvm: RootVectorMatrices, mg: ModifiedGenerators
             kap = kappa_constants(rep, rt)
             om_half_inv = rep.omega_of(rt.alpha).diagonal_sqrt().diagonal_inv()
             omp_half_inv = rep.omega_prime_of(rt.alpha).diagonal_sqrt().diagonal_inv()
-            ww = first_mismatch(e_one[rt.alpha], (rvm.e_of(rt) @ om_half_inv).scale(kap.inv()))
+            ww = first_mismatch(e_one[rt.alpha], (rvm.e_of(rt) @ om_half_inv).scale(kap.inv()), rep.N)
             if ww:
                 w = w or f"e-tower at {rt.label()}: {ww}"
             ww = first_mismatch(
-                f_one[rt.alpha], (rvm.f_of(rt) @ omp_half_inv).scale(d_gamma(rep, rt) * kap.inv())
+                f_one[rt.alpha], (rvm.f_of(rt) @ omp_half_inv).scale(d_gamma(rep, rt) * kap.inv()), rep.N
             )
             if ww:
                 w = w or f"f-tower at {rt.label()}: {ww}"
@@ -252,7 +252,7 @@ def verify_twist_A(rep: Representation, rhat: SMatrix) -> Report:
                 e = 0 if i == j else (-1 if i > j else 1)
                 rows[idx] = {idx: ring.mono(w=e)}
         f_inv = SMatrix(ring, N * N, N * N, rows).diagonal_inv()
-        it.witness = first_mismatch(r_two, f_inv @ r_one @ f_inv)
+        it.witness = first_mismatch(r_two, f_inv @ r_one @ f_inv, N)
     return out
 
 

@@ -11,10 +11,15 @@ unmultiplied, and wraps each nonzero dict once, skipping ``_make`` because a
 sum of Laurent polynomials is canonical already.  This saves a Scalar, a
 dict and an accumulator copy per product, which, not the sparse structure,
 was most of a product's time.  A product with a denominator goes through
-Scalar arithmetic and joins its entry with one ``+``.  ``mat_vec`` and
-``PairAction`` (an operator on two factors of V⊗V⊗V, applied to one sparse
-vector at a time, and the only way rsqg acts on V⊗V⊗V) run the same kernel
-over the operator's columns.
+Scalar arithmetic and joins its entry with one ``+``.
+
+``mat_vec`` and ``PairAction`` (an operator on two factors of V⊗V⊗V,
+applied to one sparse vector at a time, and the only way rsqg acts on
+V⊗V⊗V) run the same kernel over the operator's columns, on packed
+exponents (``scalars.pack_value``: one int per exponent vector, so a
+monomial product is one int add, ``scalars._ppmuladd``).  ``PairAction``
+packs its columns once, when it is built; ``__matmul__`` stays on tuple
+exponents, because it would have to pack its operands on every call.
 ``kron`` shares the partner of ``ring.one``; Scalars are immutable, so
 sharing is safe.
 """
@@ -28,9 +33,12 @@ from .scalars import (
     ScalarRing,
     _paddto,
     _pmuladd,
+    _ppmuladd,
+    pack_value,
     scalar_from_json,
     scalar_to_json,
     substitute,
+    unpack_value,
 )
 
 
@@ -306,54 +314,60 @@ def _columns(a: SMatrix) -> dict[int, list[tuple[int, Scalar]]]:
     return cols
 
 
-def _combine_columns(ring: ScalarRing, parts: Iterable[tuple[Scalar, int, list]]) -> dict[int, Scalar]:
+def _combine_columns(ring: ScalarRing, parts: Iterable[tuple[object, int, list]]) -> dict[int, object]:
     """Σ c·v placed at index base + offset, over (v, base, column) in
     ``parts`` and (offset, c) in each column: the sparse vector of a mat-vec,
-    zero entries dropped.  The kernel is ``SMatrix.__matmul__``'s: Laurent
-    products accumulate in place on raw term dicts, a unit factor passes its
-    partner's terms through, and a product with a denominator goes through
-    Scalar arithmetic.  ``__matmul__`` keeps its own copy of the loop: one
-    call of this per product row measured 4–16% slower on the finite
-    R-matrix checks."""
-    one_den = ring._one_den
-    unit = ring.one._num
+    zero entries dropped, with every vector and column entry in packed form
+    (``scalars.pack_value``).  Laurent products accumulate in place on packed
+    term dicts (``_ppmuladd``, one int add per monomial product), a unit
+    factor passes its partner's terms through, and a product with a
+    denominator goes through Scalar arithmetic and is packed again if its
+    entry ends up Laurent.  So each value has one form, and ``==`` on two
+    results is value equality."""
+    unit = {0: 1}  # the zero exponent vector packs to 0
     acc: dict[int, dict] = {}
     rest: dict[int, Scalar] = {}
     for v, base, column in parts:
-        vn = v._num
-        laurent_v = v._den is one_den
-        unit_v = laurent_v and vn == unit
+        laurent_v = type(v) is dict
+        unit_v = laurent_v and v == unit
         for off, c in column:
             i = base + off
-            if not laurent_v or c._den is not one_den:
-                p = c * v
+            if not laurent_v or type(c) is not dict:
+                p = unpack_value(ring, c) * unpack_value(ring, v)
                 rest[i] = rest[i] + p if i in rest else p
                 continue
             t = acc.get(i)
             if t is None:
                 t = acc[i] = {}
-            cn = c._num
             if unit_v:
-                _paddto(t, cn)
-            elif cn == unit:
-                _paddto(t, vn)
+                _paddto(t, c)
+            elif c == unit:
+                _paddto(t, v)
             else:
-                _pmuladd(t, cn, vn)
-    out = {i: Scalar(ring, t, one_den, _raw=True) for i, t in acc.items() if t}
+                _ppmuladd(t, c, v)
+    out: dict[int, object] = {i: t for i, t in acc.items() if t}
     for i, p in rest.items():
         if i in out:
-            p = out[i] + p
+            p = unpack_value(ring, out[i]) + p
         if p.is_zero():
             out.pop(i, None)
         else:
-            out[i] = p
+            out[i] = pack_value(p)
     return out
 
 
+def _unpack_vector(ring: ScalarRing, vec: dict[int, object]) -> dict[int, Scalar]:
+    return {i: unpack_value(ring, v) for i, v in vec.items()}
+
+
 def mat_vec(a: SMatrix, vec: dict[int, Scalar]) -> dict[int, Scalar]:
-    """a·vec for a sparse vector (index -> Scalar); zero entries dropped."""
+    """a·vec for a sparse vector (index -> Scalar); zero entries dropped.
+    Runs the packed kernel, packing the columns it reads."""
     cols = _columns(a)
-    return _combine_columns(a.ring, ((v, 0, cols[j]) for j, v in vec.items() if j in cols))
+    parts = (
+        (pack_value(v), 0, [(i, pack_value(c)) for i, c in cols[j]]) for j, v in vec.items() if j in cols
+    )
+    return _unpack_vector(a.ring, _combine_columns(a.ring, parts))
 
 
 class PairAction:
@@ -362,10 +376,14 @@ class PairAction:
     A₁₃·vec, with v_a ⊗ v_b ⊗ v_c flattened to ((a-1)N + b-1)N + c-1.
 
     Each column of ``a`` is stored once, with its rows turned into offsets
-    on V⊗V⊗V, so applying it reads the column of the two acted-on digits and
-    places each entry beside the untouched digit.  No V⊗³ matrix is built:
-    neither ``kron(a, Id)`` nor the flip conjugation that moves A onto
-    factors 1 and 3."""
+    on V⊗V⊗V and its entries packed (``scalars.pack_value``), so applying it
+    reads the column of the two acted-on digits and places each entry beside
+    the untouched digit.  No V⊗³ matrix is built: neither ``kron(a, Id)``
+    nor the flip conjugation that moves A onto factors 1 and 3.
+
+    ``packed_column`` and ``packed_apply`` take and give packed vectors, so
+    a chain of actions packs nothing after the columns are stored;
+    ``column`` and calling the action take and give Scalar vectors."""
 
     __slots__ = ("ring", "n", "strides", "columns")
 
@@ -379,21 +397,22 @@ class PairAction:
         self.n = n
         self.strides = (si, sj)
         self.columns = {
-            j: [((i // n) * si + (i % n) * sj, v) for i, v in col if not v.is_zero()]
+            j: [((i // n) * si + (i % n) * sj, pack_value(v)) for i, v in col if not v.is_zero()]
             for j, col in _columns(a).items()
         }
 
-    def column(self, k: int) -> dict[int, Scalar]:
-        """A·v_k for the basis vector v_k of V⊗V⊗V: the stored column of the
-        acted-on digits moved beside the untouched digit, read with no
-        arithmetic.  Equal to ``self({k: ring.one})``."""
+    def packed_column(self, k: int) -> dict[int, object]:
+        """A·v_k for the basis vector v_k of V⊗V⊗V, packed: the stored
+        column of the acted-on digits moved beside the untouched digit, read
+        with no arithmetic."""
         n = self.n
         si, sj = self.strides
         di, dj = k // si % n, k // sj % n
         base = k - di * si - dj * sj
         return {base + off: v for off, v in self.columns.get(di * n + dj, ())}
 
-    def __call__(self, vec: dict[int, Scalar]) -> dict[int, Scalar]:
+    def packed_apply(self, vec: dict[int, object]) -> dict[int, object]:
+        """A·vec on a packed vector, by the packed kernel."""
         n, cols = self.n, self.columns
         si, sj = self.strides
 
@@ -405,6 +424,13 @@ class PairAction:
                     yield v, k - di * si - dj * sj, column
 
         return _combine_columns(self.ring, parts())
+
+    def column(self, k: int) -> dict[int, Scalar]:
+        """A·v_k as Scalars; equal to ``self({k: ring.one})``."""
+        return _unpack_vector(self.ring, self.packed_column(k))
+
+    def __call__(self, vec: dict[int, Scalar]) -> dict[int, Scalar]:
+        return _unpack_vector(self.ring, self.packed_apply({k: pack_value(v) for k, v in vec.items()}))
 
 
 def vec_scale(vec: dict[int, Scalar], c: Scalar) -> dict[int, Scalar]:

@@ -152,13 +152,11 @@ def _finite_presentation(rs: RootSystem, ring: ScalarRing):
     return Om, cartan, {i: rs.d[i - 1] for i in nodes}
 
 
-def _scalar_conj_check(
-    big: SMatrix, small: SMatrix, scalar: Scalar
-) -> str:
-    """Witness for big·small == scalar · small·big."""
+def _scalar_conj_check(big: SMatrix, small: SMatrix, scalar: Scalar, n: int) -> str:
+    """Witness for big·small == scalar · small·big on V, dim V = n."""
     lhs = big @ small
     rhs = (small @ big).scale(scalar)
-    return first_mismatch(lhs, rhs)
+    return first_mismatch(lhs, rhs, n)
 
 
 def _cartan_commute(mod) -> str:
@@ -168,9 +166,9 @@ def _cartan_commute(mod) -> str:
     for i in mod.omega:
         for j in mod.omega:
             for a, b in ((mod.omega[i], mod.omega[j]), (mod.omega[i], mod.omega_prime[j]), (mod.omega_prime[i], mod.omega_prime[j])):
-                w = w or first_mismatch(a @ b, b @ a)
-        w = w or first_mismatch(mod.omega[i] @ mod.omega[i].diagonal_inv(), ident)
-        w = w or first_mismatch(mod.omega_prime[i] @ mod.omega_prime[i].diagonal_inv(), ident)
+                w = w or first_mismatch(a @ b, b @ a, mod.N)
+        w = w or first_mismatch(mod.omega[i] @ mod.omega[i].diagonal_inv(), ident, mod.N)
+        w = w or first_mismatch(mod.omega_prime[i] @ mod.omega_prime[i].diagonal_inv(), ident, mod.N)
     return w
 
 
@@ -182,8 +180,8 @@ def _cartan_conj(mod, Om: dict, prime: bool) -> str:
     for i in mod.e:
         for j in mod.e:
             c = Om[(i, j)].inv() if prime else Om[(j, i)]
-            w = w or _scalar_conj_check(gens[i], mod.e[j], c)
-            w = w or _scalar_conj_check(gens[i], mod.f[j], c.inv())
+            w = w or _scalar_conj_check(gens[i], mod.e[j], c, mod.N)
+            w = w or _scalar_conj_check(gens[i], mod.f[j], c.inv(), mod.N)
     return w
 
 
@@ -196,10 +194,10 @@ def _ef_commutator(mod, d: dict) -> str:
         for j in mod.e:
             comm = mod.e[i] @ mod.f[j] - mod.f[j] @ mod.e[i]
             if i != j:
-                w = w or first_mismatch(comm, zero)
+                w = w or first_mismatch(comm, zero, mod.N)
             else:
                 denom = ring.mono(r=d[i]) - ring.mono(s=d[i])
-                w = w or first_mismatch(comm, (mod.omega[i] - mod.omega_prime[i]).scale(denom.inv()))
+                w = w or first_mismatch(comm, (mod.omega[i] - mod.omega_prime[i]).scale(denom.inv()), mod.N)
     return w
 
 
@@ -238,7 +236,7 @@ def _serre(mod, Om: dict, cartan: dict, d: dict) -> str:
             for x, tag, twist in ((mod.e, "e", Om[(j, i)] * s_c), (mod.f, "f", Om[(i, j)] * s_c)):
                 sm = serre_sum(x, i, j, m, lambda k: binomial(m, k, di) * ri_si ** (k * (k - 1) // 2) * twist**k)
                 if not sm.is_zero():
-                    w = w or f"serre {tag} ({i},{j}): {first_mismatch(sm, zero)}"
+                    w = w or f"serre {tag} ({i},{j}): {first_mismatch(sm, zero, mod.N)}"
     return w
 
 
@@ -488,10 +486,10 @@ def verify_affine_relations(erep: EvaluationRep) -> Report:
 
     with out.timed("affine-central", fam, n) as it:
         c_id = SMatrix.identity(ring, erep.N).scale(erep.c)
-        w = first_mismatch(erep.gamma, c_id) or first_mismatch(erep.gamma_prime, c_id)
+        w = first_mismatch(erep.gamma, c_id, erep.N) or first_mismatch(erep.gamma_prime, c_id, erep.N)
         for g in [*erep.e.values(), *erep.f.values()]:
-            w = w or first_mismatch(erep.gamma @ g, g @ erep.gamma)
-            w = w or first_mismatch(erep.gamma_prime @ g, g @ erep.gamma_prime)
+            w = w or first_mismatch(erep.gamma @ g, g @ erep.gamma, erep.N)
+            w = w or first_mismatch(erep.gamma_prime @ g, g @ erep.gamma_prime, erep.N)
         it.witness = w
 
     with out.timed("affine-cartan-conj", fam, n) as it:
@@ -510,10 +508,10 @@ def verify_affine_relations(erep: EvaluationRep) -> Report:
             sub = {x: scale_var * ring.atom(x)}
             for i in erep.e:
                 expect = scale_var if i == 0 else ring.one
-                w = w or first_mismatch(erep.e[i].substituted(sub), erep.e[i].scale(expect))
-                w = w or first_mismatch(erep.f[i].substituted(sub), erep.f[i].scale(expect.inv()))
-                w = w or first_mismatch(erep.omega[i].substituted(sub), erep.omega[i])
-                w = w or first_mismatch(erep.omega_prime[i].substituted(sub), erep.omega_prime[i])
+                w = w or first_mismatch(erep.e[i].substituted(sub), erep.e[i].scale(expect), erep.N)
+                w = w or first_mismatch(erep.f[i].substituted(sub), erep.f[i].scale(expect.inv()), erep.N)
+                w = w or first_mismatch(erep.omega[i].substituted(sub), erep.omega[i], erep.N)
+                w = w or first_mismatch(erep.omega_prime[i].substituted(sub), erep.omega_prime[i], erep.N)
         it.witness = w
 
     return out

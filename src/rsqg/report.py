@@ -1,7 +1,7 @@
 """Certificate report structures shared by all verification entry points,
 the one clock every check runs under, and the witnesses of a failing
-operator identity: on V ⊗ V (``first_mismatch``) and, one column at a time,
-on V⊗V⊗V (``first_column_mismatch``)."""
+operator identity: on V or V ⊗ V (``first_mismatch``) and, one column at a
+time, on V⊗V⊗V (``first_column_mismatch``)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .matrices import PairAction, SMatrix
-from .scalars import Scalar
+from .scalars import unpack_value
 
 
 @dataclass
@@ -110,8 +110,9 @@ def basis_vector(k: int, n: int, power: int) -> str:
 
 def first_mismatch(a: SMatrix, b: SMatrix, n: int | None = None) -> str:
     """Coordinates and both values of the first differing entry (grlex row
-    order); with ``n`` = dim V for operators on V ⊗ V, the row and column
-    are named as basis vectors v_a⊗v_b.
+    order); with ``n`` = dim V, the row and column are named as basis
+    vectors: v_a for operators on V, v_a⊗v_b for operators on V ⊗ V, told
+    apart by the size of ``a``.
 
     Scalars are canonical, so equal entries are equal as stored and ``a == b``
     settles a match without the subtraction; a stored explicit zero only
@@ -122,14 +123,20 @@ def first_mismatch(a: SMatrix, b: SMatrix, n: int | None = None) -> str:
     if d.is_zero():
         return ""
     i, j, _ = d.entries()[0]
-    where = f"entry ({i},{j})" if n is None else f"row {basis_vector(i, n, 2)}, column {basis_vector(j, n, 2)}"
+    if n is None:
+        where = f"entry ({i},{j})"
+    else:
+        power = {n: 1, n * n: 2}.get(a.nrows)
+        if power is None:
+            raise ValueError(f"a {a.nrows}x{a.ncols} matrix acts on neither V nor V ⊗ V with dim V = {n}")
+        where = f"row {basis_vector(i, n, power)}, column {basis_vector(j, n, power)}"
     return f"{where}: LHS {a.get(i, j)} vs RHS {b.get(i, j)}"
 
 
 def first_column_mismatch(
     lhs: Sequence[PairAction],
     rhs: Sequence[PairAction],
-    column_bound: Callable[[dict[int, Scalar]], tuple[int, str] | None] | None = None,
+    column_bound: Callable[[dict[int, object]], tuple[int, str] | None] | None = None,
 ) -> str:
     """The witness of lhs[0]⋯lhs[-1] = rhs[0]⋯rhs[-1] on V⊗V⊗V, for products
     of operators on two of its factors: both sides are applied to one basis
@@ -137,21 +144,28 @@ def first_column_mismatch(
     time and no V⊗³ matrix is built.  Each side's rightmost operator acts on
     the basis vector, so its result is read as a stored column.
 
+    Every column stays packed (``scalars.pack_value``) from the stored
+    columns to the comparison, and ``column_bound`` is given the left side's
+    packed column; only the values a witness prints are unpacked.  Each side
+    chains three actions, far below the 2^11 additions of packed exponents
+    at which a digit could overflow.
+
     The first column (in index order) that fails is named with its first
     differing row and both sides' values there; where the sides agree,
     ``column_bound(lhs_column)`` may name a row and what is wrong with it.
     "" when every column passes."""
-    n = lhs[0].n
+    n, ring = lhs[0].n, lhs[0].ring
     where = lambda col, row: f"column {basis_vector(col, n, 3)}, row {basis_vector(row, n, 3)}"
+    show = lambda column, row: unpack_value(ring, column[row]) if row in column else 0
     for col in range(n**3):
-        left, right = lhs[-1].column(col), rhs[-1].column(col)
+        left, right = lhs[-1].packed_column(col), rhs[-1].packed_column(col)
         for op in lhs[-2::-1]:
-            left = op(left)
+            left = op.packed_apply(left)
         for op in rhs[-2::-1]:
-            right = op(right)
+            right = op.packed_apply(right)
         if left != right:
             row = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
-            return f"{where(col, row)}: LHS {left.get(row, 0)} vs RHS {right.get(row, 0)}"
+            return f"{where(col, row)}: LHS {show(left, row)} vs RHS {show(right, row)}"
         bad = column_bound(left) if column_bound else None
         if bad:
             return f"{where(col, bad[0])}: {bad[1]}"

@@ -122,8 +122,8 @@ def verify_closed_forms(rvm: RootVectorMatrices) -> Report:
         w = ""
         for rt in rep.rs.positive:
             ec, fc = closed_form_root_vectors(rep, rt)
-            we = first_mismatch(rvm.e_of(rt), ec)
-            wf = first_mismatch(rvm.f_of(rt), fc)
+            we = first_mismatch(rvm.e_of(rt), ec, rep.N)
+            wf = first_mismatch(rvm.f_of(rt), fc, rep.N)
             if we:
                 w = w or f"e_{rt.label()}: {we}"
             if wf:
@@ -148,13 +148,13 @@ def verify_nilpotency(rvm: RootVectorMatrices) -> Report:
                 expect = SMatrix.from_entries(
                     ring, N, N, [(i - 1, rep.prime(i) - 1, -ring.mono(s=2 * (n - i)))]
                 )
-                w = w or first_mismatch(e2, expect)
-                w = w or first_mismatch(e2 @ rvm.e_of(rt), zero)
+                w = w or first_mismatch(e2, expect, N)
+                w = w or first_mismatch(e2 @ rvm.e_of(rt), zero, N)
                 f2 = rvm.f_of(rt) @ rvm.f_of(rt)
-                w = w or first_mismatch(f2 @ rvm.f_of(rt), zero)
+                w = w or first_mismatch(f2 @ rvm.f_of(rt), zero, N)
             else:
-                w = w or first_mismatch(e2, zero)
-                w = w or first_mismatch(rvm.f_of(rt) @ rvm.f_of(rt), zero)
+                w = w or first_mismatch(e2, zero, N)
+                w = w or first_mismatch(rvm.f_of(rt) @ rvm.f_of(rt), zero, N)
         it.witness = w
     return out
 

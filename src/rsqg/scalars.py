@@ -26,11 +26,20 @@ them.
 Sparse matrix products and mat-vecs skip it too
 (``matrices.SMatrix.__matmul__`` and ``matrices._combine_columns``).  Each
 output entry sums its Laurent products in place on one raw term dict, with
-``_pmuladd`` (the package's one term-pair product loop, which ``_pmul`` also
-uses) and ``_paddto``; a unit factor passes the other factor's terms
-through, with no exponent adds.  A sum of Laurent polynomials is canonical,
-so the nonzero dict becomes a Scalar as it is.  That saves a Scalar, a dict
-and an accumulator copy per product, which is where matmul time went.
+``_paddto`` and a term-pair product loop; a unit factor passes the other
+factor's terms through, with no exponent adds.  A sum of Laurent
+polynomials is canonical, so the nonzero dict becomes a Scalar as it is.
+That saves a Scalar, a dict and an accumulator copy per product, which is
+where matmul time went.
+
+The term-pair loop comes in two forms.  ``_pmuladd`` works on the tuple
+exponents that Scalars store; ``_pmul`` and ``__matmul__`` use it, since a
+matrix product reads each entry for a few products only and packing it on
+every call costs more than it saves.  ``_ppmuladd`` works on packed
+exponents (``_pack_exps``: one int per exponent vector, so a monomial
+product is one int add), and the mat-vec kernel on V⊗³ runs on it: an
+operator's columns are packed once, and a column check multiplies each of
+them tens of thousands of times.  Scalar storage stays in tuples.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -203,7 +212,8 @@ def _pdivc(a: dict, c) -> dict:
 def _pmuladd(out: dict, a: dict, b: dict) -> None:
     """out += a·b in place: each term pair adds its coefficient product at
     the exponent sum, and a coefficient that cancels to zero is deleted on
-    the spot.  The one polynomial-product loop of the package."""
+    the spot.  The polynomial-product loop on tuple exponents; the V⊗³
+    column kernel runs its packed sibling ``_ppmuladd``."""
     get = out.get
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -270,6 +280,87 @@ def _plead(a: dict) -> tuple[Exps, int | Fraction]:
 
 def _is_const(a: dict) -> bool:
     return len(a) == 1 and not any(next(iter(a)))
+
+
+# ---------------------------------------------------------------------------
+# packed exponents: one int per exponent vector (V⊗³ column kernel only)
+# ---------------------------------------------------------------------------
+
+# An exponent vector (e_0, …, e_{k-1}) packs to the int Σ e_i·2^(32i): its
+# digits in balanced base 2^32, so packing is additive and a monomial product
+# costs one int add.  Packing takes |e_i| < 2^20; a digit overflows only past
+# 2^31, so no sum of fewer than 2^11 packed exponents can carry into its
+# neighbour, and packed values compare as the vectors they stand for.
+_PACK_BITS = 32
+_PACK_MASK = (1 << _PACK_BITS) - 1
+_PACK_HALF = 1 << (_PACK_BITS - 1)
+_PACK_LIMIT = 1 << 20
+
+
+def _pack_exps(e: Exps) -> int:
+    """The packed int of an exponent vector; ValueError for |e_i| ≥ 2^20."""
+    p = 0
+    for x in reversed(e):
+        if not -_PACK_LIMIT < x < _PACK_LIMIT:
+            raise ValueError(f"exponent {x} out of the packed range |e| < 2^20")
+        p = (p << _PACK_BITS) + x
+    return p
+
+
+def _unpack_exps(p: int, nv: int) -> Exps:
+    """Inverse of ``_pack_exps`` for a vector of nv slots."""
+    out = []
+    for _ in range(nv):
+        d = p & _PACK_MASK
+        if d >= _PACK_HALF:
+            d -= 1 << _PACK_BITS
+        out.append(d)
+        p = (p - d) >> _PACK_BITS
+    return tuple(out)
+
+
+def _pack(a: dict) -> dict:
+    return {_pack_exps(e): c for e, c in a.items()}
+
+
+def _unpack(a: dict, nv: int) -> dict:
+    return {_unpack_exps(p, nv): c for p, c in a.items()}
+
+
+def _ppmuladd(out: dict, a: dict, b: dict) -> None:
+    """``_pmuladd`` on packed term dicts: the exponent sum is one int add."""
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            nc = get(e, 0) + ca * cb
+            if nc:
+                out[e] = nc
+            else:
+                del out[e]  # ca·cb is nonzero, so a zero sum means e was in out
+
+
+def _packed_exp_range(a: dict, i: int) -> tuple[int, int]:
+    """Smallest and largest exponent of variable slot i over the nonempty
+    packed term dict a, read off its digits: biasing digits 0…i by 2^31
+    makes each one nonnegative, so no borrow crosses into digit i."""
+    shift = _PACK_BITS * i
+    bias = sum(_PACK_HALF << (_PACK_BITS * j) for j in range(i + 1))
+    digits = [(p + bias) >> shift & _PACK_MASK for p in a]
+    return min(digits) - _PACK_HALF, max(digits) - _PACK_HALF
+
+
+def pack_value(x: "Scalar"):
+    """A vector entry of the packed kernel: the packed numerator of a Laurent
+    polynomial, or the Scalar itself when it has a denominator."""
+    return _pack(x._num) if x.den_is_one() else x
+
+
+def unpack_value(ring: "ScalarRing", v) -> "Scalar":
+    """Inverse of ``pack_value``."""
+    if isinstance(v, Scalar):
+        return v
+    return Scalar(ring, _unpack(v, ring.nvars), ring._one_den, _raw=True) if v else ring.zero
 
 
 # ---------------------------------------------------------------------------
@@ -645,10 +736,16 @@ class Scalar:
 
     def z_degree(self, name: str) -> int:
         """Largest exponent of the named variable in the numerator (0 for 0)."""
+        return self.z_range(name)[1]
+
+    def z_range(self, name: str) -> tuple[int, int]:
+        """Smallest and largest exponent of the named variable in the
+        numerator ((0, 0) for 0)."""
         if not self._num:
-            return 0
+            return 0, 0
         i = self.ring.index[name]
-        return max(e[i] for e in self._num)
+        exps = [e[i] for e in self._num]
+        return min(exps), max(exps)
 
     def __repr__(self) -> str:
         return text_form(self)

@@ -192,12 +192,12 @@ def test_columnwise_spectral_ybe_matches_the_matrix_form(family, rank, change):
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
 def test_columnwise_spectral_ybe_covers_every_column_and_entry(monkeypatch, family, rank):
-    """A passing check reads one stored column per side for each of the N³
-    basis vectors (R₂₃(y)'s on the left, R₁₂(x)'s on the right), applies
-    the two other factor actions to it, and reads the degrees of every
-    nonzero entry of the left side: as many as the V⊗³ matrix of the left
-    side has."""
-    from rsqg import matrices, scalars
+    """A passing check reads one stored packed column per side for each of
+    the N³ basis vectors (R₂₃(y)'s on the left, R₁₂(x)'s on the right),
+    applies the two other factor actions to it on packed vectors, and reads
+    the x and y digits of every nonzero entry of the left side: as many as
+    the V⊗³ matrix of the left side has."""
+    from rsqg import affine, matrices
 
     operators = spectral_ybe_operators(family, rank)
     r_x, r_y, r_xy = operators
@@ -205,19 +205,19 @@ def test_columnwise_spectral_ybe_covers_every_column_and_entry(monkeypatch, fami
     ident = SMatrix.identity(ring, N)
     mid_flip = kron(ident, flip_map(ring, N))
     lhs = kron(r_x, ident) @ (mid_flip @ kron(r_xy, ident) @ mid_flip) @ kron(ident, r_y)
-    applied, reads, degrees = [], [], []
-    call, column, z_degree = matrices.PairAction.__call__, matrices.PairAction.column, scalars.Scalar.z_degree
-    monkeypatch.setattr(matrices.PairAction, "__call__", lambda self, vec: applied.append(vec) or call(self, vec))
-    monkeypatch.setattr(matrices.PairAction, "column", lambda self, k: reads.append((self.strides, k)) or column(self, k))
-    monkeypatch.setattr(scalars.Scalar, "z_degree", lambda self, name: degrees.append(name) or z_degree(self, name))
+    applied, reads, digits = [], [], []
+    apply, column, exp_range = matrices.PairAction.packed_apply, matrices.PairAction.packed_column, affine._packed_exp_range
+    monkeypatch.setattr(matrices.PairAction, "packed_apply", lambda self, vec: applied.append(vec) or apply(self, vec))
+    monkeypatch.setattr(matrices.PairAction, "packed_column", lambda self, k: reads.append((self.strides, k)) or column(self, k))
+    monkeypatch.setattr(affine, "_packed_exp_range", lambda terms, i: digits.append(i) or exp_range(terms, i))
     assert check_spectral_ybe(family, rank, operators).ok()
     assert len(applied) == 4 * N**3
     strides_23, strides_12 = PairAction(r_y, N, (2, 3)).strides, PairAction(r_x, N, (1, 2)).strides
     assert reads == [(strides, k) for k in range(N**3) for strides in (strides_23, strides_12)]
     # each side's first action takes the column read for that side
     r23, r12 = PairAction(r_y, N, (2, 3)), PairAction(r_x, N, (1, 2))
-    assert applied[::2] == [op.column(k) for k in range(N**3) for op in (r23, r12)]
-    assert sorted(degrees) == sorted(["x", "y"] * lhs.nnz())
+    assert applied[::2] == [column(op, k) for k in range(N**3) for op in (r23, r12)]
+    assert sorted(digits) == sorted([ring.index["x"], ring.index["y"]] * lhs.nnz())
 
 
 @pytest.mark.parametrize("family,rank", AFFINE_DESK)

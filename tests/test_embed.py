@@ -105,7 +105,7 @@ def test_twist_checks_compare_matrices_over_the_quarter_ring(monkeypatch):
     that ring, not with the (r, s) ring it came from."""
     seen = []
 
-    def recording_mismatch(a, b):
+    def recording_mismatch(a, b, n):
         seen.append(a.ring.names)
         return ""
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsqg.matrices import PairAction, SMatrix, flip_map, kron, mat_vec
-from rsqg.scalars import rs_ring
+from rsqg.matrices import PairAction, SMatrix, _combine_columns, flip_map, kron, mat_vec
+from rsqg.scalars import pack_value, rs_ring, unpack_value
 
 
 @pytest.fixture(scope="module")
@@ -328,3 +328,33 @@ def test_pair_action_rejects_other_factors_and_shapes(R):
             PairAction(a, 2, factors)
     with pytest.raises(ValueError, match="does not act"):
         PairAction(a, 3, (1, 2))
+
+
+# -- the packed kernel -------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_kernel_is_the_entrywise_sum_of_products(data):
+    """``_combine_columns`` on packed vectors and columns (units, zeros,
+    denominators) against entrywise Scalar sums, with two entries whose
+    denominators cancel to a Laurent polynomial: q·(p/q) = p and
+    v·(p/q) + v·(lq - p)/q = l·v.  A Laurent value comes out packed, any
+    other as a Scalar with a denominator, so ``==`` is value equality."""
+    ring = data.draw(st.sampled_from(_RINGS))
+    vector = st.one_of(_entries(ring), st.just(ring.zero))
+    column = st.lists(st.tuples(st.integers(0, 3), _entries(ring)), max_size=4)
+    parts = data.draw(st.lists(st.tuples(vector, st.integers(0, 3), column), max_size=4))
+    p, l, v = data.draw(_laurent(ring, 3)), data.draw(_laurent(ring, 2)), data.draw(vector)
+    q = data.draw(_laurent(ring, 2).filter(lambda q: len(q._num) > 1))
+    parts += [(q, 0, [(0, p / q)]), (v, 0, [(1, p / q), (1, (l * q - p) / q)])]
+    expect = {}
+    for x, base, col in parts:
+        for off, c in col:
+            expect[base + off] = expect.get(base + off, ring.zero) + c * x
+    expect = {i: x for i, x in expect.items() if not x.is_zero()}
+    got = _combine_columns(ring, [(pack_value(x), base, [(off, pack_value(c)) for off, c in col]) for x, base, col in parts])
+    assert {i: unpack_value(ring, x) for i, x in got.items()} == expect
+    for i, x in got.items():
+        assert (type(x) is dict) == expect[i].den_is_one()
+        assert (x and all(x.values())) if type(x) is dict else not x.den_is_one()

@@ -318,6 +318,41 @@ def test_r_x_times_x_cubed_fails_the_spectral_degree_bound(family, rank):
     assert int(match[1]) > int(match[2]) == (2 if family == "A" else 4)
 
 
+@pytest.mark.parametrize("family,rank", YBE_CASES)
+def test_r_x_times_a_negative_x_power_fails_the_spectral_degree_bound(family, rank):
+    """R(x) times x⁻³ scales both sides alike, so the YBE still holds and no
+    x-degree exceeds the bound: only the negative powers of x fail."""
+    ctx = CaseContext(family, rank)
+    r_x, r_y, r_xy = ctx.ybe
+    ctx.ybe = (r_x.scale(r_x.ring.atom("x") ** -3), r_y, r_xy)
+    item = _run(ctx, "affine", "ybe")["spectral-ybe"]
+    assert not item.ok
+    pattern = rf"column {BASIS3}, row {BASIS3}: LHS entry of lowest x-power (-\d+) and y-power \d+ is not polynomial in x and y"
+    assert re.fullmatch(pattern, item.witness), item.witness
+
+
+@pytest.mark.parametrize("family,rank", OPERATOR_CASES)
+def test_rz_entry_times_a_negative_z_power_fails_the_z_degree_bound(family, rank):
+    """R̂(z)'s first entry times z⁻⁵ has z-degree below the bound, and is not
+    a polynomial in z."""
+    ctx = CaseContext(family, rank)
+    i, j, v = ctx.rz.entries()[0]
+    ctx.rz = _add(ctx.rz, i, j, v * (ctx.rz.ring.atom("z") ** -5 - ctx.rz.ring.one))
+    item = _run(ctx, "affine", "degree")["z-degree-bound"]
+    assert item.witness == f"entry ({i},{j}) is not polynomial in z"
+
+
+def test_affine_serre_witness_names_basis_vectors_of_v():
+    """Module witnesses name rows and columns as basis vectors of V: the
+    affine Serre sum at B2 with the first entry of e_0 times r."""
+    mod = build_evaluation("B", 2)
+    mod.e[0] = _entry_times_r(mod.e[0])
+    items = {it.name: it for it in verify_affine_relations(mod).items}
+    assert items["affine-serre"].witness == (
+        "serre e (0,1): row v_4, column v_2: LHS -1 * r^3 * s^2 * x^1 * a^1 + 1 * r^2 * s^2 * x^1 * a^1 vs RHS 0"
+    )
+
+
 def _run(ctx: CaseContext, group: str, name: str) -> dict:
     (check,) = [c for c in CATALOGUE if (c.group, c.name) == (group, name)]
     return {it.name: it for it in check.run(ctx).items}

@@ -25,7 +25,7 @@ from rsqg.scalars import (
     substitute,
     text_form,
 )
-from rsqg.scalars import _make
+from rsqg.scalars import _make, _pack_exps, _packed_exp_range, _unpack_exps
 
 
 # -- independent dense-polynomial oracle (two variables, for derived values) --
@@ -561,3 +561,58 @@ def test_matrix_from_json_drops_a_zero_entry():
     again = matrix_from_json(R, obj)
     assert again.nnz() == 2
     assert again == m
+
+
+def test_first_mismatch_names_basis_vectors_of_v_or_v_tensor_v():
+    """With dim V given, an N×N operator's row and column are named v_a and
+    an N²×N² operator's v_a⊗v_b; any other size raises."""
+    R = _R2
+    one = SMatrix.from_entries(R, 2, 2, [(1, 0, R.one)])
+    assert first_mismatch(one, SMatrix.zero(R, 2), 2) == "row v_2, column v_1: LHS 1 vs RHS 0"
+    two = SMatrix.from_entries(R, 4, 4, [(1, 2, R.one)])
+    assert first_mismatch(two, SMatrix.zero(R, 4), 2) == "row v_1⊗v_2, column v_2⊗v_1: LHS 1 vs RHS 0"
+    with pytest.raises(ValueError, match="neither V nor V ⊗ V"):
+        first_mismatch(two, SMatrix.zero(R, 4), 3)
+
+
+# -- packed exponents -----------------------------------------------------------
+
+_LIMIT = 2**20
+
+
+def _exponent_vectors(bound):
+    """Vectors of 1 to 5 exponents with |e| < bound, the extremes included."""
+    e = st.one_of(st.integers(-bound + 1, bound - 1), st.sampled_from([-bound + 1, bound - 1, -1, 0, 1]))
+    return st.integers(1, 5).flatmap(lambda k: st.tuples(*[e] * k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exponent_vectors(_LIMIT))
+def test_packing_round_trips(e):
+    assert _unpack_exps(_pack_exps(e), len(e)) == e
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packing_is_additive_and_reads_each_digit(data):
+    """pack(a) + pack(b) = pack(a + b), and the digit read of each slot over
+    a packed term dict gives its smallest and largest exponent."""
+    a = data.draw(_exponent_vectors(_LIMIT // 2))
+    b = data.draw(st.tuples(*[st.integers(-_LIMIT // 2 + 1, _LIMIT // 2 - 1)] * len(a)))
+    assert _pack_exps(a) + _pack_exps(b) == _pack_exps(tuple(x + y for x, y in zip(a, b)))
+    terms = {_pack_exps(a): 1, _pack_exps(b): -2}
+    for i in range(len(a)):
+        assert _packed_exp_range(terms, i) == (min(a[i], b[i]), max(a[i], b[i]))
+
+
+def test_packing_limits():
+    """|e| = 2^20 - 1 packs and 2^20 raises; 2^11 - 1 chained sums of
+    extreme exponents stay within their digits."""
+    top = _LIMIT - 1
+    for e in ((top,), (-top,), (top, -top, 0, -top)):
+        assert _unpack_exps(_pack_exps(e), len(e)) == e
+        k = 2**11 - 1
+        assert _unpack_exps(k * _pack_exps(e), len(e)) == tuple(k * x for x in e)
+    for e in ((_LIMIT,), (0, -_LIMIT), (1, 2**31)):
+        with pytest.raises(ValueError, match="packed range"):
+            _pack_exps(e)

@@ -164,9 +164,9 @@ def test_each_pairing_value_is_computed_once_per_case(monkeypatch):
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
 def test_braid_builds_no_v3_matrix(monkeypatch, family, rank):
     """check_braid calls neither kron nor the matrix product, builds no
-    matrix larger than V ⊗ V, and applies two factor actions per side to
-    each of the N³ basis columns (the first one on each side is a column
-    read)."""
+    matrix larger than V ⊗ V, and applies two packed factor actions per
+    side to each of the N³ basis columns (the first one on each side is a
+    column read)."""
     from rsqg import matrices
     from rsqg.matrices import PairAction, SMatrix
 
@@ -174,7 +174,7 @@ def test_braid_builds_no_v3_matrix(monkeypatch, family, rank):
     N = ctx.rep.N
     calls = Counter()
     rows = []
-    init, call = SMatrix.__init__, PairAction.__call__
+    init, apply = SMatrix.__init__, PairAction.packed_apply
 
     def recorded_init(self, ring, nrows, ncols, rows_=None):
         rows.append(nrows)
@@ -190,11 +190,51 @@ def test_braid_builds_no_v3_matrix(monkeypatch, family, rank):
     _wrap_everywhere(monkeypatch, matrices.kron, forbidden("kron"))
     monkeypatch.setattr(SMatrix, "__matmul__", forbidden("matmul"))
     monkeypatch.setattr(SMatrix, "__init__", recorded_init)
-    monkeypatch.setattr(PairAction, "__call__", lambda self, vec: calls.update(["apply"]) or call(self, vec))
+    monkeypatch.setattr(PairAction, "packed_apply", lambda self, vec: calls.update(["apply"]) or apply(self, vec))
     out = rmatrix.check_braid(ctx.rep, ctx.rhat)
     assert out.ok(), out.items[0].witness
     assert calls == {"apply": 4 * N**3}
     assert max(rows, default=0) <= N * N
+
+
+@pytest.mark.parametrize("check", ["braid", "spectral-ybe"])
+def test_passing_column_checks_construct_no_scalar(monkeypatch, check):
+    """A passing B2 ``braid`` or ``spectral-ybe`` keeps every column packed
+    from the stored columns to the comparison and the degree bound:
+    ``first_column_mismatch`` constructs no Scalar.  A failing one does, for
+    the values its witness prints."""
+    from rsqg import report, scalars
+    from rsqg.matrices import SMatrix
+
+    def first_entry_doubled(m):
+        i, j, v = m.entries()[0]
+        return m + SMatrix.from_entries(m.ring, m.nrows, m.ncols, [(i, j, v)])
+
+    ctx = catalogue.CaseContext("B", 2)
+    run = {
+        "braid": lambda: rmatrix.check_braid(ctx.rep, ctx.rhat),
+        "spectral-ybe": lambda: affine.check_spectral_ybe("B", 2, ctx.ybe),
+    }[check]
+    run()  # builds the case operators
+    init, compare = scalars.Scalar.__init__, report.first_column_mismatch
+    inits = []
+
+    def counted(*args):
+        monkeypatch.setattr(scalars.Scalar, "__init__", lambda self, *a, **k: inits.append(1) or init(self, *a, **k))
+        try:
+            return compare(*args)
+        finally:
+            monkeypatch.setattr(scalars.Scalar, "__init__", init)
+
+    monkeypatch.setattr(rmatrix, "first_column_mismatch", counted)
+    monkeypatch.setattr(affine, "first_column_mismatch", counted)
+    assert run().ok()
+    assert inits == []
+    ctx.rhat = first_entry_doubled(ctx.rhat)
+    r_x, r_y, r_xy = ctx.ybe
+    ctx.ybe = (r_x, r_y, first_entry_doubled(r_xy))
+    assert not run().ok()
+    assert inits
 
 
 def test_unit_entries_reach_kron_as_the_shared_one(monkeypatch):
