@@ -14,7 +14,7 @@ from .matrices import PairAction, SMatrix, flip_map, tensor_units
 from .rep import KAPPA, EvaluationRep, Representation, build_evaluation, build_fundamental, coproduct
 from .report import Report, first_column_mismatch, first_mismatch
 from .rmatrix import CoefficientTables, eigenvalues
-from .scalars import Scalar, ScalarRing, _packed_exp_range, rs_ring
+from .scalars import Scalar, ScalarRing, _packed_exp_ranges, rs_ring
 
 
 def xi_constant(family: str, rank: int, ring: ScalarRing) -> Scalar:
@@ -284,7 +284,7 @@ def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -
                 v = lhs[row]
                 if type(v) is not dict:
                     return row, "LHS entry has a denominator"
-                (lx, dx), (ly, dy) = _packed_exp_range(v, ix), _packed_exp_range(v, iy)
+                (lx, dx), (ly, dy) = _packed_exp_ranges(v, ix, iy)
                 if lx < 0 or ly < 0:
                     return row, f"LHS entry of lowest x-power {lx} and y-power {ly} is not polynomial in x and y"
                 if dx > bound or dy > bound:

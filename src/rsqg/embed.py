@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .lyndon import ConvexOrder, minimal_pair
 from .matrices import SMatrix, flip_map
-from .rep import Representation, serre_sum
+from .rep import Representation, serre_sum, tensor_square
 from .report import Report, first_mismatch
 from .rmatrix import CoefficientTables
 from .rootdata import Root, omega_pairing
@@ -59,7 +59,8 @@ def verify_dj_relations(rep: Representation, mg: ModifiedGenerators) -> Report:
     """The modified generators ``mg`` of ``rep`` satisfy the one-parameter
     defining relations at q = r^{1/2} s^{-1/2}: Cartan conjugations by
     q^{(α_i,α_j)}, the commutator identity with
-    (ω̃_i - ω̃_i^{-1})/(q_i - q_i^{-1}), and the q-Serre sums."""
+    (ω̃_i - ω̃_i^{-1})/(q_i - q_i^{-1}), and the q-Serre sums, on V and on
+    V⊗V (the modified generators of ``tensor_square(rep)``)."""
     ring, rs, n, N = rep.ring, rep.rs, rep.n, rep.N
     out = Report()
 
@@ -89,18 +90,27 @@ def verify_dj_relations(rep: Representation, mg: ModifiedGenerators) -> Report:
         it.witness = w
 
     with out.timed("dj-serre", rep.family, n) as it:
-        w = ""
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                m = 1 - rs.cartan[i - 1][j - 1]
-                for mats, tag in ((mg.e, "e"), (mg.f, "f")):
-                    acc = serre_sum(mats, i, j, m, lambda k: q_binomial(ring, m, k, d=rs.d[i - 1]))
-                    if not acc.is_zero():
-                        w = w or f"q-serre {tag} ({i},{j})"
-        it.witness = w
+        # on V every term of a q-Serre sum with m ≥ 2 is zero by itself, so
+        # the sums are also checked on V⊗V, which sees the coefficients
+        it.witness = _q_serre(mg, "") or _q_serre(modified_generators(tensor_square(rep)), " on V⊗V")
     return out
+
+
+def _q_serre(mg: ModifiedGenerators, where: str) -> str:
+    """The first nonvanishing q-Serre sum Σ_k (-1)^k [m k]_{q_i} x_i^{m-k}
+    x_j x_i^k, m = 1 - a_ij, over the modified generators ``mg``."""
+    ring, rs, n = mg.rep.ring, mg.rep.rs, mg.rep.n
+    w = ""
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            m = 1 - rs.cartan[i - 1][j - 1]
+            for mats, tag in ((mg.e, "e"), (mg.f, "f")):
+                acc = serre_sum(mats, i, j, m, lambda k: q_binomial(ring, m, k, d=rs.d[i - 1]))
+                if not acc.is_zero():
+                    w = w or f"q-serre {tag} ({i},{j}){where}"
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .scalars import Scalar, ScalarRing
+from .scalars import Scalar, ScalarRing, _memoized
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -286,10 +286,14 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
 
 def omega_pairing(rs: RootSystem, ring: ScalarRing, lam, mu) -> Scalar:
     """(ω'_λ, ω_μ) = r^⟨λ,μ⟩ s^(-⟨μ,λ⟩) for λ, μ given over the simple roots
-    (half-integer coefficients allowed)."""
-    e_r = rs.ringel_form(lam, mu)
-    e_s = -rs.ringel_form(mu, lam)
-    return ring.mono(r=e_r, s=e_s)
+    (half-integer coefficients allowed).  Built once per process for each
+    ring variable set, (family, rank), λ and μ."""
+    lam, mu = tuple(lam), tuple(mu)
+    return _memoized(
+        ring,
+        ("omega_pairing", rs.family, rs.n, lam, mu),
+        lambda: ring.mono(r=rs.ringel_form(lam, mu), s=-rs.ringel_form(mu, lam)),
+    )
 
 
 def omega_on_weight(rs: RootSystem, ring: ScalarRing, lam_eps, i: int) -> Scalar:

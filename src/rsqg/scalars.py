@@ -14,14 +14,27 @@ the text form and the JSON do not depend on which one is stored.  ``int /
 int`` is never used: its result is inexact.
 
 Every value is held in canonical form, and ``_make`` is the one function
-that puts a raw fraction into it.  Three operations skip it, because their
+that puts a raw fraction into it.  Four operations skip it, because their
 result is canonical as computed: a product or sum of two Laurent polynomials
-(denominator 1; the product of nonzero ones is nonzero), and a product with
-a Laurent monomial of denominator 1.  A monomial is a unit of the Laurent
-ring, so the other factor's numerator and monic denominator stay coprime and
-its denominator is kept as it is.  All Laurent polynomials of a ring share
+(denominator 1; the product of nonzero ones is nonzero), a product with a
+Laurent monomial of denominator 1, and the inverse of such a monomial.  A
+monomial is a unit of the Laurent ring, so the other factor's numerator and
+monic denominator stay coprime and its denominator is kept as it is.  All Laurent polynomials of a ring share
 the ring's one unit-denominator dict, which is how these paths recognise
 them.
+
+Two more skip it.  ``substitute`` maps each term of a Laurent polynomial
+to one term when every image is a monomial or zero (r^(1/2) ↦ w q^(1/2),
+r^(1/2) ↦ q^(1/2), z ↦ 1, z ↦ 0), so only a value with a denominator is
+canonicalized; polynomial images are raised to powers and summed.  The
+(r,s)-combinatorics (``rs_integer``, ``q_integer``, their factorials and
+Gaussian binomials) are Laurent polynomials, built from closed forms, products
+and Pascal rules with no division.  Each of them, and
+``rootdata.omega_pairing``, is built once per process and per ring variable
+set, on first use (nothing is computed at import), in one module-level memo
+of raw term dicts (``_MEMO``).  A value is handed out bound to the caller's
+ring object, on that ring's shared unit denominator, and its term dict is
+shared and never changed, like every Scalar's.
 
 Sparse matrix products and mat-vecs skip it too
 (``matrices.SMatrix.__matmul__`` and ``matrices._combine_columns``).  Each
@@ -340,14 +353,28 @@ def _ppmuladd(out: dict, a: dict, b: dict) -> None:
                 del out[e]  # ca·cb is nonzero, so a zero sum means e was in out
 
 
-def _packed_exp_range(a: dict, i: int) -> tuple[int, int]:
-    """Smallest and largest exponent of variable slot i over the nonempty
-    packed term dict a, read off its digits: biasing digits 0…i by 2^31
-    makes each one nonnegative, so no borrow crosses into digit i."""
-    shift = _PACK_BITS * i
-    bias = sum(_PACK_HALF << (_PACK_BITS * j) for j in range(i + 1))
-    digits = [(p + bias) >> shift & _PACK_MASK for p in a]
-    return min(digits) - _PACK_HALF, max(digits) - _PACK_HALF
+def _packed_exp_ranges(a: dict, i: int, j: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Smallest and largest exponents of variable slots i and j over the
+    nonempty packed term dict a, read off its digits in one pass: biasing
+    digits 0…max(i, j) by 2^31 makes each one nonnegative, so no borrow
+    crosses between them."""
+    bias = _PACK_HALF * ((1 << _PACK_BITS * (max(i, j) + 1)) - 1) // _PACK_MASK
+    si, sj = _PACK_BITS * i, _PACK_BITS * j
+    lo_i = lo_j = _PACK_MASK
+    hi_i = hi_j = 0
+    for p in a:
+        p += bias
+        d = p >> si & _PACK_MASK
+        if d < lo_i:
+            lo_i = d
+        if d > hi_i:
+            hi_i = d
+        d = p >> sj & _PACK_MASK
+        if d < lo_j:
+            lo_j = d
+        if d > hi_j:
+            hi_j = d
+    return (lo_i - _PACK_HALF, hi_i - _PACK_HALF), (lo_j - _PACK_HALF, hi_j - _PACK_HALF)
 
 
 def pack_value(x: "Scalar"):
@@ -684,6 +711,10 @@ class Scalar:
     def inv(self) -> "Scalar":
         if not self._num:
             raise ZeroDivisionError("inverting zero scalar")
+        if self._den is self.ring._one_den and len(self._num) == 1:
+            # a monomial's inverse is the monomial of negated exponents
+            ((e, c),) = self._num.items()
+            return Scalar(self.ring, {tuple(-x for x in e): _cdiv(1, c)}, self._den, _raw=True)
         return _make(self.ring, self._den, self._num)
 
     def __pow__(self, n: int) -> "Scalar":
@@ -772,6 +803,10 @@ def substitute(
     (r ↦ binding means the image of r^(1/2) when r has granularity 2) to the
     given Scalar; unbound variables map to themselves in the target ring.
 
+    When every image is a monomial or zero, each term maps to one term
+    (``_substitute_terms``), and only a value with a denominator is
+    canonicalized; a polynomial image is raised to powers and summed.
+
     Substituting zero into a variable that occurs with a negative exponent
     raises ZeroDivisionError.
     """
@@ -785,6 +820,16 @@ def substitute(
             images.append(img)
         else:
             images.append(target.atom(v.name))
+
+    if all(img.is_zero() or img.is_monomial() for img in images):
+        monos = [img.monomial_parts() if img._num else None for img in images]
+        num = _substitute_terms(x._num, monos, x.ring.names, target.nvars)
+        if x.den_is_one():
+            return Scalar(target, num, target._one_den, _raw=True) if num else target.zero
+        den = _substitute_terms(x._den, monos, x.ring.names, target.nvars)
+        if not den:
+            raise ZeroDivisionError("scalar division by zero")
+        return _make(target, num, den)
 
     powcache: list[dict[int, Scalar]] = [dict() for _ in range(x.ring.nvars)]
 
@@ -813,39 +858,99 @@ def substitute(
     return evn / evd
 
 
+def _substitute_terms(terms: dict, monos: list, names: tuple, nv: int) -> dict:
+    """Image of a raw term dict when variable i maps to the monomial
+    ``monos[i]`` = (exponents, coefficient), or to zero when it is None: the
+    term c·Π x_i^{k_i} goes to exponent Σ k_i·e_i and coefficient
+    c·Π c_i^{k_i}, and is dropped when a zero image has k_i > 0.  Images of
+    distinct terms may share an exponent, so coefficients are summed."""
+    out: dict = {}
+    get = out.get
+    for e, c in terms.items():
+        exps = [0] * nv
+        dropped = False
+        for i, k in enumerate(e):
+            if not k:
+                continue
+            mono = monos[i]
+            if mono is None:
+                if k < 0:
+                    raise ZeroDivisionError(f"substituting zero into negative power of {names[i]}")
+                dropped = True
+                continue
+            me, mc = mono
+            for j, x in enumerate(me):
+                if x:
+                    exps[j] += k * x
+            if mc != 1:
+                c = c * mc**k if k > 0 else _cdiv(c, mc**-k)
+        if dropped:
+            continue
+        t = tuple(exps)
+        nc = get(t, 0) + c
+        if nc:
+            out[t] = nc
+        else:
+            del out[t]
+    return out
+
+
 # ---------------------------------------------------------------------------
-# (r,s)-combinatorics
+# (r,s)-combinatorics: closed forms, no division, computed once per process
 # ---------------------------------------------------------------------------
+
+# Laurent term dicts keyed by (ring.variables, name, integer arguments), filled
+# on first use.  A stored dict is shared by every Scalar handed out for its
+# key and is never changed: Scalar operations build new dicts.
+_MEMO: dict[tuple, dict] = {}
+
+
+def _memoized(ring: ScalarRing, key: tuple, build) -> Scalar:
+    """The Laurent polynomial ``build()`` names by ``key``, built once per
+    ring variable set and returned bound to ``ring`` itself, on its shared
+    unit denominator."""
+    k = (ring.variables, key)
+    terms = _MEMO.get(k)
+    if terms is None:
+        terms = _MEMO[k] = build()._num
+    return Scalar(ring, terms, ring._one_den, _raw=True) if terms else ring.zero
 
 
 def rs_integer(ring: ScalarRing, m: int, d: int = 1) -> Scalar:
-    """Two-parameter quantum integer (r_d^m - s_d^m)/(r_d - s_d), r_d = r^d."""
+    """Two-parameter quantum integer [m]_{r_d,s_d} = (r_d^m − s_d^m)/(r_d − s_d)
+    with r_d = r^d, s_d = s^d, written as Σ_{k<m} r_d^{m−1−k} s_d^k."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    r = ring.mono(r=d)
-    s = ring.mono(s=d)
-    if m == 0:
-        return ring.zero
-    return (r**m - s**m) / (r - s)
+    return _memoized(
+        ring,
+        ("rs_integer", m, d),
+        lambda: sum((ring.mono(r=d * (m - 1 - k), s=d * k) for k in range(m)), ring.zero),
+    )
 
 
 def rs_factorial(ring: ScalarRing, m: int, d: int = 1) -> Scalar:
+    """[m]_{r_d,s_d}! = [1]·[2]···[m], a product of Laurent polynomials."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    out = ring.one
-    for k in range(2, m + 1):
-        out = out * rs_integer(ring, k, d)
-    return out
+    if m < 2:
+        return ring.one
+    return _memoized(ring, ("rs_factorial", m, d), lambda: rs_factorial(ring, m - 1, d) * rs_integer(ring, m, d))
 
 
 def rs_binomial(ring: ScalarRing, m: int, k: int, d: int = 1) -> Scalar:
-    """Two-parameter Gaussian binomial; always a Laurent polynomial."""
+    """Two-parameter Gaussian binomial [m k]_{r_d,s_d} = [m]!/([k]![m−k]!),
+    by the Pascal rule B(m, k) = r_d^k B(m−1, k) + s_d^{m−k} B(m−1, k−1) with
+    B(m, 0) = B(m, m) = 1; always a Laurent polynomial."""
     if not 0 <= k <= m:
         raise ValueError(f"binomial requires 0 <= k <= m, got ({m}, {k})")
-    out = rs_factorial(ring, m, d) / (rs_factorial(ring, k, d) * rs_factorial(ring, m - k, d))
-    if not out.den_is_one():
-        raise ArithmeticError(f"binomial did not reduce to a Laurent polynomial: {out}")
-    return out
+    if k == 0 or k == m:
+        return ring.one
+    return _memoized(
+        ring,
+        ("rs_binomial", m, k, d),
+        lambda: ring.mono(r=d * k) * rs_binomial(ring, m - 1, k, d)
+        + ring.mono(s=d * (m - k)) * rs_binomial(ring, m - 1, k - 1, d),
+    )
 
 
 def q_scalar(ring: ScalarRing, d: int = 1) -> Scalar:
@@ -854,27 +959,37 @@ def q_scalar(ring: ScalarRing, d: int = 1) -> Scalar:
 
 
 def q_integer(ring: ScalarRing, m: int, d: int = 1) -> Scalar:
-    """One-parameter quantum integer [m] at q_d = (r/s)^(d/2)."""
-    q = q_scalar(ring, d)
-    if m == 0:
-        return ring.zero
-    return (q**m - q**-m) / (q - q.inv())
+    """One-parameter quantum integer [m] = (q_d^m − q_d^{−m})/(q_d − q_d^{−1})
+    at q_d = (r/s)^(d/2), written as Σ_{k<m} q_d^{m−1−2k}; [−m] = −[m]."""
+    if m < 0:
+        return -q_integer(ring, -m, d)
+    return _memoized(
+        ring,
+        ("q_integer", m, d),
+        lambda: sum((q_scalar(ring, d * (m - 1 - 2 * k)) for k in range(m)), ring.zero),
+    )
 
 
 def q_factorial(ring: ScalarRing, m: int, d: int = 1) -> Scalar:
-    out = ring.one
-    for k in range(2, m + 1):
-        out = out * q_integer(ring, k, d)
-    return out
+    """[m]_{q_d}! = [1]·[2]···[m] (1 for m < 2)."""
+    if m < 2:
+        return ring.one
+    return _memoized(ring, ("q_factorial", m, d), lambda: q_factorial(ring, m - 1, d) * q_integer(ring, m, d))
 
 
 def q_binomial(ring: ScalarRing, m: int, k: int, d: int = 1) -> Scalar:
+    """One-parameter Gaussian binomial [m k]_{q_d}, by the Pascal rule
+    [m k] = q_d^k [m−1 k] + q_d^{−(m−k)} [m−1 k−1] with [m 0] = [m m] = 1."""
     if not 0 <= k <= m:
         raise ValueError(f"binomial requires 0 <= k <= m, got ({m}, {k})")
-    out = q_factorial(ring, m, d) / (q_factorial(ring, k, d) * q_factorial(ring, m - k, d))
-    if not out.den_is_one():
-        raise ArithmeticError(f"q-binomial did not reduce: {out}")
-    return out
+    if k == 0 or k == m:
+        return ring.one
+    return _memoized(
+        ring,
+        ("q_binomial", m, k, d),
+        lambda: q_scalar(ring, d * k) * q_binomial(ring, m - 1, k, d)
+        + q_scalar(ring, -d * (m - k)) * q_binomial(ring, m - 1, k - 1, d),
+    )
 
 
 # ---------------------------------------------------------------------------

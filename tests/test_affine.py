@@ -206,10 +206,12 @@ def test_columnwise_spectral_ybe_covers_every_column_and_entry(monkeypatch, fami
     mid_flip = kron(ident, flip_map(ring, N))
     lhs = kron(r_x, ident) @ (mid_flip @ kron(r_xy, ident) @ mid_flip) @ kron(ident, r_y)
     applied, reads, digits = [], [], []
-    apply, column, exp_range = matrices.PairAction.packed_apply, matrices.PairAction.packed_column, affine._packed_exp_range
+    apply, column, exp_ranges = matrices.PairAction.packed_apply, matrices.PairAction.packed_column, affine._packed_exp_ranges
     monkeypatch.setattr(matrices.PairAction, "packed_apply", lambda self, vec: applied.append(vec) or apply(self, vec))
     monkeypatch.setattr(matrices.PairAction, "packed_column", lambda self, k: reads.append((self.strides, k)) or column(self, k))
-    monkeypatch.setattr(affine, "_packed_exp_range", lambda terms, i: digits.append(i) or exp_range(terms, i))
+    monkeypatch.setattr(
+        affine, "_packed_exp_ranges", lambda terms, i, j: digits.append((i, j)) or exp_ranges(terms, i, j)
+    )
     assert check_spectral_ybe(family, rank, operators).ok()
     assert len(applied) == 4 * N**3
     strides_23, strides_12 = PairAction(r_y, N, (2, 3)).strides, PairAction(r_x, N, (1, 2)).strides
@@ -217,7 +219,7 @@ def test_columnwise_spectral_ybe_covers_every_column_and_entry(monkeypatch, fami
     # each side's first action takes the column read for that side
     r23, r12 = PairAction(r_y, N, (2, 3)), PairAction(r_x, N, (1, 2))
     assert applied[::2] == [column(op, k) for k in range(N**3) for op in (r23, r12)]
-    assert sorted(digits) == sorted([ring.index["x"], ring.index["y"]] * lhs.nnz())
+    assert digits == [(ring.index["x"], ring.index["y"])] * lhs.nnz()
 
 
 @pytest.mark.parametrize("family,rank", AFFINE_DESK)

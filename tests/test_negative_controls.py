@@ -11,7 +11,7 @@ from math import isqrt
 
 import pytest
 
-from rsqg import cli, embed, pairing
+from rsqg import cli, embed, pairing, rep
 from rsqg.catalogue import CATALOGUE, CaseContext
 from rsqg.embed import modified_generators, verify_dj_relations
 from rsqg.matrices import SMatrix
@@ -499,6 +499,58 @@ def test_perturbed_cached_c_gamma_fails_constants_and_route(family, rank):
     assert witness["route-equivalence"]
     assert witness["pairing-constants"].startswith(f"{top.label()} m=1: oracle")
     assert "vs recursion" in witness["pairing-constants"]
+
+
+# -- (r,s)-combinatorics as each certificate reads them ------------------------
+
+# the Serre sums of B2 and C3 have m = 2 and m = 3; a coefficient with
+# 0 < k < m comes from the Pascal rule rather than the ends B(m, 0) = B(m, m) = 1
+SERRE_TERMS = [(family, rank, m, k) for family, rank in (("B", 2), ("C", 3)) for m, k in ((2, 1), (3, 1), (3, 2))]
+
+
+def _times_r_at(monkeypatch, module, name: str, at: tuple):
+    """``module.name`` with the value at the integer arguments ``at`` times r."""
+    real = getattr(module, name)
+
+    def faulty(ring, *args, **kwargs):
+        val = real(ring, *args, **kwargs)
+        return val * ring.mono(r=1) if args == at else val
+
+    monkeypatch.setattr(module, name, faulty)
+
+
+@pytest.mark.parametrize("family,rank,m,k", SERRE_TERMS)
+def test_perturbed_rs_binomial_fails_serre(monkeypatch, family, rank, m, k):
+    """The Serre coefficient [m k]_{r_i,s_i} times r, as the finite and
+    affine relation checks read it.  Only V⊗V sees it: on V every term of
+    the sum vanishes by itself."""
+    _times_r_at(monkeypatch, rep, "rs_binomial", (m, k))
+    finite = {it.name: it for it in verify_finite_relations(build_fundamental(family, rank)).items}
+    affine = {it.name: it for it in verify_affine_relations(build_evaluation(family, rank)).items}
+    for item in (finite["serre"], affine["affine-serre"]):
+        assert not item.ok
+        assert re.match(r"serre [ef] \(\d,\d\) on V⊗V: row v_\d+⊗v_\d+, column v_\d+⊗v_\d+: LHS .* vs RHS 0$", item.witness)
+
+
+@pytest.mark.parametrize("family,rank,m,k", SERRE_TERMS)
+def test_perturbed_q_binomial_fails_dj_serre(monkeypatch, family, rank, m, k):
+    """The one-parameter Serre coefficient [m k]_{q_i} times r, as the
+    Drinfeld–Jimbo check reads it."""
+    _times_r_at(monkeypatch, embed, "q_binomial", (m, k))
+    mod = build_fundamental(family, rank)
+    items = {it.name: it for it in verify_dj_relations(mod, modified_generators(mod)).items}
+    assert not items["dj-serre"].ok
+    assert re.fullmatch(r"q-serre [ef] \(\d,\d\) on V⊗V", items["dj-serre"].witness)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 3)])
+def test_perturbed_rs_factorial_fails_pairing_constants(monkeypatch, family, rank):
+    """[2]_{r,s}! times r in the closed forms and the recursion: both
+    disagree with the oracle at m = 2."""
+    _times_r_at(monkeypatch, pairing, "rs_factorial", (2,))
+    item = _pairing_item(family, rank, "constants")
+    assert not item.ok
+    assert " m=2: oracle" in item.witness
 
 
 # -- coverage ------------------------------------------------------------------

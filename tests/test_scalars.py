@@ -11,13 +11,19 @@ from hypothesis import strategies as st
 
 from rsqg.matrices import SMatrix
 from rsqg.report import first_mismatch
+from rsqg import cli, scalars
+from rsqg.embed import _to_quarter_ring, quarter_ring
+from rsqg.rootdata import build_root_system, omega_pairing
 from rsqg.scalars import (
     Scalar,
+    ScalarRing,
     parse,
     q_binomial,
+    q_factorial,
     q_integer,
     ring_create,
     rs_binomial,
+    rs_factorial,
     rs_integer,
     rs_ring,
     scalar_from_json,
@@ -25,7 +31,7 @@ from rsqg.scalars import (
     substitute,
     text_form,
 )
-from rsqg.scalars import _make, _pack_exps, _packed_exp_range, _unpack_exps
+from rsqg.scalars import _make, _pack_exps, _packed_exp_ranges, _unpack_exps
 
 
 # -- independent dense-polynomial oracle (two variables, for derived values) --
@@ -156,6 +162,127 @@ def test_substitute_zero_into_negative_power():
         substitute(z.inv(), {"z": R.zero})
 
 
+# -- (r,s)-combinatorics against their division definitions -------------------
+
+# The closed forms and Pascal rules are checked against the quotients the
+# paper defines them by, computed in the fraction field (so through the GCD):
+# [m] = (a^m − b^m)/(a − b) with (a, b) = (r^d, s^d) or (q_d, q_d^{-1}), the
+# factorial as a product, and [m k] = [m]!/([k]![m−k]!).
+_COMBINATORICS = {
+    "rs": (rs_integer, rs_factorial, rs_binomial),
+    "q": (q_integer, q_factorial, q_binomial),
+}
+
+
+def _integer_by_division(ring, kind, m, d):
+    if kind == "rs":
+        a, b = ring.mono(r=d), ring.mono(s=d)
+    else:
+        a = ring.mono(r=Fraction(d, 2), s=-Fraction(d, 2))
+        b = a.inv()
+    return ring.zero if m == 0 else (a**m - b**m) / (a - b)
+
+
+def _combinatorics_by_division(ring, kind, d, top=10):
+    integers = [_integer_by_division(ring, kind, m, d) for m in range(top + 1)]
+    factorials = [ring.one]
+    for m in range(1, top + 1):
+        factorials.append(factorials[-1] * integers[m])
+    binomials = {
+        (m, k): factorials[m] / (factorials[k] * factorials[m - k]) for m in range(top + 1) for k in range(m + 1)
+    }
+    return integers, factorials, binomials
+
+
+def _assert_laurent_in(x, ring):
+    assert x.ring is ring
+    assert x._den is ring._one_den
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["rs", "q"])
+@pytest.mark.parametrize("rings", ["r,s", "r,s,z", "two equal r,s"])
+def test_combinatorics_equal_their_division_definitions(monkeypatch, rings, kind, d):
+    """Every value is a Laurent polynomial bound to the caller's ring.  In
+    two equal but distinct ring objects, on an emptied memo, the values
+    first built in one are handed to the other bound to that one."""
+    if rings == "two equal r,s":
+        monkeypatch.setattr(scalars, "_MEMO", {})
+        targets = (rs_ring(), rs_ring())
+        assert targets[0] == targets[1] and targets[0] is not targets[1]
+    else:
+        targets = (rs_ring(*rings.split(",")[2:]),)
+    integer, factorial, binomial = _COMBINATORICS[kind]
+    integers, factorials, binomials = _combinatorics_by_division(targets[0], kind, d)
+    for ring in targets:
+        for m in range(11):
+            for x, want in ((integer(ring, m, d), integers[m]), (factorial(ring, m, d), factorials[m])):
+                assert x == want, (kind, m, d)
+                _assert_laurent_in(x, ring)
+            for k in range(m + 1):
+                x = binomial(ring, m, k, d)
+                assert x == binomials[(m, k)], (kind, m, k, d)
+                _assert_laurent_in(x, ring)
+
+
+def test_negative_q_integer_and_argument_errors(R):
+    for m in range(1, 6):
+        assert q_integer(R, -m) == -q_integer(R, m) == -_integer_by_division(R, "q", m, 1)
+    assert q_factorial(R, -2).is_one()
+    for fn in (rs_integer, rs_factorial):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(R, -1)
+    for fn in (rs_binomial, q_binomial):
+        with pytest.raises(ValueError, match="0 <= k <= m"):
+            fn(R, 2, 3)
+        with pytest.raises(ValueError, match="0 <= k <= m"):
+            fn(R, 2, -1)
+
+
+def test_omega_pairing_is_bound_to_the_callers_ring(monkeypatch):
+    monkeypatch.setattr(scalars, "_MEMO", {})
+    rs = build_root_system("B", 2)
+    first, second = rs_ring(), rs_ring("z")
+    for lam in ((1, 0), (0, 1), (1, 1), (Fraction(1, 2), 0)):
+        for mu in ((1, 0), (0, 1), [1, 2]):
+            for ring in (first, rs_ring(), second):
+                x = omega_pairing(rs, ring, lam, mu)
+                _assert_laurent_in(x, ring)
+                assert x == ring.mono(r=rs.ringel_form(lam, mu), s=-rs.ringel_form(mu, lam))
+
+
+def _memo_texts() -> dict:
+    texts = {}
+    for key, terms in scalars._MEMO.items():
+        ring = ScalarRing(key[0])
+        texts[key] = text_form(Scalar(ring, terms, ring._one_den, _raw=True))
+    return texts
+
+
+def _recomputed(variables, key):
+    ring = ScalarRing(variables)
+    name, *args = key
+    if name == "omega_pairing":
+        family, rank, lam, mu = args
+        return omega_pairing(build_root_system(family, rank), ring, lam, mu)
+    return getattr(scalars, name)(ring, *args)
+
+
+def test_memo_values_survive_a_certify_all_case(monkeypatch):
+    """A full B2 case reads the shared term dicts of the memo and must not
+    change them: every value keeps its text form through a second run and
+    equals the value a fresh memo computes."""
+    monkeypatch.setattr(scalars, "_MEMO", {})
+    assert cli._certify_one(("B", 2, False)).ok()
+    before = _memo_texts()
+    names = {key[1][0] for key in before}
+    assert {"rs_binomial", "q_binomial", "rs_factorial", "omega_pairing"} <= names
+    assert cli._certify_one(("B", 2, False)).ok()
+    assert _memo_texts() == before
+    monkeypatch.setattr(scalars, "_MEMO", {})
+    assert {key: text_form(_recomputed(*key)) for key in before} == before
+
+
 def test_gcd_cancellation_structured(R):
     r, s = R.mono(r=1), R.mono(s=1)
     a = r**2 + r * s + s**2
@@ -225,6 +352,117 @@ def test_substitute_is_homomorphism(a, b):
     fb = substitute(b, binds, ring=_R3)
     assert substitute(a * b, binds, ring=_R3) == fa * fb
     assert substitute(a + b, binds, ring=_R3) == fa + fb
+
+
+# -- substitution: term-wise images against Scalar arithmetic -------------------
+
+
+def _substitute_reference(x, bindings, target):
+    """Σ c·Π image^k over the terms of numerator and denominator, in Scalar
+    arithmetic, then their quotient."""
+    images = [bindings[v.name] if v.name in bindings else target.atom(v.name) for v in x.ring.variables]
+
+    def value(terms):
+        acc = target.zero
+        for e, c in terms.items():
+            t = target.num(c)
+            for image, k in zip(images, e):
+                if k:
+                    t = t * image**k
+            acc = acc + t
+        return acc
+
+    return value(x._num) / value(x._den)
+
+
+_QR = quarter_ring("z")
+_IMAGE_COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 3), Fraction(-3, 2)])
+_HALF_POWERS = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
+
+
+@st.composite
+def _image(draw, target, name, allow_zero=True, allow_poly=True):
+    """A binding for one variable: a monomial with a rational coefficient
+    and half or negative powers, zero, or a two-term polynomial."""
+    kinds = ["monomial"] + (["zero"] if allow_zero else []) + (["polynomial"] if allow_poly else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return target.zero
+    names = [v for v in target.names if v != "z"]
+    powers = {}
+    for v in names:
+        p = draw(_HALF_POWERS)
+        powers[v] = p if target.variables[target.index[v]].denom == 2 else int(p)
+    if "z" in target.names:
+        powers["z"] = draw(st.integers(-2, 2))
+    mono = target.mono(draw(_IMAGE_COEFFS), **powers)
+    if kind == "monomial":
+        return mono
+    return mono + target.atom(name if name in target.names else target.names[0])
+
+
+@pytest.mark.parametrize("target", [_R3, _QR], ids=["r,s,z", "w,q,z"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_substitute_matches_scalar_arithmetic(target, data):
+    """Fractions with denominators under monomial and zero images, and
+    Laurent polynomials under polynomial images too (a fraction under a
+    polynomial image can make a slow GCD); the term-wise path runs exactly
+    when no image is a polynomial, and a Laurent input then gives a Laurent
+    value on the target's unit denominator."""
+    allow_poly = data.draw(st.booleans())
+    x = data.draw(scalars2(ring=_R3, allow_fraction=not allow_poly))
+    bindings = {}
+    for name in ("r", "s", "z"):
+        if name == "z" or target is not _R3 or data.draw(st.booleans()):
+            bindings[name] = data.draw(_image(target, name, allow_zero=name == "z", allow_poly=allow_poly))
+    try:
+        want = _substitute_reference(x, bindings, target)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            substitute(x, bindings, ring=target)
+        return
+    calls = []
+    termwise = scalars._substitute_terms
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "_substitute_terms", lambda *a: calls.append(1) or termwise(*a))
+        got = substitute(x, bindings, ring=target)
+    assert got == want
+    assert got.ring is target
+    assert bool(calls) == all(img.is_zero() or img.is_monomial() for img in bindings.values())
+    if calls and x.den_is_one():
+        assert got._den is target._one_den
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars2(ring=_R3))
+def test_quarter_ring_map_matches_scalar_arithmetic(x):
+    w, qh = _QR.atom("w"), _QR.atom("q")
+    bindings = {"r": w * qh, "s": w * qh.inv(), "z": _QR.atom("z")}
+    assert _to_quarter_ring(x, _QR) == _substitute_reference(x, bindings, _QR)
+
+
+def test_substitute_zero_drops_positive_powers_and_names_a_negative_one():
+    R = rs_ring("z")
+    z = R.atom("z")
+    r = R.mono(r=1)
+    x = (r * z**2 + R.num(3) * z + r.inv()) / (z + r)
+    assert substitute(x, {"z": R.zero}) == r.inv() / r
+    assert substitute(r * z + R.num(Fraction(1, 2)), {"z": R.zero}) == R.num(Fraction(1, 2))
+    for bad in (z.inv(), r + z**-2 * r, (R.one + z.inv()) / (r + R.one)):
+        with pytest.raises(ZeroDivisionError, match="substituting zero into negative power of z"):
+            substitute(bad, {"z": R.zero})
+    with pytest.raises(ZeroDivisionError, match="scalar division by zero"):
+        substitute(R.one / (r - R.mono(s=1)), {"r": z, "s": z})
+
+
+def test_substitute_negative_powers_of_rational_coefficients_stay_exact():
+    R = rs_ring("z")
+    z = R.atom("z")
+    x = R.num(3) * z**-2 + z**3
+    got = substitute(x, {"z": R.mono(Fraction(2, 3), r=Fraction(1, 2))})
+    assert got == R.mono(Fraction(27, 4), r=-1) + R.mono(Fraction(8, 27), r=Fraction(3, 2))
+    assert all(isinstance(c, (int, Fraction)) for c in got._num.values())
 
 
 @settings(max_examples=80, deadline=None)
@@ -441,6 +679,12 @@ def test_products_and_sums_match_make(ring, data):
     b = data.draw(kernel_values(ring))
     _check_against_make(a, b)
     _check_against_make(b, a)
+    for x in (a, b):
+        if not x.is_zero():
+            ref = _make(ring, x._den, x._num)
+            assert (x.inv()._num, x.inv()._den) == (ref._num, ref._den), x
+            if x.is_monomial():
+                assert x.inv()._den is ring._one_den
     if a.den_is_one() and not a.is_zero():
         # b / a has a's factors in its denominator, so a * (b / a) must cancel
         _check_against_make(a, b / a)
@@ -595,14 +839,16 @@ def test_packing_round_trips(e):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_packing_is_additive_and_reads_each_digit(data):
-    """pack(a) + pack(b) = pack(a + b), and the digit read of each slot over
-    a packed term dict gives its smallest and largest exponent."""
+    """pack(a) + pack(b) = pack(a + b), and the digit read of each pair of
+    slots over a packed term dict gives their smallest and largest exponents."""
     a = data.draw(_exponent_vectors(_LIMIT // 2))
     b = data.draw(st.tuples(*[st.integers(-_LIMIT // 2 + 1, _LIMIT // 2 - 1)] * len(a)))
     assert _pack_exps(a) + _pack_exps(b) == _pack_exps(tuple(x + y for x, y in zip(a, b)))
     terms = {_pack_exps(a): 1, _pack_exps(b): -2}
+    span = [(min(a[i], b[i]), max(a[i], b[i])) for i in range(len(a))]
     for i in range(len(a)):
-        assert _packed_exp_range(terms, i) == (min(a[i], b[i]), max(a[i], b[i]))
+        for j in range(len(a)):
+            assert _packed_exp_ranges(terms, i, j) == (span[i], span[j])
 
 
 def test_packing_limits():

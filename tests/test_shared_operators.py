@@ -53,7 +53,7 @@ def test_each_operator_is_built_once_per_case(monkeypatch):
             (rootvec.build_root_vector_matrices, lambda *a: "build_root_vector_matrices"),
             (lyndon.lalonde_ram, lambda *a: "lalonde_ram"),
             (rep.build_fundamental, lambda *a: "build_fundamental"),
-            (embed.modified_generators, lambda *a: "modified_generators"),
+            (embed.modified_generators, lambda r: "modified_generators/" + ("V⊗V" if r.N > r.rs.N else "V")),
         ),
     )
     assert cli._certify_one(("B", 2, False)).ok()
@@ -63,8 +63,10 @@ def test_each_operator_is_built_once_per_case(monkeypatch):
     assert calls["lalonde_ram"] == 1
     assert calls["rhat_explicit/z"] == 1
     assert calls["rbar_inverse_printed/z"] == 1
-    # dj and root-vector-embedding share one set
-    assert calls["modified_generators"] == 1
+    # dj and root-vector-embedding share one set on V; dj-serre builds the
+    # set on V⊗V
+    assert calls["modified_generators/V"] == 1
+    assert calls["modified_generators/V⊗V"] == 1
     # the case's module, the evaluation module, the module over the z ring,
     # and the two evaluation modules of the affine intertwiner
     assert calls["build_fundamental"] == 5
