@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .matrices import PairAction, SMatrix, flip_map, tensor_units
-from .rep import KAPPA, EvaluationRep, Representation, build_evaluation, build_fundamental, coproduct
+from .rep import KAPPA, EvaluationRep, Representation, _evaluation, build_evaluation, build_fundamental, coproduct
 from .report import Report, first_column_mismatch, first_mismatch
 from .rmatrix import CoefficientTables, eigenvalues
 from .scalars import Scalar, ScalarRing, _packed_exp_ranges, rs_ring
@@ -216,12 +216,13 @@ def check_baxterize_match(rep: Representation, rz: SMatrix, rhat: SMatrix, rbar:
 
 
 def intertwiner_operators(family: str, rank: int) -> tuple[EvaluationRep, EvaluationRep, SMatrix]:
-    """V(x), V(y) and R̂(x/y) over (r, s, x, y, a), with b = (rs)^{-κ}a^{-1}."""
+    """V(x), V(y) and R̂(x/y) over (r, s, x, y, a), with b = (rs)^{-κ}a^{-1}.
+    V(y) shares V(x)'s fundamental module and affine data."""
     ring = rs_ring("x", "y", "a")
     a = ring.atom("a")
     b = ring.mono(r=-KAPPA[family], s=-KAPPA[family]) * a.inv()
     ev_x = build_evaluation(family, rank, ring=ring, spectral="x", a=a, b=b)
-    ev_y = build_evaluation(family, rank, ring=ring, spectral="y", a=a, b=b)
+    ev_y = _evaluation(ev_x.fin, ev_x.aff, "y", a, b)
     return ev_x, ev_y, affine_rhat(ev_x.fin, z=ring.atom("x") * ring.atom("y").inv())
 
 
@@ -278,8 +279,8 @@ def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -
         ix, iy = r_x.ring.index["x"], r_x.ring.index["y"]
 
         def over_bound(lhs: dict) -> tuple[int, str] | None:
-            # the left side's column is packed: a Laurent entry is a packed
-            # term dict, whose x and y exponents are read off its digits
+            # the left side's column holds kernel values: a Laurent entry is
+            # its term dict, whose x and y exponents are read off its digits
             for row in sorted(lhs):
                 v = lhs[row]
                 if type(v) is not dict:

@@ -6,20 +6,21 @@ flattened to index (i-1)*N + j, and (X ⊗ Y)(v_a ⊗ v_b) = Xv_a ⊗ Yv_b.
 ``SMatrix.__matmul__`` works below the Scalar interface where both factors
 of a product are Laurent polynomials (the ring's shared unit denominator):
 it adds the term products of each output entry in place into one raw term
-dict (``scalars._pmuladd``), passes a unit factor's partner through
-unmultiplied, and wraps each nonzero dict once, skipping ``_make`` because a
-sum of Laurent polynomials is canonical already.  This saves a Scalar, a
-dict and an accumulator copy per product, which, not the sparse structure,
-was most of a product's time.  A product with a denominator goes through
-Scalar arithmetic and joins its entry with one ``+``.
+dict (``scalars._pmuladd``, one int add per monomial product on the packed
+exponents that Scalars store), passes a unit factor's partner through
+unmultiplied, and wraps each nonzero dict once its terms pass the range
+check, skipping ``_make`` because a sum of Laurent polynomials is canonical
+already.  This saves a Scalar, a dict and an accumulator copy per product,
+which, not the sparse structure, was most of a product's time.  A product
+with a denominator goes through Scalar arithmetic and joins its entry with
+one ``+``.
 
 ``mat_vec`` and ``PairAction`` (an operator on two factors of V⊗V⊗V,
 applied to one sparse vector at a time, and the only way rsqg acts on
-V⊗V⊗V) run the same kernel over the operator's columns, on packed
-exponents (``scalars.pack_value``: one int per exponent vector, so a
-monomial product is one int add, ``scalars._ppmuladd``).  ``PairAction``
-packs its columns once, when it is built; ``__matmul__`` stays on tuple
-exponents, because it would have to pack its operands on every call.
+V⊗V⊗V) run the same loop over the operator's columns.  Their vector values
+are kernel values: a Laurent polynomial is its Scalar's own term dict, read
+with no copy, and any other value is its Scalar.  So a chain of actions
+builds no Scalar, and ``mat_vec`` wraps its results once (``scalar_of``).
 ``kron`` shares the partner of ``ring.one``; Scalars are immutable, so
 sharing is safe.
 """
@@ -31,14 +32,12 @@ from typing import Callable, Iterable, Mapping
 from .scalars import (
     Scalar,
     ScalarRing,
+    _check,
     _paddto,
     _pmuladd,
-    _ppmuladd,
-    pack_value,
     scalar_from_json,
     scalar_to_json,
     substitute,
-    unpack_value,
 )
 
 
@@ -166,6 +165,7 @@ class SMatrix:
         ring = self.ring
         one_den = ring._one_den
         unit = ring.one._num
+        bias, high = ring._bias, ring._high
         rows: dict[int, dict[int, Scalar]] = {}
         orows = other.rows
         for i, arow in self.rows.items():
@@ -173,6 +173,7 @@ class SMatrix:
             # product with a denominator goes through Scalar arithmetic
             acc: dict[int, dict] = {}
             rest: dict[int, Scalar] = {}
+            multiplied = False  # a unit factor's partner is in range as it is
             for k, a in arow.items():
                 brow = orows.get(k)
                 if not brow:
@@ -195,7 +196,15 @@ class SMatrix:
                         _paddto(t, an)
                     else:
                         _pmuladd(t, an, bn)
-            row = {j: Scalar(ring, t, one_den, _raw=True) for j, t in acc.items() if t}
+                        multiplied = True
+            row = {}
+            for j, t in acc.items():
+                if t:
+                    if multiplied:
+                        for e in t:  # scalars._check, inlined; it raises
+                            if (e + bias | bias - e) & high:
+                                _check(t, ring)
+                    row[j] = Scalar(ring, t, one_den, _raw=True)
             for j, v in rest.items():
                 if j in row:
                     v = row[j] + v
@@ -305,35 +314,52 @@ def flip_map(ring: ScalarRing, n: int) -> SMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _columns(a: SMatrix) -> dict[int, list[tuple[int, Scalar]]]:
-    """The stored entries of ``a`` by column: j -> [(i, a_ij), ...]."""
-    cols: dict[int, list[tuple[int, Scalar]]] = {}
+def scalar_of(ring: ScalarRing, x) -> Scalar:
+    """The Scalar of a kernel value: a Laurent term dict is wrapped on the
+    ring's shared unit denominator once its terms pass the range check, and
+    a Scalar is itself."""
+    return Scalar(ring, _check(x, ring), ring._one_den, _raw=True) if type(x) is dict else x
+
+
+def _columns(a: SMatrix) -> dict[int, list[tuple[int, object]]]:
+    """The stored entries of ``a`` by column, as kernel values: j -> [(i,
+    a_ij), ...], a Laurent a_ij as its own term dict."""
+    one_den = a.ring._one_den
+    cols: dict[int, list[tuple[int, object]]] = {}
     for i, row in a.rows.items():
         for j, v in row.items():
-            cols.setdefault(j, []).append((i, v))
+            cols.setdefault(j, []).append((i, v._num if v._den is one_den else v))
     return cols
 
 
 def _combine_columns(ring: ScalarRing, parts: Iterable[tuple[object, int, list]]) -> dict[int, object]:
     """Σ c·v placed at index base + offset, over (v, base, column) in
     ``parts`` and (offset, c) in each column: the sparse vector of a mat-vec,
-    zero entries dropped, with every vector and column entry in packed form
-    (``scalars.pack_value``).  Laurent products accumulate in place on packed
-    term dicts (``_ppmuladd``, one int add per monomial product), a unit
+    zero entries dropped.  Column entries are kernel values, and so is every
+    result; v may also be a Scalar.  Laurent products accumulate in place on
+    raw term dicts (``_pmuladd``, one int add per monomial product), a unit
     factor passes its partner's terms through, and a product with a
-    denominator goes through Scalar arithmetic and is packed again if its
-    entry ends up Laurent.  So each value has one form, and ``==`` on two
-    results is value equality."""
-    unit = {0: 1}  # the zero exponent vector packs to 0
+    denominator goes through Scalar arithmetic and is read back as its term
+    dict if its entry ends up Laurent.  So each value has one form, and
+    ``==`` on two results is value equality.
+
+    A result is not range-checked until it becomes a Scalar (``scalar_of``):
+    each of its exponents is a sum of one exponent per action it went
+    through, so a chain of fewer than 2^11 actions on stored values stays
+    exact in its 32-bit digits."""
+    one_den = ring._one_den
+    unit = ring.one._num
     acc: dict[int, dict] = {}
     rest: dict[int, Scalar] = {}
     for v, base, column in parts:
+        if type(v) is Scalar and v._den is one_den:
+            v = v._num
         laurent_v = type(v) is dict
         unit_v = laurent_v and v == unit
         for off, c in column:
             i = base + off
             if not laurent_v or type(c) is not dict:
-                p = unpack_value(ring, c) * unpack_value(ring, v)
+                p = scalar_of(ring, c) * scalar_of(ring, v)
                 rest[i] = rest[i] + p if i in rest else p
                 continue
             t = acc.get(i)
@@ -344,30 +370,23 @@ def _combine_columns(ring: ScalarRing, parts: Iterable[tuple[object, int, list]]
             elif c == unit:
                 _paddto(t, v)
             else:
-                _ppmuladd(t, c, v)
+                _pmuladd(t, c, v)
     out: dict[int, object] = {i: t for i, t in acc.items() if t}
     for i, p in rest.items():
         if i in out:
-            p = unpack_value(ring, out[i]) + p
+            p = scalar_of(ring, out[i]) + p
         if p.is_zero():
             out.pop(i, None)
         else:
-            out[i] = pack_value(p)
+            out[i] = p._num if p._den is one_den else p
     return out
 
 
-def _unpack_vector(ring: ScalarRing, vec: dict[int, object]) -> dict[int, Scalar]:
-    return {i: unpack_value(ring, v) for i, v in vec.items()}
-
-
 def mat_vec(a: SMatrix, vec: dict[int, Scalar]) -> dict[int, Scalar]:
-    """a·vec for a sparse vector (index -> Scalar); zero entries dropped.
-    Runs the packed kernel, packing the columns it reads."""
+    """a·vec for a sparse vector (index -> Scalar); zero entries dropped."""
     cols = _columns(a)
-    parts = (
-        (pack_value(v), 0, [(i, pack_value(c)) for i, c in cols[j]]) for j, v in vec.items() if j in cols
-    )
-    return _unpack_vector(a.ring, _combine_columns(a.ring, parts))
+    out = _combine_columns(a.ring, ((v, 0, cols[j]) for j, v in vec.items() if j in cols))
+    return {i: scalar_of(a.ring, x) for i, x in out.items()}
 
 
 class PairAction:
@@ -376,14 +395,14 @@ class PairAction:
     A₁₃·vec, with v_a ⊗ v_b ⊗ v_c flattened to ((a-1)N + b-1)N + c-1.
 
     Each column of ``a`` is stored once, with its rows turned into offsets
-    on V⊗V⊗V and its entries packed (``scalars.pack_value``), so applying it
-    reads the column of the two acted-on digits and places each entry beside
-    the untouched digit.  No V⊗³ matrix is built: neither ``kron(a, Id)``
-    nor the flip conjugation that moves A onto factors 1 and 3.
+    on V⊗V⊗V and its entries as kernel values, so applying it reads the
+    column of the two acted-on digits and places each entry beside the
+    untouched digit.  No V⊗³ matrix is built: neither ``kron(a, Id)`` nor
+    the flip conjugation that moves A onto factors 1 and 3.
 
-    ``packed_column`` and ``packed_apply`` take and give packed vectors, so
-    a chain of actions packs nothing after the columns are stored;
-    ``column`` and calling the action take and give Scalar vectors."""
+    ``column`` and calling the action give vectors of kernel values (the
+    call also takes Scalar values), so a chain of actions builds no Scalar;
+    ``scalar_of`` reads a value as a Scalar."""
 
     __slots__ = ("ring", "n", "strides", "columns")
 
@@ -397,22 +416,22 @@ class PairAction:
         self.n = n
         self.strides = (si, sj)
         self.columns = {
-            j: [((i // n) * si + (i % n) * sj, pack_value(v)) for i, v in col if not v.is_zero()]
+            j: [((i // n) * si + (i % n) * sj, v) for i, v in col if v]
             for j, col in _columns(a).items()
         }
 
-    def packed_column(self, k: int) -> dict[int, object]:
-        """A·v_k for the basis vector v_k of V⊗V⊗V, packed: the stored
-        column of the acted-on digits moved beside the untouched digit, read
-        with no arithmetic."""
+    def column(self, k: int) -> dict[int, object]:
+        """A·v_k for the basis vector v_k of V⊗V⊗V: the stored column of
+        the acted-on digits moved beside the untouched digit, read with no
+        arithmetic."""
         n = self.n
         si, sj = self.strides
         di, dj = k // si % n, k // sj % n
         base = k - di * si - dj * sj
         return {base + off: v for off, v in self.columns.get(di * n + dj, ())}
 
-    def packed_apply(self, vec: dict[int, object]) -> dict[int, object]:
-        """A·vec on a packed vector, by the packed kernel."""
+    def __call__(self, vec: dict[int, object]) -> dict[int, object]:
+        """A·vec, by the column kernel."""
         n, cols = self.n, self.columns
         si, sj = self.strides
 
@@ -424,13 +443,6 @@ class PairAction:
                     yield v, k - di * si - dj * sj, column
 
         return _combine_columns(self.ring, parts())
-
-    def column(self, k: int) -> dict[int, Scalar]:
-        """A·v_k as Scalars; equal to ``self({k: ring.one})``."""
-        return _unpack_vector(self.ring, self.packed_column(k))
-
-    def __call__(self, vec: dict[int, Scalar]) -> dict[int, Scalar]:
-        return _unpack_vector(self.ring, self.packed_apply({k: pack_value(v) for k, v in vec.items()}))
 
 
 def vec_scale(vec: dict[int, Scalar], c: Scalar) -> dict[int, Scalar]:

@@ -452,15 +452,22 @@ def build_evaluation(
     those names.
     """
     check_affine_rank(family, rank)
-    kappa = KAPPA[family]
     if ring is None:
         ring = rs_ring(spectral, "a", "b")
     a = a if a is not None else ring.atom("a")
     b = b if b is not None else ring.atom("b")
     rep = build_fundamental(family, rank, ring)
-    rs = rep.rs
-    n, N = rank, rep.N
-    aff = affine_data(rs, ring)
+    return _evaluation(rep, affine_data(rep.rs, ring), spectral, a, b)
+
+
+def _evaluation(rep: Representation, aff: AffineData, spectral: str, a: Scalar, b: Scalar) -> EvaluationRep:
+    """The evaluation module of the fundamental module ``rep`` in the
+    variable ``spectral`` at parameters (a, b), with ``aff`` the affine data
+    of rep's root system over rep's ring.  Modules in several spectral
+    variables over one ring share ``rep`` and ``aff``."""
+    ring, family = rep.ring, rep.family
+    kappa = KAPPA[family]
+    n, N = rep.n, rep.N
     c = ring.mono(r=kappa, s=kappa) * a * b
     u = ring.atom(spectral)
     au, bu = a * u, b * u.inv()

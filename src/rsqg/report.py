@@ -10,8 +10,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from .matrices import PairAction, SMatrix
-from .scalars import unpack_value
+from .matrices import PairAction, SMatrix, scalar_of
 
 
 @dataclass
@@ -144,11 +143,9 @@ def first_column_mismatch(
     time and no V⊗³ matrix is built.  Each side's rightmost operator acts on
     the basis vector, so its result is read as a stored column.
 
-    Every column stays packed (``scalars.pack_value``) from the stored
-    columns to the comparison, and ``column_bound`` is given the left side's
-    packed column; only the values a witness prints are unpacked.  Each side
-    chains three actions, far below the 2^11 additions of packed exponents
-    at which a digit could overflow.
+    Every column holds kernel values (``matrices.PairAction``) from the
+    stored columns to the comparison, and ``column_bound`` is given the left
+    side's column; only the values a witness prints become Scalars.
 
     The first column (in index order) that fails is named with its first
     differing row and both sides' values there; where the sides agree,
@@ -156,13 +153,13 @@ def first_column_mismatch(
     "" when every column passes."""
     n, ring = lhs[0].n, lhs[0].ring
     where = lambda col, row: f"column {basis_vector(col, n, 3)}, row {basis_vector(row, n, 3)}"
-    show = lambda column, row: unpack_value(ring, column[row]) if row in column else 0
+    show = lambda column, row: scalar_of(ring, column[row]) if row in column else 0
     for col in range(n**3):
-        left, right = lhs[-1].packed_column(col), rhs[-1].packed_column(col)
+        left, right = lhs[-1].column(col), rhs[-1].column(col)
         for op in lhs[-2::-1]:
-            left = op.packed_apply(left)
+            left = op(left)
         for op in rhs[-2::-1]:
-            right = op.packed_apply(right)
+            right = op(right)
         if left != right:
             row = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
             return f"{where(col, row)}: LHS {show(left, row)} vs RHS {show(right, row)}"

@@ -13,15 +13,30 @@ Python computes it and may be an integral ``Fraction``; since
 the text form and the JSON do not depend on which one is stored.  ``int /
 int`` is never used: its result is inexact.
 
+Exponent vectors are packed.  The vector (e_0, …, e_{k-1}) is stored as the
+one int Σ e_i·2^(32i), its digits in balanced base 2^32 (the packed
+monomials of Monagan and Pearce, CASC 2007).  Packing is additive, so a
+monomial product is one int add, and every term dict, a Scalar's included,
+is keyed by these ints.  Every stored exponent satisfies |e| < 2^20.  A
+product of two stored values then has exponents below 2^21 in size, far
+inside a 32-bit digit, so the int sum is exact and its digits read back.
+Each operation whose result can leave the range checks every term it stores
+with O(1) int operations (``_check``) and raises ValueError, so no key is
+ever aliased: products and powers, the inverse of a monomial, ``_make``,
+``substitute``, the constructors, ``parse`` and ``scalar_from_json``.
+Exponent tuples appear only where exponents are read one by one: the text
+form, parsing, JSON, and the graded-lex order that picks the canonical
+denominator's leading coefficient.
+
 Every value is held in canonical form, and ``_make`` is the one function
 that puts a raw fraction into it.  Four operations skip it, because their
 result is canonical as computed: a product or sum of two Laurent polynomials
 (denominator 1; the product of nonzero ones is nonzero), a product with a
 Laurent monomial of denominator 1, and the inverse of such a monomial.  A
 monomial is a unit of the Laurent ring, so the other factor's numerator and
-monic denominator stay coprime and its denominator is kept as it is.  All Laurent polynomials of a ring share
-the ring's one unit-denominator dict, which is how these paths recognise
-them.
+monic denominator stay coprime and its denominator is kept as it is.  All
+Laurent polynomials of a ring share the ring's one unit-denominator dict,
+which is how these paths recognise them.
 
 Two more skip it.  ``substitute`` maps each term of a Laurent polynomial
 to one term when every image is a monomial or zero (r^(1/2) ↦ w q^(1/2),
@@ -39,20 +54,13 @@ shared and never changed, like every Scalar's.
 Sparse matrix products and mat-vecs skip it too
 (``matrices.SMatrix.__matmul__`` and ``matrices._combine_columns``).  Each
 output entry sums its Laurent products in place on one raw term dict, with
-``_paddto`` and a term-pair product loop; a unit factor passes the other
-factor's terms through, with no exponent adds.  A sum of Laurent
-polynomials is canonical, so the nonzero dict becomes a Scalar as it is.
-That saves a Scalar, a dict and an accumulator copy per product, which is
-where matmul time went.
-
-The term-pair loop comes in two forms.  ``_pmuladd`` works on the tuple
-exponents that Scalars store; ``_pmul`` and ``__matmul__`` use it, since a
-matrix product reads each entry for a few products only and packing it on
-every call costs more than it saves.  ``_ppmuladd`` works on packed
-exponents (``_pack_exps``: one int per exponent vector, so a monomial
-product is one int add), and the mat-vec kernel on V⊗³ runs on it: an
-operator's columns are packed once, and a column check multiplies each of
-them tens of thousands of times.  Scalar storage stays in tuples.
+``_paddto`` and the term-pair product loop ``_pmuladd``; a unit factor
+passes the other factor's terms through, with no exponent adds.  A sum of
+Laurent polynomials is canonical, so the nonzero dict becomes a Scalar as it
+is once its terms pass the range check.  That saves a Scalar, a dict and an
+accumulator copy per product, which is where matmul time went.
+``_pmuladd`` is the one term-pair product loop: Scalar products, powers,
+matrix products, mat-vecs and the gcd all run it.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -63,10 +71,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt
-from operator import add
 from typing import Iterable, Mapping
 
-Exps = tuple  # integer exponent vector, one slot per ring variable
+Exps = tuple  # an exponent vector read out of its packed int, one slot per ring variable
 
 
 @dataclass(frozen=True)
@@ -95,12 +102,17 @@ class ScalarRing:
         self.variables: tuple[Variable, ...] = tuple(vs)
         self.names: tuple[str, ...] = tuple(names)
         self.index: dict[str, int] = {n: i for i, n in enumerate(names)}
-        self.nvars = len(vs)
-        self._zero_exps: Exps = (0,) * self.nvars
+        self.nvars = nv = len(vs)
+        # the digit masks of ``_check`` and of the gcd's polynomials
+        self._bias = _spread(_LIMIT, nv)
+        self._high = _spread(_MASK ^ (2 * _LIMIT - 1), nv)
+        self._poly_high = _spread(_GMASK ^ (_POLY_LIMIT - 1), nv, _GBITS)
+        self._poly_guard = _spread(1 << (_GBITS - 1), nv, _GBITS)
         # the one unit denominator every Laurent polynomial of this ring shares
-        self._one_den: dict = {self._zero_exps: 1}
+        # (the zero exponent vector packs to 0)
+        self._one_den: dict = {0: 1}
         self.zero = Scalar(self, {}, self._one_den, _raw=True)
-        self.one = Scalar(self, {self._zero_exps: 1}, self._one_den, _raw=True)
+        self.one = Scalar(self, {0: 1}, self._one_den, _raw=True)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ScalarRing) and self.variables == other.variables
@@ -118,7 +130,7 @@ class ScalarRing:
         c = _coeff(value)
         if c == 0:
             return self.zero
-        return Scalar(self, {self._zero_exps: c}, self._one_den, _raw=True)
+        return Scalar(self, {0: c}, self._one_den, _raw=True)
 
     def mono(self, coeff=1, **powers) -> Scalar:
         """Monomial from printed-unit powers, e.g. ``ring.mono(r=2, s=-1)``.
@@ -129,32 +141,31 @@ class ScalarRing:
         c = _coeff(coeff)
         if c == 0:
             return self.zero
-        exps = [0] * self.nvars
+        packed = 0
         for name, p in powers.items():
             if name not in self.index:
                 raise KeyError(f"unknown variable {name!r} in {self.names}")
             i = self.index[name]
             denom = self.variables[i].denom
             if isinstance(p, int):
-                exps[i] = p * denom
-                continue
-            e = Fraction(p) * denom
-            if e.denominator != 1:
-                raise ValueError(f"power {p} of {name} is not a multiple of 1/{denom}")
-            exps[i] = int(e)
-        return Scalar(self, {tuple(exps): c}, self._one_den, _raw=True)
+                e = p * denom
+            else:
+                e = Fraction(p) * denom
+                if e.denominator != 1:
+                    raise ValueError(f"power {p} of {name} is not a multiple of 1/{denom}")
+                e = int(e)
+            packed += _pack_exps((e,)) << (_BITS * i)
+        return Scalar(self, {packed: c}, self._one_den, _raw=True)
 
     def atom(self, name: str, power: int = 1) -> Scalar:
         """Generator at internal granularity: ``atom('r')`` is r^(1/2) when r
         has denom 2."""
-        i = self.index[name]
-        exps = [0] * self.nvars
-        exps[i] = power
-        return Scalar(self, {tuple(exps): 1}, self._one_den, _raw=True)
+        return Scalar(self, {_pack_exps((power,)) << (_BITS * self.index[name]): 1}, self._one_den, _raw=True)
 
     def poly(self, terms: Mapping[Exps, int | Fraction]) -> Scalar:
-        """Scalar from a raw internal-exponent term map (used by parse/JSON)."""
-        return _make(self, {e: _coeff(c) for e, c in terms.items() if c}, self._one_den)
+        """Scalar from a raw map of internal exponent tuples to coefficients
+        (used by parse/JSON)."""
+        return _make(self, {_pack_vector(self, e): _coeff(c) for e, c in terms.items() if c}, self._one_den)
 
 
 def ring_create(names: Iterable[Variable | str]) -> ScalarRing:
@@ -192,6 +203,113 @@ def _coeff(value):
 
 
 # ---------------------------------------------------------------------------
+# packed exponents: one int per exponent vector
+# ---------------------------------------------------------------------------
+
+# An exponent vector (e_0, …, e_{k-1}) packs to the int Σ e_i·2^(32i): its
+# digits in balanced base 2^32, so packing is additive and a monomial product
+# costs one int add.  A stored exponent has |e| < 2^20; a digit overflows only
+# past 2^31, so a product of two stored values is exact, and so is any sum of
+# fewer than 2^11 stored exponents.
+_BITS = 32
+_MASK = (1 << _BITS) - 1
+_HALF = 1 << (_BITS - 1)
+_LIMIT = 1 << 20
+# the gcd works on true polynomials, in 64-bit digits with exponents below 2^62
+_GBITS = 64
+_GMASK = (1 << _GBITS) - 1
+_POLY_LIMIT = 1 << 62
+
+
+def _spread(digit: int, nv: int, bits: int = _BITS) -> int:
+    """The packed int whose nv digits, each ``bits`` wide, all equal ``digit``."""
+    return digit * (((1 << (bits * nv)) - 1) // ((1 << bits) - 1))
+
+
+def _pack_exps(e: Iterable[int]) -> int:
+    """The packed int of an exponent vector; ValueError for |e_i| ≥ 2^20."""
+    p = 0
+    for x in reversed(e):
+        if not -_LIMIT < x < _LIMIT:
+            raise ValueError(f"exponent {x} out of the packed range |e| < 2^20")
+        p = (p << _BITS) + x
+    return p
+
+
+def _unpack_exps(p: int, nv: int) -> Exps:
+    """Inverse of ``_pack_exps`` for a vector of nv slots."""
+    out = []
+    for _ in range(nv):
+        d = p & _MASK
+        if d >= _HALF:
+            d -= 1 << _BITS
+        out.append(d)
+        p = (p - d) >> _BITS
+    return tuple(out)
+
+
+def _pack_vector(ring: ScalarRing, e) -> int:
+    """The packed int of an exponent vector read from outside (``poly``,
+    JSON), which must have one slot per ring variable."""
+    if len(e) != ring.nvars:
+        raise ValueError(f"exponent vector {e} does not have {ring.nvars} slots")
+    return _pack_exps(e)
+
+
+def _check(terms: dict, ring: ScalarRing) -> dict:
+    """``terms``, after checking that every exponent of every key has
+    |e| < 2^20; ValueError otherwise.  Biased up and down by 2^20, each digit
+    must stay in [0, 2^21), so no bit of ``ring._high`` may be set.  Sound
+    for keys whose digits are below 2^31 − 2^20 in size, as every product of
+    two stored values is: a digit out of range then sets a high bit of its
+    own or borrows through its neighbour and sets bit 31."""
+    bias, high = ring._bias, ring._high
+    for p in terms:
+        if (p + bias | bias - p) & high:
+            raise ValueError("exponent out of the packed range |e| < 2^20")
+    return terms
+
+
+def _packed_exp_ranges(a: dict, i: int, j: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Smallest and largest exponents of variable slots i and j over the
+    nonempty packed term dict a, read off its digits in one pass: biasing
+    digits 0…max(i, j) by 2^31 makes each one nonnegative, so no borrow
+    crosses between them."""
+    bias = _spread(_HALF, max(i, j) + 1)
+    si, sj = _BITS * i, _BITS * j
+    lo_i = lo_j = _MASK
+    hi_i = hi_j = 0
+    for p in a:
+        p += bias
+        d = p >> si & _MASK
+        if d < lo_i:
+            lo_i = d
+        if d > hi_i:
+            hi_i = d
+        d = p >> sj & _MASK
+        if d < lo_j:
+            lo_j = d
+        if d > hi_j:
+            hi_j = d
+    return (lo_i - _HALF, hi_i - _HALF), (lo_j - _HALF, hi_j - _HALF)
+
+
+def _min_exps(a: dict, nv: int) -> int:
+    """The packed vector of the per-variable smallest exponents over the
+    nonempty term dict a, read off its digits like ``_packed_exp_ranges``."""
+    bias = _spread(_HALF, nv)
+    shifts = range(0, _BITS * nv, _BITS)
+    lo = [_MASK] * nv
+    for p in a:
+        p += bias
+        for i, s in enumerate(shifts):
+            d = p >> s & _MASK
+            if d < lo[i]:
+                lo[i] = d
+    return sum((d - _HALF) << s for d, s in zip(lo, shifts))
+
+
+# ---------------------------------------------------------------------------
 # raw Laurent-term-dict helpers (hot path; no zero coefficients stored)
 # ---------------------------------------------------------------------------
 
@@ -222,126 +340,16 @@ def _pdivc(a: dict, c) -> dict:
     return {e: _cdiv(cc, c) for e, cc in a.items()}
 
 
+def _pshift(a: dict, m: int) -> dict:
+    """a times the monomial of packed exponent m."""
+    return {e + m: c for e, c in a.items()} if m else a
+
+
 def _pmuladd(out: dict, a: dict, b: dict) -> None:
     """out += a·b in place: each term pair adds its coefficient product at
-    the exponent sum, and a coefficient that cancels to zero is deleted on
-    the spot.  The polynomial-product loop on tuple exponents; the V⊗³
-    column kernel runs its packed sibling ``_ppmuladd``."""
-    get = out.get
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
-            nc = get(e, 0) + ca * cb
-            if nc:
-                out[e] = nc
-            else:
-                del out[e]  # ca·cb is nonzero, so a zero sum means e was in out
-
-
-def _pmul(a: dict, b: dict) -> dict:
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 1:
-        # monomial × polynomial: distinct exponents stay distinct and no
-        # product of nonzero coefficients is zero, so nothing cancels
-        ((ea, ca),) = a.items()
-        return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
-    out: dict = {}
-    _pmuladd(out, a, b)
-    return out
-
-
-def _ppow(a: dict, n: int, nv: int) -> dict:
-    out = {(0,) * nv: 1}
-    base = a
-    while n:
-        if n & 1:
-            out = _pmul(out, base)
-        n >>= 1
-        if n:
-            base = _pmul(base, base)
-    return out
-
-
-def _pshift(a: dict, shift: Exps) -> dict:
-    if not any(shift):
-        return dict(a)
-    return {tuple(map(add, e, shift)): c for e, c in a.items()}
-
-
-def _pminexps(a: dict, nv: int) -> Exps:
-    its = iter(a)
-    first = next(its)
-    m = list(first)
-    for e in its:
-        for i in range(nv):
-            if e[i] < m[i]:
-                m[i] = e[i]
-    return tuple(m)
-
-
-def _grlex_key(e: Exps):
-    return (sum(e), e)
-
-
-def _plead(a: dict) -> tuple[Exps, int | Fraction]:
-    e = max(a, key=_grlex_key)
-    return e, a[e]
-
-
-def _is_const(a: dict) -> bool:
-    return len(a) == 1 and not any(next(iter(a)))
-
-
-# ---------------------------------------------------------------------------
-# packed exponents: one int per exponent vector (V⊗³ column kernel only)
-# ---------------------------------------------------------------------------
-
-# An exponent vector (e_0, …, e_{k-1}) packs to the int Σ e_i·2^(32i): its
-# digits in balanced base 2^32, so packing is additive and a monomial product
-# costs one int add.  Packing takes |e_i| < 2^20; a digit overflows only past
-# 2^31, so no sum of fewer than 2^11 packed exponents can carry into its
-# neighbour, and packed values compare as the vectors they stand for.
-_PACK_BITS = 32
-_PACK_MASK = (1 << _PACK_BITS) - 1
-_PACK_HALF = 1 << (_PACK_BITS - 1)
-_PACK_LIMIT = 1 << 20
-
-
-def _pack_exps(e: Exps) -> int:
-    """The packed int of an exponent vector; ValueError for |e_i| ≥ 2^20."""
-    p = 0
-    for x in reversed(e):
-        if not -_PACK_LIMIT < x < _PACK_LIMIT:
-            raise ValueError(f"exponent {x} out of the packed range |e| < 2^20")
-        p = (p << _PACK_BITS) + x
-    return p
-
-
-def _unpack_exps(p: int, nv: int) -> Exps:
-    """Inverse of ``_pack_exps`` for a vector of nv slots."""
-    out = []
-    for _ in range(nv):
-        d = p & _PACK_MASK
-        if d >= _PACK_HALF:
-            d -= 1 << _PACK_BITS
-        out.append(d)
-        p = (p - d) >> _PACK_BITS
-    return tuple(out)
-
-
-def _pack(a: dict) -> dict:
-    return {_pack_exps(e): c for e, c in a.items()}
-
-
-def _unpack(a: dict, nv: int) -> dict:
-    return {_unpack_exps(p, nv): c for p, c in a.items()}
-
-
-def _ppmuladd(out: dict, a: dict, b: dict) -> None:
-    """``_pmuladd`` on packed term dicts: the exponent sum is one int add."""
+    the exponent sum, one int add, and a coefficient that cancels to zero is
+    deleted on the spot.  The one term-pair product loop; the caller checks
+    the range of what it stores."""
     get = out.get
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -353,46 +361,81 @@ def _ppmuladd(out: dict, a: dict, b: dict) -> None:
                 del out[e]  # ca·cb is nonzero, so a zero sum means e was in out
 
 
-def _packed_exp_ranges(a: dict, i: int, j: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Smallest and largest exponents of variable slots i and j over the
-    nonempty packed term dict a, read off its digits in one pass: biasing
-    digits 0…max(i, j) by 2^31 makes each one nonnegative, so no borrow
-    crosses between them."""
-    bias = _PACK_HALF * ((1 << _PACK_BITS * (max(i, j) + 1)) - 1) // _PACK_MASK
-    si, sj = _PACK_BITS * i, _PACK_BITS * j
-    lo_i = lo_j = _PACK_MASK
-    hi_i = hi_j = 0
-    for p in a:
-        p += bias
-        d = p >> si & _PACK_MASK
-        if d < lo_i:
-            lo_i = d
-        if d > hi_i:
-            hi_i = d
-        d = p >> sj & _PACK_MASK
-        if d < lo_j:
-            lo_j = d
-        if d > hi_j:
-            hi_j = d
-    return (lo_i - _PACK_HALF, hi_i - _PACK_HALF), (lo_j - _PACK_HALF, hi_j - _PACK_HALF)
+def _pmul(a: dict, b: dict) -> dict:
+    """a·b, unchecked."""
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        # monomial × polynomial: distinct exponents stay distinct and no
+        # product of nonzero coefficients is zero, so nothing cancels
+        ((ea, ca),) = a.items()
+        return {ea + eb: ca * cb for eb, cb in b.items()}
+    out: dict = {}
+    _pmuladd(out, a, b)
+    return out
 
 
-def pack_value(x: "Scalar"):
-    """A vector entry of the packed kernel: the packed numerator of a Laurent
-    polynomial, or the Scalar itself when it has a denominator."""
-    return _pack(x._num) if x.den_is_one() else x
+def _ppow(a: dict, n: int, check, ring: ScalarRing) -> dict:
+    """a^n by squaring, each product passed through ``check(terms, ring)``.
+    The extreme exponents of each variable scale with the power, so every
+    intermediate lies within the range of the result and none raises
+    unless the result would."""
+    out = {0: 1}
+    base = a
+    while n:
+        if n & 1:
+            out = check(_pmul(out, base), ring)
+        n >>= 1
+        if n:
+            base = check(_pmul(base, base), ring)
+    return out
 
 
-def unpack_value(ring: "ScalarRing", v) -> "Scalar":
-    """Inverse of ``pack_value``."""
-    if isinstance(v, Scalar):
-        return v
-    return Scalar(ring, _unpack(v, ring.nvars), ring._one_den, _raw=True) if v else ring.zero
+def _is_const(a: dict) -> bool:
+    return len(a) == 1 and 0 in a
 
 
 # ---------------------------------------------------------------------------
 # polynomial gcd over ℚ via recursive subresultant PRS
 # ---------------------------------------------------------------------------
+
+# The gcd works on true polynomials, whose exponents ``_make`` moves to
+# 64-bit digits (``_widen``): a subresultant sequence can multiply degrees
+# far past the stored range, and 2^62 is out of its reach.  A product of two
+# of them is exact, and ``_check_poly`` keeps each product in range.  Its
+# leading terms follow the order of the packed ints, lex with the last
+# variable first, a monomial order: the gcd is unique up to a constant
+# factor, which ``_make`` divides out, so the order does not reach the
+# canonical form.
+
+
+def _widen(a: dict, nv: int) -> dict:
+    """A true polynomial's packed exponents moved from 32-bit to 64-bit
+    digits."""
+    shifts = range(0, _BITS * nv, _BITS)
+    return {sum((e >> s & _MASK) << 2 * s for s in shifts): c for e, c in a.items()}
+
+
+def _narrow(a: dict, nv: int) -> dict:
+    """Inverse of ``_widen``, for exponents below 2^31."""
+    shifts = range(0, _BITS * nv, _BITS)
+    return {sum((e >> 2 * s & _GMASK) << s for s in shifts): c for e, c in a.items()}
+
+
+def _check_poly(terms: dict, ring: ScalarRing) -> dict:
+    """``terms``, after checking that every exponent lies in [0, 2^62);
+    ValueError otherwise."""
+    high = ring._poly_high
+    for p in terms:
+        if p & high:
+            raise ValueError("exponent out of the gcd's range 0 <= e < 2^62")
+    return terms
+
+
+def _gmul(a: dict, b: dict, ring: ScalarRing) -> dict:
+    return _check_poly(_pmul(a, b), ring)
 
 
 def _int_normalize(a: dict) -> dict:
@@ -405,7 +448,7 @@ def _int_normalize(a: dict) -> dict:
     num_gcd = 0
     for c in a.values():
         num_gcd = int_gcd(num_gcd, c.numerator * (den_lcm // c.denominator))
-    if a[max(a, key=_grlex_key)] < 0:
+    if a[max(a)] < 0:
         num_gcd = -num_gcd
     if den_lcm == 1 and num_gcd == 1:
         return a
@@ -416,70 +459,71 @@ def _degs(a: dict, nv: int) -> list[int]:
     d = [0] * nv
     for e in a:
         for i in range(nv):
-            if e[i] > d[i]:
-                d[i] = e[i]
+            x = e >> (_GBITS * i) & _GMASK
+            if x > d[i]:
+                d[i] = x
     return d
 
 
 def _deg_in(a: dict, v: int) -> int:
-    return max(e[v] for e in a)
+    s = _GBITS * v
+    return max(e >> s & _GMASK for e in a)
 
 
 def _coeff_of(a: dict, v: int, k: int) -> dict:
     """Coefficient of (main var)^k: full-width dict with slot v zeroed."""
-    out = {}
-    for e, c in a.items():
-        if e[v] == k:
-            ez = list(e)
-            ez[v] = 0
-            out[tuple(ez)] = c
-    return out
+    s = _GBITS * v
+    m = k << s
+    return {e - m: c for e, c in a.items() if e >> s & _GMASK == k}
 
 
-def _mul_var_pow(a: dict, v: int, k: int) -> dict:
+def _mul_var_pow(a: dict, v: int, k: int, ring: ScalarRing) -> dict:
     if k == 0:
         return a
-    out = {}
-    for e, c in a.items():
-        ez = list(e)
-        ez[v] += k
-        out[tuple(ez)] = c
-    return out
+    return _check_poly(_pshift(a, k << (_GBITS * v)), ring)
 
 
-def _pdivexact(a: dict, b: dict, nv: int) -> dict:
-    """Exact multivariate division a / b; raises ArithmeticError if inexact."""
+def _pdivexact(a: dict, b: dict, ring: ScalarRing) -> dict:
+    """Exact multivariate division a / b; raises ArithmeticError if inexact.
+    A leading exponent divides another when no digit of their difference is
+    negative: with bit 63 of every digit of the dividend set first, each
+    digit subtracts without a borrow and keeps bit 63 exactly then."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     if not a:
         return {}
     if _is_const(b):
         return _pdivc(a, next(iter(b.values())))
+    guard = ring._poly_guard
     q: dict = {}
     rem = dict(a)
-    eb, cb = _plead(b)
+    eb = max(b)
+    cb = b[eb]
     while rem:
-        er, cr = _plead(rem)
-        eq = tuple(x - y for x, y in zip(er, eb))
-        if any(x < 0 for x in eq):
+        er = max(rem)
+        if (er + guard - eb) & guard != guard:
             raise ArithmeticError("inexact polynomial division")
-        cq = _cdiv(cr, cb)
+        eq = er - eb
+        cq = _cdiv(rem[er], cb)
         q[eq] = q.get(eq, 0) + cq
-        rem = _padd(rem, _pneg(_pmul({eq: cq}, b)))
+        # every call divides exactly, so each eq is a term of the quotient
+        # and eq·b stays within the exponent range of a
+        _pmuladd(rem, {eq: -cq}, b)
     return {e: c for e, c in q.items() if c}
 
 
-def _content_wrt(a: dict, v: int, nv: int) -> dict:
+def _content_wrt(a: dict, v: int, ring: ScalarRing) -> dict:
     """gcd of the coefficients of a viewed as a polynomial in variable v."""
     g: dict = {}
-    for k in sorted({e[v] for e in a}):
-        g = _pgcd(g, _coeff_of(a, v, k), nv)
+    s = _GBITS * v
+    for k in sorted({e >> s & _GMASK for e in a}):
+        g = _pgcd(g, _coeff_of(a, v, k), ring)
         if _is_const(g):
             break
     return g
 
 
-def _prem(a: dict, b: dict, v: int, nv: int) -> dict:
+def _prem(a: dict, b: dict, v: int, ring: ScalarRing) -> dict:
     """Pseudo-remainder of a by b in the main variable v:
     lc(b)^(deg a - deg b + 1) * a  mod  b."""
     db = _deg_in(b, v)
@@ -488,14 +532,14 @@ def _prem(a: dict, b: dict, v: int, nv: int) -> dict:
     e = _deg_in(a, v) - db + 1
     while r and (dr := _deg_in(r, v)) >= db:
         lr = _coeff_of(r, v, dr)
-        r = _padd(_pmul(r, lb), _pneg(_mul_var_pow(_pmul(lr, b), v, dr - db)))
+        r = _padd(_gmul(r, lb, ring), _pneg(_mul_var_pow(_gmul(lr, b, ring), v, dr - db, ring)))
         e -= 1
     if e > 0:
-        r = _pmul(r, _ppow(lb, e, nv))
+        r = _gmul(r, _ppow(lb, e, _check_poly, ring), ring)
     return r
 
 
-def _pgcd(a: dict, b: dict, nv: int) -> dict:
+def _pgcd(a: dict, b: dict, ring: ScalarRing) -> dict:
     """Multivariate gcd over ℚ (integer-primitive output, positive lead).
 
     Content/primitive-part recursion over a chosen main variable with a
@@ -505,20 +549,21 @@ def _pgcd(a: dict, b: dict, nv: int) -> dict:
         return _int_normalize(b)
     if not b:
         return _int_normalize(a)
-    one = {(0,) * nv: 1}
+    one = {0: 1}
     if _is_const(a) or _is_const(b):
         return one
+    nv = ring.nvars
     da, db = _degs(a, nv), _degs(b, nv)
     common = [i for i in range(nv) if da[i] > 0 and db[i] > 0]
     if not common:
         return one
     v = min(common, key=lambda i: min(da[i], db[i]))
 
-    ca = _content_wrt(a, v, nv)
-    cb = _content_wrt(b, v, nv)
-    f = _pdivexact(a, ca, nv)
-    g = _pdivexact(b, cb, nv)
-    cont = _pgcd(ca, cb, nv)
+    ca = _content_wrt(a, v, ring)
+    cb = _content_wrt(b, v, ring)
+    f = _pdivexact(a, ca, ring)
+    g = _pdivexact(b, cb, ring)
+    cont = _pgcd(ca, cb, ring)
 
     if _deg_in(f, v) < _deg_in(g, v):
         f, g = g, f
@@ -527,13 +572,13 @@ def _pgcd(a: dict, b: dict, nv: int) -> dict:
     hprev = one
     while True:
         delta = _deg_in(f, v) - _deg_in(g, v)
-        r = _prem(f, g, v, nv)
+        r = _prem(f, g, v, ring)
         if not r:
             break
         if _deg_in(r, v) == 0:
             return cont
-        divisor = _pmul(gprev, _ppow(hprev, delta, nv))
-        f, g = g, _pdivexact(r, divisor, nv)
+        divisor = _gmul(gprev, _ppow(hprev, delta, _check_poly, ring), ring)
+        f, g = g, _pdivexact(r, divisor, ring)
         gprev = _coeff_of(f, v, _deg_in(f, v))
         if delta == 0:
             # hprev unchanged
@@ -541,9 +586,11 @@ def _pgcd(a: dict, b: dict, nv: int) -> dict:
         elif delta == 1:
             hprev = gprev
         else:
-            hprev = _pdivexact(_ppow(gprev, delta, nv), _ppow(hprev, delta - 1, nv), nv)
-    gc = _content_wrt(g, v, nv)
-    return _int_normalize(_pmul(cont, _pdivexact(g, gc, nv)))
+            hprev = _pdivexact(
+                _ppow(gprev, delta, _check_poly, ring), _ppow(hprev, delta - 1, _check_poly, ring), ring
+            )
+    gc = _content_wrt(g, v, ring)
+    return _int_normalize(_gmul(cont, _pdivexact(g, gc, ring), ring))
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +598,13 @@ def _pgcd(a: dict, b: dict, nv: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _grlex_key(e: Exps):
+    return (sum(e), e)
+
+
 def _make(ring: ScalarRing, num: dict, den: dict) -> "Scalar":
-    """Canonicalize a raw fraction of Laurent term dicts.
+    """Canonicalize a raw fraction of Laurent term dicts, whose exponents are
+    those of stored values or of products of two of them.
 
     Canonical form: numerator and denominator coprime, denominator a true
     polynomial (no negative exponents, not divisible by any variable) and
@@ -560,34 +612,36 @@ def _make(ring: ScalarRing, num: dict, den: dict) -> "Scalar":
     """
     if not den:
         raise ZeroDivisionError("zero denominator")
-    nv = ring.nvars
     if not num:
         return ring.zero
-    # move the denominator's monomial part into the numerator
-    mden = _pminexps(den, nv)
-    if any(mden):
-        den = _pshift(den, tuple(-x for x in mden))
-        num = _pshift(num, tuple(-x for x in mden))
+    nv = ring.nvars
     if len(den) == 1:
-        c = next(iter(den.values()))
+        # a monomial denominator moves into the numerator
+        ((m, c),) = den.items()
+        num = _pshift(num, -m)
         if c != 1:
             num = _pdivc(num, c)
-        return Scalar(ring, num, ring._one_den, _raw=True)
+        return Scalar(ring, _check(num, ring), ring._one_den, _raw=True)
+    # move the denominator's monomial part into the numerator
+    m = _min_exps(den, nv)
+    den, num = _pshift(den, -m), _pshift(num, -m)
     # reduce: strip numerator monomial, cancel gcd, re-attach
-    mnum = _pminexps(num, nv)
-    num0 = _pshift(num, tuple(-x for x in mnum))
-    g = _pgcd(num0, den, nv)
+    mnum = _min_exps(num, nv)
+    num0 = _widen(_pshift(num, -mnum), nv)
+    den = _widen(den, nv)
+    g = _pgcd(num0, den, ring)
     if not _is_const(g):
-        num0 = _pdivexact(num0, g, nv)
-        den = _pdivexact(den, g, nv)
+        num0 = _pdivexact(num0, g, ring)
+        den = _pdivexact(den, g, ring)
         if len(den) == 1:
             num0 = _pdivc(num0, next(iter(den.values())))
-            return Scalar(ring, _pshift(num0, mnum), ring._one_den, _raw=True)
-    _, lc = _plead(den)
+            return Scalar(ring, _check(_pshift(_narrow(num0, nv), mnum), ring), ring._one_den, _raw=True)
+    num0, den = _narrow(num0, nv), _narrow(den, nv)
+    lc = den[max(den, key=lambda e: _grlex_key(_unpack_exps(e, nv)))]
     if lc != 1:
         num0 = _pdivc(num0, lc)
         den = _pdivc(den, lc)
-    return Scalar(ring, _pshift(num0, mnum), den, _raw=True)
+    return Scalar(ring, _check(_pshift(num0, mnum), ring), _check(den, ring), _raw=True)
 
 
 class Scalar:
@@ -616,12 +670,13 @@ class Scalar:
         return self.den_is_one() and self._num == self._den
 
     def den_is_one(self) -> bool:
-        return len(self._den) == 1 and self._den.get(self.ring._zero_exps) == 1
+        return len(self._den) == 1 and self._den.get(0) == 1
 
     def is_monomial(self) -> bool:
         return self.den_is_one() and len(self._num) == 1
 
-    def monomial_parts(self) -> tuple[Exps, int | Fraction]:
+    def monomial_parts(self) -> tuple[int, int | Fraction]:
+        """The packed exponent and the coefficient of a monomial."""
         if not self.is_monomial():
             raise ValueError(f"not a monomial: {self}")
         ((e, c),) = self._num.items()
@@ -692,7 +747,7 @@ class Scalar:
             den = self._den
         else:
             return _make(ring, _pmul(self._num, o._num), _pmul(self._den, o._den))
-        num = _pmul(self._num, o._num)
+        num = _check(_pmul(self._num, o._num), ring)
         return Scalar(ring, num, den, _raw=True) if num else ring.zero
 
     __rmul__ = __mul__
@@ -714,7 +769,7 @@ class Scalar:
         if self._den is self.ring._one_den and len(self._num) == 1:
             # a monomial's inverse is the monomial of negated exponents
             ((e, c),) = self._num.items()
-            return Scalar(self.ring, {tuple(-x for x in e): _cdiv(1, c)}, self._den, _raw=True)
+            return Scalar(self.ring, {-e: _cdiv(1, c)}, self._den, _raw=True)
         return _make(self.ring, self._den, self._num)
 
     def __pow__(self, n: int) -> "Scalar":
@@ -722,11 +777,11 @@ class Scalar:
             return self.ring.one
         if n < 0:
             return self.inv() ** (-n)
-        nv = self.ring.nvars
+        ring = self.ring
         den = self._den
-        if den is not self.ring._one_den:
-            den = _ppow(den, n, nv)
-        return Scalar(self.ring, _ppow(self._num, n, nv), den, _raw=True)
+        if den is not ring._one_den:
+            den = _ppow(den, n, _check, ring)
+        return Scalar(ring, _ppow(self._num, n, _check, ring), den, _raw=True)
 
     # -- structure ----------------------------------------------------------
 
@@ -734,36 +789,39 @@ class Scalar:
         """Square root of a monomial with even internal exponents and a
         rational square coefficient."""
         e, c = self.monomial_parts()
-        if any(x % 2 for x in e):
+        # biased digits are nonnegative, and the bias is even: bit 32i is
+        # the parity of exponent i
+        if (e + self.ring._bias) & _spread(1, self.ring.nvars):
             raise ValueError(f"odd exponent, no square root in this ring: {self}")
         rn = _int_sqrt_exact(c.numerator)
         rd = _int_sqrt_exact(c.denominator)
         if rn is None or rd is None or c < 0:
             raise ValueError(f"coefficient {c} is not a rational square")
-        half = tuple(x // 2 for x in e)
-        return Scalar(self.ring, {half: _cdiv(rn, rd)}, self.ring._one_den, _raw=True)
+        return Scalar(self.ring, {e >> 1: _cdiv(rn, rd)}, self.ring._one_den, _raw=True)
 
     def exchange_vars(self, name1: str, name2: str) -> "Scalar":
         """Swap the exponents of two variables (e.g. r <-> s).  A value the
         swap fixes is returned as itself, so ``ring.one`` stays the shared
         unit that ``matrices.kron`` recognises by identity."""
-        i = self.ring.index[name1]
-        j = self.ring.index[name2]
-        if self.ring.variables[i].denom != self.ring.variables[j].denom:
+        ring = self.ring
+        i = ring.index[name1]
+        j = ring.index[name2]
+        if ring.variables[i].denom != ring.variables[j].denom:
             raise ValueError("variables have different granularity")
+        si, sj, bias = _BITS * i, _BITS * j, ring._bias
 
         def sw(terms):
             out = {}
             for e, c in terms.items():
-                ez = list(e)
-                ez[i], ez[j] = ez[j], ez[i]
-                out[tuple(ez)] = c
+                b = e + bias  # nonnegative digits
+                d = (b >> sj & _MASK) - (b >> si & _MASK)  # e_j - e_i
+                out[e + (d << si) - (d << sj)] = c
             return out
 
         num, den = sw(self._num), sw(self._den)
         if num == self._num and den == self._den:
             return self
-        return _make(self.ring, num, den)
+        return _make(ring, num, den)
 
     def z_degree(self, name: str) -> int:
         """Largest exponent of the named variable in the numerator (0 for 0)."""
@@ -775,8 +833,7 @@ class Scalar:
         if not self._num:
             return 0, 0
         i = self.ring.index[name]
-        exps = [e[i] for e in self._num]
-        return min(exps), max(exps)
+        return _packed_exp_ranges(self._num, i, i)[0]
 
     def __repr__(self) -> str:
         return text_form(self)
@@ -808,7 +865,8 @@ def substitute(
     canonicalized; a polynomial image is raised to powers and summed.
 
     Substituting zero into a variable that occurs with a negative exponent
-    raises ZeroDivisionError.
+    raises ZeroDivisionError; an image exponent out of the packed range
+    raises ValueError.
     """
     target = ring if ring is not None else x.ring
     images: list[Scalar] = []
@@ -823,10 +881,10 @@ def substitute(
 
     if all(img.is_zero() or img.is_monomial() for img in images):
         monos = [img.monomial_parts() if img._num else None for img in images]
-        num = _substitute_terms(x._num, monos, x.ring.names, target.nvars)
+        num = _substitute_terms(x._num, monos, x.ring, target)
         if x.den_is_one():
             return Scalar(target, num, target._one_den, _raw=True) if num else target.zero
-        den = _substitute_terms(x._den, monos, x.ring.names, target.nvars)
+        den = _substitute_terms(x._den, monos, x.ring, target)
         if not den:
             raise ZeroDivisionError("scalar division by zero")
         return _make(target, num, den)
@@ -847,7 +905,7 @@ def substitute(
         acc = target.zero
         for e, c in terms.items():
             t = target.num(c)
-            for i, k in enumerate(e):
+            for i, k in enumerate(_unpack_exps(e, x.ring.nvars)):
                 if k:
                     t = t * image_pow(i, k)
             acc = acc + t
@@ -858,41 +916,65 @@ def substitute(
     return evn / evd
 
 
-def _substitute_terms(terms: dict, monos: list, names: tuple, nv: int) -> dict:
+def _substitute_terms(terms: dict, monos: list, source: ScalarRing, target: ScalarRing) -> dict:
     """Image of a raw term dict when variable i maps to the monomial
-    ``monos[i]`` = (exponents, coefficient), or to zero when it is None: the
-    term c·Π x_i^{k_i} goes to exponent Σ k_i·e_i and coefficient
-    c·Π c_i^{k_i}, and is dropped when a zero image has k_i > 0.  Images of
-    distinct terms may share an exponent, so coefficients are summed."""
+    ``monos[i]`` = (packed exponent, coefficient), or to zero when it is
+    None: the term c·Π x_i^{k_i} goes to exponent Σ k_i·e_i, one int
+    multiply-add per variable, and coefficient c·Π c_i^{k_i}, and is dropped
+    when a zero image has k_i > 0.  Images of distinct terms may share an
+    exponent, so coefficients are summed.
+
+    Σ |k_i|·(largest image exponent size) bounds every exponent of the
+    image; below 2^20 it is in range, and otherwise the exponent is summed
+    one variable at a time (``_image_exps``) before it is trusted."""
+    nv = source.nvars
+    bias = source._bias
+    shifts = range(0, _BITS * nv, _BITS)
+    sizes = [max(map(abs, _unpack_exps(m[0], target.nvars))) if m else 0 for m in monos]
     out: dict = {}
     get = out.get
     for e, c in terms.items():
-        exps = [0] * nv
+        b = e + bias  # nonnegative digits
+        t = 0
+        bound = 0
         dropped = False
-        for i, k in enumerate(e):
+        for i, s in enumerate(shifts):
+            k = (b >> s & _MASK) - _LIMIT
             if not k:
                 continue
             mono = monos[i]
             if mono is None:
                 if k < 0:
-                    raise ZeroDivisionError(f"substituting zero into negative power of {names[i]}")
+                    raise ZeroDivisionError(f"substituting zero into negative power of {source.names[i]}")
                 dropped = True
                 continue
             me, mc = mono
-            for j, x in enumerate(me):
-                if x:
-                    exps[j] += k * x
+            t += k * me
+            bound += abs(k) * sizes[i]
             if mc != 1:
                 c = c * mc**k if k > 0 else _cdiv(c, mc**-k)
         if dropped:
             continue
-        t = tuple(exps)
+        if bound >= _LIMIT:
+            t = _image_exps(e, monos, source, target)
         nc = get(t, 0) + c
         if nc:
             out[t] = nc
         else:
             del out[t]
     return out
+
+
+def _image_exps(e: int, monos: list, source: ScalarRing, target: ScalarRing) -> int:
+    """The packed image exponent Σ k_i·e_i of the term of exponent e, summed
+    one target variable at a time; ValueError when it leaves the packed
+    range."""
+    exps = [0] * target.nvars
+    for k, mono in zip(_unpack_exps(e, source.nvars), monos):
+        if k and mono is not None:
+            for j, x in enumerate(_unpack_exps(mono[0], target.nvars)):
+                exps[j] += k * x
+    return _pack_exps(exps)
 
 
 # ---------------------------------------------------------------------------
@@ -1002,12 +1084,23 @@ def _fmt_exp(e: int, denom: int) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def _descending(ring: ScalarRing, terms: dict) -> list[tuple[Exps, int | Fraction]]:
+    """The terms as (exponent tuple, coefficient), highest first under graded
+    lex.  A stored key biased by 2^20 has nonnegative digits, read by shifts."""
+    bias, shifts = ring._bias, range(0, _BITS * ring.nvars, _BITS)
+    out = []
+    for e, c in terms.items():
+        b = e + bias
+        out.append((tuple([(b >> s & _MASK) - _LIMIT for s in shifts]), c))
+    out.sort(key=lambda t: _grlex_key(t[0]), reverse=True)
+    return out
+
+
 def _text(ring: ScalarRing, terms: dict) -> str:
     if not terms:
         return "0"
     parts = []
-    for e in sorted(terms, key=_grlex_key, reverse=True):
-        c = terms[e]
+    for e, c in _descending(ring, terms):
         factors = [str(c)]
         for i, k in enumerate(e):
             if k:
@@ -1045,7 +1138,7 @@ def _parse_terms(ring: ScalarRing, s: str) -> dict:
             if e.denominator != 1:
                 raise ValueError(f"exponent {p} too fine for variable {name}")
             exps[i] = int(e)
-        t = tuple(exps)
+        t = _pack_exps(exps)
         terms[t] = terms.get(t, 0) + c
     return {e: c for e, c in terms.items() if c}
 
@@ -1062,10 +1155,7 @@ def parse(ring: ScalarRing, s: str) -> Scalar:
 
 
 def terms_to_json(ring: ScalarRing, terms: dict) -> list[dict]:
-    return [
-        {"coeff": str(terms[e]), "exps": list(e)}
-        for e in sorted(terms, key=_grlex_key, reverse=True)
-    ]
+    return [{"coeff": str(c), "exps": list(e)} for e, c in _descending(ring, terms)]
 
 
 def scalar_to_json(x: Scalar) -> dict:
@@ -1082,7 +1172,7 @@ def scalar_from_json(ring: ScalarRing, obj: dict) -> Scalar:
         for t in terms:
             c = _coeff(t["coeff"])
             if c:
-                out[tuple(t["exps"])] = c
+                out[_pack_vector(ring, t["exps"])] = c
         return out
 
     return _make(ring, load(obj["num"]), load(obj["den"]))

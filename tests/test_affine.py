@@ -192,9 +192,9 @@ def test_columnwise_spectral_ybe_matches_the_matrix_form(family, rank, change):
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
 def test_columnwise_spectral_ybe_covers_every_column_and_entry(monkeypatch, family, rank):
-    """A passing check reads one stored packed column per side for each of
-    the N³ basis vectors (R₂₃(y)'s on the left, R₁₂(x)'s on the right),
-    applies the two other factor actions to it on packed vectors, and reads
+    """A passing check reads one stored column per side for each of the N³
+    basis vectors (R₂₃(y)'s on the left, R₁₂(x)'s on the right), applies
+    the two other factor actions to it on kernel-value vectors, and reads
     the x and y digits of every nonzero entry of the left side: as many as
     the V⊗³ matrix of the left side has."""
     from rsqg import affine, matrices
@@ -206,9 +206,9 @@ def test_columnwise_spectral_ybe_covers_every_column_and_entry(monkeypatch, fami
     mid_flip = kron(ident, flip_map(ring, N))
     lhs = kron(r_x, ident) @ (mid_flip @ kron(r_xy, ident) @ mid_flip) @ kron(ident, r_y)
     applied, reads, digits = [], [], []
-    apply, column, exp_ranges = matrices.PairAction.packed_apply, matrices.PairAction.packed_column, affine._packed_exp_ranges
-    monkeypatch.setattr(matrices.PairAction, "packed_apply", lambda self, vec: applied.append(vec) or apply(self, vec))
-    monkeypatch.setattr(matrices.PairAction, "packed_column", lambda self, k: reads.append((self.strides, k)) or column(self, k))
+    apply, column, exp_ranges = matrices.PairAction.__call__, matrices.PairAction.column, affine._packed_exp_ranges
+    monkeypatch.setattr(matrices.PairAction, "__call__", lambda self, vec: applied.append(vec) or apply(self, vec))
+    monkeypatch.setattr(matrices.PairAction, "column", lambda self, k: reads.append((self.strides, k)) or column(self, k))
     monkeypatch.setattr(
         affine, "_packed_exp_ranges", lambda terms, i, j: digits.append((i, j)) or exp_ranges(terms, i, j)
     )

@@ -11,7 +11,7 @@ from math import isqrt
 
 import pytest
 
-from rsqg import cli, embed, pairing, rep
+from rsqg import affine, cli, embed, pairing, rep
 from rsqg.catalogue import CATALOGUE, CaseContext
 from rsqg.embed import modified_generators, verify_dj_relations
 from rsqg.matrices import SMatrix
@@ -388,6 +388,42 @@ def test_scaled_top_kappa_fails_kappa_recursion(monkeypatch, family, rank):
     item = _run(ctx, "embed", "kappa")["kappa-recursion"]
     assert not item.ok
     assert item.witness == f"kappa recursion fails at {top.label()}"
+
+
+def _items_of(ctx: CaseContext, items: list[str]) -> dict:
+    """The named items, each from one run of the catalogue check that emits it."""
+    out: dict = {}
+    for group, name in dict.fromkeys(ITEM_CHECK[item] for item in items):
+        out.update(_run(ctx, group, name))
+    return {item: out[item] for item in items}
+
+
+@pytest.mark.parametrize("family,rank", CASES)
+def test_scaled_xi_fails_the_spectral_checks(monkeypatch, family, rank):
+    """ξ times r, wherever ``affine`` reads it: R̂(z) and R̂(x/y) no longer
+    intertwine or satisfy the spectral YBE, and the Baxterization of R̂ and
+    R̄ no longer reproduces R̂(z)."""
+    xi_constant = affine.xi_constant
+    monkeypatch.setattr(affine, "xi_constant", lambda family, rank, ring: xi_constant(family, rank, ring) * ring.mono(r=1))
+    items = _items_of(
+        CaseContext(family, rank),
+        ["affine-intertwiner-e", "affine-intertwiner-f", "spectral-ybe", "baxterize-match", "baxterize-scheme"],
+    )
+    for name, item in items.items():
+        assert not item.ok, name
+        assert item.witness, name
+
+
+@pytest.mark.parametrize("family,rank", CASES)
+def test_scaled_t_1_fails_the_finite_operator_checks(monkeypatch, family, rank):
+    """t_1 times r in the coefficient tables, as the explicit R̂ and R̄
+    read them."""
+    t = CoefficientTables.t
+    monkeypatch.setattr(CoefficientTables, "t", lambda self, i: t(self, i) * self.rep.ring.mono(r=1) if i == 1 else t(self, i))
+    items = _items_of(CaseContext(family, rank), ["route-equivalence", "intertwining", "inverse", "braid"])
+    for name, item in items.items():
+        assert not item.ok, name
+        assert item.witness, name
 
 
 # -- pairing certificates ------------------------------------------------------

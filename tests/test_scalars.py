@@ -366,7 +366,7 @@ def _substitute_reference(x, bindings, target):
         acc = target.zero
         for e, c in terms.items():
             t = target.num(c)
-            for image, k in zip(images, e):
+            for image, k in zip(images, _unpack_exps(e, x.ring.nvars)):
                 if k:
                     t = t * image**k
             acc = acc + t
@@ -603,18 +603,19 @@ def test_canonical_form_against_sympy(sympy, ring, data):
     if not b.is_zero():
         cases.append((a / b, ea / eb))
     for x, expr in cases:
-        num = _sympy_terms(sympy, gens, x._num.items())
-        den = _sympy_terms(sympy, gens, x._den.items())
+        x_num, x_den = _tuples(ring, x._num), _tuples(ring, x._den)
+        num = _sympy_terms(sympy, gens, x_num.items())
+        den = _sympy_terms(sympy, gens, x_den.items())
         assert sympy.cancel(num / den - expr) == 0, (x, expr)
         # the denominator is a polynomial, divisible by no variable, monic in grlex
-        assert all(k >= 0 for e in x._den for k in e)
+        assert all(k >= 0 for e in x_den for k in e)
         assert all(den.subs(g, 0) != 0 for g in gens)
         assert sympy.Poly(den, *gens).LC(order="grlex") == 1
         # numerator and denominator are coprime once the numerator's monomial
         # part (a unit of the Laurent ring) is removed
-        if x._num:
-            low = [min(e[i] for e in x._num) for i in range(ring.nvars)]
-            shifted = [(tuple(k - m for k, m in zip(e, low)), c) for e, c in x._num.items()]
+        if x_num:
+            low = [min(e[i] for e in x_num) for i in range(ring.nvars)]
+            shifted = [(tuple(k - m for k, m in zip(e, low)), c) for e, c in x_num.items()]
             g = sympy.gcd(_sympy_terms(sympy, gens, shifted), den)
             assert sympy.Poly(g, *gens).is_ground, (x, g)
 
@@ -625,6 +626,16 @@ def test_canonical_form_against_sympy(sympy, ring, data):
 # monomial, skip _make.  These tests rebuild each result from the raw product
 # or sum (computed here term by term, not by the kernel) through _make, and
 # require the same stored numerator and denominator.
+
+
+def _tuples(ring, terms: dict) -> dict:
+    """A stored term dict with its packed exponents read as tuples."""
+    return {_unpack_exps(e, ring.nvars): c for e, c in terms.items()}
+
+
+def _packed(terms: dict) -> dict:
+    """A tuple-keyed term dict with its exponents packed, as stored."""
+    return {_pack_exps(e): c for e, c in terms.items()}
 
 
 def _raw_mul(a: dict, b: dict) -> dict:
@@ -661,13 +672,14 @@ def kernel_values(draw, ring):
 
 def _check_against_make(a: Scalar, b: Scalar) -> None:
     ring = a.ring
-    den = _raw_mul(a._den, b._den)
+    an, ad, bn, bd = (_tuples(ring, t) for t in (a._num, a._den, b._num, b._den))
+    den = _raw_mul(ad, bd)
     expected = (
-        (a * b, _raw_mul(a._num, b._num)),
-        (a + b, _raw_add(_raw_mul(a._num, b._den), _raw_mul(b._num, a._den))),
+        (a * b, _raw_mul(an, bn)),
+        (a + b, _raw_add(_raw_mul(an, bd), _raw_mul(bn, ad))),
     )
     for x, num in expected:
-        ref = _make(ring, num, den)
+        ref = _make(ring, _packed(num), _packed(den))
         assert (x._num, x._den) == (ref._num, ref._den), (a, b, x, ref)
 
 
@@ -719,7 +731,7 @@ def _mul_without_monic_scaling(self, other):
         if m.is_monomial() and not x.den_is_one():
             ((e, c),) = m._num.items()
             den = {k: Fraction(v) / c for k, v in x._den.items()}
-            return Scalar(x.ring, _raw_mul({e: 1}, x._num), den, _raw=True)
+            return Scalar(x.ring, _packed(_raw_mul(_tuples(x.ring, {e: 1}), _tuples(x.ring, x._num))), den, _raw=True)
     return _KERNEL_MUL(self, other)
 
 
@@ -727,7 +739,7 @@ def _mul_without_gcd(self, other):
     """Takes any Laurent polynomial times n/d without cancelling."""
     for p, x in ((self, other), (other, self)):
         if p.den_is_one() and not x.den_is_one():
-            return Scalar(x.ring, _raw_mul(p._num, x._num), x._den, _raw=True)
+            return Scalar(x.ring, _packed(_raw_mul(_tuples(x.ring, p._num), _tuples(x.ring, x._num))), x._den, _raw=True)
     return _KERNEL_MUL(self, other)
 
 
@@ -862,3 +874,251 @@ def test_packing_limits():
     for e in ((_LIMIT,), (0, -_LIMIT), (1, 2**31)):
         with pytest.raises(ValueError, match="packed range"):
             _pack_exps(e)
+
+
+# -- the packed kernel against a tuple-keyed reference ---------------------------
+#
+# The reference below keeps a value as a (numerator, denominator) pair of term
+# dicts keyed by exponent tuples, multiplies term by term with tuple sums and
+# compares two fractions by cross-multiplication, so it shares no code with
+# the packed kernel.  Exponents sit near ±2^19, where a product can leave the
+# packed range |e| < 2^20: the kernel must then raise ValueError, exactly when
+# the reference's Laurent result is out of range.
+
+_NEAR = 2**19
+_REF_RINGS = [rs_ring(), rs_ring("z"), rs_ring("x", "y", "a")]
+_REF_COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4)])
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_pow(x: tuple, k: int) -> tuple:
+    num, den = x if k >= 0 else (x[1], x[0])
+    n = d = {(0,) * len(next(iter(x[1]))): 1}
+    for _ in range(abs(k)):
+        n, d = _ref_mul(n, num), _ref_mul(d, den)
+    return n, d
+
+
+def _in_range(terms: dict) -> bool:
+    return all(abs(k) < _LIMIT for e in terms for k in e)
+
+
+def _is_unit_den(x: tuple) -> bool:
+    (e, c), *rest = x[1].items()
+    return not rest and not any(e) and c == 1
+
+
+def _ref_text(ring, terms: dict) -> str:
+    def power(k, denom):
+        f = Fraction(k, denom)
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+    if not terms:
+        return "0"
+    parts = []
+    for e in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+        factors = [str(terms[e])]
+        factors += [f"{ring.names[i]}^{power(k, ring.variables[i].denom)}" for i, k in enumerate(e) if k]
+        parts.append(" * ".join(factors))
+    return " + ".join(parts)
+
+
+def _ref_json(terms: dict) -> list:
+    return [{"coeff": str(terms[e]), "exps": list(e)} for e in sorted(terms, key=lambda e: (sum(e), e), reverse=True)]
+
+
+def _near_limit(draw, ring, offset: list[int], fraction: bool) -> tuple:
+    """(kernel value, reference pair): a Laurent polynomial whose exponents
+    lie within 2 of the per-variable ``offset``, divided, for a
+    ``fraction``, by a two-term polynomial of degree ≤ 1 in each variable."""
+    nv = ring.nvars
+    exps = st.tuples(*[st.integers(-2, 2)] * nv).map(lambda d: tuple(o + x for o, x in zip(offset, d)))
+    num = draw(st.dictionaries(exps, _REF_COEFFS, max_size=3))
+    den = {(0,) * nv: 1}
+    if fraction:
+        small = st.tuples(*[st.integers(0, 1)] * nv)
+        den = draw(st.dictionaries(small, _REF_COEFFS, min_size=2, max_size=2))
+    return ring.poly(num) / ring.poly(den), (num, den)
+
+
+def _offsets(draw, ring) -> list[int]:
+    return [draw(st.sampled_from([-_NEAR, 0, _NEAR])) for _ in range(ring.nvars)]
+
+
+def _agrees(x: Scalar, ref: tuple) -> bool:
+    """x equals the reference fraction: n·d' = n'·d."""
+    xn, xd = _tuples(x.ring, x._num), _tuples(x.ring, x._den)
+    return _ref_mul(xn, ref[1]) == _ref_mul(ref[0], xd)
+
+
+def _largest_exponent(terms: dict) -> int:
+    return max((abs(k) for e in terms for k in e), default=0)
+
+
+def _den_monomial_moved(ref: tuple) -> tuple:
+    """The reference fraction with the smallest exponents of its denominator
+    moved into the numerator, and a one-term denominator divided out."""
+    num, den = ref
+    low = [min(e[i] for e in den) for i in range(len(next(iter(den))))]
+    shift = lambda terms: {tuple(k - m for k, m in zip(e, low)): c for e, c in terms.items()}
+    num, den = shift(num), shift(den)
+    if len(den) == 1:
+        (c,) = den.values()
+        num, den = {e: Fraction(v) / c for e, v in num.items()}, {next(iter(den)): 1}
+    return num, den
+
+
+def _check_op(op, ref: tuple) -> None:
+    """The kernel's ``op()`` against the reference value ``ref``.  A Laurent
+    result raises exactly when the reference is out of range.  The canonical
+    numerator of any other fraction moves by a few units from the
+    reference's, so near the limit it may raise either way, but not 8 or
+    more below it."""
+    ref = _den_monomial_moved(ref)
+    laurent = _is_unit_den(ref)
+    try:
+        got = op()
+    except ValueError:
+        if laurent:
+            assert not _in_range(ref[0])
+        else:
+            assert _largest_exponent(ref[0]) >= _LIMIT - 8
+        return
+    if laurent:
+        assert _in_range(ref[0])
+    assert _agrees(got, ref)
+    assert _in_range(_tuples(got.ring, got._num)) and _in_range(_tuples(got.ring, got._den))
+
+
+@pytest.mark.parametrize("ring", _REF_RINGS, ids=lambda r: ",".join(r.names))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_a_tuple_reference(ring, data):
+    # a sum of fractions whose numerators sit 2^19 apart would cost the gcd
+    # 2^19 pseudo-division steps, so a fraction shares the other's offset
+    fa, fb = data.draw(st.booleans()), data.draw(st.booleans())
+    offset = _offsets(data.draw, ring)
+    a, ra = _near_limit(data.draw, ring, offset, fa)
+    b, rb = _near_limit(data.draw, ring, offset if fa or fb else _offsets(data.draw, ring), fb)
+    assert _agrees(a, ra) and _agrees(b, rb)
+    _check_op(lambda: a * b, (_ref_mul(ra[0], rb[0]), _ref_mul(ra[1], rb[1])))
+    _check_op(lambda: a + b, (_ref_add(_ref_mul(ra[0], rb[1]), _ref_mul(rb[0], ra[1])), _ref_mul(ra[1], rb[1])))
+    if not a.is_zero():
+        _check_op(a.inv, (ra[1], ra[0]))
+    k = data.draw(st.integers(-2 if not a.is_zero() else 0, 3))
+    _check_op(lambda: a**k, _ref_pow(ra, k))
+
+    # substitution by monomials of exponents in [-1, 1]: an image exponent
+    # is a sum of up to nv products k·e near 2^19, on both sides of 2^20
+    # (coefficients ±1, whose powers near 2^19 stay small)
+    images = {}
+    for name in ring.names:
+        if data.draw(st.booleans()):
+            e = data.draw(st.tuples(*[st.integers(-1, 1)] * ring.nvars))
+            images[name] = (e, data.draw(st.sampled_from([1, -1])))
+    binds = {name: ring.poly({e: c}) for name, (e, c) in images.items()}
+    mono = [images.get(name, (tuple(int(j == i) for j in range(ring.nvars)), 1)) for i, name in enumerate(ring.names)]
+
+    def image(terms):
+        out: dict = {}
+        for e, c in terms.items():
+            t = tuple(sum(k * m[0][j] for k, m in zip(e, mono)) for j in range(ring.nvars))
+            for k, m in zip(e, mono):
+                c = c * m[1] ** (k % 2)
+            if not _in_range({t: c}):
+                return None  # a term's image leaves the range
+            out[t] = out.get(t, 0) + c
+        return {e: c for e, c in out.items() if c}
+
+    # the images of the terms a stores: ra may hold a common factor that
+    # canonicalization cancels, and with it a term out of range
+    num, den = image(_tuples(ring, a._num)), image(_tuples(ring, a._den))
+    if num is None or den is None:
+        with pytest.raises(ValueError):
+            substitute(a, binds)
+    elif den:
+        _check_op(lambda: substitute(a, binds), (num, den))
+
+    i, j = (ring.index["r"], ring.index["s"]) if data.draw(st.booleans()) or "x" not in ring.names else (ring.index["x"], ring.index["y"])
+    swap = lambda terms: {tuple(e[j] if m == i else e[i] if m == j else x for m, x in enumerate(e)): c for e, c in terms.items()}
+    _check_op(lambda: a.exchange_vars(ring.names[i], ring.names[j]), (swap(ra[0]), swap(ra[1])))
+
+    # reading exponents back: ranges, text and JSON
+    num, den = _tuples(ring, a._num), _tuples(ring, a._den)
+    for v, name in enumerate(ring.names):
+        want = (min(e[v] for e in num), max(e[v] for e in num)) if num else (0, 0)
+        assert a.z_range(name) == want
+    text = _ref_text(ring, num) if _is_unit_den((num, den)) else f"({_ref_text(ring, num)}) / ({_ref_text(ring, den)})"
+    assert text_form(a) == text
+    assert parse(ring, text) == a
+    assert scalar_to_json(a) == {"num": _ref_json(num), "den": _ref_json(den)}
+    assert scalar_from_json(ring, scalar_to_json(a)) == a
+    if _is_unit_den(ra):
+        assert num == ra[0]
+
+
+def test_exponents_beyond_the_packed_range_raise():
+    """|e| < 2^20 is stored; a product, a power, a constructor, JSON, text
+    or a substitution that reaches 2^20 raises ValueError instead of
+    aliasing a key."""
+    R = rs_ring()
+    top = R.atom("r", _LIMIT - 1)
+    assert _tuples(R, (top * R.atom("s", -(_LIMIT - 1))).inv()._num) == {(-(_LIMIT - 1), _LIMIT - 1): 1}
+    half = R.atom("r", _NEAR)
+    for make in (
+        lambda: half * half,
+        lambda: half / R.atom("r", -_NEAR),
+        lambda: R.atom("r") ** _LIMIT,
+        lambda: R.atom("r", -_NEAR) ** 2,
+        lambda: R.atom("r", _LIMIT),
+        lambda: R.mono(s=Fraction(_LIMIT, 2)),
+        lambda: parse(R, f"1 * r^{_NEAR}"),
+        lambda: scalar_from_json(R, {"num": [{"coeff": "1", "exps": [_LIMIT, 0]}], "den": [{"coeff": "1", "exps": [0, 0]}]}),
+        lambda: scalar_from_json(R, {"num": [{"coeff": "1", "exps": [0, -_LIMIT]}], "den": [{"coeff": "1", "exps": [0, 0]}]}),
+        lambda: SMatrix.identity(R, 1).scale(half) @ SMatrix.identity(R, 1).scale(half),
+        lambda: substitute(half, {"r": R.atom("r", 2)}),
+        lambda: substitute(R.atom("r", _NEAR - 1), {"r": R.atom("r", 3)}),
+        lambda: (R.one + half) * (R.one + half) / (R.one + R.atom("s")),
+    ):
+        with pytest.raises(ValueError, match="range"):
+            make()
+    # 2^20 − 1 still works, on both sides, through the same paths
+    assert half * R.atom("r", _NEAR - 1) == top
+    assert half / R.atom("r", 1 - _NEAR) == top
+    assert R.atom("r") ** (_LIMIT - 1) == top
+    assert scalar_from_json(R, {"num": [{"coeff": "1", "exps": [_LIMIT - 1, 0]}], "den": [{"coeff": "1", "exps": [0, 0]}]}) == top
+    low = {"num": [{"coeff": "1", "exps": [0, -(_LIMIT - 1)]}], "den": [{"coeff": "1", "exps": [0, 0]}]}
+    assert scalar_from_json(R, low) == R.atom("s", -(_LIMIT - 1))
+    assert parse(R, text_form(top)) == top
+    assert substitute(R.atom("r", _NEAR - 1), {"r": R.atom("r", 2)}) == R.atom("r", _LIMIT - 2)
+    # a term whose image bound passes 2^20 while its exponent stays in range
+    a = _NEAR - 1
+    assert substitute(R.atom("r", a) * R.atom("s", a), {"r": R.atom("r", 2), "s": R.atom("r", -2)}) == R.one
+
+
+def test_exact_division_refuses_a_remainder():
+    """The gcd's exact division on 64-bit digits: (x² − 1)/(x + 1) = x − 1
+    and (x²y − y)/(xy + y) = x − 1, while (x + 1)/x and x/y leave a
+    remainder and raise."""
+    R = rs_ring()
+    x, y = 1, 1 << 64  # the wide packed exponents of r^(1/2) and s^(1/2)
+    assert scalars._pdivexact({2 * x: 1, 0: -1}, {x: 1, 0: 1}, R) == {x: 1, 0: -1}
+    assert scalars._pdivexact({2 * x + y: 1, y: -1}, {x + y: 1, y: 1}, R) == {x: 1, 0: -1}
+    for num, den in (({x: 1, 0: 1}, {x: 1}), ({x: 1}, {y: 1})):
+        with pytest.raises(ArithmeticError, match="inexact"):
+            scalars._pdivexact(num, den, R)

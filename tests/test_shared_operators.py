@@ -53,6 +53,7 @@ def test_each_operator_is_built_once_per_case(monkeypatch):
             (rootvec.build_root_vector_matrices, lambda *a: "build_root_vector_matrices"),
             (lyndon.lalonde_ram, lambda *a: "lalonde_ram"),
             (rep.build_fundamental, lambda *a: "build_fundamental"),
+            (rootdata.affine_data, lambda *a: "affine_data"),
             (embed.modified_generators, lambda r: "modified_generators/" + ("V⊗V" if r.N > r.rs.N else "V")),
         ),
     )
@@ -68,8 +69,25 @@ def test_each_operator_is_built_once_per_case(monkeypatch):
     assert calls["modified_generators/V"] == 1
     assert calls["modified_generators/V⊗V"] == 1
     # the case's module, the evaluation module, the module over the z ring,
-    # and the two evaluation modules of the affine intertwiner
-    assert calls["build_fundamental"] == 5
+    # and the one module V(x) and V(y) of the affine intertwiner share
+    assert calls["build_fundamental"] == 4
+    # the evaluation module's, and the one V(x) and V(y) share
+    assert calls["affine_data"] == 2
+
+
+def test_affine_data_is_built_twice_per_desk_case(monkeypatch):
+    """``certify-all --max-rank 3`` builds ``rootdata.affine_data`` 14 times
+    over its 7 cases: once for the case's evaluation module and once for the
+    V(x) and V(y) of the affine intertwiner (21 times while V(y) rebuilt
+    what V(x) has)."""
+    import contextlib
+    import io
+
+    calls = _count_calls(monkeypatch, ((rootdata.affine_data, lambda *a: "affine_data"),))
+    monkeypatch.setenv("RSQG_JOBS", "1")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["certify-all", "--max-rank", "3"]) == 0
+    assert calls == {"affine_data": 14}
 
 
 def test_a_type_rhat_is_built_once_per_ring(monkeypatch):
@@ -166,7 +184,7 @@ def test_each_pairing_value_is_computed_once_per_case(monkeypatch):
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
 def test_braid_builds_no_v3_matrix(monkeypatch, family, rank):
     """check_braid calls neither kron nor the matrix product, builds no
-    matrix larger than V ⊗ V, and applies two packed factor actions per
+    matrix larger than V ⊗ V, and applies two factor actions per
     side to each of the N³ basis columns (the first one on each side is a
     column read)."""
     from rsqg import matrices
@@ -176,7 +194,7 @@ def test_braid_builds_no_v3_matrix(monkeypatch, family, rank):
     N = ctx.rep.N
     calls = Counter()
     rows = []
-    init, apply = SMatrix.__init__, PairAction.packed_apply
+    init, apply = SMatrix.__init__, PairAction.__call__
 
     def recorded_init(self, ring, nrows, ncols, rows_=None):
         rows.append(nrows)
@@ -192,7 +210,7 @@ def test_braid_builds_no_v3_matrix(monkeypatch, family, rank):
     _wrap_everywhere(monkeypatch, matrices.kron, forbidden("kron"))
     monkeypatch.setattr(SMatrix, "__matmul__", forbidden("matmul"))
     monkeypatch.setattr(SMatrix, "__init__", recorded_init)
-    monkeypatch.setattr(PairAction, "packed_apply", lambda self, vec: calls.update(["apply"]) or apply(self, vec))
+    monkeypatch.setattr(PairAction, "__call__", lambda self, vec: calls.update(["apply"]) or apply(self, vec))
     out = rmatrix.check_braid(ctx.rep, ctx.rhat)
     assert out.ok(), out.items[0].witness
     assert calls == {"apply": 4 * N**3}
@@ -201,10 +219,10 @@ def test_braid_builds_no_v3_matrix(monkeypatch, family, rank):
 
 @pytest.mark.parametrize("check", ["braid", "spectral-ybe"])
 def test_passing_column_checks_construct_no_scalar(monkeypatch, check):
-    """A passing B2 ``braid`` or ``spectral-ybe`` keeps every column packed
-    from the stored columns to the comparison and the degree bound:
-    ``first_column_mismatch`` constructs no Scalar.  A failing one does, for
-    the values its witness prints."""
+    """A passing B2 ``braid`` or ``spectral-ybe`` keeps every column in
+    kernel values from the stored columns to the comparison and the degree
+    bound: ``first_column_mismatch`` constructs no Scalar.  A failing one
+    does, for the values its witness prints."""
     from rsqg import report, scalars
     from rsqg.matrices import SMatrix
 
