@@ -398,7 +398,7 @@ def _is_const(a: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# polynomial gcd over ℚ via recursive subresultant PRS
+# polynomial gcd over ℚ: the heuristic gcd, else a recursive subresultant PRS
 # ---------------------------------------------------------------------------
 
 # The gcd works on true polynomials, whose exponents ``_make`` moves to
@@ -439,7 +439,7 @@ def _gmul(a: dict, b: dict, ring: ScalarRing) -> dict:
 
 
 def _int_normalize(a: dict) -> dict:
-    """Scale to integer coefficients, content 1, positive leading coeff."""
+    """Scale to int coefficients, content 1, positive leading coeff."""
     if not a:
         return a
     den_lcm = 1
@@ -450,9 +450,7 @@ def _int_normalize(a: dict) -> dict:
         num_gcd = int_gcd(num_gcd, c.numerator * (den_lcm // c.denominator))
     if a[max(a)] < 0:
         num_gcd = -num_gcd
-    if den_lcm == 1 and num_gcd == 1:
-        return a
-    return {e: _cdiv(c.numerator * (den_lcm // c.denominator), num_gcd) for e, c in a.items()}
+    return {e: c.numerator * (den_lcm // c.denominator) // num_gcd for e, c in a.items()}
 
 
 def _degs(a: dict, nv: int) -> list[int]:
@@ -506,8 +504,11 @@ def _pdivexact(a: dict, b: dict, ring: ScalarRing) -> dict:
         eq = er - eb
         cq = _cdiv(rem[er], cb)
         q[eq] = q.get(eq, 0) + cq
-        # every call divides exactly, so each eq is a term of the quotient
-        # and eq·b stays within the exponent range of a
+        # eq has no negative digit, and when b divides a, each eq is a term
+        # of the quotient and eq·b stays within the exponent range of a.  A
+        # heuristic gcd candidate need not divide: the leading term of rem
+        # falls in a monomial order, so the loop ends, with ArithmeticError
+        # at the first one that b's does not divide.
         _pmuladd(rem, {eq: -cq}, b)
     return {e: c for e, c in q.items() if c}
 
@@ -539,11 +540,181 @@ def _prem(a: dict, b: dict, v: int, ring: ScalarRing) -> dict:
     return r
 
 
+# A subresultant sequence in three variables of degree 10–17 takes seconds,
+# and more on Fraction coefficients, so ``_pgcd`` first scales both inputs
+# to integer polynomials of content 1 and tries the heuristic gcd of Char,
+# Geddes and Gonnet (GCDHEU, 1989), in the recursive form of Geddes, Czapor
+# and Labahn (Algorithms for Computer Algebra, §7.7): set one variable to
+# an integer ξ, take the gcd of the images in one variable fewer (down to
+# an integer gcd), and read the coefficients of x_v^k off the balanced
+# base-ξ digits of the image gcd's integers.  The candidate counts only once
+# it divides both inputs exactly and its two cofactors are shown coprime
+# modulo a prime, so it is the gcd; otherwise the subresultant sequence
+# computes it.  It does so too once the integers would pass _HEU_BITS bits,
+# where CPython's quadratic integer arithmetic outweighs the sequence: a
+# power of a two-variable (r,s)-integer has few terms and degree in the
+# hundreds, and the sequence finds a quotient that is a polynomial in one
+# pseudo-division.
+
+_HEU_BITS = 1 << 17
+_P = (1 << 61) - 1  # a Mersenne prime, the modulus of the coprimality test
+
+
+def _univariate_image(a: dict, v: int, point: list[int]) -> list[int]:
+    """The integer polynomial a modulo _P as a polynomial in variable v,
+    every other variable j set to point[j]; coefficients from degree 0 up."""
+    sv = _GBITS * v
+    out = [0] * (_deg_in(a, v) + 1)
+    for e, c in a.items():
+        x = c % _P
+        for j, t in enumerate(point):
+            k = e >> (_GBITS * j) & _GMASK
+            if k and j != v:
+                x = x * pow(t, k, _P) % _P
+        k = e >> sv & _GMASK
+        out[k] = (out[k] + x) % _P
+    return out
+
+
+def _gcd_degree_mod(a: list[int], b: list[int]) -> int:
+    """Degree of the gcd over ℤ/_P of two univariate polynomials with
+    nonzero leading coefficients (``_univariate_image`` lists)."""
+    while b:
+        inv = pow(b[-1], -1, _P)
+        a = a[:]
+        while len(a) >= len(b):
+            q = a[-1] * inv % _P
+            s = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[s + i] = (a[s + i] - q * c) % _P
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _shown_coprime(a: dict, b: dict, nv: int) -> bool:
+    """True only if the integer polynomials a and b have no common factor of
+    positive degree.  For each variable v in which both have positive degree
+    it sets the others to a point where neither leading coefficient in v
+    vanishes modulo _P; a common factor's image there keeps its degree in v
+    and divides both images, so images with a constant gcd rule out any
+    common factor that involves v.  False when no such proof is found."""
+    da, db = _degs(a, nv), _degs(b, nv)
+    for v in range(nv):
+        if not (da[v] and db[v]):
+            continue
+        for attempt in range(3):
+            point = [pow(3 + attempt * nv + j, 17, _P) for j in range(nv)]
+            ia, ib = _univariate_image(a, v, point), _univariate_image(b, v, point)
+            if ia[-1] and ib[-1]:
+                break
+        else:
+            return False
+        if _gcd_degree_mod(ia, ib):
+            return False
+    return True
+
+
+def _xi(f: dict, g: dict) -> int:
+    """The first evaluation point of the heuristic gcd of f and g: more
+    than twice the smaller coefficient norm, which bounds the gcd's
+    coefficients in most cases, and past a root bound."""
+    fn, gn = max(map(abs, f.values())), max(map(abs, g.values()))
+    return max(2 * min(fn, gn) + 29, 2 * min(fn // abs(f[max(f)]), gn // abs(g[max(g)])) + 2)
+
+
+def _eval_var(f: dict, s: int, xi: int) -> dict:
+    """f with the variable of digit shift s set to ξ."""
+    out: dict = {}
+    for e, c in f.items():
+        k = e >> s & _GMASK
+        key = e - (k << s)
+        c = out.get(key, 0) + c * xi**k
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out
+
+
+def _interpolate(h: dict, s: int, xi: int) -> dict:
+    """The polynomial whose coefficient of x^k (x the variable of digit
+    shift s) holds the k-th balanced base-ξ digits of h's coefficients."""
+    out = {}
+    for e, c in h.items():
+        k = 0
+        while c:
+            c, d = divmod(c, xi)
+            if 2 * d > xi:
+                d -= xi
+                c += 1
+            if d:
+                out[e + (k << s)] = d
+            k += 1
+    return out
+
+
+def _heuristic_image_gcd(f: dict, g: dict, shifts: list[int]) -> dict:
+    """A guess at the gcd over ℤ of the integer polynomials f and g, whose
+    common variables have the digit shifts ``shifts``: the content gcd
+    times the primitive part read off the gcd one variable down."""
+    cf = cg = 0
+    for c in f.values():
+        cf = int_gcd(cf, c)
+    for c in g.values():
+        cg = int_gcd(cg, c)
+    c = int_gcd(cf, cg)
+    if not shifts:
+        return {0: c}
+    f = {e: x // cf for e, x in f.items()}
+    g = {e: x // cg for e, x in g.items()}
+    xi = _xi(f, g)
+    ff, gg = _eval_var(f, shifts[0], xi), _eval_var(g, shifts[0], xi)
+    if not (ff and gg):
+        return {0: c}
+    h = _int_normalize(_interpolate(_heuristic_image_gcd(ff, gg, shifts[1:]), shifts[0], xi))
+    return {e: c * x for e, x in h.items()}
+
+
+def _heuristic_gcd(a: dict, b: dict, ring: ScalarRing) -> dict | None:
+    """gcd of the integer polynomials a and b of content 1, or None when
+    six values of ξ give no candidate that passes the checks."""
+    nv = ring.nvars
+    da, db = _degs(a, nv), _degs(b, nv)
+    # only the variables of both can be in the gcd; two polynomials in
+    # disjoint variables have an integer gcd, so they are never set to ξ
+    common = [i for i in range(nv) if da[i] and db[i]]
+    shifts = [_GBITS * i for i in common]
+    size = 1
+    for i in common:
+        size *= max(da[i], db[i]) + 1
+    xi = _xi(a, b)
+    for _ in range(6):
+        # the integers at the bottom of the recursion have about this many bits
+        if xi.bit_length() * size > _HEU_BITS:
+            return None
+        s = shifts[0]
+        fa, gb = _eval_var(a, s, xi), _eval_var(b, s, xi)
+        if fa and gb:
+            g = _int_normalize(_interpolate(_heuristic_image_gcd(fa, gb, shifts[1:]), s, xi))
+            try:
+                u = _pdivexact(a, g, ring)
+                w = _pdivexact(b, g, ring)
+            except ArithmeticError:
+                u = None
+            if u is not None and _shown_coprime(u, w, nv):
+                return g
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
 def _pgcd(a: dict, b: dict, ring: ScalarRing) -> dict:
     """Multivariate gcd over ℚ (integer-primitive output, positive lead).
 
-    Content/primitive-part recursion over a chosen main variable with a
-    subresultant polynomial remainder sequence in between.
+    The heuristic gcd above, or else content/primitive-part recursion over
+    a chosen main variable with a subresultant polynomial remainder sequence
+    in between.
     """
     if not a:
         return _int_normalize(b)
@@ -557,6 +728,10 @@ def _pgcd(a: dict, b: dict, ring: ScalarRing) -> dict:
     common = [i for i in range(nv) if da[i] > 0 and db[i] > 0]
     if not common:
         return one
+    a, b = _int_normalize(a), _int_normalize(b)
+    g = _heuristic_gcd(a, b, ring)
+    if g is not None:
+        return g
     v = min(common, key=lambda i: min(da[i], db[i]))
 
     ca = _content_wrt(a, v, ring)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rsqg.matrices import SMatrix
@@ -1122,3 +1122,87 @@ def test_exact_division_refuses_a_remainder():
     for num, den in (({x: 1, 0: 1}, {x: 1}), ({x: 1}, {y: 1})):
         with pytest.raises(ArithmeticError, match="inexact"):
             scalars._pdivexact(num, den, R)
+
+
+# -- the heuristic gcd against the subresultant sequence ------------------------
+#
+# ``_pgcd`` takes the heuristic gcd's candidate only once it divides both
+# inputs and its cofactors are shown coprime modulo a prime; otherwise the
+# subresultant sequence runs.  The tests below run the sequence alone as the
+# reference, on products p·q1 and p·q2 with a shared factor p.
+
+
+def _wide(ring, terms: dict) -> dict:
+    """A true polynomial given by exponent tuples, as the gcd holds it."""
+    return scalars._widen({_pack_exps(e): c for e, c in terms.items()}, ring.nvars)
+
+
+@st.composite
+def _true_poly(draw, ring, max_terms, max_exp=2):
+    exps = st.tuples(*[st.integers(0, max_exp)] * ring.nvars)
+    return _wide(ring, draw(st.dictionaries(exps, st.integers(-9, 9).filter(bool), min_size=1, max_size=max_terms)))
+
+
+def _subresultant_gcd(a: dict, b: dict, ring) -> dict:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "_heuristic_gcd", lambda *args: None)
+        return scalars._pgcd(a, b, ring)
+
+
+@pytest.mark.parametrize("ring", [_R2, _R3], ids=["r,s", "r,s,z"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_heuristic_gcd_is_the_subresultant_gcd(ring, data):
+    p, q1, q2 = (data.draw(_true_poly(ring, n)) for n in (3, 3, 3))
+    a, b = scalars._pmul(p, q1), scalars._pmul(p, q2)
+    assert scalars._pgcd(a, b, ring) == _subresultant_gcd(a, b, ring)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_coprime_proof_fails_on_a_common_factor(data):
+    """A common factor of positive degree keeps its degree in the images
+    that the proof compares, so the proof never passes."""
+    p = data.draw(_true_poly(_R3, 3))
+    assume(not scalars._is_const(p))
+    q1, q2 = data.draw(_true_poly(_R3, 3)), data.draw(_true_poly(_R3, 3))
+    assert not scalars._shown_coprime(scalars._pmul(p, q1), scalars._pmul(p, q2), 3)
+
+
+def test_coprime_proof_and_heuristic_gcd_on_fixed_inputs():
+    """(r + s + 1)(rz + 2) and (r + s + 1)(s − 3): the cofactors are shown
+    coprime and the heuristic finds r + s + 1.  The heuristic never sets a
+    variable of one input only: w²qz − 1 and (1 + wz)² are coprime, and
+    setting q and then z to the same integer would make both images share
+    the factor 1 + ξ·ξ′."""
+    R = _R3
+    p = _wide(R, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 1})
+    q1 = _wide(R, {(1, 0, 1): 1, (0, 0, 0): 2})
+    q2 = _wide(R, {(0, 1, 0): 1, (0, 0, 0): -3})
+    assert scalars._shown_coprime(q1, q2, 3)
+    assert scalars._heuristic_gcd(scalars._pmul(p, q1), scalars._pmul(p, q2), R) == p
+    a = _wide(R, {(2, 1, 1): 1, (0, 0, 0): -1})
+    b = _wide(R, {(2, 0, 2): 1, (1, 0, 1): 2, (0, 0, 0): 1})
+    assert scalars._heuristic_gcd(a, b, R) == {0: 1}
+
+
+def test_substitution_sum_takes_no_subresultant_step(monkeypatch):
+    """A substitution whose sum of fractions once ran a subresultant sequence
+    for about a minute (two gcds of three-variable polynomials of degree
+    10–17): each gcd is now the heuristic's, and no pseudo-remainder is
+    taken."""
+    x = parse(_R3, "6 * r^1 * s^-1 + -3 * r^1/2 * s^-1 + 17/4 * r^-1 * s^-1 * z^1")
+    images = {
+        "r": "1 * w^1 + 1 * q^-3/2 * z^-2",
+        "s": "1 * w^1 + -3 * w^-2 * q^1/2 * z^-1",
+        "z": "1/3 * w^2 * q^3/2 * z^1 + 1 * z^1",
+    }
+    bindings = {name: parse(_QR, text) for name, text in images.items()}
+
+    def no_step(*args):
+        raise AssertionError("the gcd fell back to the subresultant sequence")
+
+    monkeypatch.setattr(scalars, "_prem", no_step)
+    got = substitute(x, bindings, ring=_QR)
+    assert got == _substitute_reference(x, bindings, _QR)
+    assert (len(got._num), len(got._den)) == (11, 9)
