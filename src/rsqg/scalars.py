@@ -29,14 +29,19 @@ form, parsing, JSON, and the graded-lex order that picks the canonical
 denominator's leading coefficient.
 
 Every value is held in canonical form, and ``_make`` is the one function
-that puts a raw fraction into it.  Four operations skip it, because their
-result is canonical as computed: a product or sum of two Laurent polynomials
-(denominator 1; the product of nonzero ones is nonzero), a product with a
-Laurent monomial of denominator 1, and the inverse of such a monomial.  A
-monomial is a unit of the Laurent ring, so the other factor's numerator and
-monic denominator stay coprime and its denominator is kept as it is.  All
-Laurent polynomials of a ring share the ring's one unit-denominator dict,
-which is how these paths recognise them.
+that puts a raw fraction into it.  A denominator must be a constant times a
+monomial times cyclotomic forms Φ_k(u) and Φ_k(u, v) of the internal
+variables, as every denominator of the R-matrices is; ``_make`` factors it
+into these forms (once per distinct denominator) and divides each form out
+of the numerator as often as both allow, and raises ValueError for any other
+denominator, so no value is built on one.  Four operations skip it, because
+their result is canonical as computed: a product or sum of two Laurent
+polynomials (denominator 1; the product of nonzero ones is nonzero), a
+product with a Laurent monomial of denominator 1, and the inverse of such a
+monomial.  A monomial is a unit of the Laurent ring, so the other factor's
+numerator and monic denominator stay coprime and its denominator is kept as
+it is.  All Laurent polynomials of a ring share the ring's one
+unit-denominator dict, which is how these paths recognise them.
 
 Two more skip it.  ``substitute`` maps each term of a Laurent polynomial
 to one term when every image is a monomial or zero (r^(1/2) ↦ w q^(1/2),
@@ -60,7 +65,7 @@ Laurent polynomials is canonical, so the nonzero dict becomes a Scalar as it
 is once its terms pass the range check.  That saves a Scalar, a dict and an
 accumulator copy per product, which is where matmul time went.
 ``_pmuladd`` is the one term-pair product loop: Scalar products, powers,
-matrix products, mat-vecs and the gcd all run it.
+matrix products, mat-vecs and exact division all run it.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -70,7 +75,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt
+from math import isqrt
 from typing import Iterable, Mapping
 
 Exps = tuple  # an exponent vector read out of its packed int, one slot per ring variable
@@ -103,11 +108,9 @@ class ScalarRing:
         self.names: tuple[str, ...] = tuple(names)
         self.index: dict[str, int] = {n: i for i, n in enumerate(names)}
         self.nvars = nv = len(vs)
-        # the digit masks of ``_check`` and of the gcd's polynomials
+        # the digit masks of ``_check``
         self._bias = _spread(_LIMIT, nv)
         self._high = _spread(_MASK ^ (2 * _LIMIT - 1), nv)
-        self._poly_high = _spread(_GMASK ^ (_POLY_LIMIT - 1), nv, _GBITS)
-        self._poly_guard = _spread(1 << (_GBITS - 1), nv, _GBITS)
         # the one unit denominator every Laurent polynomial of this ring shares
         # (the zero exponent vector packs to 0)
         self._one_den: dict = {0: 1}
@@ -195,9 +198,15 @@ def _cdiv(a, b):
 
 
 def _coeff(value):
-    """Coefficient from an int, a Fraction or a rational string."""
+    """Coefficient from an int, a Fraction or a rational string.  A string
+    of ASCII digits with an optional minus sign, as JSON writes an integer,
+    is read by ``int``; ``Fraction`` reads any other."""
     if isinstance(value, int):
         return value
+    if isinstance(value, str):
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isascii() and digits.isdigit():
+            return int(value)
     c = Fraction(value)
     return _cdiv(c.numerator, c.denominator)
 
@@ -215,15 +224,11 @@ _BITS = 32
 _MASK = (1 << _BITS) - 1
 _HALF = 1 << (_BITS - 1)
 _LIMIT = 1 << 20
-# the gcd works on true polynomials, in 64-bit digits with exponents below 2^62
-_GBITS = 64
-_GMASK = (1 << _GBITS) - 1
-_POLY_LIMIT = 1 << 62
 
 
-def _spread(digit: int, nv: int, bits: int = _BITS) -> int:
-    """The packed int whose nv digits, each ``bits`` wide, all equal ``digit``."""
-    return digit * (((1 << (bits * nv)) - 1) // ((1 << bits) - 1))
+def _spread(digit: int, nv: int) -> int:
+    """The packed int whose nv digits all equal ``digit``."""
+    return digit * (((1 << (_BITS * nv)) - 1) // _MASK)
 
 
 def _pack_exps(e: Iterable[int]) -> int:
@@ -377,122 +382,45 @@ def _pmul(a: dict, b: dict) -> dict:
     return out
 
 
-def _ppow(a: dict, n: int, check, ring: ScalarRing) -> dict:
-    """a^n by squaring, each product passed through ``check(terms, ring)``.
-    The extreme exponents of each variable scale with the power, so every
+def _ppow(a: dict, n: int, ring: ScalarRing) -> dict:
+    """a^n by squaring, each product range-checked (``_check``).  The
+    extreme exponents of each variable scale with the power, so every
     intermediate lies within the range of the result and none raises
     unless the result would."""
     out = {0: 1}
     base = a
     while n:
         if n & 1:
-            out = check(_pmul(out, base), ring)
+            out = _check(_pmul(out, base), ring)
         n >>= 1
         if n:
-            base = check(_pmul(base, base), ring)
+            base = _check(_pmul(base, base), ring)
     return out
 
 
-def _is_const(a: dict) -> bool:
-    return len(a) == 1 and 0 in a
-
-
 # ---------------------------------------------------------------------------
-# polynomial gcd over ℚ: the heuristic gcd, else a recursive subresultant PRS
+# denominators: products of cyclotomic forms, cancelled by trial division
 # ---------------------------------------------------------------------------
 
-# The gcd works on true polynomials, whose exponents ``_make`` moves to
-# 64-bit digits (``_widen``): a subresultant sequence can multiply degrees
-# far past the stored range, and 2^62 is out of its reach.  A product of two
-# of them is exact, and ``_check_poly`` keeps each product in range.  Its
-# leading terms follow the order of the packed ints, lex with the last
-# variable first, a monomial order: the gcd is unique up to a constant
-# factor, which ``_make`` divides out, so the order does not reach the
-# canonical form.
+# Every denominator of the R-matrices comes from (r,s)-integers, factorials
+# and the pairing's Π(s_i − r_i): in the internal variables, a constant times
+# a monomial times cyclotomic forms Φ_k(u) and Φ_k(u, v) = v^φ(k)·Φ_k(u/v)
+# (r − s is Φ_1·Φ_2 and r + s is Φ_4 in r^(1/2), s^(1/2)).  The forms are
+# irreducible and pairwise coprime, so the gcd of a numerator with such a
+# denominator is the product of the forms that divide the numerator, each at
+# most as often as the denominator, and ``_make`` finds it by trial division.
+
+_CYCLOTOMIC: dict[int, dict] = {}  # Φ_k(t) by k, a term dict in one variable
+_FACTORS: dict[frozenset, tuple] = {}  # a denominator's forms, by the denominator with leading coefficient 1
 
 
-def _widen(a: dict, nv: int) -> dict:
-    """A true polynomial's packed exponents moved from 32-bit to 64-bit
-    digits."""
-    shifts = range(0, _BITS * nv, _BITS)
-    return {sum((e >> s & _MASK) << 2 * s for s in shifts): c for e, c in a.items()}
-
-
-def _narrow(a: dict, nv: int) -> dict:
-    """Inverse of ``_widen``, for exponents below 2^31."""
-    shifts = range(0, _BITS * nv, _BITS)
-    return {sum((e >> 2 * s & _GMASK) << s for s in shifts): c for e, c in a.items()}
-
-
-def _check_poly(terms: dict, ring: ScalarRing) -> dict:
-    """``terms``, after checking that every exponent lies in [0, 2^62);
-    ValueError otherwise."""
-    high = ring._poly_high
-    for p in terms:
-        if p & high:
-            raise ValueError("exponent out of the gcd's range 0 <= e < 2^62")
-    return terms
-
-
-def _gmul(a: dict, b: dict, ring: ScalarRing) -> dict:
-    return _check_poly(_pmul(a, b), ring)
-
-
-def _int_normalize(a: dict) -> dict:
-    """Scale to int coefficients, content 1, positive leading coeff."""
-    if not a:
-        return a
-    den_lcm = 1
-    for c in a.values():
-        den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in a.values():
-        num_gcd = int_gcd(num_gcd, c.numerator * (den_lcm // c.denominator))
-    if a[max(a)] < 0:
-        num_gcd = -num_gcd
-    return {e: c.numerator * (den_lcm // c.denominator) // num_gcd for e, c in a.items()}
-
-
-def _degs(a: dict, nv: int) -> list[int]:
-    d = [0] * nv
-    for e in a:
-        for i in range(nv):
-            x = e >> (_GBITS * i) & _GMASK
-            if x > d[i]:
-                d[i] = x
-    return d
-
-
-def _deg_in(a: dict, v: int) -> int:
-    s = _GBITS * v
-    return max(e >> s & _GMASK for e in a)
-
-
-def _coeff_of(a: dict, v: int, k: int) -> dict:
-    """Coefficient of (main var)^k: full-width dict with slot v zeroed."""
-    s = _GBITS * v
-    m = k << s
-    return {e - m: c for e, c in a.items() if e >> s & _GMASK == k}
-
-
-def _mul_var_pow(a: dict, v: int, k: int, ring: ScalarRing) -> dict:
-    if k == 0:
-        return a
-    return _check_poly(_pshift(a, k << (_GBITS * v)), ring)
-
-
-def _pdivexact(a: dict, b: dict, ring: ScalarRing) -> dict:
-    """Exact multivariate division a / b; raises ArithmeticError if inexact.
-    A leading exponent divides another when no digit of their difference is
-    negative: with bit 63 of every digit of the dividend set first, each
-    digit subtracts without a borrow and keeps bit 63 exactly then."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not a:
-        return {}
-    if _is_const(b):
-        return _pdivc(a, next(iter(b.values())))
-    guard = ring._poly_guard
+def _pdivexact(a: dict, b: dict, nv: int) -> dict:
+    """Exact division a / b of true polynomials; raises ArithmeticError if
+    inexact.  A leading exponent divides another when no digit of their
+    difference is negative: with bit 31 of every digit of the dividend set
+    first, each digit subtracts without a borrow and keeps bit 31 exactly
+    then."""
+    guard = _spread(_HALF, nv)
     q: dict = {}
     rem = dict(a)
     eb = max(b)
@@ -502,270 +430,94 @@ def _pdivexact(a: dict, b: dict, ring: ScalarRing) -> dict:
         if (er + guard - eb) & guard != guard:
             raise ArithmeticError("inexact polynomial division")
         eq = er - eb
-        cq = _cdiv(rem[er], cb)
-        q[eq] = q.get(eq, 0) + cq
-        # eq has no negative digit, and when b divides a, each eq is a term
-        # of the quotient and eq·b stays within the exponent range of a.  A
-        # heuristic gcd candidate need not divide: the leading term of rem
-        # falls in a monomial order, so the loop ends, with ArithmeticError
-        # at the first one that b's does not divide.
+        q[eq] = cq = _cdiv(rem[er], cb)
         _pmuladd(rem, {eq: -cq}, b)
-    return {e: c for e, c in q.items() if c}
+    return q
 
 
-def _content_wrt(a: dict, v: int, ring: ScalarRing) -> dict:
-    """gcd of the coefficients of a viewed as a polynomial in variable v."""
-    g: dict = {}
-    s = _GBITS * v
-    for k in sorted({e >> s & _GMASK for e in a}):
-        g = _pgcd(g, _coeff_of(a, v, k), ring)
-        if _is_const(g):
-            break
-    return g
+def _cyclotomic(k: int) -> dict:
+    """Φ_k(t): t^k − 1 divided by Φ_d for every proper divisor d of k."""
+    phi = _CYCLOTOMIC.get(k)
+    if phi is None:
+        phi = {k: 1, 0: -1}
+        for d in range(1, k):
+            if k % d == 0:
+                phi = _pdivexact(phi, _cyclotomic(d), 1)
+        _CYCLOTOMIC[k] = phi
+    return phi
 
 
-def _prem(a: dict, b: dict, v: int, ring: ScalarRing) -> dict:
-    """Pseudo-remainder of a by b in the main variable v:
-    lc(b)^(deg a - deg b + 1) * a  mod  b."""
-    db = _deg_in(b, v)
-    lb = _coeff_of(b, v, db)
-    r = a
-    e = _deg_in(a, v) - db + 1
-    while r and (dr := _deg_in(r, v)) >= db:
-        lr = _coeff_of(r, v, dr)
-        r = _padd(_gmul(r, lb, ring), _pneg(_mul_var_pow(_gmul(lr, b, ring), v, dr - db, ring)))
-        e -= 1
-    if e > 0:
-        r = _gmul(r, _ppow(lb, e, _check_poly, ring), ring)
-    return r
+def _totient(k: int) -> int:
+    """φ(k), the degree of Φ_k."""
+    out, n, p = k, k, 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out - out // n if n > 1 else out
 
 
-# A subresultant sequence in three variables of degree 10–17 takes seconds,
-# and more on Fraction coefficients, so ``_pgcd`` first scales both inputs
-# to integer polynomials of content 1 and tries the heuristic gcd of Char,
-# Geddes and Gonnet (GCDHEU, 1989), in the recursive form of Geddes, Czapor
-# and Labahn (Algorithms for Computer Algebra, §7.7): set one variable to
-# an integer ξ, take the gcd of the images in one variable fewer (down to
-# an integer gcd), and read the coefficients of x_v^k off the balanced
-# base-ξ digits of the image gcd's integers.  The candidate counts only once
-# it divides both inputs exactly and its two cofactors are shown coprime
-# modulo a prime, so it is the gcd; otherwise the subresultant sequence
-# computes it.  It does so too once the integers would pass _HEU_BITS bits,
-# where CPython's quadratic integer arithmetic outweighs the sequence: a
-# power of a two-variable (r,s)-integer has few terms and degree in the
-# hundreds, and the sequence finds a quotient that is a polynomial in one
-# pseudo-division.
-
-_HEU_BITS = 1 << 17
-_P = (1 << 61) - 1  # a Mersenne prime, the modulus of the coprimality test
+def _form(k: int, i: int, j: int | None) -> dict:
+    """Φ_k(u), or Φ_k(u, v) for a slot j; u and v are the variables of slots i, j."""
+    phi = _cyclotomic(k)
+    u, v = 1 << _BITS * i, (1 << _BITS * j if j is not None else 0)
+    return {e * u + (max(phi) - e) * v: c for e, c in phi.items()}
 
 
-def _univariate_image(a: dict, v: int, point: list[int]) -> list[int]:
-    """The integer polynomial a modulo _P as a polynomial in variable v,
-    every other variable j set to point[j]; coefficients from degree 0 up."""
-    sv = _GBITS * v
-    out = [0] * (_deg_in(a, v) + 1)
+def _form_divides(a: dict, k: int, i: int, j: int | None) -> bool:
+    """Whether ``_form(k, i, j)`` divides the Laurent term dict a, without a
+    long division.  The form is homogeneous in u and v and free of the other
+    variables, so it divides a exactly when it divides each part of a with
+    one exponent in every other variable and one degree in u, v.  Such a
+    part is a monomial times h(u/v) (h(u) for Φ_k(u)), and Φ_k(t) divides h
+    exactly when it divides h mod t^k − 1: each exponent of u is taken mod k."""
+    si = _BITS * i
+    bias = _spread(_HALF, i + 1)
+    move = (1 << _BITS * j if j is not None else 0) - (1 << si)  # u^d ↦ v^d
+    parts: dict = {}
     for e, c in a.items():
-        x = c % _P
-        for j, t in enumerate(point):
-            k = e >> (_GBITS * j) & _GMASK
-            if k and j != v:
-                x = x * pow(t, k, _P) % _P
-        k = e >> sv & _GMASK
-        out[k] = (out[k] + x) % _P
-    return out
-
-
-def _gcd_degree_mod(a: list[int], b: list[int]) -> int:
-    """Degree of the gcd over ℤ/_P of two univariate polynomials with
-    nonzero leading coefficients (``_univariate_image`` lists)."""
-    while b:
-        inv = pow(b[-1], -1, _P)
-        a = a[:]
-        while len(a) >= len(b):
-            q = a[-1] * inv % _P
-            s = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[s + i] = (a[s + i] - q * c) % _P
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1
-
-
-def _shown_coprime(a: dict, b: dict, nv: int) -> bool:
-    """True only if the integer polynomials a and b have no common factor of
-    positive degree.  For each variable v in which both have positive degree
-    it sets the others to a point where neither leading coefficient in v
-    vanishes modulo _P; a common factor's image there keeps its degree in v
-    and divides both images, so images with a constant gcd rule out any
-    common factor that involves v.  False when no such proof is found."""
-    da, db = _degs(a, nv), _degs(b, nv)
-    for v in range(nv):
-        if not (da[v] and db[v]):
-            continue
-        for attempt in range(3):
-            point = [pow(3 + attempt * nv + j, 17, _P) for j in range(nv)]
-            ia, ib = _univariate_image(a, v, point), _univariate_image(b, v, point)
-            if ia[-1] and ib[-1]:
-                break
-        else:
-            return False
-        if _gcd_degree_mod(ia, ib):
-            return False
+        d = ((e + bias) >> si & _MASK) - _HALF
+        h = parts.setdefault(e + d * move, {})
+        h[d % k] = h.get(d % k, 0) + c
+    phi = _cyclotomic(k)
+    try:
+        for h in parts.values():
+            _pdivexact({e: c for e, c in h.items() if c}, phi, 1)
+    except ArithmeticError:
+        return False
     return True
 
 
-def _xi(f: dict, g: dict) -> int:
-    """The first evaluation point of the heuristic gcd of f and g: more
-    than twice the smaller coefficient norm, which bounds the gcd's
-    coefficients in most cases, and past a root bound."""
-    fn, gn = max(map(abs, f.values())), max(map(abs, g.values()))
-    return max(2 * min(fn, gn) + 29, 2 * min(fn // abs(f[max(f)]), gn // abs(g[max(g)])) + 2)
-
-
-def _eval_var(f: dict, s: int, xi: int) -> dict:
-    """f with the variable of digit shift s set to ξ."""
-    out: dict = {}
-    for e, c in f.items():
-        k = e >> s & _GMASK
-        key = e - (k << s)
-        c = out.get(key, 0) + c * xi**k
-        if c:
-            out[key] = c
-        else:
-            del out[key]
-    return out
-
-
-def _interpolate(h: dict, s: int, xi: int) -> dict:
-    """The polynomial whose coefficient of x^k (x the variable of digit
-    shift s) holds the k-th balanced base-ξ digits of h's coefficients."""
-    out = {}
-    for e, c in h.items():
-        k = 0
-        while c:
-            c, d = divmod(c, xi)
-            if 2 * d > xi:
-                d -= xi
-                c += 1
-            if d:
-                out[e + (k << s)] = d
-            k += 1
-    return out
-
-
-def _heuristic_image_gcd(f: dict, g: dict, shifts: list[int]) -> dict:
-    """A guess at the gcd over ℤ of the integer polynomials f and g, whose
-    common variables have the digit shifts ``shifts``: the content gcd
-    times the primitive part read off the gcd one variable down."""
-    cf = cg = 0
-    for c in f.values():
-        cf = int_gcd(cf, c)
-    for c in g.values():
-        cg = int_gcd(cg, c)
-    c = int_gcd(cf, cg)
-    if not shifts:
-        return {0: c}
-    f = {e: x // cf for e, x in f.items()}
-    g = {e: x // cg for e, x in g.items()}
-    xi = _xi(f, g)
-    ff, gg = _eval_var(f, shifts[0], xi), _eval_var(g, shifts[0], xi)
-    if not (ff and gg):
-        return {0: c}
-    h = _int_normalize(_interpolate(_heuristic_image_gcd(ff, gg, shifts[1:]), shifts[0], xi))
-    return {e: c * x for e, x in h.items()}
-
-
-def _heuristic_gcd(a: dict, b: dict, ring: ScalarRing) -> dict | None:
-    """gcd of the integer polynomials a and b of content 1, or None when
-    six values of ξ give no candidate that passes the checks."""
+def _factors(ring: ScalarRing, den: dict) -> tuple:
+    """The forms of the true polynomial den, which no variable divides, as
+    (form, k, i, j, multiplicity) with the arguments of ``_form``: den is
+    their product times a constant.  ValueError for any other den."""
+    lead = den[max(den)]
+    key = frozenset((den if lead == 1 else _pdivc(den, lead)).items())
+    found = _FACTORS.get(key)
+    if found is not None:
+        return found
     nv = ring.nvars
-    da, db = _degs(a, nv), _degs(b, nv)
-    # only the variables of both can be in the gcd; two polynomials in
-    # disjoint variables have an integer gcd, so they are never set to ξ
-    common = [i for i in range(nv) if da[i] and db[i]]
-    shifts = [_GBITS * i for i in common]
-    size = 1
-    for i in common:
-        size *= max(da[i], db[i]) + 1
-    xi = _xi(a, b)
-    for _ in range(6):
-        # the integers at the bottom of the recursion have about this many bits
-        if xi.bit_length() * size > _HEU_BITS:
-            return None
-        s = shifts[0]
-        fa, gb = _eval_var(a, s, xi), _eval_var(b, s, xi)
-        if fa and gb:
-            g = _int_normalize(_interpolate(_heuristic_image_gcd(fa, gb, shifts[1:]), s, xi))
-            try:
-                u = _pdivexact(a, g, ring)
-                w = _pdivexact(b, g, ring)
-            except ArithmeticError:
-                u = None
-            if u is not None and _shown_coprime(u, w, nv):
-                return g
-        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
-    return None
-
-
-def _pgcd(a: dict, b: dict, ring: ScalarRing) -> dict:
-    """Multivariate gcd over ℚ (integer-primitive output, positive lead).
-
-    The heuristic gcd above, or else content/primitive-part recursion over
-    a chosen main variable with a subresultant polynomial remainder sequence
-    in between.
-    """
-    if not a:
-        return _int_normalize(b)
-    if not b:
-        return _int_normalize(a)
-    one = {0: 1}
-    if _is_const(a) or _is_const(b):
-        return one
-    nv = ring.nvars
-    da, db = _degs(a, nv), _degs(b, nv)
-    common = [i for i in range(nv) if da[i] > 0 and db[i] > 0]
-    if not common:
-        return one
-    a, b = _int_normalize(a), _int_normalize(b)
-    g = _heuristic_gcd(a, b, ring)
-    if g is not None:
-        return g
-    v = min(common, key=lambda i: min(da[i], db[i]))
-
-    ca = _content_wrt(a, v, ring)
-    cb = _content_wrt(b, v, ring)
-    f = _pdivexact(a, ca, ring)
-    g = _pdivexact(b, cb, ring)
-    cont = _pgcd(ca, cb, ring)
-
-    if _deg_in(f, v) < _deg_in(g, v):
-        f, g = g, f
-    # subresultant PRS bookkeeping (Collins): divisors gpsi keep coefficients small
-    gprev = one
-    hprev = one
-    while True:
-        delta = _deg_in(f, v) - _deg_in(g, v)
-        r = _prem(f, g, v, ring)
-        if not r:
-            break
-        if _deg_in(r, v) == 0:
-            return cont
-        divisor = _gmul(gprev, _ppow(hprev, delta, _check_poly, ring), ring)
-        f, g = g, _pdivexact(r, divisor, ring)
-        gprev = _coeff_of(f, v, _deg_in(f, v))
-        if delta == 0:
-            # hprev unchanged
-            pass
-        elif delta == 1:
-            hprev = gprev
-        else:
-            hprev = _pdivexact(
-                _ppow(gprev, delta, _check_poly, ring), _ppow(hprev, delta - 1, _check_poly, ring), ring
-            )
-    gc = _content_wrt(g, v, ring)
-    return _int_normalize(_gmul(cont, _pdivexact(g, gc, ring), ring))
+    rest, out, k = den, [], 0
+    while len(rest) > 1:  # a true polynomial no variable divides: one term is a constant
+        k += 1
+        degs = [max(d) for d in zip(*(_unpack_exps(e, nv) for e in rest))]
+        top = max(degs)
+        # φ(k) ≥ k/(log2(k) + 1), so a form of degree at most top has k ≤ top·(2·bits(top) + 2)
+        if k > top * (2 * top.bit_length() + 2):
+            raise ValueError(f"denominator {_text(ring, den)} is not a product of cyclotomic forms Φ_k(u), Φ_k(u, v)")
+        slots = [i for i in range(nv) if degs[i] >= _totient(k)]
+        for a, i in enumerate(slots):
+            for j in (None, *slots[a + 1 :]):
+                mult = 0
+                while _form_divides(rest, k, i, j):
+                    rest = _pdivexact(rest, _form(k, i, j), nv)
+                    mult += 1
+                if mult:
+                    out.append((_form(k, i, j), k, i, j, mult))
+    return _FACTORS.setdefault(key, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -797,26 +549,25 @@ def _make(ring: ScalarRing, num: dict, den: dict) -> "Scalar":
         if c != 1:
             num = _pdivc(num, c)
         return Scalar(ring, _check(num, ring), ring._one_den, _raw=True)
-    # move the denominator's monomial part into the numerator
-    m = _min_exps(den, nv)
-    den, num = _pshift(den, -m), _pshift(num, -m)
-    # reduce: strip numerator monomial, cancel gcd, re-attach
-    mnum = _min_exps(num, nv)
-    num0 = _widen(_pshift(num, -mnum), nv)
-    den = _widen(den, nv)
-    g = _pgcd(num0, den, ring)
-    if not _is_const(g):
-        num0 = _pdivexact(num0, g, ring)
-        den = _pdivexact(den, g, ring)
-        if len(den) == 1:
-            num0 = _pdivc(num0, next(iter(den.values())))
-            return Scalar(ring, _check(_pshift(_narrow(num0, nv), mnum), ring), ring._one_den, _raw=True)
-    num0, den = _narrow(num0, nv), _narrow(den, nv)
+    # set both monomial parts aside (the denominator's moves into the
+    # numerator), and cancel each form of the denominator that divides the
+    # numerator, as often as it divides both
+    m, mnum = _min_exps(den, nv), _min_exps(num, nv)
+    den, num = _pshift(den, -m), _pshift(num, -mnum)
+    for form, k, i, j, mult in _factors(ring, den):
+        for _ in range(mult):
+            if not _form_divides(num, k, i, j):
+                break
+            num = _pdivexact(num, form, nv)
+            den = _pdivexact(den, form, nv)
+    num = _pshift(num, mnum - m)
+    if len(den) == 1:
+        return Scalar(ring, _check(_pdivc(num, den[0]), ring), ring._one_den, _raw=True)
     lc = den[max(den, key=lambda e: _grlex_key(_unpack_exps(e, nv)))]
     if lc != 1:
-        num0 = _pdivc(num0, lc)
+        num = _pdivc(num, lc)
         den = _pdivc(den, lc)
-    return Scalar(ring, _check(_pshift(num0, mnum), ring), _check(den, ring), _raw=True)
+    return Scalar(ring, _check(num, ring), _check(den, ring), _raw=True)
 
 
 class Scalar:
@@ -955,8 +706,8 @@ class Scalar:
         ring = self.ring
         den = self._den
         if den is not ring._one_den:
-            den = _ppow(den, n, _check, ring)
-        return Scalar(ring, _ppow(self._num, n, _check, ring), den, _raw=True)
+            den = _ppow(den, n, ring)
+        return Scalar(ring, _ppow(self._num, n, ring), den, _raw=True)
 
     # -- structure ----------------------------------------------------------
 
@@ -997,10 +748,6 @@ class Scalar:
         if num == self._num and den == self._den:
             return self
         return _make(ring, num, den)
-
-    def z_degree(self, name: str) -> int:
-        """Largest exponent of the named variable in the numerator (0 for 0)."""
-        return self.z_range(name)[1]
 
     def z_range(self, name: str) -> tuple[int, int]:
         """Smallest and largest exponent of the named variable in the

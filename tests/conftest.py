@@ -1,8 +1,12 @@
-"""Shared cached builders so expensive objects are constructed once."""
+"""Shared cached builders so expensive objects are constructed once, and
+the shared draw of scalar denominators."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+
+from hypothesis import strategies as st
 
 from rsqg.catalogue import CaseContext
 from rsqg.lyndon import lalonde_ram
@@ -49,3 +53,49 @@ def case(family, rank):
 
 
 DESK = [("A", 2), ("B", 2), ("C", 2), ("D", 3)]
+
+
+# -- the denominators the scalar kernel accepts ---------------------------------
+
+# Φ_k(t) for k ≤ 6, coefficients from degree 0 up
+CYCLOTOMIC = {1: (-1, 1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 5: (1, 1, 1, 1, 1), 6: (1, -1, 1)}
+COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+
+
+def tuple_mul(a: dict, b: dict) -> dict:
+    """Product of term dicts keyed by exponent tuples."""
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def denominators(draw, ring, forms=(0, 2), ks=tuple(CYCLOTOMIC), exps=(-1, 1), variables=None, coeffs=COEFFS):
+    """A denominator the kernel accepts, as a term dict keyed by internal
+    exponent tuples: a constant from ``coeffs``, times a monomial with
+    exponents in the range ``exps``, times a number in the range ``forms``
+    of cyclotomic forms Φ_k(u) and Φ_k(u, v) = v^φ(k)·Φ_k(u/v), k in
+    ``ks``.  The variables of a form are one of the name tuples in
+    ``variables``, by default any variable and any pair.  Built from the
+    table of Φ_k by tuple arithmetic, not by the kernel."""
+    nv = ring.nvars
+    if variables is None:
+        variables = [(u,) for u in ring.names] + [(u, v) for u in ring.names for v in ring.names if u != v]
+    mono = draw(st.tuples(*[st.integers(*exps)] * nv))
+    out = {mono: draw(st.sampled_from(coeffs))}
+    for _ in range(draw(st.integers(*forms))):
+        phi = CYCLOTOMIC[draw(st.sampled_from(ks))]
+        names = draw(st.sampled_from(variables))
+        form = {}
+        for d, c in enumerate(phi):
+            e = [0] * nv
+            e[ring.index[names[0]]] += d
+            if len(names) == 2:
+                e[ring.index[names[1]]] += len(phi) - 1 - d
+            if c:
+                form[tuple(e)] = c
+        out = tuple_mul(out, form)
+    return out

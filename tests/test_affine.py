@@ -163,7 +163,7 @@ def _matrix_form_witness(family: str, operators: tuple) -> str:
             row = diff[0]
             return f"{where(row)}: LHS {lhs.get(row, col)} vs RHS {rhs.get(row, col)}"
         for row in rows:
-            dx, dy = lhs.get(row, col).z_degree("x"), lhs.get(row, col).z_degree("y")
+            dx, dy = lhs.get(row, col).z_range("x")[1], lhs.get(row, col).z_range("y")[1]
             if dx > bound or dy > bound:
                 return f"{where(row)}: LHS entry of x-degree {dx} and y-degree {dy} exceeds the spectral degree bound {bound}"
     return ""

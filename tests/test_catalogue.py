@@ -118,6 +118,23 @@ def test_a_raising_check_is_named_as_its_report_names_it(monkeypatch, capsys):
     assert "injected fault" in capsys.readouterr().err
 
 
+def test_a_denominator_outside_the_factor_set_is_a_failing_item(monkeypatch, capsys):
+    """A check whose arithmetic divides by r + 2 fails with the kernel's
+    ValueError as its witness, instead of passing on a silent value."""
+    from rsqg import pairing
+    from rsqg.scalars import rs_ring
+
+    def outside(*args):
+        ring = rs_ring()
+        ring.one / (ring.mono(r=1) + ring.num(2))
+
+    monkeypatch.setattr(pairing, "verify_pairing_constants", outside)
+    (item,) = catalogue.run_group("pairing", "A", 2, ["constants"]).items
+    assert (item.name, item.ok) == ("pairing-constants", False)
+    assert item.witness.startswith("raised ValueError: denominator 1 * r^1 + 2 is not a product of cyclotomic forms")
+    assert "cyclotomic" in capsys.readouterr().err
+
+
 def test_item_is_the_name_the_check_reports():
     """A check with ``item`` reports one item of that name; the others report
     one item under the catalogue name, or several.  Every check applies to A2."""

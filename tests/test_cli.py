@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -211,6 +212,20 @@ def test_raising_certificate_is_a_failure_not_usage(monkeypatch, capsys):
     assert code == 1
     assert "[fail] B2 braid" in out and "ValueError: injected fault" in out
     assert "[pass] B2 eigenvalues" in out
+
+
+def test_certify_all_exits_1_on_a_denominator_outside_the_factor_set(monkeypatch, capsys):
+    from rsqg import pairing
+
+    def outside(*args):
+        ring = rs_ring()
+        ring.one / (ring.mono(r=Fraction(1, 2)) - ring.mono(3, s=Fraction(1, 2)))
+
+    monkeypatch.setattr(pairing, "verify_pairing_constants", outside)
+    assert run(["certify-all", "--max-rank", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "[fail] A2 pairing-constants" in out and "is not a product of cyclotomic forms" in out
+    assert "[pass] A2 braid" in out
 
 
 def test_empty_report_is_not_ok():

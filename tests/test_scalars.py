@@ -1,14 +1,15 @@
-"""Exact arithmetic: canonical form, gcd reduction, quantum integers,
-substitution, and the text round trip."""
+"""Exact arithmetic: canonical form, cancellation against cyclotomic
+denominators, quantum integers, substitution, and the text round trip."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CYCLOTOMIC, denominators, tuple_mul
 from rsqg.matrices import SMatrix
 from rsqg.report import first_mismatch
 from rsqg import cli, scalars
@@ -165,7 +166,8 @@ def test_substitute_zero_into_negative_power():
 # -- (r,s)-combinatorics against their division definitions -------------------
 
 # The closed forms and Pascal rules are checked against the quotients the
-# paper defines them by, computed in the fraction field (so through the GCD):
+# paper defines them by, computed in the fraction field (so through the
+# cancellation in ``_make``):
 # [m] = (a^m − b^m)/(a − b) with (a, b) = (r^d, s^d) or (q_d, q_d^{-1}), the
 # factorial as a product, and [m k] = [m]!/([k]![m−k]!).
 _COMBINATORICS = {
@@ -315,25 +317,30 @@ def _poly(ring, terms):
 
 
 @st.composite
-def scalars2(draw, ring=_R2, allow_fraction=True):
+def scalars2(draw, ring=_R2, allow_fraction=True, variables=None):
+    """A random numerator, over a denominator from the shared draw (whose
+    forms use the variable tuples ``variables``) when ``allow_fraction``."""
     num = _poly(ring, draw(_terms(ring.nvars)))
     if allow_fraction:
-        den = _poly(ring, draw(_terms(ring.nvars, max_terms=2, max_exp=1)))
-        if not den.is_zero():
-            return num / den
+        return num / ring.poly(draw(denominators(ring, variables=variables)))
     return num
 
 
+def divisors(ring=_R2):
+    """Values the kernel can divide by: a quotient of two denominators of
+    the shared draw, so its numerator lies in the factor set too."""
+    return st.tuples(denominators(ring), denominators(ring)).map(lambda nd: ring.poly(nd[0]) / ring.poly(nd[1]))
+
+
 @settings(max_examples=60, deadline=None)
-@given(scalars2(), scalars2(), scalars2())
-def test_ring_axioms(a, b, c):
+@given(scalars2(), scalars2(), scalars2(), divisors())
+def test_ring_axioms(a, b, c, d):
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
     assert a + (-a) == _R2.zero
-    if not b.is_zero():
-        assert (a * b) / b == a
-        assert b * b.inv() == _R2.one
+    assert (a * d) / d == a
+    assert d * d.inv() == _R2.one
 
 
 @settings(max_examples=60, deadline=None)
@@ -381,13 +388,24 @@ _HALF_POWERS = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
 
 
 @st.composite
-def _image(draw, target, name, allow_zero=True, allow_poly=True):
+def _image(draw, target, name, allow_zero=True, allow_poly=True, keep_set=False):
     """A binding for one variable: a monomial with a rational coefficient
-    and half or negative powers, zero, or a two-term polynomial."""
+    and half or negative powers, zero, or a two-term polynomial.  With
+    ``keep_set`` a monomial is ±u and a polynomial is ±u ± v or ±u ± 1, for
+    generators u ≠ v of the target, so every cyclotomic form maps to a
+    monomial times such forms, or to a constant."""
     kinds = ["monomial"] + (["zero"] if allow_zero else []) + (["polynomial"] if allow_poly else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "zero":
         return target.zero
+    if keep_set:
+        signs = st.sampled_from([1, -1])
+        u = draw(st.sampled_from(target.names))
+        mono = draw(signs) * target.atom(u)
+        if kind == "monomial":
+            return mono
+        v = draw(st.sampled_from([None] + [n for n in target.names if n != u]))
+        return mono + draw(signs) * (target.atom(v) if v else target.one)
     names = [v for v in target.names if v != "z"]
     powers = {}
     for v in names:
@@ -406,20 +424,25 @@ def _image(draw, target, name, allow_zero=True, allow_poly=True):
 @given(data=st.data())
 def test_substitute_matches_scalar_arithmetic(target, data):
     """Fractions with denominators under monomial and zero images, and
-    Laurent polynomials under polynomial images too (a fraction under a
-    polynomial image can make a slow GCD); the term-wise path runs exactly
-    when no image is a polynomial, and a Laurent input then gives a Laurent
-    value on the target's unit denominator."""
+    Laurent polynomials under polynomial images too; the term-wise path
+    runs exactly when no image is a polynomial, and a Laurent input then
+    gives a Laurent value on the target's unit denominator.  Images drawn
+    with ``keep_set`` keep every denominator in the factor set; other
+    images may take one out of it, and substitute must then raise
+    ValueError where the reference does."""
+    keep_set = data.draw(st.booleans())
     allow_poly = data.draw(st.booleans())
     x = data.draw(scalars2(ring=_R3, allow_fraction=not allow_poly))
     bindings = {}
     for name in ("r", "s", "z"):
         if name == "z" or target is not _R3 or data.draw(st.booleans()):
-            bindings[name] = data.draw(_image(target, name, allow_zero=name == "z", allow_poly=allow_poly))
+            image = _image(target, name, allow_zero=name == "z", allow_poly=allow_poly, keep_set=keep_set)
+            bindings[name] = data.draw(image)
     try:
         want = _substitute_reference(x, bindings, target)
-    except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
+    except (ZeroDivisionError, ValueError) as err:
+        assert not (keep_set and isinstance(err, ValueError)), err
+        with pytest.raises(type(err)):
             substitute(x, bindings, ring=target)
         return
     calls = []
@@ -435,8 +458,10 @@ def test_substitute_matches_scalar_arithmetic(target, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(scalars2(ring=_R3))
+@given(scalars2(ring=_R3, variables=[("r", "s"), ("s", "r"), ("z",)]))
 def test_quarter_ring_map_matches_scalar_arithmetic(x):
+    """Denominators in Φ_k(r^(1/2), s^(1/2)) and Φ_k(z), which the map takes
+    to a monomial times forms in q^(1/2) and z."""
     w, qh = _QR.atom("w"), _QR.atom("q")
     bindings = {"r": w * qh, "s": w * qh.inv(), "z": _QR.atom("z")}
     assert _to_quarter_ring(x, _QR) == _substitute_reference(x, bindings, _QR)
@@ -446,8 +471,9 @@ def test_substitute_zero_drops_positive_powers_and_names_a_negative_one():
     R = rs_ring("z")
     z = R.atom("z")
     r = R.mono(r=1)
-    x = (r * z**2 + R.num(3) * z + r.inv()) / (z + r)
-    assert substitute(x, {"z": R.zero}) == r.inv() / r
+    rh = R.atom("r")
+    x = (r * z**2 + R.num(3) * z + r.inv()) / (z + rh)
+    assert substitute(x, {"z": R.zero}) == r.inv() / rh
     assert substitute(r * z + R.num(Fraction(1, 2)), {"z": R.zero}) == R.num(Fraction(1, 2))
     for bad in (z.inv(), r + z**-2 * r, (R.one + z.inv()) / (r + R.one)):
         with pytest.raises(ZeroDivisionError, match="substituting zero into negative power of z"):
@@ -473,7 +499,7 @@ def test_text_round_trip(a):
 
 def test_text_round_trip_half_powers(R):
     x = R.mono(Fraction(-3, 2), r=Fraction(1, 2), s=-3) + R.num(Fraction(7, 5))
-    x = x / (R.mono(r=1) + R.num(2))
+    x = x / (R.mono(r=Fraction(1, 2)) + R.num(1))
     assert parse(R, text_form(x)) == x
 
 
@@ -538,7 +564,7 @@ def test_integral_coefficients_are_ints(R):
 
 
 @settings(max_examples=60, deadline=None)
-@given(scalars2(), scalars2(), st.integers(-3, 3))
+@given(scalars2(), divisors(), st.integers(-3, 3))
 def test_no_operation_leaves_an_inexact_coefficient(a, b, k):
     results = [a + b, a - b, a * b, parse(_R2, text_form(a)), scalar_from_json(_R2, scalar_to_json(a))]
     if not b.is_zero():
@@ -578,16 +604,15 @@ def _sympy_terms(sympy, gens, terms):
 
 
 @st.composite
-def scalars_with_expr(draw, ring, sympy, gens):
+def scalars_with_expr(draw, ring, sympy, gens, divisor=False):
     """A scalars2-style random value and the same value built by sympy from
-    the same random terms."""
-    num_terms = draw(_terms(ring.nvars))
-    den_terms = draw(_terms(ring.nvars, max_terms=2, max_exp=1))
+    the same random terms; a ``divisor`` draws its numerator from the
+    shared denominator draw too.  One form each keeps sympy's gcd fast."""
+    one_form = denominators(ring, forms=(0, 1))
+    num_terms = list(draw(one_form).items()) if divisor else draw(_terms(ring.nvars))
+    den_terms = list(draw(one_form).items())
     num, den = _poly(ring, num_terms), _poly(ring, den_terms)
-    expr = _sympy_terms(sympy, gens, num_terms)
-    if den.is_zero():
-        return num, expr
-    return num / den, expr / _sympy_terms(sympy, gens, den_terms)
+    return num / den, _sympy_terms(sympy, gens, num_terms) / _sympy_terms(sympy, gens, den_terms)
 
 
 @pytest.mark.parametrize("ring", [_R2, _R3], ids=["r,s", "r,s,z"])
@@ -599,9 +624,8 @@ def test_canonical_form_against_sympy(sympy, ring, data):
     draw = scalars_with_expr(ring, sympy, gens)
     a, ea = data.draw(draw)
     b, eb = data.draw(draw)
-    cases = [(a, ea), (a + b, ea + eb), (a - b, ea - eb), (a * b, ea * eb)]
-    if not b.is_zero():
-        cases.append((a / b, ea / eb))
+    d, ed = data.draw(scalars_with_expr(ring, sympy, gens, divisor=True))
+    cases = [(a, ea), (a + b, ea + eb), (a - b, ea - eb), (a * b, ea * eb), (a / d, ea / ed)]
     for x, expr in cases:
         x_num, x_den = _tuples(ring, x._num), _tuples(ring, x._den)
         num = _sympy_terms(sympy, gens, x_num.items())
@@ -638,15 +662,6 @@ def _packed(terms: dict) -> dict:
     return {_pack_exps(e): c for e, c in terms.items()}
 
 
-def _raw_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
 def _raw_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for e, c in b.items():
@@ -666,17 +681,16 @@ def kernel_values(draw, ring):
     num = _poly(ring, draw(_terms(ring.nvars)))
     if kind == "laurent":
         return num
-    den = _poly(ring, draw(_terms(ring.nvars, max_terms=2, max_exp=1).filter(lambda t: len(t) == 2)))
-    return num / den if not den.is_zero() else num
+    return num / ring.poly(draw(denominators(ring, forms=(1, 2))))
 
 
 def _check_against_make(a: Scalar, b: Scalar) -> None:
     ring = a.ring
     an, ad, bn, bd = (_tuples(ring, t) for t in (a._num, a._den, b._num, b._den))
-    den = _raw_mul(ad, bd)
+    den = tuple_mul(ad, bd)
     expected = (
-        (a * b, _raw_mul(an, bn)),
-        (a + b, _raw_add(_raw_mul(an, bd), _raw_mul(bn, ad))),
+        (a * b, tuple_mul(an, bn)),
+        (a + b, _raw_add(tuple_mul(an, bd), tuple_mul(bn, ad))),
     )
     for x, num in expected:
         ref = _make(ring, _packed(num), _packed(den))
@@ -693,20 +707,26 @@ def test_products_and_sums_match_make(ring, data):
     _check_against_make(b, a)
     for x in (a, b):
         if not x.is_zero():
-            ref = _make(ring, x._den, x._num)
+            try:
+                ref = _make(ring, x._den, x._num)
+            except ValueError:
+                # x's numerator, the inverse's denominator, is outside the factor set
+                with pytest.raises(ValueError, match="cyclotomic"):
+                    x.inv()
+                continue
             assert (x.inv()._num, x.inv()._den) == (ref._num, ref._den), x
             if x.is_monomial():
                 assert x.inv()._den is ring._one_den
-    if a.den_is_one() and not a.is_zero():
-        # b / a has a's factors in its denominator, so a * (b / a) must cancel
-        _check_against_make(a, b / a)
+    # b / c has c's factors in its denominator, so c * (b / c) must cancel
+    c = ring.poly(data.draw(denominators(ring)))
+    _check_against_make(c, b / c)
 
 
 def _probes():
     """One pair per fast path, with non-unit Fraction coefficients."""
     R = _R2
     r, s = R.mono(r=1), R.mono(s=1)
-    frac = (r + 1) / (R.num(3) * s - r * s + R.num(2))
+    frac = (r + 1) / (R.num(3) * s + R.num(3) * r)
     return [
         (R.mono(Fraction(1, 2), r=1), frac),
         (frac, R.mono(-3, r=-1, s=2)),
@@ -731,7 +751,7 @@ def _mul_without_monic_scaling(self, other):
         if m.is_monomial() and not x.den_is_one():
             ((e, c),) = m._num.items()
             den = {k: Fraction(v) / c for k, v in x._den.items()}
-            return Scalar(x.ring, _packed(_raw_mul(_tuples(x.ring, {e: 1}), _tuples(x.ring, x._num))), den, _raw=True)
+            return Scalar(x.ring, _packed(tuple_mul(_tuples(x.ring, {e: 1}), _tuples(x.ring, x._num))), den, _raw=True)
     return _KERNEL_MUL(self, other)
 
 
@@ -739,7 +759,7 @@ def _mul_without_gcd(self, other):
     """Takes any Laurent polynomial times n/d without cancelling."""
     for p, x in ((self, other), (other, self)):
         if p.den_is_one() and not x.den_is_one():
-            return Scalar(x.ring, _packed(_raw_mul(_tuples(x.ring, p._num), _tuples(x.ring, x._num))), x._den, _raw=True)
+            return Scalar(x.ring, _packed(tuple_mul(_tuples(x.ring, p._num), _tuples(x.ring, x._num))), x._den, _raw=True)
     return _KERNEL_MUL(self, other)
 
 
@@ -887,16 +907,8 @@ def test_packing_limits():
 
 _NEAR = 2**19
 _REF_RINGS = [rs_ring(), rs_ring("z"), rs_ring("x", "y", "a")]
-_REF_COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4)])
-
-
-def _ref_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
+_REF_COEFF_VALUES = (1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4))
+_REF_COEFFS = st.sampled_from(_REF_COEFF_VALUES)
 
 
 def _ref_add(a: dict, b: dict) -> dict:
@@ -910,7 +922,7 @@ def _ref_pow(x: tuple, k: int) -> tuple:
     num, den = x if k >= 0 else (x[1], x[0])
     n = d = {(0,) * len(next(iter(x[1]))): 1}
     for _ in range(abs(k)):
-        n, d = _ref_mul(n, num), _ref_mul(d, den)
+        n, d = tuple_mul(n, num), tuple_mul(d, den)
     return n, d
 
 
@@ -942,18 +954,36 @@ def _ref_json(terms: dict) -> list:
     return [{"coeff": str(terms[e]), "exps": list(e)} for e in sorted(terms, key=lambda e: (sum(e), e), reverse=True)]
 
 
-def _near_limit(draw, ring, offset: list[int], fraction: bool) -> tuple:
+def _near_limit(draw, ring, offset: list[int], fraction: bool, unit: bool) -> tuple:
     """(kernel value, reference pair): a Laurent polynomial whose exponents
     lie within 2 of the per-variable ``offset``, divided, for a
-    ``fraction``, by a two-term polynomial of degree ≤ 1 in each variable."""
+    ``fraction``, by a two-term denominator: a constant, times a monomial of
+    exponents 0 or 1, times Φ_1 or Φ_2 of one variable or two.  For a
+    ``unit`` the numerator is the offset monomial times a denominator draw,
+    so that the value can be inverted."""
     nv = ring.nvars
-    exps = st.tuples(*[st.integers(-2, 2)] * nv).map(lambda d: tuple(o + x for o, x in zip(offset, d)))
-    num = draw(st.dictionaries(exps, _REF_COEFFS, max_size=3))
+    if unit:
+        low = denominators(ring, forms=(0, 1), ks=(1, 2), coeffs=_REF_COEFF_VALUES)
+        num = tuple_mul({tuple(offset): 1}, draw(low))
+    else:
+        exps = st.tuples(*[st.integers(-2, 2)] * nv).map(lambda d: tuple(o + x for o, x in zip(offset, d)))
+        num = draw(st.dictionaries(exps, _REF_COEFFS, max_size=3))
     den = {(0,) * nv: 1}
     if fraction:
-        small = st.tuples(*[st.integers(0, 1)] * nv)
-        den = draw(st.dictionaries(small, _REF_COEFFS, min_size=2, max_size=2))
+        den = draw(denominators(ring, forms=(1, 1), ks=(1, 2), exps=(0, 1), coeffs=_REF_COEFF_VALUES))
     return ring.poly(num) / ring.poly(den), (num, den)
+
+
+def _in_factor_set(den: dict) -> bool:
+    """Whether a denominator of at most two terms is a constant times a
+    monomial times cyclotomic forms: one term, or c·x^b·(x^d ± 1) where the
+    exponent vector d is j·e_u or j·(e_u − e_v), for u^j ± 1 and
+    u^j ± v^j are products of forms Φ_k(u) and Φ_k(u, v)."""
+    if len(den) < 2:
+        return True
+    (e1, c1), (e2, c2) = den.items()
+    d = sorted(x - y for x, y in zip(e1, e2) if x != y)
+    return abs(c1) == abs(c2) and (len(d) == 1 or (len(d) == 2 and d[0] == -d[1]))
 
 
 def _offsets(draw, ring) -> list[int]:
@@ -963,7 +993,7 @@ def _offsets(draw, ring) -> list[int]:
 def _agrees(x: Scalar, ref: tuple) -> bool:
     """x equals the reference fraction: n·d' = n'·d."""
     xn, xd = _tuples(x.ring, x._num), _tuples(x.ring, x._den)
-    return _ref_mul(xn, ref[1]) == _ref_mul(ref[0], xd)
+    return tuple_mul(xn, ref[1]) == tuple_mul(ref[0], xd)
 
 
 def _largest_exponent(terms: dict) -> int:
@@ -1009,18 +1039,19 @@ def _check_op(op, ref: tuple) -> None:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_kernel_matches_a_tuple_reference(ring, data):
-    # a sum of fractions whose numerators sit 2^19 apart would cost the gcd
-    # 2^19 pseudo-division steps, so a fraction shares the other's offset
-    fa, fb = data.draw(st.booleans()), data.draw(st.booleans())
+    # a form that divides a sum of numerators 2^19 apart leaves a reduced
+    # numerator of about 2^19 terms, so a fraction shares the other's
+    # offset; a is invertible when its numerator lies in the factor set
+    fa, fb, unit = data.draw(st.booleans()), data.draw(st.booleans()), data.draw(st.booleans())
     offset = _offsets(data.draw, ring)
-    a, ra = _near_limit(data.draw, ring, offset, fa)
-    b, rb = _near_limit(data.draw, ring, offset if fa or fb else _offsets(data.draw, ring), fb)
+    a, ra = _near_limit(data.draw, ring, offset, fa, unit)
+    b, rb = _near_limit(data.draw, ring, offset if fa or fb else _offsets(data.draw, ring), fb, False)
     assert _agrees(a, ra) and _agrees(b, rb)
-    _check_op(lambda: a * b, (_ref_mul(ra[0], rb[0]), _ref_mul(ra[1], rb[1])))
-    _check_op(lambda: a + b, (_ref_add(_ref_mul(ra[0], rb[1]), _ref_mul(rb[0], ra[1])), _ref_mul(ra[1], rb[1])))
-    if not a.is_zero():
+    _check_op(lambda: a * b, (tuple_mul(ra[0], rb[0]), tuple_mul(ra[1], rb[1])))
+    _check_op(lambda: a + b, (_ref_add(tuple_mul(ra[0], rb[1]), tuple_mul(rb[0], ra[1])), tuple_mul(ra[1], rb[1])))
+    if unit:
         _check_op(a.inv, (ra[1], ra[0]))
-    k = data.draw(st.integers(-2 if not a.is_zero() else 0, 3))
+    k = data.draw(st.integers(-2 if unit else 0, 3))
     _check_op(lambda: a**k, _ref_pow(ra, k))
 
     # substitution by monomials of exponents in [-1, 1]: an image exponent
@@ -1050,6 +1081,10 @@ def test_kernel_matches_a_tuple_reference(ring, data):
     num, den = image(_tuples(ring, a._num)), image(_tuples(ring, a._den))
     if num is None or den is None:
         with pytest.raises(ValueError):
+            substitute(a, binds)
+    elif num and den and not _in_factor_set(den):
+        # a zero numerator gives zero over any denominator
+        with pytest.raises(ValueError, match="cyclotomic"):
             substitute(a, binds)
     elif den:
         _check_op(lambda: substitute(a, binds), (num, den))
@@ -1112,97 +1147,133 @@ def test_exponents_beyond_the_packed_range_raise():
 
 
 def test_exact_division_refuses_a_remainder():
-    """The gcd's exact division on 64-bit digits: (x² − 1)/(x + 1) = x − 1
+    """Exact division on the packed 32-bit digits: (x² − 1)/(x + 1) = x − 1
     and (x²y − y)/(xy + y) = x − 1, while (x + 1)/x and x/y leave a
     remainder and raise."""
-    R = rs_ring()
-    x, y = 1, 1 << 64  # the wide packed exponents of r^(1/2) and s^(1/2)
-    assert scalars._pdivexact({2 * x: 1, 0: -1}, {x: 1, 0: 1}, R) == {x: 1, 0: -1}
-    assert scalars._pdivexact({2 * x + y: 1, y: -1}, {x + y: 1, y: 1}, R) == {x: 1, 0: -1}
+    x, y = 1, 1 << 32  # the packed exponents of r^(1/2) and s^(1/2)
+    assert scalars._pdivexact({2 * x: 1, 0: -1}, {x: 1, 0: 1}, 2) == {x: 1, 0: -1}
+    assert scalars._pdivexact({2 * x + y: 1, y: -1}, {x + y: 1, y: 1}, 2) == {x: 1, 0: -1}
     for num, den in (({x: 1, 0: 1}, {x: 1}), ({x: 1}, {y: 1})):
         with pytest.raises(ArithmeticError, match="inexact"):
-            scalars._pdivexact(num, den, R)
+            scalars._pdivexact(num, den, 2)
 
 
-# -- the heuristic gcd against the subresultant sequence ------------------------
-#
-# ``_pgcd`` takes the heuristic gcd's candidate only once it divides both
-# inputs and its cofactors are shown coprime modulo a prime; otherwise the
-# subresultant sequence runs.  The tests below run the sequence alone as the
-# reference, on products p·q1 and p·q2 with a shared factor p.
+# -- cancellation against the factor set ----------------------------------------
 
 
-def _wide(ring, terms: dict) -> dict:
-    """A true polynomial given by exponent tuples, as the gcd holds it."""
-    return scalars._widen({_pack_exps(e): c for e, c in terms.items()}, ring.nvars)
+def test_cyclotomic_polynomials():
+    """Φ_k for k ≤ 6 is the table the shared denominator draw uses, and
+    for k ≤ 36 the Φ_d over the divisors d of k multiply to t^k − 1."""
+    for k, phi in CYCLOTOMIC.items():
+        assert scalars._cyclotomic(k) == {e: c for e, c in enumerate(phi) if c}
+    for k in range(1, 37):
+        prod = {(0,): 1}
+        for d in range(1, k + 1):
+            if k % d == 0:
+                prod = tuple_mul(prod, {(e,): c for e, c in scalars._cyclotomic(d).items()})
+                assert max(scalars._cyclotomic(d)) == scalars._totient(d)
+        assert prod == {(k,): 1, (0,): -1}, k
 
 
-@st.composite
-def _true_poly(draw, ring, max_terms, max_exp=2):
-    exps = st.tuples(*[st.integers(0, max_exp)] * ring.nvars)
-    return _wide(ring, draw(st.dictionaries(exps, st.integers(-9, 9).filter(bool), min_size=1, max_size=max_terms)))
+_OUTSIDE = ["1 * r^1 + 2", "1 * r^1/2 + -3 * s^1/2"]
 
 
-def _subresultant_gcd(a: dict, b: dict, ring) -> dict:
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scalars, "_heuristic_gcd", lambda *args: None)
-        return scalars._pgcd(a, b, ring)
+@pytest.mark.parametrize("text", _OUTSIDE)
+def test_a_denominator_outside_the_factor_set_raises(text):
+    """r + 2 and r^(1/2) − 3s^(1/2) have a factor that is no cyclotomic
+    form: every way in, division, inversion, the constructor, parse and
+    JSON, raises ValueError, also when the numerator is a multiple of it."""
+    R = rs_ring()
+    den = parse(R, text)
+    num = R.mono(r=1) + R.one
+    as_json = lambda x: scalar_to_json(x)["num"]
+    for make in (
+        lambda: num / den,
+        lambda: (num * den) / den,
+        den.inv,
+        lambda: den**-2,
+        lambda: Scalar(R, dict(num._num), dict(den._num)),
+        lambda: parse(R, f"({text_form(num)}) / ({text})"),
+        lambda: scalar_from_json(R, {"num": as_json(num), "den": as_json(den)}),
+    ):
+        with pytest.raises(ValueError, match="not a product of cyclotomic forms"):
+            make()
 
 
-@pytest.mark.parametrize("ring", [_R2, _R3], ids=["r,s", "r,s,z"])
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_heuristic_gcd_is_the_subresultant_gcd(ring, data):
-    p, q1, q2 = (data.draw(_true_poly(ring, n)) for n in (3, 3, 3))
-    a, b = scalars._pmul(p, q1), scalars._pmul(p, q2)
-    assert scalars._pgcd(a, b, ring) == _subresultant_gcd(a, b, ring)
-
-
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_coprime_proof_fails_on_a_common_factor(data):
-    """A common factor of positive degree keeps its degree in the images
-    that the proof compares, so the proof never passes."""
-    p = data.draw(_true_poly(_R3, 3))
-    assume(not scalars._is_const(p))
-    q1, q2 = data.draw(_true_poly(_R3, 3)), data.draw(_true_poly(_R3, 3))
-    assert not scalars._shown_coprime(scalars._pmul(p, q1), scalars._pmul(p, q2), 3)
-
-
-def test_coprime_proof_and_heuristic_gcd_on_fixed_inputs():
-    """(r + s + 1)(rz + 2) and (r + s + 1)(s − 3): the cofactors are shown
-    coprime and the heuristic finds r + s + 1.  The heuristic never sets a
-    variable of one input only: w²qz − 1 and (1 + wz)² are coprime, and
-    setting q and then z to the same integer would make both images share
-    the factor 1 + ξ·ξ′."""
+def test_each_form_cancels_up_to_its_multiplicity():
+    """Forms of one variable, of two and of r, s together with z, each
+    cancelled as often as numerator and denominator share it."""
     R = _R3
-    p = _wide(R, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 1})
-    q1 = _wide(R, {(1, 0, 1): 1, (0, 0, 0): 2})
-    q2 = _wide(R, {(0, 1, 0): 1, (0, 0, 0): -3})
-    assert scalars._shown_coprime(q1, q2, 3)
-    assert scalars._heuristic_gcd(scalars._pmul(p, q1), scalars._pmul(p, q2), R) == p
-    a = _wide(R, {(2, 1, 1): 1, (0, 0, 0): -1})
-    b = _wide(R, {(2, 0, 2): 1, (1, 0, 1): 2, (0, 0, 0): 1})
-    assert scalars._heuristic_gcd(a, b, R) == {0: 1}
+    r, s, z = R.atom("r"), R.atom("s"), R.atom("z")
+    phi3 = lambda u, v: u * u + u * v + v * v
+    forms = [r - s, r + s, r * r + s * s, phi3(r, s), z + 1, phi3(z, R.one), z - s, phi3(r, z)]
+    for f in forms:
+        for g in forms:
+            x = (f**3 * g) / (f**2 * g**2 * R.mono(3, r=1))
+            want = f / (g * R.mono(3, r=1))
+            assert (x._num, x._den) == (want._num, want._den), (f, g)
+    assert (R.mono(r=1) - R.mono(s=1)) / (r - s) == r + s
 
 
-def test_substitution_sum_takes_no_subresultant_step(monkeypatch):
-    """A substitution whose sum of fractions once ran a subresultant sequence
-    for about a minute (two gcds of three-variable polynomials of degree
-    10–17): each gcd is now the heuristic's, and no pseudo-remainder is
-    taken."""
-    x = parse(_R3, "6 * r^1 * s^-1 + -3 * r^1/2 * s^-1 + 17/4 * r^-1 * s^-1 * z^1")
-    images = {
-        "r": "1 * w^1 + 1 * q^-3/2 * z^-2",
-        "s": "1 * w^1 + -3 * w^-2 * q^1/2 * z^-1",
-        "z": "1/3 * w^2 * q^3/2 * z^1 + 1 * z^1",
-    }
-    bindings = {name: parse(_QR, text) for name, text in images.items()}
+_PDIVEXACT = scalars._pdivexact
 
-    def no_step(*args):
-        raise AssertionError("the gcd fell back to the subresultant sequence")
 
-    monkeypatch.setattr(scalars, "_prem", no_step)
-    got = substitute(x, bindings, ring=_QR)
-    assert got == _substitute_reference(x, bindings, _QR)
-    assert (len(got._num), len(got._den)) == (11, 9)
+def _no_division(a, b, nv):
+    """Reduces a residue polynomial of degree below k (one variable), and
+    refuses any division in the two-variable ring."""
+    if nv != 1:
+        raise AssertionError("a long division ran")
+    return _PDIVEXACT(a, b, nv)
+
+
+@pytest.mark.parametrize("case", ["gap", "sum"])
+def test_a_form_that_does_not_divide_costs_no_division(monkeypatch, case):
+    """Numerators with degree gaps near 2^19 over r^(1/2) + s^(1/2): the
+    form does not divide, which the exponents mod 2 show, so no long
+    division runs (one would take a step per unit of degree).  The sum is
+    (r^(2^18)s^(1/2) + 1)/(r^(1/2) + s^(1/2)) + (r^(−2^18) + s^(1/2))/(r^(1/2) + s^(1/2))."""
+    R = rs_ring()
+    rh, sh = R.atom("r"), R.atom("s")
+    den = rh + sh
+    big = 2**19
+    R.one / den  # the denominator's factors, memoized before the sentinel
+    monkeypatch.setattr(scalars, "_pdivexact", _no_division)
+    if case == "gap":
+        num = R.atom("r", big) + R.atom("s", big) + 3 * rh * R.atom("s", big - 1)
+        got = num / den
+    else:
+        num = R.atom("r", big) * sh + 1 + R.atom("r", -big) + sh
+        got = (R.atom("r", big) * sh + 1) / den + (R.atom("r", -big) + sh) / den
+    monkeypatch.undo()
+    assert (got._num, got._den) == (num._num, den._num)
+    assert got * den == num
+
+
+# -- JSON coefficients ------------------------------------------------------------
+
+
+def _coeff_by_fraction(text):
+    c = Fraction(text)
+    return scalars._cdiv(c.numerator, c.denominator)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(alphabet="0123456789-+/._ e", max_size=8), st.from_regex(r"-?\d{1,30}", fullmatch=True)))
+def test_coefficient_strings_read_as_fraction_reads_them(text):
+    """A string of ASCII digits, with a minus sign or not, is read by int;
+    every string gives what Fraction gives, value and type, or its error."""
+    try:
+        want = _coeff_by_fraction(text)
+    except (ValueError, ZeroDivisionError) as err:
+        with pytest.raises(type(err)):
+            scalars._coeff(text)
+        return
+    got = scalars._coeff(text)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("text", ["7", "-12", "007", "-0", "+3", " 4", "1_000", "٣", "6/3", "-3/2", "2.50"])
+def test_coefficient_strings_on_fixed_inputs(text):
+    want = _coeff_by_fraction(text)
+    got = scalars._coeff(text)
+    assert got == want and type(got) is type(want)
