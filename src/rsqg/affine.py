@@ -12,7 +12,7 @@ from math import isqrt
 
 from .matrices import PairAction, SMatrix, flip_map, tensor_units
 from .rep import KAPPA, EvaluationRep, Representation, _evaluation, build_evaluation, build_fundamental, coproduct
-from .report import Report, first_column_mismatch, first_mismatch
+from .report import Report, first_column_mismatch, first_mismatch, product_mismatch
 from .rmatrix import CoefficientTables, eigenvalues
 from .scalars import Scalar, ScalarRing, _packed_exp_ranges, rs_ring
 
@@ -38,19 +38,21 @@ def affine_rhat(rep: Representation, z: Scalar | None = None) -> SMatrix:
     one = ring.one
     R = lambda **p: ring.mono(**p)
     ent: list[tuple[int, int, int, int, Scalar]] = []
+    # every z-polynomial is built once, and the (i, j) entries share it or
+    # scale it by a monomial
     if family == "A":
         lam = R(r=1, s=-1)
+        diag, low, high = one - z * lam, (one - z) * R(r=1), (one - z) * R(s=-1)
+        fill, fill_z = one - lam, (one - lam) * z
         for i in range(1, N + 1):
-            ent.append((i, i, i, i, one - z * lam))
+            ent.append((i, i, i, i, diag))
             for j in range(1, N + 1):
-                if i == j:
-                    continue
                 if i > j:
-                    ent.append((i, j, j, i, (one - z) * R(r=1)))
-                    ent.append((i, i, j, j, one - lam))
-                else:
-                    ent.append((i, j, j, i, (one - z) * R(s=-1)))
-                    ent.append((i, i, j, j, (one - lam) * z))
+                    ent.append((i, j, j, i, low))
+                    ent.append((i, i, j, j, fill))
+                elif i < j:
+                    ent.append((i, j, j, i, high))
+                    ent.append((i, i, j, j, fill_z))
         return tensor_units(ring, N, ent)
 
     tab = CoefficientTables(rep)
@@ -62,30 +64,33 @@ def affine_rhat(rep: Representation, z: Scalar | None = None) -> SMatrix:
     else:
         lam0 = R(r=-1, s=1)
         amid = R(r=-Fraction(1, 2), s=Fraction(1, 2))
-
-    def a_z(i, j):
-        return amid * (z - one) * (z - xi) * tab.a(i, j)
+    diag = (z - lam0) * (z - xi)  # (z−λ₀)(z−ξ)
+    swap = amid * (z - one) * (z - xi)  # amid·(z−1)(z−ξ), times a_ij
+    low = (one - lam0) * (z - xi)  # (1−λ₀)(z−ξ)
+    high = low * z
+    shift = (lam0 - one) * (z - one)  # (λ₀−1)(z−1)
+    prime_diag = (lam0 * z - xi) * (z - one)
+    middle = swap + (lam0 - one) * (xi - one) * z  # B's v_{n+1} ⊗ v_{n+1}
 
     def b_z(i, j):
-        delt = one if j == pr(i) else ring.zero
+        # (λ₀−1)(ξ t_i/t_j (z−1) − δ_{j,i'}(z−ξ)) for i < j, and z times
+        # (λ₀−1)(t_i/t_j (z−1) − δ_{j,i'}(z−ξ)) for i > j
         if i == j:
-            if family == "B" and i == n + 1:
-                return amid * (z - one) * (z - xi) + (lam0 - one) * (xi - one) * z
-            return (lam0 * z - xi) * (z - one)
+            return middle if family == "B" and i == n + 1 else prime_diag
+        tt = tab.t(i) * tab.t(j).inv()
         if i < j:
-            return (lam0 - one) * (xi * tab.t(i) * tab.t(j).inv() * (z - one) - delt * (z - xi))
-        return (lam0 - one) * z * (tab.t(i) * tab.t(j).inv() * (z - one) - delt * (z - xi))
+            got = xi * tt * shift
+            return got + low if j == pr(i) else got
+        got = tt * z * shift
+        return got + high if j == pr(i) else got
 
     for i in range(1, N + 1):
         if not (family == "B" and i == n + 1):
-            ent.append((i, i, i, i, (z - lam0) * (z - xi)))
+            ent.append((i, i, i, i, diag))
         for j in range(1, N + 1):
             if j not in (i, pr(i)):
-                ent.append((i, j, j, i, a_z(i, j)))
-                if i > j:
-                    ent.append((i, i, j, j, (one - lam0) * (z - xi)))
-                else:
-                    ent.append((i, i, j, j, (one - lam0) * z * (z - xi)))
+                ent.append((i, j, j, i, swap * tab.a(i, j)))
+                ent.append((i, i, j, j, low if i > j else high))
             ent.append((pr(i), j, i, pr(j), b_z(i, j)))
     return tensor_units(ring, N, ent)
 
@@ -227,9 +232,11 @@ def intertwiner_operators(family: str, rank: int) -> tuple[EvaluationRep, Evalua
 
 
 def check_affine_intertwiner(family: str, rank: int, operators: tuple | None = None) -> Report:
-    """R̂(x/y) intertwines V(x)⊗V(y) → V(y)⊗V(x) for every generator.  The
-    ``operators`` (V(x), V(y), R̂(x/y)) are the case's, or else built by
-    ``intertwiner_operators`` on the clock of the first generator kind."""
+    """R̂(x/y) intertwines V(x)⊗V(y) → V(y)⊗V(x) for every generator; the
+    diagonal ω_i and ω′_i are checked on the support of R̂(x/y)
+    (``product_mismatch``).  The ``operators`` (V(x), V(y), R̂(x/y)) are the
+    case's, or else built by ``intertwiner_operators`` on the clock of the
+    first generator kind."""
     out = Report()
     for kind in ("e", "f", "omega", "omega-prime"):
         with out.timed(f"affine-intertwiner-{kind}", family, rank) as it:
@@ -237,9 +244,8 @@ def check_affine_intertwiner(family: str, rank: int, operators: tuple | None = N
                 ev_x, ev_y, rz = operators or intertwiner_operators(family, rank)
             w = ""
             for i in range(rank + 1):
-                lhs = rz @ coproduct(ev_x, ev_y, kind, i)
-                rhs = coproduct(ev_y, ev_x, kind, i) @ rz
-                ww = first_mismatch(lhs, rhs, ev_x.fin.N)
+                lhs, rhs = (rz, coproduct(ev_x, ev_y, kind, i)), (coproduct(ev_y, ev_x, kind, i), rz)
+                ww = product_mismatch(lhs, rhs, ev_x.fin.N)
                 if ww:
                     w = w or f"{kind}_{i}: {ww}"
             it.witness = w

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .lyndon import ConvexOrder, minimal_pair
 from .matrices import SMatrix, flip_map
 from .rep import Representation, serre_sum, tensor_square
-from .report import Report, first_mismatch
+from .report import Report, first_mismatch, product_mismatch
 from .rmatrix import CoefficientTables
 from .rootdata import Root, omega_pairing
 from .rootvec import RootVectorMatrices
@@ -68,11 +68,11 @@ def verify_dj_relations(rep: Representation, mg: ModifiedGenerators) -> Report:
         w = ""
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                w = w or first_mismatch(mg.omega[i] @ mg.omega[j], mg.omega[j] @ mg.omega[i], N)
+                w = w or product_mismatch((mg.omega[i], mg.omega[j]), (mg.omega[j], mg.omega[i]), N)
                 aij = rs.sym_form(rs.simple[i - 1].alpha, rs.simple[j - 1].alpha)
                 qf = q_scalar(ring) ** int(aij)
-                w = w or first_mismatch(mg.omega[i] @ mg.e[j], (mg.e[j] @ mg.omega[i]).scale(qf), N)
-                w = w or first_mismatch(mg.omega[i] @ mg.f[j], (mg.f[j] @ mg.omega[i]).scale(qf.inv()), N)
+                w = w or product_mismatch((mg.omega[i], mg.e[j]), (mg.e[j], mg.omega[i]), N, qf)
+                w = w or product_mismatch((mg.omega[i], mg.f[j]), (mg.f[j], mg.omega[i]), N, qf.inv())
         it.witness = w
 
     with out.timed("dj-commutator", rep.family, n) as it:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .lyndon import ConvexOrder, minimal_pair
 from .report import Report
@@ -327,8 +328,10 @@ def p_max(rs: RootSystem, alpha: Root, beta: Root) -> int:
         k += 1
 
 
+@cache
 def root_d(rs: RootSystem, gamma: Root) -> int:
-    """Half square length (γ,γ)/2, the exponent for r_γ = r^{d_γ}."""
+    """Half square length (γ,γ)/2, the exponent for r_γ = r^{d_γ}; computed
+    once per (root system, root)."""
     v = rs.sym_form(gamma.alpha, gamma.alpha) / 2
     if v.denominator != 1:
         raise AssertionError("non-integer half square length")

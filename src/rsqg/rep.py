@@ -10,7 +10,7 @@ from functools import cache
 from fractions import Fraction
 
 from .matrices import SMatrix, kron
-from .report import Report, first_mismatch
+from .report import Report, first_mismatch, product_mismatch
 from .rootdata import (
     MIN_AFFINE_RANK,
     AffineData,
@@ -152,21 +152,15 @@ def _finite_presentation(rs: RootSystem, ring: ScalarRing):
     return Om, cartan, {i: rs.d[i - 1] for i in nodes}
 
 
-def _scalar_conj_check(big: SMatrix, small: SMatrix, scalar: Scalar, n: int) -> str:
-    """Witness for big·small == scalar · small·big on V, dim V = n."""
-    lhs = big @ small
-    rhs = (small @ big).scale(scalar)
-    return first_mismatch(lhs, rhs, n)
-
-
 def _cartan_commute(mod) -> str:
-    """The ω_i and ω'_j commute pairwise, and each is invertible."""
+    """The ω_i and ω'_j commute pairwise (decided on their diagonals by
+    ``product_mismatch``), and each is invertible."""
     ident = SMatrix.identity(mod.ring, mod.N)
     w = ""
     for i in mod.omega:
         for j in mod.omega:
             for a, b in ((mod.omega[i], mod.omega[j]), (mod.omega[i], mod.omega_prime[j]), (mod.omega_prime[i], mod.omega_prime[j])):
-                w = w or first_mismatch(a @ b, b @ a, mod.N)
+                w = w or product_mismatch((a, b), (b, a), mod.N)
         w = w or first_mismatch(mod.omega[i] @ mod.omega[i].diagonal_inv(), ident, mod.N)
         w = w or first_mismatch(mod.omega_prime[i] @ mod.omega_prime[i].diagonal_inv(), ident, mod.N)
     return w
@@ -174,14 +168,15 @@ def _cartan_commute(mod) -> str:
 
 def _cartan_conj(mod, Om: dict, prime: bool) -> str:
     """ω_i e_j = Ω_ji e_j ω_i and ω_i f_j = Ω_ji^{-1} f_j ω_i; with ``prime``,
-    ω'_i e_j = Ω_ij^{-1} e_j ω'_i and ω'_i f_j = Ω_ij f_j ω'_i."""
+    ω'_i e_j = Ω_ij^{-1} e_j ω'_i and ω'_i f_j = Ω_ij f_j ω'_i; each is decided
+    on the support of e_j or f_j (``product_mismatch``)."""
     gens = mod.omega_prime if prime else mod.omega
     w = ""
     for i in mod.e:
         for j in mod.e:
             c = Om[(i, j)].inv() if prime else Om[(j, i)]
-            w = w or _scalar_conj_check(gens[i], mod.e[j], c, mod.N)
-            w = w or _scalar_conj_check(gens[i], mod.f[j], c.inv(), mod.N)
+            w = w or product_mismatch((gens[i], mod.e[j]), (mod.e[j], gens[i]), mod.N, c)
+            w = w or product_mismatch((gens[i], mod.f[j]), (mod.f[j], gens[i]), mod.N, c.inv())
     return w
 
 
@@ -521,8 +516,8 @@ def verify_affine_relations(erep: EvaluationRep) -> Report:
         c_id = SMatrix.identity(ring, erep.N).scale(erep.c)
         w = first_mismatch(erep.gamma, c_id, erep.N) or first_mismatch(erep.gamma_prime, c_id, erep.N)
         for g in [*erep.e.values(), *erep.f.values()]:
-            w = w or first_mismatch(erep.gamma @ g, g @ erep.gamma, erep.N)
-            w = w or first_mismatch(erep.gamma_prime @ g, g @ erep.gamma_prime, erep.N)
+            w = w or product_mismatch((erep.gamma, g), (g, erep.gamma), erep.N)
+            w = w or product_mismatch((erep.gamma_prime, g), (g, erep.gamma_prime), erep.N)
         it.witness = w
 
     with out.timed("affine-cartan-conj", fam, n) as it:

@@ -1,7 +1,9 @@
 """Certificate report structures shared by all verification entry points,
 the one clock every check runs under, and the witnesses of a failing
-operator identity: on V or V ⊗ V (``first_mismatch``) and, one column at a
-time, on V⊗V⊗V (``first_column_mismatch``)."""
+operator identity: on V or V ⊗ V (``first_mismatch``; for an identity of
+two products, ``product_mismatch``, which decides a conjugation by diagonal
+factors on the support of the conjugated matrix) and, one column at a time,
+on V⊗V⊗V (``first_column_mismatch``)."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .matrices import PairAction, SMatrix, scalar_of
+from .scalars import Scalar
 
 
 @dataclass
@@ -130,6 +133,51 @@ def first_mismatch(a: SMatrix, b: SMatrix, n: int | None = None) -> str:
             raise ValueError(f"a {a.nrows}x{a.ncols} matrix acts on neither V nor V ⊗ V with dim V = {n}")
         where = f"row {basis_vector(i, n, power)}, column {basis_vector(j, n, power)}"
     return f"{where}: LHS {a.get(i, j)} vs RHS {b.get(i, j)}"
+
+
+def _diagonal(a: SMatrix) -> dict[int, Scalar] | None:
+    """The stored diagonal of a square diagonal matrix; None for any other."""
+    if a.nrows != a.ncols or not a.is_diagonal():
+        return None
+    return {i: row[i] for i, row in a.rows.items() if row}
+
+
+def product_mismatch(
+    lhs: tuple[SMatrix, SMatrix], rhs: tuple[SMatrix, SMatrix], n: int | None = None, c: Scalar | None = None
+) -> str:
+    """The witness of lhs[0]·lhs[1] = c·rhs[0]·rhs[1] (no scaling when ``c``
+    is None): ``first_mismatch`` of the two products.
+
+    Where the identity conjugates one matrix X by square diagonal factors —
+    D·X = c·X·D′, or X·D′ = c·D·X — it is decided on the support of X
+    without forming a product: entry (i, j) of the sides is d_ii·x_ij
+    against c·x_ij·d′_jj, so over an integral domain the first form holds
+    iff d_ii = c·d′_jj at every stored x_ij (the second iff d′_jj = c·d_ii).
+    When that test fails, or the identity has another shape, the products
+    are formed and the witness is theirs."""
+    (a, b), (p, q) = lhs, rhs
+    if b is p or a is q:
+        # X with the diagonal factor on its rows and the one on its columns;
+        # c scales the one that stands on the right side of the identity
+        x, by_row, by_col = (b, a, q) if b is p else (a, p, b)
+        rows, cols = _diagonal(by_row), _diagonal(by_col)
+        if (
+            rows is not None
+            and cols is not None
+            and (by_row.ncols, by_col.nrows) == (x.nrows, x.ncols)
+            and by_row.ring is x.ring is by_col.ring
+        ):
+            if c is not None:
+                if b is p:
+                    cols = {k: v * c for k, v in cols.items()}
+                else:
+                    rows = {k: v * c for k, v in rows.items()}
+            # a missing diagonal entry is zero, and matches only another
+            if all(rows.get(i) == cols.get(j) for i, row in x.rows.items() for j in row):
+                return ""
+    lhs_product = a @ b
+    rhs_product = p @ q if c is None else (p @ q).scale(c)
+    return first_mismatch(lhs_product, rhs_product, n)
 
 
 def first_column_mismatch(

@@ -7,14 +7,14 @@ one-parameter specialization certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lyndon import ConvexOrder, lalonde_ram
 from .matrices import PairAction, SMatrix, flip_map, kron, mat_vec, tensor_units, vec_scale
 from .pairing import PairingContext
 from .rep import Representation, build_fundamental, coproduct, highest_weight_vectors
-from .report import Report, first_column_mismatch, first_mismatch
+from .report import Report, first_column_mismatch, first_mismatch, product_mismatch
 from .rootdata import f_function
 from .rootvec import RootVectorMatrices, build_root_vector_matrices
 from .scalars import Scalar, ScalarRing, Variable
@@ -27,9 +27,12 @@ from .scalars import Scalar, ScalarRing, Variable
 @dataclass
 class CoefficientTables:
     """σ_i signs, t_i monomials and a_ij monomials entering the explicit
-    R-matrix displays (types B, C, D)."""
+    R-matrix displays (types B, C, D); each t_i and a_ij is computed once
+    per instance."""
 
     rep: Representation
+    _t: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _a: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def sigma(self, i: int) -> int:
         n = self.rep.n
@@ -38,6 +41,18 @@ class CoefficientTables:
         return 1 if i <= n else -1
 
     def t(self, i: int) -> Scalar:
+        got = self._t.get(i)
+        if got is None:
+            got = self._t[i] = self._t_of(i)
+        return got
+
+    def a(self, i: int, j: int) -> Scalar:
+        got = self._a.get((i, j))
+        if got is None:
+            got = self._a[i, j] = self._a_of(i, j)
+        return got
+
+    def _t_of(self, i: int) -> Scalar:
         ring, n = self.rep.ring, self.rep.n
         fam = self.rep.family
         if fam == "B":
@@ -50,7 +65,7 @@ class CoefficientTables:
             return ring.mono(s=i - n - 1) if i <= n else -ring.mono(r=n - i)
         return ring.mono(s=i - n) if i <= n else ring.mono(r=n + 1 - i)
 
-    def a(self, i: int, j: int) -> Scalar:
+    def _a_of(self, i: int, j: int) -> Scalar:
         ring = self.rep.ring
         jp = self.rep.prime(j)
         half = 1 if self.rep.family == "B" else Fraction(1, 2)
@@ -176,12 +191,11 @@ def ftilde(rep: Representation) -> SMatrix:
     return SMatrix(ring, N * N, N * N, rows)
 
 
-def local_theta_factor(rvm: RootVectorMatrices, gamma, pairing_fn) -> SMatrix:
-    """Θ_γ = Σ_m (f_γ^m, e_γ^m)^{-1} ρ(f_γ)^m ⊗ ρ(e_γ)^m, truncated at matrix
-    nilpotency."""
+def theta_nilpotent(rvm: RootVectorMatrices, gamma, pairing_fn) -> SMatrix:
+    """N_γ = Θ_γ − 1 = Σ_{m ≥ 1} (f_γ^m, e_γ^m)^{-1} ρ(f_γ)^m ⊗ ρ(e_γ)^m,
+    truncated at matrix nilpotency."""
     rep = rvm.rep
-    ring, N = rep.ring, rep.N
-    acc = SMatrix.identity(ring, N * N)
+    acc = SMatrix.zero(rep.ring, rep.N * rep.N)
     fpow = rvm.f_of(gamma)
     epow = rvm.e_of(gamma)
     m = 1
@@ -196,6 +210,13 @@ def local_theta_factor(rvm: RootVectorMatrices, gamma, pairing_fn) -> SMatrix:
     return acc
 
 
+def local_theta_factor(rvm: RootVectorMatrices, gamma, pairing_fn) -> SMatrix:
+    """Θ_γ = Σ_m (f_γ^m, e_γ^m)^{-1} ρ(f_γ)^m ⊗ ρ(e_γ)^m, truncated at matrix
+    nilpotency: the identity plus ``theta_nilpotent``."""
+    rep = rvm.rep
+    return SMatrix.identity(rep.ring, rep.N * rep.N) + theta_nilpotent(rvm, gamma, pairing_fn)
+
+
 def theta_product(
     rep: Representation,
     order: ConvexOrder,
@@ -208,13 +229,17 @@ def theta_product(
     recursion route, taken from the case's pairing ``context`` or a fresh
     one.  ``from_block`` truncates to the roots whose leading simple-root
     index is ≥ that value, giving the partial products of the block
-    recursion."""
+    recursion.
+
+    Each factor is the identity plus its nilpotent part N_γ, so a step is
+    the unipotent update acc + acc·N_γ: no entry of acc passes through a
+    product with an identity entry."""
     pc = context or PairingContext(order, rep.ring)
     acc = SMatrix.identity(rep.ring, rep.N * rep.N)
     for gamma in order.decreasing():
         if gamma.i < from_block:
             continue
-        acc = acc @ local_theta_factor(rvm, gamma, pc.pairing_from_c)
+        acc = acc + acc @ theta_nilpotent(rvm, gamma, pc.pairing_from_c)
     return acc
 
 
@@ -228,9 +253,18 @@ def build_theta(
     return theta_product(rep, order, rvm, context=context)
 
 
+def _flipped(N: int, k: int) -> int:
+    """The index of v_b ⊗ v_a for the index k of v_a ⊗ v_b, dim V = N."""
+    return k % N * N + k // N
+
+
 def rhat_factorized(rep: Representation, theta: SMatrix) -> SMatrix:
-    """Θ ∘ (weight twist) ∘ flip, for the ordered product Θ."""
-    return theta @ ftilde(rep) @ flip_map(rep.ring, rep.N)
+    """Θ ∘ (weight twist) ∘ flip, for the ordered product Θ.  The twist is
+    diagonal and the flip permutes the basis, so no product is formed: column
+    j of Θ, times the twist at j, is column flip(j) of the result."""
+    N, twist = rep.N, ftilde(rep).rows
+    rows = {i: {_flipped(N, j): v * twist[j][j] for j, v in row.items()} for i, row in theta.rows.items()}
+    return SMatrix(rep.ring, N * N, N * N, rows)
 
 
 def build_rhat_factorized(family: str, rank: int, ring: ScalarRing | None = None) -> SMatrix:
@@ -310,8 +344,14 @@ def rbar_inverse_printed(rep: Representation) -> SMatrix:
 
 def rbar_inverse_exchanged(rep: Representation, theta: SMatrix) -> SMatrix:
     """Independent route, valid in every type: flip ∘ (inverse weight twist)
-    ∘ (parameter-exchanged Θ), using the entrywise r ↔ s exchange."""
-    return flip_map(rep.ring, rep.N) @ ftilde(rep).diagonal_inv() @ theta.exchanged_params()
+    ∘ (parameter-exchanged Θ), using the entrywise r ↔ s exchange.  As in
+    ``rhat_factorized``, no product is formed: row j of the exchanged Θ,
+    divided by the twist at j, is row flip(j) of the result."""
+    N, twist = rep.N, ftilde(rep).diagonal_inv().rows
+    rows = {
+        _flipped(N, j): {k: v * twist[j][j] for k, v in row.items()} for j, row in theta.exchanged_params().rows.items()
+    }
+    return SMatrix(rep.ring, N * N, N * N, rows)
 
 
 def build_rbar_inverse(family: str, rank: int, ring: ScalarRing | None = None) -> SMatrix:
@@ -349,14 +389,16 @@ def check_eigenvalues(rep: Representation, rhat: SMatrix) -> Report:
 
 
 def check_intertwining(rep: Representation, rhat: SMatrix) -> Report:
-    """R̂ commutes with the action of every generator on V ⊗ V."""
+    """R̂ commutes with the action of every generator on V ⊗ V; the
+    diagonal ω_i and ω′_i are checked on the support of R̂
+    (``product_mismatch``)."""
     out = Report()
     with out.timed("intertwining", rep.family, rep.n) as it:
         w = ""
         for i in range(1, rep.n + 1):
             for kind in ("f", "e", "omega", "omega-prime"):
                 mk = coproduct(rep, rep, kind, i)
-                ww = first_mismatch(mk @ rhat, rhat @ mk, rep.N)
+                ww = product_mismatch((mk, rhat), (rhat, mk), rep.N)
                 if ww:
                     w = w or f"Δ({kind}_{i}): {ww}"
         it.witness = w
@@ -402,15 +444,13 @@ def check_inverse(rep: Representation, rhat: SMatrix, rbar: SMatrix, theta: SMat
 
 
 def check_weight_preservation(rep: Representation, rhat: SMatrix) -> Report:
-    N = rep.N
     out = Report()
     with out.timed("weight-preservation", rep.family, rep.n) as it:
         w = ""
+        weights = [tuple(a + b for a, b in zip(wa, wb)) for wa in rep.weights for wb in rep.weights]
         for ii, row in rhat.rows.items():
-            wi = tuple(a + b for a, b in zip(rep.weights[ii // N], rep.weights[ii % N]))
             for jj in row:
-                wj = tuple(a + b for a, b in zip(rep.weights[jj // N], rep.weights[jj % N]))
-                if wi != wj:
+                if weights[ii] != weights[jj]:
                     w = w or f"entry ({ii},{jj}) connects different weights"
         it.witness = w
     return out

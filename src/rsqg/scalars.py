@@ -500,6 +500,14 @@ def _factors(ring: ScalarRing, den: dict) -> tuple:
     if found is not None:
         return found
     nv = ring.nvars
+    refused = lambda: ValueError(f"denominator {_text(ring, den)} is not a product of cyclotomic forms Φ_k(u), Φ_k(u, v)")
+    # Φ_k(u) and Φ_k(u, v) are each ± their own reflection x^deg·D(1/x), every
+    # variable reflected in its own degree, and so is any product of them:
+    # a den that is not is refused before any Φ_k is built
+    degs = [max(d) for d in zip(*(_unpack_exps(e, nv) for e in den))]
+    mirror = {_pack_exps(degs) - e: c for e, c in den.items()}
+    if mirror != den and mirror != _pneg(den):
+        raise refused()
     rest, out, k = den, [], 0
     while len(rest) > 1:  # a true polynomial no variable divides: one term is a constant
         k += 1
@@ -507,7 +515,7 @@ def _factors(ring: ScalarRing, den: dict) -> tuple:
         top = max(degs)
         # φ(k) ≥ k/(log2(k) + 1), so a form of degree at most top has k ≤ top·(2·bits(top) + 2)
         if k > top * (2 * top.bit_length() + 2):
-            raise ValueError(f"denominator {_text(ring, den)} is not a product of cyclotomic forms Φ_k(u), Φ_k(u, v)")
+            raise refused()
         slots = [i for i in range(nv) if degs[i] >= _totient(k)]
         for a, i in enumerate(slots):
             for j in (None, *slots[a + 1 :]):

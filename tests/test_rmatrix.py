@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import DESK, case, order, rep, ring, rvm
-from rsqg.matrices import SMatrix, kron
+from rsqg.matrices import SMatrix, flip_map, kron
+from rsqg.pairing import PairingContext
 from rsqg.rmatrix import (
     CoefficientTables,
     check_braid,
@@ -20,9 +21,12 @@ from rsqg.rmatrix import (
     check_route_equivalence,
     check_weight_preservation,
     eigenvalues,
+    ftilde,
+    local_theta_factor,
     rbar_inverse_exchanged,
     rbar_inverse_printed,
     rhat_explicit,
+    rhat_factorized,
     specialize_and_compare,
     theta_product,
     verify_tables,
@@ -168,10 +172,23 @@ def test_theta_partial_products(family, rank):
         assert got == theta_closed_form(r, ring(), k=k), f"block {k}"
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_theta_product_is_the_ordered_product_of_local_factors(family, rank):
+    """The unipotent updates acc + acc·N_γ give the ordered product of the
+    Θ_γ, for the full product and every block truncation."""
+    r, o, v = rep(family, rank), order(family, rank), rvm(family, rank)
+    pc = PairingContext(o, r.ring)
+    for k in range(1, rank + 1):
+        want = SMatrix.identity(r.ring, r.N * r.N)
+        for gamma in o.decreasing():
+            if gamma.i >= k:
+                want = want @ local_theta_factor(v, gamma, pc.pairing_from_c)
+        assert theta_product(r, o, v, from_block=k, context=pc) == want, f"block {k}"
+
+
 def test_local_factor_term_count():
     """Two terms when the square vanishes, three when the cube does."""
     from rsqg.pairing import c_gamma, root_d
-    from rsqg.rmatrix import local_theta_factor
     from rsqg.scalars import rs_factorial
 
     r = rep("B", 2)
@@ -236,6 +253,18 @@ def test_exchange_route_on_sample_entry():
     m = SMatrix.from_entries(R, 2, 2, [(0, 1, R.mono(r=2, s=-1))])
     assert m.exchanged_params() == SMatrix.from_entries(R, 2, 2, [(0, 1, R.mono(r=-1, s=2))])
     assert rbar_inverse_exchanged(rep("C", 2), case("C", 2).theta) == rbar_inverse_printed(rep("C", 2))
+
+
+@pytest.mark.parametrize("family,rank", DESK)
+def test_factorized_routes_are_the_products_they_stand_for(family, rank):
+    """Θ∘f̃∘flip and flip∘f̃⁻¹∘Θ', formed by moving and scaling entries, are
+    the matrix products, also for a Θ that is not the certified one."""
+    r = rep(family, rank)
+    flip, twist = flip_map(r.ring, r.N), ftilde(r)
+    theta = case(family, rank).theta
+    for t in (theta, theta + kron(r.e[1], r.f[1]).scale(r.ring.mono(r=1))):
+        assert rhat_factorized(r, t) == t @ twist @ flip
+        assert rbar_inverse_exchanged(r, t) == flip @ twist.diagonal_inv() @ t.exchanged_params()
 
 
 @pytest.mark.parametrize("family,rank", DESK)

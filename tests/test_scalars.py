@@ -1200,6 +1200,26 @@ def test_a_denominator_outside_the_factor_set_raises(text):
             make()
 
 
+@pytest.mark.parametrize("d", [100, 400, 1000])
+def test_a_denominator_that_is_not_its_own_reflection_builds_no_form(d):
+    """r^(d/2) + 2 is not ± its own reflection, as every product of the forms
+    is, so it is refused before any Φ_k is built: the table of cyclotomic
+    polynomials gains no entry, whatever the degree."""
+    R = rs_ring()
+    before = dict(scalars._CYCLOTOMIC)
+    with pytest.raises(ValueError, match="not a product of cyclotomic forms"):
+        R.one / (R.atom("r", d) + 2)
+    assert scalars._CYCLOTOMIC == before
+
+
+def test_a_palindromic_denominator_outside_the_factor_set_raises():
+    """r + 3r^(1/2) + 1 is its own reflection but no product of the forms, so
+    it passes the reflection test and is refused by the factor search."""
+    R = rs_ring()
+    with pytest.raises(ValueError, match="not a product of cyclotomic forms"):
+        R.one / (R.atom("r", 2) + 3 * R.atom("r") + 1)
+
+
 def test_each_form_cancels_up_to_its_multiplicity():
     """Forms of one variable, of two and of r, s together with z, each
     cancelled as often as numerator and denominator share it."""
