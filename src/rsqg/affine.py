@@ -12,8 +12,16 @@ from math import isqrt
 
 from .matrices import PairAction, SMatrix, flip_map, tensor_units
 from .rep import KAPPA, EvaluationRep, Representation, _evaluation, build_evaluation, build_fundamental, coproduct
-from .report import Report, first_column_mismatch, first_mismatch, product_mismatch
+from .report import (
+    Report,
+    first_column_mismatch,
+    first_mismatch,
+    product_mismatch,
+    reflected_column_pairs,
+    transpose_reflection,
+)
 from .rmatrix import CoefficientTables, eigenvalues
+from .rootdata import build_root_system, fundamental_weights
 from .scalars import Scalar, ScalarRing, _packed_exp_ranges, rs_ring
 
 
@@ -273,8 +281,14 @@ def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -
     ``operators`` (R(x), R(y), R(xy)) are the case's, or else built by
     ``spectral_ybe_operators`` on its clock.
 
-    Both sides are compared one column at a time (``first_column_mismatch``),
-    and a failure names its column and row as basis vectors."""
+    Where ``transpose_reflection`` certifies R(z)ᵀ = Π·G·R(z)·G⁻¹·Π for all
+    three operators (types B, C and D), the right side is G₃⁻¹·Π₃·LHSᵀ·Π₃·G₃,
+    since transposing reverses the product and Π₃G₃ conjugates each factor
+    to its transpose; only the left side is computed, and checked against
+    its own reflection (``reflected_column_pairs``).  Otherwise, and for the
+    witness of any failure, both sides are compared one column at a time
+    (``first_column_mismatch``), and a failure names its column and row as
+    basis vectors."""
     out = Report()
     with out.timed("spectral-ybe", family, rank) as it:
         r_x, r_y, r_xy = operators or spectral_ybe_operators(family, rank)
@@ -298,7 +312,11 @@ def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -
                     return row, f"LHS entry of x-degree {dx} and y-degree {dy} exceeds the spectral degree bound {bound}"
             return None
 
-        it.witness = first_column_mismatch((r12, r13, r23), (r23, r13, r12), over_bound)
+        lhs, rhs = (r12, r13, r23), (r23, r13, r12)
+        d = transpose_reflection((r_x, r_y, r_xy))
+        weights = fundamental_weights(build_root_system(family, rank))
+        if d is None or reflected_column_pairs(lhs, d, weights, column_bound=over_bound) is None:
+            it.witness = first_column_mismatch(lhs, rhs, over_bound)
     return out
 
 

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .affine import build_affine_rhat, run_affine_checks
 from .catalogue import GROUPS, default_checks, names, open_case, run_group, select
@@ -237,6 +236,9 @@ def cmd_certify_all(args) -> int:
     cases = [(f, r, args.long) for (f, r) in _desk_cases(args.max_rank)]
     reports: list[Report]
     if args.jobs > 1:
+        # imported here: a one-job run, the usual one, never loads the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(_certify_one, cases))
     else:

@@ -154,16 +154,31 @@ def _finite_presentation(rs: RootSystem, ring: ScalarRing):
 
 def _cartan_commute(mod) -> str:
     """The ω_i and ω'_j commute pairwise (decided on their diagonals by
-    ``product_mismatch``), and each is invertible."""
-    ident = SMatrix.identity(mod.ring, mod.N)
+    ``product_mismatch``), and each is invertible: diagonal, with every
+    diagonal entry a unit of the Laurent ring, a nonzero constant times a
+    monomial."""
     w = ""
     for i in mod.omega:
         for j in mod.omega:
             for a, b in ((mod.omega[i], mod.omega[j]), (mod.omega[i], mod.omega_prime[j]), (mod.omega_prime[i], mod.omega_prime[j])):
                 w = w or product_mismatch((a, b), (b, a), mod.N)
-        w = w or first_mismatch(mod.omega[i] @ mod.omega[i].diagonal_inv(), ident, mod.N)
-        w = w or first_mismatch(mod.omega_prime[i] @ mod.omega_prime[i].diagonal_inv(), ident, mod.N)
+        for name, m in ((f"omega[{i}]", mod.omega[i]), (f"omega'[{i}]", mod.omega_prime[i])):
+            w = w or _not_a_unit_diagonal(name, m, mod.N)
     return w
+
+
+def _not_a_unit_diagonal(name: str, m: SMatrix, N: int) -> str:
+    """"" when ``m`` is diagonal with a Laurent unit at every diagonal
+    entry, else the first entry that is not."""
+    for a, row in sorted(m.rows.items()):
+        for b in sorted(row):
+            if b != a:
+                return f"{name} has an entry off the diagonal at row v_{a + 1}, column v_{b + 1}"
+    for a in range(N):
+        v = m.get(a, a)
+        if not v.is_monomial():
+            return f"{name} on v_{a + 1} is {v}, not a unit of the Laurent ring"
+    return ""
 
 
 def _cartan_conj(mod, Om: dict, prime: bool) -> str:

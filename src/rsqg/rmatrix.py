@@ -7,17 +7,24 @@ one-parameter specialization certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .lyndon import ConvexOrder, lalonde_ram
 from .matrices import PairAction, SMatrix, flip_map, kron, mat_vec, tensor_units, vec_scale
 from .pairing import PairingContext
 from .rep import Representation, build_fundamental, coproduct, highest_weight_vectors
-from .report import Report, first_column_mismatch, first_mismatch, product_mismatch
+from .report import (
+    Report,
+    first_column_mismatch,
+    first_mismatch,
+    product_mismatch,
+    reflected_column_pairs,
+    transpose_reflection,
+)
 from .rootdata import f_function
 from .rootvec import RootVectorMatrices, build_root_vector_matrices
-from .scalars import Scalar, ScalarRing, Variable
+from .scalars import Scalar, ScalarRing, Variable, _memoized
 
 # ---------------------------------------------------------------------------
 # per-type coefficient tables
@@ -28,11 +35,10 @@ from .scalars import Scalar, ScalarRing, Variable
 class CoefficientTables:
     """σ_i signs, t_i monomials and a_ij monomials entering the explicit
     R-matrix displays (types B, C, D); each t_i and a_ij is computed once
-    per instance."""
+    per process for each (family, rank, ring variable set), in the memo of
+    ``scalars._memoized``, and shared by every table of that case."""
 
     rep: Representation
-    _t: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _a: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def sigma(self, i: int) -> int:
         n = self.rep.n
@@ -41,16 +47,10 @@ class CoefficientTables:
         return 1 if i <= n else -1
 
     def t(self, i: int) -> Scalar:
-        got = self._t.get(i)
-        if got is None:
-            got = self._t[i] = self._t_of(i)
-        return got
+        return _memoized(self.rep.ring, ("coefficient_t", self.rep.family, self.rep.n, i), lambda: self._t_of(i))
 
     def a(self, i: int, j: int) -> Scalar:
-        got = self._a.get((i, j))
-        if got is None:
-            got = self._a[i, j] = self._a_of(i, j)
-        return got
+        return _memoized(self.rep.ring, ("coefficient_a", self.rep.family, self.rep.n, i, j), lambda: self._a_of(i, j))
 
     def _t_of(self, i: int) -> Scalar:
         ring, n = self.rep.ring, self.rep.n
@@ -406,13 +406,23 @@ def check_intertwining(rep: Representation, rhat: SMatrix) -> Report:
 
 
 def check_braid(rep: Representation, rhat: SMatrix) -> Report:
-    """R̂₁₂ R̂₂₃ R̂₁₂ = R̂₂₃ R̂₁₂ R̂₂₃ on V ⊗ V ⊗ V, compared one column at a
-    time (``first_column_mismatch``); a failure names its column and row as
-    basis vectors."""
+    """R̂₁₂ R̂₂₃ R̂₁₂ = R̂₂₃ R̂₁₂ R̂₂₃ on V ⊗ V ⊗ V.
+
+    Where ``transpose_reflection`` certifies P·R̂ᵀ·P = Π·G·R̂·G⁻¹·Π (types
+    B, C and D), the reversal S: v_a⊗v_b⊗v_c ↦ v_c⊗v_b⊗v_a turns R̂₁₂ into
+    (P·R̂·P)₂₃ and R̂₂₃ into (P·R̂·P)₁₂, so the right side is
+    G₃⁻¹·T·LHSᵀ·T·G₃ with T = Π₃·S; only the left side is computed, and
+    checked against its own reflection (``reflected_column_pairs``).
+    Otherwise, and for the witness of any failure, both sides are compared
+    one column at a time (``first_column_mismatch``); a failure names its
+    column and row as basis vectors."""
     out = Report()
     with out.timed("braid", rep.family, rep.n) as it:
         r12, r23 = PairAction(rhat, rep.N, (1, 2)), PairAction(rhat, rep.N, (2, 3))
-        it.witness = first_column_mismatch((r12, r23, r12), (r23, r12, r23))
+        lhs, rhs = (r12, r23, r12), (r23, r12, r23)
+        d = transpose_reflection((rhat,), flip=True)
+        if d is None or reflected_column_pairs(lhs, d, rep.weights, flip=True) is None:
+            it.witness = first_column_mismatch(lhs, rhs)
     return out
 
 

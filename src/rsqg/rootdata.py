@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import Mapping, Sequence
 
-from .scalars import Scalar, ScalarRing, _memoized
+from .scalars import Scalar, ScalarRing, _cdiv, _memoized
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -191,12 +192,11 @@ class RootSystem:
 
     def eps_to_alpha(self, eps) -> tuple[Fraction, ...]:
         """Solve eps = Σ a_k · α_k exactly; raises if eps is outside the span."""
-        rows = [[self.simple_eps[k][t] for k in range(self.n)] for t in range(self.eps_dim)]
-        rhs = [Fraction(x) for x in eps]
-        sol = _solve_exact(rows, rhs)
+        rows = [{k: self.simple_eps[k][t] for k in range(self.n)} for t in range(self.eps_dim)]
+        sol = _solve_exact(rows, [(x,) for x in eps], self.n)
         if sol is None:
             raise ValueError(f"{eps} is not in the span of the simple roots")
-        return tuple(sol)
+        return tuple(Fraction(x) for (x,) in sol)
 
     def _eps_inner(self, x, y) -> Fraction:
         return self.eps_gram * sum((Fraction(a) * b for a, b in zip(x, y)), Fraction(0))
@@ -249,33 +249,52 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return RootSystem(family, rank)
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over ℚ for a (possibly overdetermined) system."""
-    m, n = len(rows), len(rows[0])
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [rhs[i]] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
+def _solve_exact(rows: Sequence[Mapping[int, Fraction | int]], rhs: Sequence[Sequence], n: int) -> list[tuple] | None:
+    """One solution over ℚ of Σ_a rows[i][a]·x_a = rhs[i] for every i, with
+    n unknowns and one or more right-hand sides (rhs[i] holds one value per
+    side): x_a as a tuple of one value per side, free unknowns 0; None when
+    the system is inconsistent.  Rows are sparse ({unknown: coefficient}) and
+    are taken one at a time into a reduced row echelon form: a pivot row has
+    no entry in another pivot's column, so one pass over its pivot columns
+    reduces a new row, and only a row that reduces to zero is read as a check
+    of its right side."""
+    pivots: dict[int, tuple[dict, list]] = {}
+    for row, sides in zip(rows, rhs):
+        coeffs = {a: c for a, c in row.items() if c}
+        sides = list(sides)
+        for p in [a for a in coeffs if a in pivots]:
+            f = coeffs.pop(p)
+            prow, psides = pivots[p]
+            for a, c in prow.items():
+                v = coeffs.get(a, 0) - f * c
+                if v:
+                    coeffs[a] = v
+                else:
+                    coeffs.pop(a, None)
+            sides = [x - f * y for x, y in zip(sides, psides)]
+        if not coeffs:
+            if any(sides):
+                return None
             continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][n]
+        p = min(coeffs)
+        f = coeffs.pop(p)
+        new = {a: _cdiv(c, f) for a, c in coeffs.items()}
+        new_sides = [_cdiv(x, f) for x in sides]
+        for qrow, qsides in pivots.values():
+            g = qrow.pop(p, 0)
+            if g:
+                for a, c in new.items():
+                    v = qrow.get(a, 0) - g * c
+                    if v:
+                        qrow[a] = v
+                    else:
+                        qrow.pop(a, None)
+                qsides[:] = [x - g * y for x, y in zip(qsides, new_sides)]
+        pivots[p] = (new, new_sides)
+    width = len(rhs[0]) if rhs else 0
+    sol = [(0,) * width] * n
+    for p, (_, sides) in pivots.items():
+        sol[p] = tuple(sides)
     return sol
 
 

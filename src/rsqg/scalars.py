@@ -49,12 +49,13 @@ r^(1/2) ↦ q^(1/2), z ↦ 1, z ↦ 0), so only a value with a denominator is
 canonicalized; polynomial images are raised to powers and summed.  The
 (r,s)-combinatorics (``rs_integer``, ``q_integer``, their factorials and
 Gaussian binomials) are Laurent polynomials, built from closed forms, products
-and Pascal rules with no division.  Each of them, and
-``rootdata.omega_pairing``, is built once per process and per ring variable
-set, on first use (nothing is computed at import), in one module-level memo
-of raw term dicts (``_MEMO``).  A value is handed out bound to the caller's
-ring object, on that ring's shared unit denominator, and its term dict is
-shared and never changed, like every Scalar's.
+and Pascal rules with no division.  They, ``rootdata.omega_pairing`` and
+the t_i and a_ij monomials of ``rmatrix.CoefficientTables`` are each built
+once per process and per ring variable set, on first use (nothing is
+computed at import), in one module-level memo of raw term dicts (``_MEMO``).
+A value is handed out bound to the caller's ring object, on that ring's
+shared unit denominator, and its term dict is shared and never changed, like
+every Scalar's.
 
 Sparse matrix products and mat-vecs skip it too
 (``matrices.SMatrix.__matmul__`` and ``matrices._combine_columns``).  Each
@@ -348,6 +349,21 @@ def _pdivc(a: dict, c) -> dict:
 def _pshift(a: dict, m: int) -> dict:
     """a times the monomial of packed exponent m."""
     return {e + m: c for e, c in a.items()} if m else a
+
+
+def _pquotient_exp(a: dict, b: dict) -> int | None:
+    """The packed exponent m with a = b times the monomial of exponent m and
+    coefficient 1, for nonempty a and b; None when a is no such shift of b.
+    A shift keeps the order of the keys, so m is the difference of the
+    smallest ones."""
+    if len(a) != len(b):
+        return None
+    m = min(a) - min(b)
+    get = a.get
+    for e, c in b.items():
+        if get(e + m) != c:
+            return None
+    return m
 
 
 def _pmuladd(out: dict, a: dict, b: dict) -> None:

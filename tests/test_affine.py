@@ -21,8 +21,9 @@ from rsqg.affine import (
     spectral_ybe_operators,
     xi_constant,
 )
-from rsqg.matrices import PairAction, SMatrix, flip_map, kron
+from rsqg.matrices import PairAction, SMatrix, flip_map, kron, scalar_of
 from rsqg.rep import build_evaluation, build_fundamental
+from rsqg.report import transpose_reflection
 from rsqg.rmatrix import eigenvalues, rbar_inverse_printed, rhat_explicit
 from rsqg.scalars import rs_ring
 
@@ -192,11 +193,14 @@ def test_columnwise_spectral_ybe_matches_the_matrix_form(family, rank, change):
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
 def test_columnwise_spectral_ybe_covers_every_column_and_entry(monkeypatch, family, rank):
-    """A passing check reads one stored column per side for each of the N³
-    basis vectors (R₂₃(y)'s on the left, R₁₂(x)'s on the right), applies
-    the two other factor actions to it on kernel-value vectors, and reads
-    the x and y digits of every nonzero entry of the left side: as many as
-    the V⊗³ matrix of the left side has."""
+    """A passing check reads one stored column per side it computes for each
+    of the N³ basis vectors (R₂₃(y)'s on the left, R₁₂(x)'s on the right),
+    applies the two other factor actions to it on kernel-value vectors, and
+    reads the x and y digits of every nonzero entry of the left side: as
+    many as the V⊗³ matrix of the left side has.  A2 has no transpose
+    reflection, so both sides are computed: 4·N³ actions.  B2 has one, so
+    only the left side is: 2·N³ actions, and every nonzero entry of the left
+    side is compared with its reflected partner."""
     from rsqg import affine, matrices
 
     operators = spectral_ybe_operators(family, rank)
@@ -205,21 +209,85 @@ def test_columnwise_spectral_ybe_covers_every_column_and_entry(monkeypatch, fami
     ident = SMatrix.identity(ring, N)
     mid_flip = kron(ident, flip_map(ring, N))
     lhs = kron(r_x, ident) @ (mid_flip @ kron(r_xy, ident) @ mid_flip) @ kron(ident, r_y)
-    applied, reads, digits = [], [], []
+    one_sided = transpose_reflection(operators) is not None
+    assert one_sided == (family != "A")
+    applied, reads, digits, paired = [], [], [], []
     apply, column, exp_ranges = matrices.PairAction.__call__, matrices.PairAction.column, affine._packed_exp_ranges
+    pairs = affine.reflected_column_pairs
     monkeypatch.setattr(matrices.PairAction, "__call__", lambda self, vec: applied.append(vec) or apply(self, vec))
     monkeypatch.setattr(matrices.PairAction, "column", lambda self, k: reads.append((self.strides, k)) or column(self, k))
     monkeypatch.setattr(
         affine, "_packed_exp_ranges", lambda terms, i, j: digits.append((i, j)) or exp_ranges(terms, i, j)
     )
+    monkeypatch.setattr(affine, "reflected_column_pairs", lambda *a, **k: paired.append(pairs(*a, **k)) or paired[-1])
     assert check_spectral_ybe(family, rank, operators).ok()
-    assert len(applied) == 4 * N**3
-    strides_23, strides_12 = PairAction(r_y, N, (2, 3)).strides, PairAction(r_x, N, (1, 2)).strides
-    assert reads == [(strides, k) for k in range(N**3) for strides in (strides_23, strides_12)]
-    # each side's first action takes the column read for that side
     r23, r12 = PairAction(r_y, N, (2, 3)), PairAction(r_x, N, (1, 2))
-    assert applied[::2] == [column(op, k) for k in range(N**3) for op in (r23, r12)]
+    sides = (r23,) if one_sided else (r23, r12)
+    assert len(applied) == 2 * len(sides) * N**3
+    if one_sided:
+        # the columns run by weight block, each exactly once
+        assert sorted(k for _, k in reads) == list(range(N**3))
+        assert paired == [lhs.nnz()]
+    else:
+        assert reads == [(op.strides, k) for k in range(N**3) for op in sides]
+        assert paired == []
+    # each side's first action takes the column read for that side
+    by_strides = {op.strides: op for op in (r23, r12)}
+    assert applied[::2] == [column(by_strides[strides], k) for strides, k in reads]
     assert digits == [(ring.index["x"], ring.index["y"])] * lhs.nnz()
+
+
+def _lhs_columns(sides: tuple, N: int) -> list[dict]:
+    """Every column of a product of factor actions on V⊗³, as Scalars."""
+    out = []
+    for col in range(N**3):
+        vec = sides[-1].column(col)
+        for op in sides[-2::-1]:
+            vec = op(vec)
+        out.append({row: scalar_of(sides[0].ring, v) for row, v in vec.items()})
+    return out
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("D", 4)])
+def test_reflected_left_side_is_the_right_side(family, rank):
+    """Where R(x), R(y) and R(xy) have a transpose reflection D, the right
+    side R₂₃(y)R₁₃(xy)R₁₂(x) is the reflected left side, column by column:
+    RHS[u, v] = LHS[τv, τu]·g(v)/g(u), with τ = J⊗J⊗J and g = d⊗d⊗d."""
+    r_x, r_y, r_xy = operators = spectral_ybe_operators(family, rank)
+    d = transpose_reflection(operators)
+    assert d is not None
+    N = isqrt(r_x.nrows)
+    r12, r13, r23 = PairAction(r_x, N, (1, 2)), PairAction(r_xy, N, (1, 3)), PairAction(r_y, N, (2, 3))
+    tau = lambda k: N**3 - 1 - k
+    g = lambda k: d[k // (N * N)] * d[k // N % N] * d[k % N]
+    reflected: list[dict] = [{} for _ in range(N**3)]
+    for col, column in enumerate(_lhs_columns((r12, r13, r23), N)):
+        for row, v in column.items():
+            reflected[tau(row)][tau(col)] = v * g(tau(row)) * g(tau(col)).inv()
+    assert reflected == _lhs_columns((r23, r13, r12), N)
+
+
+def _with_partner_times_r(m: SMatrix) -> SMatrix:
+    """The first stored entry of an operator on V⊗V and its partner under
+    the transpose reflection of the spectral YBE, (k, l) ↦ (Πl, Πk), times r."""
+    N = isqrt(m.nrows)
+    pi = lambda k: (N - 1 - k // N) * N + N - 1 - k % N
+    i, j, _ = m.entries()[0]
+    changed = {(i, j), (pi(j), pi(i))}
+    return m + SMatrix.from_entries(m.ring, m.nrows, m.ncols, [(a, b, m.get(a, b) * (m.ring.mono(r=1) - m.ring.one)) for a, b in changed])
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("D", 3)])
+def test_lemma_preserving_perturbation_fails_with_the_matrix_form_witness(family, rank):
+    """One entry of R(x) and its reflection partner times r: the transpose
+    reflection still holds, with the same D, so the one-sided loop runs; it
+    finds the spectral YBE broken, and the witness is the matrix form's."""
+    r_x, r_y, r_xy = spectral_ybe_operators(family, rank)
+    changed = (_with_partner_times_r(r_x), r_y, r_xy)
+    assert transpose_reflection(changed) == transpose_reflection((r_x, r_y, r_xy)) is not None
+    (item,) = check_spectral_ybe(family, rank, changed).items
+    assert not item.ok
+    assert item.witness == _matrix_form_witness(family, changed)
 
 
 @pytest.mark.parametrize("family,rank", AFFINE_DESK)

@@ -1,7 +1,9 @@
 """Witnesses of operator identities: ``product_mismatch`` decides a
 conjugation by diagonal factors on the support of the conjugated matrix and
 otherwise reports what ``first_mismatch`` of the two products reports; the
-Cartan items of the intertwining certificates form no matrix product."""
+Cartan items of the intertwining certificates form no matrix product; and
+``transpose_reflection`` solves the gauged transpose symmetry that lets the
+V⊗³ checks compute one side."""
 
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import DESK, case
 from rsqg import affine, rmatrix
-from rsqg.matrices import SMatrix
-from rsqg.report import first_mismatch, product_mismatch
+from rsqg.matrices import SMatrix, flip_map, kron
+from rsqg.report import first_mismatch, product_mismatch, transpose_reflection
 from rsqg.scalars import rs_ring
 
 R = rs_ring()
@@ -137,3 +139,64 @@ def test_passing_cartan_items_of_the_intertwiners_form_no_product(monkeypatch, f
     assert {"omega", "omega-prime"} <= set(kinds)
     assert products["omega"] == products["omega-prime"] == 0
     assert products["e"] > 0 and products["f"] > 0
+
+
+def _reversal(ring, N: int) -> SMatrix:
+    """Π = J⊗J on V⊗V, J reversing V's basis."""
+    return SMatrix(ring, N * N, N * N, {k: {N * N - 1 - k: ring.one} for k in range(N * N)})
+
+
+def _transposed(m: SMatrix) -> SMatrix:
+    return SMatrix.from_entries(m.ring, m.ncols, m.nrows, [(j, i, v) for i, j, v in m.entries()])
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 3), ("D", 3)])
+def test_transpose_reflection_is_the_matrix_identity(family, rank):
+    """The D that ``transpose_reflection`` returns satisfies the identities
+    as matrix products: R(z)ᵀ = Π·G·R(z)·G⁻¹·Π for the spectral YBE's R(x),
+    R(y), R(xy), and P·R̂ᵀ·P = Π·G·R̂·G⁻¹·Π for R̂, with G = D⊗D; each d_a
+    is an r,s-monomial of coefficient 1."""
+    c = case(family, rank)
+    for ops, flip in ((c.ybe, False), ((c.rhat,), True)):
+        d = transpose_reflection(ops, flip=flip)
+        ring, N = ops[0].ring, len(d)
+        assert all(v.is_monomial() and v.monomial_parts()[1] == 1 for v in d)
+        assert all(v.z_range(x) == (0, 0) for v in d for x in ring.names[2:])
+        dm = SMatrix(ring, N, N, {a: {a: v} for a, v in enumerate(d)})
+        g, pi, p = kron(dm, dm), _reversal(ring, N), flip_map(ring, N)
+        for m in ops:
+            left = p @ _transposed(m) @ p if flip else _transposed(m)
+            assert left == pi @ g @ m @ g.diagonal_inv() @ pi
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("B", 5), ("C", 2), ("C", 5), ("D", 3), ("D", 5), ("B", 6)])
+def test_transpose_reflection_holds_for_bcd_and_not_for_a(family, rank):
+    """R̂ has a braid reflection in types B, C and D, and none in type A,
+    where R̂ has only the untransposed form."""
+    assert transpose_reflection((case(family, rank).rhat,), flip=True) is not None
+    assert transpose_reflection((case("A", rank).rhat,), flip=True) is None
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3)])
+def test_transpose_reflection_of_the_spectral_operators(family, rank):
+    """R(x), R(y) and R(xy) share one D in types B, C and D; type A has
+    none, so its spectral YBE computes both sides."""
+    assert (transpose_reflection(case(family, rank).ybe) is None) == (family == "A")
+
+
+@pytest.mark.parametrize("change", ["first entry times r", "entry without a partner"])
+@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("D", 3)])
+def test_one_entry_alone_breaks_the_reflection(family, rank, change):
+    """An entry changed without its partner leaves a partner ratio that fits
+    no D, and an entry added where R̂ and its partner are zero (v_1⊗v_1 to
+    v_1⊗v_2, across weights) has no partner: either way there is no
+    reflection, so the checks fall back to both sides."""
+    rhat = case(family, rank).rhat
+    i, j, v = rhat.entries()[0]
+    if change == "first entry times r":
+        added = (i, j, v * (rhat.ring.mono(r=1) - rhat.ring.one))
+    else:
+        assert rhat.get(0, 1).is_zero()
+        added = (0, 1, rhat.ring.one)
+    changed = rhat + SMatrix.from_entries(rhat.ring, rhat.nrows, rhat.ncols, [added])
+    assert transpose_reflection((changed,), flip=True) is None

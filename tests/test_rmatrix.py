@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import DESK, case, order, rep, ring, rvm
-from rsqg.matrices import SMatrix, flip_map, kron
+from rsqg.matrices import PairAction, SMatrix, flip_map, kron, scalar_of
 from rsqg.pairing import PairingContext
+from rsqg.report import transpose_reflection
 from rsqg.rmatrix import (
     CoefficientTables,
     check_braid,
@@ -323,6 +324,61 @@ def test_columnwise_braid_matches_the_matrix_form(family, rank, change):
     assert item.ok == (change == "none")
     if (family, rank, change) == ("B", 2, "first entry times r"):
         assert item.witness.startswith("column v_1⊗v_2⊗v_4, row v_5⊗v_1⊗v_1: LHS ")
+
+
+def _braid_lhs_columns(rhat: SMatrix, N: int, left: bool) -> list[dict]:
+    """Every column of R̂₁₂R̂₂₃R̂₁₂ (or, not ``left``, R̂₂₃R̂₁₂R̂₂₃) on V⊗³."""
+    r12, r23 = PairAction(rhat, N, (1, 2)), PairAction(rhat, N, (2, 3))
+    sides = (r12, r23, r12) if left else (r23, r12, r23)
+    out = []
+    for col in range(N**3):
+        vec = sides[-1].column(col)
+        for op in sides[-2::-1]:
+            vec = op(vec)
+        out.append({row: scalar_of(rhat.ring, v) for row, v in vec.items()})
+    return out
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 3), ("D", 4), ("B", 5)])
+def test_reflected_braid_left_side_is_the_right_side(family, rank):
+    """Where R̂ has a transpose reflection D (P·R̂ᵀ·P = Π·G·R̂·G⁻¹·Π), the
+    right side R̂₂₃R̂₁₂R̂₂₃ is the reflected left side, column by column:
+    RHS[u, v] = LHS[τv, τu]·g(v)/g(u), with τ(a, b, c) = (Jc, Jb, Ja) and
+    g = d⊗d⊗d."""
+    c = case(family, rank)
+    N = c.rep.N
+    d = transpose_reflection((c.rhat,), flip=True)
+    assert d is not None
+
+    def tau(k):
+        a, b, e = k // (N * N), k // N % N, k % N
+        return ((N - 1 - e) * N + N - 1 - b) * N + N - 1 - a
+
+    g = lambda k: d[k // (N * N)] * d[k // N % N] * d[k % N]
+    reflected: list[dict] = [{} for _ in range(N**3)]
+    for col, column in enumerate(_braid_lhs_columns(c.rhat, N, left=True)):
+        for row, v in column.items():
+            reflected[tau(row)][tau(col)] = v * g(tau(row)) * g(tau(col)).inv()
+    assert reflected == _braid_lhs_columns(c.rhat, N, left=False)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("D", 3)])
+def test_lemma_preserving_braid_perturbation_fails_with_the_matrix_form_witness(family, rank):
+    """The first stored entry of R̂ and its reflection partner, (k, l) ↦
+    (PΠl, PΠk), times r: the transpose reflection still holds with the same
+    D, so the one-sided loop runs; it finds the braid relation broken, and
+    the witness is the matrix form's."""
+    c = case(family, rank)
+    N = c.rep.N
+    sigma = lambda k: (N - 1 - k % N) * N + N - 1 - k // N
+    i, j, _ = c.rhat.entries()[0]
+    changed = {(i, j), (sigma(j), sigma(i))}
+    r = c.rhat.ring
+    rhat = c.rhat + SMatrix.from_entries(r, N * N, N * N, [(a, b, c.rhat.get(a, b) * (r.mono(r=1) - r.one)) for a, b in changed])
+    assert transpose_reflection((rhat,), flip=True) == transpose_reflection((c.rhat,), flip=True) is not None
+    (item,) = check_braid(c.rep, rhat).items
+    assert not item.ok
+    assert item.witness == _matrix_form_braid_witness(rhat, N)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2)])

@@ -14,6 +14,8 @@ from rsqg.matrices import SMatrix
 from rsqg.report import first_mismatch
 from rsqg import cli, scalars
 from rsqg.embed import _to_quarter_ring, quarter_ring
+from rsqg.rep import build_fundamental
+from rsqg.rmatrix import CoefficientTables
 from rsqg.rootdata import build_root_system, omega_pairing
 from rsqg.scalars import (
     Scalar,
@@ -267,6 +269,10 @@ def _recomputed(variables, key):
     if name == "omega_pairing":
         family, rank, lam, mu = args
         return omega_pairing(build_root_system(family, rank), ring, lam, mu)
+    if name in ("coefficient_t", "coefficient_a"):
+        family, rank, *indices = args
+        tables = CoefficientTables(build_fundamental(family, rank, ring))
+        return (tables._t_of if name == "coefficient_t" else tables._a_of)(*indices)
     return getattr(scalars, name)(ring, *args)
 
 
@@ -278,7 +284,7 @@ def test_memo_values_survive_a_certify_all_case(monkeypatch):
     assert cli._certify_one(("B", 2, False)).ok()
     before = _memo_texts()
     names = {key[1][0] for key in before}
-    assert {"rs_binomial", "q_binomial", "rs_factorial", "omega_pairing"} <= names
+    assert {"rs_binomial", "q_binomial", "rs_factorial", "omega_pairing", "coefficient_t", "coefficient_a"} <= names
     assert cli._certify_one(("B", 2, False)).ok()
     assert _memo_texts() == before
     monkeypatch.setattr(scalars, "_MEMO", {})

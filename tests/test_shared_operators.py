@@ -184,9 +184,10 @@ def test_each_pairing_value_is_computed_once_per_case(monkeypatch):
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
 def test_braid_builds_no_v3_matrix(monkeypatch, family, rank):
     """check_braid calls neither kron nor the matrix product, builds no
-    matrix larger than V ⊗ V, and applies two factor actions per
-    side to each of the N³ basis columns (the first one on each side is a
-    column read)."""
+    matrix larger than V ⊗ V, and applies two factor actions per side it
+    computes to each of the N³ basis columns (the first one on each side is
+    a column read): both sides at A2, the left side only at B2, where R̂ has
+    a transpose reflection."""
     from rsqg import matrices
     from rsqg.matrices import PairAction, SMatrix
 
@@ -213,7 +214,8 @@ def test_braid_builds_no_v3_matrix(monkeypatch, family, rank):
     monkeypatch.setattr(PairAction, "__call__", lambda self, vec: calls.update(["apply"]) or apply(self, vec))
     out = rmatrix.check_braid(ctx.rep, ctx.rhat)
     assert out.ok(), out.items[0].witness
-    assert calls == {"apply": 4 * N**3}
+    sides = 2 if family == "A" else 1
+    assert calls == {"apply": 2 * sides * N**3}
     assert max(rows, default=0) <= N * N
 
 
@@ -221,8 +223,9 @@ def test_braid_builds_no_v3_matrix(monkeypatch, family, rank):
 def test_passing_column_checks_construct_no_scalar(monkeypatch, check):
     """A passing B2 ``braid`` or ``spectral-ybe`` keeps every column in
     kernel values from the stored columns to the comparison and the degree
-    bound: ``first_column_mismatch`` constructs no Scalar.  A failing one
-    does, for the values its witness prints."""
+    bound: ``reflected_column_pairs``, which decides both at B2 from the
+    left side alone, constructs no Scalar.  A failing one does, in
+    ``first_column_mismatch``, for the values its witness prints."""
     from rsqg import report, scalars
     from rsqg.matrices import SMatrix
 
@@ -236,24 +239,31 @@ def test_passing_column_checks_construct_no_scalar(monkeypatch, check):
         "spectral-ybe": lambda: affine.check_spectral_ybe("B", 2, ctx.ybe),
     }[check]
     run()  # builds the case operators
-    init, compare = scalars.Scalar.__init__, report.first_column_mismatch
-    inits = []
+    init = scalars.Scalar.__init__
+    inits, called = [], []
 
-    def counted(*args):
-        monkeypatch.setattr(scalars.Scalar, "__init__", lambda self, *a, **k: inits.append(1) or init(self, *a, **k))
-        try:
-            return compare(*args)
-        finally:
-            monkeypatch.setattr(scalars.Scalar, "__init__", init)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            called.append(fn.__name__)
+            monkeypatch.setattr(scalars.Scalar, "__init__", lambda self, *a, **k: inits.append(1) or init(self, *a, **k))
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                monkeypatch.setattr(scalars.Scalar, "__init__", init)
 
-    monkeypatch.setattr(rmatrix, "first_column_mismatch", counted)
-    monkeypatch.setattr(affine, "first_column_mismatch", counted)
+        return wrapper
+
+    for mod in (rmatrix, affine):
+        for name in ("first_column_mismatch", "reflected_column_pairs"):
+            monkeypatch.setattr(mod, name, counted(getattr(report, name)))
     assert run().ok()
+    assert called == ["reflected_column_pairs"]
     assert inits == []
     ctx.rhat = first_entry_doubled(ctx.rhat)
     r_x, r_y, r_xy = ctx.ybe
     ctx.ybe = (r_x, r_y, first_entry_doubled(r_xy))
     assert not run().ok()
+    assert called[-1] == "first_column_mismatch"
     assert inits
 
 
