@@ -3,7 +3,8 @@
 
 Examples:
     python scripts/certify.py                       # desk ranks, short mode
-    python scripts/certify.py --max-rank 3 --long   # everything
+    python scripts/certify.py --max-rank 3 --long   # desk ranks with the long spectral YBE cases
+    python scripts/certify.py --max-rank 6 --long   # the whole certified range
     RSQG_JOBS=4 python scripts/certify.py           # parallel dispatch
 """
 

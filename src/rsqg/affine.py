@@ -281,21 +281,31 @@ def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -
     ``operators`` (R(x), R(y), R(xy)) are the case's, or else built by
     ``spectral_ybe_operators`` on its clock.
 
-    Where ``transpose_reflection`` certifies R(z)ᵀ = Π·G·R(z)·G⁻¹·Π for all
-    three operators (types B, C and D), the right side is G₃⁻¹·Π₃·LHSᵀ·Π₃·G₃,
-    since transposing reverses the product and Π₃G₃ conjugates each factor
-    to its transpose; only the left side is computed, and checked against
-    its own reflection (``reflected_column_pairs``).  Otherwise, and for the
-    witness of any failure, both sides are compared one column at a time
+    The degree bound is proved on the three factors, on V⊗V: where every
+    entry of R(x) is a polynomial in x of degree ≤ b and free of y, every
+    entry of R(y) the same with x and y exchanged, and every entry of R(xy)
+    a polynomial of degree ≤ b in each (b = 1 in type A, 2 otherwise), each
+    left-side entry is a sum of products of one entry of each, so a
+    polynomial of x- and y-degree ≤ 2b.  Then only the identity is decided
+    on V⊗³.  Where ``transpose_reflection`` certifies R(z)ᵀ = Π·G·R(z)·G⁻¹·Π
+    for all three operators (types B, C and D), the right side is
+    G₃⁻¹·Π₃·LHSᵀ·Π₃·G₃, since transposing reverses the product and Π₃G₃
+    conjugates each factor to its transpose; only the left side is
+    computed, and checked against its own reflection
+    (``reflected_column_pairs``).  Otherwise, and for the witness of any
+    failure, both sides are compared one column at a time
     (``first_column_mismatch``), and a failure names its column and row as
-    basis vectors."""
+    basis vectors.  Where a factor is out of its bound, the left side's
+    entries are held to the bound one column at a time on that path, which
+    is the only one that reads them."""
     out = Report()
     with out.timed("spectral-ybe", family, rank) as it:
         r_x, r_y, r_xy = operators or spectral_ybe_operators(family, rank)
         N = isqrt(r_x.nrows)
         r12, r13, r23 = PairAction(r_x, N, (1, 2)), PairAction(r_xy, N, (1, 3)), PairAction(r_y, N, (2, 3))
-        # three factors of z-degree ≤ 1 (A) or ≤ 2 (B/C/D), two of them in x and two in y
-        bound = 2 if family == "A" else 4
+        # three factors of z-degree ≤ b, two of them in x and two in y
+        b = 1 if family == "A" else 2
+        bound = 2 * b
         ix, iy = r_x.ring.index["x"], r_x.ring.index["y"]
 
         def over_bound(lhs: dict) -> tuple[int, str] | None:
@@ -313,10 +323,14 @@ def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -
             return None
 
         lhs, rhs = (r12, r13, r23), (r23, r13, r12)
-        d = transpose_reflection((r_x, r_y, r_xy))
-        weights = fundamental_weights(build_root_system(family, rank))
-        if d is None or reflected_column_pairs(lhs, d, weights, column_bound=over_bound) is None:
+        factor_limits = ((r_x, {"x": b, "y": 0}), (r_y, {"x": 0, "y": b}), (r_xy, {"x": b, "y": b}))
+        if any(_degree_excess(m, limits) for m, limits in factor_limits):
             it.witness = first_column_mismatch(lhs, rhs, over_bound)
+        else:
+            d = transpose_reflection((r_x, r_y, r_xy))
+            weights = fundamental_weights(build_root_system(family, rank))
+            if d is None or reflected_column_pairs(lhs, d, weights) is None:
+                it.witness = first_column_mismatch(lhs, rhs)
     return out
 
 
@@ -325,22 +339,36 @@ def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -
 # ---------------------------------------------------------------------------
 
 
+def _degree_excess(m: SMatrix, limits: dict[str, int]) -> str:
+    """The first entry of ``m`` (in storage order) that is not a polynomial
+    in each of the one or two named variables of degree ≤ its limit: a
+    denominator or a negative power gives "entry (i,j) is not polynomial in
+    z", a degree above the limit "entry (i,j) has z-degree d"; "" when
+    every entry is within its limits.  Both variables' exponents are read
+    off each numerator's digits in one pass."""
+    names = list(limits)
+    if not 1 <= len(names) <= 2:
+        raise ValueError(f"one or two variables, not {names}")
+    x, y = names[0], names[-1]
+    ix, iy = m.ring.index[x], m.ring.index[y]
+    for i, row in m.rows.items():
+        for j, v in row.items():
+            spans = _packed_exp_ranges(v._num, ix, iy) if v._num else ((0, 0), (0, 0))
+            for name, (lowest, degree) in zip((x, y), spans):
+                if not v.den_is_one() or lowest < 0:
+                    return f"entry ({i},{j}) is not polynomial in {name}"
+                if degree > limits[name]:
+                    return f"entry ({i},{j}) has {name}-degree {degree}"
+    return ""
+
+
 def check_degree_bounds(rep: Representation, rz: SMatrix) -> Report:
     """Every entry of the spectral operator ``rz`` on ``rep`` is a polynomial
     in z (a Laurent polynomial in r, s with no negative power of z) of
     degree ≤ 1 (A) or ≤ 2 (B/C/D)."""
-    bound = 1 if rep.family == "A" else 2
     out = Report()
     with out.timed("z-degree-bound", rep.family, rep.n) as it:
-        w = ""
-        for i, row in rz.rows.items():
-            for j, v in row.items():
-                lowest, degree = v.z_range("z")
-                if not v.den_is_one() or lowest < 0:
-                    w = w or f"entry ({i},{j}) is not polynomial in z"
-                elif degree > bound:
-                    w = w or f"entry ({i},{j}) has z-degree {degree}"
-        it.witness = w
+        it.witness = _degree_excess(rz, {"z": 1 if rep.family == "A" else 2})
     return out
 
 

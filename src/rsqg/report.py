@@ -303,7 +303,6 @@ def reflected_column_pairs(
     d: Sequence[Scalar],
     weights: Sequence[tuple],
     flip: bool = False,
-    column_bound: Callable[[dict[int, object]], tuple[int, str] | None] | None = None,
 ) -> int | None:
     """Decide lhs[0]⋯lhs[-1] = G₃⁻¹·T·(lhs[0]⋯lhs[-1])ᵀ·T·G₃ on V⊗V⊗V from
     the left side alone, where G₃ = D⊗D⊗D for the diagonal ``d`` of
@@ -313,14 +312,14 @@ def reflected_column_pairs(
     relation) is exactly this reflection of the left side.
 
     Entrywise: L[u, v]·g(u) = L[τv, τu]·g(v) with g = d⊗d⊗d.  The columns
-    of L are computed one at a time, as in ``first_column_mismatch``, and
-    ``column_bound`` is run on each.  An entry waits until the column of its
-    partner arrives, is compared with it, and both are dropped; a
-    self-paired entry (τu = v) needs g(u) = g(v).  L preserves weight and τ
-    maps weight λ to −λ, so an entry of a column of weight λ waits for a
-    column of weight −λ.  The columns run by weight, −λ before λ, each
-    followed by its image under τ: at B2, D3 and B3 this holds at most 4.2k,
-    5.2k and 9.7k terms pending, against 17k, 24k and 55k in index order.
+    of L are computed one at a time, as in ``first_column_mismatch``.  An
+    entry waits until the column of its partner arrives, is compared with
+    it, and both are dropped; a self-paired entry (τu = v) needs
+    g(u) = g(v).  L preserves weight and τ maps weight λ to −λ, so an entry
+    of a column of weight λ waits for a column of weight −λ.  The columns
+    run by weight, −λ before λ, each followed by its image under τ: at B2,
+    D3 and B3 this holds at most 4.2k, 5.2k and 9.7k terms pending, against
+    17k, 24k and 55k in index order.
 
     The number of left-side entries compared with their partners (every
     nonzero entry of L), or None on the first failure of any kind, for
@@ -353,8 +352,6 @@ def reflected_column_pairs(
         column = lhs[-1].column(col)
         for op in lhs[-2::-1]:
             column = op(column)
-        if column_bound and column_bound(column):
-            return None
         expected = pending.pop(col, {})
         gc, tc = g[col], tau[col]
         for row, value in column.items():

@@ -5,6 +5,7 @@ constraint), the spectral Yang-Baxter equation, and structure checks."""
 from __future__ import annotations
 
 import os
+import re
 from math import isqrt
 
 import pytest
@@ -175,29 +176,47 @@ def _first_entry_times_r(m: SMatrix) -> SMatrix:
     return m + SMatrix.from_entries(m.ring, m.nrows, m.ncols, [(i, j, v * (m.ring.mono(r=1) - m.ring.one))])
 
 
-@pytest.mark.parametrize("change", ["none", "R(xy) entry times r", "R(x) times x^3"])
+PASSING_CHANGES = ("none", "R(x) times x and R(y) times x^-1")
+
+
+@pytest.mark.parametrize(
+    "change", list(PASSING_CHANGES) + ["R(xy) entry times r", "R(x) times x^3", "R(y) times y^3"]
+)
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("D", 3)])
 def test_columnwise_spectral_ybe_matches_the_matrix_form(family, rank, change):
     """The columnwise check gives the verdict and the witness that the V⊗³
-    matrix products give, on the case's operators and on perturbed ones."""
+    matrix products give, on the case's operators and on perturbed ones.
+    R(x) times x with R(y) times x⁻¹ puts two factors out of their degree
+    bounds and leaves both sides as they were, so the check passes on the
+    path that holds the left side's entries to the bound; R(y) times y³
+    fails there with the y-degree witness."""
     r_x, r_y, r_xy = spectral_ybe_operators(family, rank)
+    x, y = r_x.ring.atom("x"), r_x.ring.atom("y")
     if change == "R(xy) entry times r":
         r_xy = _first_entry_times_r(r_xy)
     elif change == "R(x) times x^3":
-        r_x = r_x.scale(r_x.ring.atom("x") ** 3)
+        r_x = r_x.scale(x**3)
+    elif change == "R(x) times x and R(y) times x^-1":
+        r_x, r_y = r_x.scale(x), r_y.scale(x.inv())
+    elif change == "R(y) times y^3":
+        r_y = r_y.scale(y**3)
     expect = _matrix_form_witness(family, (r_x, r_y, r_xy))
     (item,) = check_spectral_ybe(family, rank, (r_x, r_y, r_xy)).items
     assert item.witness == expect
-    assert item.ok == (change == "none")
+    assert item.ok == (change in PASSING_CHANGES)
+    if change == "R(y) times y^3":
+        match = re.fullmatch(r".*: LHS entry of x-degree \d+ and y-degree (\d+) exceeds the spectral degree bound (\d+)", expect)
+        assert int(match[1]) > int(match[2])
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
 def test_columnwise_spectral_ybe_covers_every_column_and_entry(monkeypatch, family, rank):
     """A passing check reads one stored column per side it computes for each
     of the N³ basis vectors (R₂₃(y)'s on the left, R₁₂(x)'s on the right),
-    applies the two other factor actions to it on kernel-value vectors, and
-    reads the x and y digits of every nonzero entry of the left side: as
-    many as the V⊗³ matrix of the left side has.  A2 has no transpose
+    and applies the two other factor actions to it on kernel-value vectors.
+    It reads the x and y digits of every stored entry of R(x), R(y) and
+    R(xy) on V⊗V, to prove the degree bound on the factors, and of no entry
+    of the left side on V⊗³.  A2 has no transpose
     reflection, so both sides are computed: 4·N³ actions.  B2 has one, so
     only the left side is: 2·N³ actions, and every nonzero entry of the left
     side is compared with its reflected partner."""
@@ -234,7 +253,7 @@ def test_columnwise_spectral_ybe_covers_every_column_and_entry(monkeypatch, fami
     # each side's first action takes the column read for that side
     by_strides = {op.strides: op for op in (r23, r12)}
     assert applied[::2] == [column(by_strides[strides], k) for strides, k in reads]
-    assert digits == [(ring.index["x"], ring.index["y"])] * lhs.nnz()
+    assert digits == [(ring.index["x"], ring.index["y"])] * (r_x.nnz() + r_y.nnz() + r_xy.nnz())
 
 
 def _lhs_columns(sides: tuple, N: int) -> list[dict]:

@@ -390,6 +390,26 @@ def test_scaled_a_ij_fails_coefficient_tables(monkeypatch, family, rank):
     assert item.witness == "a_(1,2) a_(2,1) != 1"
 
 
+@pytest.mark.parametrize("family,rank", CASES)
+def test_flipped_sigma_fails_coefficient_tables(monkeypatch, family, rank):
+    """σ_1 with its sign flipped changes every a_1j, so a_12 is no longer
+    f(ε_1, ε_2).  a_ij is memoized by (ring variables, family, rank, i, j),
+    without σ: the check first runs unchanged, which fills the memo, and
+    then on a copy of the memo without the case's a_ij, so that it reads
+    them as the flipped σ gives them; the memo itself is restored after."""
+    from rsqg import scalars
+
+    assert _run(CaseContext(family, rank), "rmatrix", "tables")["coefficient-tables"].ok
+    sigma = CoefficientTables.sigma
+    monkeypatch.setattr(CoefficientTables, "sigma", lambda self, i: -sigma(self, i) if i == 1 else sigma(self, i))
+    kept = {k: v for k, v in scalars._MEMO.items() if k[1][:3] != ("coefficient_a", family, rank)}
+    assert len(kept) < len(scalars._MEMO)
+    monkeypatch.setattr(scalars, "_MEMO", kept)
+    item = _run(CaseContext(family, rank), "rmatrix", "tables")["coefficient-tables"]
+    assert not item.ok
+    assert item.witness == "a_(1,2) != f(eps_1,eps_2)"
+
+
 @pytest.mark.parametrize("family,rank", OPERATOR_CASES)
 def test_scaled_top_kappa_fails_kappa_recursion(monkeypatch, family, rank):
     """κ of the highest root times r no longer follows from its minimal pair."""
