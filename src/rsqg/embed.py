@@ -4,21 +4,23 @@ executable certificates on the fundamental modules.
 The modified generators ẽ_i = e_i ω_i^{-1/2}, f̃_i = s_i f_i (ω'_i)^{-1/2},
 ω̃_i = ω_i^{1/2} (ω'_i)^{-1/2} satisfy the standard one-parameter relations
 at q = r^{1/2} s^{-1/2}, and the rescaled root vectors match the q-bracketed
-ones through per-root monomials κ_γ.  The diagonal-twist comparison with the
-one-parameter R-matrix works in type A and provably fails in type B; both
-facts are certified.
+ones through per-root monomials κ_γ.  The skew diagonal twist relating R to
+its one-parameter specialization is solved (``gauge``) and must be unique:
+it holds in type A; in type B, solved off E_{i'j'} ⊗ E_{ij}, it fails there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
+from .affine import one_param_r_affine_A
+from .gauge import Inconsistent, monomial_gauge
 from .lyndon import ConvexOrder, minimal_pair
 from .matrices import SMatrix, flip_map
 from .rep import Representation, serre_sum, tensor_square
-from .report import Report, first_mismatch, product_mismatch
-from .rmatrix import CoefficientTables
+from .report import Report, basis_vector, first_mismatch, product_mismatch
 from .rootdata import Root, omega_pairing
 from .rootvec import RootVectorMatrices
 from .scalars import (
@@ -233,90 +235,73 @@ def _to_quarter_ring(x: Scalar, target: ScalarRing) -> Scalar:
 
 
 def verify_twist_A(rep: Representation, rhat: SMatrix) -> Report:
-    """R = F^{-1} R̄ F^{-1} for the diagonal F with entries (rs)^{±1/4}: the
-    two-parameter operator ``rhat``∘τ on the type-A module ``rep`` is a
-    diagonal twist of its one-parameter specialization.  The form is spectral
-    when the ring of ``rep`` carries z (``rhat`` is then R̂(z)), else finite."""
+    """R = F⁻¹·R₁·F⁻¹ for a unique skew diagonal twist F (``_skew_twist``):
+    the two-parameter R = ``rhat``∘τ on the type-A module ``rep`` is a
+    diagonal twist of its one-parameter specialization R₁, finite or, when
+    the ring of ``rep`` carries z (``rhat`` is then R̂(z)), spectral."""
     form = "affine" if "z" in rep.ring.names else "finite"
-    rank, N = rep.n, rep.N
-    out = Report()
-    with out.timed(f"twist-A-{form}", "A", rank) as it:
-        ring = quarter_ring(*(("z",) if form == "affine" else ()))
-        qh = ring.atom("q")
-        r_two_rs = rhat @ flip_map(rep.ring, N)
-        r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring), ring=ring)
-        if form == "finite":
-            r_one = r_two_rs.substituted({"r": qh, "s": qh.inv()}, ring=ring)
-        else:
-            from .affine import one_param_r_affine_A
-
-            r_one = one_param_r_affine_A(rank, ring)
-
-        # F(v_i ⊗ v_j) = w^{±1} v_i ⊗ v_j with w = (rs)^{1/4}; the orientation
-        # (+1 on i < j) is the one that makes the identity true — the text fixes
-        # only exp(2φ_ij) up to the skew orientation
-        rows = {}
-        for i in range(N):
-            for j in range(N):
-                idx = i * N + j
-                e = 0 if i == j else (-1 if i > j else 1)
-                rows[idx] = {idx: ring.mono(w=e)}
-        f_inv = SMatrix(ring, N * N, N * N, rows).diagonal_inv()
-        it.witness = first_mismatch(r_two, f_inv @ r_one @ f_inv, N)
-    return out
+    return _skew_twist(f"twist-A-{form}", rep, rhat)
 
 
 def b_type_obstruction(rep: Representation, rhat: SMatrix) -> Report:
-    """No diagonal twist relates the B-type operator to its one-parameter
-    specialization: for the explicit operator ``rhat`` on the type-B module
-    ``rep``, the matching conditions on the first five summand families force
-    the twist uniquely, and the residual on the E_{i'j'} ⊗ E_{ij} family is
-    then nonzero.  Both facts are asserted."""
-    out = Report()
-    with out.timed("twist-B-obstruction", "B", rep.n) as it:
-        N, n = rep.N, rep.n
-        tab = CoefficientTables(rep)
-        pr = rep.prime
-        ring = quarter_ring()
-        qh = ring.atom("q")
+    """No skew diagonal twist relates the B-type R = ``rhat``∘τ on ``rep``
+    to its one-parameter specialization (``_skew_twist``): the entries off
+    the E_{i'j'} ⊗ E_{ij} family determine the twist uniquely, and its
+    residual on that family is nonzero.  Both facts are computed."""
 
+    def family(k: int, l: int) -> bool:
+        # v_a ⊗ v_b ← v_c ⊗ v_d (0-based) with b = a', d = c', b < d, d ≠ a
+        (a, b), (c, d) = divmod(k, rep.N), divmod(l, rep.N)
+        return a + b == c + d == rep.N - 1 and b < d and d != a
+
+    return _skew_twist("twist-B-obstruction", rep, rhat, family)
+
+
+def _skew_twist(name: str, rep: Representation, rhat: SMatrix, obstructed=None) -> Report:
+    """The twist F = w^{u(a,b)} on v_a ⊗ v_b, u(b, a) = −u(a, b), with
+    R = F⁻¹·R₁·F⁻¹ over the quarter ring, for R = ``rhat``∘τ and R₁ = R at
+    r ↦ q, s ↦ q⁻¹ (over z, the printed spectral type-A R₁): a monomial gauge,
+    R₁[k, l] = R[k, l]·w^{u(k)+u(l)}, solved from the entries outside
+    ``obstructed`` and required to be unique.  With ``obstructed``, the item
+    passes when R − F⁻¹·R₁·F⁻¹ is nonzero there and names the first such
+    entry.  A failing witness names the first entry (v_a ⊗ v_b) that admits
+    no twist, with both values, or the number of free unknowns."""
+    N = rep.N
+    out = Report()
+    with out.timed(name, rep.family, rep.n) as it:
+        ring = quarter_ring(*(("z",) if "z" in rep.ring.names else ()))
         r_two_rs = rhat @ flip_map(rep.ring, N)
         r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring), ring=ring)
-        r_one = r_two_rs.substituted({"r": qh, "s": qh.inv()}, ring=ring)
+        if "z" in ring.names:
+            r_one = one_param_r_affine_A(rep.n, ring)
+        else:
+            r_one = r_two_rs.substituted({"r": ring.atom("q"), "s": ring.atom("q").inv()}, ring=ring)
+        unknown = {ab: x for x, ab in enumerate(combinations(range(N), 2))}  # u(a, b), a < b
 
-        # forced twist: exp(2φ_ii) = 1, exp(2φ_{ii'}) = 1, exp(2φ_ij) = a_ij^{-1};
-        # skew-symmetry fixes the rest (consistent because a_ij a_ji = 1)
-        def exp_phi(i, j):
-            if j == i or j == pr(i):
-                return ring.one
-            return _to_quarter_ring(tab.a(i, j).inv(), ring).sqrt_monomial()
+        def u(k: int) -> tuple:
+            a, b = divmod(k, N)
+            return ((unknown[a, b], 1),) if a < b else ((unknown[b, a], -1),) if a > b else ()
 
-        rows = {}
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                idx = (i - 1) * N + (j - 1)
-                rows[idx] = {idx: exp_phi(i, j)}
-        f_inv = SMatrix(ring, N * N, N * N, rows).diagonal_inv()
-        diff = r_two - f_inv @ r_one @ f_inv
-
-        w = ""
-        last_family = []
-        for ii, row in diff.rows.items():
-            p, q = ii // N + 1, ii % N + 1  # output pair (v_p ⊗ v_q)
-            for jj, val in row.items():
-                p2, q2 = jj // N + 1, jj % N + 1  # input pair
-                if p == pr(q) and p2 == pr(q2) and q < q2 and q2 != pr(q):
-                    last_family.append(((ii, jj), val))
-                    continue  # the E_{i'j'} ⊗ E_{ij} family, allowed to differ
-                w = w or f"unexpected residual at (({p},{q}),({p2},{q2}))"
-        # the five constrained families matched; the last family must not
-        if not last_family:
-            w = w or "twist unexpectedly matches in type B"
-        it.ok = not w
-        if not w:
-            (ii, jj), val = last_family[0]
-            w = f"nonzero residual at entry ({ii},{jj}): {val}"
-        it.witness = w
+        entries = sorted({(k, l) for m in (r_two, r_one) for k, row in m.rows.items() for l in row})
+        solved = [(k, l) for k, l in entries if not (obstructed and obstructed(k, l))]
+        triples = [(u(k) + u(l), r_two.get(k, l), r_one.get(k, l)) for k, l in solved]
+        try:
+            exps, free = monomial_gauge(triples, len(unknown), ("w",))
+        except Inconsistent as exc:
+            (k, l), (_, value, partner) = solved[exc.args[0]], triples[exc.args[0]]
+            where = f"row {basis_vector(k, N, 2)}, column {basis_vector(l, N, 2)}"
+            it.witness = f"{where}: R {value} vs R₁ {partner} admit no skew twist"
+        else:
+            if free:
+                it.witness = f"the skew twist is not unique: {free} free unknown(s)"
+            elif obstructed:
+                it.witness = "twist unexpectedly matches in type B"
+                for k, l in filter(lambda kl: obstructed(*kl), entries):
+                    twist = ring.mono(w=-sum(c * exps[x][0] for x, c in u(k) + u(l)))
+                    val = r_two.get(k, l) - r_one.get(k, l) * twist
+                    if not val.is_zero():
+                        it.ok, it.witness = True, f"nonzero residual at entry ({k},{l}): {val}"
+                        break
     return out
 
 

@@ -18,8 +18,8 @@ from math import isqrt, lcm
 from typing import Callable, Iterator, Sequence
 
 from .matrices import PairAction, SMatrix, scalar_of
-from .rootdata import _solve_exact
-from .scalars import Scalar, _pack_exps, _pquotient_exp, _pshift, _unpack_exps
+from .gauge import Inconsistent, monomial_gauge
+from .scalars import Scalar, _pshift
 
 
 @dataclass
@@ -230,62 +230,28 @@ def transpose_reflection(ops: Sequence[SMatrix], flip: bool = False) -> list[Sca
     V's basis (v_a ↦ v_{N+1−a}) and G = D⊗D; None when there is none.
 
     Entrywise, with σ = Π (or P·Π) as a permutation of V ⊗ V, the identity
-    reads M[σl, σk] = M[k, l]·G(k)/G(l) for every (k, l).  So every stored
-    entry needs a stored partner at (σl, σk) that is the entry times an
-    r,s-monomial, whose exponent is that of G(k)/G(l): one linear equation
-    in the exponents of D.  Entries that give the same equation are one
-    row; D is solved from the distinct rows by elimination over ℚ, and every
-    row, so every stored entry, is checked against the solution."""
-    m0 = ops[0]
-    ring, N = m0.ring, isqrt(m0.nrows)
-    ir, i_s = ring.index["r"], ring.index["s"]
-    one_den = ring._one_den
+    reads M[σl, σk] = M[k, l]·G(k)/G(l) for every (k, l): a monomial gauge
+    (``gauge.monomial_gauge``) in the exponents of D, one triple per stored
+    entry, whose linear form is that of G(k)/G(l) in the digits of k and l."""
+    ring, N = ops[0].ring, isqrt(ops[0].nrows)
 
     def sigma(k: int) -> int:
         a, b = divmod(k, N)
         return (N - 1 - b) * N + N - 1 - a if flip else (N - 1 - a) * N + N - 1 - b
 
-    equations: dict[tuple, tuple[int, int]] = {}  # distinct row -> (r, s) exponents of G(k)/G(l)
+    triples = []
     for m in ops:
-        rows = m.rows
-        for k, row in rows.items():
+        for k, row in m.rows.items():
             sk = sigma(k)
             for l, v in row.items():
-                sl = sigma(l)
-                w = rows.get(sl, {}).get(sk)
-                if w is None:
-                    return None
-                if (sl, sk) < (k, l):
-                    continue  # the pair was or will be read from its partner
-                if v._den is not one_den or w._den is not one_den:
-                    return None
-                q = _pquotient_exp(w._num, v._num)
-                if q is None:
-                    return None
-                e = _unpack_exps(q, ring.nvars)
-                if any(x for t, x in enumerate(e) if t not in (ir, i_s)):
-                    return None
-                # and, read from the partner, G(σl)/G(σk) = G(l)/G(k)
-                for (kk, ll), sign in (((k, l), 1), ((sl, sk), -1)):
-                    coeff: dict[int, int] = {}
-                    for digit, c in ((kk // N, 1), (kk % N, 1), (ll // N, -1), (ll % N, -1)):
-                        coeff[digit] = coeff.get(digit, 0) + c
-                    key = tuple(sorted((digit, c) for digit, c in coeff.items() if c))
-                    if equations.setdefault(key, (sign * e[ir], sign * e[i_s])) != (sign * e[ir], sign * e[i_s]):
-                        return None
-    solved = _solve_exact([dict(key) for key in equations], list(equations.values()), N)
-    if solved is None or any(Fraction(x).denominator != 1 for pair in solved for x in pair):
+                form = ((k // N, 1), (k % N, 1), (l // N, -1), (l % N, -1))
+                triples.append((form, v, m.get(sigma(l), sk)))
+    try:
+        exps, _ = monomial_gauge(triples, N, ("r", "s"))
+    except Inconsistent:
         return None
-    exps = [(int(er), int(es)) for er, es in solved]
-    for key, rhs in equations.items():
-        if tuple(sum(c * exps[a][t] for a, c in key) for t in (0, 1)) != rhs:
-            return None
-    out = []
-    for er, es in exps:
-        vec = [0] * ring.nvars
-        vec[ir], vec[i_s] = er, es
-        out.append(Scalar(ring, {_pack_exps(vec): 1}, one_den, _raw=True))
-    return out
+    # the exponents are in the internal half units of r and s
+    return [ring.mono(r=Fraction(er, 2), s=Fraction(es, 2)) for er, es in exps]
 
 
 def _weight_codes(weights: Sequence[tuple]) -> list[int]:

@@ -210,13 +210,6 @@ def theta_nilpotent(rvm: RootVectorMatrices, gamma, pairing_fn) -> SMatrix:
     return acc
 
 
-def local_theta_factor(rvm: RootVectorMatrices, gamma, pairing_fn) -> SMatrix:
-    """Θ_γ = Σ_m (f_γ^m, e_γ^m)^{-1} ρ(f_γ)^m ⊗ ρ(e_γ)^m, truncated at matrix
-    nilpotency: the identity plus ``theta_nilpotent``."""
-    rep = rvm.rep
-    return SMatrix.identity(rep.ring, rep.N * rep.N) + theta_nilpotent(rvm, gamma, pairing_fn)
-
-
 def theta_product(
     rep: Representation,
     order: ConvexOrder,
@@ -471,8 +464,9 @@ def check_weight_preservation(rep: Representation, rhat: SMatrix) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def q_ring() -> ScalarRing:
-    return ScalarRing([Variable("q", 2)])
+def q_ring(*extra: str) -> ScalarRing:
+    """Ring in q (the image of r, with s ↦ q^{-1}) and the ``extra`` variables."""
+    return ScalarRing([Variable("q", 2), *extra])
 
 
 def one_param_r_finite(rep: Representation, ring: ScalarRing) -> SMatrix:
@@ -546,7 +540,7 @@ def specialize_and_compare(rep: Representation, rhat: SMatrix, rz: SMatrix | Non
         with out.timed("specialize-affine", family, rank) as it:
             zr = rz.ring
             rz_two = rz @ flip_map(zr, rep.N)
-            qz = ScalarRing([Variable("q", 2), "z"])
+            qz = q_ring("z")
             qhalf2 = qz.atom("q")
             rz_spec = rz_two.substituted({"r": qhalf2, "s": qhalf2.inv(), "z": qz.atom("z")}, ring=qz)
             it.witness = first_mismatch(rz_spec, one_param_r_affine_A(rank, qz), rep.N)

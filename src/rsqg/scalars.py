@@ -773,14 +773,6 @@ class Scalar:
             return self
         return _make(ring, num, den)
 
-    def z_range(self, name: str) -> tuple[int, int]:
-        """Smallest and largest exponent of the named variable in the
-        numerator ((0, 0) for 0)."""
-        if not self._num:
-            return 0, 0
-        i = self.ring.index[name]
-        return _packed_exp_ranges(self._num, i, i)[0]
-
     def __repr__(self) -> str:
         return text_form(self)
 

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from rsqg.catalogue import CaseContext
 from rsqg.lyndon import lalonde_ram
+from rsqg.matrices import SMatrix
 from rsqg.rep import build_evaluation, build_fundamental
+from rsqg.rmatrix import theta_nilpotent
 from rsqg.rootdata import build_root_system
 from rsqg.rootvec import build_root_vector_matrices
-from rsqg.scalars import rs_ring
+from rsqg.scalars import _packed_exp_ranges, rs_ring
 
 
 @lru_cache(maxsize=None)
@@ -53,6 +55,22 @@ def case(family, rank):
 
 
 DESK = [("A", 2), ("B", 2), ("C", 2), ("D", 3)]
+
+
+def local_theta_factor(rvm, gamma, pairing_fn) -> SMatrix:
+    """Θ_γ = Σ_m (f_γ^m, e_γ^m)^{-1} ρ(f_γ)^m ⊗ ρ(e_γ)^m, truncated at matrix
+    nilpotency: the identity plus ``rmatrix.theta_nilpotent``."""
+    rep = rvm.rep
+    return SMatrix.identity(rep.ring, rep.N * rep.N) + theta_nilpotent(rvm, gamma, pairing_fn)
+
+
+def z_range(v, name: str) -> tuple[int, int]:
+    """Smallest and largest exponent of the named variable in the numerator
+    of the scalar v ((0, 0) for 0)."""
+    if not v._num:
+        return 0, 0
+    i = v.ring.index[name]
+    return _packed_exp_ranges(v._num, i, i)[0]
 
 
 # -- the denominators the scalar kernel accepts ---------------------------------

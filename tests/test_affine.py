@@ -10,7 +10,7 @@ from math import isqrt
 
 import pytest
 
-from conftest import case
+from conftest import case, z_range
 from rsqg.affine import (
     affine_rhat,
     baxterize,
@@ -165,7 +165,7 @@ def _matrix_form_witness(family: str, operators: tuple) -> str:
             row = diff[0]
             return f"{where(row)}: LHS {lhs.get(row, col)} vs RHS {rhs.get(row, col)}"
         for row in rows:
-            dx, dy = lhs.get(row, col).z_range("x")[1], lhs.get(row, col).z_range("y")[1]
+            dx, dy = z_range(lhs.get(row, col), "x")[1], z_range(lhs.get(row, col), "y")[1]
             if dx > bound or dy > bound:
                 return f"{where(row)}: LHS entry of x-degree {dx} and y-degree {dy} exceeds the spectral degree bound {bound}"
     return ""

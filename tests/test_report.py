@@ -3,7 +3,7 @@ conjugation by diagonal factors on the support of the conjugated matrix and
 otherwise reports what ``first_mismatch`` of the two products reports; the
 Cartan items of the intertwining certificates form no matrix product; and
 ``transpose_reflection`` solves the gauged transpose symmetry that lets the
-V⊗³ checks compute one side."""
+V⊗³ checks compute one side, with the monomial-gauge solver of ``gauge``."""
 
 from __future__ import annotations
 
@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DESK, case
+from conftest import DESK, case, z_range
 from rsqg import affine, rmatrix
+from rsqg.gauge import Inconsistent, monomial_gauge, solve_exact
 from rsqg.matrices import SMatrix, flip_map, kron
 from rsqg.report import first_mismatch, product_mismatch, transpose_reflection
 from rsqg.scalars import rs_ring
@@ -161,7 +162,7 @@ def test_transpose_reflection_is_the_matrix_identity(family, rank):
         d = transpose_reflection(ops, flip=flip)
         ring, N = ops[0].ring, len(d)
         assert all(v.is_monomial() and v.monomial_parts()[1] == 1 for v in d)
-        assert all(v.z_range(x) == (0, 0) for v in d for x in ring.names[2:])
+        assert all(z_range(v, x) == (0, 0) for v in d for x in ring.names[2:])
         dm = SMatrix(ring, N, N, {a: {a: v} for a, v in enumerate(d)})
         g, pi, p = kron(dm, dm), _reversal(ring, N), flip_map(ring, N)
         for m in ops:
@@ -200,3 +201,38 @@ def test_one_entry_alone_breaks_the_reflection(family, rank, change):
         added = (0, 1, rhat.ring.one)
     changed = rhat + SMatrix.from_entries(rhat.ring, rhat.nrows, rhat.ncols, [added])
     assert transpose_reflection((changed,), flip=True) is None
+
+
+def test_solve_exact_returns_a_solution_and_the_rank():
+    """Free unknowns are 0, a repeated row adds no rank, and an inconsistent
+    system names the first row that contradicts the ones before it."""
+    rows = [{0: 1, 1: 1}, {0: 2, 1: 2}, {2: 3}]
+    sol, rank = solve_exact(rows, [(3, 1), (6, 2), (1, 0)], 4)
+    assert sol == [(3, 1), (0, 0), (Fraction(1, 3), 0), (0, 0)]
+    assert rank == 2
+    assert solve_exact([], [], 2) == ([(), ()], 0)
+    with pytest.raises(Inconsistent) as exc:
+        solve_exact(rows + [{2: 6}, {0: 1, 1: 1}], [(3, 1), (6, 2), (1, 0), (2, 0), (3, 0)], 4)
+    assert exc.value.args[0] == 4
+
+
+def test_monomial_gauge_names_the_first_triple_that_admits_none():
+    """Exponents in internal units (half units of r); a ratio that is not a
+    coefficient-1 monomial of the named variables, an empty form whose
+    ratio is not 1, a fractional exponent, and a form read twice with two
+    ratios each fail at that triple."""
+    r, s, one = R.atom("r"), R.atom("s"), R.one
+    x0, x1 = ((0, 1),), ((1, 1),)
+    assert monomial_gauge([(x0, one, r), (((0, 1), (1, -1)), s, s * r)], 3, ("r",)) == ([(1,), (0,), (0,)], 1)
+    for bad, at in [
+        ([(x0, one, r), (x1, one, s)], 1),  # s is not a monomial in r alone
+        ([(x0, one, r), (x1, r, 2 * r)], 1),  # coefficient 2
+        ([(x0, one, r), ((), r, r * r)], 1),  # an empty form admits only the ratio 1
+        ([(x0, one, r), (x0, one, r * r)], 1),  # the same form read twice
+        ([(x1, one, one), (((0, 2),), one, r)], 1),  # 2·x0 = 1 has no integer solution
+        ([(x0, one, r), (x1, one, r), (((0, 1), (1, -1)), one, r)], 2),  # x0 − x1 = 1 contradicts the two before it
+        ([(x0, R.zero, r)], 0),
+    ]:
+        with pytest.raises(Inconsistent) as exc:
+            monomial_gauge(bad, 2, ("r",))
+        assert exc.value.args[0] == at, bad

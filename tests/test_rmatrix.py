@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import DESK, case, order, rep, ring, rvm
+from conftest import DESK, case, local_theta_factor, order, rep, ring, rvm
 from rsqg.matrices import PairAction, SMatrix, flip_map, kron, scalar_of
 from rsqg.pairing import PairingContext
 from rsqg.report import transpose_reflection
@@ -23,7 +23,6 @@ from rsqg.rmatrix import (
     check_weight_preservation,
     eigenvalues,
     ftilde,
-    local_theta_factor,
     rbar_inverse_exchanged,
     rbar_inverse_printed,
     rhat_explicit,
