@@ -3,24 +3,26 @@
 Tensor convention: the basis vector v_i ⊗ v_j of V ⊗ V (1-indexed) is
 flattened to index (i-1)*N + j, and (X ⊗ Y)(v_a ⊗ v_b) = Xv_a ⊗ Yv_b.
 
-``SMatrix.__matmul__`` works below the Scalar interface where both factors
-of a product are Laurent polynomials (the ring's shared unit denominator):
-it adds the term products of each output entry in place into one raw term
-dict (``scalars._pmuladd``, one int add per monomial product on the packed
-exponents that Scalars store), passes a unit factor's partner through
-unmultiplied, and wraps each nonzero dict once its terms pass the range
-check, skipping ``_make`` because a sum of Laurent polynomials is canonical
-already.  This saves a Scalar, a dict and an accumulator copy per product,
-which, not the sparse structure, was most of a product's time.  A product
-with a denominator goes through Scalar arithmetic and joins its entry with
-one ``+``.
+Products run below the Scalar interface, in one kernel
+(``_combine_columns``): Σ c·v over the columns of an operator, where both
+factors of a product are Laurent polynomials (the ring's shared unit
+denominator), adds the term products of each output entry in place into one
+raw term dict (one int add per monomial product on the packed exponents
+that Scalars store) and passes a unit factor's partner through
+unmultiplied.  This saves a Scalar, a dict and an accumulator copy per
+product, which, not the sparse structure, was most of a product's time.  A
+product with a denominator goes through Scalar arithmetic and joins its
+entry with one ``+``.
 
-``mat_vec`` and ``PairAction`` (an operator on two factors of V⊗V⊗V,
-applied to one sparse vector at a time, and the only way rsqg acts on
-V⊗V⊗V) run the same loop over the operator's columns.  Their vector values
-are kernel values: a Laurent polynomial is its Scalar's own term dict, read
-with no copy, and any other value is its Scalar.  So a chain of actions
-builds no Scalar, and ``mat_vec`` wraps its results once (``scalar_of``).
+Its values are kernel values: a Laurent polynomial is its Scalar's own term
+dict, read with no copy, and any other value is its Scalar.  ``A @ B`` is
+one call over a flat index (row i of A·B is Σ_k a_ik·(row k of B), placed
+at i·ncols); ``mat_vec`` is one call over the columns of its operator, and
+``PairAction`` (an operator on two factors of V⊗V⊗V, applied to one sparse
+vector at a time, and the only way rsqg acts on V⊗V⊗V) is one call per
+vector.  A chain of actions builds no Scalar; ``A @ B`` and ``mat_vec`` wrap
+their results once (``scalar_of``), after the range check, skipping
+``_make`` because a sum of Laurent polynomials is canonical already.
 ``kron`` shares the partner of ``ring.one``; Scalars are immutable, so
 sharing is safe.
 """
@@ -159,62 +161,27 @@ class SMatrix:
         )
 
     def __matmul__(self, other: "SMatrix") -> "SMatrix":
+        """A·B in one ``_combine_columns`` call: row i of A·B is
+        Σ_k a_ik·(row k of B), placed at i·ncols on one flat index, and the
+        result is split back into rows, each Laurent entry wrapped once it
+        passes the range check."""
         _same_ring(self, other)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        ring = self.ring
-        one_den = ring._one_den
-        unit = ring.one._num
-        bias, high = ring._bias, ring._high
+        ring, width = self.ring, other.ncols
+        brows = other.rows
+        flat = _combine_columns(
+            ring,
+            ((a, i * width, brows[k].items()) for i, arow in self.rows.items() for k, a in arow.items() if k in brows),
+        )
         rows: dict[int, dict[int, Scalar]] = {}
-        orows = other.rows
-        for i, arow in self.rows.items():
-            # Laurent products accumulate in place on raw term dicts; a
-            # product with a denominator goes through Scalar arithmetic
-            acc: dict[int, dict] = {}
-            rest: dict[int, Scalar] = {}
-            multiplied = False  # a unit factor's partner is in range as it is
-            for k, a in arow.items():
-                brow = orows.get(k)
-                if not brow:
-                    continue
-                an = a._num
-                laurent_a = a._den is one_den
-                unit_a = laurent_a and an == unit
-                for j, b in brow.items():
-                    if not laurent_a or b._den is not one_den:
-                        p = a * b
-                        rest[j] = rest[j] + p if j in rest else p
-                        continue
-                    t = acc.get(j)
-                    if t is None:
-                        t = acc[j] = {}
-                    bn = b._num
-                    if unit_a:
-                        _paddto(t, bn)
-                    elif bn == unit:
-                        _paddto(t, an)
-                    else:
-                        _pmuladd(t, an, bn)
-                        multiplied = True
-            row = {}
-            for j, t in acc.items():
-                if t:
-                    if multiplied:
-                        for e in t:  # scalars._check, inlined; it raises
-                            if (e + bias | bias - e) & high:
-                                _check(t, ring)
-                    row[j] = Scalar(ring, t, one_den, _raw=True)
-            for j, v in rest.items():
-                if j in row:
-                    v = row[j] + v
-                if v.is_zero():
-                    row.pop(j, None)
-                else:
-                    row[j] = v
-            if row:
-                rows[i] = row
-        return SMatrix(ring, self.nrows, other.ncols, rows)
+        for ij, x in flat.items():
+            i, j = divmod(ij, width)
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = {}
+            row[j] = scalar_of(ring, x)
+        return SMatrix(ring, self.nrows, width, rows)
 
     # -- structure -----------------------------------------------------------
 
@@ -332,16 +299,18 @@ def _columns(a: SMatrix) -> dict[int, list[tuple[int, object]]]:
     return cols
 
 
-def _combine_columns(ring: ScalarRing, parts: Iterable[tuple[object, int, list]]) -> dict[int, object]:
+def _combine_columns(ring: ScalarRing, parts: Iterable[tuple[object, int, Iterable]]) -> dict[int, object]:
     """Σ c·v placed at index base + offset, over (v, base, column) in
     ``parts`` and (offset, c) in each column: the sparse vector of a mat-vec,
-    zero entries dropped.  Column entries are kernel values, and so is every
-    result; v may also be a Scalar.  Laurent products accumulate in place on
-    raw term dicts (``_pmuladd``, one int add per monomial product), a unit
-    factor passes its partner's terms through, and a product with a
-    denominator goes through Scalar arithmetic and is read back as its term
-    dict if its entry ends up Laurent.  So each value has one form, and
-    ``==`` on two results is value equality.
+    zero entries dropped.  v and the column entries are kernel values or
+    Scalars (a Laurent Scalar is read as its term dict, so a row of an
+    ``SMatrix`` is a column as it is), and every result is a kernel value.
+    Laurent products accumulate in place on raw term dicts (``_pmuladd``,
+    one int add per monomial product), a unit factor passes its partner's
+    terms through, and a product with a denominator goes through Scalar
+    arithmetic and is read back as its term dict if its entry ends up
+    Laurent.  So each value has one form, and ``==`` on two results is value
+    equality.
 
     A result is not range-checked until it becomes a Scalar (``scalar_of``):
     each of its exponents is a sum of one exponent per action it went
@@ -359,9 +328,12 @@ def _combine_columns(ring: ScalarRing, parts: Iterable[tuple[object, int, list]]
         for off, c in column:
             i = base + off
             if not laurent_v or type(c) is not dict:
-                p = scalar_of(ring, c) * scalar_of(ring, v)
-                rest[i] = rest[i] + p if i in rest else p
-                continue
+                if laurent_v and c._den is one_den:
+                    c = c._num
+                else:
+                    p = scalar_of(ring, c) * scalar_of(ring, v)
+                    rest[i] = rest[i] + p if i in rest else p
+                    continue
             t = acc.get(i)
             if t is None:
                 t = acc[i] = {}

@@ -61,13 +61,13 @@ class RootSystem:
         self.N = {"A": n + 1, "B": 2 * n + 1, "C": 2 * n, "D": 2 * n}[family]
 
         self.simple_eps = self._build_simple_eps()
-        self.d = tuple(self._eps_inner(a, a) / 2 for a in self.simple_eps)
+        self.d = tuple(self.eps_inner(a, a) / 2 for a in self.simple_eps)
         if any(x.denominator != 1 for x in self.d):
             raise AssertionError("non-integer symmetrizer")
         self.d = tuple(int(x) for x in self.d)
         self.cartan = tuple(
             tuple(
-                int(2 * self._eps_inner(self.simple_eps[i], self.simple_eps[j]) / self._eps_inner(self.simple_eps[i], self.simple_eps[i]))
+                int(2 * self.eps_inner(self.simple_eps[i], self.simple_eps[j]) / self.eps_inner(self.simple_eps[i], self.simple_eps[i]))
                 for j in range(n)
             )
             for i in range(n)
@@ -199,12 +199,9 @@ class RootSystem:
             raise ValueError(f"{eps} is not in the span of the simple roots") from None
         return tuple(Fraction(x) for (x,) in sol)
 
-    def _eps_inner(self, x, y) -> Fraction:
-        return self.eps_gram * sum((Fraction(a) * b for a, b in zip(x, y)), Fraction(0))
-
     def eps_inner(self, x, y) -> Fraction:
         """The invariant symmetric form on ε-coordinate vectors."""
-        return self._eps_inner(x, y)
+        return self.eps_gram * sum((Fraction(a) * b for a, b in zip(x, y)), Fraction(0))
 
     def sym_form(self, a, b) -> Fraction:
         """(·,·) on simple-root coordinate vectors."""
@@ -267,28 +264,30 @@ def omega_pairing(rs: RootSystem, ring: ScalarRing, lam, mu) -> Scalar:
     )
 
 
+def _eps_unit(rs: RootSystem, k: int, sign: int = 1) -> tuple[Fraction, ...]:
+    """±ε_k (1-indexed) in ε-coordinates."""
+    return tuple(Fraction(sign) if t == k - 1 else Fraction(0) for t in range(rs.eps_dim))
+
+
 def omega_on_weight(rs: RootSystem, ring: ScalarRing, lam_eps, i: int) -> Scalar:
     """(ω'_λ, ω_i) for a weight λ in ε-coordinates; this is the ω_i-eigenvalue
     on a weight-λ vector."""
     n, fam = rs.n, rs.family
     ip = rs.eps_inner
 
-    def eps_basis(k):
-        return tuple(Fraction(1) if t == k - 1 else Fraction(0) for t in range(rs.eps_dim))
-
     if fam == "A" or i < n:
-        return ring.mono(r=ip(eps_basis(i), lam_eps), s=ip(eps_basis(i + 1), lam_eps))
+        return ring.mono(r=ip(_eps_unit(rs, i), lam_eps), s=ip(_eps_unit(rs, i + 1), lam_eps))
     lam_alpha = rs.eps_to_alpha(lam_eps)
     if fam == "B":
         ln = lam_alpha[n - 1]
-        return ring.mono(r=ip(eps_basis(n), lam_eps) - ln, s=-ln)
+        return ring.mono(r=ip(_eps_unit(rs, n), lam_eps) - ln, s=-ln)
     if fam == "C":
         ln = lam_alpha[n - 1]
-        return ring.mono(r=2 * ip(eps_basis(n), lam_eps) - 2 * ln, s=-2 * ln)
+        return ring.mono(r=2 * ip(_eps_unit(rs, n), lam_eps) - 2 * ln, s=-2 * ln)
     ln = lam_alpha[n - 2]
     return ring.mono(
-        r=ip(eps_basis(n - 1), lam_eps) - 2 * ln,
-        s=-ip(eps_basis(n), lam_eps) - 2 * ln,
+        r=ip(_eps_unit(rs, n - 1), lam_eps) - 2 * ln,
+        s=-ip(_eps_unit(rs, n), lam_eps) - 2 * ln,
     )
 
 
@@ -297,22 +296,19 @@ def omega_prime_on_weight(rs: RootSystem, ring: ScalarRing, i: int, lam_eps) -> 
     n, fam = rs.n, rs.family
     ip = rs.eps_inner
 
-    def eps_basis(k):
-        return tuple(Fraction(1) if t == k - 1 else Fraction(0) for t in range(rs.eps_dim))
-
     if fam == "A" or i < n:
-        return ring.mono(r=-ip(eps_basis(i + 1), lam_eps), s=-ip(eps_basis(i), lam_eps))
+        return ring.mono(r=-ip(_eps_unit(rs, i + 1), lam_eps), s=-ip(_eps_unit(rs, i), lam_eps))
     lam_alpha = rs.eps_to_alpha(lam_eps)
     if fam == "B":
         ln = lam_alpha[n - 1]
-        return ring.mono(r=ln, s=-ip(eps_basis(n), lam_eps) + ln)
+        return ring.mono(r=ln, s=-ip(_eps_unit(rs, n), lam_eps) + ln)
     if fam == "C":
         ln = lam_alpha[n - 1]
-        return ring.mono(r=2 * ln, s=-2 * ip(eps_basis(n), lam_eps) + 2 * ln)
+        return ring.mono(r=2 * ln, s=-2 * ip(_eps_unit(rs, n), lam_eps) + 2 * ln)
     ln = lam_alpha[n - 2]
     return ring.mono(
-        r=ip(eps_basis(n), lam_eps) + 2 * ln,
-        s=-ip(eps_basis(n - 1), lam_eps) + 2 * ln,
+        r=ip(_eps_unit(rs, n), lam_eps) + 2 * ln,
+        s=-ip(_eps_unit(rs, n - 1), lam_eps) + 2 * ln,
     )
 
 
@@ -453,21 +449,16 @@ def affine_data(rs: RootSystem, ring: ScalarRing) -> AffineData:
 
 def fundamental_weights(rs: RootSystem) -> list[tuple[Fraction, ...]]:
     """ε-coordinate weight of each basis vector v_1 .. v_N."""
-    dim = rs.eps_dim
-
-    def e(k, sign=1):
-        return tuple(Fraction(sign) if t == k - 1 else Fraction(0) for t in range(dim))
-
-    zero = tuple(Fraction(0) for _ in range(dim))
+    zero = tuple(Fraction(0) for _ in range(rs.eps_dim))
     fam, n, N = rs.family, rs.n, rs.N
     if fam == "A":
-        return [e(i) for i in range(1, N + 1)]
+        return [_eps_unit(rs, i) for i in range(1, N + 1)]
     out = []
     for k in range(1, N + 1):
         if k <= n:
-            out.append(e(k))
+            out.append(_eps_unit(rs, k))
         elif fam == "B" and k == n + 1:
             out.append(zero)
         else:
-            out.append(e(N + 1 - k, -1))
+            out.append(_eps_unit(rs, N + 1 - k, -1))
     return out

@@ -43,13 +43,12 @@ numerator and monic denominator stay coprime and its denominator is kept as
 it is.  All Laurent polynomials of a ring share the ring's one
 unit-denominator dict, which is how these paths recognise them.
 
-Two more skip it.  ``substitute`` maps each term of a Laurent polynomial
-to one term when every image is a monomial or zero (r^(1/2) ↦ w q^(1/2),
-r^(1/2) ↦ q^(1/2), z ↦ 1, z ↦ 0), so only a value with a denominator is
-canonicalized; polynomial images are raised to powers and summed.  The
-(r,s)-combinatorics (``rs_integer``, ``q_integer``, their factorials and
-Gaussian binomials) are Laurent polynomials, built from closed forms, products
-and Pascal rules with no division.  They, ``rootdata.omega_pairing`` and
+Two more skip it.  ``substitute`` takes only monomial and zero images
+(r^(1/2) ↦ w q^(1/2), r^(1/2) ↦ q^(1/2), z ↦ 1, z ↦ 0), so each term of a
+Laurent polynomial maps to one term and only a value with a denominator is
+canonicalized.  The (r,s)-combinatorics (``rs_integer``, ``q_integer``,
+their factorials and Gaussian binomials) are Laurent polynomials, built from
+closed forms, products and Pascal rules with no division.  They, ``rootdata.omega_pairing`` and
 the t_i and a_ij monomials of ``rmatrix.CoefficientTables`` are each built
 once per process and per ring variable set, on first use (nothing is
 computed at import), in one module-level memo of raw term dicts (``_MEMO``).
@@ -57,16 +56,15 @@ A value is handed out bound to the caller's ring object, on that ring's
 shared unit denominator, and its term dict is shared and never changed, like
 every Scalar's.
 
-Sparse matrix products and mat-vecs skip it too
-(``matrices.SMatrix.__matmul__`` and ``matrices._combine_columns``).  Each
-output entry sums its Laurent products in place on one raw term dict, with
-``_paddto`` and the term-pair product loop ``_pmuladd``; a unit factor
-passes the other factor's terms through, with no exponent adds.  A sum of
-Laurent polynomials is canonical, so the nonzero dict becomes a Scalar as it
-is once its terms pass the range check.  That saves a Scalar, a dict and an
-accumulator copy per product, which is where matmul time went.
-``_pmuladd`` is the one term-pair product loop: Scalar products, powers,
-matrix products, mat-vecs and exact division all run it.
+Sparse matrix products and mat-vecs skip it too: they run one kernel,
+``matrices._combine_columns``.  Each output entry sums its Laurent products
+in place on one raw term dict, with ``_paddto`` and the term-pair product
+loop ``_pmuladd``; a unit factor passes the other factor's terms through,
+with no exponent adds.  A sum of Laurent polynomials is canonical, so the
+nonzero dict becomes a Scalar as it is once its terms pass the range check.
+That saves a Scalar, a dict and an accumulator copy per product, which is
+where matmul time went.  ``_pmuladd`` is the one term-pair product loop:
+Scalar products, powers, the sparse kernel and exact division all run it.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -798,60 +796,33 @@ def substitute(
     (r ↦ binding means the image of r^(1/2) when r has granularity 2) to the
     given Scalar; unbound variables map to themselves in the target ring.
 
-    When every image is a monomial or zero, each term maps to one term
-    (``_substitute_terms``), and only a value with a denominator is
-    canonicalized; a polynomial image is raised to powers and summed.
+    Every image must be a monomial or zero, so each term maps to one term
+    (``_substitute_terms``) and only a value with a denominator is
+    canonicalized.  Any other image raises ValueError naming its variable.
 
     Substituting zero into a variable that occurs with a negative exponent
     raises ZeroDivisionError; an image exponent out of the packed range
     raises ValueError.
     """
     target = ring if ring is not None else x.ring
-    images: list[Scalar] = []
+    monos = []
     for v in x.ring.variables:
-        if v.name in bindings:
-            img = bindings[v.name]
-            if img.ring != target:
-                raise ValueError(f"binding for {v.name} lives in the wrong ring")
-            images.append(img)
-        else:
-            images.append(target.atom(v.name))
-
-    if all(img.is_zero() or img.is_monomial() for img in images):
-        monos = [img.monomial_parts() if img._num else None for img in images]
-        num = _substitute_terms(x._num, monos, x.ring, target)
-        if x.den_is_one():
-            return Scalar(target, num, target._one_den, _raw=True) if num else target.zero
-        den = _substitute_terms(x._den, monos, x.ring, target)
-        if not den:
-            raise ZeroDivisionError("scalar division by zero")
-        return _make(target, num, den)
-
-    powcache: list[dict[int, Scalar]] = [dict() for _ in range(x.ring.nvars)]
-
-    def image_pow(i: int, e: int) -> Scalar:
-        cache = powcache[i]
-        if e not in cache:
-            if e < 0 and images[i].is_zero():
-                raise ZeroDivisionError(
-                    f"substituting zero into negative power of {x.ring.names[i]}"
-                )
-            cache[e] = images[i] ** e
-        return cache[e]
-
-    def eval_terms(terms: dict) -> Scalar:
-        acc = target.zero
-        for e, c in terms.items():
-            t = target.num(c)
-            for i, k in enumerate(_unpack_exps(e, x.ring.nvars)):
-                if k:
-                    t = t * image_pow(i, k)
-            acc = acc + t
-        return acc
-
-    evn = eval_terms(x._num)
-    evd = eval_terms(x._den)
-    return evn / evd
+        if v.name not in bindings:
+            monos.append(target.atom(v.name).monomial_parts())
+            continue
+        img = bindings[v.name]
+        if img.ring != target:
+            raise ValueError(f"binding for {v.name} lives in the wrong ring")
+        if not (img.is_zero() or img.is_monomial()):
+            raise ValueError(f"the image of {v.name} is neither a monomial nor zero: {img}")
+        monos.append(img.monomial_parts() if img._num else None)
+    num = _substitute_terms(x._num, monos, x.ring, target)
+    if x.den_is_one():
+        return Scalar(target, num, target._one_den, _raw=True) if num else target.zero
+    den = _substitute_terms(x._den, monos, x.ring, target)
+    if not den:
+        raise ZeroDivisionError("scalar division by zero")
+    return _make(target, num, den)
 
 
 def _substitute_terms(terms: dict, monos: list, source: ScalarRing, target: ScalarRing) -> dict:

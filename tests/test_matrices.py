@@ -3,6 +3,8 @@ kernel against entrywise Scalar arithmetic."""
 
 from __future__ import annotations
 
+import ast
+import inspect
 from fractions import Fraction
 from math import isqrt
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import denominators
+from rsqg import matrices
 from rsqg.matrices import PairAction, SMatrix, _combine_columns, flip_map, kron, mat_vec, scalar_of
 from rsqg.scalars import rs_ring
 
@@ -243,6 +246,31 @@ def test_unit_factor_passes_the_other_coefficients_through(R, unit):
     assert (left @ right).rows == {0: {0: p, 1: q + p}}
     assert kron(SMatrix.identity(R, 1), left).rows == left.rows
     assert kron(left, SMatrix.identity(R, 1)).rows == left.rows
+
+
+def test_one_sparse_product_kernel(R, monkeypatch):
+    """``A @ B`` and ``mat_vec`` are each one ``_combine_columns`` call, an
+    empty product included, and ``matrices`` names ``_pmuladd`` and
+    ``_paddto`` nowhere else."""
+    calls = []
+    kernel = matrices._combine_columns
+    monkeypatch.setattr(matrices, "_combine_columns", lambda *args: calls.append(1) or kernel(*args))
+    r, s = R.mono(r=1), R.mono(s=1)
+    a = SMatrix.from_entries(R, 2, 3, [(0, 0, r), (0, 2, r + s), (1, 1, R.one), (1, 2, s / (r - s))])
+    b = SMatrix.from_entries(R, 3, 2, [(0, 1, s), (1, 0, r * r), (2, 0, R.one), (2, 1, r - s)])
+    for x, y in ((a, b), (SMatrix.zero(R, 2, 3), b), (a, SMatrix.zero(R, 3, 2))):
+        calls.clear()
+        x @ y
+        assert len(calls) == 1
+    calls.clear()
+    mat_vec(a, {0: r, 2: s})
+    assert len(calls) == 1
+
+    tree = ast.parse(inspect.getsource(matrices))
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name != "_combine_columns":
+            names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+            assert not names & {"_pmuladd", "_paddto"}, fn.name
 
 
 # -- mat-vec and the action on two of three factors ------------------------------
