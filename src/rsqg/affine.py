@@ -388,8 +388,9 @@ def check_unit_point(rep: Representation, rz: SMatrix) -> Report:
     return out
 
 
-def run_affine_checks(family: str, rank: int, checks: list[str]) -> Report:
-    """The named affine checks of the catalogue, over one shared case context."""
-    from .catalogue import run_group
+def run_affine_checks(family: str, rank: int, checks: list[str], ctx=None) -> Report:
+    """The named affine checks of the catalogue, over ``ctx``, the case's
+    shared context, or a fresh one."""
+    from .catalogue import CaseContext, run_group
 
-    return run_group("affine", family, rank, checks)
+    return run_group("affine", ctx if ctx is not None else CaseContext(family, rank), checks)

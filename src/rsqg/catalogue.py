@@ -14,11 +14,9 @@ wrapper installed on a module attribute sees every call.
 from __future__ import annotations
 
 import traceback
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import affine, embed, lyndon, pairing, rmatrix, rootvec
 from . import rep as rep_module
@@ -195,34 +193,17 @@ def select(group: str, family: str, rank: int, wanted: list[str]) -> list[Check]
     return [c for c in entries.values() if c.name in wanted]
 
 
-_open_case: ContextVar[CaseContext | None] = ContextVar("open_case", default=None)
-
-
-@contextmanager
-def open_case(family: str, rank: int) -> Iterator[CaseContext]:
-    """Share one CaseContext among the ``run_group`` calls for this case made
-    inside the block; it is dropped when the block ends."""
-    token = _open_case.set(CaseContext(family, rank))
-    try:
-        yield _open_case.get()
-    finally:
-        _open_case.reset(token)
-
-
-def run_group(group: str, family: str, rank: int, wanted: list[str]) -> Report:
-    """Run the named checks of one group.  Each check is charged for the
-    shared operators it is the first to use.  A check that raises is recorded
-    as a failure with the exception as its witness, and its traceback goes to
-    standard error."""
-    entries = select(group, family, rank, wanted)
-    ctx = _open_case.get()
-    if ctx is None or (ctx.family, ctx.rank) != (family, rank):
-        ctx = CaseContext(family, rank)
+def run_group(group: str, ctx: CaseContext, wanted: list[str]) -> Report:
+    """Run the named checks of one group over the case context ``ctx``.
+    Each check is charged for the shared operators it is the first to use.
+    A check that raises is recorded as a failure with the exception as its
+    witness, and its traceback goes to standard error."""
+    entries = select(group, ctx.family, ctx.rank, wanted)
     out = Report()
     for entry in entries:
         try:
             out = out.merged(charged(entry.run, ctx))
         except Exception as exc:
             traceback.print_exc()
-            out.fault(entry.item or entry.name, family, rank, exc)
+            out.fault(entry.item or entry.name, ctx.family, ctx.rank, exc)
     return out

@@ -12,7 +12,7 @@ import os
 import sys
 
 from .affine import build_affine_rhat, run_affine_checks
-from .catalogue import GROUPS, default_checks, names, open_case, run_group, select
+from .catalogue import GROUPS, CaseContext, default_checks, names, run_group, select
 from .embed import run_embed_checks
 from .lyndon import is_convex, lalonde_ram, minimal_pair
 from .matrices import matrix_to_json
@@ -151,21 +151,22 @@ def cmd_rmatrix_build(args) -> int:
     return 0
 
 
-def cmd_rmatrix_verify(args) -> int:
-    return _finish(run_rmatrix_checks(args.family, args.rank, args.checks))
-
-
 def cmd_affine_build(args) -> int:
     _write_json(matrix_to_json(build_affine_rhat(args.family, args.rank)), args.out)
     return 0
 
 
-def cmd_affine_verify(args) -> int:
-    return _finish(run_affine_checks(args.family, args.rank, args.checks))
+def _run_checks(group: str, ctx: CaseContext, checks: list[str]) -> Report:
+    """The named checks of ``group`` over the case context ``ctx``, through
+    the group's module driver where it has one."""
+    drivers = {"rmatrix": run_rmatrix_checks, "affine": run_affine_checks, "embed": run_embed_checks}
+    driver = drivers.get(group)
+    return driver(ctx.family, ctx.rank, checks, ctx) if driver else run_group(group, ctx, checks)
 
 
-def cmd_embed_verify(args) -> int:
-    return _finish(run_embed_checks(args.family, args.rank, args.checks))
+def cmd_verify(args) -> int:
+    """``rmatrix verify``, ``affine verify`` and ``embed verify``."""
+    return _finish(_run_checks(args.group, CaseContext(args.family, args.rank), args.checks))
 
 
 def _finish(rep: Report) -> int:
@@ -192,14 +193,12 @@ def _certify_one(case: tuple[str, int, bool]) -> Report:
     """Every catalogue check that applies to one case, over one shared case
     context; each group runs through its module's driver where it has one."""
     fam, rank, long_mode = case
-    drivers = {"rmatrix": run_rmatrix_checks, "affine": run_affine_checks, "embed": run_embed_checks}
+    ctx = CaseContext(fam, rank)
     out = Report()
-    with open_case(fam, rank):
-        for group in GROUPS:
-            checks = default_checks(group, fam, rank, long_mode)
-            if checks:
-                driver = drivers.get(group)
-                out = out.merged(driver(fam, rank, checks) if driver else run_group(group, fam, rank, checks))
+    for group in GROUPS:
+        checks = default_checks(group, fam, rank, long_mode)
+        if checks:
+            out = out.merged(_run_checks(group, ctx, checks))
     return out
 
 
@@ -321,7 +320,7 @@ def make_parser() -> argparse.ArgumentParser:
     d = ssub.add_parser("verify")
     _add_family_rank(d)
     _add_checks(d, "rmatrix")
-    d.set_defaults(fn=cmd_rmatrix_verify)
+    d.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("affine", help="spectral R-matrices")
     ssub = p.add_subparsers(dest="sub", required=True)
@@ -332,14 +331,14 @@ def make_parser() -> argparse.ArgumentParser:
     d = ssub.add_parser("verify")
     _add_family_rank(d)
     _add_checks(d, "affine")
-    d.set_defaults(fn=cmd_affine_verify)
+    d.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("embed", help="one-parameter subalgebra and twists")
     ssub = p.add_subparsers(dest="sub", required=True)
     d = ssub.add_parser("verify")
     _add_family_rank(d)
     _add_checks(d, "embed")
-    d.set_defaults(fn=cmd_embed_verify)
+    d.set_defaults(fn=cmd_verify)
 
     d = sub.add_parser("certify-all", help="run the full certificate suite")
     d.add_argument("--max-rank", type=int, default=3)

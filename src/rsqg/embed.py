@@ -1,27 +1,34 @@
 """One-parameter structures inside the two-parameter quantum group, as
 executable certificates on the fundamental modules.
 
-The modified generators ẽ_i = e_i ω_i^{-1/2}, f̃_i = s_i f_i (ω'_i)^{-1/2},
-ω̃_i = ω_i^{1/2} (ω'_i)^{-1/2} satisfy the standard one-parameter relations
-at q = r^{1/2} s^{-1/2}, and the rescaled root vectors match the q-bracketed
-ones through per-root monomials κ_γ.  The skew diagonal twist relating R to
-its one-parameter specialization is solved (``gauge``) and must be unique:
-it holds in type A; in type B, solved off E_{i'j'} ⊗ E_{ij}, it fails there.
+U_q is the case of U_{r,s} where the pairing Ω becomes the symmetric
+q^{(α_i,α_j)}, q = r^{1/2} s^{-1/2}, and this module runs the two-parameter
+code at that pairing rather than a copy of it.  The modified generators
+ẽ_i = e_i ω_i^{-1/2}, f̃_i = s_i f_i (ω'_i)^{-1/2}, ω̃_i = ω_i^{1/2} (ω'_i)^{-1/2}
+form a module (``modified_generators``) on which the relation checks of
+``rep`` certify the standard one-parameter relations: Cartan conjugations,
+the commutator with gap q_i - q_i^{-1}, and the Serre sums with
+coefficients [m k]_{q_i} on V and on V⊗V.  The root vectors bracketed by
+``lyndon.bracket_tower`` at the pairing q^{(λ,μ)} match the rescaled
+two-parameter ones through per-root monomials κ_γ.  The skew diagonal twist
+relating R to its one-parameter specialization is solved (``gauge``) and
+must be unique: it holds in type A; in type B, solved off
+E_{i'j'} ⊗ E_{ij}, it fails there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from itertools import combinations
 
 from .affine import one_param_r_affine_A
 from .gauge import Inconsistent, monomial_gauge
-from .lyndon import ConvexOrder, minimal_pair
+from .lyndon import ConvexOrder, bracket_tower, minimal_pair
 from .matrices import SMatrix, flip_map
-from .rep import Representation, serre_sum, tensor_square
-from .report import Report, basis_vector, first_mismatch, product_mismatch
-from .rootdata import Root, omega_pairing
+from .rep import Representation, _cartan_commute, _cartan_conj, _ef_commutator, _serre, tensor_square
+from .report import Report, basis_vector, first_mismatch
+from .rootdata import Root, RootSystem, omega_pairing
 from .rootvec import RootVectorMatrices
 from .scalars import (
     Scalar,
@@ -33,86 +40,64 @@ from .scalars import (
 )
 
 
-@dataclass
-class ModifiedGenerators:
-    rep: Representation
-    e: dict[int, SMatrix]
-    f: dict[int, SMatrix]
-    omega: dict[int, SMatrix]  # ω̃_i, diagonal
-
-
-def modified_generators(rep: Representation) -> ModifiedGenerators:
-    """ẽ_i = e_i ω_i^{-1/2}, f̃_i = s_i f_i (ω'_i)^{-1/2},
-    ω̃_i = ω_i^{1/2}(ω'_i)^{-1/2}; the diagonal square roots exist in the
-    half-power ring because every ω-eigenvalue is a monomial with integer
-    r, s exponents."""
+def modified_generators(rep: Representation) -> Representation:
+    """The module ``rep`` on the modified generators ẽ_i = e_i ω_i^{-1/2},
+    f̃_i = s_i f_i (ω'_i)^{-1/2} and ω̃_i = ω_i^{1/2}(ω'_i)^{-1/2}, with ω̃_i^{-1}
+    in place of ω'_i: a module of U_q at q = r^{1/2} s^{-1/2} in the
+    presentation that the relation checks of ``rep`` read.  The diagonal
+    square roots exist in the half-power ring because every ω-eigenvalue is
+    a monomial with integer r, s exponents."""
     ring = rep.ring
-    e, f, om = {}, {}, {}
-    for i in range(1, rep.n + 1):
-        om_half_inv = rep.omega[i].diagonal_sqrt().diagonal_inv()
+    e, f, om, om_inv = {}, {}, {}, {}
+    for i in rep.e:
+        om_half = rep.omega[i].diagonal_sqrt()
         omp_half_inv = rep.omega_prime[i].diagonal_sqrt().diagonal_inv()
-        e[i] = rep.e[i] @ om_half_inv
+        e[i] = rep.e[i] @ om_half.diagonal_inv()
         f[i] = (rep.f[i] @ omp_half_inv).scale(ring.mono(s=rep.rs.d[i - 1]))
-        om[i] = rep.omega[i].diagonal_sqrt() @ omp_half_inv
-    return ModifiedGenerators(rep, e, f, om)
+        om[i] = om_half @ omp_half_inv
+        om_inv[i] = om[i].diagonal_inv()
+    return Representation(rep.rs, ring, rep.N, e, f, om, om_inv, rep.weights)
 
 
-def verify_dj_relations(rep: Representation, mg: ModifiedGenerators) -> Report:
+def _q_pairing(rs: RootSystem, ring: ScalarRing):
+    """(λ, μ) ↦ q^{(λ,μ)} on simple-root coordinates, the U_q value of the
+    pairing (ω'_λ, ω_μ)."""
+    q = q_scalar(ring)
+    return lambda lam, mu: q ** int(rs.sym_form(lam, mu))
+
+
+def verify_dj_relations(rep: Representation, mg: Representation) -> Report:
     """The modified generators ``mg`` of ``rep`` satisfy the one-parameter
-    defining relations at q = r^{1/2} s^{-1/2}: Cartan conjugations by
-    q^{(α_i,α_j)}, the commutator identity with
-    (ω̃_i - ω̃_i^{-1})/(q_i - q_i^{-1}), and the q-Serre sums, on V and on
-    V⊗V (the modified generators of ``tensor_square(rep)``)."""
-    ring, rs, n, N = rep.ring, rep.rs, rep.n, rep.N
+    defining relations at q = r^{1/2} s^{-1/2}, checked by the relation checks
+    of ``rep`` at Ω_ij = q^{(α_i,α_j)}: the Cartan conjugations, the
+    commutator identity with (ω̃_i - ω̃_i^{-1})/(q_i - q_i^{-1}), and the Serre
+    sums with coefficients [m k]_{q_i}, on V and on V⊗V (the modified
+    generators of ``tensor_square(rep)``)."""
+    ring, rs, n = rep.ring, rep.rs, rep.n
+    nodes = range(1, n + 1)
+    pairing = _q_pairing(rs, ring)
+    Om = {(i, j): pairing(rs.simple[i - 1].alpha, rs.simple[j - 1].alpha) for i in nodes for j in nodes}
+    cartan = {(i, j): rs.cartan[i - 1][j - 1] for i in nodes for j in nodes}
     out = Report()
 
     with out.timed("dj-cartan", rep.family, n) as it:
-        w = ""
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                w = w or product_mismatch((mg.omega[i], mg.omega[j]), (mg.omega[j], mg.omega[i]), N)
-                aij = rs.sym_form(rs.simple[i - 1].alpha, rs.simple[j - 1].alpha)
-                qf = q_scalar(ring) ** int(aij)
-                w = w or product_mismatch((mg.omega[i], mg.e[j]), (mg.e[j], mg.omega[i]), N, qf)
-                w = w or product_mismatch((mg.omega[i], mg.f[j]), (mg.f[j], mg.omega[i]), N, qf.inv())
-        it.witness = w
+        it.witness = _cartan_commute(mg) or _cartan_conj(mg, Om, prime=False)
 
     with out.timed("dj-commutator", rep.family, n) as it:
-        zero = SMatrix.zero(ring, N, N)
-        w = ""
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                comm = mg.e[i] @ mg.f[j] - mg.f[j] @ mg.e[i]
-                if i != j:
-                    w = w or first_mismatch(comm, zero, N)
-                else:
-                    qi = q_scalar(ring, rs.d[i - 1])
-                    rhs = (mg.omega[i] - mg.omega[i].diagonal_inv()).scale((qi - qi.inv()).inv())
-                    w = w or first_mismatch(comm, rhs, N)
-        it.witness = w
+        q = {i: q_scalar(ring, rs.d[i - 1]) for i in nodes}
+        it.witness = _ef_commutator(mg, {i: q[i] - q[i].inv() for i in nodes})
 
     with out.timed("dj-serre", rep.family, n) as it:
-        # on V every term of a q-Serre sum with m ≥ 2 is zero by itself, so
-        # the sums are also checked on V⊗V, which sees the coefficients
-        it.witness = _q_serre(mg, "") or _q_serre(modified_generators(tensor_square(rep)), " on V⊗V")
+
+        def coefficients(tag: str, i: int, j: int):
+            return lambda k: q_binomial(ring, 1 - cartan[(i, j)], k, d=rs.d[i - 1])
+
+        def square() -> dict:
+            sq = modified_generators(tensor_square(rep))
+            return {"e": sq.e, "f": sq.f}
+
+        it.witness = _serre(mg, cartan, coefficients, square)
     return out
-
-
-def _q_serre(mg: ModifiedGenerators, where: str) -> str:
-    """The first nonvanishing q-Serre sum Σ_k (-1)^k [m k]_{q_i} x_i^{m-k}
-    x_j x_i^k, m = 1 - a_ij, over the modified generators ``mg``."""
-    ring, rs, n = mg.rep.ring, mg.rep.rs, mg.rep.n
-    w = ""
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            m = 1 - rs.cartan[i - 1][j - 1]
-            for mats, tag in ((mg.e, "e"), (mg.f, "f")):
-                acc = serre_sum(mats, i, j, m, lambda k: q_binomial(ring, m, k, d=rs.d[i - 1]))
-                if not acc.is_zero():
-                    w = w or f"q-serre {tag} ({i},{j}){where}"
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -175,27 +160,17 @@ def verify_kappa_recursion(rep: Representation, order: ConvexOrder) -> Report:
     return out
 
 
-def verify_root_vector_embedding(rvm: RootVectorMatrices, mg: ModifiedGenerators) -> Report:
-    """The q-bracketed root vectors of the modified generators ``mg`` coincide
-    with the rescaled two-parameter ones ``rvm``:
+def verify_root_vector_embedding(rvm: RootVectorMatrices, mg: Representation) -> Report:
+    """The q-bracketed root vectors of the modified generators ``mg``
+    (``lyndon.bracket_tower`` with the pairing q^{(λ,μ)}) coincide with the
+    rescaled two-parameter ones ``rvm``:
     ẽ_γ = κ_γ^{-1} e_γ ω_γ^{-1/2} and f̃_γ = d_γ κ_γ^{-1} f_γ (ω'_γ)^{-1/2}."""
-    rep, order = rvm.rep, rvm.order
-    ring, rs = rep.ring, rep.rs
+    rep = rvm.rep
     out = Report()
     with out.timed("root-vector-embedding", rep.family, rep.n) as it:
         w = ""
-        e_one: dict[tuple, SMatrix] = {}
-        f_one: dict[tuple, SMatrix] = {}
-        for rt in sorted(rs.positive, key=lambda r: r.height):
-            if rt.is_simple():
-                idx = rt.alpha.index(1) + 1
-                e_one[rt.alpha] = mg.e[idx]
-                f_one[rt.alpha] = mg.f[idx]
-            else:
-                a, b = minimal_pair(order, rt)
-                qf = q_scalar(ring) ** int(rs.sym_form(a.alpha, b.alpha))
-                e_one[rt.alpha] = e_one[a.alpha] @ e_one[b.alpha] - (e_one[b.alpha] @ e_one[a.alpha]).scale(qf)
-                f_one[rt.alpha] = f_one[b.alpha] @ f_one[a.alpha] - (f_one[a.alpha] @ f_one[b.alpha]).scale(qf.inv())
+        e_one, f_one = bracket_tower(rvm.order, mg.e, mg.f, _q_pairing(rep.rs, rep.ring), operator.matmul)
+        for rt in sorted(rep.rs.positive, key=lambda r: r.height):
             kap = kappa_constants(rep, rt)
             om_half_inv = rep.omega_of(rt.alpha).diagonal_sqrt().diagonal_inv()
             omp_half_inv = rep.omega_prime_of(rt.alpha).diagonal_sqrt().diagonal_inv()
@@ -305,8 +280,9 @@ def _skew_twist(name: str, rep: Representation, rhat: SMatrix, obstructed=None) 
     return out
 
 
-def run_embed_checks(family: str, rank: int, checks: list[str]) -> Report:
-    """The named embed checks of the catalogue, over one shared case context."""
-    from .catalogue import run_group
+def run_embed_checks(family: str, rank: int, checks: list[str], ctx=None) -> Report:
+    """The named embed checks of the catalogue, over ``ctx``, the case's
+    shared context, or a fresh one."""
+    from .catalogue import CaseContext, run_group
 
-    return run_group("embed", family, rank, checks)
+    return run_group("embed", ctx if ctx is not None else CaseContext(family, rank), checks)

@@ -1,6 +1,7 @@
 """Word combinatorics over the alphabet {1..n}: Lyndon tests, standard and
 canonical factorizations, the root ↔ standard-word bijection computed by the
-max-over-decompositions recursion, convex orders, and minimal pairs.
+max-over-decompositions recursion, convex orders, minimal pairs, and the one
+bracketing recursion over them (``bracket_tower``).
 
 Lexicographic convention: a proper prefix is smaller than the word itself,
 so [1] < [1,2] and [1,2] < [2].
@@ -146,6 +147,28 @@ def minimal_pair(order: ConvexOrder, gamma: Root) -> tuple[Root, Root]:
     if rs.root_sum(a, b) is not gamma and rs.root_sum(a, b) != gamma:
         raise AssertionError("standard factorization does not split the root")
     return a, b
+
+
+def bracket_tower(order: ConvexOrder, e1: dict, f1: dict, pairing, mul) -> tuple[dict, dict]:
+    """The bracketed root vectors of every positive root, keyed by
+    ``root.alpha``: e_γ = e_α e_β − pairing(β, α)·e_β e_α and
+    f_γ = f_β f_α − pairing(α, β)⁻¹·f_α f_β over the minimal pair (α, β) of
+    γ, from ``e1[i]`` and ``f1[i]`` on the simple root α_i.  ``pairing(λ, μ)``
+    takes simple-root coordinates and ``mul`` is the product; the values
+    need ``-`` and ``scale``.  The two-parameter towers pair by (ω′_λ, ω_μ),
+    the one-parameter tower by q^{(λ,μ)}."""
+    e: dict = {}
+    f: dict = {}
+    for rt in sorted(order.rs.positive, key=lambda r: r.height):
+        if rt.is_simple():
+            i = rt.alpha.index(1) + 1
+            e[rt.alpha], f[rt.alpha] = e1[i], f1[i]
+            continue
+        a, b = minimal_pair(order, rt)
+        ea, eb, fa, fb = e[a.alpha], e[b.alpha], f[a.alpha], f[b.alpha]
+        e[rt.alpha] = mul(ea, eb) - mul(eb, ea).scale(pairing(b.alpha, a.alpha))
+        f[rt.alpha] = mul(fb, fa) - mul(fa, fb).scale(pairing(a.alpha, b.alpha).inv())
+    return e, f
 
 
 def check_minimal(order: ConvexOrder, gamma: Root, pair: tuple[Root, Root]) -> bool:

@@ -10,11 +10,12 @@ and the orthogonality of ordered monomials.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
-from .lyndon import ConvexOrder, minimal_pair
+from .lyndon import ConvexOrder, bracket_tower, minimal_pair
 from .report import Report
 from .rootdata import Root, RootSystem, omega_pairing
 from .scalars import Scalar, ScalarRing, rs_factorial, rs_integer
@@ -396,9 +397,9 @@ def closed_form_pairing(rs: RootSystem, ring: ScalarRing, gamma: Root, m: int) -
 class PairingContext:
     """The pairing data of one convex order over one ring, each piece
     computed on first use and kept for the life of the context: the abstract
-    root vectors, the powers of e_γ and f_γ, the ordered monomials, the
-    oracle's pairings of monomials (so each (f_γ^m, e_γ^m) once), the
-    closed forms of (f_γ^m, e_γ^m), and c_γ from the minimal-pair recursion
+    root vectors (the whole tower at once), the powers of e_γ and f_γ, the
+    ordered monomials, the oracle's pairings of monomials (so each
+    (f_γ^m, e_γ^m) once), the closed forms of (f_γ^m, e_γ^m), and c_γ from the minimal-pair recursion
     (each root once, sub-roots included).
 
     A case owns one, and its caches are dropped with the case.  Monomials
@@ -409,7 +410,6 @@ class PairingContext:
         self.ring = ring
         self.oracle = PairingOracle(order.rs, ring)
         self._roots = order.decreasing()
-        self._vectors: dict[Root, AbstractRootVector] = {}
         self._powers: dict[tuple[Root, int, str], HalfElement] = {}
         self._monomials: dict[tuple[tuple[int, ...], str], HalfElement] = {}
         self._pairings: dict[tuple[tuple[int, ...], tuple[int, ...]], Scalar] = {}
@@ -417,23 +417,17 @@ class PairingContext:
         self._c: dict[Root, Scalar] = {}
 
     def root_vector(self, gamma: Root) -> AbstractRootVector:
-        got = self._vectors.get(gamma)
-        if got is not None:
-            return got
+        return self._vectors[gamma.alpha]
+
+    @cached_property
+    def _vectors(self) -> dict[tuple[int, ...], AbstractRootVector]:
+        """Every root's e_γ and f_γ, by ``lyndon.bracket_tower`` over the
+        letters."""
         rs, ring = self.order.rs, self.ring
-        if gamma.is_simple():
-            i = gamma.alpha.index(1) + 1
-            e = HalfElement.letter("plus", rs, ring, i)
-            f = HalfElement.letter("minus", rs, ring, i)
-        else:
-            a, b = minimal_pair(self.order, gamma)
-            va, vb = self.root_vector(a), self.root_vector(b)
-            pair_ba = omega_pairing(rs, ring, b.alpha, a.alpha)
-            pair_ab = omega_pairing(rs, ring, a.alpha, b.alpha)
-            e = va.e * vb.e - (vb.e * va.e).scale(pair_ba)
-            f = vb.f * va.f - (va.f * vb.f).scale(pair_ab.inv())
-        got = self._vectors[gamma] = AbstractRootVector(gamma, e, f)
-        return got
+        letter = lambda side: {i: HalfElement.letter(side, rs, ring, i) for i in range(1, rs.n + 1)}
+        pairing = lambda lam, mu: omega_pairing(rs, ring, lam, mu)
+        e, f = bracket_tower(self.order, letter("plus"), letter("minus"), pairing, operator.mul)
+        return {rt.alpha: AbstractRootVector(rt, e[rt.alpha], f[rt.alpha]) for rt in rs.positive}
 
     def power(self, gamma: Root, m: int, side: str) -> HalfElement:
         """e_γ^m ("plus") or f_γ^m ("minus") for m ≥ 1."""

@@ -140,7 +140,9 @@ def build_fundamental(family: str, rank: int, ring: ScalarRing | None = None) ->
 # omega, omega_prime keyed by node in ascending order: the fundamental module
 # on the nodes 1..n, the evaluation module on 0..n.  Both algebras have the
 # same presentation over their nodes, given by Ω_ij = (ω'_i, ω_j), the Cartan
-# matrix and the symmetrizer d.
+# matrix and the symmetrizer d.  The one-parameter U_q is the case
+# Ω_ij = q^{(α_i,α_j)} with ω'_i = ω_i^{-1}, its own gaps q_i - q_i^{-1} and
+# Serre coefficients [m k]_{q_i}; ``embed`` checks it through these helpers.
 
 
 def _finite_presentation(rs: RootSystem, ring: ScalarRing):
@@ -195,10 +197,15 @@ def _cartan_conj(mod, Om: dict, prime: bool) -> str:
     return w
 
 
-def _ef_commutator(mod, d: dict) -> str:
-    """[e_i, f_j] = δ_ij (ω_i - ω'_i)/(r^{d_i} - s^{d_i})."""
-    ring = mod.ring
-    zero = SMatrix.zero(ring, mod.N, mod.N)
+def _rs_gaps(ring: ScalarRing, d: dict) -> dict:
+    """r^{d_i} - s^{d_i} at each node i of ``d``."""
+    return {i: ring.mono(r=di) - ring.mono(s=di) for i, di in d.items()}
+
+
+def _ef_commutator(mod, gaps: dict) -> str:
+    """[e_i, f_j] = δ_ij (ω_i - ω'_i)/gaps[i], with the gap r^{d_i} - s^{d_i}
+    of U_{r,s}, or q_i - q_i^{-1} of U_q where ω'_i is ω_i^{-1}."""
+    zero = SMatrix.zero(mod.ring, mod.N, mod.N)
     w = ""
     for i in mod.e:
         for j in mod.e:
@@ -206,8 +213,7 @@ def _ef_commutator(mod, d: dict) -> str:
             if i != j:
                 w = w or first_mismatch(comm, zero, mod.N)
             else:
-                denom = ring.mono(r=d[i]) - ring.mono(s=d[i])
-                w = w or first_mismatch(comm, (mod.omega[i] - mod.omega_prime[i]).scale(denom.inv()), mod.N)
+                w = w or first_mismatch(comm, (mod.omega[i] - mod.omega_prime[i]).scale(gaps[i].inv()), mod.N)
     return w
 
 
@@ -229,19 +235,38 @@ def serre_sum(x: dict[int, SMatrix], i: int, j: int, m: int, coeff) -> SMatrix:
     return acc
 
 
-def _serre(mod, Om: dict, cartan: dict, d: dict) -> str:
-    """For i ≠ j and m = 1 - c_ij, the Serre sums with coefficients
-    [m k]_{r_i,s_i} (r_i s_i)^{k(k-1)/2} t^k vanish, where the twist t is
-    Ω_ji s^{d_i c_ij} on the e side and its transpose Ω_ij s^{d_i c_ij} on the
-    f side; on the finite nodes this is (rs)^{⟨α_j,α_i⟩}, resp.
-    (rs)^{⟨α_i,α_j⟩} (only type D separates the two).
-
-    The sums are checked on V and, when they vanish there, on V⊗V, where the
-    generators act through ``coproduct``.  On V every term
-    x_i^{m-k} x_j x_i^k of a sum with m ≥ 2 is zero by itself, so only V⊗V
-    sees the coefficients."""
-    ring = mod.ring
+def _rs_serre_coefficients(ring: ScalarRing, Om: dict, cartan: dict, d: dict):
+    """The coefficient factory of the two-parameter Serre sums: for (tag, i,
+    j) with m = 1 - c_ij, k ↦ [m k]_{r_i,s_i} (r_i s_i)^{k(k-1)/2} t^k, where
+    the twist t is Ω_ji s^{d_i c_ij} on the e side and its transpose
+    Ω_ij s^{d_i c_ij} on the f side; on the finite nodes this is
+    (rs)^{⟨α_j,α_i⟩}, resp. (rs)^{⟨α_i,α_j⟩} (only type D separates the two)."""
     binomial = cache(lambda m, k, di: rs_binomial(ring, m, k, d=di))
+
+    def coefficients(tag: str, i: int, j: int):
+        m, di = 1 - cartan[(i, j)], d[i]
+        ri_si = ring.mono(r=di, s=di)
+        twist = (Om[(j, i)] if tag == "e" else Om[(i, j)]) * ring.mono(s=di * cartan[(i, j)])
+        return lambda k: binomial(m, k, di) * ri_si ** (k * (k - 1) // 2) * twist**k
+
+    return coefficients
+
+
+def _coproduct_square(mod) -> dict:
+    """The e and f tables of V⊗V for the module V = ``mod``, through
+    ``coproduct``."""
+    return {tag: {i: coproduct(mod, mod, tag, i) for i in mod.e} for tag in ("e", "f")}
+
+
+def _serre(mod, cartan: dict, coefficients, square) -> str:
+    """For i ≠ j and m = 1 - c_ij, the Serre sums
+    Σ_k (-1)^k c(k) x_i^{m-k} x_j x_i^k vanish for x = e and x = f, with
+    c = ``coefficients(tag, i, j)`` ("e" or "f").
+
+    The sums are checked on V and, when they vanish there, on V⊗V, whose e
+    and f tables ``square()`` builds.  On V every term x_i^{m-k} x_j x_i^k
+    of a sum with m ≥ 2 is zero by itself, so only V⊗V sees the
+    coefficients."""
 
     def first_nonzero(gens: dict, where: str) -> str:
         w = ""
@@ -249,21 +274,15 @@ def _serre(mod, Om: dict, cartan: dict, d: dict) -> str:
             for j in mod.e:
                 if i == j:
                     continue
-                m, di = 1 - cartan[(i, j)], d[i]
-                ri_si = ring.mono(r=di, s=di)
-                s_c = ring.mono(s=di * cartan[(i, j)])
-                for tag, twist in (("e", Om[(j, i)] * s_c), ("f", Om[(i, j)] * s_c)):
-                    sm = serre_sum(
-                        gens[tag], i, j, m, lambda k: binomial(m, k, di) * ri_si ** (k * (k - 1) // 2) * twist**k
-                    )
+                m = 1 - cartan[(i, j)]
+                for tag in ("e", "f"):
+                    sm = serre_sum(gens[tag], i, j, m, coefficients(tag, i, j))
                     if not sm.is_zero():
-                        zero = SMatrix.zero(ring, sm.nrows, sm.ncols)
+                        zero = SMatrix.zero(mod.ring, sm.nrows, sm.ncols)
                         w = w or f"serre {tag} ({i},{j}){where}: {first_mismatch(sm, zero, mod.N)}"
         return w
 
-    return first_nonzero({"e": mod.e, "f": mod.f}, "") or first_nonzero(
-        {tag: {i: coproduct(mod, mod, tag, i) for i in mod.e} for tag in ("e", "f")}, " on V⊗V"
-    )
+    return first_nonzero({"e": mod.e, "f": mod.f}, "") or first_nonzero(square(), " on V⊗V")
 
 
 def verify_finite_relations(rep: Representation) -> Report:
@@ -284,10 +303,10 @@ def verify_finite_relations(rep: Representation) -> Report:
         it.witness = _cartan_conj(rep, Om, prime=True)
 
     with out.timed("e-f-commutator", fam, n) as it:
-        it.witness = _ef_commutator(rep, d)
+        it.witness = _ef_commutator(rep, _rs_gaps(ring, d))
 
     with out.timed("serre", fam, n) as it:
-        it.witness = _serre(rep, Om, cartan, d)
+        it.witness = _serre(rep, cartan, _rs_serre_coefficients(ring, Om, cartan, d), lambda: _coproduct_square(rep))
 
     with out.timed("weight-labels", fam, n) as it:
         w = ""
@@ -539,10 +558,11 @@ def verify_affine_relations(erep: EvaluationRep) -> Report:
         it.witness = _cartan_conj(erep, aff.omega, prime=False) or _cartan_conj(erep, aff.omega, prime=True)
 
     with out.timed("affine-e-f-commutator", fam, n) as it:
-        it.witness = _ef_commutator(erep, d)
+        it.witness = _ef_commutator(erep, _rs_gaps(ring, d))
 
     with out.timed("affine-serre", fam, n) as it:
-        it.witness = _serre(erep, aff.omega, aff.cartan_ext, d)
+        coefficients = _rs_serre_coefficients(ring, aff.omega, aff.cartan_ext, d)
+        it.witness = _serre(erep, aff.cartan_ext, coefficients, lambda: _coproduct_square(erep))
 
     with out.timed("degree-conjugation", fam, n) as it:
         w = ""

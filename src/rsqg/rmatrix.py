@@ -433,11 +433,12 @@ def check_min_poly(rep: Representation, rhat: SMatrix) -> Report:
 
 def check_inverse(rep: Representation, rhat: SMatrix, rbar: SMatrix, theta: SMatrix) -> Report:
     """Explicit operator times the displayed inverse is the identity, and the
-    parameter-exchange route reproduces the display."""
+    parameter-exchange route reproduces the display.  One product decides
+    invertibility: for square matrices over a field, R̂·R̄ = Id implies
+    R̄·R̂ = Id, so the product in the other order could never fail first."""
     out = Report()
     with out.timed("inverse", rep.family, rep.n) as it:
-        ident = SMatrix.identity(rep.ring, rep.N * rep.N)
-        w = first_mismatch(rhat @ rbar, ident, rep.N) or first_mismatch(rbar @ rhat, ident, rep.N)
+        w = first_mismatch(rhat @ rbar, SMatrix.identity(rep.ring, rep.N * rep.N), rep.N)
         if not w:
             w = first_mismatch(rbar, rbar_inverse_exchanged(rep, theta), rep.N)
             if w:
@@ -550,8 +551,9 @@ def specialize_and_compare(rep: Representation, rhat: SMatrix, rz: SMatrix | Non
     return out
 
 
-def run_rmatrix_checks(family: str, rank: int, checks: list[str]) -> Report:
-    """The named rmatrix checks of the catalogue, over one shared case context."""
-    from .catalogue import run_group
+def run_rmatrix_checks(family: str, rank: int, checks: list[str], ctx=None) -> Report:
+    """The named rmatrix checks of the catalogue, over ``ctx``, the case's
+    shared context, or a fresh one."""
+    from .catalogue import CaseContext, run_group
 
-    return run_group("rmatrix", family, rank, checks)
+    return run_group("rmatrix", ctx if ctx is not None else CaseContext(family, rank), checks)

@@ -4,9 +4,10 @@ the per-type closed forms for them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .lyndon import ConvexOrder, minimal_pair
+from .lyndon import ConvexOrder, bracket_tower
 from .matrices import SMatrix
 from .rep import Representation
 from .report import Report, first_mismatch
@@ -29,23 +30,13 @@ class RootVectorMatrices:
 
 def build_root_vector_matrices(rep: Representation, order: ConvexOrder) -> RootVectorMatrices:
     """Evaluate the bracketing recursion e_γ = e_α e_β - (ω'_β, ω_α) e_β e_α,
-    f_γ = f_β f_α - (ω'_α, ω_β)^{-1} f_α f_β over minimal pairs."""
+    f_γ = f_β f_α - (ω'_α, ω_β)^{-1} f_α f_β over minimal pairs
+    (``lyndon.bracket_tower``)."""
     rs, ring = rep.rs, rep.ring
     if order.rs is not rs and order.rs.family != rs.family:
         raise ValueError("representation and order built from different root systems")
-    e: dict[tuple[int, ...], SMatrix] = {}
-    f: dict[tuple[int, ...], SMatrix] = {}
-    for rt in sorted(rs.positive, key=lambda r: r.height):
-        if rt.is_simple():
-            i = rt.alpha.index(1) + 1
-            e[rt.alpha] = rep.e[i]
-            f[rt.alpha] = rep.f[i]
-            continue
-        a, b = minimal_pair(order, rt)
-        pba = omega_pairing(rs, ring, b.alpha, a.alpha)
-        pab = omega_pairing(rs, ring, a.alpha, b.alpha)
-        e[rt.alpha] = e[a.alpha] @ e[b.alpha] - (e[b.alpha] @ e[a.alpha]).scale(pba)
-        f[rt.alpha] = f[b.alpha] @ f[a.alpha] - (f[a.alpha] @ f[b.alpha]).scale(pab.inv())
+    pairing = lambda lam, mu: omega_pairing(rs, ring, lam, mu)
+    e, f = bracket_tower(order, rep.e, rep.f, pairing, operator.matmul)
     return RootVectorMatrices(rep, order, e, f)
 
 

@@ -46,12 +46,13 @@ unit-denominator dict, which is how these paths recognise them.
 Two more skip it.  ``substitute`` takes only monomial and zero images
 (r^(1/2) ↦ w q^(1/2), r^(1/2) ↦ q^(1/2), z ↦ 1, z ↦ 0), so each term of a
 Laurent polynomial maps to one term and only a value with a denominator is
-canonicalized.  The (r,s)-combinatorics (``rs_integer``, ``q_integer``,
-their factorials and Gaussian binomials) are Laurent polynomials, built from
-closed forms, products and Pascal rules with no division.  They, ``rootdata.omega_pairing`` and
-the t_i and a_ij monomials of ``rmatrix.CoefficientTables`` are each built
-once per process and per ring variable set, on first use (nothing is
-computed at import), in one module-level memo of raw term dicts (``_MEMO``).
+canonicalized.  The (r,s)-combinatorics (``rs_integer``, ``rs_factorial``
+and the Gaussian binomials ``rs_binomial`` and ``q_binomial``) are Laurent
+polynomials, built from closed forms, products and Pascal rules with no
+division.  They, ``rootdata.omega_pairing`` and the t_i and a_ij monomials
+of ``rmatrix.CoefficientTables`` are each built once per process and per
+ring variable set, on first use (nothing is computed at import), in one
+module-level memo of raw term dicts (``_MEMO``).
 A value is handed out bound to the caller's ring object, on that ring's
 shared unit denominator, and its term dict is shared and never changed, like
 every Scalar's.
@@ -947,25 +948,6 @@ def rs_binomial(ring: ScalarRing, m: int, k: int, d: int = 1) -> Scalar:
 def q_scalar(ring: ScalarRing, d: int = 1) -> Scalar:
     """q_d = (r^(1/2) s^(-1/2))^d inside an r,s ring."""
     return ring.mono(r=Fraction(d, 2), s=-Fraction(d, 2))
-
-
-def q_integer(ring: ScalarRing, m: int, d: int = 1) -> Scalar:
-    """One-parameter quantum integer [m] = (q_d^m − q_d^{−m})/(q_d − q_d^{−1})
-    at q_d = (r/s)^(d/2), written as Σ_{k<m} q_d^{m−1−2k}; [−m] = −[m]."""
-    if m < 0:
-        return -q_integer(ring, -m, d)
-    return _memoized(
-        ring,
-        ("q_integer", m, d),
-        lambda: sum((q_scalar(ring, d * (m - 1 - 2 * k)) for k in range(m)), ring.zero),
-    )
-
-
-def q_factorial(ring: ScalarRing, m: int, d: int = 1) -> Scalar:
-    """[m]_{q_d}! = [1]·[2]···[m] (1 for m < 2)."""
-    if m < 2:
-        return ring.one
-    return _memoized(ring, ("q_factorial", m, d), lambda: q_factorial(ring, m - 1, d) * q_integer(ring, m, d))
 
 
 def q_binomial(ring: ScalarRing, m: int, k: int, d: int = 1) -> Scalar:

@@ -46,8 +46,9 @@ def recorded(monkeypatch):
     seen: list[tuple[str, str, int, tuple[str, ...]]] = []
 
     def recorder(group):
-        def driver(family, rank, checks):
-            seen.append((group, family, rank, tuple(checks)))
+        def driver(family, rank, checks, ctx):
+            assert (ctx.family, ctx.rank) == (family, rank)
+            seen.append((group, family, rank, tuple(checks), ctx))
             return Report()
 
         return driver
@@ -55,7 +56,7 @@ def recorded(monkeypatch):
     monkeypatch.setattr(cli, "run_rmatrix_checks", recorder("rmatrix"))
     monkeypatch.setattr(cli, "run_affine_checks", recorder("affine"))
     monkeypatch.setattr(cli, "run_embed_checks", recorder("embed"))
-    monkeypatch.setattr(cli, "run_group", lambda group, f, r, checks: recorder(group)(f, r, checks))
+    monkeypatch.setattr(cli, "run_group", lambda group, ctx, checks: recorder(group)(ctx.family, ctx.rank, checks, ctx))
     return seen
 
 
@@ -67,8 +68,10 @@ def test_certify_one_selection_is_pinned(recorded, long_mode):
     for family, rank in cli._desk_cases(3):
         recorded.clear()
         cli._certify_one((family, rank, long_mode))
-        got = [f"{g}/{name}" for g, f, r, checks in recorded for name in checks]
-        assert all((f, r) == (family, rank) for _, f, r, _ in recorded)
+        got = [f"{g}/{name}" for g, f, r, checks, _ in recorded for name in checks]
+        assert all((f, r) == (family, rank) for _, f, r, _, _ in recorded)
+        # every group of the case runs over the one context it passes on
+        assert len({id(ctx) for *_, ctx in recorded}) == 1
         assert len(got) == len(set(got))
         assert set(got) == COMMON | EXTRA[(family, rank, long_mode)], (family, rank)
 
@@ -111,7 +114,7 @@ def test_a_raising_check_is_named_as_its_report_names_it(monkeypatch, capsys):
         raise ValueError("injected fault")
 
     monkeypatch.setattr(pairing, "verify_pairing_constants", broken)
-    report = catalogue.run_group("pairing", "A", 2, ["constants"])
+    report = catalogue.run_group("pairing", catalogue.CaseContext("A", 2), ["constants"])
     (item,) = report.items
     assert (item.name, item.ok) == ("pairing-constants", False)
     assert item.witness == "raised ValueError: injected fault"
@@ -129,7 +132,7 @@ def test_a_denominator_outside_the_factor_set_is_a_failing_item(monkeypatch, cap
         ring.one / (ring.mono(r=1) + ring.num(2))
 
     monkeypatch.setattr(pairing, "verify_pairing_constants", outside)
-    (item,) = catalogue.run_group("pairing", "A", 2, ["constants"]).items
+    (item,) = catalogue.run_group("pairing", catalogue.CaseContext("A", 2), ["constants"]).items
     assert (item.name, item.ok) == ("pairing-constants", False)
     assert item.witness.startswith("raised ValueError: denominator 1 * r^1 + 2 is not a product of cyclotomic forms")
     assert "cyclotomic" in capsys.readouterr().err
@@ -138,10 +141,10 @@ def test_a_denominator_outside_the_factor_set_is_a_failing_item(monkeypatch, cap
 def test_item_is_the_name_the_check_reports():
     """A check with ``item`` reports one item of that name; the others report
     one item under the catalogue name, or several.  Every check applies to A2."""
-    with catalogue.open_case("A", 2):
-        for c in catalogue.CATALOGUE:
-            reported = [it.name for it in catalogue.run_group(c.group, "A", 2, [c.name]).items]
-            if c.item:
-                assert reported == [c.item]
-            else:
-                assert reported == [c.name] or len(reported) > 1, (c.name, reported)
+    ctx = catalogue.CaseContext("A", 2)
+    for c in catalogue.CATALOGUE:
+        reported = [it.name for it in catalogue.run_group(c.group, ctx, [c.name]).items]
+        if c.item:
+            assert reported == [c.item]
+        else:
+            assert reported == [c.name] or len(reported) > 1, (c.name, reported)

@@ -142,7 +142,7 @@ def test_shared_operator_build_is_charged_to_its_first_check(monkeypatch):
         return rhat_explicit(r)
 
     monkeypatch.setattr(rmatrix, "rhat_explicit", slow)
-    out = catalogue.run_group("rmatrix", "B", 2, ["eigen"])
+    out = catalogue.run_group("rmatrix", catalogue.CaseContext("B", 2), ["eigen"])
     (item,) = out.items
     assert item.name == "eigenvalues" and item.ok
     assert item.seconds >= 0.3
@@ -291,3 +291,54 @@ def test_unit_entries_reach_kron_as_the_shared_one(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(["certify-all", "--max-rank", "3"]) == 0
     assert copies[0] == 46
+
+
+# -- one bracketing and one relation checker -----------------------------------
+
+
+def test_dj_relations_run_the_two_parameter_checks(monkeypatch):
+    """``dj-cartan``, ``dj-commutator`` and ``dj-serre`` are the relation
+    checks of ``rep`` run on the modified generators at Ω_ij = q^{(α_i,α_j)}:
+    each reaches ``rep``'s own Cartan, commutator and Serre loops."""
+    calls = _count_calls(
+        monkeypatch,
+        [(getattr(rep, name), lambda *a, name=name, **k: name) for name in ("_cartan_conj", "_ef_commutator", "_serre")],
+    )
+    r = rep.build_fundamental("B", 2)
+    assert embed.verify_dj_relations(r, embed.modified_generators(r)).ok()
+    assert calls == {"_cartan_conj": 1, "_ef_commutator": 1, "_serre": 1}
+
+
+def test_bracket_tower_is_the_only_bracketing(monkeypatch):
+    """The root-vector matrices on V, the q-bracketed tower of the modified
+    generators and the free-algebra root vectors of the pairing context each
+    run ``lyndon.bracket_tower`` once, and none of them reaches a minimal
+    pair outside it."""
+    towers: Counter = Counter()
+    stray: list[str] = []
+    inside = [0]
+    tower, minimal_pair = lyndon.bracket_tower, lyndon.minimal_pair
+
+    def counted_tower(order, e1, f1, pairing_fn, mul):
+        towers[type(e1[1]).__name__] += 1
+        inside[0] += 1
+        try:
+            return tower(order, e1, f1, pairing_fn, mul)
+        finally:
+            inside[0] -= 1
+
+    def watched_minimal_pair(order, gamma):
+        if not inside[0]:
+            stray.append(gamma.label())
+        return minimal_pair(order, gamma)
+
+    _wrap_everywhere(monkeypatch, tower, counted_tower)
+    _wrap_everywhere(monkeypatch, minimal_pair, watched_minimal_pair)
+    r = rep.build_fundamental("B", 3)
+    o = lyndon.lalonde_ram(r.rs)
+    rvm = rootvec.build_root_vector_matrices(r, o)
+    assert embed.verify_root_vector_embedding(rvm, embed.modified_generators(r)).ok()
+    pc = pairing.PairingContext(o, r.ring)
+    assert all(pc.root_vector(rt).root is rt for rt in o.roots)
+    assert towers == {"SMatrix": 2, "HalfElement": 1}
+    assert stray == []
