@@ -14,6 +14,7 @@ from .matrices import PairAction, SMatrix, flip_map, tensor_units
 from .rep import KAPPA, EvaluationRep, Representation, _evaluation, build_evaluation, build_fundamental, coproduct
 from .report import (
     Report,
+    basis_vector,
     first_column_mismatch,
     first_mismatch,
     product_mismatch,
@@ -340,25 +341,30 @@ def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -
 
 
 def _degree_excess(m: SMatrix, limits: dict[str, int]) -> str:
-    """The first entry of ``m`` (in storage order) that is not a polynomial
-    in each of the one or two named variables of degree ≤ its limit: a
-    denominator or a negative power gives "entry (i,j) is not polynomial in
-    z", a degree above the limit "entry (i,j) has z-degree d"; "" when
-    every entry is within its limits.  Both variables' exponents are read
-    off each numerator's digits in one pass."""
+    """The first entry of ``m`` (in storage order), an operator on V⊗V, that
+    is not a polynomial in each of the one or two named variables of degree
+    ≤ its limit: a denominator or a negative power gives "row v_a⊗v_b,
+    column v_c⊗v_d is not polynomial in z", a degree above the limit "row
+    v_a⊗v_b, column v_c⊗v_d has z-degree d"; "" when every entry is within
+    its limits.  Both variables' exponents are read off each numerator's
+    digits in one pass."""
     names = list(limits)
     if not 1 <= len(names) <= 2:
         raise ValueError(f"one or two variables, not {names}")
     x, y = names[0], names[-1]
     ix, iy = m.ring.index[x], m.ring.index[y]
+    N = isqrt(m.nrows)
     for i, row in m.rows.items():
         for j, v in row.items():
             spans = _packed_exp_ranges(v._num, ix, iy) if v._num else ((0, 0), (0, 0))
             for name, (lowest, degree) in zip((x, y), spans):
                 if not v.den_is_one() or lowest < 0:
-                    return f"entry ({i},{j}) is not polynomial in {name}"
-                if degree > limits[name]:
-                    return f"entry ({i},{j}) has {name}-degree {degree}"
+                    fault = f"is not polynomial in {name}"
+                elif degree > limits[name]:
+                    fault = f"has {name}-degree {degree}"
+                else:
+                    continue
+                return f"row {basis_vector(i, N, 2)}, column {basis_vector(j, N, 2)} {fault}"
     return ""
 
 

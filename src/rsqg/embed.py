@@ -28,7 +28,7 @@ from .lyndon import ConvexOrder, bracket_tower, minimal_pair
 from .matrices import SMatrix, flip_map
 from .rep import Representation, _cartan_commute, _cartan_conj, _ef_commutator, _serre, tensor_square
 from .report import Report, basis_vector, first_mismatch
-from .rootdata import Root, RootSystem, omega_pairing
+from .rootdata import Root, RootSystem, omega_pairing, presentation
 from .rootvec import RootVectorMatrices
 from .scalars import (
     Scalar,
@@ -74,23 +74,20 @@ def verify_dj_relations(rep: Representation, mg: Representation) -> Report:
     sums with coefficients [m k]_{q_i}, on V and on V⊗V (the modified
     generators of ``tensor_square(rep)``)."""
     ring, rs, n = rep.ring, rep.rs, rep.n
-    nodes = range(1, n + 1)
-    pairing = _q_pairing(rs, ring)
-    Om = {(i, j): pairing(rs.simple[i - 1].alpha, rs.simple[j - 1].alpha) for i in nodes for j in nodes}
-    cartan = {(i, j): rs.cartan[i - 1][j - 1] for i in nodes for j in nodes}
+    Om, cartan, d = presentation(rs, ring, pairing=_q_pairing(rs, ring))
     out = Report()
 
     with out.timed("dj-cartan", rep.family, n) as it:
         it.witness = _cartan_commute(mg) or _cartan_conj(mg, Om, prime=False)
 
     with out.timed("dj-commutator", rep.family, n) as it:
-        q = {i: q_scalar(ring, rs.d[i - 1]) for i in nodes}
-        it.witness = _ef_commutator(mg, {i: q[i] - q[i].inv() for i in nodes})
+        q = {i: q_scalar(ring, di) for i, di in d.items()}
+        it.witness = _ef_commutator(mg, {i: qi - qi.inv() for i, qi in q.items()})
 
     with out.timed("dj-serre", rep.family, n) as it:
 
         def coefficients(tag: str, i: int, j: int):
-            return lambda k: q_binomial(ring, 1 - cartan[(i, j)], k, d=rs.d[i - 1])
+            return lambda k: q_binomial(ring, 1 - cartan[(i, j)], k, d=d[i])
 
         def square() -> dict:
             sq = modified_generators(tensor_square(rep))

@@ -18,9 +18,8 @@ from .rootdata import (
     affine_data,
     build_root_system,
     fundamental_weights,
-    omega_on_weight,
-    omega_pairing,
-    omega_prime_on_weight,
+    presentation,
+    weight_pairing,
 )
 from .scalars import Scalar, ScalarRing, rs_binomial, rs_ring
 
@@ -140,18 +139,11 @@ def build_fundamental(family: str, rank: int, ring: ScalarRing | None = None) ->
 # omega, omega_prime keyed by node in ascending order: the fundamental module
 # on the nodes 1..n, the evaluation module on 0..n.  Both algebras have the
 # same presentation over their nodes, given by Ω_ij = (ω'_i, ω_j), the Cartan
-# matrix and the symmetrizer d.  The one-parameter U_q is the case
-# Ω_ij = q^{(α_i,α_j)} with ω'_i = ω_i^{-1}, its own gaps q_i - q_i^{-1} and
-# Serre coefficients [m k]_{q_i}; ``embed`` checks it through these helpers.
-
-
-def _finite_presentation(rs: RootSystem, ring: ScalarRing):
-    """(Ω, Cartan, d) of U_{r,s}(g) on the nodes 1..n."""
-    nodes = range(1, rs.n + 1)
-    alpha = {i: rs.simple[i - 1].alpha for i in nodes}
-    Om = {(i, j): omega_pairing(rs, ring, alpha[i], alpha[j]) for i in nodes for j in nodes}
-    cartan = {(i, j): rs.cartan[i - 1][j - 1] for i in nodes for j in nodes}
-    return Om, cartan, {i: rs.d[i - 1] for i in nodes}
+# matrix and the symmetrizer d, which ``rootdata.presentation`` builds for
+# both.  The one-parameter U_q is the case Ω_ij = q^{(α_i,α_j)} with
+# ω'_i = ω_i^{-1}, its own gaps q_i - q_i^{-1} and Serre coefficients
+# [m k]_{q_i}; ``embed`` checks it through these helpers, on the same
+# ``presentation`` at that pairing.
 
 
 def _cartan_commute(mod) -> str:
@@ -291,7 +283,7 @@ def verify_finite_relations(rep: Representation) -> Report:
     rs, ring, n = rep.rs, rep.ring, rep.n
     out = Report()
     fam = rep.family
-    Om, cartan, d = _finite_presentation(rs, ring)
+    Om, cartan, d = presentation(rs, ring)
 
     with out.timed("cartan-commute", fam, n) as it:
         it.witness = _cartan_commute(rep)
@@ -309,16 +301,17 @@ def verify_finite_relations(rep: Representation) -> Report:
         it.witness = _serre(rep, cartan, _rs_serre_coefficients(ring, Om, cartan, d), lambda: _coproduct_square(rep))
 
     with out.timed("weight-labels", fam, n) as it:
+        # ω_i acts on v_k by (ω'_λ, ω_i) and ω'_i by (ω'_i, ω_λ)^{-1}, λ = wt(v_k)
         w = ""
-        for k in range(rep.N):
-            lam = rep.weights[k]
-            for i in range(1, n + 1):
-                ev = rep.omega[i].get(k, k)
-                if ev != omega_on_weight(rs, ring, lam, i):
-                    w = w or f"omega[{i}] eigenvalue on v_{k + 1}"
-                evp = rep.omega_prime[i].get(k, k)
-                if evp != omega_prime_on_weight(rs, ring, i, lam).inv():
-                    w = w or f"omega'[{i}] eigenvalue on v_{k + 1}"
+        for k, lam in enumerate(rep.weights):
+            for i, alpha in enumerate(rs.simple_eps, 1):
+                for name, table, want in (
+                    (f"omega[{i}]", rep.omega, weight_pairing(rs, ring, lam, alpha)),
+                    (f"omega'[{i}]", rep.omega_prime, weight_pairing(rs, ring, alpha, lam).inv()),
+                ):
+                    got = table[i].get(k, k)
+                    if got != want:
+                        w = w or f"{name} on v_{k + 1}: module {got} vs weight pairing {want}"
         it.witness = w
 
     return out
@@ -335,7 +328,6 @@ class HighestWeightTriple:
     the tensor square; A-type has only the first two."""
 
     vectors: list[dict[int, Scalar]]
-    weights_eps: list[tuple]
 
 
 def highest_weight_vectors(rep: Representation) -> HighestWeightTriple:
@@ -348,17 +340,10 @@ def highest_weight_vectors(rep: Representation) -> HighestWeightTriple:
     pr = rep.prime
     w1 = dict([unit(1, 1, ring.one)])
     # w2 = v1 ⊗ v2 - (ω'_{ε1}, ω_1) v2 ⊗ v1, uniformly across types and ranks
-    pair11 = omega_on_weight(rep.rs, ring, rep.weights[0], 1)
+    pair11 = weight_pairing(rep.rs, ring, rep.weights[0], rep.rs.simple_eps[0])
     w2 = dict([unit(1, 2, ring.one), unit(2, 1, -pair11)])
     vectors = [w1, w2]
-    dim = rep.rs.eps_dim
-    eps1 = tuple(Fraction(1) if t == 0 else Fraction(0) for t in range(dim))
-    w_eps = [
-        tuple(2 * x for x in eps1),
-        tuple(x + y for x, y in zip(rep.weights[0], rep.weights[1])),
-    ]
     if fam != "A":
-        zero_eps = tuple(Fraction(0) for _ in range(dim))
         if fam == "B":
             w3 = dict(
                 [unit(i, pr(i), ring.mono(r=2 * (i - 1))) for i in range(1, n + 1)]
@@ -376,8 +361,7 @@ def highest_weight_vectors(rep: Representation) -> HighestWeightTriple:
                 + [unit(pr(i), i, ring.mono(r=n - 1, s=i - n)) for i in range(1, n + 1)]
             )
         vectors.append(w3)
-        w_eps.append(zero_eps)
-    return HighestWeightTriple(vectors, w_eps)
+    return HighestWeightTriple(vectors)
 
 
 def coproduct(left, right, kind: str, i: int) -> SMatrix:
@@ -518,7 +502,7 @@ def _evaluation(rep: Representation, aff: AffineData, spectral: str, a: Scalar, 
         f0 = mat((1, pr(1), bu))
         P = diag({1: R(r=-1, s=1), pr(1): R(r=1, s=-1), **_rs_pairs(ring, N, range(2, n + 1), 1)})
     else:
-        d = aff.d0  # B and D
+        d = aff.d[0]  # B and D
         e0 = mat((pr(1), 2, au), (pr(2), 1, -au * R(r=d, s=d)))
         f0 = mat((2, pr(1), bu), (1, pr(2), -bu))
         P = diag({1: R(s=d), 2: R(r=-d), pr(2): R(r=d), pr(1): R(s=-d), **_rs_pairs(ring, N, range(3, n + 1), d)})
@@ -540,7 +524,6 @@ def verify_affine_relations(erep: EvaluationRep) -> Report:
     ring, rs, n = erep.ring, erep.fin.rs, erep.fin.n
     fam = rs.family
     aff = erep.aff
-    d = {0: aff.d0, **{i: rs.d[i - 1] for i in range(1, n + 1)}}
     out = Report()
 
     with out.timed("affine-cartan-commute", fam, n) as it:
@@ -558,16 +541,16 @@ def verify_affine_relations(erep: EvaluationRep) -> Report:
         it.witness = _cartan_conj(erep, aff.omega, prime=False) or _cartan_conj(erep, aff.omega, prime=True)
 
     with out.timed("affine-e-f-commutator", fam, n) as it:
-        it.witness = _ef_commutator(erep, _rs_gaps(ring, d))
+        it.witness = _ef_commutator(erep, _rs_gaps(ring, aff.d))
 
     with out.timed("affine-serre", fam, n) as it:
-        coefficients = _rs_serre_coefficients(ring, aff.omega, aff.cartan_ext, d)
+        coefficients = _rs_serre_coefficients(ring, aff.omega, aff.cartan_ext, aff.d)
         it.witness = _serre(erep, aff.cartan_ext, coefficients, lambda: _coproduct_square(erep))
 
     with out.timed("degree-conjugation", fam, n) as it:
         w = ""
         x = erep.spectral
-        for scale_var in (aff.r0, aff.s0):
+        for scale_var in (ring.mono(r=aff.d[0]), ring.mono(s=aff.d[0])):
             sub = {x: scale_var * ring.atom(x)}
             for i in erep.e:
                 expect = scale_var if i == 0 else ring.one

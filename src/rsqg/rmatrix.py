@@ -16,6 +16,7 @@ from .pairing import PairingContext
 from .rep import Representation, build_fundamental, coproduct, highest_weight_vectors
 from .report import (
     Report,
+    basis_vector,
     first_column_mismatch,
     first_mismatch,
     product_mismatch,
@@ -97,8 +98,9 @@ def verify_tables(rep: Representation, rhat: SMatrix) -> Report:
                         w = w or f"a_({i},{j}) a_({j},{i}) != 1"
                     if tab.a(i, j) != fv:
                         w = w or f"a_({i},{j}) != f(eps_{i},eps_{j})"
-                if rhat.get((i - 1) * N + j - 1, (j - 1) * N + i - 1) != fv:
-                    w = w or f"swap coefficient of v_{i}v_{j} != f(eps_{i},eps_{j})"
+                got = rhat.get((i - 1) * N + j - 1, (j - 1) * N + i - 1)
+                if got != fv:
+                    w = w or f"swap coefficient of v_{i}⊗v_{j} in R̂(v_{j}⊗v_{i}): R̂ {got} vs f(eps_{i},eps_{j}) {fv}"
         it.witness = w
     return out
 
@@ -452,10 +454,11 @@ def check_weight_preservation(rep: Representation, rhat: SMatrix) -> Report:
     with out.timed("weight-preservation", rep.family, rep.n) as it:
         w = ""
         weights = [tuple(a + b for a, b in zip(wa, wb)) for wa in rep.weights for wb in rep.weights]
+        text = lambda k: f"{basis_vector(k, rep.N, 2)} of weight ({', '.join(map(str, weights[k]))})"
         for ii, row in rhat.rows.items():
             for jj in row:
                 if weights[ii] != weights[jj]:
-                    w = w or f"entry ({ii},{jj}) connects different weights"
+                    w = w or f"row {text(ii)}, column {text(jj)}: different weights"
         it.witness = w
     return out
 

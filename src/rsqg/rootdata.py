@@ -1,7 +1,8 @@
 """Classical root systems A/B/C/D: positive roots in simple-root and
 ε-coordinates, the (non-symmetric) Ringel form driving all r/s exponents,
-Cartan pairing tables on weights, Weyl dimensions, and the structural
-constants of the untwisted affinization.
+on the simple roots and on the ε-lattice of weights, the Cartan pairings
+and the twist f that it gives, the presentation data (Ω, Cartan, d) of the
+finite and affine relations, and Weyl dimensions.
 
 Roots carry the classical two-family labeling used throughout: kind "g"
 for the roots γ_{ij} (ε_i - ε_{j+1} chains, plus the short/long tail) and
@@ -44,6 +45,12 @@ class Root:
         return f"{'gamma' if self.kind == 'g' else 'beta'}[{self.i},{self.j}]"
 
 
+def _exact(x: int | Fraction) -> int | Fraction:
+    """``x`` as an int when it is integral, since int arithmetic is many
+    times faster than Fraction's."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RootSystem:
     """Root data of one classical family at a fixed rank."""
 
@@ -73,6 +80,11 @@ class RootSystem:
             for i in range(n)
         )
         self.ringel = self._build_ringel()
+        self.eps_ringel = self._build_eps_ringel()
+        for i, x in enumerate(self.simple_eps):
+            for j, y in enumerate(self.simple_eps):
+                if self.eps_forms(x, y)[0] != self.ringel[i][j]:
+                    raise AssertionError("the ε-lattice form does not restrict to the Ringel form")
         self.positive = self._build_positive_roots()
         self.by_alpha = {rt.alpha: rt for rt in self.positive}
         self.by_label = {(rt.kind, rt.i, rt.j): rt for rt in self.positive}
@@ -115,6 +127,20 @@ class RootSystem:
             m[n - 2][n - 1] = -1
             m[n - 1][n - 2] = 1
         return tuple(tuple(row) for row in m)
+
+    def _build_eps_ringel(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        """⟨ε_a, ε_b⟩, the Ringel form on the ε-lattice of weights.  In B, C
+        and D each ε_a lies in the span of the simple roots and the form is
+        ``ringel`` pulled back; the weights of type A's V span a lattice one
+        larger, on which the form is stated: ⟨ε_a, ε_b⟩ = δ_ab + [a > b]."""
+        n, dim = self.n, self.eps_dim
+        if self.family == "A":
+            return tuple(tuple(int(a >= b) for b in range(dim)) for a in range(dim))
+        # ε_a = Σ_k c_ak α_k, so the form is C·ringel·Cᵀ
+        units = (tuple(Fraction(int(t == a)) for t in range(dim)) for a in range(dim))
+        C = [[_exact(x) for x in self.eps_to_alpha(u)] for u in units]
+        CR = [[sum(c[k] * self.ringel[k][l] for k in range(n)) for l in range(n)] for c in C]
+        return tuple(tuple(_exact(sum(x * y for x, y in zip(row, c))) for c in C) for row in CR)
 
     def _build_positive_roots(self) -> list[Root]:
         n, fam = self.n, self.family
@@ -219,6 +245,24 @@ class RootSystem:
             Fraction(0),
         )
 
+    def eps_forms(self, lam, mu) -> tuple[int | Fraction, int | Fraction, int | Fraction]:
+        """(⟨λ,μ⟩, ⟨μ,λ⟩, (λ,μ)) for ε-coordinate vectors λ, μ, under
+        ``eps_ringel`` and ``eps_inner``, in one pass over their nonzero
+        coordinates."""
+        form = self.eps_ringel
+        nz = [(b, _exact(y)) for b, y in enumerate(mu) if y]
+        lm = ml = dot = 0
+        for a, x in enumerate(lam):
+            if x:
+                x, row = _exact(x), form[a]
+                for b, y in nz:
+                    xy = x * y
+                    lm += xy * row[b]
+                    ml += xy * form[b][a]
+                    if a == b:
+                        dot += xy
+        return lm, ml, self.eps_gram * dot
+
     # -- root set queries -------------------------------------------------------
 
     def is_root(self, alpha) -> bool:
@@ -264,99 +308,32 @@ def omega_pairing(rs: RootSystem, ring: ScalarRing, lam, mu) -> Scalar:
     )
 
 
+def weight_pairing(rs: RootSystem, ring: ScalarRing, lam, mu) -> Scalar:
+    """(ω'_λ, ω_μ) = r^⟨λ,μ⟩ s^(-⟨μ,λ⟩) for weights λ, μ in ε-coordinates,
+    under the Ringel form on the ε-lattice.  On a vector of weight λ, ω_μ
+    acts by (ω'_λ, ω_μ) and ω'_μ by (ω'_μ, ω_λ)^{-1}."""
+    lm, ml, _ = rs.eps_forms(lam, mu)
+    return ring.mono(r=lm, s=-ml)
+
+
 def _eps_unit(rs: RootSystem, k: int, sign: int = 1) -> tuple[Fraction, ...]:
     """±ε_k (1-indexed) in ε-coordinates."""
     return tuple(Fraction(sign) if t == k - 1 else Fraction(0) for t in range(rs.eps_dim))
 
 
-def omega_on_weight(rs: RootSystem, ring: ScalarRing, lam_eps, i: int) -> Scalar:
-    """(ω'_λ, ω_i) for a weight λ in ε-coordinates; this is the ω_i-eigenvalue
-    on a weight-λ vector."""
-    n, fam = rs.n, rs.family
-    ip = rs.eps_inner
-
-    if fam == "A" or i < n:
-        return ring.mono(r=ip(_eps_unit(rs, i), lam_eps), s=ip(_eps_unit(rs, i + 1), lam_eps))
-    lam_alpha = rs.eps_to_alpha(lam_eps)
-    if fam == "B":
-        ln = lam_alpha[n - 1]
-        return ring.mono(r=ip(_eps_unit(rs, n), lam_eps) - ln, s=-ln)
-    if fam == "C":
-        ln = lam_alpha[n - 1]
-        return ring.mono(r=2 * ip(_eps_unit(rs, n), lam_eps) - 2 * ln, s=-2 * ln)
-    ln = lam_alpha[n - 2]
-    return ring.mono(
-        r=ip(_eps_unit(rs, n - 1), lam_eps) - 2 * ln,
-        s=-ip(_eps_unit(rs, n), lam_eps) - 2 * ln,
-    )
-
-
-def omega_prime_on_weight(rs: RootSystem, ring: ScalarRing, i: int, lam_eps) -> Scalar:
-    """(ω'_i, ω_λ); the ω'_i-eigenvalue on a weight-λ vector is its inverse."""
-    n, fam = rs.n, rs.family
-    ip = rs.eps_inner
-
-    if fam == "A" or i < n:
-        return ring.mono(r=-ip(_eps_unit(rs, i + 1), lam_eps), s=-ip(_eps_unit(rs, i), lam_eps))
-    lam_alpha = rs.eps_to_alpha(lam_eps)
-    if fam == "B":
-        ln = lam_alpha[n - 1]
-        return ring.mono(r=ln, s=-ip(_eps_unit(rs, n), lam_eps) + ln)
-    if fam == "C":
-        ln = lam_alpha[n - 1]
-        return ring.mono(r=2 * ln, s=-2 * ip(_eps_unit(rs, n), lam_eps) + 2 * ln)
-    ln = lam_alpha[n - 2]
-    return ring.mono(
-        r=ip(_eps_unit(rs, n), lam_eps) + 2 * ln,
-        s=-ip(_eps_unit(rs, n - 1), lam_eps) + 2 * ln,
-    )
-
-
 # ---------------------------------------------------------------------------
-# the diagonal-twist function f on first-fundamental weights
+# the diagonal-twist function f on weights
 # ---------------------------------------------------------------------------
-
-
-def _classify_weight(rs: RootSystem, lam_eps) -> tuple[int, int] | None:
-    """Return (index, sign) for ±ε_index, or None for the zero weight."""
-    nz = [(k + 1, c) for k, c in enumerate(lam_eps) if c != 0]
-    if not nz:
-        return None
-    if len(nz) != 1 or abs(nz[0][1]) != 1:
-        raise ValueError(f"{lam_eps} is not a first-fundamental weight")
-    return nz[0][0], int(nz[0][1])
 
 
 def f_function(rs: RootSystem, ring: ScalarRing, lam_eps, mu_eps) -> Scalar:
-    """Bimultiplicative twist f(λ, μ) on weights of the first fundamental
-    module (0 or ±ε_i), normalized so that (ρ ⊗ ρ)-intertwiners compose from
-    it: f(λ, α_i) = (ω'_i, ω_λ)^{-1} and f(α_i, μ) = (ω'_μ, ω_i)^{-1}."""
-    a = _classify_weight(rs, lam_eps)
-    b = _classify_weight(rs, mu_eps)
-    if a is None or b is None:
-        return ring.one
-    (i, si), (j, sj) = a, b
-    fam = rs.family
-    if fam == "A":
-        if si != 1 or sj != 1:
-            raise ValueError("A-type first-fundamental weights are +ε_i only")
-        if i < j:
-            return ring.mono(s=-1)
-        if i == j:
-            return ring.one
-        return ring.mono(r=1)
-    if fam == "B":
-        base = {True: ring.mono(r=-1, s=-1), False: ring.mono(r=1, s=1)}
-        val = ring.mono(r=-1, s=1) if i == j else base[i < j]
-    else:
-        half = Fraction(1, 2)
-        if i < j:
-            val = ring.mono(r=-half, s=-half)
-        elif i == j:
-            val = ring.mono(r=-half, s=half)
-        else:
-            val = ring.mono(r=half, s=half)
-    return val if si * sj == 1 else val.inv()
+    """The bimultiplicative twist f(λ, μ) = (ω'_λ, ω_μ)(r/s)^{-(λ,μ)}
+    = r^{⟨λ,μ⟩-(λ,μ)} s^{(λ,μ)-⟨μ,λ⟩} on weights in ε-coordinates, from the
+    Ringel form on the ε-lattice.  As ⟨·,·⟩ symmetrizes to (·,·) against a
+    root, f(λ, α_i) = (ω'_i, ω_λ)^{-1} and f(α_i, μ) = (ω'_μ, ω_i)^{-1}: the
+    normalization from which the (ρ ⊗ ρ)-intertwiners compose."""
+    lm, ml, ip = rs.eps_forms(lam_eps, mu_eps)
+    return ring.mono(r=lm - ip, s=ip - ml)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +363,26 @@ def weyl_dimension(rs: RootSystem, lam_eps) -> int:
 
 
 # ---------------------------------------------------------------------------
-# affine structural data
+# presentation data of the finite and affine relations
 # ---------------------------------------------------------------------------
+
+
+def presentation(rs: RootSystem, ring: ScalarRing, affine: bool = False, pairing=None):
+    """(Ω, Cartan, d) of the relations on the nodes 1..n, or on 0..n with
+    α_0 = -θ when ``affine``: Ω_ij = pairing(α_i, α_j) over the simple-root
+    coordinates, by default (ω'_i, ω_j) (``omega_pairing``), and
+    c_ij = 2(α_i,α_j)/(α_i,α_i), d_i = (α_i,α_i)/2, each an integer."""
+    if pairing is None:
+        pairing = lambda lam, mu: omega_pairing(rs, ring, lam, mu)
+    alpha = {0: tuple(-x for x in rs.highest_root().alpha)} if affine else {}
+    alpha.update((i, rt.alpha) for i, rt in enumerate(rs.simple, 1))
+    pairs = [(i, j) for i in alpha for j in alpha]
+    omega = {(i, j): pairing(alpha[i], alpha[j]) for i, j in pairs}
+    d = {i: rs.sym_form(ai, ai) / 2 for i, ai in alpha.items()}
+    cartan = {(i, j): rs.sym_form(alpha[i], alpha[j]) / d[i] for i, j in pairs}
+    if any(x.denominator != 1 for x in [*cartan.values(), *d.values()]):
+        raise AssertionError("a Cartan entry or symmetrizer is not an integer")
+    return omega, {k: int(c) for k, c in cartan.items()}, {i: int(x) for i, x in d.items()}
 
 
 @dataclass
@@ -395,51 +390,17 @@ class AffineData:
     theta: Root
     omega: dict[tuple[int, int], Scalar]  # Ω_{ij}, 0 ≤ i,j ≤ n
     cartan_ext: dict[tuple[int, int], int]  # extended Cartan matrix
-    d0: int
-    r0: Scalar
-    s0: Scalar
+    d: dict[int, int]  # symmetrizer d_i, 0 ≤ i ≤ n
 
 
 def affine_data(rs: RootSystem, ring: ScalarRing) -> AffineData:
-    """Structural constants of the affinization: Ω_{ij} with the 0-th row and
-    column built from the negated highest root, the extended Cartan matrix,
-    and the 0-node symmetrizer."""
+    """Structural constants of the affinization: the presentation on the
+    nodes 0..n, α_0 being the negated highest root θ."""
     if rs.n < MIN_AFFINE_RANK[rs.family]:
         raise ValueError(
             f"type {rs.family} affine data needs rank ≥ {MIN_AFFINE_RANK[rs.family]}"
         )
-    n = rs.n
-    theta = rs.highest_root()
-    a0 = tuple(-x for x in theta.alpha)
-
-    def coords(i):
-        if i == 0:
-            return a0
-        return tuple(1 if k == i - 1 else 0 for k in range(n))
-
-    omega = {}
-    for i in range(n + 1):
-        for j in range(n + 1):
-            omega[(i, j)] = omega_pairing(rs, ring, coords(i), coords(j))
-    cext = {}
-    for i in range(n + 1):
-        for j in range(n + 1):
-            num = 2 * rs.sym_form(coords(i), coords(j))
-            den = rs.sym_form(coords(i), coords(i))
-            c = num / den
-            if c.denominator != 1:
-                raise AssertionError("extended Cartan entry is not an integer")
-            cext[(i, j)] = int(c)
-    d0f = rs.sym_form(a0, a0) / 2
-    d0 = int(d0f)
-    return AffineData(
-        theta=theta,
-        omega=omega,
-        cartan_ext=cext,
-        d0=d0,
-        r0=ring.mono(r=d0),
-        s0=ring.mono(s=d0),
-    )
+    return AffineData(rs.highest_root(), *presentation(rs, ring, affine=True))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ from rsqg.rep import (
     verify_finite_relations,
     verify_highest_weight,
 )
+from rsqg.report import basis_vector
 from rsqg.rmatrix import CoefficientTables
+from rsqg.rootdata import build_root_system
 
 CASES = [("B", 2), ("C", 2), ("D", 3)]
 OPERATOR_CASES = [("A", 2), ("B", 2), ("C", 2), ("D", 3)]
@@ -356,7 +358,75 @@ def test_rz_entry_times_a_negative_z_power_fails_the_z_degree_bound(family, rank
     i, j, v = ctx.rz.entries()[0]
     ctx.rz = _add(ctx.rz, i, j, v * (ctx.rz.ring.atom("z") ** -5 - ctx.rz.ring.one))
     item = _run(ctx, "affine", "degree")["z-degree-bound"]
-    assert item.witness == f"entry ({i},{j}) is not polynomial in z"
+    N = ctx.zrep.N
+    assert item.witness == f"row {basis_vector(i, N, 2)}, column {basis_vector(j, N, 2)} is not polynomial in z"
+
+
+@pytest.mark.parametrize("family,rank", OPERATOR_CASES)
+def test_rz_times_z_squared_names_the_entry_over_the_z_degree_bound(family, rank):
+    ctx = CaseContext(family, rank)
+    ctx.rz = _times_z_squared(ctx.rz)
+    item = _run(ctx, "affine", "degree")["z-degree-bound"]
+    match = re.fullmatch(rf"row {BASIS2}, column {BASIS2} has z-degree (\d+)", item.witness)
+    assert match, item.witness
+    assert int(match[1]) > (1 if family == "A" else 2)
+
+
+@pytest.mark.parametrize("table,label", [("omega", "omega"), ("omega_prime", "omega'")])
+@pytest.mark.parametrize("family,rank", OPERATOR_CASES)
+def test_weight_labels_witness_gives_the_module_and_pairing_values(family, rank, table, label):
+    """ω_1 (or ω'_1) on v_1 times r: the witness names v_1 and gives the
+    module's eigenvalue and the weight pairing's."""
+    mod = build_fundamental(family, rank)
+    gens = getattr(mod, table)
+    v = gens[1].get(0, 0)
+    gens[1] = _entry_times_r(gens[1])
+    items = {it.name: it for it in verify_finite_relations(mod).items}
+    assert items["weight-labels"].witness == f"{label}[1] on v_1: module {v * mod.ring.mono(r=1)} vs weight pairing {v}"
+
+
+@pytest.mark.parametrize("family,rank", OPERATOR_CASES)
+def test_coefficient_tables_witness_gives_both_swap_values(family, rank):
+    ctx = CaseContext(family, rank)
+    N = ctx.rep.N
+    v = ctx.rhat.get(1, N)
+    ctx.rhat = _swap_entry_times_r(ctx.rhat)
+    item = _run(ctx, "rmatrix", "tables")["coefficient-tables"]
+    assert item.witness == (
+        f"swap coefficient of v_1⊗v_2 in R̂(v_2⊗v_1): R̂ {v * ctx.rep.ring.mono(r=1)} vs f(eps_1,eps_2) {v}"
+    )
+
+
+@pytest.mark.parametrize("family,rank", OPERATOR_CASES)
+def test_weight_preservation_witness_names_both_basis_vectors_and_weights(family, rank):
+    """R̂ plus 1 at row v_1⊗v_1, column v_N⊗v_N, which have weights 2ε_1 and 2wt(v_N)."""
+    ctx = CaseContext(family, rank)
+    N, weights = ctx.rep.N, ctx.rep.weights
+    ctx.rhat = _corner_plus_one(ctx.rhat)
+    item = _run(ctx, "rmatrix", "weights")["weight-preservation"]
+    text = lambda wt: "(" + ", ".join(str(2 * x) for x in wt) + ")"
+    assert item.witness == (
+        f"row v_1⊗v_1 of weight {text(weights[0])}, column v_{N}⊗v_{N} of weight {text(weights[N - 1])}: different weights"
+    )
+
+
+@pytest.mark.parametrize("family,rank", OPERATOR_CASES)
+def test_changed_eps_ringel_entry_fails_the_weight_checks(monkeypatch, family, rank):
+    """⟨ε_1, ε_2⟩ plus 1 in the cached root system: the ω diagonals no longer
+    match the pairing, nor R̂'s swap coefficients f, nor the factorized R̂
+    (through its diagonal twist f̃) the explicit one.  The form is read on
+    every call, so no memo keeps the old values."""
+    rs = build_root_system(family, rank)
+    form = [list(row) for row in rs.eps_ringel]
+    form[0][1] += 1
+    monkeypatch.setattr(rs, "eps_ringel", tuple(map(tuple, form)))
+    ctx = CaseContext(family, rank)
+    assert ctx.rep.rs is rs
+    items = _run(ctx, "rep", "relations")
+    items.update(_items_of(ctx, ["coefficient-tables", "route-equivalence"]))
+    for name in ("weight-labels", "coefficient-tables", "route-equivalence"):
+        assert not items[name].ok, name
+        assert items[name].witness, name
 
 
 def test_affine_serre_witness_names_basis_vectors_of_v():

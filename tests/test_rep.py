@@ -116,7 +116,7 @@ def test_highest_weight_vector_entries():
 def test_w2_coefficient_is_the_cartan_eigenvalue():
     """The w2 coefficient is the ω_1-eigenvalue on the highest weight line,
     uniformly across types (the general rule behind the per-rank branches)."""
-    from rsqg.rootdata import omega_on_weight
+    from rsqg.rootdata import weight_pairing
 
     R = ring()
     for family, rank, expect in (
@@ -126,7 +126,7 @@ def test_w2_coefficient_is_the_cartan_eigenvalue():
         ("A", 2, R.mono(r=1)),
     ):
         r = rep(family, rank)
-        assert omega_on_weight(r.rs, R, r.weights[0], 1) == expect
+        assert weight_pairing(r.rs, R, r.weights[0], r.rs.simple_eps[0]) == expect
         w2 = highest_weight_vectors(r).vectors[1]
         assert w2[(2 - 1) * r.N + (1 - 1)] == -expect
 
@@ -178,12 +178,12 @@ def test_affine_rank_guard():
 
 
 def test_degree_substitution_scalars():
-    """Replacing the spectral variable by r_0·(itself) multiplies e_0 by r_0
-    and fixes the finite generators."""
+    """Replacing the spectral variable by r_0 = r^{d_0} times itself
+    multiplies e_0 by r_0 and fixes the finite generators."""
     ev = erep("C", 2)
     R = ev.ring
-    r0 = ev.aff.r0
-    assert r0 == R.mono(r=2)
+    assert ev.aff.d[0] == 2
+    r0 = R.mono(r=ev.aff.d[0])
     sub = {"x": r0 * R.atom("x")}
     assert ev.e[0].substituted(sub) == ev.e[0].scale(r0)
     assert ev.f[0].substituted(sub) == ev.f[0].scale(r0.inv())

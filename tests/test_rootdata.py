@@ -3,19 +3,22 @@ affine structural constants, checked against the printed per-type tables."""
 
 from __future__ import annotations
 
+import ast
+import inspect
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 from conftest import ring, rsys
 from rsqg.rootdata import (
+    RootSystem,
     affine_data,
     build_root_system,
     f_function,
     fundamental_weights,
-    omega_on_weight,
     omega_pairing,
-    omega_prime_on_weight,
+    weight_pairing,
     weyl_dimension,
 )
 
@@ -107,18 +110,48 @@ def test_omega_pairing_bimultiplicative(family, rank):
                 ) * omega_pairing(rs, R, c.alpha, b.alpha)
 
 
+@pytest.mark.parametrize("family", "ABCD")
+def test_eps_ringel_restricts_to_the_ringel_form(family):
+    """⟨·,·⟩ on the ε-lattice is ``ringel`` on the simple roots, ranks 2–12."""
+    for rank in range(2, 13):
+        rs = rsys(family, rank)
+        for i, x in enumerate(rs.simple_eps):
+            for j, y in enumerate(rs.simple_eps):
+                assert rs.eps_forms(x, y)[:2] == (rs.ringel[i][j], rs.ringel[j][i])
+
+
 @pytest.mark.parametrize("family,rank", [("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("D", 4)])
-def test_omega_tables_match_ringel_route(family, rank):
-    """The per-type eigenvalue tables agree with the Ringel-form pairing on
-    every weight of the fundamental module."""
+def test_weight_pairing_is_the_ringel_pairing_on_the_root_span(family, rank):
+    """In B, C and D every weight of V is in the root span, and the pairing
+    on ε-coordinates is ``omega_pairing`` on simple-root coordinates."""
     R = ring()
     rs = rsys(family, rank)
-    for lam in fundamental_weights(rs):
-        lam_alpha = rs.eps_to_alpha(lam)
-        for i in range(1, rs.n + 1):
-            ai = rs.simple[i - 1].alpha
-            assert omega_on_weight(rs, R, lam, i) == omega_pairing(rs, R, lam_alpha, ai)
-            assert omega_prime_on_weight(rs, R, i, lam) == omega_pairing(rs, R, ai, lam_alpha)
+    weights = fundamental_weights(rs) + list(rs.simple_eps)
+    for lam in weights:
+        for mu in weights:
+            assert weight_pairing(rs, R, lam, mu) == omega_pairing(rs, R, rs.eps_to_alpha(lam), rs.eps_to_alpha(mu))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 5])
+def test_type_a_stated_form_gives_the_gl_eigenvalues(rank):
+    """Type A's weights span more than the roots, so its ε-form is stated;
+    it gives ω_i on v_k the gl eigenvalue r^{δ_ki} s^{δ_k,i+1}, and ω'_i the
+    exchanged one."""
+    R = ring()
+    rs = rsys("A", rank)
+    assert rs.eps_ringel == tuple(tuple(int(a >= b) for b in range(rank + 1)) for a in range(rank + 1))
+    for k, lam in enumerate(fundamental_weights(rs), 1):
+        for i, alpha in enumerate(rs.simple_eps, 1):
+            assert weight_pairing(rs, R, lam, alpha) == R.mono(r=int(k == i), s=int(k == i + 1))
+            assert weight_pairing(rs, R, alpha, lam).inv() == R.mono(r=int(k == i + 1), s=int(k == i))
+
+
+@pytest.mark.parametrize("fn", [weight_pairing, f_function, RootSystem.eps_forms])
+def test_weight_forms_read_no_family(fn):
+    """The pairing on weights and the twist f come from ``eps_ringel`` alone:
+    none of them branches on the type."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "family"]
 
 
 def test_f_function_tables():
@@ -151,10 +184,11 @@ def test_f_function_constraints(family, rank):
     n = rs.n
     for lam in wts:
         for b in range(1, n):  # α_b = ε_b - ε_{b+1} as a weight difference
+            ab = rs.simple_eps[b - 1]
             lhs = f_function(rs, R, lam, eps(rs, b)) / f_function(rs, R, lam, eps(rs, b + 1))
-            assert lhs == omega_prime_on_weight(rs, R, b, lam).inv()
+            assert lhs == weight_pairing(rs, R, ab, lam).inv()
             lhs = f_function(rs, R, eps(rs, b), lam) / f_function(rs, R, eps(rs, b + 1), lam)
-            assert lhs == omega_on_weight(rs, R, lam, b).inv()
+            assert lhs == weight_pairing(rs, R, lam, ab).inv()
 
 
 def test_weyl_dimension_closed_forms():

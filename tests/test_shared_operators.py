@@ -342,3 +342,20 @@ def test_bracket_tower_is_the_only_bracketing(monkeypatch):
     assert all(pc.root_vector(rt).root is rt for rt in o.roots)
     assert towers == {"SMatrix": 2, "HalfElement": 1}
     assert stray == []
+
+
+@pytest.mark.parametrize(
+    "name,run",
+    [
+        ("verify_finite_relations", lambda fin: rep.verify_finite_relations(fin)),
+        ("affine_data", lambda fin: rootdata.affine_data(fin.rs, fin.ring)),
+        ("verify_dj_relations", lambda fin: embed.verify_dj_relations(fin, embed.modified_generators(fin))),
+    ],
+)
+def test_relation_checks_take_their_presentation_from_rootdata(monkeypatch, name, run):
+    """The finite, affine and one-parameter relations each read (Ω, Cartan,
+    d) from ``rootdata.presentation``, the affine ones on the nodes 0..n."""
+    fin = rep.build_fundamental("B", 3)
+    calls = _count_calls(monkeypatch, ((rootdata.presentation, lambda *a, affine=False, **k: f"affine={affine}"),))
+    run(fin)
+    assert calls == {f"affine={name == 'affine_data'}": 1}
