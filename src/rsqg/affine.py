@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .matrices import PairAction, SMatrix, flip_map, tensor_units
-from .rep import KAPPA, EvaluationRep, Representation, _evaluation, build_evaluation, build_fundamental, coproduct
+from .rep import KAPPA, KINDS, EvaluationRep, Representation, _evaluation, build_evaluation, build_fundamental, tensor_product
 from .report import (
     Report,
     basis_vector,
@@ -244,16 +244,18 @@ def check_affine_intertwiner(family: str, rank: int, operators: tuple | None = N
     """R̂(x/y) intertwines V(x)⊗V(y) → V(y)⊗V(x) for every generator; the
     diagonal ω_i and ω′_i are checked on the support of R̂(x/y)
     (``product_mismatch``).  The ``operators`` (V(x), V(y), R̂(x/y)) are the
-    case's, or else built by ``intertwiner_operators`` on the clock of the
+    case's, or else built by ``intertwiner_operators``; they and the two
+    tensor products (``tensor_product``) are built on the clock of the
     first generator kind."""
     out = Report()
-    for kind in ("e", "f", "omega", "omega-prime"):
+    for kind in KINDS:
         with out.timed(f"affine-intertwiner-{kind}", family, rank) as it:
             if kind == "e":
                 ev_x, ev_y, rz = operators or intertwiner_operators(family, rank)
+                xy, yx = tensor_product(ev_x, ev_y), tensor_product(ev_y, ev_x)
             w = ""
             for i in range(rank + 1):
-                lhs, rhs = (rz, coproduct(ev_x, ev_y, kind, i)), (coproduct(ev_y, ev_x, kind, i), rz)
+                lhs, rhs = (rz, xy.table(kind)[i]), (yx.table(kind)[i], rz)
                 ww = product_mismatch(lhs, rhs, ev_x.fin.N)
                 if ww:
                     w = w or f"{kind}_{i}: {ww}"

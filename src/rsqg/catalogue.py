@@ -34,7 +34,8 @@ class CaseContext:
     (root vectors, oracle values and c_γ), the ordered product Θ, R̂ and R̄
     over (r, s), the evaluation module, the module with R̂(z), R̂ and R̄ over
     the z ring, the affine intertwiner's V(x), V(y) and R̂(x/y), and the
-    spectral YBE's R̂(x)τ, R̂(y)τ and R̂(xy)τ."""
+    spectral YBE's R̂(x)τ, R̂(y)τ and R̂(xy)τ.  Each module keeps its own
+    tensor square (``square``), which every check on V⊗V reads."""
 
     def __init__(self, family: str, rank: int):
         self.family = family

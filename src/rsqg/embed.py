@@ -26,7 +26,7 @@ from .affine import one_param_r_affine_A
 from .gauge import Inconsistent, monomial_gauge
 from .lyndon import ConvexOrder, bracket_tower, minimal_pair
 from .matrices import SMatrix, flip_map
-from .rep import Representation, _cartan_commute, _cartan_conj, _ef_commutator, _serre, tensor_square
+from .rep import Representation, _cartan_commute, _cartan_conj, _ef_commutator, _serre
 from .report import Report, basis_vector, first_mismatch
 from .rootdata import Root, RootSystem, omega_pairing, presentation
 from .rootvec import RootVectorMatrices
@@ -40,6 +40,15 @@ from .scalars import (
 )
 
 
+def _modified_e_f(mod: Representation) -> tuple[dict, dict]:
+    """The tables ẽ_i = e_i ω_i^{-1/2} and f̃_i = s_i f_i (ω'_i)^{-1/2} of the
+    module ``mod``: on V⊗V, Δ(e_i)Δ(ω_i)^{-1/2} and s_i Δ(f_i)Δ(ω'_i)^{-1/2}."""
+    s_i = {i: mod.ring.mono(s=mod.rs.d[i - 1]) for i in mod.e}
+    e = {i: mod.e[i] @ mod.omega[i].diagonal_sqrt().diagonal_inv() for i in mod.e}
+    f = {i: (mod.f[i] @ mod.omega_prime[i].diagonal_sqrt().diagonal_inv()).scale(s_i[i]) for i in mod.e}
+    return e, f
+
+
 def modified_generators(rep: Representation) -> Representation:
     """The module ``rep`` on the modified generators ẽ_i = e_i ω_i^{-1/2},
     f̃_i = s_i f_i (ω'_i)^{-1/2} and ω̃_i = ω_i^{1/2}(ω'_i)^{-1/2}, with ω̃_i^{-1}
@@ -47,16 +56,10 @@ def modified_generators(rep: Representation) -> Representation:
     presentation that the relation checks of ``rep`` read.  The diagonal
     square roots exist in the half-power ring because every ω-eigenvalue is
     a monomial with integer r, s exponents."""
-    ring = rep.ring
-    e, f, om, om_inv = {}, {}, {}, {}
-    for i in rep.e:
-        om_half = rep.omega[i].diagonal_sqrt()
-        omp_half_inv = rep.omega_prime[i].diagonal_sqrt().diagonal_inv()
-        e[i] = rep.e[i] @ om_half.diagonal_inv()
-        f[i] = (rep.f[i] @ omp_half_inv).scale(ring.mono(s=rep.rs.d[i - 1]))
-        om[i] = om_half @ omp_half_inv
-        om_inv[i] = om[i].diagonal_inv()
-    return Representation(rep.rs, ring, rep.N, e, f, om, om_inv, rep.weights)
+    e, f = _modified_e_f(rep)
+    om = {i: rep.omega[i].diagonal_sqrt() @ rep.omega_prime[i].diagonal_sqrt().diagonal_inv() for i in rep.e}
+    om_inv = {i: m.diagonal_inv() for i, m in om.items()}
+    return Representation(rep.rs, rep.ring, rep.N, e, f, om, om_inv, rep.weights)
 
 
 def _q_pairing(rs: RootSystem, ring: ScalarRing):
@@ -71,8 +74,8 @@ def verify_dj_relations(rep: Representation, mg: Representation) -> Report:
     defining relations at q = r^{1/2} s^{-1/2}, checked by the relation checks
     of ``rep`` at Ω_ij = q^{(α_i,α_j)}: the Cartan conjugations, the
     commutator identity with (ω̃_i - ω̃_i^{-1})/(q_i - q_i^{-1}), and the Serre
-    sums with coefficients [m k]_{q_i}, on V and on V⊗V (the modified
-    generators of ``tensor_square(rep)``)."""
+    sums with coefficients [m k]_{q_i}, on V and on V⊗V, where only ẽ_i and
+    f̃_i are formed, from the tables of ``rep.square``."""
     ring, rs, n = rep.ring, rep.rs, rep.n
     Om, cartan, d = presentation(rs, ring, pairing=_q_pairing(rs, ring))
     out = Report()
@@ -89,11 +92,7 @@ def verify_dj_relations(rep: Representation, mg: Representation) -> Report:
         def coefficients(tag: str, i: int, j: int):
             return lambda k: q_binomial(ring, 1 - cartan[(i, j)], k, d=d[i])
 
-        def square() -> dict:
-            sq = modified_generators(tensor_square(rep))
-            return {"e": sq.e, "f": sq.f}
-
-        it.witness = _serre(mg, cartan, coefficients, square)
+        it.witness = _serre(mg, cartan, coefficients, lambda: _modified_e_f(rep.square))
     return out
 
 

@@ -6,10 +6,10 @@ algebra, and mechanical verification of all defining relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from fractions import Fraction
 
-from .matrices import SMatrix, kron
+from .matrices import SMatrix, kron, mat_vec
 from .report import Report, first_mismatch, product_mismatch
 from .rootdata import (
     MIN_AFFINE_RANK,
@@ -24,10 +24,30 @@ from .rootdata import (
 from .scalars import Scalar, ScalarRing, rs_binomial, rs_ring
 
 
+KINDS = ("e", "f", "omega", "omega-prime")
+
+
+class _Module:
+    """What a module offers over its generator tables e, f, omega and
+    omega_prime: the table of one generator kind, and the tensor square."""
+
+    def table(self, kind: str) -> dict[int, SMatrix]:
+        """The generator table of ``kind``, one of ``KINDS``."""
+        return {"e": self.e, "f": self.f, "omega": self.omega, "omega-prime": self.omega_prime}[kind]
+
+    @cached_property
+    def square(self) -> Representation:
+        """V⊗V for this module V, built by ``tensor_product`` on first use
+        and kept: every check on V⊗V reads this one."""
+        return tensor_product(self, self)
+
+
 @dataclass
-class Representation:
+class Representation(_Module):
     """Per-generator matrices of the first fundamental module, with the
-    ε-coordinate weight of each basis vector."""
+    ε-coordinate weight of each basis vector; on a tensor product
+    (``tensor_product``), whose weights no check reads, ``weights`` is
+    None."""
 
     rs: RootSystem
     ring: ScalarRing
@@ -36,7 +56,7 @@ class Representation:
     f: dict[int, SMatrix]
     omega: dict[int, SMatrix]
     omega_prime: dict[int, SMatrix]
-    weights: list[tuple[Fraction, ...]]
+    weights: list[tuple[Fraction, ...]] | None
 
     @property
     def family(self) -> str:
@@ -244,21 +264,15 @@ def _rs_serre_coefficients(ring: ScalarRing, Om: dict, cartan: dict, d: dict):
     return coefficients
 
 
-def _coproduct_square(mod) -> dict:
-    """The e and f tables of V⊗V for the module V = ``mod``, through
-    ``coproduct``."""
-    return {tag: {i: coproduct(mod, mod, tag, i) for i in mod.e} for tag in ("e", "f")}
-
-
 def _serre(mod, cartan: dict, coefficients, square) -> str:
     """For i ≠ j and m = 1 - c_ij, the Serre sums
     Σ_k (-1)^k c(k) x_i^{m-k} x_j x_i^k vanish for x = e and x = f, with
     c = ``coefficients(tag, i, j)`` ("e" or "f").
 
     The sums are checked on V and, when they vanish there, on V⊗V, whose e
-    and f tables ``square()`` builds.  On V every term x_i^{m-k} x_j x_i^k
-    of a sum with m ≥ 2 is zero by itself, so only V⊗V sees the
-    coefficients."""
+    and f tables ``square()`` returns as a pair.  On V every term
+    x_i^{m-k} x_j x_i^k of a sum with m ≥ 2 is zero by itself, so only V⊗V
+    sees the coefficients."""
 
     def first_nonzero(gens: dict, where: str) -> str:
         w = ""
@@ -274,7 +288,7 @@ def _serre(mod, cartan: dict, coefficients, square) -> str:
                         w = w or f"serre {tag} ({i},{j}){where}: {first_mismatch(sm, zero, mod.N)}"
         return w
 
-    return first_nonzero({"e": mod.e, "f": mod.f}, "") or first_nonzero(square(), " on V⊗V")
+    return first_nonzero({"e": mod.e, "f": mod.f}, "") or first_nonzero(dict(zip("ef", square())), " on V⊗V")
 
 
 def verify_finite_relations(rep: Representation) -> Report:
@@ -298,7 +312,7 @@ def verify_finite_relations(rep: Representation) -> Report:
         it.witness = _ef_commutator(rep, _rs_gaps(ring, d))
 
     with out.timed("serre", fam, n) as it:
-        it.witness = _serre(rep, cartan, _rs_serre_coefficients(ring, Om, cartan, d), lambda: _coproduct_square(rep))
+        it.witness = _serre(rep, cartan, _rs_serre_coefficients(ring, Om, cartan, d), lambda: (rep.square.e, rep.square.f))
 
     with out.timed("weight-labels", fam, n) as it:
         # ω_i acts on v_k by (ω'_λ, ω_i) and ω'_i by (ω'_i, ω_λ)^{-1}, λ = wt(v_k)
@@ -368,11 +382,10 @@ def coproduct(left, right, kind: str, i: int) -> SMatrix:
     """The generator ``kind``_i ("e", "f", "omega" or "omega-prime") acting on
     left ⊗ right through Δ(e_i) = e_i⊗1 + ω_i⊗e_i, Δ(f_i) = 1⊗f_i + f_i⊗ω'_i,
     Δ(ω_i) = ω_i⊗ω_i and Δ(ω'_i) = ω'_i⊗ω'_i; left and right are modules of
-    the same dimension with generator tables over the same nodes."""
-    if kind == "omega":
-        return kron(left.omega[i], right.omega[i])
-    if kind == "omega-prime":
-        return kron(left.omega_prime[i], right.omega_prime[i])
+    the same dimension with generator tables over the same nodes.  Called
+    only by ``tensor_product``."""
+    if kind in ("omega", "omega-prime"):
+        return kron(left.table(kind)[i], right.table(kind)[i])
     ident = SMatrix.identity(left.ring, left.N)
     if kind == "e":
         return kron(left.e[i], ident) + kron(left.omega[i], right.e[i])
@@ -381,27 +394,24 @@ def coproduct(left, right, kind: str, i: int) -> SMatrix:
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def tensor_square(rep: Representation) -> Representation:
-    """V⊗V as a module over the same nodes: every generator acts through
-    ``coproduct``, and v_a⊗v_b has weight wt(v_a) + wt(v_b)."""
-    table = {kind: {i: coproduct(rep, rep, kind, i) for i in rep.e} for kind in ("e", "f", "omega", "omega-prime")}
-    weights = [tuple(x + y for x, y in zip(a, b)) for a in rep.weights for b in rep.weights]
-    return Representation(
-        rep.rs, rep.ring, rep.N**2, table["e"], table["f"], table["omega"], table["omega-prime"], weights
-    )
+def tensor_product(left, right) -> Representation:
+    """left ⊗ right as a module over the same nodes, the one builder of
+    tensor-product generator tables: every generator of ``KINDS`` acts
+    through ``coproduct``."""
+    tables = [{i: coproduct(left, right, kind, i) for i in left.e} for kind in KINDS]
+    return Representation(left.rs, left.ring, left.N * right.N, *tables, None)
 
 
 def verify_highest_weight(rep: Representation) -> Report:
-    """Each candidate vector is annihilated by every Δ(e_i)."""
-    from .matrices import mat_vec
-
+    """Each candidate vector is annihilated by every Δ(e_i) on the module's
+    tensor square."""
     out = Report()
     with out.timed("highest-weight-annihilation", rep.family, rep.n) as it:
         hwt = highest_weight_vectors(rep)
         w = ""
         for k, vec in enumerate(hwt.vectors):
             for i in range(1, rep.n + 1):
-                img = mat_vec(coproduct(rep, rep, "e", i), vec)
+                img = mat_vec(rep.square.e[i], vec)
                 if img:
                     w = w or f"Δ(e_{i}) does not kill w{k + 1}"
         it.witness = w
@@ -414,7 +424,7 @@ def verify_highest_weight(rep: Representation) -> Report:
 
 
 @dataclass
-class EvaluationRep:
+class EvaluationRep(_Module):
     """Finite representation extended by the affine node: e_0, f_0 carry the
     spectral variable, and the products ω_0 ω_θ and ω'_0 ω'_θ act by the
     central scalar c.  The generator tables are keyed by node 0..n; nodes
@@ -441,6 +451,10 @@ class EvaluationRep:
     @property
     def N(self) -> int:
         return self.fin.N
+
+    @property
+    def rs(self) -> RootSystem:
+        return self.fin.rs
 
 
 KAPPA = {"A": 1, "B": 2, "C": 1, "D": 1}
@@ -545,7 +559,7 @@ def verify_affine_relations(erep: EvaluationRep) -> Report:
 
     with out.timed("affine-serre", fam, n) as it:
         coefficients = _rs_serre_coefficients(ring, aff.omega, aff.cartan_ext, aff.d)
-        it.witness = _serre(erep, aff.cartan_ext, coefficients, lambda: _coproduct_square(erep))
+        it.witness = _serre(erep, aff.cartan_ext, coefficients, lambda: (erep.square.e, erep.square.f))
 
     with out.timed("degree-conjugation", fam, n) as it:
         w = ""

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .lyndon import ConvexOrder, lalonde_ram
 from .matrices import PairAction, SMatrix, flip_map, kron, mat_vec, tensor_units, vec_scale
 from .pairing import PairingContext
-from .rep import Representation, build_fundamental, coproduct, highest_weight_vectors
+from .rep import Representation, build_fundamental, highest_weight_vectors
 from .report import (
     Report,
     basis_vector,
@@ -384,15 +384,15 @@ def check_eigenvalues(rep: Representation, rhat: SMatrix) -> Report:
 
 
 def check_intertwining(rep: Representation, rhat: SMatrix) -> Report:
-    """R̂ commutes with the action of every generator on V ⊗ V; the
-    diagonal ω_i and ω′_i are checked on the support of R̂
-    (``product_mismatch``)."""
+    """R̂ commutes with the action of every generator on V ⊗ V, read from
+    the module's tensor square; the diagonal ω_i and ω′_i are checked on the
+    support of R̂ (``product_mismatch``)."""
     out = Report()
     with out.timed("intertwining", rep.family, rep.n) as it:
         w = ""
         for i in range(1, rep.n + 1):
             for kind in ("f", "e", "omega", "omega-prime"):
-                mk = coproduct(rep, rep, kind, i)
+                mk = rep.square.table(kind)[i]
                 ww = product_mismatch((mk, rhat), (rhat, mk), rep.N)
                 if ww:
                     w = w or f"Δ({kind}_{i}): {ww}"

@@ -51,6 +51,11 @@ def _exact(x: int | Fraction) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
+def _half(x: int | Fraction) -> int | Fraction:
+    """x / 2, as an int when it is integral."""
+    return x // 2 if type(x) is int and not x & 1 else _exact(Fraction(x, 2))
+
+
 class RootSystem:
     """Root data of one classical family at a fixed rank."""
 
@@ -80,7 +85,7 @@ class RootSystem:
             for i in range(n)
         )
         self.ringel = self._build_ringel()
-        self.eps_ringel = self._build_eps_ringel()
+        self.eps_ringel = self._stated_eps_ringel()
         for i, x in enumerate(self.simple_eps):
             for j, y in enumerate(self.simple_eps):
                 if self.eps_forms(x, y)[0] != self.ringel[i][j]:
@@ -128,19 +133,29 @@ class RootSystem:
             m[n - 1][n - 2] = 1
         return tuple(tuple(row) for row in m)
 
-    def _build_eps_ringel(self) -> tuple[tuple[int | Fraction, ...], ...]:
-        """⟨ε_a, ε_b⟩, the Ringel form on the ε-lattice of weights.  In B, C
-        and D each ε_a lies in the span of the simple roots and the form is
-        ``ringel`` pulled back; the weights of type A's V span a lattice one
-        larger, on which the form is stated: ⟨ε_a, ε_b⟩ = δ_ab + [a > b]."""
-        n, dim = self.n, self.eps_dim
+    def _stated_eps_ringel(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        """⟨ε_a, ε_b⟩, the Ringel form on the ε-lattice of weights, stated per
+        type: δ_ab + [a > b] in A; in B, 1 on and below the diagonal and -1
+        above it; in C and D, ½ and -½.  In B, C and D the simple roots span
+        the ε-lattice over ℚ, so the construction's comparison with
+        ``ringel`` on ``simple_eps`` certifies the stated form; the weights
+        of type A's V span a lattice one larger, on which it is a choice."""
+        dim = self.eps_dim
         if self.family == "A":
             return tuple(tuple(int(a >= b) for b in range(dim)) for a in range(dim))
-        # ε_a = Σ_k c_ak α_k, so the form is C·ringel·Cᵀ
-        units = (tuple(Fraction(int(t == a)) for t in range(dim)) for a in range(dim))
-        C = [[_exact(x) for x in self.eps_to_alpha(u)] for u in units]
-        CR = [[sum(c[k] * self.ringel[k][l] for k in range(n)) for l in range(n)] for c in C]
-        return tuple(tuple(_exact(sum(x * y for x, y in zip(row, c))) for c in C) for row in CR)
+        unit = 1 if self.family == "B" else Fraction(1, 2)
+        return tuple(tuple(unit if a >= b else -unit for b in range(dim)) for a in range(dim))
+
+    @property
+    def eps_ringel(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        """⟨ε_a, ε_b⟩ on the ε-lattice; ``eps_forms`` reads it doubled."""
+        return self._eps_ringel
+
+    @eps_ringel.setter
+    def eps_ringel(self, form) -> None:
+        self._eps_ringel = form
+        # in units of 1/2 every stated entry is an int
+        self._eps_ringel_twice = tuple(tuple(_exact(2 * x) for x in row) for row in form)
 
     def _build_positive_roots(self) -> list[Root]:
         n, fam = self.n, self.family
@@ -248,8 +263,10 @@ class RootSystem:
     def eps_forms(self, lam, mu) -> tuple[int | Fraction, int | Fraction, int | Fraction]:
         """(⟨λ,μ⟩, ⟨μ,λ⟩, (λ,μ)) for ε-coordinate vectors λ, μ, under
         ``eps_ringel`` and ``eps_inner``, in one pass over their nonzero
-        coordinates."""
-        form = self.eps_ringel
+        coordinates.  The Ringel sums run on ``eps_ringel`` doubled, on ints
+        for integral λ and μ, and are halved once; each value is an int when
+        it is integral."""
+        form = self._eps_ringel_twice
         nz = [(b, _exact(y)) for b, y in enumerate(mu) if y]
         lm = ml = dot = 0
         for a, x in enumerate(lam):
@@ -261,7 +278,7 @@ class RootSystem:
                     ml += xy * form[b][a]
                     if a == b:
                         dot += xy
-        return lm, ml, self.eps_gram * dot
+        return _half(lm), _half(ml), self.eps_gram * dot
 
     # -- root set queries -------------------------------------------------------
 

@@ -148,3 +148,17 @@ def test_item_is_the_name_the_check_reports():
             assert reported == [c.item]
         else:
             assert reported == [c.name] or len(reported) > 1, (c.name, reported)
+
+
+def test_long_changes_only_the_spectral_ybe():
+    """Every catalogue entry but the spectral YBE applies alike with and
+    without ``--long``, and the YBE applies to more cases with it: so
+    ``certify-all --long`` runs every check of the same ``certify-all``."""
+    for c in catalogue.CATALOGUE:
+        for family in "ABCD":
+            for rank in range(1, 13):
+                short, long = c.applies(family, rank, False), c.applies(family, rank, True)
+                if c.applies is catalogue._ybe:
+                    assert long or not short, (c.name, family, rank)
+                else:
+                    assert short == long, (c.name, family, rank)

@@ -18,6 +18,7 @@ from conftest import DESK, case, z_range
 from rsqg import affine, rmatrix
 from rsqg.gauge import Inconsistent, monomial_gauge, solve_exact
 from rsqg.matrices import SMatrix, flip_map, kron
+from rsqg.rep import Representation
 from rsqg.report import first_mismatch, product_mismatch, transpose_reflection
 from rsqg.scalars import rs_ring
 
@@ -116,24 +117,23 @@ def test_product_mismatch_refuses_what_the_products_refuse():
 @pytest.mark.parametrize("family,rank", DESK)
 def test_passing_cartan_items_of_the_intertwiners_form_no_product(monkeypatch, family, rank):
     """Every product the intertwining checks form is attributed to the
-    generator kind whose coproduct was built last: the ω and ω′ kinds form
-    none, the e and f kinds still do."""
+    generator kind whose tensor-product table was read last: the ω and ω′
+    kinds form none, the e and f kinds still do."""
     ctx = case(family, rank)
     rep, rhat, operators = ctx.rep, ctx.rhat, ctx.intertwiner
     kinds: list[str] = []
     products: Counter = Counter()
-    coproduct, matmul = rmatrix.coproduct, SMatrix.__matmul__
+    table, matmul = Representation.table, SMatrix.__matmul__
 
-    def traced_coproduct(left, right, kind, i):
+    def traced_table(self, kind):
         kinds.append(kind)
-        return coproduct(left, right, kind, i)
+        return table(self, kind)
 
     def traced_matmul(a, b):
         products[kinds[-1] if kinds else None] += 1
         return matmul(a, b)
 
-    monkeypatch.setattr(rmatrix, "coproduct", traced_coproduct)
-    monkeypatch.setattr(affine, "coproduct", traced_coproduct)
+    monkeypatch.setattr(Representation, "table", traced_table)
     monkeypatch.setattr(SMatrix, "__matmul__", traced_matmul)
     items = rmatrix.check_intertwining(rep, rhat).items + affine.check_affine_intertwiner(family, rank, operators).items
     assert [it.name for it in items if not it.ok] == []

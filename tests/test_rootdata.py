@@ -120,6 +120,34 @@ def test_eps_ringel_restricts_to_the_ringel_form(family):
                 assert rs.eps_forms(x, y)[:2] == (rs.ringel[i][j], rs.ringel[j][i])
 
 
+@pytest.mark.parametrize("family", "BCD")
+def test_stated_eps_ringel_is_the_pulled_back_ringel_form(family):
+    """In B, C and D the stated ε-form is ``ringel`` pulled back through
+    ε_a = Σ_k c_ak α_k (``eps_to_alpha``), as C·ringel·Cᵀ, ranks 2–8."""
+    for rank in range(3 if family == "D" else 2, 9):
+        rs = rsys(family, rank)
+        units = [tuple(Fraction(int(t == a)) for t in range(rs.eps_dim)) for a in range(rs.eps_dim)]
+        C = [rs.eps_to_alpha(u) for u in units]
+        pulled = [[sum(x * y * rs.ringel[k][l] for k, x in enumerate(ca) for l, y in enumerate(cb)) for cb in C] for ca in C]
+        assert [list(row) for row in rs.eps_ringel] == pulled
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_eps_forms_are_the_fraction_sums_typed_by_integrality(family):
+    """``eps_forms`` sums in units of 1/2 on ints; its values are the
+    Fraction sums over ``eps_ringel`` and ``eps_inner``, each an int when it
+    is integral and a Fraction otherwise, on the weights of V and the
+    simple roots."""
+    rs = rsys(family, 4)
+    vectors = fundamental_weights(rs) + list(rs.simple_eps)
+    for lam in vectors:
+        for mu in vectors:
+            pair = lambda x, y: sum((a * b * rs.eps_ringel[i][j] for i, a in enumerate(x) for j, b in enumerate(y)), Fraction(0))
+            got = rs.eps_forms(lam, mu)
+            assert got == (pair(lam, mu), pair(mu, lam), rs.eps_inner(lam, mu))
+            assert [type(v) for v in got] == [int if Fraction(v).denominator == 1 else Fraction for v in got]
+
+
 @pytest.mark.parametrize("family,rank", [("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("D", 4)])
 def test_weight_pairing_is_the_ringel_pairing_on_the_root_span(family, rank):
     """In B, C and D every weight of V is in the root span, and the pairing

@@ -64,15 +64,105 @@ def test_each_operator_is_built_once_per_case(monkeypatch):
     assert calls["lalonde_ram"] == 1
     assert calls["rhat_explicit/z"] == 1
     assert calls["rbar_inverse_printed/z"] == 1
-    # dj and root-vector-embedding share one set on V; dj-serre builds the
-    # set on V⊗V
+    # dj and root-vector-embedding share one set on V; dj-serre forms only
+    # ẽ and f̃ on V⊗V, and no module of modified generators there
     assert calls["modified_generators/V"] == 1
-    assert calls["modified_generators/V⊗V"] == 1
+    assert "modified_generators/V⊗V" not in calls
     # the case's module, the evaluation module, the module over the z ring,
     # and the one module V(x) and V(y) of the affine intertwiner share
     assert calls["build_fundamental"] == 4
     # the evaluation module's, and the one V(x) and V(y) share
     assert calls["affine_data"] == 2
+
+
+def _module_kind(mod) -> str:
+    return "evaluation" if isinstance(mod, rep.EvaluationRep) else "V"
+
+
+def test_each_tensor_table_is_built_once_per_case(monkeypatch):
+    """In one case, every (kind, i) table of each tensor product is built
+    once: V⊗V of the fundamental module (``serre``, ``highest-weight``,
+    ``intertwining`` and ``dj-serre`` read it), E⊗E of the evaluation module
+    (``affine-serre``), and V(x)⊗V(y) and V(y)⊗V(x) of the affine
+    intertwiner; each product has all four kinds on all its nodes."""
+    calls: Counter = Counter()
+    coproduct = rep.coproduct
+
+    def counted(left, right, kind, i):
+        calls[(_module_kind(left), id(left), id(right), kind, i)] += 1
+        return coproduct(left, right, kind, i)
+
+    _wrap_everywhere(monkeypatch, coproduct, counted)
+    assert cli._certify_one(("B", 2, False)).ok()
+    assert set(calls.values()) == {1}
+    products = Counter((module, left == right) for module, left, right, _, _ in calls)
+    n = 2
+    assert products == {("V", True): 4 * n, ("evaluation", True): 4 * (n + 1), ("evaluation", False): 8 * (n + 1)}
+
+
+def test_coproduct_is_reached_only_through_tensor_product(monkeypatch):
+    """Over a --long case, which runs every check, no ``coproduct`` call
+    comes from outside ``tensor_product``."""
+    inside, stray, seen = [0], [], [0]
+    coproduct, tensor_product = rep.coproduct, rep.tensor_product
+
+    def watched_coproduct(left, right, kind, i):
+        seen[0] += 1
+        if not inside[0]:
+            stray.append((kind, i))
+        return coproduct(left, right, kind, i)
+
+    def counted_tensor_product(left, right):
+        inside[0] += 1
+        try:
+            return tensor_product(left, right)
+        finally:
+            inside[0] -= 1
+
+    _wrap_everywhere(monkeypatch, coproduct, watched_coproduct)
+    _wrap_everywhere(monkeypatch, tensor_product, counted_tensor_product)
+    assert cli._certify_one(("B", 2, True)).ok()
+    assert seen[0] and stray == []
+
+
+def test_desk_suite_coproduct_calls(monkeypatch):
+    """``certify-all --max-rank 3`` builds 72 V⊗V tables, 4n per case, and
+    300 on evaluation modules, 12(n + 1) per case: E⊗E and the intertwiner's
+    two products (229 and 250 while each check built its own)."""
+    import contextlib
+    import io
+
+    calls = _count_calls(monkeypatch, ((rep.coproduct, lambda left, *a: _module_kind(left)),))
+    monkeypatch.setenv("RSQG_JOBS", "1")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["certify-all", "--max-rank", "3"]) == 0
+    assert calls == {"V": 72, "evaluation": 300}
+
+
+def test_dj_serre_forms_no_modified_cartan_on_the_square(monkeypatch):
+    """On V⊗V ``dj-serre`` forms ẽ_i = Δ(e_i)Δ(ω_i)^{-1/2} and f̃_i only: two
+    diagonal inverses per node, and no product of two diagonal matrices,
+    which ω̃_i = Δ(ω_i)^{1/2}Δ(ω'_i)^{-1/2} would take."""
+    from rsqg.matrices import SMatrix
+
+    r = rep.build_fundamental("B", 3)
+    mg, big = embed.modified_generators(r), r.square.N
+    inverses, diagonal_products = [0], [0]
+    inv, matmul = SMatrix.diagonal_inv, SMatrix.__matmul__
+
+    def counted_inv(m):
+        inverses[0] += m.nrows == big
+        return inv(m)
+
+    def counted_matmul(a, b):
+        diagonal_products[0] += a.nrows == big and a.is_diagonal() and b.is_diagonal()
+        return matmul(a, b)
+
+    monkeypatch.setattr(SMatrix, "diagonal_inv", counted_inv)
+    monkeypatch.setattr(SMatrix, "__matmul__", counted_matmul)
+    assert embed.verify_dj_relations(r, mg).ok()
+    assert inverses[0] == 2 * r.n
+    assert diagonal_products[0] == 0
 
 
 def test_affine_data_is_built_twice_per_desk_case(monkeypatch):
