@@ -31,7 +31,8 @@ class CaseContext:
     """Operators shared by the checks of one (family, rank) case, each built
     on first use and at most once: the fundamental module, its convex order
     and root-vector matrices, the modified generators, the pairing context
-    (root vectors, oracle values and c_γ), the ordered product Θ, R̂ and R̄
+    (shuffle images of the e side, pairing values and c_γ; Θ reads c_γ
+    only), the ordered product Θ, R̂ and R̄
     over (r, s), the evaluation module, the module with R̂(z), R̂ and R̄ over
     the z ring, the affine intertwiner's V(x), V(y) and R̂(x/y), and the
     spectral YBE's R̂(x)τ, R̂(y)τ and R̂(xy)τ.  Each module keeps its own

@@ -129,13 +129,13 @@ def cmd_pairing_constants(args) -> int:
     ok = True
     for rt in pc.order.roots:
         for m in range(1, args.max_m + 1):
-            via_oracle = pc.power_pairing(rt, m)
+            via_engine = pc.power_pairing(rt, m)
             via_closed = closed_form_pairing(rs, ring, rt, m)
-            match = via_oracle == via_closed
+            match = via_engine == via_closed
             ok = ok and match
             print(
                 f"{rt.label():<14} m={m} closed={text_form(via_closed)} "
-                f"oracle={text_form(via_oracle)} [{'ok' if match else 'MISMATCH'}]"
+                f"oracle={text_form(via_engine)} [{'ok' if match else 'MISMATCH'}]"
             )
     return 0 if ok else 1
 
@@ -204,8 +204,9 @@ def _certify_one(case: tuple[str, int, bool]) -> Report:
 
 def _check_max_rank(max_rank: int) -> None:
     """``certify-all --max-rank`` is at least 2, and every case it runs keeps
-    its highest root within the pairing oracle's range at m = 1, the least
-    that ``pairing-constants`` asks of it."""
+    its highest root within the pairing engine's measured range at m = 1,
+    the least that ``pairing-constants`` asks of it.  That range ends at
+    rank 10: C11 is the first case outside it."""
     if max_rank < 2:
         raise ValueError(f"--max-rank must be at least 2, got {max_rank}")
     # rank by rank, so that a large value stops at its first case out of
@@ -214,7 +215,7 @@ def _check_max_rank(max_rank: int) -> None:
         for fam in FAMILIES:
             height = max(rt.height for rt in build_root_system(fam, rank).positive)
             try:
-                check_oracle_range(1, height)
+                check_oracle_range(fam, 1, height)
             except ValueError as exc:
                 raise ValueError(f"--max-rank {max_rank} includes {fam}{rank}: {exc}") from None
 
@@ -357,7 +358,7 @@ def _validate(args) -> None:
         if getattr(args, "affine", False):
             check_affine_rank(args.family, args.rank)
     if hasattr(args, "max_m"):
-        check_oracle_range(args.max_m, max(rt.height for rt in rs.positive))
+        check_oracle_range(args.family, args.max_m, max(rt.height for rt in rs.positive))
     if hasattr(args, "group"):
         wanted = args.checks.split(",") if args.checks is not None else default_checks(args.group, args.family, args.rank)
         args.checks = [c.name for c in select(args.group, args.family, args.rank, wanted)]

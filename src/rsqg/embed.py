@@ -165,7 +165,9 @@ def verify_root_vector_embedding(rvm: RootVectorMatrices, mg: Representation) ->
     out = Report()
     with out.timed("root-vector-embedding", rep.family, rep.n) as it:
         w = ""
-        e_one, f_one = bracket_tower(rvm.order, mg.e, mg.f, _q_pairing(rep.rs, rep.ring), operator.matmul)
+        q_pairing = _q_pairing(rep.rs, rep.ring)
+        e_one = bracket_tower(rvm.order, mg.e, q_pairing, operator.matmul, "e")
+        f_one = bracket_tower(rvm.order, mg.f, q_pairing, operator.matmul, "f")
         for rt in sorted(rep.rs.positive, key=lambda r: r.height):
             kap = kappa_constants(rep, rt)
             om_half_inv = rep.omega_of(rt.alpha).diagonal_sqrt().diagonal_inv()

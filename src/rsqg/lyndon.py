@@ -149,26 +149,26 @@ def minimal_pair(order: ConvexOrder, gamma: Root) -> tuple[Root, Root]:
     return a, b
 
 
-def bracket_tower(order: ConvexOrder, e1: dict, f1: dict, pairing, mul) -> tuple[dict, dict]:
-    """The bracketed root vectors of every positive root, keyed by
-    ``root.alpha``: e_γ = e_α e_β − pairing(β, α)·e_β e_α and
-    f_γ = f_β f_α − pairing(α, β)⁻¹·f_α f_β over the minimal pair (α, β) of
-    γ, from ``e1[i]`` and ``f1[i]`` on the simple root α_i.  ``pairing(λ, μ)``
-    takes simple-root coordinates and ``mul`` is the product; the values
-    need ``-`` and ``scale``.  The two-parameter towers pair by (ω′_λ, ω_μ),
-    the one-parameter tower by q^{(λ,μ)}."""
-    e: dict = {}
-    f: dict = {}
+def bracket_tower(order: ConvexOrder, gens: dict, pairing, mul, side: str) -> dict:
+    """One side of the bracketed root vectors of every positive root, keyed
+    by ``root.alpha``: e_γ = e_α e_β − pairing(β, α)·e_β e_α (``side`` "e")
+    or f_γ = f_β f_α − pairing(α, β)⁻¹·f_α f_β (``side`` "f") over the
+    minimal pair (α, β) of γ, from ``gens[i]`` on the simple root α_i.
+    ``pairing(λ, μ)`` takes simple-root coordinates and ``mul`` is the
+    product; the values need ``-`` and ``scale``.  The two-parameter towers
+    pair by (ω′_λ, ω_μ), the one-parameter tower by q^{(λ,μ)}."""
+    out: dict = {}
     for rt in sorted(order.rs.positive, key=lambda r: r.height):
         if rt.is_simple():
-            i = rt.alpha.index(1) + 1
-            e[rt.alpha], f[rt.alpha] = e1[i], f1[i]
+            out[rt.alpha] = gens[rt.alpha.index(1) + 1]
             continue
         a, b = minimal_pair(order, rt)
-        ea, eb, fa, fb = e[a.alpha], e[b.alpha], f[a.alpha], f[b.alpha]
-        e[rt.alpha] = mul(ea, eb) - mul(eb, ea).scale(pairing(b.alpha, a.alpha))
-        f[rt.alpha] = mul(fb, fa) - mul(fa, fb).scale(pairing(a.alpha, b.alpha).inv())
-    return e, f
+        if side == "e":
+            x, y, c = out[a.alpha], out[b.alpha], pairing(b.alpha, a.alpha)
+        else:
+            x, y, c = out[b.alpha], out[a.alpha], pairing(a.alpha, b.alpha).inv()
+        out[rt.alpha] = mul(x, y) - mul(y, x).scale(c)
+    return out
 
 
 def check_minimal(order: ConvexOrder, gamma: Root, pair: tuple[Root, Root]) -> bool:

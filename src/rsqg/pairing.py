@@ -1,17 +1,25 @@
-"""Brute-force Hopf-pairing engine on the free halves of the quantum group.
+"""The Hopf pairing between the two halves of the quantum group, computed on
+the quantum-shuffle image of U⁺ (Rosso, Invent. Math. 1998; Leclerc, *Dual
+canonical bases, quantum shuffles and q-characters*, Math. Z. 2004), and the
+closed forms and minimal-pair recursion it is certified against.
 
-Elements are linear combinations of (word in the e_i or f_i, Cartan monomial)
-terms; no Serre relations are imposed.  The pairing is computed by peeling
-one letter at a time through the coproduct, which is well defined because
-the coproduct of a generator only involves generators and Cartan elements.
-This gives a relation-independent oracle for root-vector pairing constants
-and the orthogonality of ordered monomials.
+For x of degree Σ k_i α_i, the image Φ(x)[u] = Π(s_i − r_i)^{k_i}·(f_u, x)
+is a combination of words u in the letters 1..n, and Φ(e_i) = [i].  Φ turns
+products into twisted shuffles: when the words of y are interleaved into
+those of x, each letter b of y placed before a letter a of x contributes
+(ω′_b, ω_a).  A pairing (y, x) is then Σ_u y[u]·Φ(x)[u] over the f-words u
+of y, divided once by Π(s_i − r_i)^{k_i}.  Only the e side is expanded, as a
+shuffle image; f_γ's coefficient at a word comes from the concatenation
+recursion over minimal pairs, word by word.  Neither side imposes a Serre
+relation.
+
+``PairingOracle`` is the term-by-term reference, which peels one letter at a
+time off an f-word and an e-word through the coproduct.  Nothing in the
+package calls it; the tests compare the engine with it.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -21,120 +29,16 @@ from .rootdata import Root, RootSystem, omega_pairing
 from .scalars import Scalar, ScalarRing, rs_factorial, rs_integer
 
 Word = tuple[int, ...]
-Cartan = tuple[int, ...]
-
-
-@dataclass
-class HalfElement:
-    """Linear combination of word × Cartan-monomial terms in one half.
-
-    side "plus": words in e_i, Cartan monomials ω_μ; side "minus": words in
-    f_i, Cartan monomials ω'_μ.  Terms are keyed by (word, cartan exponent
-    vector); coefficients are Scalars.
-    """
-
-    side: str
-    rs: RootSystem
-    ring: ScalarRing
-    terms: dict[tuple[Word, Cartan], Scalar]
-
-    def __post_init__(self):
-        if self.side not in ("plus", "minus"):
-            raise ValueError("side must be 'plus' or 'minus'")
-
-    @classmethod
-    def letter(cls, side: str, rs: RootSystem, ring: ScalarRing, i: int) -> "HalfElement":
-        if not 1 <= i <= rs.n:
-            raise ValueError(f"letter {i} outside alphabet 1..{rs.n}")
-        zero_c = (0,) * rs.n
-        return cls(side, rs, ring, {((i,), zero_c): ring.one})
-
-    @classmethod
-    def cartan(cls, side: str, rs: RootSystem, ring: ScalarRing, mu: Cartan) -> "HalfElement":
-        return cls(side, rs, ring, {((), tuple(mu)): ring.one})
-
-    @classmethod
-    def unit(cls, side: str, rs: RootSystem, ring: ScalarRing) -> "HalfElement":
-        return cls.cartan(side, rs, ring, (0,) * rs.n)
-
-    def _word_degree(self, w: Word) -> tuple[int, ...]:
-        deg = [0] * self.rs.n
-        for letter in w:
-            deg[letter - 1] += 1
-        return tuple(deg)
-
-    def scale(self, c: Scalar) -> "HalfElement":
-        if c.is_zero():
-            return HalfElement(self.side, self.rs, self.ring, {})
-        return HalfElement(
-            self.side, self.rs, self.ring, {k: v * c for k, v in self.terms.items()}
-        )
-
-    def __add__(self, other: "HalfElement") -> "HalfElement":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            nv = out[k] + v if k in out else v
-            if nv.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = nv
-        return HalfElement(self.side, self.rs, self.ring, out)
-
-    def __sub__(self, other: "HalfElement") -> "HalfElement":
-        return self + other.scale(-self.ring.one)
-
-    def __mul__(self, other: "HalfElement") -> "HalfElement":
-        """Product in the smash normal form (words first, Cartan last):
-        moving a Cartan monomial past a word costs the pairing of the
-        monomial with the word's degree."""
-        if self.side != other.side:
-            raise ValueError("cannot multiply elements of opposite halves")
-        out: dict[tuple[Word, Cartan], Scalar] = {}
-        for (w1, k1), c1 in self.terms.items():
-            for (w2, k2), c2 in other.terms.items():
-                mu2 = self._word_degree(w2)
-                if self.side == "plus":
-                    # ω_κ · x = (ω'_μ, ω_κ) x ω_κ for x of degree μ
-                    fac = omega_pairing(self.rs, self.ring, mu2, k1)
-                else:
-                    # ω'_κ · y = (ω'_κ, ω_μ) y ω'_κ for y of degree -μ
-                    fac = omega_pairing(self.rs, self.ring, k1, mu2)
-                key = (w1 + w2, tuple(a + b for a, b in zip(k1, k2)))
-                v = c1 * c2 * fac
-                nv = out[key] + v if key in out else v
-                if nv.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = nv
-        return HalfElement(self.side, self.rs, self.ring, out)
-
-    def power(self, m: int) -> "HalfElement":
-        out = HalfElement.unit(self.side, self.rs, self.ring)
-        for _ in range(m):
-            out = out * self
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 class PairingOracle:
-    """Evaluator of the bilinear pairing between the two halves.
+    """The pairing of f-words with e-words, term by term.
 
-    The generator values 1/(s_i - r_i) are factored out of the recursion: a
-    word pairing of degree Σ k_i α_i is (Laurent polynomial)·Π(s_i - r_i)^{-k_i},
-    so the inner recursion is fraction-free.  ``hopf_pair`` keeps it so: it
-    sums the scaled word pairings of each degree (letter multiset) and
-    divides each sum once by its Π(s_i - r_i)^{k_i}.
-
-    ``hopf_pair`` pairs whole elements by suffix aggregation: its state is
-    (f-subword, e-suffix), and each stripping step is taken once for all
-    the e-words that share the suffix (``_pair_aggregated``).  ``pair_words``
-    and its memoized ``_pair_scaled`` pair one f-word with one e-word; they
-    are the term-by-term reference the tests compare ``hopf_pair`` with.
-    The caches live as long as the oracle, which a case's ``PairingContext``
-    owns; the inputs it accepts are bounded by ``check_oracle_range``.
-    """
+    ``_pair_scaled`` strips the last e-letter j against each f-letter j in
+    turn, passing the Cartan part of Δ(e_j) over the f-letters after it.  The
+    generator values 1/(s_i − r_i) are factored out, so the recursion is
+    fraction-free, and ``pair_words`` divides once.  Its memo lives as long
+    as the oracle."""
 
     def __init__(self, rs: RootSystem, ring: ScalarRing):
         self.rs = rs
@@ -194,124 +98,14 @@ class PairingOracle:
             return self.ring.zero
         return self._pair_scaled(fword, eword) / self._degree_denom(fword)
 
-    def _pair_aggregated(self, fwords: dict[Word, Scalar], ewords: dict[Word, Scalar]) -> Scalar:
-        """Σ cf·ce·``_pair_scaled``(fw, ew) over the f-words and e-words of
-        one degree, summed over shared e-suffixes.
-
-        Level k maps each e-suffix s of length k that some e-word ends in to
-        the f-side left once s is stripped: Σ (coefficient)·(f-subword).
-        Stripping one more e-letter j and the f-letter at a position a with
-        fw[a] = j multiplies by ``_suffix_factor(j, fw[a+1:])``, the step of
-        ``_pair_scaled``; it is taken once for every e-word ending in j·s.
-        A full e-word leaves the empty f-word, whose coefficient is the
-        scaled pairing summed over the f-words."""
-        length = len(next(iter(ewords)))
-        level: dict[Word, dict[Word, Scalar]] = {(): fwords}
-        for k in range(1, length + 1):
-            nxt: dict[Word, dict[Word, Scalar]] = {}
-            for suffix in {ew[length - k :] for ew in ewords}:
-                side = level.get(suffix[1:])
-                if side is None:
-                    continue
-                j = suffix[0]
-                out: dict[Word, Scalar] = {}
-                for fw, c in side.items():
-                    for a, letter in enumerate(fw):
-                        if letter != j:
-                            continue
-                        sub = fw[:a] + fw[a + 1 :]
-                        v = self._suffix_factor(j, fw[a + 1 :]) * c
-                        out[sub] = out[sub] + v if sub in out else v
-                out = {w: v for w, v in out.items() if not v.is_zero()}
-                if out:
-                    nxt[suffix] = out
-            level = nxt
+    def hopf_pair(self, y: dict[Word, Scalar], x: dict[Word, Scalar]) -> Scalar:
+        """(y, x) for y = Σ y[u]·f_u and x = Σ x[w]·e_w, summed term pair by
+        term pair through ``pair_words``."""
         acc = self.ring.zero
-        for ew, ce in ewords.items():
-            side = level.get(ew)
-            if side is not None:
-                acc = acc + ce * side[()]
+        for fw, cy in y.items():
+            for ew, cx in x.items():
+                acc = acc + cy * cx * self.pair_words(fw, ew)
         return acc
-
-    def hopf_pair(self, y: HalfElement, x: HalfElement) -> Scalar:
-        """Full pairing (y, x) for y in the minus half, x in the plus half.
-
-        Both elements are grouped by degree; the f-words by Cartan part κ,
-        and the e-words with (ω'_κ, ω_ν) folded into their coefficients.
-        Each group is paired by ``_pair_aggregated``, fraction-free, and each
-        degree's sum is divided once by its Π(s_i - r_i)^{k_i}."""
-        if y.side != "minus" or x.side != "plus":
-            raise ValueError("hopf_pair takes (minus element, plus element)")
-        x_by_degree: dict[Word, list] = {}
-        for (ew, nu), cx in x.terms.items():
-            x_by_degree.setdefault(tuple(sorted(ew)), []).append((ew, nu, cx))
-        y_groups: dict[tuple[Word, Cartan], dict[Word, Scalar]] = {}
-        for (fw, kap), cy in y.terms.items():
-            y_groups.setdefault((tuple(sorted(fw)), kap), {})[fw] = cy
-        sums: dict[Word, Scalar] = {}
-        for (deg, kap), fwords in y_groups.items():
-            ewords: dict[Word, Scalar] = {}
-            for ew, nu, cx in x_by_degree.get(deg, ()):
-                v = cx * omega_pairing(self.rs, self.ring, kap, nu)
-                ewords[ew] = ewords[ew] + v if ew in ewords else v
-            ewords = {ew: v for ew, v in ewords.items() if not v.is_zero()}
-            if not ewords:
-                continue
-            total = self._pair_aggregated(fwords, ewords)
-            sums[deg] = sums[deg] + total if deg in sums else total
-        acc = self.ring.zero
-        for deg, total in sums.items():
-            acc = acc + total / self._degree_denom(deg)
-        return acc
-
-
-# ---------------------------------------------------------------------------
-# abstract quantum root vectors
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AbstractRootVector:
-    root: Root
-    e: HalfElement
-    f: HalfElement
-
-
-def abstract_root_vector(
-    order: ConvexOrder, gamma: Root, ring: ScalarRing
-) -> AbstractRootVector:
-    """Expand e_γ and f_γ as word combinations by iterated bracketing over
-    minimal pairs: e_γ = e_α e_β - (ω'_β, ω_α) e_β e_α and
-    f_γ = f_β f_α - (ω'_α, ω_β)^{-1} f_α f_β."""
-    return PairingContext(order, ring).root_vector(gamma)
-
-
-def check_oracle_range(m: int, height: int) -> None:
-    """The oracle's word expansion is exponential in m·height; inputs beyond
-    the supported range (1 ≤ m ≤ 3 and m·height ≤ 11) are rejected rather
-    than truncated.  m = 0 is the unit pairing, which the callers return
-    before they get here, so m < 1 is a caller's range that pairs nothing.
-
-    The bound is measured: a sweep of (f_γ^m, e_γ^m) over every root of
-    A2–A12, B2–B6, C2–C6 and D3–D7 with m ≤ 3 (Python 3.11, one core of a
-    shared 2-vCPU machine) took at most 1.5 s in range (D7 β[1,2], m = 1,
-    height 11).  Past it, the A12 highest root (m·height = 12) took 2.4 s
-    and the B7 highest root (13) took 14 s."""
-    if not 1 <= m <= 3 or m * height > 11:
-        raise ValueError(f"pairing power out of the supported range: m={m}, height={height}")
-
-
-def pairing_power(
-    oracle: PairingOracle, order: ConvexOrder, gamma: Root, m: int
-) -> Scalar:
-    """(f_γ^m, e_γ^m) computed by the oracle on fully expanded words, within
-    the range ``check_oracle_range`` accepts.  Nothing is kept between
-    calls; the tests compare ``PairingContext.power_pairing`` with it."""
-    if m == 0:
-        return oracle.ring.one
-    check_oracle_range(m, gamma.height)
-    rv = abstract_root_vector(order, gamma, oracle.ring)
-    return oracle.hopf_pair(rv.f.power(m), rv.e.power(m))
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +184,62 @@ def closed_form_pairing(rs: RootSystem, ring: ScalarRing, gamma: Root, m: int) -
 
 
 # ---------------------------------------------------------------------------
-# the pairing data of one case
+# the pairing engine of one case
 # ---------------------------------------------------------------------------
+
+
+# the greatest height of γ at which the engine pairs (f_γ^m, e_γ^m), by
+# family, for m = 1, 2, 3; see check_oracle_range
+ENGINE_HEIGHTS = {"A": (12, 9, 5), "B": (23, 9, 5), "C": (19, 7, 3), "D": (21, 9, 3)}
+
+
+def check_oracle_range(family: str, m: int, height: int) -> None:
+    """The engine pairs (f_γ^m, e_γ^m) for 1 ≤ m ≤ 3 and γ of height at most
+    ``ENGINE_HEIGHTS[family][m - 1]``; other inputs are rejected rather than
+    truncated.  m = 0 is the unit pairing, which the callers return before
+    they get here, so m < 1 is a caller's range that pairs nothing.
+
+    At m = 1 the bound is the highest root of A12, B12, C10 and D12.  It is
+    measured (Python 3.11, one core of a shared 2-vCPU machine): at the
+    bound, ``rsqg pairing constants`` took at most 3.4 s (C10 at m = 1,
+    133 MiB; D6 at m = 2 took 2.7 s).  Past it, A10 at m = 2 took 2.1 s and
+    the highest root of D4 alone took 8.2 s at m = 3; in C the shuffle image
+    of the highest root has Catalan(n − 1) words."""
+    if not 1 <= m <= 3 or height > ENGINE_HEIGHTS[family][m - 1]:
+        raise ValueError(f"pairing power out of the supported range: {family}, m={m}, height={height}")
+
+
+class WordSum(dict):
+    """A linear combination {word: Scalar} of words.  The product is given
+    apart: ``PairingContext.shuffle`` on the e side, concatenation in the
+    term-by-term reference of the tests."""
+
+    def add(self, word: Word, value: Scalar) -> None:
+        total = self[word] + value if word in self else value
+        if total.is_zero():
+            self.pop(word, None)
+        else:
+            self[word] = total
+
+    def scale(self, c: Scalar) -> "WordSum":
+        return WordSum({w: v * c for w, v in self.items()})
+
+    def __sub__(self, other: "WordSum") -> "WordSum":
+        out = WordSum(self)
+        for w, v in other.items():
+            out.add(w, -v)
+        return out
 
 
 class PairingContext:
     """The pairing data of one convex order over one ring, each piece
-    computed on first use and kept for the life of the context: the abstract
-    root vectors (the whole tower at once), the powers of e_γ and f_γ, the
-    ordered monomials, the oracle's pairings of monomials (so each
-    (f_γ^m, e_γ^m) once), the closed forms of (f_γ^m, e_γ^m), and c_γ from the minimal-pair recursion
-    (each root once, sub-roots included).
+    computed on first use and kept for the life of the context: the shuffle
+    images Φ(e_γ) (the whole e tower at once), their shuffle powers and the
+    images of ordered monomials, f_γ's coefficient at each word asked for,
+    the pairings of monomials (so each (f_γ^m, e_γ^m) once), the closed
+    forms of (f_γ^m, e_γ^m), and c_γ from the minimal-pair recursion (each
+    root once, sub-roots included).  Θ reads c_γ only, so it builds no
+    shuffle image.
 
     A case owns one, and its caches are dropped with the case.  Monomials
     are exponent vectors over ``order.decreasing()``."""
@@ -408,66 +247,170 @@ class PairingContext:
     def __init__(self, order: ConvexOrder, ring: ScalarRing):
         self.order = order
         self.ring = ring
-        self.oracle = PairingOracle(order.rs, ring)
+        rs = order.rs
         self._roots = order.decreasing()
-        self._powers: dict[tuple[Root, int, str], HalfElement] = {}
-        self._monomials: dict[tuple[tuple[int, ...], str], HalfElement] = {}
+        self._gen_denom = {i: ring.mono(s=rs.d[i - 1]) - ring.mono(r=rs.d[i - 1]) for i in range(1, rs.n + 1)}
+        self._powers: dict[tuple[Root, int], WordSum] = {}
+        self._images: dict[tuple[int, ...], WordSum] = {}
+        self._f: dict[tuple[tuple[int, ...], Word], Scalar] = {}
         self._pairings: dict[tuple[tuple[int, ...], tuple[int, ...]], Scalar] = {}
         self._closed: dict[tuple[Root, int], Scalar] = {}
         self._c: dict[Root, Scalar] = {}
 
-    def root_vector(self, gamma: Root) -> AbstractRootVector:
-        return self._vectors[gamma.alpha]
+    @cached_property
+    def _twist(self) -> dict[tuple[int, int], Scalar]:
+        """(ω′_b, ω_a) by letters (b, a): the factor of the shuffle for a
+        letter b of the right word placed before a letter a of the left."""
+        rs, n = self.order.rs, self.order.rs.n
+        unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+        return {
+            (b, a): omega_pairing(rs, self.ring, unit[b - 1], unit[a - 1])
+            for b in range(1, n + 1)
+            for a in range(1, n + 1)
+        }
+
+    def shuffle_words(self, v: Word, w: Word) -> WordSum:
+        """Φ(e_v e_w): every interleaving of w into v, with (ω′_b, ω_a) for
+        each letter b of w placed before a letter a of v.  Built from the
+        back: ``tail[j]`` interleaves w[j:] into the part of v done so far,
+        and ``past[b]`` is b's factor for being placed before all of it."""
+        one, twist = self.ring.one, self._twist
+        tail = [WordSum({w[j:]: one}) for j in range(len(w) + 1)]
+        past = {b: one for b in set(w)}
+        for i in range(len(v) - 1, -1, -1):
+            a = v[i]
+            past = {b: twist[(b, a)] * t for b, t in past.items()}
+            row = [WordSum() for _ in w] + [WordSum({v[i:]: one})]
+            for j in range(len(w) - 1, -1, -1):
+                out = row[j]
+                for u, c in tail[j].items():
+                    out[(a,) + u] = c
+                b = w[j]
+                for u, c in row[j + 1].items():
+                    out.add((b,) + u, c * past[b])
+            tail = row
+        return tail[0]
+
+    def shuffle(self, x: WordSum, y: WordSum) -> WordSum:
+        """The twisted shuffle product Φ(x)⧢Φ(y) = Φ(x·y)."""
+        out = WordSum()
+        for v, cx in x.items():
+            for w, cy in y.items():
+                c = cx * cy
+                for u, t in self.shuffle_words(v, w).items():
+                    out.add(u, c * t)
+        return out
 
     @cached_property
-    def _vectors(self) -> dict[tuple[int, ...], AbstractRootVector]:
-        """Every root's e_γ and f_γ, by ``lyndon.bracket_tower`` over the
-        letters."""
+    def _tower(self) -> dict[tuple[int, ...], WordSum]:
+        """Φ(e_γ) for every positive root, keyed by ``root.alpha``: the e side
+        of ``lyndon.bracket_tower`` with the twisted shuffle as product."""
         rs, ring = self.order.rs, self.ring
-        letter = lambda side: {i: HalfElement.letter(side, rs, ring, i) for i in range(1, rs.n + 1)}
+        letters = {i: WordSum({(i,): ring.one}) for i in range(1, rs.n + 1)}
         pairing = lambda lam, mu: omega_pairing(rs, ring, lam, mu)
-        e, f = bracket_tower(self.order, letter("plus"), letter("minus"), pairing, operator.mul)
-        return {rt.alpha: AbstractRootVector(rt, e[rt.alpha], f[rt.alpha]) for rt in rs.positive}
+        return bracket_tower(self.order, letters, pairing, self.shuffle, "e")
 
-    def power(self, gamma: Root, m: int, side: str) -> HalfElement:
-        """e_γ^m ("plus") or f_γ^m ("minus") for m ≥ 1."""
-        key = (gamma, m, side)
+    def power(self, gamma: Root, m: int) -> WordSum:
+        """Φ(e_γ^m), the m-th shuffle power of Φ(e_γ), for m ≥ 1."""
+        key = (gamma, m)
         got = self._powers.get(key)
         if got is None:
-            rv = self.root_vector(gamma)
-            x = rv.e if side == "plus" else rv.f
-            got = x if m == 1 else self.power(gamma, m - 1, side) * x
+            x = self._tower[gamma.alpha]
+            got = x if m == 1 else self.shuffle(self.power(gamma, m - 1), x)
             self._powers[key] = got
         return got
 
-    def monomial(self, exps: tuple[int, ...], side: str) -> HalfElement:
-        """The ordered product of the powers, largest root leftmost."""
-        key = (exps, side)
-        got = self._monomials.get(key)
+    def _image(self, exps: tuple[int, ...]) -> WordSum:
+        """Φ of the ordered monomial: the shuffle product of its powers,
+        largest root leftmost."""
+        got = self._images.get(exps)
         if got is None:
             for rt, m in zip(self._roots, exps):
                 if m:
-                    p = self.power(rt, m, side)
-                    got = p if got is None else got * p
+                    p = self.power(rt, m)
+                    got = p if got is None else self.shuffle(got, p)
             if got is None:
-                got = HalfElement.unit(side, self.order.rs, self.ring)
-            self._monomials[key] = got
+                got = WordSum({(): self.ring.one})
+            self._images[exps] = got
         return got
 
+    @cached_property
+    def _f_pairs(self) -> dict[tuple[int, ...], tuple[Root, Root, Scalar]]:
+        """(α, β, (ω′_α, ω_β)⁻¹) for the minimal pair (α, β) of every
+        non-simple root, keyed by ``root.alpha``."""
+        rs, ring = self.order.rs, self.ring
+        out = {}
+        for rt in rs.positive:
+            if not rt.is_simple():
+                a, b = minimal_pair(self.order, rt)
+                out[rt.alpha] = (a, b, omega_pairing(rs, ring, a.alpha, b.alpha).inv())
+        return out
+
+    def f_coefficient(self, gamma: Root, u: Word) -> Scalar:
+        """f_γ's coefficient at the f-word u, by the concatenation recursion
+        f_γ = f_β f_α − (ω′_α, ω_β)⁻¹·f_α f_β over the minimal pair (α, β)
+        of γ, which splits u after |β| or |α| letters; memoized on (γ, u)."""
+        key = (gamma.alpha, u)
+        got = self._f.get(key)
+        if got is None:
+            deg = [0] * len(gamma.alpha)
+            for letter in u:
+                deg[letter - 1] += 1
+            if tuple(deg) != gamma.alpha:
+                got = self.ring.zero
+            elif gamma.is_simple():
+                got = self.ring.one
+            else:
+                a, b, c = self._f_pairs[gamma.alpha]
+                got = self._split(b, a, u) - c * self._split(a, b, u)
+            self._f[key] = got
+        return got
+
+    def _split(self, first: Root, second: Root, u: Word) -> Scalar:
+        """The coefficient of f_first·f_second at u."""
+        head = self.f_coefficient(first, u[: first.height])
+        return head * self.f_coefficient(second, u[first.height :]) if head else head
+
+    def degree(self, exps: tuple[int, ...]) -> tuple[int, ...]:
+        """Σ m_γ·γ over the simple roots, for the monomial of exponents
+        ``exps``."""
+        deg = [0] * self.order.rs.n
+        for rt, m in zip(self._roots, exps):
+            for k, c in enumerate(rt.alpha):
+                deg[k] += m * c
+        return tuple(deg)
+
     def pair_monomials(self, fexps: tuple[int, ...], eexps: tuple[int, ...]) -> Scalar:
-        """The oracle's pairing of two ordered monomials."""
+        """The pairing of two ordered monomials: Σ_u (Π f_γ at the
+        consecutive blocks of u)·Φ(e-monomial)[u], divided once by
+        Π(s_i − r_i)^{k_i}; 0 between different degrees."""
         key = (fexps, eexps)
         got = self._pairings.get(key)
         if got is None:
-            got = self.oracle.hopf_pair(self.monomial(fexps, "minus"), self.monomial(eexps, "plus"))
+            deg = self.degree(eexps)
+            got = self.ring.zero
+            if self.degree(fexps) == deg:
+                blocks = [rt for rt, m in zip(self._roots, fexps) for _ in range(m)]
+                for u, c in self._image(eexps).items():
+                    k = 0
+                    for rt in blocks:
+                        c = c * self.f_coefficient(rt, u[k : k + rt.height])
+                        k += rt.height
+                        if c.is_zero():
+                            break
+                    got = got + c
+                denom = self.ring.one
+                for i, k in enumerate(deg, start=1):
+                    denom = denom * self._gen_denom[i] ** k
+                got = got / denom
             self._pairings[key] = got
         return got
 
     def power_pairing(self, gamma: Root, m: int) -> Scalar:
-        """(f_γ^m, e_γ^m) by the oracle, within ``check_oracle_range``."""
+        """(f_γ^m, e_γ^m) by the engine, within ``check_oracle_range``."""
         if m == 0:
             return self.ring.one
-        check_oracle_range(m, gamma.height)
+        check_oracle_range(self.order.rs.family, m, gamma.height)
         exps = tuple(m if rt == gamma else 0 for rt in self._roots)
         return self.pair_monomials(exps, exps)
 
@@ -521,7 +464,8 @@ def verify_pairing_constants(
     max_m: int = 2,
     context: PairingContext | None = None,
 ) -> Report:
-    """Oracle vs closed form vs recursion for every positive root, m ≤ max_m
+    """The engine's (f_γ^m, e_γ^m), which the witness calls the oracle's, vs
+    the closed form vs the recursion for every positive root, m ≤ max_m
     (lowered to m = 1 per root where m·height > 6), over the case's pairing
     ``context`` or a fresh one."""
     out = Report()
@@ -533,13 +477,13 @@ def verify_pairing_constants(
             while mm > 1 and mm * gamma.height > 6:
                 mm -= 1
             for m in range(mm + 1):
-                via_oracle = pc.power_pairing(gamma, m)
+                via_engine = pc.power_pairing(gamma, m)
                 via_closed = pc.closed_form(gamma, m)
                 via_c = pc.pairing_from_c(gamma, m)
-                if via_oracle != via_closed:
-                    w = w or f"{gamma.label()} m={m}: oracle {via_oracle} vs closed {via_closed}"
-                if via_oracle != via_c:
-                    w = w or f"{gamma.label()} m={m}: oracle {via_oracle} vs recursion {via_c}"
+                if via_engine != via_closed:
+                    w = w or f"{gamma.label()} m={m}: oracle {via_engine} vs closed {via_closed}"
+                if via_engine != via_c:
+                    w = w or f"{gamma.label()} m={m}: oracle {via_engine} vs recursion {via_c}"
         it.witness = w
     return out
 
@@ -573,7 +517,7 @@ def verify_pbw_orthogonality(
     """Pairing of ordered monomials vanishes unless the exponents agree, and
     the diagonal values factor into the per-root closed forms
     Π_γ ``closed_form_pairing``(γ, m_γ); over the case's pairing
-    ``context`` or a fresh one.  The closed form, not the oracle's own
+    ``context`` or a fresh one.  The closed form, not the engine's own
     (f_γ^m, e_γ^m), is the reference, so a one-root monomial is not compared
     with itself."""
     out = Report()
@@ -583,14 +527,7 @@ def verify_pbw_orthogonality(
         monos = list(pbw_monomials(order, max_height))
         roots_dec = order.decreasing()
 
-        def q_degree(exps):
-            deg = [0] * rs.n
-            for rt, m in zip(roots_dec, exps):
-                for k in range(rs.n):
-                    deg[k] += m * rt.alpha[k]
-            return tuple(deg)
-
-        degrees = [q_degree(e) for e in monos]
+        degrees = [pc.degree(e) for e in monos]
         for a, ma in enumerate(monos):
             for b, mb in enumerate(monos):
                 if degrees[a] != degrees[b]:

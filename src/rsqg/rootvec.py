@@ -36,7 +36,8 @@ def build_root_vector_matrices(rep: Representation, order: ConvexOrder) -> RootV
     if order.rs is not rs and order.rs.family != rs.family:
         raise ValueError("representation and order built from different root systems")
     pairing = lambda lam, mu: omega_pairing(rs, ring, lam, mu)
-    e, f = bracket_tower(order, rep.e, rep.f, pairing, operator.matmul)
+    e = bracket_tower(order, rep.e, pairing, operator.matmul, "e")
+    f = bracket_tower(order, rep.f, pairing, operator.matmul, "f")
     return RootVectorMatrices(rep, order, e, f)
 
 

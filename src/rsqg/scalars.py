@@ -1,5 +1,5 @@
 """Exact coefficient arithmetic: multivariate Laurent polynomials over ℚ and
-their fraction field.
+their quotients by cyclotomic denominators (see ``_make``).
 
 The two deformation parameters r and s are carried through half-power
 generators: a variable declared with granularity 2 internally stores the

@@ -9,11 +9,12 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from rsqg.catalogue import CaseContext
-from rsqg.lyndon import lalonde_ram
+from rsqg.lyndon import bracket_tower, lalonde_ram
 from rsqg.matrices import SMatrix
+from rsqg.pairing import PairingOracle, WordSum
 from rsqg.rep import build_evaluation, build_fundamental
 from rsqg.rmatrix import theta_nilpotent
-from rsqg.rootdata import build_root_system
+from rsqg.rootdata import build_root_system, omega_pairing
 from rsqg.rootvec import build_root_vector_matrices
 from rsqg.scalars import _packed_exp_ranges, rs_ring
 
@@ -62,6 +63,48 @@ def local_theta_factor(rvm, gamma, pairing_fn) -> SMatrix:
     nilpotency: the identity plus ``rmatrix.theta_nilpotent``."""
     rep = rvm.rep
     return SMatrix.identity(rep.ring, rep.N * rep.N) + theta_nilpotent(rvm, gamma, pairing_fn)
+
+
+# -- the free-algebra words of the root vectors, for the term-by-term reference --
+
+
+def concatenate(x: WordSum, y: WordSum) -> WordSum:
+    out = WordSum()
+    for v, cx in x.items():
+        for w, cy in y.items():
+            out.add(v + w, cx * cy)
+    return out
+
+
+@lru_cache(maxsize=None)
+def free_tower(family, rank, side):
+    """e_γ (``side`` "e") or f_γ ("f") of every positive root as words in
+    the free algebra, keyed by ``root.alpha``: ``lyndon.bracket_tower`` with
+    concatenation as the product."""
+    rs, R = rsys(family, rank), ring()
+    letters = {i: WordSum({(i,): R.one}) for i in range(1, rank + 1)}
+    return bracket_tower(order(family, rank), letters, lambda lam, mu: omega_pairing(rs, R, lam, mu), concatenate, side)
+
+
+def free_monomial(family, rank, exps, side) -> WordSum:
+    """The ordered monomial of exponents ``exps`` over ``order.decreasing()``
+    as free-algebra words."""
+    out = WordSum({(): ring().one})
+    for rt, m in zip(order(family, rank).decreasing(), exps):
+        for _ in range(m):
+            out = concatenate(out, free_tower(family, rank, side)[rt.alpha])
+    return out
+
+
+@lru_cache(maxsize=None)
+def oracle(family, rank) -> PairingOracle:
+    return PairingOracle(rsys(family, rank), ring())
+
+
+def reference_pairing(family, rank, fexps, eexps):
+    """The pairing of two ordered monomials, term by term on their words."""
+    y, x = free_monomial(family, rank, fexps, "f"), free_monomial(family, rank, eexps, "e")
+    return oracle(family, rank).hopf_pair(y, x)
 
 
 def z_range(v, name: str) -> tuple[int, int]:

@@ -10,7 +10,9 @@ import pytest
 
 from rsqg.cli import run
 from rsqg.matrices import matrix_from_json, matrix_to_json
+from rsqg.pairing import check_oracle_range
 from rsqg.rmatrix import build_rbar_inverse, build_rhat_explicit
+from rsqg.rootdata import build_root_system
 from rsqg.scalars import rs_ring
 
 
@@ -183,8 +185,27 @@ def test_unknown_check_exits_2(capsys):
 
 
 def test_pairing_outside_oracle_range_exits_2_before_output(capsys):
-    assert run(["pairing", "constants", "--family", "A", "--rank", "4", "--max-m", "3"]) == 2
-    assert capsys.readouterr().out == ""
+    """D4's highest root has height 5; the engine's bound at m = 3 in D is 3."""
+    assert run(["pairing", "constants", "--family", "D", "--rank", "4", "--max-m", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "D, m=3, height=5" in captured.err
+
+
+def test_pairing_constants_still_pass_where_the_word_expansion_did(capsys):
+    """Every --max-m m at (family, rank) that the free-algebra word
+    expansion accepted (1 ≤ m ≤ 3 and m·height ≤ 11) is in the engine's
+    range and exits 0."""
+    ran = 0
+    for family in ("A", "B", "C", "D"):
+        for rank in range(2 if family != "D" else 3, 13):
+            height = max(rt.height for rt in build_root_system(family, rank).positive)
+            for m in (1, 2, 3):
+                if m * height <= 11:
+                    check_oracle_range(family, m, height)
+                    assert run(["pairing", "constants", "--family", family, "--rank", str(rank), "--max-m", str(m)]) == 0
+                    assert "MISMATCH" not in capsys.readouterr().out
+                    ran += 1
+    assert ran == 40
 
 
 @pytest.mark.parametrize("max_m", ["0", "-3"])
@@ -291,9 +312,9 @@ def test_max_rank_below_two_exits_2_before_any_case(monkeypatch, capsys, max_ran
     assert captured.out == "" and "at least 2" in captured.err
 
 
-@pytest.mark.parametrize("max_rank", ["7", "12", "100000"])
+@pytest.mark.parametrize("max_rank", ["11", "12", "100000"])
 def test_max_rank_past_the_oracle_range_exits_2_before_any_case(monkeypatch, capsys, max_rank):
-    """B7 and C7 have highest-root height 13; the oracle's bound admits 11."""
+    """C11 has highest-root height 21; the engine's bound in C admits 19."""
     from rsqg import cli
 
     def no_case(case):
@@ -303,23 +324,23 @@ def test_max_rank_past_the_oracle_range_exits_2_before_any_case(monkeypatch, cap
     assert run(["certify-all", "--max-rank", max_rank]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "includes B7" in captured.err and "height=13" in captured.err
+    assert "includes C11" in captured.err and "height=21" in captured.err
 
 
 def test_max_rank_limit_follows_the_oracle_range(monkeypatch):
-    """The highest --max-rank accepted is read off check_oracle_range: 6 now,
-    and 5 under a bound that rejects height 11."""
+    """The highest --max-rank accepted is read off check_oracle_range: 10
+    now, and 8 under a bound that rejects height 17, where B9 starts."""
     from rsqg import cli
 
-    cli._check_max_rank(6)
+    cli._check_max_rank(10)
     original = cli.check_oracle_range
 
-    def tighter(m, height):
-        original(m, height)
-        if m * height > 9:
+    def tighter(family, m, height):
+        original(family, m, height)
+        if height > 15:
             raise ValueError("tighter bound")
 
     monkeypatch.setattr(cli, "check_oracle_range", tighter)
-    cli._check_max_rank(5)
-    with pytest.raises(ValueError, match="includes B6"):
-        cli._check_max_rank(6)
+    cli._check_max_rank(8)
+    with pytest.raises(ValueError, match="includes B9"):
+        cli._check_max_rank(9)

@@ -14,6 +14,7 @@ import pytest
 from rsqg import affine, cli, embed, pairing, rep
 from rsqg.catalogue import CATALOGUE, CaseContext
 from rsqg.embed import modified_generators, verify_dj_relations
+from rsqg.lyndon import minimal_pair
 from rsqg.matrices import SMatrix
 from rsqg.rep import (
     build_evaluation,
@@ -542,87 +543,164 @@ def _pairing_item(family, rank, name, ctx=None):
     return item
 
 
-@pytest.mark.parametrize("i", [1, 2])
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
-def test_scaled_generator_pairing_fails_pairing_constants(monkeypatch, family, rank, i):
-    """(f_i, e_i) = 1/(r·(s_i − r_i)) in the oracle.  pbw-orthogonality sees
-    it too, on the diagonal of f_i, e_i, which it compares with the closed
-    form."""
-    init = pairing.PairingOracle.__init__
+def _after_init(monkeypatch, edit):
+    """Every pairing context with ``edit(context)`` applied once built."""
+    init = pairing.PairingContext.__init__
 
-    def faulty_init(self, rs, ring):
-        init(self, rs, ring)
-        self._gen_denom[i] = self._gen_denom[i] * ring.mono(r=1)
+    def faulty(self, order, ring):
+        init(self, order, ring)
+        edit(self)
 
-    monkeypatch.setattr(pairing.PairingOracle, "__init__", faulty_init)
-    item = _pairing_item(family, rank, "constants")
-    assert not item.ok
-    assert item.witness.startswith("gamma[") and "oracle" in item.witness
-    item = _pairing_item(family, rank, "pbw")
-    assert not item.ok
-    assert item.witness.startswith("diagonal")
+    monkeypatch.setattr(pairing.PairingContext, "__init__", faulty)
 
 
-@pytest.mark.parametrize("i,j", [(1, 2), (2, 1)])
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
-def test_scaled_cartan_pairing_fails_pbw_orthogonality(monkeypatch, family, rank, i, j):
-    """(ω'_{α_i}, ω_{α_j}) times r for one pair of distinct simple roots, in
-    every use the pairing module makes of it.  The first witness is the
-    diagonal of a non-simple root, whose root vector brackets with the
-    faulty value; with the oracle's own (f_γ^m, e_γ^m) as the diagonal
-    reference, orthogonality alone still fails."""
-    alpha_i = tuple(int(k == i - 1) for k in range(rank))
-    alpha_j = tuple(int(k == j - 1) for k in range(rank))
+def _times_r(x):
+    return x * x.ring.mono(r=1)
+
+
+def _top(pc):
+    return max(pc.order.roots, key=lambda rt: rt.height)
+
+
+def _scaled_generator_value(monkeypatch):
+    """(f_1, e_1) = 1/(r·(s_1 − r_1)) in the engine's denominators."""
+    _after_init(monkeypatch, lambda pc: pc._gen_denom.update({1: _times_r(pc._gen_denom[1])}))
+
+
+def _scaled_omega_pairing(monkeypatch):
+    """(ω′_{α_1}, ω_{α_2}) times r in every use the pairing module makes of
+    it: the shuffle's twist, both bracketings and the recursion for c_γ."""
     omega_pairing = pairing.omega_pairing
 
     def faulty(rs, ring, lam, mu):
         val = omega_pairing(rs, ring, lam, mu)
-        return val * ring.mono(r=1) if (tuple(lam), tuple(mu)) == (alpha_i, alpha_j) else val
+        unit = lambda i: tuple(int(k == i) for k in range(rs.n))  # noqa: E731
+        return _times_r(val) if (tuple(lam), tuple(mu)) == (unit(0), unit(1)) else val
 
     monkeypatch.setattr(pairing, "omega_pairing", faulty)
-    item = _pairing_item(family, rank, "pbw")
-    assert not item.ok
-    assert item.witness.startswith("diagonal")
-
-    ctx = CaseContext(family, rank)
-    oracle_diagonal = lambda rs, ring, gamma, m: ctx.pairing_context.power_pairing(gamma, m)  # noqa: E731
-    monkeypatch.setattr(pairing, "closed_form_pairing", oracle_diagonal)
-    item = _pairing_item(family, rank, "pbw", ctx)
-    assert not item.ok
-    assert item.witness.startswith("off-diagonal")
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
-def test_cubes_built_as_squares_fail_pbw_orthogonality(monkeypatch, family, rank):
-    """e_γ^3 and f_γ^3 replaced by e_γ^2 and f_γ^2.  Only the diagonal of a
-    one-root monomial sees it, and only against the closed form: the oracle
-    pairs the faulty cubes consistently with themselves."""
+def _power_one_factor_short(monkeypatch):
+    """Φ(e_γ^m) for m ≥ 2 built with one shuffle factor too few."""
     power = pairing.PairingContext.power
-
-    def faulty(self, gamma, m, side):
-        return power(self, gamma, 2 if m == 3 else m, side)
-
-    monkeypatch.setattr(pairing.PairingContext, "power", faulty)
-    item = _pairing_item(family, rank, "pbw")
-    assert item.name == "pbw-orthogonality-h3"
-    assert not item.ok
-    assert item.witness.startswith("diagonal")
+    monkeypatch.setattr(pairing.PairingContext, "power", lambda self, gamma, m: power(self, gamma, max(m - 1, 1)))
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3)])
-def test_scaled_suffix_factor_fails_pairing_constants(monkeypatch, family, rank):
-    """(ω'_j, ω_μ) times r for every nonempty suffix the aggregated oracle
-    strips past: each root of height ≥ 2 then pairs wrongly."""
-    suffix_factor = pairing.PairingOracle._suffix_factor
+def _flipped_twist_factor(monkeypatch):
+    """The shuffle's factor for a letter 1 placed before a letter 2 read as
+    (ω′_2, ω_1), the one for 2 before 1."""
 
-    def faulty(self, j, suffix):
-        val = suffix_factor(self, j, suffix)
-        return val * self.ring.mono(r=1) if suffix else val
+    def flip(pc):
+        pc._twist[(1, 2)] = pc._twist[(2, 1)]
 
-    monkeypatch.setattr(pairing.PairingOracle, "_suffix_factor", faulty)
+    _after_init(monkeypatch, flip)
+
+
+def _dropped_interleaving(monkeypatch):
+    """Each shuffle of two words v, w loses the interleaving w·v."""
+    shuffle_words = pairing.PairingContext.shuffle_words
+
+    def faulty(self, v, w):
+        out = pairing.WordSum(shuffle_words(self, v, w))
+        if v and w:
+            del out[w + v]
+        return out
+
+    monkeypatch.setattr(pairing.PairingContext, "shuffle_words", faulty)
+
+
+def _e_tower_coefficient(monkeypatch, leading: bool):
+    """One coefficient of the e tower's bracket e_γ = e_α e_β − c·e_β e_α at
+    the highest root γ times r: the minimal-pair coefficient
+    c = (ω′_β, ω_α), or the leading 1 (``leading``)."""
+    tower = pairing.bracket_tower
+
+    def faulty(order, gens, pairing_fn, mul, side):
+        a, b = minimal_pair(order, max(order.roots, key=lambda rt: rt.height))
+        if not leading:
+
+            def scaled(lam, mu):
+                val = pairing_fn(lam, mu)
+                return _times_r(val) if (lam, mu) == (b.alpha, a.alpha) else val
+
+            return tower(order, gens, scaled, mul, side)
+        out = tower(order, gens, pairing_fn, mul, side)
+        one = next(iter(gens[1].values())).ring.one
+        top = tuple(x + y for x, y in zip(a.alpha, b.alpha))
+        out[top] = out[top] - mul(out[a.alpha], out[b.alpha]).scale(one - _times_r(one))
+        return out
+
+    monkeypatch.setattr(pairing, "bracket_tower", faulty)
+
+
+def _perturbed_f_recursion_coefficient(monkeypatch):
+    """(ω′_α, ω_β)⁻¹ times r in the f recursion of the highest root."""
+
+    def edit(pc):
+        a, b, c = pc._f_pairs[_top(pc).alpha]
+        pc._f_pairs[_top(pc).alpha] = (a, b, _times_r(c))
+
+    _after_init(monkeypatch, edit)
+
+PAIRING_CONTROLS = {
+    "scaled-generator-value": _scaled_generator_value,
+    "scaled-omega-pairing": _scaled_omega_pairing,
+    "power-one-factor-short": _power_one_factor_short,
+    "flipped-twist-factor": _flipped_twist_factor,
+    "dropped-interleaving": _dropped_interleaving,
+    "e-tower-leading-coefficient": lambda monkeypatch: _e_tower_coefficient(monkeypatch, leading=True),
+    "f-recursion-coefficient": _perturbed_f_recursion_coefficient,
+}
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 3), ("D", 4)])
+@pytest.mark.parametrize("control", PAIRING_CONTROLS)
+def test_perturbed_engine_fails_pairing_constants(monkeypatch, control, family, rank):
+    """Each perturbation of the pairing engine makes some (f_γ^m, e_γ^m)
+    differ from the closed form or the recursion."""
+    PAIRING_CONTROLS[control](monkeypatch)
     item = _pairing_item(family, rank, "constants")
     assert not item.ok
-    assert item.witness.startswith("gamma[") and "oracle" in item.witness
+    assert re.match(r"\w+\[\d,\d\] m=\d: oracle .* vs (closed|recursion) ", item.witness)
+
+
+@pytest.mark.parametrize("control", [*PAIRING_CONTROLS, "e-tower-minimal-pair-coefficient"])
+def test_perturbed_engine_fails_pbw_orthogonality(monkeypatch, control):
+    """pbw-orthogonality-h3 sees every perturbation of the engine at B2, on
+    the diagonal against the closed forms or off it."""
+    if control == "e-tower-minimal-pair-coefficient":
+        _e_tower_coefficient(monkeypatch, leading=False)
+    else:
+        PAIRING_CONTROLS[control](monkeypatch)
+    item = _pairing_item("B", 2, "pbw")
+    assert item.name == "pbw-orthogonality-h3"
+    assert not item.ok
+    assert item.witness.startswith(("diagonal", "off-diagonal"))
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 3), ("D", 4)])
+def test_e_tower_minimal_pair_coefficient_is_invisible_to_pairing_constants(monkeypatch, family, rank):
+    """The minimal-pair coefficient c of e_γ = e_α e_β − c·e_β e_α
+    multiplies the ordered monomial e_β e_α, to which f_γ^m is orthogonal,
+    so no (f_γ^m, e_γ^m) moves and pairing-constants passes.  pbw sees it
+    off the diagonal (above)."""
+    _e_tower_coefficient(monkeypatch, leading=False)
+    assert _pairing_item(family, rank, "constants").ok
+
+
+def test_scaled_omega_pairing_fails_pbw_off_the_diagonal(monkeypatch):
+    """With the engine's own (f_γ^m, e_γ^m) as the diagonal reference, the
+    scaled (ω′_{α_1}, ω_{α_2}) still fails orthogonality at B2.  At A2 it
+    does not: the engine reads the bicharacter per pair of letters, so the
+    perturbed one is again a bicharacter, and it keeps type A's monomials
+    orthogonal; only the diagonal sees it there."""
+    _scaled_omega_pairing(monkeypatch)
+    ctx = CaseContext("B", 2)
+    engine_diagonal = lambda rs, ring, gamma, m: ctx.pairing_context.power_pairing(gamma, m)  # noqa: E731
+    monkeypatch.setattr(pairing, "closed_form_pairing", engine_diagonal)
+    item = _pairing_item("B", 2, "pbw", ctx)
+    assert not item.ok
+    assert item.witness.startswith("off-diagonal")
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3)])
@@ -703,8 +781,8 @@ def test_perturbed_rs_factorial_fails_pairing_constants(monkeypatch, family, ran
 
 # items whose negative control is a dedicated test rather than a table row
 DEDICATED = {
-    "pairing-constants": test_scaled_generator_pairing_fails_pairing_constants,
-    "pbw-orthogonality-h3": test_cubes_built_as_squares_fail_pbw_orthogonality,
+    "pairing-constants": test_perturbed_engine_fails_pairing_constants,
+    "pbw-orthogonality-h3": test_perturbed_engine_fails_pbw_orthogonality,
     "kappa-recursion": test_scaled_top_kappa_fails_kappa_recursion,
 }
 

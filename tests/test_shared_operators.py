@@ -240,10 +240,9 @@ def test_shared_operator_build_is_charged_to_its_first_check(monkeypatch):
 
 def test_each_pairing_value_is_computed_once_per_case(monkeypatch):
     """In one B2 case, c_γ of each non-simple root is computed once (p_max
-    runs only in that step), and no two oracle calls pair the same
-    elements: pbw reads the (f_γ^m, e_γ^m) that constants computed."""
-    from rsqg import pairing
-
+    runs only in that step), one pairing context serves both pairing
+    checks, and it computes no pairing of two monomials twice: pbw reads
+    the (f_γ^m, e_γ^m) that constants computed."""
     p_max_calls: Counter = Counter()
     p_max = pairing.p_max
 
@@ -251,24 +250,43 @@ def test_each_pairing_value_is_computed_once_per_case(monkeypatch):
         p_max_calls[(alpha.label(), beta.label())] += 1
         return p_max(rs, alpha, beta)
 
-    def key(element):
-        return tuple(sorted((w, k, str(c)) for (w, k), c in element.terms.items()))
+    class CountedStores(dict):
+        def __setitem__(self, key, value):
+            stores[key] += 1
+            super().__setitem__(key, value)
 
-    oracle_calls: Counter = Counter()
-    hopf_pair = pairing.PairingOracle.hopf_pair
+    stores: Counter = Counter()
+    contexts = []
+    init = pairing.PairingContext.__init__
 
-    def counted_hopf_pair(self, y, x):
-        oracle_calls[(key(y), key(x))] += 1
-        return hopf_pair(self, y, x)
+    def counted_init(self, order, ring):
+        init(self, order, ring)
+        self._pairings = CountedStores()
+        contexts.append(self)
 
     monkeypatch.setattr(pairing, "p_max", counted_p_max)
-    monkeypatch.setattr(pairing.PairingOracle, "hopf_pair", counted_hopf_pair)
+    monkeypatch.setattr(pairing.PairingContext, "__init__", counted_init)
     assert cli._certify_one(("B", 2, False)).ok()
     non_simple = [rt for rt in lyndon.lalonde_ram(rep.build_fundamental("B", 2).rs).roots if not rt.is_simple()]
     assert len(p_max_calls) == len(non_simple) == 2
     assert set(p_max_calls.values()) == {1}
-    assert max(oracle_calls.values()) == 1
-    assert sum(oracle_calls.values()) == 25
+    assert len(contexts) == 1
+    assert max(stores.values()) == 1
+    assert sum(stores.values()) == 25
+
+
+def test_theta_builds_no_shuffle_image(monkeypatch):
+    """Θ reads only c_γ from the pairing context: building it, as the route
+    and inverse checks do, runs neither the shuffle nor the e tower."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Θ built a shuffle image")
+
+    monkeypatch.setattr(pairing.PairingContext, "shuffle_words", forbidden)
+    monkeypatch.setattr(pairing, "bracket_tower", forbidden)
+    ctx = catalogue.CaseContext("B", 3)
+    assert ctx.theta is not None
+    assert "_tower" not in vars(ctx.pairing_context) and not ctx.pairing_context._pairings
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
@@ -400,20 +418,21 @@ def test_dj_relations_run_the_two_parameter_checks(monkeypatch):
 
 
 def test_bracket_tower_is_the_only_bracketing(monkeypatch):
-    """The root-vector matrices on V, the q-bracketed tower of the modified
-    generators and the free-algebra root vectors of the pairing context each
-    run ``lyndon.bracket_tower`` once, and none of them reaches a minimal
+    """The root-vector matrices on V and the q-bracketed tower of the
+    modified generators each run ``lyndon.bracket_tower`` once per side,
+    and a pairing context runs it once, for the e side's shuffle images,
+    however many pairings it is asked for.  None of these reaches a minimal
     pair outside it."""
     towers: Counter = Counter()
     stray: list[str] = []
     inside = [0]
     tower, minimal_pair = lyndon.bracket_tower, lyndon.minimal_pair
 
-    def counted_tower(order, e1, f1, pairing_fn, mul):
-        towers[type(e1[1]).__name__] += 1
+    def counted_tower(order, gens, pairing_fn, mul, side):
+        towers[(type(gens[1]).__name__, side)] += 1
         inside[0] += 1
         try:
-            return tower(order, e1, f1, pairing_fn, mul)
+            return tower(order, gens, pairing_fn, mul, side)
         finally:
             inside[0] -= 1
 
@@ -429,9 +448,10 @@ def test_bracket_tower_is_the_only_bracketing(monkeypatch):
     rvm = rootvec.build_root_vector_matrices(r, o)
     assert embed.verify_root_vector_embedding(rvm, embed.modified_generators(r)).ok()
     pc = pairing.PairingContext(o, r.ring)
-    assert all(pc.root_vector(rt).root is rt for rt in o.roots)
-    assert towers == {"SMatrix": 2, "HalfElement": 1}
+    assert all(pc.power(rt, 1) is pc.power(rt, 1) for rt in o.roots)
     assert stray == []
+    assert pairing.verify_pbw_orthogonality(r.rs, r.ring, o, 3, pc).ok()
+    assert towers == {("SMatrix", "e"): 2, ("SMatrix", "f"): 2, ("WordSum", "e"): 1}
 
 
 @pytest.mark.parametrize(
