@@ -10,17 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .matrices import PairAction, SMatrix, flip_map, tensor_units
+from .matrices import SMatrix, flip_map, tensor_units
 from .rep import KAPPA, KINDS, EvaluationRep, Representation, _evaluation, build_evaluation, build_fundamental, tensor_product
-from .report import (
-    Report,
-    basis_vector,
-    first_column_mismatch,
-    first_mismatch,
-    product_mismatch,
-    reflected_column_pairs,
-    transpose_reflection,
-)
+from .report import Report, basis_vector, first_mismatch, product_mismatch, yang_baxter_witness
 from .rmatrix import CoefficientTables, eigenvalues
 from .rootdata import build_root_system, fundamental_weights
 from .scalars import Scalar, ScalarRing, _packed_exp_ranges, rs_ring
@@ -289,51 +281,23 @@ def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -
     entry of R(y) the same with x and y exchanged, and every entry of R(xy)
     a polynomial of degree ≤ b in each (b = 1 in type A, 2 otherwise), each
     left-side entry is a sum of products of one entry of each, so a
-    polynomial of x- and y-degree ≤ 2b.  Then only the identity is decided
-    on V⊗³.  Where ``transpose_reflection`` certifies R(z)ᵀ = Π·G·R(z)·G⁻¹·Π
-    for all three operators (types B, C and D), the right side is
-    G₃⁻¹·Π₃·LHSᵀ·Π₃·G₃, since transposing reverses the product and Π₃G₃
-    conjugates each factor to its transpose; only the left side is
-    computed, and checked against its own reflection
-    (``reflected_column_pairs``).  Otherwise, and for the witness of any
-    failure, both sides are compared one column at a time
-    (``first_column_mismatch``), and a failure names its column and row as
-    basis vectors.  Where a factor is out of its bound, the left side's
-    entries are held to the bound one column at a time on that path, which
-    is the only one that reads them."""
+    polynomial of x- and y-degree ≤ 2b.  A factor out of its bound fails
+    the check, and the identity is not run: the witness names each such
+    factor with its first entry out of bound ("R(x): row …, column … has
+    x-degree d"), "; " between factors.  Otherwise the identity on V⊗³ is
+    decided by ``yang_baxter_witness``, the one decider it shares with the
+    braid relation."""
     out = Report()
     with out.timed("spectral-ybe", family, rank) as it:
         r_x, r_y, r_xy = operators or spectral_ybe_operators(family, rank)
-        N = isqrt(r_x.nrows)
-        r12, r13, r23 = PairAction(r_x, N, (1, 2)), PairAction(r_xy, N, (1, 3)), PairAction(r_y, N, (2, 3))
-        # three factors of z-degree ≤ b, two of them in x and two in y
         b = 1 if family == "A" else 2
-        bound = 2 * b
-        ix, iy = r_x.ring.index["x"], r_x.ring.index["y"]
-
-        def over_bound(lhs: dict) -> tuple[int, str] | None:
-            # the left side's column holds kernel values: a Laurent entry is
-            # its term dict, whose x and y exponents are read off its digits
-            for row in sorted(lhs):
-                v = lhs[row]
-                if type(v) is not dict:
-                    return row, "LHS entry has a denominator"
-                (lx, dx), (ly, dy) = _packed_exp_ranges(v, ix, iy)
-                if lx < 0 or ly < 0:
-                    return row, f"LHS entry of lowest x-power {lx} and y-power {ly} is not polynomial in x and y"
-                if dx > bound or dy > bound:
-                    return row, f"LHS entry of x-degree {dx} and y-degree {dy} exceeds the spectral degree bound {bound}"
-            return None
-
-        lhs, rhs = (r12, r13, r23), (r23, r13, r12)
-        factor_limits = ((r_x, {"x": b, "y": 0}), (r_y, {"x": 0, "y": b}), (r_xy, {"x": b, "y": b}))
-        if any(_degree_excess(m, limits) for m, limits in factor_limits):
-            it.witness = first_column_mismatch(lhs, rhs, over_bound)
+        factors = (("R(x)", r_x, {"x": b, "y": 0}), ("R(y)", r_y, {"x": 0, "y": b}), ("R(xy)", r_xy, {"x": b, "y": b}))
+        excess = [f"{name}: {w}" for name, m, limits in factors if (w := _degree_excess(m, limits))]
+        if excess:
+            it.witness = "; ".join(excess)
         else:
-            d = transpose_reflection((r_x, r_y, r_xy))
             weights = fundamental_weights(build_root_system(family, rank))
-            if d is None or reflected_column_pairs(lhs, d, weights) is None:
-                it.witness = first_column_mismatch(lhs, rhs)
+            it.witness = yang_baxter_witness(r_x, r_xy, r_y, weights)
     return out
 
 

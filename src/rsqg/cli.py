@@ -355,8 +355,15 @@ def _validate(args) -> None:
     the defaults that depend on the case."""
     if hasattr(args, "family"):
         rs = build_root_system(args.family, args.rank)
-        if getattr(args, "affine", False):
+        if getattr(args, "affine", False) or args.fn is cmd_affine_build:
             check_affine_rank(args.family, args.rank)
+    if getattr(args, "out", None):
+        # the report or matrix is written after all the work: a path that
+        # cannot be written is a usage error, found before any of it
+        if os.path.isdir(args.out):
+            raise ValueError(f"--out {args.out} is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ValueError(f"--out {args.out}: no such directory")
     if hasattr(args, "max_m"):
         check_oracle_range(args.family, args.max_m, max(rt.height for rt in rs.positive))
     if hasattr(args, "group"):

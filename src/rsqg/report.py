@@ -3,10 +3,13 @@ the one clock every check runs under, and the witnesses of a failing
 operator identity: on V or V ⊗ V (``first_mismatch``; for an identity of
 two products, ``product_mismatch``, which decides a conjugation by diagonal
 factors on the support of the conjugated matrix) and, one column at a time,
-on V⊗V⊗V (``first_column_mismatch``).  Where the factors of a V⊗³ identity
-have a certified gauged transpose symmetry (``transpose_reflection``), its
-right side is the reflected left side, and ``reflected_column_pairs``
-decides it from the left side alone."""
+on V⊗V⊗V (``first_column_mismatch``).
+
+The one Yang–Baxter decider, ``yang_baxter_witness``, decides R₁₂R₁₃R₂₃ =
+R₂₃R₁₃R₁₂ on V⊗V⊗V for the braid relation and the spectral YBE alike.
+Where its factors have a certified gauged transpose symmetry
+(``transpose_reflection``), the right side is the reflected left side, and
+``reflected_column_pairs`` decides it from the left side alone."""
 
 from __future__ import annotations
 
@@ -186,11 +189,7 @@ def product_mismatch(
     return first_mismatch(lhs_product, rhs_product, n)
 
 
-def first_column_mismatch(
-    lhs: Sequence[PairAction],
-    rhs: Sequence[PairAction],
-    column_bound: Callable[[dict[int, object]], tuple[int, str] | None] | None = None,
-) -> str:
+def first_column_mismatch(lhs: Sequence[PairAction], rhs: Sequence[PairAction]) -> str:
     """The witness of lhs[0]⋯lhs[-1] = rhs[0]⋯rhs[-1] on V⊗V⊗V, for products
     of operators on two of its factors: both sides are applied to one basis
     vector v_a⊗v_b⊗v_c at a time, so one column of each side is alive at a
@@ -198,13 +197,12 @@ def first_column_mismatch(
     the basis vector, so its result is read as a stored column.
 
     Every column holds kernel values (``matrices.PairAction``) from the
-    stored columns to the comparison, and ``column_bound`` is given the left
-    side's column; only the values a witness prints become Scalars.
+    stored columns to the comparison; only the values a witness prints
+    become Scalars.
 
-    The first column (in index order) that fails is named with its first
-    differing row and both sides' values there; where the sides agree,
-    ``column_bound(lhs_column)`` may name a row and what is wrong with it.
-    "" when every column passes."""
+    The first column (in index order) whose sides differ is named with its
+    first differing row and both sides' values there; "" when every column
+    passes."""
     n, ring = lhs[0].n, lhs[0].ring
     where = lambda col, row: f"column {basis_vector(col, n, 3)}, row {basis_vector(row, n, 3)}"
     show = lambda column, row: scalar_of(ring, column[row]) if row in column else 0
@@ -217,35 +215,27 @@ def first_column_mismatch(
         if left != right:
             row = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
             return f"{where(col, row)}: LHS {show(left, row)} vs RHS {show(right, row)}"
-        bad = column_bound(left) if column_bound else None
-        if bad:
-            return f"{where(col, bad[0])}: {bad[1]}"
     return ""
 
 
-def transpose_reflection(ops: Sequence[SMatrix], flip: bool = False) -> list[Scalar] | None:
+def transpose_reflection(ops: Sequence[SMatrix]) -> list[Scalar] | None:
     """The diagonal D = diag(d_1, …, d_N) of r,s-monomials of coefficient 1
-    with Mᵀ = Π·G·M·G⁻¹·Π for every operator M in ``ops`` on V ⊗ V (with
-    ``flip``: P·Mᵀ·P = Π·G·M·G⁻¹·Π, P the flip), where Π = J⊗J, J reverses
-    V's basis (v_a ↦ v_{N+1−a}) and G = D⊗D; None when there is none.
+    with Mᵀ = Π·G·M·G⁻¹·Π for every operator M in ``ops`` on V ⊗ V, where
+    Π = J⊗J, J reverses V's basis (v_a ↦ v_{N+1−a}) and G = D⊗D; None when
+    there is none.
 
-    Entrywise, with σ = Π (or P·Π) as a permutation of V ⊗ V, the identity
-    reads M[σl, σk] = M[k, l]·G(k)/G(l) for every (k, l): a monomial gauge
+    Entrywise, with Π as the permutation k ↦ N²−1−k of V ⊗ V, the identity
+    reads M[Πl, Πk] = M[k, l]·G(k)/G(l) for every (k, l): a monomial gauge
     (``gauge.monomial_gauge``) in the exponents of D, one triple per stored
     entry, whose linear form is that of G(k)/G(l) in the digits of k and l."""
     ring, N = ops[0].ring, isqrt(ops[0].nrows)
-
-    def sigma(k: int) -> int:
-        a, b = divmod(k, N)
-        return (N - 1 - b) * N + N - 1 - a if flip else (N - 1 - a) * N + N - 1 - b
-
+    last = N * N - 1
     triples = []
     for m in ops:
         for k, row in m.rows.items():
-            sk = sigma(k)
             for l, v in row.items():
                 form = ((k // N, 1), (k % N, 1), (l // N, -1), (l % N, -1))
-                triples.append((form, v, m.get(sigma(l), sk)))
+                triples.append((form, v, m.get(last - l, last - k)))
     try:
         exps, _ = monomial_gauge(triples, N, ("r", "s"))
     except Inconsistent:
@@ -264,18 +254,12 @@ def _weight_codes(weights: Sequence[tuple]) -> list[int]:
     return [sum(x * base**t for t, x in enumerate(w)) for w in ints]
 
 
-def reflected_column_pairs(
-    lhs: Sequence[PairAction],
-    d: Sequence[Scalar],
-    weights: Sequence[tuple],
-    flip: bool = False,
-) -> int | None:
-    """Decide lhs[0]⋯lhs[-1] = G₃⁻¹·T·(lhs[0]⋯lhs[-1])ᵀ·T·G₃ on V⊗V⊗V from
+def reflected_column_pairs(lhs: Sequence[PairAction], d: Sequence[Scalar], weights: Sequence[tuple]) -> int | None:
+    """Decide lhs[0]⋯lhs[-1] = G₃⁻¹·Π₃·(lhs[0]⋯lhs[-1])ᵀ·Π₃·G₃ on V⊗V⊗V from
     the left side alone, where G₃ = D⊗D⊗D for the diagonal ``d`` of
-    ``transpose_reflection`` and T permutes the basis by τ: τ(a, b, c) =
-    (Ja, Jb, Jc), or with ``flip`` (Jc, Jb, Ja).  Where the lemma holds,
-    the right side of the spectral YBE (and, with ``flip``, of the braid
-    relation) is exactly this reflection of the left side.
+    ``transpose_reflection`` and Π₃ = J⊗J⊗J permutes the basis by τ: k ↦
+    N³−1−k.  Where the lemma holds, the right side R₂₃R₁₃R₁₂ of the
+    Yang–Baxter equation is exactly this reflection of the left side.
 
     Entrywise: L[u, v]·g(u) = L[τv, τu]·g(v) with g = d⊗d⊗d.  The columns
     of L are computed one at a time, as in ``first_column_mismatch``.  An
@@ -293,21 +277,20 @@ def reflected_column_pairs(
     n = lhs[0].n
     dexp = [v.monomial_parts()[0] for v in d]
     code = _weight_codes(weights)
-    g, tau, blocks = [], [], {}
+    g, blocks = [], {}
     k = 0
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 g.append(dexp[a] + dexp[b] + dexp[c])
-                ta, tc = (n - 1 - c, n - 1 - a) if flip else (n - 1 - a, n - 1 - c)
-                tau.append((ta * n + n - 1 - b) * n + tc)
                 blocks.setdefault(code[a] + code[b] + code[c], []).append(k)
                 k += 1
+    last = n**3 - 1  # τ(k) = last − k
     # block −λ, each column followed by its image under τ, which lies in block λ
     order, seen = [], bytearray(n**3)
     for lam in sorted(blocks, key=lambda lam: (abs(lam), lam)):
         for k in blocks[lam]:
-            for j in (k, tau[k]):
+            for j in (k, last - k):
                 if not seen[j]:
                     seen[j] = 1
                     order.append(j)
@@ -319,7 +302,7 @@ def reflected_column_pairs(
         for op in lhs[-2::-1]:
             column = op(column)
         expected = pending.pop(col, {})
-        gc, tc = g[col], tau[col]
+        gc, tc = g[col], last - col
         for row, value in column.items():
             if type(value) is not dict:
                 return None  # only Laurent entries are compared here
@@ -328,7 +311,7 @@ def reflected_column_pairs(
                     return None
                 paired += 2
                 continue
-            partner = tau[row]
+            partner = last - row
             if partner == col:
                 # the partner is in this column, at row τ(col), or is this entry
                 same = g[row] == gc if tc == row else _pshift(value, g[row] - gc) == column.get(tc)
@@ -343,3 +326,25 @@ def reflected_column_pairs(
             return None  # entries whose partner here is zero
         done[col] = 1
     return paired
+
+
+def yang_baxter_witness(r12: SMatrix, r13: SMatrix, r23: SMatrix, weights: Sequence[tuple]) -> str:
+    """The witness of R₁₂R₁₃R₂₃ = R₂₃R₁₃R₁₂ on V⊗V⊗V, for operators ``r12``,
+    ``r13`` and ``r23`` on V ⊗ V placed on those factors, with ``weights``
+    the weights of V's basis; "" when it holds.  This is the one decider of
+    the braid relation and of the spectral YBE.
+
+    Where ``transpose_reflection`` certifies Rᵀ = Π·G·R·G⁻¹·Π for each
+    distinct operator (types B, C and D), transposing the left side reverses
+    the product and Π₃G₃ conjugates each factor to its transpose, so the
+    right side is G₃⁻¹·Π₃·LHSᵀ·Π₃·G₃: only the left side is computed, and
+    checked against its own reflection (``reflected_column_pairs``).
+    Otherwise, and for the witness of any failure, both sides are compared
+    one column at a time (``first_column_mismatch``), and a failure names
+    its column and row as basis vectors."""
+    n = isqrt(r12.nrows)
+    lhs = (PairAction(r12, n, (1, 2)), PairAction(r13, n, (1, 3)), PairAction(r23, n, (2, 3)))
+    d = transpose_reflection(list({id(m): m for m in (r12, r13, r23)}.values()))
+    if d is not None and reflected_column_pairs(lhs, d, weights) is not None:
+        return ""
+    return first_column_mismatch(lhs, lhs[::-1])

@@ -11,18 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lyndon import ConvexOrder, lalonde_ram
-from .matrices import PairAction, SMatrix, flip_map, kron, mat_vec, tensor_units, vec_scale
+from .matrices import SMatrix, flip_map, kron, mat_vec, tensor_units, vec_scale
 from .pairing import PairingContext
 from .rep import Representation, build_fundamental, highest_weight_vectors
-from .report import (
-    Report,
-    basis_vector,
-    first_column_mismatch,
-    first_mismatch,
-    product_mismatch,
-    reflected_column_pairs,
-    transpose_reflection,
-)
+from .report import Report, basis_vector, first_mismatch, product_mismatch, yang_baxter_witness
 from .rootdata import f_function
 from .rootvec import RootVectorMatrices, build_root_vector_matrices
 from .scalars import Scalar, ScalarRing, Variable, _memoized
@@ -401,23 +393,25 @@ def check_intertwining(rep: Representation, rhat: SMatrix) -> Report:
 
 
 def check_braid(rep: Representation, rhat: SMatrix) -> Report:
-    """R̂₁₂ R̂₂₃ R̂₁₂ = R̂₂₃ R̂₁₂ R̂₂₃ on V ⊗ V ⊗ V.
+    """R̂₁₂ R̂₂₃ R̂₁₂ = R̂₂₃ R̂₁₂ R̂₂₃ on V ⊗ V ⊗ V, decided as the constant
+    Yang–Baxter equation of R = R̂∘τ, τ the flip.
 
-    Where ``transpose_reflection`` certifies P·R̂ᵀ·P = Π·G·R̂·G⁻¹·Π (types
-    B, C and D), the reversal S: v_a⊗v_b⊗v_c ↦ v_c⊗v_b⊗v_a turns R̂₁₂ into
-    (P·R̂·P)₂₃ and R̂₂₃ into (P·R̂·P)₁₂, so the right side is
-    G₃⁻¹·T·LHSᵀ·T·G₃ with T = Π₃·S; only the left side is computed, and
-    checked against its own reflection (``reflected_column_pairs``).
-    Otherwise, and for the witness of any failure, both sides are compared
-    one column at a time (``first_column_mismatch``); a failure names its
-    column and row as basis vectors."""
+    With S the reversal v_a⊗v_b⊗v_c ↦ v_c⊗v_b⊗v_a, R̂₁₂R̂₂₃R̂₁₂ =
+    (R₁₂R₁₃R₂₃)·S and R̂₂₃R̂₁₂R̂₂₃ = (R₂₃R₁₃R₁₂)·S, so the braid relation holds
+    iff R₁₂R₁₃R₂₃ = R₂₃R₁₃R₁₂, which ``yang_baxter_witness`` decides; a
+    failure names a column and row of these products (column c of the braid
+    sides is column S(c) of them).  Since Rᵀ = τ·R̂ᵀ and τ commutes with
+    Π = J⊗J and G = D⊗D, P·R̂ᵀ·P = Π·G·R̂·G⁻¹·Π (P = τ) is the same
+    condition as the decider's transpose reflection Rᵀ = Π·G·R·G⁻¹·Π.
+
+    R is formed by moving R̂'s columns, as in ``rhat_factorized``: column j
+    of R̂ is column τ(j) of R, and no product is formed."""
     out = Report()
     with out.timed("braid", rep.family, rep.n) as it:
-        r12, r23 = PairAction(rhat, rep.N, (1, 2)), PairAction(rhat, rep.N, (2, 3))
-        lhs, rhs = (r12, r23, r12), (r23, r12, r23)
-        d = transpose_reflection((rhat,), flip=True)
-        if d is None or reflected_column_pairs(lhs, d, rep.weights, flip=True) is None:
-            it.witness = first_column_mismatch(lhs, rhs)
+        N = rep.N
+        rows = {i: {_flipped(N, j): v for j, v in row.items()} for i, row in rhat.rows.items()}
+        r = SMatrix(rep.ring, N * N, N * N, rows)
+        it.witness = yang_baxter_witness(r, r, r, rep.weights)
     return out
 
 

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from hypothesis import strategies as st
 
 from rsqg.catalogue import CaseContext
 from rsqg.lyndon import bracket_tower, lalonde_ram
-from rsqg.matrices import SMatrix
+from rsqg.matrices import SMatrix, flip_map
 from rsqg.pairing import PairingOracle, WordSum
 from rsqg.rep import build_evaluation, build_fundamental
 from rsqg.rmatrix import theta_nilpotent
@@ -56,6 +57,11 @@ def case(family, rank):
 
 
 DESK = [("A", 2), ("B", 2), ("C", 2), ("D", 3)]
+
+
+def r_of(rhat: SMatrix) -> SMatrix:
+    """R = R̂∘τ, τ the flip, as a matrix product (its own inverse: R̂ = R∘τ)."""
+    return rhat @ flip_map(rhat.ring, isqrt(rhat.nrows))
 
 
 def local_theta_factor(rvm, gamma, pairing_fn) -> SMatrix:

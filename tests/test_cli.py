@@ -221,6 +221,44 @@ def test_affine_rep_dump_below_range_exits_2(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_affine_build_below_range_exits_2(capsys):
+    """D2 has no evaluation module, so ``affine build`` refuses it as
+    ``affine verify`` and ``rep dump --affine`` do, before any output."""
+    assert run(["affine", "build", "--family", "D", "--rank", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "needs rank" in captured.err
+
+
+def test_certify_all_out_into_a_missing_directory_exits_2_before_any_case(monkeypatch, tmp_path, capsys):
+    """An ``--out`` whose directory is missing, or which is a directory, is a
+    usage error found before any case runs or any line is printed."""
+    from rsqg import cli
+
+    def forbidden(case):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(cli, "_certify_one", forbidden)
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert run(["certify-all", "--max-rank", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--out" in captured.err
+
+
+def test_rmatrix_build_out_into_a_missing_directory_exits_2(monkeypatch, tmp_path, capsys):
+    """``rmatrix build --out`` into a missing directory exits 2 before R̂ is
+    built, and creates no directory."""
+    from rsqg import cli
+
+    def forbidden(args):
+        raise AssertionError("R̂ was built")
+
+    monkeypatch.setattr(cli, "_rmatrix_builder", forbidden)
+    assert run(["rmatrix", "build", "--family", "B", "--rank", "2", "--out", str(tmp_path / "missing" / "r.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no such directory" in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_raising_certificate_is_a_failure_not_usage(monkeypatch, capsys):
     from rsqg import rmatrix
 

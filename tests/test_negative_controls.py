@@ -11,6 +11,7 @@ from math import isqrt
 
 import pytest
 
+from conftest import z_range
 from rsqg import affine, cli, embed, pairing, rep
 from rsqg.catalogue import CATALOGUE, CaseContext
 from rsqg.embed import modified_generators, verify_dj_relations
@@ -264,9 +265,10 @@ BRAID_CASES = [("A", 2), ("B", 2), ("C", 3), ("D", 4)]
 
 
 def _last_entry_times_r(m: SMatrix) -> SMatrix:
-    """The last stored entry times r: its first failing braid column lies
-    past the first block v_1⊗v_b⊗v_c, so a loop that stops early or skips
-    columns passes it."""
+    """The last stored entry times r: its first failing column of the
+    constant Yang–Baxter equation of R̂∘τ is the last column v_1⊗v_N⊗v_N of
+    the first block v_1⊗v_b⊗v_c, so a loop that stops early or skips columns
+    passes it."""
     i, j, v = m.entries()[-1]
     return _add(m, i, j, v * (m.ring.mono(r=1) - m.ring.one))
 
@@ -280,11 +282,12 @@ def test_perturbed_rhat_fails_braid_with_a_basis_witness(family, rank, change):
     ctx.rhat = change(ctx.rhat)
     item = _run(ctx, "rmatrix", "braid")["braid"]
     assert not item.ok
-    match = re.fullmatch(rf"column v_(\d+)⊗v_\d+⊗v_\d+, row ({BASIS3}): LHS (.+) vs RHS (.+)", item.witness)
+    match = re.fullmatch(rf"column ({BASIS3}), row ({BASIS3}): LHS (.+) vs RHS (.+)", item.witness)
     assert match, item.witness
     assert match[3] != match[4]
     if change is _last_entry_times_r:
-        assert int(match[1]) > 1
+        N = ctx.rep.N
+        assert match[1] == f"v_1⊗v_{N}⊗v_{N}"
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -323,32 +326,44 @@ def test_perturbed_rhat_fails_v2_checks_with_a_basis_witness(family, rank, item)
     assert match[1] != match[2]
 
 
+def _named_factor_entry(m: SMatrix, witness: str, fault: str) -> tuple:
+    """The entry of the V ⊗ V factor ``m`` that a spectral-ybe witness
+    "R(x): row v_a⊗v_b, column v_c⊗v_d <fault>" names, with the match; the
+    witness must name R(x) alone."""
+    pattern = rf"R\(x\): row v_(\d+)⊗v_(\d+), column v_(\d+)⊗v_(\d+) {fault}"
+    match = re.fullmatch(pattern, witness)
+    assert match, witness
+    N = isqrt(m.nrows)
+    a, b, c, d = (int(g) - 1 for g in match.groups()[:4])
+    return m.get(a * N + b, c * N + d), match
+
+
 @pytest.mark.parametrize("family,rank", YBE_CASES)
 def test_r_x_times_x_cubed_fails_the_spectral_degree_bound(family, rank):
     """R(x) times x³ scales both sides alike, so the YBE still holds, and
-    only the degree bound on the left side's entries fails."""
+    only the degree bound fails: on the factor R(x), whose named entry has
+    the x-degree the witness gives, above the bound b."""
     ctx = CaseContext(family, rank)
     r_x, r_y, r_xy = ctx.ybe
     ctx.ybe = (r_x.scale(r_x.ring.atom("x") ** 3), r_y, r_xy)
     item = _run(ctx, "affine", "ybe")["spectral-ybe"]
     assert not item.ok
-    pattern = rf"column {BASIS3}, row {BASIS3}: LHS entry of x-degree (\d+) and y-degree \d+ exceeds the spectral degree bound (\d+)"
-    match = re.fullmatch(pattern, item.witness)
-    assert match, item.witness
-    assert int(match[1]) > int(match[2]) == (2 if family == "A" else 4)
+    entry, match = _named_factor_entry(ctx.ybe[0], item.witness, r"has x-degree (\d+)")
+    assert z_range(entry, "x")[1] == int(match[5]) > (1 if family == "A" else 2)
 
 
 @pytest.mark.parametrize("family,rank", YBE_CASES)
 def test_r_x_times_a_negative_x_power_fails_the_spectral_degree_bound(family, rank):
     """R(x) times x⁻³ scales both sides alike, so the YBE still holds and no
-    x-degree exceeds the bound: only the negative powers of x fail."""
+    x-degree exceeds the bound: only the negative powers of x in R(x)
+    fail."""
     ctx = CaseContext(family, rank)
     r_x, r_y, r_xy = ctx.ybe
     ctx.ybe = (r_x.scale(r_x.ring.atom("x") ** -3), r_y, r_xy)
     item = _run(ctx, "affine", "ybe")["spectral-ybe"]
     assert not item.ok
-    pattern = rf"column {BASIS3}, row {BASIS3}: LHS entry of lowest x-power (-\d+) and y-power \d+ is not polynomial in x and y"
-    assert re.fullmatch(pattern, item.witness), item.witness
+    entry, _ = _named_factor_entry(ctx.ybe[0], item.witness, "is not polynomial in x")
+    assert z_range(entry, "x")[0] < 0
 
 
 @pytest.mark.parametrize("family,rank", OPERATOR_CASES)

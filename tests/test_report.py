@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DESK, case, z_range
+from conftest import DESK, case, r_of, z_range
 from rsqg import affine, rmatrix
 from rsqg.gauge import Inconsistent, monomial_gauge, solve_exact
 from rsqg.matrices import SMatrix, flip_map, kron
@@ -153,29 +153,30 @@ def _transposed(m: SMatrix) -> SMatrix:
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("C", 3), ("D", 3)])
 def test_transpose_reflection_is_the_matrix_identity(family, rank):
-    """The D that ``transpose_reflection`` returns satisfies the identities
-    as matrix products: R(z)ᵀ = Π·G·R(z)·G⁻¹·Π for the spectral YBE's R(x),
-    R(y), R(xy), and P·R̂ᵀ·P = Π·G·R̂·G⁻¹·Π for R̂, with G = D⊗D; each d_a
-    is an r,s-monomial of coefficient 1."""
+    """The D that ``transpose_reflection`` returns satisfies the identity
+    Mᵀ = Π·G·M·G⁻¹·Π as matrix products, for the spectral YBE's R(x), R(y),
+    R(xy) and for R = R̂∘τ, with G = D⊗D; for R̂ itself this is P·R̂ᵀ·P =
+    Π·G·R̂·G⁻¹·Π, P the flip.  Each d_a is an r,s-monomial of coefficient 1."""
     c = case(family, rank)
-    for ops, flip in ((c.ybe, False), ((c.rhat,), True)):
-        d = transpose_reflection(ops, flip=flip)
+    for ops in (c.ybe, (r_of(c.rhat),)):
+        d = transpose_reflection(ops)
         ring, N = ops[0].ring, len(d)
         assert all(v.is_monomial() and v.monomial_parts()[1] == 1 for v in d)
         assert all(z_range(v, x) == (0, 0) for v in d for x in ring.names[2:])
         dm = SMatrix(ring, N, N, {a: {a: v} for a, v in enumerate(d)})
         g, pi, p = kron(dm, dm), _reversal(ring, N), flip_map(ring, N)
         for m in ops:
-            left = p @ _transposed(m) @ p if flip else _transposed(m)
-            assert left == pi @ g @ m @ g.diagonal_inv() @ pi
+            assert _transposed(m) == pi @ g @ m @ g.diagonal_inv() @ pi
+        if len(ops) == 1:
+            assert p @ _transposed(c.rhat) @ p == pi @ g @ c.rhat @ g.diagonal_inv() @ pi
 
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("B", 5), ("C", 2), ("C", 5), ("D", 3), ("D", 5), ("B", 6)])
 def test_transpose_reflection_holds_for_bcd_and_not_for_a(family, rank):
-    """R̂ has a braid reflection in types B, C and D, and none in type A,
-    where R̂ has only the untransposed form."""
-    assert transpose_reflection((case(family, rank).rhat,), flip=True) is not None
-    assert transpose_reflection((case("A", rank).rhat,), flip=True) is None
+    """R = R̂∘τ has a transpose reflection in types B, C and D, and none in
+    type A."""
+    assert transpose_reflection((r_of(case(family, rank).rhat),)) is not None
+    assert transpose_reflection((r_of(case("A", rank).rhat),)) is None
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3)])
@@ -188,19 +189,19 @@ def test_transpose_reflection_of_the_spectral_operators(family, rank):
 @pytest.mark.parametrize("change", ["first entry times r", "entry without a partner"])
 @pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("D", 3)])
 def test_one_entry_alone_breaks_the_reflection(family, rank, change):
-    """An entry changed without its partner leaves a partner ratio that fits
-    no D, and an entry added where R̂ and its partner are zero (v_1⊗v_1 to
-    v_1⊗v_2, across weights) has no partner: either way there is no
-    reflection, so the checks fall back to both sides."""
-    rhat = case(family, rank).rhat
-    i, j, v = rhat.entries()[0]
+    """An entry of R = R̂∘τ changed without its partner leaves a partner
+    ratio that fits no D, and an entry added where R and its partner are
+    zero (v_1⊗v_1 to v_1⊗v_2, across weights) has no partner: either way
+    there is no reflection, so the checks fall back to both sides."""
+    r = r_of(case(family, rank).rhat)
+    i, j, v = r.entries()[0]
     if change == "first entry times r":
-        added = (i, j, v * (rhat.ring.mono(r=1) - rhat.ring.one))
+        added = (i, j, v * (r.ring.mono(r=1) - r.ring.one))
     else:
-        assert rhat.get(0, 1).is_zero()
-        added = (0, 1, rhat.ring.one)
-    changed = rhat + SMatrix.from_entries(rhat.ring, rhat.nrows, rhat.ncols, [added])
-    assert transpose_reflection((changed,), flip=True) is None
+        assert r.get(0, 1).is_zero()
+        added = (0, 1, r.ring.one)
+    changed = r + SMatrix.from_entries(r.ring, r.nrows, r.ncols, [added])
+    assert transpose_reflection((changed,)) is None
 
 
 def test_solve_exact_returns_a_solution_and_the_rank():

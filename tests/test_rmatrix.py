@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import DESK, case, local_theta_factor, order, rep, ring, rvm
+from conftest import DESK, case, local_theta_factor, order, r_of, rep, ring, rvm
 from rsqg.matrices import PairAction, SMatrix, flip_map, kron, scalar_of
 from rsqg.pairing import PairingContext
 from rsqg.report import transpose_reflection
@@ -287,20 +287,52 @@ def _basis3(k: int, N: int) -> str:
     return f"v_{a + 1}⊗v_{bc // N + 1}⊗v_{bc % N + 1}"
 
 
+def _v3_sides(rhat: SMatrix, N: int) -> dict[str, SMatrix]:
+    """The braid sides R̂₁₂R̂₂₃R̂₁₂ and R̂₂₃R̂₁₂R̂₂₃, the Yang–Baxter sides
+    R₁₂R₁₃R₂₃ and R₂₃R₁₃R₁₂ of R = R̂∘τ, and the reversal S: v_a⊗v_b⊗v_c ↦
+    v_c⊗v_b⊗v_a, as V⊗³ matrices from kron and the flip of factors 2 and 3."""
+    ring = rhat.ring
+    ident = SMatrix.identity(ring, N)
+    mid_flip = kron(ident, flip_map(ring, N))
+    r = r_of(rhat)
+    h12, h23 = kron(rhat, ident), kron(ident, rhat)
+    r12, r23 = kron(r, ident), kron(ident, r)
+    r13 = mid_flip @ r12 @ mid_flip
+    reverse = lambda k: (k % N * N + k // N % N) * N + k // (N * N)
+    return {
+        "braid-left": h12 @ h23 @ h12,
+        "braid-right": h23 @ h12 @ h23,
+        "ybe-left": r12 @ r13 @ r23,
+        "ybe-right": r23 @ r13 @ r12,
+        "S": SMatrix(ring, N**3, N**3, {reverse(k): {k: ring.one} for k in range(N**3)}),
+    }
+
+
 def _matrix_form_braid_witness(rhat: SMatrix, N: int) -> str:
-    """The braid relation in matrix form: both sides as V⊗³ matrices from
-    kron and an identity, and the witness the columnwise check must give for
-    them: the smallest column whose sides differ, at its smallest differing
-    row, with both values there."""
-    ident = SMatrix.identity(rhat.ring, N)
-    r12, r23 = kron(rhat, ident), kron(ident, rhat)
-    lhs, rhs = r12 @ r23 @ r12, r23 @ r12 @ r23
+    """The braid relation as the constant Yang–Baxter equation of R = R̂∘τ
+    in matrix form: R₁₂R₁₃R₂₃ against R₂₃R₁₃R₁₂ as V⊗³ matrices from kron,
+    and the witness the columnwise check must give for them: the smallest
+    column whose sides differ, at its smallest differing row, with both
+    values there."""
+    sides = _v3_sides(rhat, N)
+    lhs, rhs = sides["ybe-left"], sides["ybe-right"]
     for col in range(N**3):
         for row in range(N**3):
             if lhs.get(row, col) != rhs.get(row, col):
                 where = f"column {_basis3(col, N)}, row {_basis3(row, N)}"
                 return f"{where}: LHS {lhs.get(row, col)} vs RHS {rhs.get(row, col)}"
     return ""
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3)])
+def test_braid_sides_are_the_yang_baxter_sides_times_the_reversal(family, rank):
+    """R̂₁₂R̂₂₃R̂₁₂ = (R₁₂R₁₃R₂₃)·S and R̂₂₃R̂₁₂R̂₂₃ = (R₂₃R₁₃R₁₂)·S for
+    R = R̂∘τ: the identity that lets ``check_braid`` decide the braid
+    relation as the constant Yang–Baxter equation."""
+    c = case(family, rank)
+    sides = _v3_sides(c.rhat, c.rep.N)
+    assert sides["braid-left"] == sides["ybe-left"] @ sides["S"]
+    assert sides["braid-right"] == sides["ybe-right"] @ sides["S"]
 
 
 def _stored_entry_times_r(m: SMatrix, index: int) -> SMatrix:
@@ -312,8 +344,8 @@ def _stored_entry_times_r(m: SMatrix, index: int) -> SMatrix:
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 3), ("D", 4)])
 def test_columnwise_braid_matches_the_matrix_form(family, rank, change):
     """The columnwise check gives the verdict and the witness that the V⊗³
-    matrix products give, on R̂ and with its first or last stored entry
-    times r."""
+    matrix products of R = R̂∘τ give, on R̂ and with its first or last
+    stored entry times r."""
     c = case(family, rank)
     rhat = c.rhat
     if change != "none":
@@ -322,59 +354,58 @@ def test_columnwise_braid_matches_the_matrix_form(family, rank, change):
     assert item.witness == _matrix_form_braid_witness(rhat, c.rep.N)
     assert item.ok == (change == "none")
     if (family, rank, change) == ("B", 2, "first entry times r"):
-        assert item.witness.startswith("column v_1⊗v_2⊗v_4, row v_5⊗v_1⊗v_1: LHS ")
+        assert item.witness.startswith("column v_1⊗v_1⊗v_2, row v_2⊗v_1⊗v_1: LHS ")
 
 
-def _braid_lhs_columns(rhat: SMatrix, N: int, left: bool) -> list[dict]:
-    """Every column of R̂₁₂R̂₂₃R̂₁₂ (or, not ``left``, R̂₂₃R̂₁₂R̂₂₃) on V⊗³."""
-    r12, r23 = PairAction(rhat, N, (1, 2)), PairAction(rhat, N, (2, 3))
-    sides = (r12, r23, r12) if left else (r23, r12, r23)
+def _ybe_lhs_columns(r: SMatrix, N: int, left: bool) -> list[dict]:
+    """Every column of R₁₂R₁₃R₂₃ (or, not ``left``, R₂₃R₁₃R₁₂) on V⊗³."""
+    r12, r13, r23 = PairAction(r, N, (1, 2)), PairAction(r, N, (1, 3)), PairAction(r, N, (2, 3))
+    sides = (r12, r13, r23) if left else (r23, r13, r12)
     out = []
     for col in range(N**3):
         vec = sides[-1].column(col)
         for op in sides[-2::-1]:
             vec = op(vec)
-        out.append({row: scalar_of(rhat.ring, v) for row, v in vec.items()})
+        out.append({row: scalar_of(r.ring, v) for row, v in vec.items()})
     return out
 
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("C", 3), ("D", 4), ("B", 5)])
 def test_reflected_braid_left_side_is_the_right_side(family, rank):
-    """Where R̂ has a transpose reflection D (P·R̂ᵀ·P = Π·G·R̂·G⁻¹·Π), the
-    right side R̂₂₃R̂₁₂R̂₂₃ is the reflected left side, column by column:
-    RHS[u, v] = LHS[τv, τu]·g(v)/g(u), with τ(a, b, c) = (Jc, Jb, Ja) and
-    g = d⊗d⊗d."""
+    """Where R = R̂∘τ has a transpose reflection D (Rᵀ = Π·G·R·G⁻¹·Π), the
+    right side R₂₃R₁₃R₁₂ of the constant Yang–Baxter equation is the
+    reflected left side, column by column: RHS[u, v] = LHS[τv, τu]·g(v)/g(u),
+    with τ = J⊗J⊗J and g = d⊗d⊗d."""
     c = case(family, rank)
     N = c.rep.N
-    d = transpose_reflection((c.rhat,), flip=True)
+    r = r_of(c.rhat)
+    d = transpose_reflection((r,))
     assert d is not None
-
-    def tau(k):
-        a, b, e = k // (N * N), k // N % N, k % N
-        return ((N - 1 - e) * N + N - 1 - b) * N + N - 1 - a
-
+    tau = lambda k: N**3 - 1 - k
     g = lambda k: d[k // (N * N)] * d[k // N % N] * d[k % N]
     reflected: list[dict] = [{} for _ in range(N**3)]
-    for col, column in enumerate(_braid_lhs_columns(c.rhat, N, left=True)):
+    for col, column in enumerate(_ybe_lhs_columns(r, N, left=True)):
         for row, v in column.items():
             reflected[tau(row)][tau(col)] = v * g(tau(row)) * g(tau(col)).inv()
-    assert reflected == _braid_lhs_columns(c.rhat, N, left=False)
+    assert reflected == _ybe_lhs_columns(r, N, left=False)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("D", 3)])
 def test_lemma_preserving_braid_perturbation_fails_with_the_matrix_form_witness(family, rank):
-    """The first stored entry of R̂ and its reflection partner, (k, l) ↦
-    (PΠl, PΠk), times r: the transpose reflection still holds with the same
+    """The first stored entry of R = R̂∘τ and its reflection partner, (k, l)
+    ↦ (Πl, Πk), times r: the transpose reflection still holds with the same
     D, so the one-sided loop runs; it finds the braid relation broken, and
     the witness is the matrix form's."""
     c = case(family, rank)
     N = c.rep.N
-    sigma = lambda k: (N - 1 - k % N) * N + N - 1 - k // N
-    i, j, _ = c.rhat.entries()[0]
-    changed = {(i, j), (sigma(j), sigma(i))}
-    r = c.rhat.ring
-    rhat = c.rhat + SMatrix.from_entries(r, N * N, N * N, [(a, b, c.rhat.get(a, b) * (r.mono(r=1) - r.one)) for a, b in changed])
-    assert transpose_reflection((rhat,), flip=True) == transpose_reflection((c.rhat,), flip=True) is not None
+    r = r_of(c.rhat)
+    pi = lambda k: N * N - 1 - k
+    i, j, _ = r.entries()[0]
+    changed = {(i, j), (pi(j), pi(i))}
+    ring = r.ring
+    r_changed = r + SMatrix.from_entries(ring, N * N, N * N, [(a, b, r.get(a, b) * (ring.mono(r=1) - ring.one)) for a, b in changed])
+    assert transpose_reflection((r_changed,)) == transpose_reflection((r,)) is not None
+    rhat = r_of(r_changed)  # τ² = 1
     (item,) = check_braid(c.rep, rhat).items
     assert not item.ok
     assert item.witness == _matrix_form_braid_witness(rhat, N)

@@ -327,6 +327,45 @@ def test_braid_builds_no_v3_matrix(monkeypatch, family, rank):
     assert max(rows, default=0) <= N * N
 
 
+def _column_check(ctx, check: str):
+    """The V⊗³ check ``check`` of the case context ``ctx``, on its operators
+    as they stand when it runs."""
+    return {
+        "braid": lambda: rmatrix.check_braid(ctx.rep, ctx.rhat),
+        "spectral-ybe": lambda: affine.check_spectral_ybe(ctx.family, ctx.rank, ctx.ybe),
+    }[check]
+
+
+def _first_entry_doubled(m):
+    from rsqg.matrices import SMatrix
+
+    i, j, v = m.entries()[0]
+    return m + SMatrix.from_entries(m.ring, m.nrows, m.ncols, [(i, j, v)])
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
+@pytest.mark.parametrize("check", ["braid", "spectral-ybe"])
+def test_column_checks_return_the_one_decider_witness(monkeypatch, check, family, rank):
+    """``check_braid`` and ``check_spectral_ybe`` each call
+    ``report.yang_baxter_witness`` exactly once, passing or failing, and
+    report its witness as theirs."""
+    from rsqg import report
+
+    ctx = catalogue.CaseContext(family, rank)
+    run = _column_check(ctx, check)
+    run()  # builds the case operators
+    decide, witnesses = report.yang_baxter_witness, []
+    _wrap_everywhere(monkeypatch, decide, lambda *args: witnesses.append(decide(*args)) or witnesses[-1])
+    (item,) = run().items
+    assert item.ok and witnesses == [""]
+    ctx.rhat = _first_entry_doubled(ctx.rhat)
+    r_x, r_y, r_xy = ctx.ybe
+    ctx.ybe = (r_x, r_y, _first_entry_doubled(r_xy))
+    (item,) = run().items
+    assert not item.ok and len(witnesses) == 2
+    assert item.witness == witnesses[-1] != ""
+
+
 @pytest.mark.parametrize("check", ["braid", "spectral-ybe"])
 def test_passing_column_checks_construct_no_scalar(monkeypatch, check):
     """A passing B2 ``braid`` or ``spectral-ybe`` keeps every column in
@@ -335,17 +374,9 @@ def test_passing_column_checks_construct_no_scalar(monkeypatch, check):
     left side alone, constructs no Scalar.  A failing one does, in
     ``first_column_mismatch``, for the values its witness prints."""
     from rsqg import report, scalars
-    from rsqg.matrices import SMatrix
-
-    def first_entry_doubled(m):
-        i, j, v = m.entries()[0]
-        return m + SMatrix.from_entries(m.ring, m.nrows, m.ncols, [(i, j, v)])
 
     ctx = catalogue.CaseContext("B", 2)
-    run = {
-        "braid": lambda: rmatrix.check_braid(ctx.rep, ctx.rhat),
-        "spectral-ybe": lambda: affine.check_spectral_ybe("B", 2, ctx.ybe),
-    }[check]
+    run = _column_check(ctx, check)
     run()  # builds the case operators
     init = scalars.Scalar.__init__
     inits, called = [], []
@@ -361,15 +392,14 @@ def test_passing_column_checks_construct_no_scalar(monkeypatch, check):
 
         return wrapper
 
-    for mod in (rmatrix, affine):
-        for name in ("first_column_mismatch", "reflected_column_pairs"):
-            monkeypatch.setattr(mod, name, counted(getattr(report, name)))
+    for name in ("first_column_mismatch", "reflected_column_pairs"):
+        monkeypatch.setattr(report, name, counted(getattr(report, name)))
     assert run().ok()
     assert called == ["reflected_column_pairs"]
     assert inits == []
-    ctx.rhat = first_entry_doubled(ctx.rhat)
+    ctx.rhat = _first_entry_doubled(ctx.rhat)
     r_x, r_y, r_xy = ctx.ybe
-    ctx.ybe = (r_x, r_y, first_entry_doubled(r_xy))
+    ctx.ybe = (r_x, r_y, _first_entry_doubled(r_xy))
     assert not run().ok()
     assert called[-1] == "first_column_mismatch"
     assert inits
