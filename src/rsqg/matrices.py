@@ -17,26 +17,39 @@ entry with one ``+``.
 Its values are kernel values: a Laurent polynomial is its Scalar's own term
 dict, read with no copy, and any other value is its Scalar.  ``A @ B`` is
 one call over a flat index (row i of A·B is Σ_k a_ik·(row k of B), placed
-at i·ncols); ``mat_vec`` is one call over the columns of its operator, and
+at i·ncols), and ``mat_vec`` is one call over the columns of its operator;
+both wrap their results once (``scalar_of``), after the range check,
+skipping ``_make`` because a sum of Laurent polynomials is canonical
+already.
+
 ``PairAction`` (an operator on two factors of V⊗V⊗V, applied to one sparse
 vector at a time, and the only way rsqg acts on V⊗V⊗V) is one call per
-vector.  A chain of actions builds no Scalar; ``A @ B`` and ``mat_vec`` wrap
-their results once (``scalar_of``), after the range check, skipping
-``_make`` because a sum of Laurent polynomials is canonical already.
+vector, on values packed in the s-direction: a term c·r^a s^b·m is keyed by
+r^(a+b)·m and adds c·2^(B·(b+σ)) to its key's int (``pack_terms``).  Keys
+add and ints multiply, so the same kernel and the same term-pair loop run
+on them, on about a quarter of the terms of the homogeneous R-matrix
+entries.  A chain of actions builds no Scalar; ``read_back`` reads a
+packed value as one, exactly at the width B that ``pair_actions`` proves
+for the chain.
 ``kron`` shares the partner of ``ring.one``; Scalars are immutable, so
 sharing is safe.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from math import gcd, lcm
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .scalars import (
+    _BITS,
+    _HALF,
+    _MASK,
     Scalar,
     ScalarRing,
     _check,
     _paddto,
     _pmuladd,
+    _spread,
     scalar_from_json,
     scalar_to_json,
     substitute,
@@ -44,7 +57,7 @@ from .scalars import (
 
 
 def _same_ring(a: "SMatrix", b: "SMatrix") -> None:
-    if a.ring is not b.ring and a.ring != b.ring:
+    if a.ring is not b.ring:
         raise ValueError(f"mixing matrices over {a.ring} and {b.ring}")
 
 
@@ -310,12 +323,14 @@ def _combine_columns(ring: ScalarRing, parts: Iterable[tuple[object, int, Iterab
     terms through, and a product with a denominator goes through Scalar
     arithmetic and is read back as its term dict if its entry ends up
     Laurent.  So each value has one form, and ``==`` on two results is value
-    equality.
+    equality.  Packed values (``PairAction``) are term dicts to it: their
+    keys add and their ints multiply in the same loop.
 
-    A result is not range-checked until it becomes a Scalar (``scalar_of``):
-    each of its exponents is a sum of one exponent per action it went
-    through, so a chain of fewer than 2^11 actions on stored values stays
-    exact in its 32-bit digits."""
+    A result is not range-checked until it becomes a Scalar (``scalar_of``
+    or ``read_back``): each of its exponents is a sum of one exponent per
+    action it went through, so a chain of fewer than 2^11 actions on stored
+    values stays exact in its 32-bit digits, and of fewer than 2^10 on
+    packed values, whose r-digit holds a + b."""
     one_den = ring._one_den
     unit = ring.one._num
     acc: dict[int, dict] = {}
@@ -361,38 +376,238 @@ def mat_vec(a: SMatrix, vec: dict[int, Scalar]) -> dict[int, Scalar]:
     return {i: scalar_of(a.ring, x) for i, x in out.items()}
 
 
-class PairAction:
-    """A V⊗V operator acting on factors (1, 2), (2, 3) or (1, 3) of V⊗V⊗V,
-    applied to sparse vectors: ``PairAction(a, n, (1, 3))(vec)`` is
-    A₁₃·vec, with v_a ⊗ v_b ⊗ v_c flattened to ((a-1)N + b-1)N + c-1.
+# ---------------------------------------------------------------------------
+# the s-direction packing of V⊗V⊗V values
+# ---------------------------------------------------------------------------
+#
+# A term c·r^a s^b·m of a Laurent value (m a monomial in the other variables,
+# a and b in internal half units) goes to the key e + b·(r·s⁻¹), the packed
+# exponent of r^(a+b)·m, and adds c·2^(B·(b+σ)/h) to that key's int, for a
+# width B, a shift σ ≥ −b and a step h that divides every b (``Packing``; h
+# is 2 where only whole powers of s occur).  The packed value of a product is
+# the product of the packed values (keys add, ints multiply, shifts add), so
+# ``_combine_columns`` runs on packed values unchanged.  Every operator the Yang–Baxter decider
+# multiplies is homogeneous in (r^½, s^½), so the terms of one entry with one
+# monomial in the other variables share a key: a few ints stand for many terms.
+# The README (item 6) states the read-back lemma and the width it needs.
 
-    Each column of ``a`` is stored once, with its rows turned into offsets
-    on V⊗V⊗V and its entries as kernel values, so applying it reads the
-    column of the two acted-on digits and places each entry beside the
-    untouched digit.  No V⊗³ matrix is built: neither ``kron(a, Id)`` nor
-    the flip conjugation that moves A onto factors 1 and 3.
 
-    ``column`` and calling the action give vectors of kernel values (the
-    call also takes Scalar values), so a chain of actions builds no Scalar;
-    ``scalar_of`` reads a value as a Scalar."""
+def _s_direction(ring: ScalarRing) -> tuple[int, int] | None:
+    """(s's bit offset, the packed exponent of r·s⁻¹) in ``ring``'s packed
+    exponents; None for a ring without r or s, whose terms all keep their
+    key and have b = 0."""
+    ir, is_ = ring.index.get("r"), ring.index.get("s")
+    if ir is None or is_ is None:
+        return None
+    return _BITS * is_, (1 << _BITS * ir) - (1 << _BITS * is_)
 
-    __slots__ = ("ring", "n", "strides", "columns")
 
-    def __init__(self, a: SMatrix, n: int, factors: tuple[int, int]):
+def _key_slots(ring: ScalarRing, exps: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(key, b) for each packed exponent: b is its s-exponent and the key
+    moves it onto r's digit.  Sound for digits below 2^31 in size, such as a
+    sum of a few stored exponents: biased by 2^31, each digit is
+    nonnegative."""
+    split = _s_direction(ring)
+    if split is None:
+        yield from ((e, 0) for e in exps)
+        return
+    off, move = split
+    bias = _spread(_HALF, ring.nvars)
+    for e in exps:
+        b = ((e + bias) >> off & _MASK) - _HALF
+        yield e + b * move, b
+
+
+class Packing(NamedTuple):
+    """How values are packed: a term c·r^a s^b·m adds c·2^(width·t) to its
+    key's int, with t = (b + shift)/step ≥ 0.  ``step`` divides every
+    s-exponent b of the values, so consecutive slots hold consecutive
+    possible b's."""
+
+    width: int
+    shift: int
+    step: int
+
+
+def pack_terms(ring: ScalarRing, terms: dict, packing: Packing) -> dict:
+    """The packed value of the Laurent term dict ``terms`` (int
+    coefficients, every s-exponent b with b + shift a nonnegative multiple
+    of the step); keys whose ints cancel are dropped."""
+    width, shift, step = packing
+    out: dict[int, int] = {}
+    for (key, b), c in zip(_key_slots(ring, terms), terms.values()):
+        t, r = divmod(b + shift, step)
+        if t < 0 or r or type(c) is not int:
+            raise ValueError(f"cannot pack the term {c} with s-exponent {b} at {packing}")
+        x = out.get(key, 0) + (c << width * t)
+        if x:
+            out[key] = x
+        else:
+            del out[key]
+    return out
+
+
+def unpack_terms(ring: ScalarRing, packed: dict, packing: Packing) -> dict:
+    """The Laurent term dict of a packed value: each int's balanced base-2^B
+    digits, the t-th of them the coefficient of b = t·step − shift.  Exact
+    when every coefficient has size below 2^(B−1).  B ≥ 2, so each digit
+    read shrinks the int and the reading ends."""
+    width, shift, step = packing
+    if width < 2:
+        raise ValueError(f"cannot read back at {packing}: the width must be at least 2")
+    split = _s_direction(ring)
+    move = split[1] if split else 0
+    full = 1 << width
+    half, mask = full >> 1, full - 1
+    out: dict[int, int] = {}
+    for key, x in packed.items():
+        b = -shift
+        while x:
+            d = x & mask
+            if d >= half:
+                d -= full
+            if d:
+                out[key - b * move] = d
+            x = (x - d) >> width
+            b += step
+    return out
+
+
+def shifted(packed: dict, key: int, bits: int) -> dict:
+    """A packed value times the monomial of key ``key`` and slot shift
+    ``bits`` (B·β/h for its s-exponent β ≥ 0 and the step h)."""
+    return {e + key: c << bits for e, c in packed.items()} if key or bits else packed
+
+
+def monomial_shift(ring: ScalarRing, e: int) -> tuple[int, int]:
+    """(key, β) of the r,s-monomial of packed exponent ``e``, β its
+    s-exponent: multiplying a packed value by it is ``shifted(value, key,
+    B·β/h)`` where β ≥ 0 is a multiple of the step h."""
+    return next(_key_slots(ring, (e,)))
+
+
+class _Cleared(NamedTuple):
+    """An operator on V⊗V made integral: ``clear`` is one Laurent polynomial
+    L (``ring.one`` when the operator's entries are Laurent polynomials with
+    int coefficients already), ``columns`` the columns of L·a as term dicts
+    (j -> [(i, terms)], stored zeros dropped), and ``norm`` the largest
+    column ℓ1 norm of L·a: the sum over a column's entries of the sizes of
+    their coefficients."""
+
+    clear: Scalar
+    columns: dict[int, list[tuple[int, dict]]]
+    norm: int
+
+
+def _cleared(a: SMatrix) -> _Cleared:
+    ring = a.ring
+    one_den = ring._one_den
+    entries = [(i, j, v) for i, row in a.rows.items() for j, v in row.items() if v]
+    clear = ring.one
+    integral = all(v._den is one_den and all(type(c) is int for c in v._num.values()) for _, _, v in entries)
+    if not integral:
+        for den in {frozenset(v._den.items()): v._den for _, _, v in entries if v._den is not one_den}.values():
+            clear = clear * Scalar(ring, den, one_den, _raw=True)
+        entries = [(i, j, v * clear) for i, j, v in entries]
+        k = lcm(1, *(c.denominator for _, _, v in entries for c in v._num.values()))
+        if k != 1:
+            clear = clear * k
+            entries = [(i, j, v * k) for i, j, v in entries]
+    columns: dict[int, list[tuple[int, dict]]] = {}
+    norms: dict[int, int] = {}
+    for i, j, v in entries:
+        # an integral coefficient may be stored as a Fraction
+        terms = v._num if integral else {e: int(c) for e, c in v._num.items()}
+        columns.setdefault(j, []).append((i, terms))
+        norms[j] = norms.get(j, 0) + sum(map(abs, terms.values()))
+    return _Cleared(clear, columns, max(norms.values(), default=0))
+
+
+def _distinct_cleared(ops: Iterable[SMatrix]) -> dict[int, _Cleared]:
+    """``_cleared`` of each distinct operator, by id."""
+    return {id(a): _cleared(a) for a in {id(a): a for a in ops}.values()}
+
+
+def _bound(ops: Sequence[SMatrix], cleared: dict[int, _Cleared]) -> int:
+    m = 1
+    for a in ops:
+        m *= cleared[id(a)].norm
+    return m
+
+
+def coefficient_bound(ops: Sequence[SMatrix]) -> int:
+    """M, the product of the largest column ℓ1 norms of the cleared
+    operators ``ops`` (``PairAction.clear``), one factor per operator: no
+    coefficient of an entry of a product of their actions on V⊗V⊗V, one
+    action each, applied to a basis vector, or of that entry times a
+    monomial, has size above M."""
+    return _bound(ops, _distinct_cleared(ops))
+
+
+def pair_actions(n: int, placed: Sequence[tuple[SMatrix, tuple[int, int]]]) -> tuple["PairAction", ...]:
+    """The actions of the operators ``placed``, (a, factors) pairs of an
+    operator on V⊗V (dim V = n) and the factors (1, 2), (2, 3) or (1, 3) of
+    V⊗V⊗V it acts on, as one chain: each distinct operator is cleared and
+    packed once, all at the width B = M.bit_length() + 1 for M =
+    ``coefficient_bound`` (taken as 1 where it is 0), the narrowest whose
+    balanced digits hold every coefficient of size at most M (M < 2^(B−1)),
+    and at one step, the gcd of their s-exponents."""
+    for a, factors in placed:
         if factors not in ((1, 2), (2, 3), (1, 3)):
             raise ValueError(f"factors must be (1, 2), (2, 3) or (1, 3), got {factors}")
         if (a.nrows, a.ncols) != (n * n, n * n):
             raise ValueError(f"a {a.nrows}x{a.ncols} matrix does not act on V ⊗ V with dim V = {n}")
+    ops = [a for a, _ in placed]
+    ring = ops[0].ring
+    if any(a.ring is not ring for a in ops):
+        raise ValueError("mixing operators over different rings in one chain")
+    cleared = _distinct_cleared(ops)
+    width = max(_bound(ops, cleared), 1).bit_length() + 1
+    slots = {
+        i: [b for col in c.columns.values() for _, t in col for _, b in _key_slots(ring, t)] for i, c in cleared.items()
+    }
+    step = gcd(*(b for bs in slots.values() for b in bs)) or 1
+    packed: dict[int, tuple[Packing, dict]] = {}
+    for i, c in cleared.items():
+        packing = Packing(width, -min(slots[i], default=0), step)
+        packed[i] = packing, {j: [(row, pack_terms(ring, t, packing)) for row, t in col] for j, col in c.columns.items()}
+    return tuple(PairAction(ring, n, factors, *packed[id(a)], cleared[id(a)].clear) for a, factors in placed)
+
+
+class PairAction:
+    """A V⊗V operator acting on factors (1, 2), (2, 3) or (1, 3) of V⊗V⊗V,
+    applied to sparse vectors of packed values, with v_a ⊗ v_b ⊗ v_c
+    flattened to ((a-1)N + b-1)N + c-1; ``pair_actions`` builds the actions
+    of one chain, and ``act(vec)`` is A·vec.
+
+    Each column of the operator is stored once, with its rows turned into
+    offsets on V⊗V⊗V and its entries packed in the s-direction
+    (``pack_terms``) by ``packing``, whose shift σ is minus the smallest
+    s-exponent of its entries, after clearing: ``clear`` is one Laurent
+    polynomial L with every entry of L·a a Laurent polynomial with int
+    coefficients (``ring.one`` for the R-matrices).  Applying it reads the
+    column of the two acted-on digits and places each entry beside the
+    untouched digit, in ``_combine_columns``.  No V⊗³ matrix is built:
+    neither ``kron(a, Id)`` nor the flip conjugation that moves A onto
+    factors 1 and 3.
+
+    A chain of actions, the last one read as a column (``column``), gives
+    the packed values of L·(A⋯)·v_k at the summed shift, with L the product
+    of the actions' ``clear``; ``read_back`` reads such a value as a
+    Scalar."""
+
+    __slots__ = ("ring", "n", "strides", "columns", "packing", "clear")
+
+    def __init__(self, ring: ScalarRing, n: int, factors: tuple[int, int], packing: Packing, columns: dict, clear: Scalar):
         si, sj = (n ** (3 - f) for f in factors)
-        self.ring = a.ring
+        self.ring = ring
         self.n = n
         self.strides = (si, sj)
-        self.columns = {
-            j: [((i // n) * si + (i % n) * sj, v) for i, v in col if v]
-            for j, col in _columns(a).items()
-        }
+        self.packing = packing
+        self.clear = clear
+        self.columns = {j: [((i // n) * si + (i % n) * sj, v) for i, v in col] for j, col in columns.items()}
 
-    def column(self, k: int) -> dict[int, object]:
+    def column(self, k: int) -> dict[int, dict]:
         """A·v_k for the basis vector v_k of V⊗V⊗V: the stored column of
         the acted-on digits moved beside the untouched digit, read with no
         arithmetic."""
@@ -402,7 +617,7 @@ class PairAction:
         base = k - di * si - dj * sj
         return {base + off: v for off, v in self.columns.get(di * n + dj, ())}
 
-    def __call__(self, vec: dict[int, object]) -> dict[int, object]:
+    def __call__(self, vec: dict[int, dict]) -> dict[int, dict]:
         """A·vec, by the column kernel."""
         n, cols = self.n, self.columns
         si, sj = self.strides
@@ -415,6 +630,31 @@ class PairAction:
                     yield v, k - di * si - dj * sj, column
 
         return _combine_columns(self.ring, parts())
+
+
+def chain_frame(chain: Sequence[PairAction]) -> tuple[Packing, Scalar]:
+    """The packing and the clearing polynomial of the values of a chain of
+    actions: the shared width and step, the summed shift, and the product
+    of the actions' ``clear``.  ValueError for actions packed at different
+    widths or steps."""
+    packings = {(op.packing.width, op.packing.step) for op in chain}
+    if len(packings) != 1:
+        raise ValueError(f"actions packed at (width, step) {sorted(packings)} do not chain")
+    (width, step), one = packings.pop(), chain[0].ring.one
+    clear = one
+    for op in chain:
+        if op.clear is not one:
+            clear = op.clear if clear is one else clear * op.clear
+    return Packing(width, sum(op.packing.shift for op in chain), step), clear
+
+
+def read_back(chain: Sequence[PairAction], x: dict) -> Scalar:
+    """The Scalar of a packed value of (chain[0]⋯chain[-1])·v_k: its
+    unpacked terms over the chain's clearing polynomial."""
+    packing, clear = chain_frame(chain)
+    ring = chain[0].ring
+    value = scalar_of(ring, unpack_terms(ring, x, packing))
+    return value if clear is ring.one else value / clear
 
 
 def vec_scale(vec: dict[int, Scalar], c: Scalar) -> dict[int, Scalar]:

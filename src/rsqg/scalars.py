@@ -41,7 +41,9 @@ product with a Laurent monomial of denominator 1, and the inverse of such a
 monomial.  A monomial is a unit of the Laurent ring, so the other factor's
 numerator and monic denominator stay coprime and its denominator is kept as
 it is.  All Laurent polynomials of a ring share the ring's one
-unit-denominator dict, which is how these paths recognise them.
+unit-denominator dict, which is how these paths recognise them, and there
+is one ring object per variable tuple, so values from rings built apart
+share it too.
 
 Two more skip it.  ``substitute`` takes only monomial and zero images
 (r^(1/2) ↦ w q^(1/2), r^(1/2) ↦ q^(1/2), z ↦ 1, z ↦ 0), so each term of a
@@ -65,7 +67,10 @@ with no exponent adds.  A sum of Laurent polynomials is canonical, so the
 nonzero dict becomes a Scalar as it is once its terms pass the range check.
 That saves a Scalar, a dict and an accumulator copy per product, which is
 where matmul time went.  ``_pmuladd`` is the one term-pair product loop:
-Scalar products, powers, the sparse kernel and exact division all run it.
+Scalar products, powers, the sparse kernel and exact division all run it,
+and so does the Yang–Baxter decider, on values that ``matrices`` packs in
+the s-direction (keys are packed exponents and coefficients are ints, so
+the loop reads them as it reads term dicts).
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -91,37 +96,47 @@ class Variable:
     denom: int = 1
 
 
+_RINGS: dict[tuple[Variable, ...], "ScalarRing"] = {}  # the one ring of each variable tuple
+
+
 class ScalarRing:
     """Context object fixing an ordered variable set.
 
-    All Scalars hold a reference to their ring; mixing rings raises.
+    There is one ring per variable tuple: constructing, copying or
+    unpickling a ring with the same variables gives the ring built first, so
+    rings are equal exactly when they are the same object.  All Scalars hold
+    a reference to their ring; mixing rings raises.
     """
 
-    def __init__(self, variables: Iterable[Variable | str]):
-        vs = []
-        for v in variables:
-            vs.append(Variable(v) if isinstance(v, str) else v)
+    variables: tuple[Variable, ...]
+    names: tuple[str, ...]
+    index: dict[str, int]
+
+    def __new__(cls, variables: Iterable[Variable | str]):
+        vs = tuple(Variable(v) if isinstance(v, str) else v for v in variables)
+        ring = _RINGS.get(vs)
+        if ring is not None:
+            return ring
         names = [v.name for v in vs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable name in {names}")
-        self.variables: tuple[Variable, ...] = tuple(vs)
-        self.names: tuple[str, ...] = tuple(names)
-        self.index: dict[str, int] = {n: i for i, n in enumerate(names)}
-        self.nvars = nv = len(vs)
+        ring = super().__new__(cls)
+        ring.variables = vs
+        ring.names = tuple(names)
+        ring.index = {n: i for i, n in enumerate(names)}
+        ring.nvars = nv = len(vs)
         # the digit masks of ``_check``
-        self._bias = _spread(_LIMIT, nv)
-        self._high = _spread(_MASK ^ (2 * _LIMIT - 1), nv)
+        ring._bias = _spread(_LIMIT, nv)
+        ring._high = _spread(_MASK ^ (2 * _LIMIT - 1), nv)
         # the one unit denominator every Laurent polynomial of this ring shares
         # (the zero exponent vector packs to 0)
-        self._one_den: dict = {0: 1}
-        self.zero = Scalar(self, {}, self._one_den, _raw=True)
-        self.one = Scalar(self, {0: 1}, self._one_den, _raw=True)
+        ring._one_den = {0: 1}
+        ring.zero = Scalar(ring, {}, ring._one_den, _raw=True)
+        ring.one = Scalar(ring, {0: 1}, ring._one_den, _raw=True)
+        return _RINGS.setdefault(vs, ring)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ScalarRing) and self.variables == other.variables
-
-    def __hash__(self) -> int:
-        return hash(self.variables)
+    def __reduce__(self):
+        return ScalarRing, (self.variables,)
 
     def __repr__(self) -> str:
         return f"ScalarRing({', '.join(self.names)})"
@@ -636,7 +651,7 @@ class Scalar:
             other = self.ring.num(other)
         return (
             isinstance(other, Scalar)
-            and (self.ring is other.ring or self.ring == other.ring)
+            and self.ring is other.ring
             and self._num == other._num
             and self._den == other._den
         )
@@ -646,6 +661,9 @@ class Scalar:
             (self.ring, frozenset(self._num.items()), frozenset(self._den.items()))
         )
 
+    def __reduce__(self):
+        return _unpickled, (self.ring, self._num, self._den)
+
     def __bool__(self) -> bool:
         return bool(self._num)
 
@@ -653,7 +671,7 @@ class Scalar:
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.ring is not self.ring and other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise ValueError("mixing scalars from different rings")
             return other
         return self.ring.num(other)
@@ -774,6 +792,12 @@ class Scalar:
 
     def __repr__(self) -> str:
         return text_form(self)
+
+
+def _unpickled(ring: ScalarRing, num: dict, den: dict) -> Scalar:
+    """A pickled Scalar, on its ring's shared unit denominator when it is a
+    Laurent polynomial."""
+    return Scalar(ring, num, ring._one_den if den == ring._one_den else den, _raw=True)
 
 
 def _int_sqrt_exact(n: int) -> int | None:

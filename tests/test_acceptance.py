@@ -6,7 +6,6 @@ them as they complete.
 
 from __future__ import annotations
 
-import os
 import time
 from fractions import Fraction
 
@@ -79,9 +78,7 @@ def test_criterion_05_affine_intertwiner():
 
 def test_criterion_06_spectral_ybe():
     t0 = time.perf_counter()
-    cases = [("A", 2), ("C", 2)]
-    if os.environ.get("RSQG_LONG"):
-        cases += [("B", 2), ("D", 3)]
+    cases = [("A", 2), ("C", 2), ("B", 2), ("D", 3)]
     reports = [check_spectral_ybe(f, n) for f, n in cases]
     _assert_report(6, f"spectral Yang-Baxter equation {cases}", t0, reports)
 

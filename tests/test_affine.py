@@ -4,7 +4,6 @@ constraint), the spectral Yang-Baxter equation, and structure checks."""
 
 from __future__ import annotations
 
-import os
 import re
 from math import isqrt
 
@@ -22,7 +21,7 @@ from rsqg.affine import (
     spectral_ybe_operators,
     xi_constant,
 )
-from rsqg.matrices import PairAction, SMatrix, flip_map, kron, scalar_of
+from rsqg.matrices import SMatrix, flip_map, kron, pair_actions, read_back
 from rsqg.rep import build_evaluation, build_fundamental
 from rsqg.report import transpose_reflection
 from rsqg.rmatrix import eigenvalues, rbar_inverse_printed, rhat_explicit
@@ -130,9 +129,6 @@ def test_spectral_ybe(family, rank):
     assert out.ok(), [it.witness for it in out.items]
 
 
-@pytest.mark.skipif(
-    not os.environ.get("RSQG_LONG"), reason="long mode (RSQG_LONG=1) only"
-)
 @pytest.mark.parametrize("family,rank", [("B", 2), ("D", 3)])
 def test_spectral_ybe_long(family, rank):
     assert check_spectral_ybe(family, rank).ok()
@@ -223,7 +219,7 @@ def test_columnwise_spectral_ybe_matches_the_matrix_form(family, rank, change):
 def test_columnwise_spectral_ybe_covers_every_column_and_entry(monkeypatch, family, rank):
     """A passing check reads one stored column per side it computes for each
     of the N³ basis vectors (R₂₃(y)'s on the left, R₁₂(x)'s on the right),
-    and applies the two other factor actions to it on kernel-value vectors.
+    and applies the two other factor actions to it on packed vectors.
     It reads the x and y digits of every stored entry of R(x), R(y) and
     R(xy) on V⊗V, to prove the degree bound on the factors, and of no entry
     of the left side on V⊗³.  A2 has no transpose
@@ -250,7 +246,7 @@ def test_columnwise_spectral_ybe_covers_every_column_and_entry(monkeypatch, fami
     )
     monkeypatch.setattr(report, "reflected_column_pairs", lambda *a, **k: paired.append(pairs(*a, **k)) or paired[-1])
     assert check_spectral_ybe(family, rank, operators).ok()
-    r23, r12 = PairAction(r_y, N, (2, 3)), PairAction(r_x, N, (1, 2))
+    r12, _, r23 = pair_actions(N, ((r_x, (1, 2)), (r_xy, (1, 3)), (r_y, (2, 3))))
     sides = (r23,) if one_sided else (r23, r12)
     assert len(applied) == 2 * len(sides) * N**3
     if one_sided:
@@ -273,7 +269,7 @@ def _lhs_columns(sides: tuple, N: int) -> list[dict]:
         vec = sides[-1].column(col)
         for op in sides[-2::-1]:
             vec = op(vec)
-        out.append({row: scalar_of(sides[0].ring, v) for row, v in vec.items()})
+        out.append({row: read_back(sides, v) for row, v in vec.items()})
     return out
 
 
@@ -286,7 +282,7 @@ def test_reflected_left_side_is_the_right_side(family, rank):
     d = transpose_reflection(operators)
     assert d is not None
     N = isqrt(r_x.nrows)
-    r12, r13, r23 = PairAction(r_x, N, (1, 2)), PairAction(r_xy, N, (1, 3)), PairAction(r_y, N, (2, 3))
+    r12, r13, r23 = pair_actions(N, ((r_x, (1, 2)), (r_xy, (1, 3)), (r_y, (2, 3))))
     tau = lambda k: N**3 - 1 - k
     g = lambda k: d[k // (N * N)] * d[k // N % N] * d[k % N]
     reflected: list[dict] = [{} for _ in range(N**3)]

@@ -14,7 +14,20 @@ from hypothesis import strategies as st
 
 from conftest import denominators
 from rsqg import matrices
-from rsqg.matrices import PairAction, SMatrix, _combine_columns, flip_map, kron, mat_vec, scalar_of
+from rsqg.matrices import (
+    Packing,
+    SMatrix,
+    _combine_columns,
+    coefficient_bound,
+    flip_map,
+    kron,
+    mat_vec,
+    pack_terms,
+    pair_actions,
+    read_back,
+    scalar_of,
+    unpack_terms,
+)
 from rsqg.scalars import rs_ring
 
 
@@ -26,6 +39,16 @@ def R():
 def _scalars(ring, vec: dict) -> dict:
     """A vector of kernel values read as Scalars."""
     return {i: scalar_of(ring, x) for i, x in vec.items()}
+
+
+def _read(chain, vec: dict) -> dict:
+    """A vector of packed values of a chain of actions read as Scalars."""
+    return {i: read_back(chain, x) for i, x in vec.items()}
+
+
+def _packed_basis(k: int) -> dict:
+    """The basis vector v_k of V⊗V⊗V as packed values: 1 packs to {0: 1}."""
+    return {k: {0: 1}}
 
 
 def test_flattening_convention(R):
@@ -69,9 +92,10 @@ def test_acting_on_three_factors(R):
     assert mat_vec(ref[2, 3], basis(0, 1, 1)) == basis(0, 0, 0)
     assert mat_vec(ref[1, 3], basis(1, 0, 1)) == basis(0, 0, 0)
     assert mat_vec(ref[1, 3], basis(1, 1, 0)) == {}
-    for factors, v in (((1, 2), basis(1, 1, 0)), ((2, 3), basis(0, 1, 1)), ((1, 3), basis(1, 0, 1))):
-        assert _scalars(R, PairAction(a, N, factors)(v)) == basis(0, 0, 0)
-    assert PairAction(a, N, (1, 3))(basis(1, 1, 0)) == {}
+    for factors, k in (((1, 2), 6), ((2, 3), 3), ((1, 3), 5)):
+        (act,) = pair_actions(N, [(a, factors)])
+        assert _read([act], act(_packed_basis(k))) == basis(0, 0, 0)
+    assert pair_actions(N, [(a, (1, 3))])[0](_packed_basis(6)) == {}
 
 
 def test_matmul_and_scale(R):
@@ -117,6 +141,21 @@ def test_operands_over_different_rings_are_rejected(R, op):
     with pytest.raises(ValueError, match="mixing matrices"):
         op(b, a)
     assert op(a, SMatrix.identity(rs_ring(), 2)).ring == R  # an equal ring is the same ring
+
+
+def test_products_of_separately_built_operators_stay_on_the_kernel(monkeypatch):
+    """Two builds of R̂ make their rings apart; the rings are one object, so
+    every Laurent entry of one is Laurent on the other's ring and their
+    product forms no Scalar product."""
+    from rsqg import scalars
+    from rsqg.rmatrix import build_rhat_explicit
+
+    a, b = build_rhat_explicit("B", 5), build_rhat_explicit("B", 5)
+    assert a.ring is b.ring
+    mul, calls = scalars.Scalar.__mul__, []
+    monkeypatch.setattr(scalars.Scalar, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    a @ b
+    assert calls == []
 
 
 def test_sum_stores_no_zero_from_either_operand(R):
@@ -302,8 +341,8 @@ def test_mat_vec_is_the_entrywise_sum_of_products(data):
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
 def test_pair_action_on_every_basis_vector(family, rank):
-    """On every v_a⊗v_b⊗v_c, A on two factors equals the V⊗³ matrix that
-    kron and the flip build, for R̂ and for R(x) = R̂(x)τ."""
+    """On every v_a⊗v_b⊗v_c, A on two factors, read back, equals the V⊗³
+    matrix that kron and the flip build, for R̂ and for R(x) = R̂(x)τ."""
     from rsqg.affine import spectral_ybe_operators
     from rsqg.rmatrix import build_rhat_explicit
 
@@ -312,46 +351,55 @@ def test_pair_action_on_every_basis_vector(family, rank):
         n = isqrt(a.nrows)
         one = a.ring.one
         for factors, ref in _three_factor_references(a, n).items():
-            act = PairAction(a, n, factors)
+            (act,) = pair_actions(n, [(a, factors)])
             for k in range(n**3):
-                assert _scalars(a.ring, act({k: one})) == mat_vec(ref, {k: one}), (factors, k)
+                assert _read([act], act(_packed_basis(k))) == mat_vec(ref, {k: one}), (factors, k)
+
+
+_FACTOR_PAIRS = ((1, 2), (2, 3), (1, 3))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_pair_action_on_random_vectors(data):
-    """Random operators on V ⊗ V (dim V from 1 to 3) with denominators and
-    unit entries, applied to random sparse vectors of V⊗V⊗V."""
+    """Random operators A and B on V ⊗ V (dim V from 1 to 3) with
+    denominators, fractions and unit entries: A on each pair of factors,
+    applied to every column of B on a random pair, is read back as the
+    product of the V⊗³ matrices, with both operators cleared and packed at
+    the width ``pair_actions`` proves for the chain."""
     ring = data.draw(st.sampled_from(_RINGS))
     n = data.draw(st.integers(1, 3))
-    a = _matrix(data.draw, ring, n * n, n * n)
-    vec = data.draw(_vectors(ring, n**3))
+    a, b = _matrix(data.draw, ring, n * n, n * n), _matrix(data.draw, ring, n * n, n * n)
+    inner = data.draw(st.sampled_from(_FACTOR_PAIRS))
+    ref_b = _three_factor_references(b, n)[inner]
     for factors, ref in _three_factor_references(a, n).items():
-        got = _scalars(ring, PairAction(a, n, factors)(vec))
-        assert got == mat_vec(ref, vec), factors
-        _assert_stored_form(SMatrix(ring, n**3, 1, {i: {0: v} for i, v in got.items()}))
+        act, act_b = pair_actions(n, [(a, factors), (b, inner)])
+        for k in range(n**3):
+            got = _read([act, act_b], act(act_b.column(k)))
+            assert got == mat_vec(ref, mat_vec(ref_b, {k: ring.one})), (factors, k)
+            _assert_stored_form(SMatrix(ring, n**3, 1, {i: {0: v} for i, v in got.items()}))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_column_read_is_the_action_on_a_basis_vector(data):
-    """The stored-column read equals the action on {k: 1} for every basis
-    vector, on random operators with denominators and unit entries, for all
-    three factor pairs."""
+    """The stored-column read equals the action on the packed basis vector
+    for every basis vector, on random operators with denominators and unit
+    entries, for all three factor pairs."""
     ring = data.draw(st.sampled_from(_RINGS))
     n = data.draw(st.integers(1, 3))
     a = _matrix(data.draw, ring, n * n, n * n)
-    for factors in ((1, 2), (2, 3), (1, 3)):
-        act = PairAction(a, n, factors)
+    for factors in _FACTOR_PAIRS:
+        (act,) = pair_actions(n, [(a, factors)])
         for k in range(n**3):
-            assert act.column(k) == act({k: ring.one}), (factors, k)
+            assert act.column(k) == act(_packed_basis(k)), (factors, k)
 
 
 def test_column_read_skips_a_stored_zero(R):
     a = SMatrix(R, 4, 4, {0: {0: R.zero, 1: R.one}})
-    for factors in ((1, 2), (2, 3), (1, 3)):
-        act = PairAction(a, 2, factors)
-        assert all(act.column(k) == act({k: R.one}) for k in range(8))
+    for factors in _FACTOR_PAIRS:
+        (act,) = pair_actions(2, [(a, factors)])
+        assert all(act.column(k) == act(_packed_basis(k)) for k in range(8))
         assert act.column(0) == {}
 
 
@@ -359,9 +407,115 @@ def test_pair_action_rejects_other_factors_and_shapes(R):
     a = SMatrix.identity(R, 4)
     for factors in ((2, 1), (1, 1), (3, 4)):
         with pytest.raises(ValueError, match="factors"):
-            PairAction(a, 2, factors)
+            pair_actions(2, [(a, factors)])
     with pytest.raises(ValueError, match="does not act"):
-        PairAction(a, 3, (1, 2))
+        pair_actions(3, [(a, (1, 2))])
+
+
+def test_actions_packed_at_different_widths_do_not_chain(R):
+    a = SMatrix.identity(R, 4)
+    chain = [*pair_actions(2, [(a, (1, 2))]), *pair_actions(2, [(a.scale(R.num(2)), (2, 3))])]
+    assert chain[0].packing.width != chain[1].packing.width
+    with pytest.raises(ValueError, match="do not chain"):
+        read_back(chain, {0: 1})
+
+
+# -- the s-direction packing ------------------------------------------------------
+
+
+@st.composite
+def _packable(draw):
+    """(ring, terms, packing): a Laurent term dict with int coefficients of
+    size below 2^(B−1), the largest sizes and negative s-exponents included,
+    every s-exponent a multiple of the step, and a shift that makes every
+    slot nonnegative."""
+    ring = draw(st.sampled_from(_RINGS))
+    width, step = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+    top = (1 << width - 1) - 1
+    coeff = st.one_of(st.sampled_from([top, -top, 1, -1]), st.integers(-top, top)).filter(bool)
+    exps = st.tuples(*[st.integers(-4, 4)] * ring.nvars).map(
+        lambda e: tuple(x * step if i == ring.index["s"] else x for i, x in enumerate(e))
+    )
+    terms = draw(st.dictionaries(exps, coeff, max_size=8))
+    lowest = min((e[ring.index["s"]] for e in terms), default=0)
+    shift = draw(st.integers(0, 3)) * step - lowest
+    return ring, ring.poly(terms)._num if terms else {}, Packing(width, shift, step)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_packable())
+def test_packed_values_read_back(case):
+    """Packing and reading back is the identity on Laurent values whose
+    coefficients have size below 2^(B−1), with ±(2^(B−1) − 1) and negative
+    s-exponents among them, at steps 1 to 3."""
+    ring, terms, packing = case
+    packed = pack_terms(ring, terms, packing)
+    assert all(packed.values())
+    assert unpack_terms(ring, packed, packing) == terms
+
+
+def test_one_bit_narrower_aliases_two_values():
+    """The width is the narrowest that holds M: B2's spectral operators are
+    packed at width B and step 2 (whole powers of s).  There the values
+    c = 2^(B−2) ≤ M and −2^(B−2) + r⁻¹s (one key, slots 0 and 1) read back,
+    and one bit narrower they pack to the same int."""
+    from rsqg.affine import spectral_ybe_operators
+
+    ops = spectral_ybe_operators("B", 2)
+    m, packing = coefficient_bound(ops), pair_actions(isqrt(ops[0].nrows), [(a, (1, 2)) for a in ops])[0].packing
+    width, step = packing.width, packing.step
+    assert step == 2
+    ring = ops[0].ring
+    c = 1 << width - 2
+    assert c <= m < 2 * c
+    first = ring.num(c)._num
+    second = (ring.num(-c) + ring.mono(r=-1, s=1))._num
+    narrower = Packing(width - 1, 0, step)
+    assert pack_terms(ring, first, narrower) == pack_terms(ring, second, narrower)
+    proven = Packing(width, 0, step)
+    assert pack_terms(ring, first, proven) != pack_terms(ring, second, proven)
+    for terms in (first, second):
+        assert unpack_terms(ring, pack_terms(ring, terms, proven), proven) == terms
+
+
+def test_packing_rejects_a_negative_slot_an_off_step_exponent_and_a_fraction(R):
+    for terms, packing in (
+        (R.mono(s=-1)._num, Packing(8, 0, 1)),
+        (R.mono(s=Fraction(1, 2))._num, Packing(8, 0, 2)),
+        (R.num(Fraction(1, 2))._num, Packing(8, 0, 1)),
+    ):
+        with pytest.raises(ValueError, match="cannot pack"):
+            pack_terms(R, terms, packing)
+    with pytest.raises(ValueError, match="at least 2"):
+        unpack_terms(R, {0: 1}, Packing(1, 0, 1))
+
+
+def test_a_chain_with_a_zero_operator_packs_at_width_two(R):
+    """M = 0 when one operator of a chain is zero, and so is every value of
+    the chain; the width is 2, the narrowest at which reading back ends."""
+    p = SMatrix.from_entries(R, 4, 4, [(3, 3, R.one), (0, 3, R.mono(3, s=-1))])
+    zero_action, action = pair_actions(2, [(SMatrix.zero(R, 4), (1, 2)), (p, (2, 3))])
+    assert zero_action.packing.width == action.packing.width == 2
+    assert zero_action(action.column(3)) == {}
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3), ("B", 3)])
+def test_left_side_coefficients_are_within_the_proven_bound(family, rank):
+    """Every coefficient of every entry of both sides of the spectral YBE,
+    built as V⊗³ matrices by kron and the flip, has size at most M, the
+    product of the factors' largest column ℓ1 norms."""
+    from rsqg.affine import spectral_ybe_operators
+
+    r_x, r_y, r_xy = spectral_ybe_operators(family, rank)
+    n = isqrt(r_x.nrows)
+    ident = SMatrix.identity(r_x.ring, n)
+    mid_flip = kron(ident, flip_map(r_x.ring, n))
+    r13 = mid_flip @ kron(r_xy, ident) @ mid_flip
+    bound = coefficient_bound((r_x, r_xy, r_y))
+    for side in (kron(r_x, ident) @ r13 @ kron(ident, r_y), kron(ident, r_y) @ r13 @ kron(r_x, ident)):
+        assert all(v.den_is_one() for _, _, v in side.entries())
+        largest = max(abs(c) for _, _, v in side.entries() for c in v._num.values())
+        assert 0 < largest <= bound
 
 
 # -- the packed kernel -------------------------------------------------------------

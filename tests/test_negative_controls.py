@@ -295,15 +295,15 @@ def test_columnwise_comparison_reaches_the_last_column(N):
     """P₁₂P₂₃ for the projection P onto v_N⊗v_N is nonzero on the last basis
     column v_N⊗v_N⊗v_N only, so against the zero operator only that column
     fails: a comparison that skips it passes."""
-    from rsqg.matrices import PairAction
+    from rsqg.matrices import pair_actions
     from rsqg.report import first_column_mismatch
     from rsqg.scalars import rs_ring
 
     ring = rs_ring()
     p = SMatrix.from_entries(ring, N * N, N * N, [(N * N - 1, N * N - 1, ring.one)])
     zero = SMatrix.zero(ring, N * N)
-    lhs = (PairAction(p, N, (1, 2)), PairAction(p, N, (2, 3)))
-    rhs = (PairAction(zero, N, (1, 2)), PairAction(zero, N, (2, 3)))
+    lhs = pair_actions(N, ((p, (1, 2)), (p, (2, 3))))
+    rhs = pair_actions(N, ((zero, (1, 2)), (zero, (2, 3))))
     last = f"v_{N}⊗v_{N}⊗v_{N}"
     assert first_column_mismatch(lhs, rhs) == f"column {last}, row {last}: LHS 1 vs RHS 0"
 

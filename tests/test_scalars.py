@@ -206,13 +206,13 @@ def _assert_laurent_in(x, ring):
 @pytest.mark.parametrize("kind", ["rs", "q"])
 @pytest.mark.parametrize("rings", ["r,s", "r,s,z", "two equal r,s"])
 def test_combinatorics_equal_their_division_definitions(monkeypatch, rings, kind, d):
-    """Every value is a Laurent polynomial bound to the caller's ring.  In
-    two equal but distinct ring objects, on an emptied memo, the values
-    first built in one are handed to the other bound to that one."""
+    """Every value is a Laurent polynomial bound to the caller's ring.  Two
+    rings built apart with equal variables are one object, so on an emptied
+    memo the values first built for one are the other's too."""
     if rings == "two equal r,s":
         monkeypatch.setattr(scalars, "_MEMO", {})
-        targets = (rs_ring(), rs_ring())
-        assert targets[0] == targets[1] and targets[0] is not targets[1]
+        targets = (rs_ring(), ScalarRing(rs_ring().variables))
+        assert targets[0] is targets[1]
     else:
         targets = (rs_ring(*rings.split(",")[2:]),)
     integer, factorial, binomial = _COMBINATORICS[kind]
@@ -228,6 +228,25 @@ def test_combinatorics_equal_their_division_definitions(monkeypatch, rings, kind
                 x = binomial(ring, m, k, d)
                 assert x == binomials[(m, k)], (kind, m, k, d)
                 _assert_laurent_in(x, ring)
+
+
+def test_rings_with_equal_variables_are_one_object():
+    """Building, copying or unpickling a ring with the same variables gives
+    the one ring, and an unpickled Laurent Scalar holds its shared unit
+    denominator; other variables give another ring."""
+    import copy
+    import pickle
+
+    ring = rs_ring("x")
+    assert ScalarRing([scalars.Variable("r", 2), scalars.Variable("s", 2), "x"]) is ring
+    assert copy.deepcopy(ring) is ring and pickle.loads(pickle.dumps(ring)) is ring
+    assert rs_ring("y") is not ring and rs_ring("y") != ring
+    p = ring.mono(3, r=1) - ring.atom("x")
+    q = p / (ring.mono(r=1) - ring.mono(s=1))
+    for value in (p, q, ring.one):
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and back.ring is ring
+        assert (back._den is ring._one_den) == value.den_is_one()
 
 
 def test_combinatorics_argument_errors(R):

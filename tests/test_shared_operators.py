@@ -369,7 +369,7 @@ def test_column_checks_return_the_one_decider_witness(monkeypatch, check, family
 @pytest.mark.parametrize("check", ["braid", "spectral-ybe"])
 def test_passing_column_checks_construct_no_scalar(monkeypatch, check):
     """A passing B2 ``braid`` or ``spectral-ybe`` keeps every column in
-    kernel values from the stored columns to the comparison:
+    packed values from the stored columns to the comparison:
     ``reflected_column_pairs``, which decides both at B2 from the
     left side alone, constructs no Scalar.  A failing one does, in
     ``first_column_mismatch``, for the values its witness prints."""
