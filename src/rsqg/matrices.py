@@ -24,9 +24,10 @@ already.
 
 ``PairAction`` (an operator on two factors of V⊗V⊗V, applied to one sparse
 vector at a time, and the only way rsqg acts on V⊗V⊗V) is one call per
-vector, on values packed in the s-direction: a term c·r^a s^b·m is keyed by
-r^(a+b)·m and adds c·2^(B·(b+σ)) to its key's int (``pack_terms``).  Keys
-add and ints multiply, so the same kernel and the same term-pair loop run
+vector, on values packed along r or s: packed along s, a term c·r^a s^b·m
+is keyed by r^(a+b)·m and adds c·2^(B·(b+σ)) to its key's int
+(``pack_terms``), and along r the two swap roles.  Keys add and ints
+multiply, so the same kernel and the same term-pair loop run
 on them, on about a quarter of the terms of the homogeneous R-matrix
 entries.  A chain of actions builds no Scalar; ``read_back`` reads a
 packed value as one, exactly at the width B that ``pair_actions`` proves
@@ -377,37 +378,40 @@ def mat_vec(a: SMatrix, vec: dict[int, Scalar]) -> dict[int, Scalar]:
 
 
 # ---------------------------------------------------------------------------
-# the s-direction packing of V⊗V⊗V values
+# the packing of V⊗V⊗V values along r or s
 # ---------------------------------------------------------------------------
 #
-# A term c·r^a s^b·m of a Laurent value (m a monomial in the other variables,
-# a and b in internal half units) goes to the key e + b·(r·s⁻¹), the packed
-# exponent of r^(a+b)·m, and adds c·2^(B·(b+σ)/h) to that key's int, for a
-# width B, a shift σ ≥ −b and a step h that divides every b (``Packing``; h
-# is 2 where only whole powers of s occur).  The packed value of a product is
-# the product of the packed values (keys add, ints multiply, shifts add), so
-# ``_combine_columns`` runs on packed values unchanged.  Every operator the Yang–Baxter decider
-# multiplies is homogeneous in (r^½, s^½), so the terms of one entry with one
-# monomial in the other variables share a key: a few ints stand for many terms.
-# The README (item 6) states the read-back lemma and the width it needs.
+# Packed along s, a term c·r^a s^b·m of a Laurent value (m a monomial in the
+# other variables, a and b in internal half units) goes to the key
+# e + b·(r·s⁻¹), the packed exponent of r^(a+b)·m, and adds c·2^(B·(b+σ)/h)
+# to that key's int, for a width B, a shift σ ≥ −b and a step h that divides
+# every b (``Packing``; h is 2 where only whole powers of s occur).  Packed
+# along r, r and s swap roles: the key is that of s^(a+b)·m and the slot
+# (a+σ)/h.  The packed value of a product is the product of the packed values
+# (keys add, ints multiply, shifts add), so ``_combine_columns`` runs on
+# packed values unchanged.  Every operator the Yang–Baxter decider multiplies
+# is homogeneous in (r^½, s^½), so the terms of one entry with one monomial in
+# the other variables share a key: a few ints stand for many terms.  The
+# README (item 6) states the read-back lemma and the width it needs.
 
 
-def _s_direction(ring: ScalarRing) -> tuple[int, int] | None:
-    """(s's bit offset, the packed exponent of r·s⁻¹) in ``ring``'s packed
-    exponents; None for a ring without r or s, whose terms all keep their
-    key and have b = 0."""
+def _direction(ring: ScalarRing, along: str) -> tuple[int, int] | None:
+    """(the bit offset of ``along``'s digit, the packed exponent of p·along⁻¹
+    for p the other of r and s) in ``ring``'s packed exponents; None for a
+    ring without r or s, whose terms all keep their key and have b = 0."""
     ir, is_ = ring.index.get("r"), ring.index.get("s")
     if ir is None or is_ is None:
         return None
-    return _BITS * is_, (1 << _BITS * ir) - (1 << _BITS * is_)
+    i, j = (is_, ir) if along == "s" else (ir, is_)
+    return _BITS * i, (1 << _BITS * j) - (1 << _BITS * i)
 
 
-def _key_slots(ring: ScalarRing, exps: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """(key, b) for each packed exponent: b is its s-exponent and the key
-    moves it onto r's digit.  Sound for digits below 2^31 in size, such as a
-    sum of a few stored exponents: biased by 2^31, each digit is
-    nonnegative."""
-    split = _s_direction(ring)
+def _key_slots(ring: ScalarRing, exps: Iterable[int], along: str) -> Iterator[tuple[int, int]]:
+    """(key, b) for each packed exponent: b is its exponent of ``along``
+    ("r" or "s"), and the key moves b onto the other one's digit.  Sound for
+    digits below 2^31 in size, such as a sum of a few stored exponents:
+    biased by 2^31, each digit is nonnegative."""
+    split = _direction(ring, along)
     if split is None:
         yield from ((e, 0) for e in exps)
         return
@@ -419,26 +423,28 @@ def _key_slots(ring: ScalarRing, exps: Iterable[int]) -> Iterator[tuple[int, int
 
 
 class Packing(NamedTuple):
-    """How values are packed: a term c·r^a s^b·m adds c·2^(width·t) to its
-    key's int, with t = (b + shift)/step ≥ 0.  ``step`` divides every
-    s-exponent b of the values, so consecutive slots hold consecutive
-    possible b's."""
+    """How values are packed: a term whose exponent of ``along`` is b adds
+    c·2^(width·t) to its key's int, with t = (b + shift)/step ≥ 0.
+    ``step`` divides every such b of the values, so consecutive slots hold
+    consecutive possible b's."""
 
     width: int
     shift: int
     step: int
+    along: str
 
 
 def pack_terms(ring: ScalarRing, terms: dict, packing: Packing) -> dict:
     """The packed value of the Laurent term dict ``terms`` (int
-    coefficients, every s-exponent b with b + shift a nonnegative multiple
-    of the step); keys whose ints cancel are dropped."""
-    width, shift, step = packing
+    coefficients, every exponent b of the packing's variable with b + shift
+    a nonnegative multiple of the step); keys whose ints cancel are
+    dropped."""
+    width, shift, step, along = packing
     out: dict[int, int] = {}
-    for (key, b), c in zip(_key_slots(ring, terms), terms.values()):
+    for (key, b), c in zip(_key_slots(ring, terms, along), terms.values()):
         t, r = divmod(b + shift, step)
         if t < 0 or r or type(c) is not int:
-            raise ValueError(f"cannot pack the term {c} with s-exponent {b} at {packing}")
+            raise ValueError(f"cannot pack the term {c} with {along}-exponent {b} at {packing}")
         x = out.get(key, 0) + (c << width * t)
         if x:
             out[key] = x
@@ -452,10 +458,10 @@ def unpack_terms(ring: ScalarRing, packed: dict, packing: Packing) -> dict:
     digits, the t-th of them the coefficient of b = t·step − shift.  Exact
     when every coefficient has size below 2^(B−1).  B ≥ 2, so each digit
     read shrinks the int and the reading ends."""
-    width, shift, step = packing
+    width, shift, step, along = packing
     if width < 2:
         raise ValueError(f"cannot read back at {packing}: the width must be at least 2")
-    split = _s_direction(ring)
+    split = _direction(ring, along)
     move = split[1] if split else 0
     full = 1 << width
     half, mask = full >> 1, full - 1
@@ -475,15 +481,9 @@ def unpack_terms(ring: ScalarRing, packed: dict, packing: Packing) -> dict:
 
 def shifted(packed: dict, key: int, bits: int) -> dict:
     """A packed value times the monomial of key ``key`` and slot shift
-    ``bits`` (B·β/h for its s-exponent β ≥ 0 and the step h)."""
+    ``bits`` (B·β/h for its exponent β ≥ 0 of the packing's variable and
+    the step h)."""
     return {e + key: c << bits for e, c in packed.items()} if key or bits else packed
-
-
-def monomial_shift(ring: ScalarRing, e: int) -> tuple[int, int]:
-    """(key, β) of the r,s-monomial of packed exponent ``e``, β its
-    s-exponent: multiplying a packed value by it is ``shifted(value, key,
-    B·β/h)`` where β ≥ 0 is a multiple of the step h."""
-    return next(_key_slots(ring, (e,)))
 
 
 class _Cleared(NamedTuple):
@@ -523,35 +523,21 @@ def _cleared(a: SMatrix) -> _Cleared:
     return _Cleared(clear, columns, max(norms.values(), default=0))
 
 
-def _distinct_cleared(ops: Iterable[SMatrix]) -> dict[int, _Cleared]:
-    """``_cleared`` of each distinct operator, by id."""
-    return {id(a): _cleared(a) for a in {id(a): a for a in ops}.values()}
-
-
-def _bound(ops: Sequence[SMatrix], cleared: dict[int, _Cleared]) -> int:
-    m = 1
-    for a in ops:
-        m *= cleared[id(a)].norm
-    return m
-
-
-def coefficient_bound(ops: Sequence[SMatrix]) -> int:
-    """M, the product of the largest column ℓ1 norms of the cleared
-    operators ``ops`` (``PairAction.clear``), one factor per operator: no
-    coefficient of an entry of a product of their actions on V⊗V⊗V, one
-    action each, applied to a basis vector, or of that entry times a
-    monomial, has size above M."""
-    return _bound(ops, _distinct_cleared(ops))
-
-
 def pair_actions(n: int, placed: Sequence[tuple[SMatrix, tuple[int, int]]]) -> tuple["PairAction", ...]:
     """The actions of the operators ``placed``, (a, factors) pairs of an
     operator on V⊗V (dim V = n) and the factors (1, 2), (2, 3) or (1, 3) of
-    V⊗V⊗V it acts on, as one chain: each distinct operator is cleared and
-    packed once, all at the width B = M.bit_length() + 1 for M =
-    ``coefficient_bound`` (taken as 1 where it is 0), the narrowest whose
-    balanced digits hold every coefficient of size at most M (M < 2^(B−1)),
-    and at one step, the gcd of their s-exponents."""
+    V⊗V⊗V it acts on, as one chain: each distinct operator is cleared
+    (``_cleared``) and packed once, all at one width, step and variable.
+
+    The width is B = M.bit_length() + 1 for M the product, one factor per
+    placed operator, of their largest column ℓ1 norms (taken as 1 where it
+    is 0): no coefficient of a value of the chain exceeds M in size, and
+    B is the narrowest width whose balanced digits hold every such
+    coefficient (M < 2^(B−1)).  The variable, r or s, is the one whose
+    shifts sum to less over the chain (s on a tie), so that the ints of
+    values whose exponents lie near 0 have few empty low slots; the step is
+    the gcd of the operators' exponents of it (2 where they are all whole
+    powers), so that no slot between two used ones is always empty."""
     for a, factors in placed:
         if factors not in ((1, 2), (2, 3), (1, 3)):
             raise ValueError(f"factors must be (1, 2), (2, 3) or (1, 3), got {factors}")
@@ -561,16 +547,26 @@ def pair_actions(n: int, placed: Sequence[tuple[SMatrix, tuple[int, int]]]) -> t
     ring = ops[0].ring
     if any(a.ring is not ring for a in ops):
         raise ValueError("mixing operators over different rings in one chain")
-    cleared = _distinct_cleared(ops)
-    width = max(_bound(ops, cleared), 1).bit_length() + 1
-    slots = {
-        i: [b for col in c.columns.values() for _, t in col for _, b in _key_slots(ring, t)] for i, c in cleared.items()
+    cleared = {id(a): _cleared(a) for a in {id(a): a for a in ops}.values()}
+    m = 1
+    for a in ops:
+        m *= cleared[id(a)].norm
+    width = max(m, 1).bit_length() + 1
+    # the exponents of s and of r in each distinct operator
+    exps = {
+        v: {
+            i: {b for col in c.columns.values() for _, t in col for _, b in _key_slots(ring, t, v)}
+            for i, c in cleared.items()
+        }
+        for v in "sr"
     }
-    step = gcd(*(b for bs in slots.values() for b in bs)) or 1
+    along = max("sr", key=lambda v: sum(min(exps[v][id(a)], default=0) for a in ops))
+    step = gcd(*(b for bs in exps[along].values() for b in bs)) or 1
     packed: dict[int, tuple[Packing, dict]] = {}
     for i, c in cleared.items():
-        packing = Packing(width, -min(slots[i], default=0), step)
-        packed[i] = packing, {j: [(row, pack_terms(ring, t, packing)) for row, t in col] for j, col in c.columns.items()}
+        packing = Packing(width, -min(exps[along][i], default=0), step, along)
+        columns = {j: [(row, pack_terms(ring, t, packing)) for row, t in col] for j, col in c.columns.items()}
+        packed[i] = packing, columns
     return tuple(PairAction(ring, n, factors, *packed[id(a)], cleared[id(a)].clear) for a, factors in placed)
 
 
@@ -581,9 +577,9 @@ class PairAction:
     of one chain, and ``act(vec)`` is A·vec.
 
     Each column of the operator is stored once, with its rows turned into
-    offsets on V⊗V⊗V and its entries packed in the s-direction
-    (``pack_terms``) by ``packing``, whose shift σ is minus the smallest
-    s-exponent of its entries, after clearing: ``clear`` is one Laurent
+    offsets on V⊗V⊗V and its entries packed along r or s (``pack_terms``)
+    by ``packing``, whose shift σ is minus the smallest exponent of that
+    variable in its entries, after clearing: ``clear`` is one Laurent
     polynomial L with every entry of L·a a Laurent polynomial with int
     coefficients (``ring.one`` for the R-matrices).  Applying it reads the
     column of the two acted-on digits and places each entry beside the
@@ -598,7 +594,9 @@ class PairAction:
 
     __slots__ = ("ring", "n", "strides", "columns", "packing", "clear")
 
-    def __init__(self, ring: ScalarRing, n: int, factors: tuple[int, int], packing: Packing, columns: dict, clear: Scalar):
+    def __init__(
+        self, ring: ScalarRing, n: int, factors: tuple[int, int], packing: Packing, columns: dict, clear: Scalar
+    ):
         si, sj = (n ** (3 - f) for f in factors)
         self.ring = ring
         self.n = n
@@ -634,18 +632,18 @@ class PairAction:
 
 def chain_frame(chain: Sequence[PairAction]) -> tuple[Packing, Scalar]:
     """The packing and the clearing polynomial of the values of a chain of
-    actions: the shared width and step, the summed shift, and the product
-    of the actions' ``clear``.  ValueError for actions packed at different
-    widths or steps."""
-    packings = {(op.packing.width, op.packing.step) for op in chain}
+    actions: the shared width, step and variable, the summed shift, and the
+    product of the actions' ``clear``.  ValueError for actions packed
+    differently."""
+    packings = {(op.packing.width, op.packing.step, op.packing.along) for op in chain}
     if len(packings) != 1:
-        raise ValueError(f"actions packed at (width, step) {sorted(packings)} do not chain")
-    (width, step), one = packings.pop(), chain[0].ring.one
+        raise ValueError(f"actions packed at (width, step, variable) {sorted(packings)} do not chain")
+    (width, step, along), one = packings.pop(), chain[0].ring.one
     clear = one
     for op in chain:
         if op.clear is not one:
             clear = op.clear if clear is one else clear * op.clear
-    return Packing(width, sum(op.packing.shift for op in chain), step), clear
+    return Packing(width, sum(op.packing.shift for op in chain), step, along), clear
 
 
 def read_back(chain: Sequence[PairAction], x: dict) -> Scalar:

@@ -10,9 +10,9 @@ R₂₃R₁₃R₁₂ on V⊗V⊗V for the braid relation and the spectral YBE a
 Where its factors have a certified gauged transpose symmetry
 (``transpose_reflection``), the right side is the reflected left side, and
 ``reflected_column_pairs`` decides it from the left side alone.  Both loops
-run on values packed in the s-direction (``matrices.PairAction``) at the
-one width the decider proves for its three operators, compare packed values
-and read back only what a witness prints."""
+run on values packed along r or s (``matrices.PairAction``) at the one
+width the decider proves for its three operators, compare packed values and
+read back only what a witness prints."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Callable, Iterator, Sequence
 
-from .matrices import PairAction, SMatrix, chain_frame, monomial_shift, pair_actions, read_back, shifted
+from .matrices import PairAction, SMatrix, _key_slots, chain_frame, pair_actions, read_back, shifted
 from .gauge import Inconsistent, monomial_gauge
 from .scalars import Scalar
 
@@ -200,29 +200,28 @@ def first_column_mismatch(lhs: Sequence[PairAction], rhs: Sequence[PairAction]) 
     the basis vector, so its result is read as a stored column.
 
     Every column holds packed values (``matrices.PairAction``) from the
-    stored columns to the comparison, compared as they are where both sides
-    share their width, shift and clearing polynomial (``chain_frame``), as
-    the decider's sides do, and read back first otherwise; only the values a
-    witness prints become Scalars.
+    stored columns to the comparison, so both sides must be packed alike:
+    one width, step and variable, one summed shift and one clearing
+    polynomial (``chain_frame``), as the decider's sides are, or ValueError.
+    Only the values a witness prints become Scalars.
 
     The first column (in index order) whose sides differ is named with its
     first differing row and both sides' values there; "" when every column
     passes."""
+    if chain_frame(lhs) != chain_frame(rhs):
+        raise ValueError("the two sides are packed differently, so their packed values do not compare")
     n = lhs[0].n
     where = lambda col, row: f"column {basis_vector(col, n, 3)}, row {basis_vector(row, n, 3)}"
-    packed = chain_frame(lhs) == chain_frame(rhs)
-    read = lambda side, column: column if packed else {k: read_back(side, v) for k, v in column.items()}
-    show = lambda side, column, row: (read_back(side, column[row]) if packed else column[row]) if row in column else 0
+    show = lambda column, row: read_back(lhs, column[row]) if row in column else 0
     for col in range(n**3):
         left, right = lhs[-1].column(col), rhs[-1].column(col)
         for op in lhs[-2::-1]:
             left = op(left)
         for op in rhs[-2::-1]:
             right = op(right)
-        left, right = read(lhs, left), read(rhs, right)
         if left != right:
             row = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
-            return f"{where(col, row)}: LHS {show(lhs, left, row)} vs RHS {show(rhs, right, row)}"
+            return f"{where(col, row)}: LHS {show(left, row)} vs RHS {show(right, row)}"
     return ""
 
 
@@ -272,9 +271,10 @@ def reflected_column_pairs(lhs: Sequence[PairAction], d: Sequence[Scalar], weigh
     Entrywise: L[u, v]·g(u) = L[τv, τu]·g(v) with g = d⊗d⊗d.  The columns
     of L are computed one at a time, as in ``first_column_mismatch``, as
     packed values.  An entry waits until the column of its partner arrives,
-    is compared with it, and both are dropped; the ratio g(u)/g(v) = r^α s^β
-    is a key shift and a shift by B·β/h bits (h the packing's step), put on
-    the partner's side where β < 0; a self-paired entry (τu = v) needs
+    is compared with it, and both are dropped; the ratio g(u)/g(v), packed,
+    is a key shift and a shift by B·β/h bits (β its exponent of the
+    packing's variable, h the packing's step), put on the partner's side
+    where β < 0; a self-paired entry (τu = v) needs
     g(u) = g(v).  L preserves weight and τ maps weight λ to −λ, so an entry
     of a column of weight λ waits for a column of weight −λ.  The columns
     run by weight, −λ before λ, each followed by its image under τ: at B2,
@@ -285,9 +285,10 @@ def reflected_column_pairs(lhs: Sequence[PairAction], d: Sequence[Scalar], weigh
     nonzero entry of L), or None on the first failure of any kind, for
     which the caller reruns ``first_column_mismatch`` to get the witness."""
     n, ring = lhs[0].n, lhs[0].ring
-    width, _, step = lhs[0].packing
-    # g(k) as a packed monomial: a key shift and an s-exponent, each additive
-    dkey, dslot = zip(*(monomial_shift(ring, v.monomial_parts()[0]) for v in d))
+    width, _, step, along = lhs[0].packing
+    # g(k) as a packed monomial: a key shift and an exponent of the packing's
+    # variable, each additive
+    dkey, dslot = zip(*_key_slots(ring, (v.monomial_parts()[0] for v in d), along))
     code = _weight_codes(weights)
     gkey, gslot, blocks = [], [], {}
     k = 0
@@ -307,7 +308,7 @@ def reflected_column_pairs(lhs: Sequence[PairAction], d: Sequence[Scalar], weigh
                 if not seen[j]:
                     seen[j] = 1
                     order.append(j)
-    # column -> row -> (expected entry there, times s^β, as B·β/h bits)
+    # column -> row -> (expected entry there, and its partner's slot shift)
     pending: dict[int, dict[int, tuple[dict, int]]] = {}
     done = bytearray(n**3)
     paired = 0
@@ -324,10 +325,11 @@ def reflected_column_pairs(lhs: Sequence[PairAction], d: Sequence[Scalar], weigh
                     return None
                 paired += 2
                 continue
-            # the partner entry is value·g(row)/g(col); a negative power of s
-            # moves onto the partner's side, so no slot shift is negative.
-            # Every s-exponent of L is a multiple of the step, so a ratio
-            # whose s-exponent is not has no partner.
+            # the partner entry is value·g(row)/g(col); a negative power of
+            # the packing's variable moves onto the partner's side, so no slot
+            # shift is negative.  Every exponent of that variable in L is a
+            # multiple of the step, so a ratio whose exponent is not has no
+            # partner.
             dk, (ds, odd) = gkey[row] - kc, divmod(gslot[row] - sc, step)
             if odd:
                 return None

@@ -18,7 +18,6 @@ from rsqg.matrices import (
     Packing,
     SMatrix,
     _combine_columns,
-    coefficient_bound,
     flip_map,
     kron,
     mat_vec,
@@ -28,7 +27,7 @@ from rsqg.matrices import (
     scalar_of,
     unpack_terms,
 )
-from rsqg.scalars import rs_ring
+from rsqg.scalars import _unpack_exps, rs_ring
 
 
 @pytest.fixture(scope="module")
@@ -413,33 +412,53 @@ def test_pair_action_rejects_other_factors_and_shapes(R):
 
 
 def test_actions_packed_at_different_widths_do_not_chain(R):
+    """Actions of separate ``pair_actions`` calls do not chain, and two
+    sides packed differently do not compare, where their widths differ."""
+    from rsqg.report import first_column_mismatch
+
     a = SMatrix.identity(R, 4)
     chain = [*pair_actions(2, [(a, (1, 2))]), *pair_actions(2, [(a.scale(R.num(2)), (2, 3))])]
     assert chain[0].packing.width != chain[1].packing.width
     with pytest.raises(ValueError, match="do not chain"):
         read_back(chain, {0: 1})
+    with pytest.raises(ValueError, match="packed differently"):
+        first_column_mismatch(chain[:1], chain[1:])
 
 
-# -- the s-direction packing ------------------------------------------------------
+def _l1_bound(ops) -> int:
+    """M from its definition: the product of the operators' largest column
+    ℓ1 norms, for operators whose entries are Laurent polynomials with int
+    coefficients."""
+    m = 1
+    for a in ops:
+        norms: dict[int, int] = {}
+        for _, j, v in a.entries():
+            assert v.den_is_one() and all(type(c) is int for c in v._num.values())
+            norms[j] = norms.get(j, 0) + sum(abs(c) for c in v._num.values())
+        m *= max(norms.values())
+    return m
+
+
+# -- the packing along r or s ----------------------------------------------------
 
 
 @st.composite
 def _packable(draw):
     """(ring, terms, packing): a Laurent term dict with int coefficients of
-    size below 2^(B−1), the largest sizes and negative s-exponents included,
-    every s-exponent a multiple of the step, and a shift that makes every
-    slot nonnegative."""
+    size below 2^(B−1), the largest sizes and negative exponents included,
+    every exponent of the packing's variable (r or s) a multiple of the
+    step, and a shift that makes every slot nonnegative."""
     ring = draw(st.sampled_from(_RINGS))
-    width, step = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+    width, step, along = draw(st.integers(2, 40)), draw(st.integers(1, 3)), draw(st.sampled_from("rs"))
     top = (1 << width - 1) - 1
     coeff = st.one_of(st.sampled_from([top, -top, 1, -1]), st.integers(-top, top)).filter(bool)
     exps = st.tuples(*[st.integers(-4, 4)] * ring.nvars).map(
-        lambda e: tuple(x * step if i == ring.index["s"] else x for i, x in enumerate(e))
+        lambda e: tuple(x * step if i == ring.index[along] else x for i, x in enumerate(e))
     )
     terms = draw(st.dictionaries(exps, coeff, max_size=8))
-    lowest = min((e[ring.index["s"]] for e in terms), default=0)
+    lowest = min((e[ring.index[along]] for e in terms), default=0)
     shift = draw(st.integers(0, 3)) * step - lowest
-    return ring, ring.poly(terms)._num if terms else {}, Packing(width, shift, step)
+    return ring, ring.poly(terms)._num if terms else {}, Packing(width, shift, step, along)
 
 
 @settings(max_examples=200, deadline=None)
@@ -447,7 +466,7 @@ def _packable(draw):
 def test_packed_values_read_back(case):
     """Packing and reading back is the identity on Laurent values whose
     coefficients have size below 2^(B−1), with ±(2^(B−1) − 1) and negative
-    s-exponents among them, at steps 1 to 3."""
+    exponents among them, along r and along s, at steps 1 to 3."""
     ring, terms, packing = case
     packed = pack_terms(ring, terms, packing)
     assert all(packed.values())
@@ -456,23 +475,23 @@ def test_packed_values_read_back(case):
 
 def test_one_bit_narrower_aliases_two_values():
     """The width is the narrowest that holds M: B2's spectral operators are
-    packed at width B and step 2 (whole powers of s).  There the values
-    c = 2^(B−2) ≤ M and −2^(B−2) + r⁻¹s (one key, slots 0 and 1) read back,
-    and one bit narrower they pack to the same int."""
+    packed along s at width B and step 2 (whole powers of s).  There the
+    values c = 2^(B−2) ≤ M and −2^(B−2) + r⁻¹s (one key, slots 0 and 1) read
+    back, and one bit narrower they pack to the same int."""
     from rsqg.affine import spectral_ybe_operators
 
     ops = spectral_ybe_operators("B", 2)
-    m, packing = coefficient_bound(ops), pair_actions(isqrt(ops[0].nrows), [(a, (1, 2)) for a in ops])[0].packing
+    m, packing = _l1_bound(ops), pair_actions(isqrt(ops[0].nrows), [(a, (1, 2)) for a in ops])[0].packing
     width, step = packing.width, packing.step
-    assert step == 2
+    assert (step, packing.along) == (2, "s")
     ring = ops[0].ring
     c = 1 << width - 2
     assert c <= m < 2 * c
     first = ring.num(c)._num
     second = (ring.num(-c) + ring.mono(r=-1, s=1))._num
-    narrower = Packing(width - 1, 0, step)
+    narrower = Packing(width - 1, 0, step, "s")
     assert pack_terms(ring, first, narrower) == pack_terms(ring, second, narrower)
-    proven = Packing(width, 0, step)
+    proven = Packing(width, 0, step, "s")
     assert pack_terms(ring, first, proven) != pack_terms(ring, second, proven)
     for terms in (first, second):
         assert unpack_terms(ring, pack_terms(ring, terms, proven), proven) == terms
@@ -480,14 +499,15 @@ def test_one_bit_narrower_aliases_two_values():
 
 def test_packing_rejects_a_negative_slot_an_off_step_exponent_and_a_fraction(R):
     for terms, packing in (
-        (R.mono(s=-1)._num, Packing(8, 0, 1)),
-        (R.mono(s=Fraction(1, 2))._num, Packing(8, 0, 2)),
-        (R.num(Fraction(1, 2))._num, Packing(8, 0, 1)),
+        (R.mono(s=-1)._num, Packing(8, 0, 1, "s")),
+        (R.mono(r=-1)._num, Packing(8, 0, 1, "r")),
+        (R.mono(s=Fraction(1, 2))._num, Packing(8, 0, 2, "s")),
+        (R.num(Fraction(1, 2))._num, Packing(8, 0, 1, "s")),
     ):
         with pytest.raises(ValueError, match="cannot pack"):
             pack_terms(R, terms, packing)
     with pytest.raises(ValueError, match="at least 2"):
-        unpack_terms(R, {0: 1}, Packing(1, 0, 1))
+        unpack_terms(R, {0: 1}, Packing(1, 0, 1, "s"))
 
 
 def test_a_chain_with_a_zero_operator_packs_at_width_two(R):
@@ -511,7 +531,9 @@ def test_left_side_coefficients_are_within_the_proven_bound(family, rank):
     ident = SMatrix.identity(r_x.ring, n)
     mid_flip = kron(ident, flip_map(r_x.ring, n))
     r13 = mid_flip @ kron(r_xy, ident) @ mid_flip
-    bound = coefficient_bound((r_x, r_xy, r_y))
+    bound = _l1_bound((r_x, r_xy, r_y))
+    (act, *_) = pair_actions(n, [(r_x, (1, 2)), (r_xy, (1, 3)), (r_y, (2, 3))])
+    assert act.packing.width == bound.bit_length() + 1
     for side in (kron(r_x, ident) @ r13 @ kron(ident, r_y), kron(ident, r_y) @ r13 @ kron(r_x, ident)):
         assert all(v.den_is_one() for _, _, v in side.entries())
         largest = max(abs(c) for _, _, v in side.entries() for c in v._num.values())
@@ -548,3 +570,30 @@ def test_packed_kernel_is_the_entrywise_sum_of_products(data):
     for i, x in got.items():
         assert (type(x) is dict) == expect[i].den_is_one()
         assert (x and all(x.values())) if type(x) is dict else not x.den_is_one()
+
+
+def _lowest(a: SMatrix, var: str) -> int:
+    """The smallest exponent of ``var`` among the entries of ``a``, in half
+    units."""
+    i, nv = a.ring.index[var], a.ring.nvars
+    return min(_unpack_exps(e, nv)[i] for _, _, v in a.entries() for e in v._num)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 3), ("D", 4), ("B", 6)])
+def test_a_chain_packs_along_the_variable_of_smaller_total_shift(family, rank):
+    """The spectral operators' powers of s are nonnegative, so they pack
+    along s with no shift; R̂'s powers of s reach much further below 0 than
+    its powers of r, so a chain of it packs along r."""
+    from rsqg.affine import spectral_ybe_operators
+    from rsqg.rmatrix import build_rhat_explicit
+
+    spectral = spectral_ybe_operators(family, rank) if rank <= 3 else ()
+    for ops, along in ((spectral, "s"), ((build_rhat_explicit(family, rank),) * 3, "r")):
+        if not ops:
+            continue
+        n = isqrt(ops[0].nrows)
+        acts = pair_actions(n, [(a, f) for a, f in zip(ops, ((1, 2), (1, 3), (2, 3)))])
+        shifts = {v: -sum(min(_lowest(a, v), 0) for a in ops) for v in "rs"}
+        assert shifts[along] < shifts["rs".replace(along, "")]
+        assert {act.packing.along for act in acts} == {along}
+        assert sum(act.packing.shift for act in acts) == shifts[along]
