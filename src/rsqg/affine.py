@@ -10,11 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .matrices import SMatrix, flip_map, tensor_units
+from .matrices import SMatrix, compose_flip, tensor_units
 from .rep import KAPPA, KINDS, EvaluationRep, Representation, _evaluation, build_evaluation, build_fundamental, tensor_product
 from .report import Report, basis_vector, first_mismatch, product_mismatch, yang_baxter_witness
 from .rmatrix import CoefficientTables, eigenvalues
-from .rootdata import build_root_system, fundamental_weights
 from .scalars import Scalar, ScalarRing, _packed_exp_ranges, rs_ring
 
 
@@ -260,44 +259,37 @@ def check_affine_intertwiner(family: str, rank: int, operators: tuple | None = N
 # ---------------------------------------------------------------------------
 
 
-def spectral_ybe_operators(family: str, rank: int) -> tuple[SMatrix, SMatrix, SMatrix]:
-    """R(x), R(y) and R(xy) over (r, s, x, y), for R(z) = R̂(z)∘τ."""
-    ring = rs_ring("x", "y")
-    rep = build_fundamental(family, rank, ring)
-    tau = flip_map(ring, rep.N)
-    x, y = ring.atom("x"), ring.atom("y")
-    return tuple(affine_rhat(rep, z=z) @ tau for z in (x, y, x * y))
-
-
-def check_spectral_ybe(family: str, rank: int, operators: tuple | None = None) -> Report:
+def check_spectral_ybe(family: str, rank: int, rep: Representation | None = None, rz: SMatrix | None = None) -> Report:
     """R₁₂(x) R₁₃(xy) R₂₃(y) = R₂₃(y) R₁₃(xy) R₁₂(x) on V⊗V⊗V with two
-    independent ratio variables, and every entry of the left side a
-    polynomial in x and y (0 ≤ exponent ≤ the spectral degree bound).  The
-    ``operators`` (R(x), R(y), R(xy)) are the case's, or else built by
-    ``spectral_ybe_operators`` on its clock.
+    independent ratio variables, for R(z) = R̂(z)∘τ, and every entry of the
+    left side a polynomial in x and y (0 ≤ exponent ≤ the spectral degree
+    bound).  ``rep`` is the fundamental module over (r, s, z) and ``rz`` =
+    R̂(z) on it, the case's, or else built on its clock.
 
-    The degree bound is proved on the three factors, on V⊗V: where every
-    entry of R(x) is a polynomial in x of degree ≤ b and free of y, every
-    entry of R(y) the same with x and y exchanged, and every entry of R(xy)
-    a polynomial of degree ≤ b in each (b = 1 in type A, 2 otherwise), each
-    left-side entry is a sum of products of one entry of each, so a
-    polynomial of x- and y-degree ≤ 2b.  A factor out of its bound fails
-    the check, and the identity is not run: the witness names each such
-    factor with its first entry out of bound ("R(x): row …, column … has
-    x-degree d"), "; " between factors.  Otherwise the identity on V⊗³ is
+    The degree bound is proved on R(z), on V⊗V: where every entry is a
+    polynomial in z of degree ≤ b (b = 1 in type A, 2 otherwise), every
+    entry of R(x) is a polynomial in x of degree ≤ b and free of y, of R(y)
+    the same with x and y exchanged, and of R(xy) a polynomial of degree
+    ≤ b in each; each left-side entry is a sum of products of one entry of
+    each, so a polynomial of x- and y-degree ≤ 2b.  An entry out of the
+    bound fails the check, and the identity is not run: the witness names
+    it ("R(z): row …, column … has z-degree d").  Otherwise the identity is
     decided by ``yang_baxter_witness``, the one decider it shares with the
-    braid relation."""
+    braid relation, which checks its premise on R̂(z) once and forms R(x),
+    R(xy) and R(y) by the substitutions z ↦ x, xy, y."""
     out = Report()
     with out.timed("spectral-ybe", family, rank) as it:
-        r_x, r_y, r_xy = operators or spectral_ybe_operators(family, rank)
-        b = 1 if family == "A" else 2
-        factors = (("R(x)", r_x, {"x": b, "y": 0}), ("R(y)", r_y, {"x": 0, "y": b}), ("R(xy)", r_xy, {"x": b, "y": b}))
-        excess = [f"{name}: {w}" for name, m, limits in factors if (w := _degree_excess(m, limits))]
+        if rep is None:
+            rep = build_fundamental(family, rank, rs_ring("z"))
+        if rz is None:
+            rz = affine_rhat(rep)
+        excess = _degree_excess(compose_flip(rz), {"z": 1 if family == "A" else 2})
         if excess:
-            it.witness = "; ".join(excess)
+            it.witness = f"R(z): {excess}"
         else:
-            weights = fundamental_weights(build_root_system(family, rank))
-            it.witness = yang_baxter_witness(r_x, r_xy, r_y, weights)
+            ring = rs_ring("x", "y")
+            x, y = ring.atom("x"), ring.atom("y")
+            it.witness = yang_baxter_witness(rep, rz, (x, x * y, y))
     return out
 
 

@@ -32,11 +32,11 @@ class CaseContext:
     on first use and at most once: the fundamental module, its convex order
     and root-vector matrices, the modified generators, the pairing context
     (shuffle images of the e side, pairing values and c_γ; Θ reads c_γ
-    only), the ordered product Θ, R̂ and R̄
-    over (r, s), the evaluation module, the module with R̂(z), R̂ and R̄ over
-    the z ring, the affine intertwiner's V(x), V(y) and R̂(x/y), and the
-    spectral YBE's R̂(x)τ, R̂(y)τ and R̂(xy)τ.  Each module keeps its own
-    tensor square (``square``), which every check on V⊗V reads."""
+    only), the ordered product Θ, R̂ and R̄ over (r, s), the evaluation
+    module, the module with R̂(z), R̂ and R̄ over the z ring (the spectral
+    YBE reads R̂(z) and this module), and the affine intertwiner's V(x),
+    V(y) and R̂(x/y).  Each module keeps its own tensor square
+    (``square``), which every check on V⊗V reads."""
 
     def __init__(self, family: str, rank: int):
         self.family = family
@@ -98,10 +98,6 @@ class CaseContext:
     def intertwiner(self):
         return affine.intertwiner_operators(self.family, self.rank)
 
-    @cached_property
-    def ybe(self):
-        return affine.spectral_ybe_operators(self.family, self.rank)
-
 
 @dataclass(frozen=True)
 class Check:
@@ -161,7 +157,7 @@ CATALOGUE = (
     Check("rmatrix", "braid", _always, lambda c: rmatrix.check_braid(c.rep, c.rhat)),
     Check("rmatrix", "specialize", _a_or_b, _specialize),
     Check("affine", "intertwine", _affine, lambda c: affine.check_affine_intertwiner(c.family, c.rank, c.intertwiner)),
-    Check("affine", "ybe", _ybe, lambda c: affine.check_spectral_ybe(c.family, c.rank, c.ybe), "spectral-ybe"),
+    Check("affine", "ybe", _ybe, lambda c: affine.check_spectral_ybe(c.family, c.rank, c.zrep, c.rz), "spectral-ybe"),
     Check("affine", "baxterize-match", _affine, lambda c: affine.check_baxterize_match(c.zrep, c.rz, c.zrhat, c.zrbar)),
     Check("affine", "degree", _affine, lambda c: affine.check_degree_bounds(c.zrep, c.rz), "z-degree-bound"),
     Check("affine", "unit", _affine, lambda c: affine.check_unit_point(c.zrep, c.rz), "unit-point"),

@@ -25,7 +25,7 @@ from itertools import combinations
 from .affine import one_param_r_affine_A
 from .gauge import Inconsistent, monomial_gauge
 from .lyndon import ConvexOrder, bracket_tower, minimal_pair
-from .matrices import SMatrix, flip_map
+from .matrices import SMatrix, compose_flip
 from .rep import Representation, _cartan_commute, _cartan_conj, _ef_commutator, _serre
 from .report import Report, basis_vector, first_mismatch
 from .rootdata import Root, RootSystem, omega_pairing, presentation
@@ -243,7 +243,7 @@ def _skew_twist(name: str, rep: Representation, rhat: SMatrix, obstructed=None) 
     out = Report()
     with out.timed(name, rep.family, rep.n) as it:
         ring = quarter_ring(*(("z",) if "z" in rep.ring.names else ()))
-        r_two_rs = rhat @ flip_map(rep.ring, N)
+        r_two_rs = compose_flip(rhat)
         r_two = r_two_rs.map_entries(lambda v: _to_quarter_ring(v, ring), ring=ring)
         if "z" in ring.names:
             r_one = one_param_r_affine_A(rep.n, ring)

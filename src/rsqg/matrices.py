@@ -38,7 +38,7 @@ sharing is safe.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .scalars import (
@@ -280,14 +280,22 @@ def tensor_units(
     return SMatrix.from_entries(ring, n * n, n * n, entries)
 
 
-def flip_map(ring: ScalarRing, n: int) -> SMatrix:
-    """The flip v_i ⊗ v_j ↦ v_j ⊗ v_i on V ⊗ V."""
-    rows = {}
-    for i in range(n):
-        for j in range(n):
-            rows[j * n + i] = rows.get(j * n + i, {})
-            rows[j * n + i][i * n + j] = ring.one
-    return SMatrix(ring, n * n, n * n, rows)
+def flipped(n: int, k: int) -> int:
+    """The index of v_b ⊗ v_a for the index k of v_a ⊗ v_b, dim V = n."""
+    return k % n * n + k // n
+
+
+def compose_flip(a: SMatrix, diagonal: Sequence[Scalar] | None = None) -> SMatrix:
+    """a∘D∘τ for an operator ``a`` on V ⊗ V, τ the flip v_i ⊗ v_j ↦ v_j ⊗ v_i
+    and D the ``diagonal`` (the identity when None): column j of a, times
+    d_j, is column τ(j) of the result, so no product is formed.  This is how
+    R = R̂∘τ is formed from R̂, and R̂ = R∘τ from R."""
+    n = isqrt(a.nrows)
+    if diagonal is None:
+        rows = {i: {flipped(n, j): v for j, v in row.items()} for i, row in a.rows.items()}
+    else:
+        rows = {i: {flipped(n, j): v * diagonal[j] for j, v in row.items()} for i, row in a.rows.items()}
+    return SMatrix(a.ring, a.nrows, a.ncols, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +485,6 @@ def unpack_terms(ring: ScalarRing, packed: dict, packing: Packing) -> dict:
             x = (x - d) >> width
             b += step
     return out
-
-
-def shifted(packed: dict, key: int, bits: int) -> dict:
-    """A packed value times the monomial of key ``key`` and slot shift
-    ``bits`` (B·β/h for its exponent β ≥ 0 of the packing's variable and
-    the step h)."""
-    return {e + key: c << bits for e, c in packed.items()} if key or bits else packed
 
 
 class _Cleared(NamedTuple):

@@ -6,25 +6,23 @@ factors on the support of the conjugated matrix) and, one column at a time,
 on V⊗V⊗V (``first_column_mismatch``).
 
 The one Yang–Baxter decider, ``yang_baxter_witness``, decides R₁₂R₁₃R₂₃ =
-R₂₃R₁₃R₁₂ on V⊗V⊗V for the braid relation and the spectral YBE alike.
-Where its factors have a certified gauged transpose symmetry
-(``transpose_reflection``), the right side is the reflected left side, and
-``reflected_column_pairs`` decides it from the left side alone.  Both loops
-run on values packed along r or s (``matrices.PairAction``) at the one
-width the decider proves for its three operators, compare packed values and
-read back only what a witness prints."""
+R₂₃R₁₃R₁₂ on V⊗V⊗V for the braid relation and the spectral YBE alike, on
+the N² columns that generate V⊗³ once its premises hold on V⊗V and V:
+R̂ commutes with every Δ(e_i) and Δ(ω_i) (``commutation_witness``, shared
+with the intertwining certificate), and V is generated from v_N by the e_i
+(``generation_witness``).  Its columns run on values packed along r or s
+(``matrices.PairAction``) at the one width the decider proves for its three
+operators, compare packed values and read back only what a witness
+prints."""
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import isqrt, lcm
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .matrices import PairAction, SMatrix, _key_slots, chain_frame, pair_actions, read_back, shifted
-from .gauge import Inconsistent, monomial_gauge
+from .matrices import PairAction, SMatrix, chain_frame, compose_flip, pair_actions, read_back
 from .scalars import Scalar
 
 
@@ -192,9 +190,10 @@ def product_mismatch(
     return first_mismatch(lhs_product, rhs_product, n)
 
 
-def first_column_mismatch(lhs: Sequence[PairAction], rhs: Sequence[PairAction]) -> str:
-    """The witness of lhs[0]⋯lhs[-1] = rhs[0]⋯rhs[-1] on V⊗V⊗V, for products
-    of operators on two of its factors: both sides are applied to one basis
+def first_column_mismatch(lhs: Sequence[PairAction], rhs: Sequence[PairAction], columns: Iterable[int]) -> str:
+    """The witness of lhs[0]⋯lhs[-1] = rhs[0]⋯rhs[-1] on the ``columns`` of
+    V⊗V⊗V (flattened indices, compared in the order given), for products of
+    operators on two of its factors: both sides are applied to one basis
     vector v_a⊗v_b⊗v_c at a time, so one column of each side is alive at a
     time and no V⊗³ matrix is built.  Each side's rightmost operator acts on
     the basis vector, so its result is read as a stored column.
@@ -205,15 +204,14 @@ def first_column_mismatch(lhs: Sequence[PairAction], rhs: Sequence[PairAction]) 
     polynomial (``chain_frame``), as the decider's sides are, or ValueError.
     Only the values a witness prints become Scalars.
 
-    The first column (in index order) whose sides differ is named with its
-    first differing row and both sides' values there; "" when every column
-    passes."""
+    The first column whose sides differ is named with its first differing
+    row and both sides' values there; "" when every column passes."""
     if chain_frame(lhs) != chain_frame(rhs):
         raise ValueError("the two sides are packed differently, so their packed values do not compare")
     n = lhs[0].n
     where = lambda col, row: f"column {basis_vector(col, n, 3)}, row {basis_vector(row, n, 3)}"
     show = lambda column, row: read_back(lhs, column[row]) if row in column else 0
-    for col in range(n**3):
+    for col in columns:
         left, right = lhs[-1].column(col), rhs[-1].column(col)
         for op in lhs[-2::-1]:
             left = op(left)
@@ -225,154 +223,91 @@ def first_column_mismatch(lhs: Sequence[PairAction], rhs: Sequence[PairAction]) 
     return ""
 
 
-def transpose_reflection(ops: Sequence[SMatrix]) -> list[Scalar] | None:
-    """The diagonal D = diag(d_1, …, d_N) of r,s-monomials of coefficient 1
-    with Mᵀ = Π·G·M·G⁻¹·Π for every operator M in ``ops`` on V ⊗ V, where
-    Π = J⊗J, J reverses V's basis (v_a ↦ v_{N+1−a}) and G = D⊗D; None when
-    there is none.
-
-    Entrywise, with Π as the permutation k ↦ N²−1−k of V ⊗ V, the identity
-    reads M[Πl, Πk] = M[k, l]·G(k)/G(l) for every (k, l): a monomial gauge
-    (``gauge.monomial_gauge``) in the exponents of D, one triple per stored
-    entry, whose linear form is that of G(k)/G(l) in the digits of k and l."""
-    ring, N = ops[0].ring, isqrt(ops[0].nrows)
-    last = N * N - 1
-    triples = []
-    for m in ops:
-        for k, row in m.rows.items():
-            for l, v in row.items():
-                form = ((k // N, 1), (k % N, 1), (l // N, -1), (l % N, -1))
-                triples.append((form, v, m.get(last - l, last - k)))
-    try:
-        exps, _ = monomial_gauge(triples, N, ("r", "s"))
-    except Inconsistent:
-        return None
-    # the exponents are in the internal half units of r and s
-    return [ring.mono(r=Fraction(er, 2), s=Fraction(es, 2)) for er, es in exps]
+def commutation_witness(rep, op: SMatrix, kinds: Sequence[str]) -> str:
+    """The witness that ``op`` on V⊗V commutes with Δ(g) for the generators
+    g of ``kinds`` at every node of the module ``rep`` = V, read from its
+    tensor square: "Δ(e_1): " and the ``product_mismatch`` of the first
+    generator (node by node, ``kinds`` in order at each) that ``op`` does not
+    commute with; "" when it commutes with all of them.  The diagonal ω_i
+    and ω′_i are checked on the support of ``op``."""
+    for i in range(1, rep.n + 1):
+        for kind in kinds:
+            mk = rep.square.table(kind)[i]
+            w = product_mismatch((mk, op), (op, mk), rep.N)
+            if w:
+                return f"Δ({kind}_{i}): {w}"
+    return ""
 
 
-def _weight_codes(weights: Sequence[tuple]) -> list[int]:
-    """One int per basis vector of V, additive on V⊗V⊗V and odd under
-    λ ↦ −λ: the weight's ε-coordinates, scaled to integers, as digits of a
-    balanced base large enough for a sum of three."""
-    scale = lcm(*(Fraction(x).denominator for w in weights for x in w))
-    ints = [[int(x * scale) for x in w] for w in weights]
-    base = 6 * max((abs(x) for w in ints for x in w), default=0) + 1
-    return [sum(x * base**t for t, x in enumerate(w)) for w in ints]
+def generation_witness(rep) -> str:
+    """"" when the module ``rep`` = V is generated from its last basis
+    vector v_N by its e_i with every ω_i invertible; otherwise the first
+    fault.  Every ω_i must be diagonal with no zero on its diagonal, and
+    e-words must reach every basis vector from v_N.  Each e_i is read as
+    the monomial matrix it is: a column of e_i with one nonzero entry
+    carries v_k to a nonzero multiple of one basis vector, which is
+    invertible over the fraction field, and any other column carries v_k
+    nowhere, so a module that is not reached this way fails."""
+    N = rep.N
+    for i in range(1, rep.n + 1):
+        om = rep.omega[i]
+        if not om.is_diagonal() or any(om.get(k, k).is_zero() for k in range(N)):
+            return f"ω_{i} is not an invertible diagonal matrix"
+    moves: dict[int, list[int]] = {}
+    for i in range(1, rep.n + 1):
+        targets: dict[int, list[int]] = {}
+        for row, entries in rep.e[i].rows.items():
+            for col, v in entries.items():
+                if not v.is_zero():
+                    targets.setdefault(col, []).append(row)
+        for col, rows in targets.items():
+            if len(rows) == 1:
+                moves.setdefault(col, []).extend(rows)
+    reached, todo = {N - 1}, [N - 1]
+    while todo:
+        for k in moves.get(todo.pop(), ()):
+            if k not in reached:
+                reached.add(k)
+                todo.append(k)
+    missed = [k for k in range(N) if k not in reached]
+    return f"v_{missed[0] + 1} is not reached from v_{N} by the e_i" if missed else ""
 
 
-def reflected_column_pairs(lhs: Sequence[PairAction], d: Sequence[Scalar], weights: Sequence[tuple]) -> int | None:
-    """Decide lhs[0]⋯lhs[-1] = G₃⁻¹·Π₃·(lhs[0]⋯lhs[-1])ᵀ·Π₃·G₃ on V⊗V⊗V from
-    the left side alone, where G₃ = D⊗D⊗D for the diagonal ``d`` of
-    ``transpose_reflection`` and Π₃ = J⊗J⊗J permutes the basis by τ: k ↦
-    N³−1−k.  Where the lemma holds, the right side R₂₃R₁₃R₁₂ of the
-    Yang–Baxter equation is exactly this reflection of the left side.
+def yang_baxter_witness(rep, rhat: SMatrix, at: Sequence[Scalar] | None = None) -> str:
+    """The witness of R₁₂R₁₃R₂₃ = R₂₃R₁₃R₁₂ on V⊗V⊗V for R = R̂∘τ, with
+    ``rhat`` = R̂ an operator on V⊗V for the module ``rep`` = V; "" when it
+    holds.  This is the one decider of the braid relation, where all three
+    factors are R, and of the spectral YBE, where R̂ = R̂(z) and ``at`` =
+    (x, xy, y), values of z in another ring: the factors are then R(x),
+    R(xy) and R(y), formed by the substitutions z ↦ x, xy, y, which are ring
+    maps.
 
-    Entrywise: L[u, v]·g(u) = L[τv, τu]·g(v) with g = d⊗d⊗d.  The columns
-    of L are computed one at a time, as in ``first_column_mismatch``, as
-    packed values.  An entry waits until the column of its partner arrives,
-    is compared with it, and both are dropped; the ratio g(u)/g(v), packed,
-    is a key shift and a shift by B·β/h bits (β its exponent of the
-    packing's variable, h the packing's step), put on the partner's side
-    where β < 0; a self-paired entry (τu = v) needs
-    g(u) = g(v).  L preserves weight and τ maps weight λ to −λ, so an entry
-    of a column of weight λ waits for a column of weight −λ.  The columns
-    run by weight, −λ before λ, each followed by its image under τ: at B2,
-    D3 and B3 this holds at most 4.2k, 5.2k and 9.7k unpacked terms
-    pending, against 17k, 24k and 55k in index order.
+    Both sides times the reversal S: v_a⊗v_b⊗v_c ↦ v_c⊗v_b⊗v_a are products
+    of R̂₁₂ and R̂₂₃, so they are module maps of V⊗³ wherever R̂ commutes
+    with every Δ(e_i) and Δ(ω_i), and two module maps that agree on
+    (V⊗V)⊗v_N, which generates V⊗³, are equal (README, items 4 and 6).  So
+    the decider checks two premises on V⊗V and V and then compares the two
+    sides on the N² columns v_N⊗v_b⊗v_c only, which S carries to
+    (V⊗V)⊗v_N:
 
-    The number of left-side entries compared with their partners (every
-    nonzero entry of L), or None on the first failure of any kind, for
-    which the caller reruns ``first_column_mismatch`` to get the witness."""
-    n, ring = lhs[0].n, lhs[0].ring
-    width, _, step, along = lhs[0].packing
-    # g(k) as a packed monomial: a key shift and an exponent of the packing's
-    # variable, each additive
-    dkey, dslot = zip(*_key_slots(ring, (v.monomial_parts()[0] for v in d), along))
-    code = _weight_codes(weights)
-    gkey, gslot, blocks = [], [], {}
-    k = 0
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                gkey.append(dkey[a] + dkey[b] + dkey[c])
-                gslot.append(dslot[a] + dslot[b] + dslot[c])
-                blocks.setdefault(code[a] + code[b] + code[c], []).append(k)
-                k += 1
-    last = n**3 - 1  # τ(k) = last − k
-    # block −λ, each column followed by its image under τ, which lies in block λ
-    order, seen = [], bytearray(n**3)
-    for lam in sorted(blocks, key=lambda lam: (abs(lam), lam)):
-        for k in blocks[lam]:
-            for j in (k, last - k):
-                if not seen[j]:
-                    seen[j] = 1
-                    order.append(j)
-    # column -> row -> (expected entry there, and its partner's slot shift)
-    pending: dict[int, dict[int, tuple[dict, int]]] = {}
-    done = bytearray(n**3)
-    paired = 0
-    for col in order:
-        column = lhs[-1].column(col)
-        for op in lhs[-2::-1]:
-            column = op(column)
-        expected = pending.pop(col, {})
-        kc, sc, tc = gkey[col], gslot[col], last - col
-        for row, value in column.items():
-            if row in expected:
-                want, bits = expected.pop(row)
-                if want != shifted(value, 0, bits):
-                    return None
-                paired += 2
-                continue
-            # the partner entry is value·g(row)/g(col); a negative power of
-            # the packing's variable moves onto the partner's side, so no slot
-            # shift is negative.  Every exponent of that variable in L is a
-            # multiple of the step, so a ratio whose exponent is not has no
-            # partner.
-            dk, (ds, odd) = gkey[row] - kc, divmod(gslot[row] - sc, step)
-            if odd:
-                return None
-            want, bits = shifted(value, dk, width * max(ds, 0)), width * max(-ds, 0)
-            partner = last - row
-            if partner == col:
-                # the partner is in this column, at row τ(col), or is this entry
-                other = column.get(tc)
-                if other is None or want != shifted(other, 0, bits):
-                    return None
-                paired += 1
-            elif done[partner]:
-                return None  # its partner's column had no entry for it
-            else:
-                pending.setdefault(partner, {})[tc] = (want, bits)
-        if expected:
-            return None  # entries whose partner here is zero
-        done[col] = 1
-    return paired
+    - V is generated from v_N by the e_i, with every ω_i invertible
+      (``generation_witness``);
+    - R̂ commutes with Δ(e_i) and Δ(ω_i) for every node i
+      (``commutation_witness``); with ``at``, the premise holds for R̂(z),
+      so it holds for each of its images.
 
-
-def yang_baxter_witness(r12: SMatrix, r13: SMatrix, r23: SMatrix, weights: Sequence[tuple]) -> str:
-    """The witness of R₁₂R₁₃R₂₃ = R₂₃R₁₃R₁₂ on V⊗V⊗V, for operators ``r12``,
-    ``r13`` and ``r23`` on V ⊗ V placed on those factors, with ``weights``
-    the weights of V's basis; "" when it holds.  This is the one decider of
-    the braid relation and of the spectral YBE.
-
-    Where ``transpose_reflection`` certifies Rᵀ = Π·G·R·G⁻¹·Π for each
-    distinct operator (types B, C and D), transposing the left side reverses
-    the product and Π₃G₃ conjugates each factor to its transpose, so the
-    right side is G₃⁻¹·Π₃·LHSᵀ·Π₃·G₃: only the left side is computed, and
-    checked against its own reflection (``reflected_column_pairs``).
-    Otherwise, and for the witness of any failure, both sides are compared
-    one column at a time (``first_column_mismatch``), and a failure names
-    its column and row as basis vectors.
-
-    All three operators are packed at one width B = M.bit_length() + 1
-    (``matrices.pair_actions``), M the product of their largest column ℓ1
-    norms, which bounds every coefficient of either side, so equal packed
-    values are equal values (README, item 6)."""
-    n = isqrt(r12.nrows)
-    lhs = pair_actions(n, ((r12, (1, 2)), (r13, (1, 3)), (r23, (2, 3))))
-    d = transpose_reflection(list({id(m): m for m in (r12, r13, r23)}.values()))
-    if d is not None and reflected_column_pairs(lhs, d, weights) is not None:
-        return ""
-    return first_column_mismatch(lhs, lhs[::-1])
+    A failing premise is the witness, prefixed "premise: ", and the sides
+    are not compared.  Otherwise both sides are built by one
+    ``pair_actions`` call, which packs all three factors at one width B =
+    M.bit_length() + 1, M the product of their largest column ℓ1 norms,
+    which bounds every coefficient of either side, so equal packed values
+    are equal values (README, item 6); ``first_column_mismatch`` names the
+    first failing column and row as basis vectors."""
+    w = generation_witness(rep) or commutation_witness(rep, rhat, ("e", "omega"))
+    if w:
+        return f"premise: {w}"
+    r = compose_flip(rhat)
+    factors = (r,) * 3 if at is None else tuple(r.substituted({"z": z}, ring=z.ring) for z in at)
+    n = rep.N
+    lhs = pair_actions(n, tuple(zip(factors, ((1, 2), (1, 3), (2, 3)))))
+    return first_column_mismatch(lhs, lhs[::-1], range((n - 1) * n * n, n**3))

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lyndon import ConvexOrder, lalonde_ram
-from .matrices import SMatrix, flip_map, kron, mat_vec, tensor_units, vec_scale
+from .matrices import SMatrix, compose_flip, flipped, kron, mat_vec, tensor_units, vec_scale
 from .pairing import PairingContext
 from .rep import Representation, build_fundamental, highest_weight_vectors
-from .report import Report, basis_vector, first_mismatch, product_mismatch, yang_baxter_witness
+from .report import Report, basis_vector, commutation_witness, first_mismatch, yang_baxter_witness
 from .rootdata import f_function
 from .rootvec import RootVectorMatrices, build_root_vector_matrices
 from .scalars import Scalar, ScalarRing, Variable, _memoized
@@ -240,18 +240,13 @@ def build_theta(
     return theta_product(rep, order, rvm, context=context)
 
 
-def _flipped(N: int, k: int) -> int:
-    """The index of v_b ⊗ v_a for the index k of v_a ⊗ v_b, dim V = N."""
-    return k % N * N + k // N
-
-
 def rhat_factorized(rep: Representation, theta: SMatrix) -> SMatrix:
     """Θ ∘ (weight twist) ∘ flip, for the ordered product Θ.  The twist is
     diagonal and the flip permutes the basis, so no product is formed: column
-    j of Θ, times the twist at j, is column flip(j) of the result."""
-    N, twist = rep.N, ftilde(rep).rows
-    rows = {i: {_flipped(N, j): v * twist[j][j] for j, v in row.items()} for i, row in theta.rows.items()}
-    return SMatrix(rep.ring, N * N, N * N, rows)
+    j of Θ, times the twist at j, is column flip(j) of the result
+    (``compose_flip``)."""
+    twist = ftilde(rep).rows
+    return compose_flip(theta, [twist[j][j] for j in range(rep.N * rep.N)])
 
 
 def build_rhat_factorized(family: str, rank: int, ring: ScalarRing | None = None) -> SMatrix:
@@ -336,7 +331,7 @@ def rbar_inverse_exchanged(rep: Representation, theta: SMatrix) -> SMatrix:
     divided by the twist at j, is row flip(j) of the result."""
     N, twist = rep.N, ftilde(rep).diagonal_inv().rows
     rows = {
-        _flipped(N, j): {k: v * twist[j][j] for k, v in row.items()} for j, row in theta.exchanged_params().rows.items()
+        flipped(N, j): {k: v * twist[j][j] for k, v in row.items()} for j, row in theta.exchanged_params().rows.items()
     }
     return SMatrix(rep.ring, N * N, N * N, rows)
 
@@ -378,17 +373,11 @@ def check_eigenvalues(rep: Representation, rhat: SMatrix) -> Report:
 def check_intertwining(rep: Representation, rhat: SMatrix) -> Report:
     """R̂ commutes with the action of every generator on V ⊗ V, read from
     the module's tensor square; the diagonal ω_i and ω′_i are checked on the
-    support of R̂ (``product_mismatch``)."""
+    support of R̂ (``commutation_witness``, whose loop the Yang–Baxter
+    decider runs for its premise)."""
     out = Report()
     with out.timed("intertwining", rep.family, rep.n) as it:
-        w = ""
-        for i in range(1, rep.n + 1):
-            for kind in ("f", "e", "omega", "omega-prime"):
-                mk = rep.square.table(kind)[i]
-                ww = product_mismatch((mk, rhat), (rhat, mk), rep.N)
-                if ww:
-                    w = w or f"Δ({kind}_{i}): {ww}"
-        it.witness = w
+        it.witness = commutation_witness(rep, rhat, ("f", "e", "omega", "omega-prime"))
     return out
 
 
@@ -400,18 +389,10 @@ def check_braid(rep: Representation, rhat: SMatrix) -> Report:
     (R₁₂R₁₃R₂₃)·S and R̂₂₃R̂₁₂R̂₂₃ = (R₂₃R₁₃R₁₂)·S, so the braid relation holds
     iff R₁₂R₁₃R₂₃ = R₂₃R₁₃R₁₂, which ``yang_baxter_witness`` decides; a
     failure names a column and row of these products (column c of the braid
-    sides is column S(c) of them).  Since Rᵀ = τ·R̂ᵀ and τ commutes with
-    Π = J⊗J and G = D⊗D, P·R̂ᵀ·P = Π·G·R̂·G⁻¹·Π (P = τ) is the same
-    condition as the decider's transpose reflection Rᵀ = Π·G·R·G⁻¹·Π.
-
-    R is formed by moving R̂'s columns, as in ``rhat_factorized``: column j
-    of R̂ is column τ(j) of R, and no product is formed."""
+    sides is column S(c) of them), or the premise on V⊗V that fails."""
     out = Report()
     with out.timed("braid", rep.family, rep.n) as it:
-        N = rep.N
-        rows = {i: {_flipped(N, j): v for j, v in row.items()} for i, row in rhat.rows.items()}
-        r = SMatrix(rep.ring, N * N, N * N, rows)
-        it.witness = yang_baxter_witness(r, r, r, rep.weights)
+        it.witness = yang_baxter_witness(rep, rhat)
     return out
 
 
@@ -527,7 +508,7 @@ def specialize_and_compare(rep: Representation, rhat: SMatrix, rz: SMatrix | Non
     out = Report()
     with out.timed("specialize-finite", family, rank) as it:
         qr = q_ring()
-        r_two = rhat @ flip_map(rep.ring, rep.N)
+        r_two = compose_flip(rhat)
         qhalf = qr.atom("q")
         r_spec = r_two.substituted({"r": qhalf, "s": qhalf.inv()}, ring=qr)
         it.witness = first_mismatch(r_spec, one_param_r_finite(rep, qr), rep.N)
@@ -537,7 +518,7 @@ def specialize_and_compare(rep: Representation, rhat: SMatrix, rz: SMatrix | Non
 
         with out.timed("specialize-affine", family, rank) as it:
             zr = rz.ring
-            rz_two = rz @ flip_map(zr, rep.N)
+            rz_two = compose_flip(rz)
             qz = q_ring("z")
             qhalf2 = qz.atom("q")
             rz_spec = rz_two.substituted({"r": qhalf2, "s": qhalf2.inv(), "z": qz.atom("z")}, ring=qz)

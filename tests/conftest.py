@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from rsqg.catalogue import CaseContext
 from rsqg.lyndon import bracket_tower, lalonde_ram
-from rsqg.matrices import SMatrix, flip_map
+from rsqg.matrices import SMatrix, kron, pair_actions
 from rsqg.pairing import PairingOracle, WordSum
+from rsqg.report import first_column_mismatch
 from rsqg.rep import build_evaluation, build_fundamental
 from rsqg.rmatrix import theta_nilpotent
 from rsqg.rootdata import build_root_system, omega_pairing
@@ -59,9 +60,85 @@ def case(family, rank):
 DESK = [("A", 2), ("B", 2), ("C", 2), ("D", 3)]
 
 
+def flip_map(ring, n: int) -> SMatrix:
+    """The flip v_i ⊗ v_j ↦ v_j ⊗ v_i on V ⊗ V, as a matrix."""
+    return SMatrix(ring, n * n, n * n, {j * n + i: {i * n + j: ring.one} for i in range(n) for j in range(n)})
+
+
 def r_of(rhat: SMatrix) -> SMatrix:
     """R = R̂∘τ, τ the flip, as a matrix product (its own inverse: R̂ = R∘τ)."""
     return rhat @ flip_map(rhat.ring, isqrt(rhat.nrows))
+
+
+def spectral_factors(rz: SMatrix) -> tuple[SMatrix, SMatrix, SMatrix]:
+    """R(x), R(y) and R(xy) over (r, s, x, y) for R(z) = R̂(z)∘τ, from
+    ``rz`` = R̂(z) over (r, s, z): R(z) as a matrix product, then z ↦ x, y,
+    xy."""
+    ring = rs_ring("x", "y")
+    x, y = ring.atom("x"), ring.atom("y")
+    r = r_of(rz)
+    return tuple(r.substituted({"z": z}, ring=ring) for z in (x, y, x * y))
+
+
+def v3_sides(r12: SMatrix, r13: SMatrix, r23: SMatrix) -> tuple[SMatrix, SMatrix]:
+    """R₁₂R₁₃R₂₃ and R₂₃R₁₃R₁₂ on V⊗V⊗V as V⊗³ matrices, from kron and the
+    flip of factors 2 and 3, for operators on V⊗V placed on those
+    factors."""
+    ring, N = r12.ring, isqrt(r12.nrows)
+    ident = SMatrix.identity(ring, N)
+    mid_flip = kron(ident, flip_map(ring, N))
+    a12, a23 = kron(r12, ident), kron(ident, r23)
+    a13 = mid_flip @ kron(r13, ident) @ mid_flip
+    return a12 @ a13 @ a23, a23 @ a13 @ a12
+
+
+def reversal(ring, N: int) -> SMatrix:
+    """S: v_a⊗v_b⊗v_c ↦ v_c⊗v_b⊗v_a on V⊗V⊗V, as a matrix."""
+    reverse = lambda k: (k % N * N + k // N % N) * N + k // (N * N)
+    return SMatrix(ring, N**3, N**3, {reverse(k): {k: ring.one} for k in range(N**3)})
+
+
+def coproduct3(rep, kind: str, i: int) -> SMatrix:
+    """Δ⁽²⁾(g) = (Δ⊗1)Δ(g) on V⊗V⊗V for the generator ``kind``_i, built with
+    kron from the tables of V and of V⊗V; asserted to be (1⊗Δ)Δ(g) too."""
+    sq, N = rep.square, rep.N
+    one, one2 = SMatrix.identity(rep.ring, N), SMatrix.identity(rep.ring, N * N)
+    if kind == "e":
+        out, other = kron(sq.e[i], one) + kron(sq.omega[i], rep.e[i]), kron(rep.e[i], one2) + kron(rep.omega[i], sq.e[i])
+    elif kind == "f":
+        out, other = kron(one2, rep.f[i]) + kron(sq.f[i], rep.omega_prime[i]), kron(one, sq.f[i]) + kron(rep.f[i], sq.omega_prime[i])
+    else:
+        out, other = kron(sq.table(kind)[i], rep.table(kind)[i]), kron(rep.table(kind)[i], sq.table(kind)[i])
+    assert out == other
+    return out
+
+
+def generating_columns(N: int) -> range:
+    """The flattened indices of the N² columns v_N⊗v_b⊗v_c of V⊗V⊗V."""
+    return range((N - 1) * N * N, N**3)
+
+
+def matrix_form_witness(lhs: SMatrix, rhs: SMatrix, columns) -> str:
+    """The witness the Yang–Baxter decider must give for the V⊗³ matrices
+    ``lhs`` and ``rhs`` on ``columns``: the first of them whose sides
+    differ, at its smallest differing row, with both values there."""
+    N = round(lhs.nrows ** (1 / 3))
+    assert N**3 == lhs.nrows
+    basis3 = lambda k: f"v_{k // (N * N) + 1}⊗v_{k // N % N + 1}⊗v_{k % N + 1}"
+    for col in columns:
+        for row in range(N**3):
+            if lhs.get(row, col) != rhs.get(row, col):
+                return f"column {basis3(col)}, row {basis3(row)}: LHS {lhs.get(row, col)} vs RHS {rhs.get(row, col)}"
+    return ""
+
+
+def full_reference_witness(r12: SMatrix, r13: SMatrix, r23: SMatrix) -> str:
+    """The two-sided reference of the Yang–Baxter equation on all N³
+    columns: R₁₂R₁₃R₂₃ against R₂₃R₁₃R₁₂, both computed, one column at a
+    time, by ``first_column_mismatch`` over ``range(N**3)``."""
+    N = isqrt(r12.nrows)
+    lhs = pair_actions(N, ((r12, (1, 2)), (r13, (1, 3)), (r23, (2, 3))))
+    return first_column_mismatch(lhs, lhs[::-1], range(N**3))
 
 
 def local_theta_factor(rvm, gamma, pairing_fn) -> SMatrix:

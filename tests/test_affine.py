@@ -5,11 +5,20 @@ constraint), the spectral Yang-Baxter equation, and structure checks."""
 from __future__ import annotations
 
 import re
-from math import isqrt
 
 import pytest
 
-from conftest import case, z_range
+from conftest import (
+    case,
+    coproduct3,
+    generating_columns,
+    matrix_form_witness,
+    r_of,
+    reversal,
+    spectral_factors,
+    v3_sides,
+    z_range,
+)
 from rsqg.affine import (
     affine_rhat,
     baxterize,
@@ -18,12 +27,10 @@ from rsqg.affine import (
     check_degree_bounds,
     check_spectral_ybe,
     check_unit_point,
-    spectral_ybe_operators,
     xi_constant,
 )
-from rsqg.matrices import SMatrix, flip_map, kron, pair_actions, read_back
+from rsqg.matrices import SMatrix, pair_actions
 from rsqg.rep import build_evaluation, build_fundamental
-from rsqg.report import transpose_reflection
 from rsqg.rmatrix import eigenvalues, rbar_inverse_printed, rhat_explicit
 from rsqg.scalars import rs_ring
 
@@ -134,185 +141,104 @@ def test_spectral_ybe_long(family, rank):
     assert check_spectral_ybe(family, rank).ok()
 
 
-def _basis3(k: int, N: int) -> str:
-    a, bc = divmod(k, N * N)
-    return f"v_{a + 1}⊗v_{bc // N + 1}⊗v_{bc % N + 1}"
-
-
-def _matrix_form_witness(operators: tuple) -> str:
-    """The spectral YBE in matrix form: both sides as V⊗³ matrices from kron
-    and the flip of factors 2 and 3, and the witness the columnwise check
-    must give for them: the first column (index order) whose sides differ,
-    at its first differing row."""
-    r_x, r_y, r_xy = operators
-    ring, N = r_x.ring, isqrt(r_x.nrows)
-    ident = SMatrix.identity(ring, N)
-    mid_flip = kron(ident, flip_map(ring, N))
-    r12, r23 = kron(r_x, ident), kron(ident, r_y)
-    r13 = mid_flip @ kron(r_xy, ident) @ mid_flip
-    lhs, rhs = r12 @ r13 @ r23, r23 @ r13 @ r12
-    for col in range(N**3):
-        for row in range(N**3):
-            if lhs.get(row, col) != rhs.get(row, col):
-                where = f"column {_basis3(col, N)}, row {_basis3(row, N)}"
-                return f"{where}: LHS {lhs.get(row, col)} vs RHS {rhs.get(row, col)}"
-    return ""
-
-
 def _first_entry_times_r(m: SMatrix) -> SMatrix:
     i, j, v = m.entries()[0]
     return m + SMatrix.from_entries(m.ring, m.nrows, m.ncols, [(i, j, v * (m.ring.mono(r=1) - m.ring.one))])
 
 
-# the factors each change puts out of their degree bounds, in witness order
-OUT_OF_BOUND = {
-    "R(x) times x^3": ["R(x)"],
-    "R(y) times y^3": ["R(y)"],
-    "R(x) times x and R(y) times x^-1": ["R(x)", "R(y)"],
-}
+def _changed(rz: SMatrix, change: str) -> SMatrix:
+    z = rz.ring.atom("z")
+    if change == "R̂(z) entry times r":
+        return _first_entry_times_r(rz)
+    if change == "R̂(z) + z·Id":
+        return rz + SMatrix.identity(rz.ring, rz.nrows).scale(z)
+    if change == "R̂(z) times z^3":
+        return rz.scale(z**3)
+    if change == "R̂(z) times z^-3":
+        return rz.scale(z**-3)
+    return rz
 
 
-@pytest.mark.parametrize("change", ["none", "R(xy) entry times r"] + list(OUT_OF_BOUND))
+@pytest.mark.parametrize("change", ["none", "R̂(z) entry times r", "R̂(z) + z·Id", "R̂(z) times z^3", "R̂(z) times z^-3"])
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("D", 3)])
 def test_columnwise_spectral_ybe_matches_the_matrix_form(family, rank, change):
-    """With every factor within its degree bound, the columnwise check gives
-    the verdict and the witness that the V⊗³ matrix products give, on the
-    case's operators and on a perturbed R(xy).  A factor out of its bound
-    fails the check by itself: the witness names each such factor and an
-    entry of it that is out of the bound.  R(x) times x with R(y) times x⁻¹
-    leaves both sides as they were, and still fails, since the degree bound
-    is proved on the factors or not at all."""
-    r_x, r_y, r_xy = spectral_ybe_operators(family, rank)
-    x, y = r_x.ring.atom("x"), r_x.ring.atom("y")
-    if change == "R(xy) entry times r":
-        r_xy = _first_entry_times_r(r_xy)
-    elif change == "R(x) times x^3":
-        r_x = r_x.scale(x**3)
-    elif change == "R(x) times x and R(y) times x^-1":
-        r_x, r_y = r_x.scale(x), r_y.scale(x.inv())
-        assert _matrix_form_witness((r_x, r_y, r_xy)) == ""
-    elif change == "R(y) times y^3":
-        r_y = r_y.scale(y**3)
-    (item,) = check_spectral_ybe(family, rank, (r_x, r_y, r_xy)).items
+    """The check's verdict is the verdict of the V⊗³ matrix products of
+    R(x), R(y) and R(xy), on the case's R̂(z) and on changed ones, unless
+    R(z) is out of its degree bound: an entry times r fails the premise, on
+    V⊗V; R̂(z) + z·Id passes it and fails with the matrix form's witness on
+    the generating columns v_N⊗v_b⊗v_c.  R̂(z) times z^{±3} scales both sides
+    alike, and still fails, since the degree bound is proved on R(z) or not
+    at all: the witness names an entry of R(z) out of the bound."""
+    c = case(family, rank)
+    rz = _changed(c.rz, change)
+    (item,) = check_spectral_ybe(family, rank, c.zrep, rz).items
+    r_x, r_y, r_xy = spectral_factors(rz)
+    lhs, rhs = v3_sides(r_x, r_xy, r_y)
+    holds = matrix_form_witness(lhs, rhs, range(lhs.ncols)) == ""
     assert item.ok == (change == "none")
-    if change not in OUT_OF_BOUND:
-        assert item.witness == _matrix_form_witness((r_x, r_y, r_xy))
-        return
-    b = 1 if family == "A" else 2
-    factors = {"R(x)": (r_x, {"x": b, "y": 0}), "R(y)": (r_y, {"x": 0, "y": b})}
-    named = [part.split(": ", 1) for part in item.witness.split("; ")]
-    assert [name for name, _ in named] == OUT_OF_BOUND[change]
-    for name, fault in named:
-        m, limits = factors[name]
-        N = isqrt(m.nrows)
-        match = re.fullmatch(r"row v_(\d+)⊗v_(\d+), column v_(\d+)⊗v_(\d+) (has (x|y)-degree (\d+)|is not polynomial in (x|y))", fault)
-        assert match, fault
-        a, bb, c, d = (int(g) - 1 for g in match.groups()[:4])
-        entry = m.get(a * N + bb, c * N + d)
+    if change == "R̂(z) entry times r":
+        assert not holds and item.witness.startswith("premise: Δ(")
+    elif change == "R̂(z) + z·Id":
+        assert not holds and item.witness == matrix_form_witness(lhs, rhs, generating_columns(c.zrep.N))
+    elif change != "none":
+        assert holds
+        match = re.fullmatch(r"R\(z\): row v_(\d+)⊗v_(\d+), column v_(\d+)⊗v_(\d+) (has z-degree (\d+)|is not polynomial in z)", item.witness)
+        assert match, item.witness
+        N = c.zrep.N
+        a, bb, cc, d = (int(g) - 1 for g in match.groups()[:4])
+        entry = r_of(rz).get(a * N + bb, cc * N + d)
         if match[6]:
-            assert z_range(entry, match[6])[1] == int(match[7]) > limits[match[6]]
+            assert z_range(entry, "z")[1] == int(match[6]) > (1 if family == "A" else 2)
         else:
-            assert z_range(entry, match[8])[0] < 0
+            assert z_range(entry, "z")[0] < 0
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
-def test_columnwise_spectral_ybe_covers_every_column_and_entry(monkeypatch, family, rank):
-    """A passing check reads one stored column per side it computes for each
-    of the N³ basis vectors (R₂₃(y)'s on the left, R₁₂(x)'s on the right),
-    and applies the two other factor actions to it on packed vectors.
-    It reads the x and y digits of every stored entry of R(x), R(y) and
-    R(xy) on V⊗V, to prove the degree bound on the factors, and of no entry
-    of the left side on V⊗³.  A2 has no transpose
-    reflection, so both sides are computed: 4·N³ actions.  B2 has one, so
-    only the left side is: 2·N³ actions, and every nonzero entry of the left
-    side is compared with its reflected partner."""
-    from rsqg import affine, matrices, report
+def test_columnwise_spectral_ybe_covers_the_generating_columns(monkeypatch, family, rank):
+    """A passing check reads one stored column per side for each of the N²
+    generating columns v_N⊗v_b⊗v_c, in index order (R₂₃(y)'s on the left,
+    R₁₂(x)'s on the right), and applies the two other factor actions to it
+    on packed vectors.  It reads the z digits of every stored entry of R(z)
+    on V⊗V, to prove the degree bound, and of no entry on V⊗³."""
+    from rsqg import affine, matrices
 
-    operators = spectral_ybe_operators(family, rank)
-    r_x, r_y, r_xy = operators
-    ring, N = r_x.ring, isqrt(r_x.nrows)
-    ident = SMatrix.identity(ring, N)
-    mid_flip = kron(ident, flip_map(ring, N))
-    lhs = kron(r_x, ident) @ (mid_flip @ kron(r_xy, ident) @ mid_flip) @ kron(ident, r_y)
-    one_sided = transpose_reflection(operators) is not None
-    assert one_sided == (family != "A")
-    applied, reads, digits, paired = [], [], [], []
+    c = case(family, rank)
+    r_x, r_y, r_xy = spectral_factors(c.rz)
+    N = c.zrep.N
+    applied, reads, digits = [], [], []
     apply, column, exp_ranges = matrices.PairAction.__call__, matrices.PairAction.column, affine._packed_exp_ranges
-    pairs = report.reflected_column_pairs
     monkeypatch.setattr(matrices.PairAction, "__call__", lambda self, vec: applied.append(vec) or apply(self, vec))
     monkeypatch.setattr(matrices.PairAction, "column", lambda self, k: reads.append((self.strides, k)) or column(self, k))
     monkeypatch.setattr(
         affine, "_packed_exp_ranges", lambda terms, i, j: digits.append((i, j)) or exp_ranges(terms, i, j)
     )
-    monkeypatch.setattr(report, "reflected_column_pairs", lambda *a, **k: paired.append(pairs(*a, **k)) or paired[-1])
-    assert check_spectral_ybe(family, rank, operators).ok()
+    assert check_spectral_ybe(family, rank, c.zrep, c.rz).ok()
     r12, _, r23 = pair_actions(N, ((r_x, (1, 2)), (r_xy, (1, 3)), (r_y, (2, 3))))
-    sides = (r23,) if one_sided else (r23, r12)
-    assert len(applied) == 2 * len(sides) * N**3
-    if one_sided:
-        # the columns run by weight block, each exactly once
-        assert sorted(k for _, k in reads) == list(range(N**3))
-        assert paired == [lhs.nnz()]
-    else:
-        assert reads == [(op.strides, k) for k in range(N**3) for op in sides]
-        assert paired == []
-    # each side's first action takes the column read for that side
+    assert reads == [(op.strides, k) for k in generating_columns(N) for op in (r23, r12)]
+    assert len(applied) == 4 * N * N
     by_strides = {op.strides: op for op in (r23, r12)}
     assert applied[::2] == [column(by_strides[strides], k) for strides, k in reads]
-    assert digits == [(ring.index["x"], ring.index["y"])] * (r_x.nnz() + r_y.nnz() + r_xy.nnz())
+    iz = c.rz.ring.index["z"]
+    assert digits == [(iz, iz)] * c.rz.nnz()
 
 
-def _lhs_columns(sides: tuple, N: int) -> list[dict]:
-    """Every column of a product of factor actions on V⊗³, as Scalars."""
-    out = []
-    for col in range(N**3):
-        vec = sides[-1].column(col)
-        for op in sides[-2::-1]:
-            vec = op(vec)
-        out.append({row: read_back(sides, v) for row, v in vec.items()})
-    return out
-
-
-@pytest.mark.parametrize("family,rank", [("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("D", 4)])
-def test_reflected_left_side_is_the_right_side(family, rank):
-    """Where R(x), R(y) and R(xy) have a transpose reflection D, the right
-    side R₂₃(y)R₁₃(xy)R₁₂(x) is the reflected left side, column by column:
-    RHS[u, v] = LHS[τv, τu]·g(v)/g(u), with τ = J⊗J⊗J and g = d⊗d⊗d."""
-    r_x, r_y, r_xy = operators = spectral_ybe_operators(family, rank)
-    d = transpose_reflection(operators)
-    assert d is not None
-    N = isqrt(r_x.nrows)
-    r12, r13, r23 = pair_actions(N, ((r_x, (1, 2)), (r_xy, (1, 3)), (r_y, (2, 3))))
-    tau = lambda k: N**3 - 1 - k
-    g = lambda k: d[k // (N * N)] * d[k // N % N] * d[k % N]
-    reflected: list[dict] = [{} for _ in range(N**3)]
-    for col, column in enumerate(_lhs_columns((r12, r13, r23), N)):
-        for row, v in column.items():
-            reflected[tau(row)][tau(col)] = v * g(tau(row)) * g(tau(col)).inv()
-    assert reflected == _lhs_columns((r23, r13, r12), N)
-
-
-def _with_partner_times_r(m: SMatrix) -> SMatrix:
-    """The first stored entry of an operator on V⊗V and its partner under
-    the transpose reflection of the spectral YBE, (k, l) ↦ (Πl, Πk), times r."""
-    N = isqrt(m.nrows)
-    pi = lambda k: (N - 1 - k // N) * N + N - 1 - k % N
-    i, j, _ = m.entries()[0]
-    changed = {(i, j), (pi(j), pi(i))}
-    return m + SMatrix.from_entries(m.ring, m.nrows, m.ncols, [(a, b, m.get(a, b) * (m.ring.mono(r=1) - m.ring.one)) for a, b in changed])
-
-
-@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("D", 3)])
-def test_lemma_preserving_perturbation_fails_with_the_matrix_form_witness(family, rank):
-    """One entry of R(x) and its reflection partner times r: the transpose
-    reflection still holds, with the same D, so the one-sided loop runs; it
-    finds the spectral YBE broken, and the witness is the matrix form's."""
-    r_x, r_y, r_xy = spectral_ybe_operators(family, rank)
-    changed = (_with_partner_times_r(r_x), r_y, r_xy)
-    assert transpose_reflection(changed) == transpose_reflection((r_x, r_y, r_xy)) is not None
-    (item,) = check_spectral_ybe(family, rank, changed).items
-    assert not item.ok
-    assert item.witness == _matrix_form_witness(changed)
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2)])
+def test_both_spectral_sides_times_the_reversal_are_module_maps(family, rank):
+    """With S the reversal v_a⊗v_b⊗v_c ↦ v_c⊗v_b⊗v_a, both sides of the
+    spectral YBE times S, R̂₁₂(x)R̂₂₃(xy)R̂₁₂(y) and R̂₂₃(y)R̂₁₂(xy)R̂₂₃(x),
+    commute with Δ⁽²⁾ of every generator, on V⊗³ matrices from kron: the
+    lemma that lets the decider compare the N² generating columns only."""
+    c = case(family, rank)
+    r_x, r_y, r_xy = spectral_factors(c.rz)
+    ring, N = r_x.ring, c.zrep.N
+    lhs, rhs = v3_sides(r_x, r_xy, r_y)
+    S = reversal(ring, N)
+    rep = build_fundamental(family, rank, ring)
+    for side in (lhs @ S, rhs @ S):
+        for kind in ("e", "f", "omega", "omega-prime"):
+            for i in range(1, rank + 1):
+                g = coproduct3(rep, kind, i)
+                assert side @ g == g @ side, (kind, i)
 
 
 @pytest.mark.parametrize("family,rank", AFFINE_DESK)

@@ -9,7 +9,7 @@ from math import isqrt
 
 import pytest
 
-from conftest import case, order, rep, ring, rvm
+from conftest import case, flip_map, order, rep, ring, rvm
 from rsqg import embed
 from rsqg.embed import (
     _to_quarter_ring,
@@ -23,7 +23,7 @@ from rsqg.embed import (
     verify_root_vector_embedding,
     verify_twist_A,
 )
-from rsqg.matrices import SMatrix, flip_map
+from rsqg.matrices import SMatrix
 from rsqg.report import basis_vector
 from rsqg.rmatrix import CoefficientTables
 from rsqg.scalars import q_scalar

@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import denominators
+from conftest import case, denominators, flip_map, spectral_factors
 from rsqg import matrices
 from rsqg.matrices import (
     Packing,
     SMatrix,
     _combine_columns,
-    flip_map,
     kron,
     mat_vec,
     pack_terms,
@@ -342,10 +341,9 @@ def test_mat_vec_is_the_entrywise_sum_of_products(data):
 def test_pair_action_on_every_basis_vector(family, rank):
     """On every v_a⊗v_b⊗v_c, A on two factors, read back, equals the V⊗³
     matrix that kron and the flip build, for R̂ and for R(x) = R̂(x)τ."""
-    from rsqg.affine import spectral_ybe_operators
     from rsqg.rmatrix import build_rhat_explicit
 
-    r_x = spectral_ybe_operators(family, rank)[0]
+    r_x = spectral_factors(case(family, rank).rz)[0]
     for a in (build_rhat_explicit(family, rank), r_x):
         n = isqrt(a.nrows)
         one = a.ring.one
@@ -422,7 +420,7 @@ def test_actions_packed_at_different_widths_do_not_chain(R):
     with pytest.raises(ValueError, match="do not chain"):
         read_back(chain, {0: 1})
     with pytest.raises(ValueError, match="packed differently"):
-        first_column_mismatch(chain[:1], chain[1:])
+        first_column_mismatch(chain[:1], chain[1:], range(8))
 
 
 def _l1_bound(ops) -> int:
@@ -478,9 +476,7 @@ def test_one_bit_narrower_aliases_two_values():
     packed along s at width B and step 2 (whole powers of s).  There the
     values c = 2^(B−2) ≤ M and −2^(B−2) + r⁻¹s (one key, slots 0 and 1) read
     back, and one bit narrower they pack to the same int."""
-    from rsqg.affine import spectral_ybe_operators
-
-    ops = spectral_ybe_operators("B", 2)
+    ops = spectral_factors(case("B", 2).rz)
     m, packing = _l1_bound(ops), pair_actions(isqrt(ops[0].nrows), [(a, (1, 2)) for a in ops])[0].packing
     width, step = packing.width, packing.step
     assert (step, packing.along) == (2, "s")
@@ -524,9 +520,7 @@ def test_left_side_coefficients_are_within_the_proven_bound(family, rank):
     """Every coefficient of every entry of both sides of the spectral YBE,
     built as V⊗³ matrices by kron and the flip, has size at most M, the
     product of the factors' largest column ℓ1 norms."""
-    from rsqg.affine import spectral_ybe_operators
-
-    r_x, r_y, r_xy = spectral_ybe_operators(family, rank)
+    r_x, r_y, r_xy = spectral_factors(case(family, rank).rz)
     n = isqrt(r_x.nrows)
     ident = SMatrix.identity(r_x.ring, n)
     mid_flip = kron(ident, flip_map(r_x.ring, n))
@@ -584,10 +578,9 @@ def test_a_chain_packs_along_the_variable_of_smaller_total_shift(family, rank):
     """The spectral operators' powers of s are nonnegative, so they pack
     along s with no shift; R̂'s powers of s reach much further below 0 than
     its powers of r, so a chain of it packs along r."""
-    from rsqg.affine import spectral_ybe_operators
     from rsqg.rmatrix import build_rhat_explicit
 
-    spectral = spectral_ybe_operators(family, rank) if rank <= 3 else ()
+    spectral = spectral_factors(case(family, rank).rz) if rank <= 3 else ()
     for ops, along in ((spectral, "s"), ((build_rhat_explicit(family, rank),) * 3, "r")):
         if not ops:
             continue

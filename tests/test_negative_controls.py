@@ -11,7 +11,7 @@ from math import isqrt
 
 import pytest
 
-from conftest import z_range
+from conftest import r_of, z_range
 from rsqg import affine, cli, embed, pairing, rep
 from rsqg.catalogue import CATALOGUE, CaseContext
 from rsqg.embed import modified_generators, verify_dj_relations
@@ -183,8 +183,8 @@ def _times_z_squared(m: SMatrix) -> SMatrix:
 AFFINE_INTERTWINER = [f"affine-intertwiner-{kind}" for kind in ("e", "f", "omega", "omega-prime")]
 
 # (operator of the case context, change, failing items, cases); "e_top" is the
-# root-vector matrix e_γ of the highest root, "rxy" the affine intertwiner's
-# R̂(x/y), and "ybe" each of the spectral YBE's R(x), R(y) and R(xy)
+# root-vector matrix e_γ of the highest root, and "rxy" the affine
+# intertwiner's R̂(x/y)
 OPERATOR_PERTURBATIONS = [
     (
         "rhat",
@@ -201,12 +201,11 @@ OPERATOR_PERTURBATIONS = [
     ("rhat", _swap_entry_times_r, ["coefficient-tables"], OPERATOR_CASES),
     ("rxy", _entry_times_r, AFFINE_INTERTWINER[:2], OPERATOR_CASES),
     ("rxy", _corner_plus_one, AFFINE_INTERTWINER, OPERATOR_CASES),
-    ("ybe", _entry_times_r, ["spectral-ybe"], OPERATOR_CASES),
-    ("rz", _entry_times_r, ["baxterize-match", "baxterize-scheme", "unit-point"], OPERATOR_CASES),
+    ("rz", _entry_times_r, ["baxterize-match", "baxterize-scheme", "unit-point", "spectral-ybe"], OPERATOR_CASES),
     ("zrhat", _entry_times_r, ["baxterize-match", "baxterize-scheme"], OPERATOR_CASES),
     ("zrbar", _entry_times_r, ["baxterize-match", "baxterize-scheme"], OPERATOR_CASES),
     ("rz", _entry_times_r, ["specialize-affine", "affine-z0-limit", "twist-A-affine"], [("A", 2)]),
-    ("rz", _times_z_squared, ["z-degree-bound"], OPERATOR_CASES),
+    ("rz", _times_z_squared, ["z-degree-bound", "spectral-ybe"], OPERATOR_CASES),
     ("e_top", _entry_times_r, ["root-vector-closed-forms", "root-vector-embedding"], OPERATOR_CASES),
     ("e_top", _origin_plus_one, ["root-vector-nilpotency"], OPERATOR_CASES),
 ]
@@ -219,8 +218,6 @@ def _perturb(ctx: CaseContext, operator: str, change) -> None:
     elif operator == "rxy":
         ev_x, ev_y, rxy = ctx.intertwiner
         ctx.intertwiner = (ev_x, ev_y, change(rxy))
-    elif operator == "ybe":
-        ctx.ybe = tuple(change(m) for m in ctx.ybe)
     else:
         setattr(ctx, operator, change(getattr(ctx, operator)))
 
@@ -244,50 +241,66 @@ def test_perturbed_operator_fails_the_item(operator, change, item, family, rank)
 
 
 YBE_CASES = [("A", 3), ("B", 2), ("C", 3), ("D", 4)]
-BASIS3 = r"v_\d+⊗v_\d+⊗v_\d+"
+BASIS2 = r"v_\d+⊗v_\d+"
 
 
+def _plus_identity(m: SMatrix) -> SMatrix:
+    """m + Id, which commutes with every generator where m does."""
+    return m + SMatrix.identity(m.ring, m.nrows)
+
+
+PREMISE = rf"premise: Δ\((e|omega)_\d+\): row {BASIS2}, column {BASIS2}: LHS (.+) vs RHS (.+)"
+GENERATING = r"column v_(\d+)⊗v_\d+⊗v_\d+, row v_\d+⊗v_\d+⊗v_\d+: LHS (.+) vs RHS (.+)"
+
+
+@pytest.mark.parametrize("change", [_entry_times_r, _plus_identity], ids=["entry", "plus-identity"])
 @pytest.mark.parametrize("family,rank", YBE_CASES)
-def test_perturbed_r_xy_fails_spectral_ybe_with_a_basis_witness(family, rank):
-    """One entry of R(xy) times r: the witness names the column v_a⊗v_b⊗v_c,
-    the row, and both sides' values there."""
+def test_perturbed_rz_fails_spectral_ybe_with_a_basis_witness(family, rank, change):
+    """One entry of R̂(z) times r fails the premise: the witness names a
+    Δ(e_i) or Δ(ω_i), an entry v_a⊗v_b of V⊗V and two values there.
+    R̂(z) + z·Id passes the premise and fails on the generating columns:
+    the witness names a column v_N⊗v_b⊗v_c, the row, and two values."""
     ctx = CaseContext(family, rank)
-    r_x, r_y, r_xy = ctx.ybe
-    ctx.ybe = (r_x, r_y, _entry_times_r(r_xy))
+    if change is _plus_identity:
+        ctx.rz = ctx.rz + SMatrix.identity(ctx.rz.ring, ctx.rz.nrows).scale(ctx.rz.ring.atom("z"))
+    else:
+        ctx.rz = change(ctx.rz)
     item = _run(ctx, "affine", "ybe")["spectral-ybe"]
     assert not item.ok
-    match = re.fullmatch(rf"column ({BASIS3}), row ({BASIS3}): LHS (.+) vs RHS (.+)", item.witness)
+    match = re.fullmatch(PREMISE if change is _entry_times_r else GENERATING, item.witness)
     assert match, item.witness
-    assert match[3] != match[4]
+    if change is _plus_identity:
+        assert int(match[1]) == ctx.zrep.N
+    assert match[2] != match[3]
 
 
 BRAID_CASES = [("A", 2), ("B", 2), ("C", 3), ("D", 4)]
 
 
 def _last_entry_times_r(m: SMatrix) -> SMatrix:
-    """The last stored entry times r: its first failing column of the
-    constant Yang–Baxter equation of R̂∘τ is the last column v_1⊗v_N⊗v_N of
-    the first block v_1⊗v_b⊗v_c, so a loop that stops early or skips columns
-    passes it."""
+    """The last stored entry times r."""
     i, j, v = m.entries()[-1]
     return _add(m, i, j, v * (m.ring.mono(r=1) - m.ring.one))
 
 
-@pytest.mark.parametrize("change", [_entry_times_r, _last_entry_times_r], ids=["first", "last"])
+@pytest.mark.parametrize(
+    "change", [_entry_times_r, _last_entry_times_r, _plus_identity], ids=["first", "last", "plus-identity"]
+)
 @pytest.mark.parametrize("family,rank", BRAID_CASES)
 def test_perturbed_rhat_fails_braid_with_a_basis_witness(family, rank, change):
-    """One stored entry of R̂ times r: the witness names the column
-    v_a⊗v_b⊗v_c, the row, and two different values there."""
+    """One stored entry of R̂ times r fails the premise, with a witness that
+    names a Δ(e_i) or Δ(ω_i), an entry v_a⊗v_b and two different values
+    there; R̂ + Id fails on the generating columns, with a witness that
+    names a column v_N⊗v_b⊗v_c, the row, and two different values."""
     ctx = CaseContext(family, rank)
     ctx.rhat = change(ctx.rhat)
     item = _run(ctx, "rmatrix", "braid")["braid"]
     assert not item.ok
-    match = re.fullmatch(rf"column ({BASIS3}), row ({BASIS3}): LHS (.+) vs RHS (.+)", item.witness)
+    match = re.fullmatch(GENERATING if change is _plus_identity else PREMISE, item.witness)
     assert match, item.witness
-    assert match[3] != match[4]
-    if change is _last_entry_times_r:
-        N = ctx.rep.N
-        assert match[1] == f"v_1⊗v_{N}⊗v_{N}"
+    if change is _plus_identity:
+        assert int(match[1]) == ctx.rep.N
+    assert match[2] != match[3]
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -305,10 +318,7 @@ def test_columnwise_comparison_reaches_the_last_column(N):
     lhs = pair_actions(N, ((p, (1, 2)), (p, (2, 3))))
     rhs = pair_actions(N, ((zero, (1, 2)), (zero, (2, 3))))
     last = f"v_{N}⊗v_{N}⊗v_{N}"
-    assert first_column_mismatch(lhs, rhs) == f"column {last}, row {last}: LHS 1 vs RHS 0"
-
-
-BASIS2 = r"v_\d+⊗v_\d+"
+    assert first_column_mismatch(lhs, rhs, range(N**3)) == f"column {last}, row {last}: LHS 1 vs RHS 0"
 
 
 @pytest.mark.parametrize("item", ["route-equivalence", "intertwining", "min-poly", "inverse", "specialize-finite"])
@@ -326,44 +336,40 @@ def test_perturbed_rhat_fails_v2_checks_with_a_basis_witness(family, rank, item)
     assert match[1] != match[2]
 
 
-def _named_factor_entry(m: SMatrix, witness: str, fault: str) -> tuple:
-    """The entry of the V ⊗ V factor ``m`` that a spectral-ybe witness
-    "R(x): row v_a⊗v_b, column v_c⊗v_d <fault>" names, with the match; the
-    witness must name R(x) alone."""
-    pattern = rf"R\(x\): row v_(\d+)⊗v_(\d+), column v_(\d+)⊗v_(\d+) {fault}"
-    match = re.fullmatch(pattern, witness)
+def _named_entry(rz: SMatrix, witness: str, fault: str) -> tuple:
+    """The entry of R(z) = R̂(z)∘τ that a spectral-ybe witness "R(z): row
+    v_a⊗v_b, column v_c⊗v_d <fault>" names, with the match."""
+    match = re.fullmatch(rf"R\(z\): row v_(\d+)⊗v_(\d+), column v_(\d+)⊗v_(\d+) {fault}", witness)
     assert match, witness
-    N = isqrt(m.nrows)
+    N = isqrt(rz.nrows)
     a, b, c, d = (int(g) - 1 for g in match.groups()[:4])
-    return m.get(a * N + b, c * N + d), match
+    return r_of(rz).get(a * N + b, c * N + d), match
 
 
 @pytest.mark.parametrize("family,rank", YBE_CASES)
-def test_r_x_times_x_cubed_fails_the_spectral_degree_bound(family, rank):
-    """R(x) times x³ scales both sides alike, so the YBE still holds, and
-    only the degree bound fails: on the factor R(x), whose named entry has
-    the x-degree the witness gives, above the bound b."""
+def test_rz_times_z_cubed_fails_the_spectral_degree_bound(family, rank):
+    """R̂(z) times z³ scales both sides alike, so the YBE still holds, and
+    only the degree bound fails: the named entry of R(z) has the z-degree
+    the witness gives, above the bound b."""
     ctx = CaseContext(family, rank)
-    r_x, r_y, r_xy = ctx.ybe
-    ctx.ybe = (r_x.scale(r_x.ring.atom("x") ** 3), r_y, r_xy)
+    ctx.rz = ctx.rz.scale(ctx.rz.ring.atom("z") ** 3)
     item = _run(ctx, "affine", "ybe")["spectral-ybe"]
     assert not item.ok
-    entry, match = _named_factor_entry(ctx.ybe[0], item.witness, r"has x-degree (\d+)")
-    assert z_range(entry, "x")[1] == int(match[5]) > (1 if family == "A" else 2)
+    entry, match = _named_entry(ctx.rz, item.witness, r"has z-degree (\d+)")
+    assert z_range(entry, "z")[1] == int(match[5]) > (1 if family == "A" else 2)
 
 
 @pytest.mark.parametrize("family,rank", YBE_CASES)
-def test_r_x_times_a_negative_x_power_fails_the_spectral_degree_bound(family, rank):
-    """R(x) times x⁻³ scales both sides alike, so the YBE still holds and no
-    x-degree exceeds the bound: only the negative powers of x in R(x)
+def test_rz_times_a_negative_z_power_fails_the_spectral_degree_bound(family, rank):
+    """R̂(z) times z⁻³ scales both sides alike, so the YBE still holds and
+    no z-degree exceeds the bound: only the negative powers of z in R(z)
     fail."""
     ctx = CaseContext(family, rank)
-    r_x, r_y, r_xy = ctx.ybe
-    ctx.ybe = (r_x.scale(r_x.ring.atom("x") ** -3), r_y, r_xy)
+    ctx.rz = ctx.rz.scale(ctx.rz.ring.atom("z") ** -3)
     item = _run(ctx, "affine", "ybe")["spectral-ybe"]
     assert not item.ok
-    entry, _ = _named_factor_entry(ctx.ybe[0], item.witness, "is not polynomial in x")
-    assert z_range(entry, "x")[0] < 0
+    entry, _ = _named_entry(ctx.rz, item.witness, "is not polynomial in z")
+    assert z_range(entry, "z")[0] < 0
 
 
 @pytest.mark.parametrize("family,rank", OPERATOR_CASES)

@@ -1,12 +1,15 @@
 """Witnesses of operator identities: ``product_mismatch`` decides a
 conjugation by diagonal factors on the support of the conjugated matrix and
 otherwise reports what ``first_mismatch`` of the two products reports; the
-Cartan items of the intertwining certificates form no matrix product; and
-``transpose_reflection`` solves the gauged transpose symmetry that lets the
-V⊗³ checks compute one side, with the monomial-gauge solver of ``gauge``."""
+Cartan items of the intertwining certificates form no matrix product; the
+Yang–Baxter decider's verdict on the N² generating columns is the verdict
+on all N³, once its premises hold, and a broken premise is its witness; and
+the monomial-gauge solver of ``gauge``."""
 
 from __future__ import annotations
 
+import dataclasses
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -14,12 +17,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DESK, case, r_of, z_range
-from rsqg import affine, rmatrix
+from conftest import (
+    DESK,
+    case,
+    full_reference_witness,
+    generating_columns,
+    matrix_form_witness,
+    r_of,
+    spectral_factors,
+    v3_sides,
+)
+from rsqg import affine, report, rmatrix
 from rsqg.gauge import Inconsistent, monomial_gauge, solve_exact
-from rsqg.matrices import SMatrix, flip_map, kron
+from rsqg.matrices import SMatrix, pair_actions
 from rsqg.rep import Representation
-from rsqg.report import first_mismatch, product_mismatch, transpose_reflection
+from rsqg.report import first_column_mismatch, first_mismatch, product_mismatch
 from rsqg.scalars import rs_ring
 
 R = rs_ring()
@@ -142,66 +154,140 @@ def test_passing_cartan_items_of_the_intertwiners_form_no_product(monkeypatch, f
     assert products["e"] > 0 and products["f"] > 0
 
 
-def _reversal(ring, N: int) -> SMatrix:
-    """Π = J⊗J on V⊗V, J reversing V's basis."""
-    return SMatrix(ring, N * N, N * N, {k: {N * N - 1 - k: ring.one} for k in range(N * N)})
+def _braid_operator(c, change: str) -> SMatrix:
+    """R̂ changed by a polynomial in R̂ itself, which commutes with every
+    Δ(g) as R̂ does."""
+    rhat = c.rhat
+    ring, one = rhat.ring, SMatrix.identity(rhat.ring, rhat.nrows)
+    return {
+        "none": rhat,
+        "r·R̂": rhat.scale(ring.mono(r=1)),
+        "R̄": c.rbar,
+        "R̂ + Id": rhat + one,
+        "Id + R̂ + r·R̂²": one + rhat + (rhat @ rhat).scale(ring.mono(r=1)),
+    }[change]
 
 
-def _transposed(m: SMatrix) -> SMatrix:
-    return SMatrix.from_entries(m.ring, m.ncols, m.nrows, [(j, i, v) for i, j, v in m.entries()])
+def _spectral_operator(c, change: str) -> SMatrix:
+    """R̂(z) changed by a multiple of R̂(z) or plus c·z^k·Id."""
+    rz = c.rz
+    ring, one = rz.ring, SMatrix.identity(rz.ring, rz.nrows)
+    z = ring.atom("z")
+    return {
+        "none": rz,
+        "r·R̂(z)": rz.scale(ring.mono(r=1)),
+        "R̂(z) + Id": rz + one,
+        "R̂(z) + s·z·Id": rz + one.scale(ring.mono(s=1) * z),
+    }[change]
 
 
-@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 3), ("D", 3)])
-def test_transpose_reflection_is_the_matrix_identity(family, rank):
-    """The D that ``transpose_reflection`` returns satisfies the identity
-    Mᵀ = Π·G·M·G⁻¹·Π as matrix products, for the spectral YBE's R(x), R(y),
-    R(xy) and for R = R̂∘τ, with G = D⊗D; for R̂ itself this is P·R̂ᵀ·P =
-    Π·G·R̂·G⁻¹·Π, P the flip.  Each d_a is an r,s-monomial of coefficient 1."""
+LEMMA_CASES = [("A", 2), ("A", 3), ("B", 2), ("C", 2), ("C", 3), ("D", 3)]
+BRAID_CHANGES = ["none", "r·R̂", "R̄", "R̂ + Id", "Id + R̂ + r·R̂²"]
+SPECTRAL_CHANGES = ["none", "r·R̂(z)", "R̂(z) + Id", "R̂(z) + s·z·Id"]
+
+
+@pytest.mark.parametrize("change", BRAID_CHANGES)
+@pytest.mark.parametrize("family,rank", LEMMA_CASES)
+def test_braid_verdict_on_the_generating_columns_is_the_full_verdict(family, rank, change):
+    """On operators that pass the premise (polynomials in R̂, and R̄), the
+    decider's verdict on the N² generating columns equals that of the
+    two-sided reference on all N³ columns, and its witness is the
+    reference's first failing column among the generating ones."""
     c = case(family, rank)
-    for ops in (c.ybe, (r_of(c.rhat),)):
-        d = transpose_reflection(ops)
-        ring, N = ops[0].ring, len(d)
-        assert all(v.is_monomial() and v.monomial_parts()[1] == 1 for v in d)
-        assert all(z_range(v, x) == (0, 0) for v in d for x in ring.names[2:])
-        dm = SMatrix(ring, N, N, {a: {a: v} for a, v in enumerate(d)})
-        g, pi, p = kron(dm, dm), _reversal(ring, N), flip_map(ring, N)
-        for m in ops:
-            assert _transposed(m) == pi @ g @ m @ g.diagonal_inv() @ pi
-        if len(ops) == 1:
-            assert p @ _transposed(c.rhat) @ p == pi @ g @ c.rhat @ g.diagonal_inv() @ pi
+    rhat = _braid_operator(c, change)
+    r = r_of(rhat)
+    (item,) = rmatrix.check_braid(c.rep, rhat).items
+    assert not item.witness.startswith("premise")
+    assert item.ok == (full_reference_witness(r, r, r) == "")
+    assert item.ok == (change in ("none", "r·R̂", "R̄"))
+    if not item.ok:
+        assert item.witness == matrix_form_witness(*v3_sides(r, r, r), generating_columns(c.rep.N))
 
 
-@pytest.mark.parametrize("family,rank", [("B", 2), ("B", 5), ("C", 2), ("C", 5), ("D", 3), ("D", 5), ("B", 6)])
-def test_transpose_reflection_holds_for_bcd_and_not_for_a(family, rank):
-    """R = R̂∘τ has a transpose reflection in types B, C and D, and none in
-    type A."""
-    assert transpose_reflection((r_of(case(family, rank).rhat),)) is not None
-    assert transpose_reflection((r_of(case("A", rank).rhat),)) is None
+@pytest.mark.parametrize("change", SPECTRAL_CHANGES)
+@pytest.mark.parametrize("family,rank", LEMMA_CASES)
+def test_spectral_verdict_on_the_generating_columns_is_the_full_verdict(family, rank, change):
+    """The same for the spectral YBE, on R̂(z) times r and on R̂(z) plus
+    c·z^k·Id, which pass the premise and the degree bound."""
+    c = case(family, rank)
+    rz = _spectral_operator(c, change)
+    r_x, r_y, r_xy = spectral_factors(rz)
+    (item,) = affine.check_spectral_ybe(family, rank, c.zrep, rz).items
+    assert not item.witness.startswith(("premise", "R(z)"))
+    assert item.ok == (full_reference_witness(r_x, r_xy, r_y) == "")
+    assert item.ok == (change in ("none", "r·R̂(z)"))
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3)])
-def test_transpose_reflection_of_the_spectral_operators(family, rank):
-    """R(x), R(y) and R(xy) share one D in types B, C and D; type A has
-    none, so its spectral YBE computes both sides."""
-    assert (transpose_reflection(case(family, rank).ybe) is None) == (family == "A")
+def test_one_generating_column_misses_the_perturbations():
+    """The generating columns are needed: v_N⊗v_N⊗v_N alone, a lowest
+    weight vector with a one-dimensional weight space, passes every
+    perturbation above that the decider fails."""
+    for family, rank in LEMMA_CASES:
+        c = case(family, rank)
+        N = c.rep.N
+        last = [N**3 - 1]
+        for change in ("R̂ + Id", "Id + R̂ + r·R̂²"):
+            r = r_of(_braid_operator(c, change))
+            sides = pair_actions(N, ((r, (1, 2)), (r, (1, 3)), (r, (2, 3))))
+            assert first_column_mismatch(sides, sides[::-1], last) == ""
+            assert first_column_mismatch(sides, sides[::-1], generating_columns(N)) != ""
+        for change in ("R̂(z) + Id", "R̂(z) + s·z·Id"):
+            r_x, r_y, r_xy = spectral_factors(_spectral_operator(c, change))
+            sides = pair_actions(N, ((r_x, (1, 2)), (r_xy, (1, 3)), (r_y, (2, 3))))
+            assert first_column_mismatch(sides, sides[::-1], last) == ""
+            assert first_column_mismatch(sides, sides[::-1], generating_columns(N)) != ""
 
 
-@pytest.mark.parametrize("change", ["first entry times r", "entry without a partner"])
-@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("D", 3)])
-def test_one_entry_alone_breaks_the_reflection(family, rank, change):
-    """An entry of R = R̂∘τ changed without its partner leaves a partner
-    ratio that fits no D, and an entry added where R and its partner are
-    zero (v_1⊗v_1 to v_1⊗v_2, across weights) has no partner: either way
-    there is no reflection, so the checks fall back to both sides."""
-    r = r_of(case(family, rank).rhat)
-    i, j, v = r.entries()[0]
-    if change == "first entry times r":
-        added = (i, j, v * (r.ring.mono(r=1) - r.ring.one))
+PREMISE = re.compile(r"premise: Δ\((e|omega)_(\d+)\): row v_(\d+)⊗v_(\d+), column v_(\d+)⊗v_(\d+): LHS (.+) vs RHS (.+)")
+
+
+def _first_entry_times_s(m: SMatrix) -> SMatrix:
+    i, j, v = m.entries()[0]
+    return m + SMatrix.from_entries(m.ring, m.nrows, m.ncols, [(i, j, v * (m.ring.mono(s=1) - m.ring.one))])
+
+
+@pytest.mark.parametrize("check", ["braid", "spectral-ybe"])
+@pytest.mark.parametrize("family,rank", DESK)
+def test_one_entry_times_s_fails_the_premise(family, rank, check):
+    """R̂'s (or R̂(z)'s) first entry times s: the decider fails on its
+    premise, and the witness names a Δ(e_i) or Δ(ω_i) and an entry of V⊗V
+    where the two products differ."""
+    c = case(family, rank)
+    if check == "braid":
+        rep, op = c.rep, _first_entry_times_s(c.rhat)
+        (item,) = rmatrix.check_braid(rep, op).items
     else:
-        assert r.get(0, 1).is_zero()
-        added = (0, 1, r.ring.one)
-    changed = r + SMatrix.from_entries(r.ring, r.nrows, r.ncols, [added])
-    assert transpose_reflection((changed,)) is None
+        rep, op = c.zrep, _first_entry_times_s(c.rz)
+        (item,) = affine.check_spectral_ybe(family, rank, rep, op).items
+    match = PREMISE.fullmatch(item.witness)
+    assert match, item.witness
+    kind, i = match[1], int(match[2])
+    N = rep.N
+    row, col = (int(match[3]) - 1) * N + int(match[4]) - 1, (int(match[5]) - 1) * N + int(match[6]) - 1
+    g = rep.square.table(kind)[i]
+    assert (g @ op).get(row, col) != (op @ g).get(row, col)
+    assert match[7] != match[8]
+
+
+@pytest.mark.parametrize("family,rank", DESK)
+def test_a_module_without_e1_fails_the_generation_premise(family, rank):
+    """With e_1 zeroed, Δ(e_1) is zero and commutes with everything, and
+    the generating columns pass for the certified R̂, so the lemma's
+    premise, not the comparison, has to fail: e-words no longer reach every
+    v_k from v_N.  With ω_1 zeroed, ω_1 is not invertible."""
+    c = case(family, rank)
+    rep, N = c.rep, c.rep.N
+    broken = dataclasses.replace(rep, e={**rep.e, 1: SMatrix.zero(rep.ring, N)})
+    assert report.commutation_witness(broken, c.rhat, ("e", "omega")) == ""
+    r = r_of(c.rhat)
+    sides = pair_actions(N, ((r, (1, 2)), (r, (1, 3)), (r, (2, 3))))
+    assert first_column_mismatch(sides, sides[::-1], generating_columns(N)) == ""
+    (item,) = rmatrix.check_braid(broken, c.rhat).items
+    assert re.fullmatch(rf"premise: v_\d+ is not reached from v_{N} by the e_i", item.witness), item.witness
+    assert report.generation_witness(rep) == ""
+    flat = dataclasses.replace(rep, omega={**rep.omega, 1: SMatrix.zero(rep.ring, N)})
+    (item,) = rmatrix.check_braid(flat, c.rhat).items
+    assert item.witness == "premise: ω_1 is not an invertible diagonal matrix"
 
 
 def test_solve_exact_returns_a_solution_and_the_rank():
