@@ -24,14 +24,13 @@ already.
 
 ``PairAction`` (an operator on two factors of V⊗V⊗V, applied to one sparse
 vector at a time, and the only way rsqg acts on V⊗V⊗V) is one call per
-vector, on values packed along r or s: packed along s, a term c·r^a s^b·m
-is keyed by r^(a+b)·m and adds c·2^(B·(b+σ)) to its key's int
-(``pack_terms``), and along r the two swap roles.  Keys add and ints
-multiply, so the same kernel and the same term-pair loop run
-on them, on about a quarter of the terms of the homogeneous R-matrix
-entries.  A chain of actions builds no Scalar; ``read_back`` reads a
-packed value as one, exactly at the width B that ``pair_actions`` proves
-for the chain.
+vector, on values packed along s: a term c·r^a s^b·m is keyed by
+r^(a+b)·m and adds c·2^(B·b/h) to its key's int (``pack_terms``), once the
+operator's clearing polynomial has made every b ≥ 0.  Keys add and ints
+multiply, so the same kernel and the same term-pair loop run on them, on
+about a quarter of the terms of the homogeneous R-matrix entries.  A chain
+of actions builds no Scalar; ``read_back`` reads a packed value as one,
+exactly at the width B that ``pair_actions`` proves for the chain.
 ``kron`` shares the partner of ``ring.one``; Scalars are immutable, so
 sharing is safe.
 """
@@ -338,8 +337,9 @@ def _combine_columns(ring: ScalarRing, parts: Iterable[tuple[object, int, Iterab
     A result is not range-checked until it becomes a Scalar (``scalar_of``
     or ``read_back``): each of its exponents is a sum of one exponent per
     action it went through, so a chain of fewer than 2^11 actions on stored
-    values stays exact in its 32-bit digits, and of fewer than 2^10 on
-    packed values, whose r-digit holds a + b."""
+    values stays exact in its 32-bit digits, and of fewer than 2^9 on
+    packed values, whose r-digit holds a + b with 0 ≤ b < 2^21
+    (``_cleared``)."""
     one_den = ring._one_den
     unit = ring.one._num
     acc: dict[int, dict] = {}
@@ -386,44 +386,30 @@ def mat_vec(a: SMatrix, vec: dict[int, Scalar]) -> dict[int, Scalar]:
 
 
 # ---------------------------------------------------------------------------
-# the packing of V⊗V⊗V values along r or s
+# the packing of V⊗V⊗V values along s
 # ---------------------------------------------------------------------------
 #
-# Packed along s, a term c·r^a s^b·m of a Laurent value (m a monomial in the
-# other variables, a and b in internal half units) goes to the key
-# e + b·(r·s⁻¹), the packed exponent of r^(a+b)·m, and adds c·2^(B·(b+σ)/h)
-# to that key's int, for a width B, a shift σ ≥ −b and a step h that divides
-# every b (``Packing``; h is 2 where only whole powers of s occur).  Packed
-# along r, r and s swap roles: the key is that of s^(a+b)·m and the slot
-# (a+σ)/h.  The packed value of a product is the product of the packed values
-# (keys add, ints multiply, shifts add), so ``_combine_columns`` runs on
+# A term c·r^a s^b·m of a Laurent value (m a monomial in the other variables,
+# a and b in internal half units, b ≥ 0) goes to the key e + b·(r·s⁻¹), the
+# packed exponent of r^(a+b)·m, and adds c·2^(B·b/h) to that key's int, for a
+# width B and a step h that divides every b (``Packing``; h is 2 where only
+# whole powers of s occur).  The packed value of a product is the product of
+# the packed values (keys add, ints multiply), so ``_combine_columns`` runs on
 # packed values unchanged.  Every operator the Yang–Baxter decider multiplies
 # is homogeneous in (r^½, s^½), so the terms of one entry with one monomial in
-# the other variables share a key: a few ints stand for many terms.  The
-# README (item 6) states the read-back lemma and the width it needs.
+# the other variables share a key: a few ints stand for many terms.  Each
+# operator is packed after clearing (``_cleared``), which makes its powers of
+# s nonnegative.  The README (item 6) states the read-back lemma and the
+# width it needs.
 
 
-def _direction(ring: ScalarRing, along: str) -> tuple[int, int] | None:
-    """(the bit offset of ``along``'s digit, the packed exponent of p·along⁻¹
-    for p the other of r and s) in ``ring``'s packed exponents; None for a
-    ring without r or s, whose terms all keep their key and have b = 0."""
-    ir, is_ = ring.index.get("r"), ring.index.get("s")
-    if ir is None or is_ is None:
-        return None
-    i, j = (is_, ir) if along == "s" else (ir, is_)
-    return _BITS * i, (1 << _BITS * j) - (1 << _BITS * i)
-
-
-def _key_slots(ring: ScalarRing, exps: Iterable[int], along: str) -> Iterator[tuple[int, int]]:
-    """(key, b) for each packed exponent: b is its exponent of ``along``
-    ("r" or "s"), and the key moves b onto the other one's digit.  Sound for
-    digits below 2^31 in size, such as a sum of a few stored exponents:
-    biased by 2^31, each digit is nonnegative."""
-    split = _direction(ring, along)
-    if split is None:
-        yield from ((e, 0) for e in exps)
-        return
-    off, move = split
+def _key_slots(ring: ScalarRing, exps: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(key, b) for each packed exponent: b is its exponent of s, and the
+    key moves b onto r's digit.  Sound for digits below 2^31 in size, such
+    as a sum of a few stored exponents: biased by 2^31, each digit is
+    nonnegative."""
+    off = _BITS * ring.index["s"]
+    move = (1 << _BITS * ring.index["r"]) - (1 << off)
     bias = _spread(_HALF, ring.nvars)
     for e in exps:
         b = ((e + bias) >> off & _MASK) - _HALF
@@ -431,28 +417,25 @@ def _key_slots(ring: ScalarRing, exps: Iterable[int], along: str) -> Iterator[tu
 
 
 class Packing(NamedTuple):
-    """How values are packed: a term whose exponent of ``along`` is b adds
-    c·2^(width·t) to its key's int, with t = (b + shift)/step ≥ 0.
-    ``step`` divides every such b of the values, so consecutive slots hold
-    consecutive possible b's."""
+    """How values are packed: a term whose exponent of s is b adds
+    c·2^(width·t) to its key's int, with t = b/step ≥ 0.  ``step`` divides
+    every such b of the values, so consecutive slots hold consecutive
+    possible b's."""
 
     width: int
-    shift: int
     step: int
-    along: str
 
 
 def pack_terms(ring: ScalarRing, terms: dict, packing: Packing) -> dict:
     """The packed value of the Laurent term dict ``terms`` (int
-    coefficients, every exponent b of the packing's variable with b + shift
-    a nonnegative multiple of the step); keys whose ints cancel are
-    dropped."""
-    width, shift, step, along = packing
+    coefficients, every exponent b of s a nonnegative multiple of the
+    step); keys whose ints cancel are dropped."""
+    width, step = packing
     out: dict[int, int] = {}
-    for (key, b), c in zip(_key_slots(ring, terms, along), terms.values()):
-        t, r = divmod(b + shift, step)
+    for (key, b), c in zip(_key_slots(ring, terms), terms.values()):
+        t, r = divmod(b, step)
         if t < 0 or r or type(c) is not int:
-            raise ValueError(f"cannot pack the term {c} with {along}-exponent {b} at {packing}")
+            raise ValueError(f"cannot pack the term {c} with s-exponent {b} at {packing}")
         x = out.get(key, 0) + (c << width * t)
         if x:
             out[key] = x
@@ -463,19 +446,18 @@ def pack_terms(ring: ScalarRing, terms: dict, packing: Packing) -> dict:
 
 def unpack_terms(ring: ScalarRing, packed: dict, packing: Packing) -> dict:
     """The Laurent term dict of a packed value: each int's balanced base-2^B
-    digits, the t-th of them the coefficient of b = t·step − shift.  Exact
-    when every coefficient has size below 2^(B−1).  B ≥ 2, so each digit
-    read shrinks the int and the reading ends."""
-    width, shift, step, along = packing
+    digits, the t-th of them the coefficient of b = t·step.  Exact when
+    every coefficient has size below 2^(B−1).  B ≥ 2, so each digit read
+    shrinks the int and the reading ends."""
+    width, step = packing
     if width < 2:
         raise ValueError(f"cannot read back at {packing}: the width must be at least 2")
-    split = _direction(ring, along)
-    move = split[1] if split else 0
+    move = (1 << _BITS * ring.index["r"]) - (1 << _BITS * ring.index["s"])
     full = 1 << width
     half, mask = full >> 1, full - 1
     out: dict[int, int] = {}
     for key, x in packed.items():
-        b = -shift
+        b = 0
         while x:
             d = x & mask
             if d >= half:
@@ -488,14 +470,20 @@ def unpack_terms(ring: ScalarRing, packed: dict, packing: Packing) -> dict:
 
 
 class _Cleared(NamedTuple):
-    """An operator on V⊗V made integral: ``clear`` is one Laurent polynomial
-    L (``ring.one`` when the operator's entries are Laurent polynomials with
-    int coefficients already), ``columns`` the columns of L·a as term dicts
-    (j -> [(i, terms)], stored zeros dropped), and ``norm`` the largest
-    column ℓ1 norm of L·a: the sum over a column's entries of the sizes of
-    their coefficients."""
+    """An operator a on V⊗V made integral, with no negative power of s:
+    ``clear`` is L = L₀·s^σ, where the Laurent polynomial L₀ clears the
+    denominators of a's entries and coefficients and σ is minus the
+    smallest exponent of s in L₀·a (L is ``ring.one`` for the spectral
+    R-matrices).  ``columns`` are those of L₀·a as term dicts (j -> [(i,
+    terms)], stored zeros dropped); ``pair_actions`` multiplies each entry
+    by s^σ (packed exponent ``shift``) only as it packs it, so no copy of a
+    shared operator's terms is held.  ``step`` is the gcd of their
+    exponents of s, and ``norm`` their largest column ℓ1 norm (the sum of
+    the sizes of a column's coefficients)."""
 
     clear: Scalar
+    shift: int
+    step: int
     columns: dict[int, list[tuple[int, dict]]]
     norm: int
 
@@ -514,6 +502,10 @@ def _cleared(a: SMatrix) -> _Cleared:
         if k != 1:
             clear = clear * k
             entries = [(i, j, v * k) for i, j, v in entries]
+    exps = {b for _, _, v in entries for _, b in _key_slots(ring, v._num)}
+    shift = -min(exps, default=0) << _BITS * ring.index["s"]
+    if shift:
+        clear = clear * Scalar(ring, {shift: 1}, one_den, _raw=True)
     columns: dict[int, list[tuple[int, dict]]] = {}
     norms: dict[int, int] = {}
     for i, j, v in entries:
@@ -521,24 +513,23 @@ def _cleared(a: SMatrix) -> _Cleared:
         terms = v._num if integral else {e: int(c) for e, c in v._num.items()}
         columns.setdefault(j, []).append((i, terms))
         norms[j] = norms.get(j, 0) + sum(map(abs, terms.values()))
-    return _Cleared(clear, columns, max(norms.values(), default=0))
+    return _Cleared(clear, shift, gcd(*exps), columns, max(norms.values(), default=0))
 
 
 def pair_actions(n: int, placed: Sequence[tuple[SMatrix, tuple[int, int]]]) -> tuple["PairAction", ...]:
     """The actions of the operators ``placed``, (a, factors) pairs of an
     operator on V⊗V (dim V = n) and the factors (1, 2), (2, 3) or (1, 3) of
     V⊗V⊗V it acts on, as one chain: each distinct operator is cleared
-    (``_cleared``) and packed once, all at one width, step and variable.
+    (``_cleared``) and packed once, all at one width and step.
 
     The width is B = M.bit_length() + 1 for M the product, one factor per
     placed operator, of their largest column ℓ1 norms (taken as 1 where it
     is 0): no coefficient of a value of the chain exceeds M in size, and
     B is the narrowest width whose balanced digits hold every such
-    coefficient (M < 2^(B−1)).  The variable, r or s, is the one whose
-    shifts sum to less over the chain (s on a tie), so that the ints of
-    values whose exponents lie near 0 have few empty low slots; the step is
-    the gcd of the operators' exponents of it (2 where they are all whole
-    powers), so that no slot between two used ones is always empty."""
+    coefficient (M < 2^(B−1)).  The step is the gcd of the cleared
+    operators' exponents of s (2 where they are all whole powers), so that
+    no slot between two used ones is always empty; it divides each σ, so
+    it divides every exponent of s after the shift too."""
     for a, factors in placed:
         if factors not in ((1, 2), (2, 3), (1, 3)):
             raise ValueError(f"factors must be (1, 2), (2, 3) or (1, 3), got {factors}")
@@ -552,23 +543,15 @@ def pair_actions(n: int, placed: Sequence[tuple[SMatrix, tuple[int, int]]]) -> t
     m = 1
     for a in ops:
         m *= cleared[id(a)].norm
-    width = max(m, 1).bit_length() + 1
-    # the exponents of s and of r in each distinct operator
-    exps = {
-        v: {
-            i: {b for col in c.columns.values() for _, t in col for _, b in _key_slots(ring, t, v)}
-            for i, c in cleared.items()
-        }
-        for v in "sr"
-    }
-    along = max("sr", key=lambda v: sum(min(exps[v][id(a)], default=0) for a in ops))
-    step = gcd(*(b for bs in exps[along].values() for b in bs)) or 1
-    packed: dict[int, tuple[Packing, dict]] = {}
+    packing = Packing(max(m, 1).bit_length() + 1, gcd(*(c.step for c in cleared.values())) or 1)
+    packed = {}
     for i, c in cleared.items():
-        packing = Packing(width, -min(exps[along][i], default=0), step, along)
-        columns = {j: [(row, pack_terms(ring, t, packing)) for row, t in col] for j, col in c.columns.items()}
-        packed[i] = packing, columns
-    return tuple(PairAction(ring, n, factors, *packed[id(a)], cleared[id(a)].clear) for a, factors in placed)
+        s = c.shift
+        packed[i] = {
+            j: [(row, pack_terms(ring, {e + s: x for e, x in t.items()} if s else t, packing)) for row, t in col]
+            for j, col in c.columns.items()
+        }
+    return tuple(PairAction(ring, n, factors, packing, packed[id(a)], cleared[id(a)].clear) for a, factors in placed)
 
 
 class PairAction:
@@ -578,20 +561,17 @@ class PairAction:
     of one chain, and ``act(vec)`` is A·vec.
 
     Each column of the operator is stored once, with its rows turned into
-    offsets on V⊗V⊗V and its entries packed along r or s (``pack_terms``)
-    by ``packing``, whose shift σ is minus the smallest exponent of that
-    variable in its entries, after clearing: ``clear`` is one Laurent
-    polynomial L with every entry of L·a a Laurent polynomial with int
-    coefficients (``ring.one`` for the R-matrices).  Applying it reads the
-    column of the two acted-on digits and places each entry beside the
-    untouched digit, in ``_combine_columns``.  No V⊗³ matrix is built:
-    neither ``kron(a, Id)`` nor the flip conjugation that moves A onto
-    factors 1 and 3.
+    offsets on V⊗V⊗V and its entries packed along s (``pack_terms``) by
+    ``packing``, after clearing: ``clear`` is one Laurent polynomial L with
+    every entry of L·a a Laurent polynomial with int coefficients and no
+    negative power of s (``_cleared``).  Applying it reads the column of the
+    two acted-on digits and places each entry beside the untouched digit, in
+    ``_combine_columns``.  No V⊗³ matrix is built: neither ``kron(a, Id)``
+    nor the flip conjugation that moves A onto factors 1 and 3.
 
     A chain of actions, the last one read as a column (``column``), gives
-    the packed values of L·(A⋯)·v_k at the summed shift, with L the product
-    of the actions' ``clear``; ``read_back`` reads such a value as a
-    Scalar."""
+    the packed values of L·(A⋯)·v_k, with L the product of the actions'
+    ``clear``; ``read_back`` reads such a value as a Scalar."""
 
     __slots__ = ("ring", "n", "strides", "columns", "packing", "clear")
 
@@ -631,29 +611,15 @@ class PairAction:
         return _combine_columns(self.ring, parts())
 
 
-def chain_frame(chain: Sequence[PairAction]) -> tuple[Packing, Scalar]:
-    """The packing and the clearing polynomial of the values of a chain of
-    actions: the shared width, step and variable, the summed shift, and the
-    product of the actions' ``clear``.  ValueError for actions packed
-    differently."""
-    packings = {(op.packing.width, op.packing.step, op.packing.along) for op in chain}
-    if len(packings) != 1:
-        raise ValueError(f"actions packed at (width, step, variable) {sorted(packings)} do not chain")
-    (width, step, along), one = packings.pop(), chain[0].ring.one
-    clear = one
-    for op in chain:
-        if op.clear is not one:
-            clear = op.clear if clear is one else clear * op.clear
-    return Packing(width, sum(op.packing.shift for op in chain), step, along), clear
-
-
 def read_back(chain: Sequence[PairAction], x: dict) -> Scalar:
-    """The Scalar of a packed value of (chain[0]⋯chain[-1])·v_k: its
-    unpacked terms over the chain's clearing polynomial."""
-    packing, clear = chain_frame(chain)
+    """The Scalar of a packed value of a product of the actions of one
+    ``pair_actions`` call, each once, in any order, applied to v_k: its
+    unpacked terms over the product of the actions' clearing polynomials."""
     ring = chain[0].ring
-    value = scalar_of(ring, unpack_terms(ring, x, packing))
-    return value if clear is ring.one else value / clear
+    clear = ring.one
+    for op in chain:
+        clear = clear * op.clear
+    return scalar_of(ring, unpack_terms(ring, x, chain[0].packing)) / clear
 
 
 def vec_scale(vec: dict[int, Scalar], c: Scalar) -> dict[int, Scalar]:

@@ -10,10 +10,10 @@ R₂₃R₁₃R₁₂ on V⊗V⊗V for the braid relation and the spectral YBE a
 the N² columns that generate V⊗³ once its premises hold on V⊗V and V:
 R̂ commutes with every Δ(e_i) and Δ(ω_i) (``commutation_witness``, shared
 with the intertwining certificate), and V is generated from v_N by the e_i
-(``generation_witness``).  Its columns run on values packed along r or s
+(``generation_witness``).  Its columns run on values packed along s
 (``matrices.PairAction``) at the one width the decider proves for its three
-operators, compare packed values and read back only what a witness
-prints."""
+operators, compare one chain of them with its reverse on packed values and
+read back only what a witness prints."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .matrices import PairAction, SMatrix, chain_frame, compose_flip, pair_actions, read_back
+from .matrices import PairAction, SMatrix, compose_flip, pair_actions, read_back
 from .scalars import Scalar
 
 
@@ -190,32 +190,26 @@ def product_mismatch(
     return first_mismatch(lhs_product, rhs_product, n)
 
 
-def first_column_mismatch(lhs: Sequence[PairAction], rhs: Sequence[PairAction], columns: Iterable[int]) -> str:
-    """The witness of lhs[0]⋯lhs[-1] = rhs[0]⋯rhs[-1] on the ``columns`` of
-    V⊗V⊗V (flattened indices, compared in the order given), for products of
-    operators on two of its factors: both sides are applied to one basis
-    vector v_a⊗v_b⊗v_c at a time, so one column of each side is alive at a
-    time and no V⊗³ matrix is built.  Each side's rightmost operator acts on
-    the basis vector, so its result is read as a stored column.
-
-    Every column holds packed values (``matrices.PairAction``) from the
-    stored columns to the comparison, so both sides must be packed alike:
-    one width, step and variable, one summed shift and one clearing
-    polynomial (``chain_frame``), as the decider's sides are, or ValueError.
-    Only the values a witness prints become Scalars.
+def first_column_mismatch(chain: Sequence[PairAction], columns: Iterable[int]) -> str:
+    """The witness of chain[0]⋯chain[-1] = chain[-1]⋯chain[0] on the
+    ``columns`` of V⊗V⊗V (flattened indices, compared in the order given),
+    for the actions of one ``pair_actions`` call: both sides are applied to
+    one basis vector v_a⊗v_b⊗v_c at a time, the rightmost action's result
+    read as a stored column, so no V⊗³ matrix is built.  The sides multiply
+    the same packed actions (``matrices.PairAction``), so they share one
+    packing and one clearing polynomial, and their packed values are
+    compared as they are; only the values a witness prints become Scalars.
 
     The first column whose sides differ is named with its first differing
     row and both sides' values there; "" when every column passes."""
-    if chain_frame(lhs) != chain_frame(rhs):
-        raise ValueError("the two sides are packed differently, so their packed values do not compare")
-    n = lhs[0].n
+    n = chain[0].n
     where = lambda col, row: f"column {basis_vector(col, n, 3)}, row {basis_vector(row, n, 3)}"
-    show = lambda column, row: read_back(lhs, column[row]) if row in column else 0
+    show = lambda column, row: read_back(chain, column[row]) if row in column else 0
     for col in columns:
-        left, right = lhs[-1].column(col), rhs[-1].column(col)
-        for op in lhs[-2::-1]:
+        left, right = chain[-1].column(col), chain[0].column(col)
+        for op in chain[-2::-1]:
             left = op(left)
-        for op in rhs[-2::-1]:
+        for op in chain[1:]:
             right = op(right)
         if left != right:
             row = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
@@ -297,17 +291,17 @@ def yang_baxter_witness(rep, rhat: SMatrix, at: Sequence[Scalar] | None = None) 
       so it holds for each of its images.
 
     A failing premise is the witness, prefixed "premise: ", and the sides
-    are not compared.  Otherwise both sides are built by one
-    ``pair_actions`` call, which packs all three factors at one width B =
-    M.bit_length() + 1, M the product of their largest column ℓ1 norms,
-    which bounds every coefficient of either side, so equal packed values
-    are equal values (README, item 6); ``first_column_mismatch`` names the
-    first failing column and row as basis vectors."""
+    are not compared.  Otherwise one ``pair_actions`` call packs the chain
+    R₁₂, R₁₃, R₂₃ at one width B = M.bit_length() + 1, M the product of the
+    factors' largest column ℓ1 norms, which bounds every coefficient of
+    either side, so equal packed values are equal values (README, item 6);
+    ``first_column_mismatch`` compares the chain with its reverse and names
+    the first failing column and row as basis vectors."""
     w = generation_witness(rep) or commutation_witness(rep, rhat, ("e", "omega"))
     if w:
         return f"premise: {w}"
     r = compose_flip(rhat)
     factors = (r,) * 3 if at is None else tuple(r.substituted({"z": z}, ring=z.ring) for z in at)
     n = rep.N
-    lhs = pair_actions(n, tuple(zip(factors, ((1, 2), (1, 3), (2, 3)))))
-    return first_column_mismatch(lhs, lhs[::-1], range((n - 1) * n * n, n**3))
+    chain = pair_actions(n, tuple(zip(factors, ((1, 2), (1, 3), (2, 3)))))
+    return first_column_mismatch(chain, range((n - 1) * n * n, n**3))

@@ -69,8 +69,8 @@ That saves a Scalar, a dict and an accumulator copy per product, which is
 where matmul time went.  ``_pmuladd`` is the one term-pair product loop:
 Scalar products, powers, the sparse kernel and exact division all run it,
 and so does the Yang–Baxter decider, on values that ``matrices`` packs
-along r or s (keys are packed exponents and coefficients are ints, so
-the loop reads them as it reads term dicts).
+along s (keys are packed exponents and coefficients are ints, so the loop
+reads them as it reads term dicts).
 
 Values are immutable after construction and safe to share between threads.
 """

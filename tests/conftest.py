@@ -137,8 +137,8 @@ def full_reference_witness(r12: SMatrix, r13: SMatrix, r23: SMatrix) -> str:
     columns: R₁₂R₁₃R₂₃ against R₂₃R₁₃R₁₂, both computed, one column at a
     time, by ``first_column_mismatch`` over ``range(N**3)``."""
     N = isqrt(r12.nrows)
-    lhs = pair_actions(N, ((r12, (1, 2)), (r13, (1, 3)), (r23, (2, 3))))
-    return first_column_mismatch(lhs, lhs[::-1], range(N**3))
+    chain = pair_actions(N, ((r12, (1, 2)), (r13, (1, 3)), (r23, (2, 3))))
+    return first_column_mismatch(chain, range(N**3))
 
 
 def local_theta_factor(rvm, gamma, pairing_fn) -> SMatrix:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import case, denominators, flip_map, spectral_factors
+from conftest import case, denominators, flip_map, r_of, spectral_factors, v3_sides
 from rsqg import matrices
 from rsqg.matrices import (
     Packing,
@@ -409,20 +409,6 @@ def test_pair_action_rejects_other_factors_and_shapes(R):
         pair_actions(3, [(a, (1, 2))])
 
 
-def test_actions_packed_at_different_widths_do_not_chain(R):
-    """Actions of separate ``pair_actions`` calls do not chain, and two
-    sides packed differently do not compare, where their widths differ."""
-    from rsqg.report import first_column_mismatch
-
-    a = SMatrix.identity(R, 4)
-    chain = [*pair_actions(2, [(a, (1, 2))]), *pair_actions(2, [(a.scale(R.num(2)), (2, 3))])]
-    assert chain[0].packing.width != chain[1].packing.width
-    with pytest.raises(ValueError, match="do not chain"):
-        read_back(chain, {0: 1})
-    with pytest.raises(ValueError, match="packed differently"):
-        first_column_mismatch(chain[:1], chain[1:], range(8))
-
-
 def _l1_bound(ops) -> int:
     """M from its definition: the product of the operators' largest column
     ℓ1 norms, for operators whose entries are Laurent polynomials with int
@@ -437,26 +423,24 @@ def _l1_bound(ops) -> int:
     return m
 
 
-# -- the packing along r or s ----------------------------------------------------
+# -- the packing along s ----------------------------------------------------
 
 
 @st.composite
 def _packable(draw):
     """(ring, terms, packing): a Laurent term dict with int coefficients of
-    size below 2^(B−1), the largest sizes and negative exponents included,
-    every exponent of the packing's variable (r or s) a multiple of the
-    step, and a shift that makes every slot nonnegative."""
+    size below 2^(B−1), the largest sizes and negative exponents of the
+    other variables included, and every exponent of s a nonnegative
+    multiple of the step."""
     ring = draw(st.sampled_from(_RINGS))
-    width, step, along = draw(st.integers(2, 40)), draw(st.integers(1, 3)), draw(st.sampled_from("rs"))
+    width, step = draw(st.integers(2, 40)), draw(st.integers(1, 3))
     top = (1 << width - 1) - 1
     coeff = st.one_of(st.sampled_from([top, -top, 1, -1]), st.integers(-top, top)).filter(bool)
     exps = st.tuples(*[st.integers(-4, 4)] * ring.nvars).map(
-        lambda e: tuple(x * step if i == ring.index[along] else x for i, x in enumerate(e))
+        lambda e: tuple((x + 4) * step if i == ring.index["s"] else x for i, x in enumerate(e))
     )
     terms = draw(st.dictionaries(exps, coeff, max_size=8))
-    lowest = min((e[ring.index[along]] for e in terms), default=0)
-    shift = draw(st.integers(0, 3)) * step - lowest
-    return ring, ring.poly(terms)._num if terms else {}, Packing(width, shift, step, along)
+    return ring, ring.poly(terms)._num if terms else {}, Packing(width, step)
 
 
 @settings(max_examples=200, deadline=None)
@@ -464,7 +448,7 @@ def _packable(draw):
 def test_packed_values_read_back(case):
     """Packing and reading back is the identity on Laurent values whose
     coefficients have size below 2^(B−1), with ±(2^(B−1) − 1) and negative
-    exponents among them, along r and along s, at steps 1 to 3."""
+    exponents of r among them, at steps 1 to 3."""
     ring, terms, packing = case
     packed = pack_terms(ring, terms, packing)
     assert all(packed.values())
@@ -477,17 +461,16 @@ def test_one_bit_narrower_aliases_two_values():
     values c = 2^(B−2) ≤ M and −2^(B−2) + r⁻¹s (one key, slots 0 and 1) read
     back, and one bit narrower they pack to the same int."""
     ops = spectral_factors(case("B", 2).rz)
-    m, packing = _l1_bound(ops), pair_actions(isqrt(ops[0].nrows), [(a, (1, 2)) for a in ops])[0].packing
-    width, step = packing.width, packing.step
-    assert (step, packing.along) == (2, "s")
+    m, (width, step) = _l1_bound(ops), pair_actions(isqrt(ops[0].nrows), [(a, (1, 2)) for a in ops])[0].packing
+    assert step == 2
     ring = ops[0].ring
     c = 1 << width - 2
     assert c <= m < 2 * c
     first = ring.num(c)._num
     second = (ring.num(-c) + ring.mono(r=-1, s=1))._num
-    narrower = Packing(width - 1, 0, step, "s")
+    narrower = Packing(width - 1, step)
     assert pack_terms(ring, first, narrower) == pack_terms(ring, second, narrower)
-    proven = Packing(width, 0, step, "s")
+    proven = Packing(width, step)
     assert pack_terms(ring, first, proven) != pack_terms(ring, second, proven)
     for terms in (first, second):
         assert unpack_terms(ring, pack_terms(ring, terms, proven), proven) == terms
@@ -495,15 +478,14 @@ def test_one_bit_narrower_aliases_two_values():
 
 def test_packing_rejects_a_negative_slot_an_off_step_exponent_and_a_fraction(R):
     for terms, packing in (
-        (R.mono(s=-1)._num, Packing(8, 0, 1, "s")),
-        (R.mono(r=-1)._num, Packing(8, 0, 1, "r")),
-        (R.mono(s=Fraction(1, 2))._num, Packing(8, 0, 2, "s")),
-        (R.num(Fraction(1, 2))._num, Packing(8, 0, 1, "s")),
+        (R.mono(s=-1)._num, Packing(8, 1)),
+        (R.mono(s=Fraction(1, 2))._num, Packing(8, 2)),
+        (R.num(Fraction(1, 2))._num, Packing(8, 1)),
     ):
         with pytest.raises(ValueError, match="cannot pack"):
             pack_terms(R, terms, packing)
     with pytest.raises(ValueError, match="at least 2"):
-        unpack_terms(R, {0: 1}, Packing(1, 0, 1, "s"))
+        unpack_terms(R, {0: 1}, Packing(1, 1))
 
 
 def test_a_chain_with_a_zero_operator_packs_at_width_two(R):
@@ -515,20 +497,26 @@ def test_a_chain_with_a_zero_operator_packs_at_width_two(R):
     assert zero_action(action.column(3)) == {}
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3), ("B", 3)])
-def test_left_side_coefficients_are_within_the_proven_bound(family, rank):
+@pytest.mark.parametrize(
+    "family,rank,chain",
+    [("A", 2, "spectral"), ("B", 2, "spectral"), ("C", 2, "spectral"), ("D", 3, "spectral"), ("B", 3, "spectral")]
+    + [("B", 2, "braid"), ("C", 2, "braid"), ("D", 3, "braid")],
+)
+def test_left_side_coefficients_are_within_the_proven_bound(family, rank, chain):
     """Every coefficient of every entry of both sides of the spectral YBE,
-    built as V⊗³ matrices by kron and the flip, has size at most M, the
-    product of the factors' largest column ℓ1 norms."""
-    r_x, r_y, r_xy = spectral_factors(case(family, rank).rz)
-    n = isqrt(r_x.nrows)
-    ident = SMatrix.identity(r_x.ring, n)
-    mid_flip = kron(ident, flip_map(r_x.ring, n))
-    r13 = mid_flip @ kron(r_xy, ident) @ mid_flip
-    bound = _l1_bound((r_x, r_xy, r_y))
-    (act, *_) = pair_actions(n, [(r_x, (1, 2)), (r_xy, (1, 3)), (r_y, (2, 3))])
-    assert act.packing.width == bound.bit_length() + 1
-    for side in (kron(r_x, ident) @ r13 @ kron(ident, r_y), kron(ident, r_y) @ r13 @ kron(r_x, ident)):
+    and of the braid relation for R = R̂∘τ, whose clearing polynomial is
+    s^σ, built as V⊗³ matrices by kron and the flip, has size at most M,
+    the product of the factors' largest column ℓ1 norms, and the chain is
+    packed at width M.bit_length() + 1."""
+    if chain == "spectral":
+        r_x, r_y, r_xy = spectral_factors(case(family, rank).rz)
+        ops = (r_x, r_xy, r_y)
+    else:
+        ops = (r_of(case(family, rank).rhat),) * 3
+    bound = _l1_bound(ops)
+    acts = pair_actions(isqrt(ops[0].nrows), list(zip(ops, ((1, 2), (1, 3), (2, 3)))))
+    assert acts[0].packing.width == bound.bit_length() + 1
+    for side in v3_sides(*ops):
         assert all(v.den_is_one() for _, _, v in side.entries())
         largest = max(abs(c) for _, _, v in side.entries() for c in v._num.values())
         assert 0 < largest <= bound
@@ -573,20 +561,27 @@ def _lowest(a: SMatrix, var: str) -> int:
     return min(_unpack_exps(e, nv)[i] for _, _, v in a.entries() for e in v._num)
 
 
-@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 3), ("D", 4), ("B", 6)])
-def test_a_chain_packs_along_the_variable_of_smaller_total_shift(family, rank):
-    """The spectral operators' powers of s are nonnegative, so they pack
-    along s with no shift; R̂'s powers of s reach much further below 0 than
-    its powers of r, so a chain of it packs along r."""
-    from rsqg.rmatrix import build_rhat_explicit
-
-    spectral = spectral_factors(case(family, rank).rz) if rank <= 3 else ()
-    for ops, along in ((spectral, "s"), ((build_rhat_explicit(family, rank),) * 3, "r")):
-        if not ops:
-            continue
-        n = isqrt(ops[0].nrows)
-        acts = pair_actions(n, [(a, f) for a, f in zip(ops, ((1, 2), (1, 3), (2, 3)))])
-        shifts = {v: -sum(min(_lowest(a, v), 0) for a in ops) for v in "rs"}
-        assert shifts[along] < shifts["rs".replace(along, "")]
-        assert {act.packing.along for act in acts} == {along}
-        assert sum(act.packing.shift for act in acts) == shifts[along]
+@pytest.mark.parametrize(
+    "family,rank,chain",
+    [("B", 2, "spectral"), ("C", 3, "spectral"), ("D", 4, "spectral"), ("B", 2, "braid"), ("B", 6, "braid")],
+)
+def test_the_shift_of_s_is_in_the_clearing_polynomial(family, rank, chain):
+    """The spectral operators' powers of s are nonnegative, so their
+    clearing polynomial L is ``ring.one``.  R = R̂∘τ has negative powers of
+    s, so every action of the braid chain has L = s^σ, σ minus R's smallest
+    exponent of s; ``pack_terms``, which rejects a negative slot, then packs
+    every term, and the cleared operator's smallest exponent of s is 0."""
+    if chain == "spectral":
+        r_x, r_y, r_xy = spectral_factors(case(family, rank).rz)
+        ops = (r_x, r_xy, r_y)
+    else:
+        ops = (r_of(case(family, rank).rhat),) * 3
+    ring = ops[0].ring
+    acts = pair_actions(isqrt(ops[0].nrows), list(zip(ops, ((1, 2), (1, 3), (2, 3)))))
+    for a, act in zip(ops, acts):
+        sigma = -_lowest(a, "s")
+        if chain == "spectral":
+            assert sigma == 0 and act.clear is ring.one
+        else:
+            assert sigma > 0 and act.clear == ring.atom("s", sigma)
+        assert _lowest(a.scale(act.clear), "s") == 0
