@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .matrices import SMatrix, compose_flip, tensor_units
-from .rep import KAPPA, KINDS, EvaluationRep, Representation, _evaluation, build_evaluation, build_fundamental, tensor_product
+from .rep import KAPPA, KINDS, EvaluationRep, Representation, TensorProduct, _evaluation, build_evaluation, build_fundamental
 from .report import Report, basis_vector, first_mismatch, product_mismatch, yang_baxter_witness
 from .rmatrix import CoefficientTables, eigenvalues
 from .scalars import Scalar, ScalarRing, _packed_exp_ranges, rs_ring
@@ -235,15 +235,15 @@ def check_affine_intertwiner(family: str, rank: int, operators: tuple | None = N
     """R̂(x/y) intertwines V(x)⊗V(y) → V(y)⊗V(x) for every generator; the
     diagonal ω_i and ω′_i are checked on the support of R̂(x/y)
     (``product_mismatch``).  The ``operators`` (V(x), V(y), R̂(x/y)) are the
-    case's, or else built by ``intertwiner_operators``; they and the two
-    tensor products (``tensor_product``) are built on the clock of the
-    first generator kind."""
+    case's, or else built by ``intertwiner_operators`` on the clock of the
+    first generator kind; each kind's tables of the two tensor products
+    (``TensorProduct``) are built on the clock of that kind."""
     out = Report()
     for kind in KINDS:
         with out.timed(f"affine-intertwiner-{kind}", family, rank) as it:
             if kind == "e":
                 ev_x, ev_y, rz = operators or intertwiner_operators(family, rank)
-                xy, yx = tensor_product(ev_x, ev_y), tensor_product(ev_y, ev_x)
+                xy, yx = TensorProduct(ev_x, ev_y), TensorProduct(ev_y, ev_x)
             w = ""
             for i in range(rank + 1):
                 lhs, rhs = (rz, xy.table(kind)[i]), (yx.table(kind)[i], rz)
@@ -275,8 +275,11 @@ def check_spectral_ybe(family: str, rank: int, rep: Representation | None = None
     bound fails the check, and the identity is not run: the witness names
     it ("R(z): row …, column … has z-degree d").  Otherwise the identity is
     decided by ``yang_baxter_witness``, the one decider it shares with the
-    braid relation, which checks its premise on R̂(z) once and forms R(x),
-    R(xy) and R(y) by the substitutions z ↦ x, xy, y."""
+    braid relation, which checks its premise on R̂(z) once, clears and packs
+    R(z) once, and forms the actions of R(x), R(xy) and R(y) by moving each
+    packed key's z-digit k to x^k, (xy)^k and y^k: the images are monomials
+    with coefficient 1, so the substitutions keep every coefficient, power
+    of s and column norm, and no entry is substituted."""
     out = Report()
     with out.timed("spectral-ybe", family, rank) as it:
         if rep is None:

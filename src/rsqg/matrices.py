@@ -50,6 +50,7 @@ from .scalars import (
     _paddto,
     _pmuladd,
     _spread,
+    _unpack_exps,
     scalar_from_json,
     scalar_to_json,
     substitute,
@@ -401,6 +402,15 @@ def mat_vec(a: SMatrix, vec: dict[int, Scalar]) -> dict[int, Scalar]:
 # operator is packed after clearing (``_cleared``), which makes its powers of
 # s nonnegative.  The README (item 6) states the read-back lemma and the
 # width it needs.
+#
+# A substitution v ↦ w, w a monomial with coefficient 1 in variables that the
+# operator's ring does not keep, commutes with this packing: it sends a term
+# c·r^a s^b·u·v^k (u a monomial in the kept variables) to c·r^a s^b·u·w^k,
+# distinct terms to distinct terms, with the same coefficient and the same b.
+# So the packed a(w) is the packed a with k·(w − v) added to each key whose
+# v-digit is k, as packed exponents (``_key_move``): its column norms, step
+# and σ are a's, and L(w) clears it.  The spectral YBE packs R(z) once and
+# moves its keys to those of R(x), R(xy) and R(y).
 
 
 def _key_slots(ring: ScalarRing, exps: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -516,7 +526,54 @@ def _cleared(a: SMatrix) -> _Cleared:
     return _Cleared(clear, shift, gcd(*exps), columns, max(norms.values(), default=0))
 
 
-def pair_actions(n: int, placed: Sequence[tuple[SMatrix, tuple[int, int]]]) -> tuple["PairAction", ...]:
+def _key_move(ring: ScalarRing, binding: Mapping[str, Scalar]) -> tuple[ScalarRing, tuple[int, int, int]]:
+    """The target ring and the move (shift, bias, delta) of the substitution
+    ``binding`` = {v: m} of one variable of ``ring``: a packed key or
+    exponent e whose v-digit, read at ``shift`` after ``bias`` makes the
+    digits up to it nonnegative, is k goes to e + k·delta, delta = m − v as
+    packed exponents, over the ring ``target`` of m (``_moved``).
+
+    m must be a monomial with coefficient 1 and exponents −1, 0 or 1, not
+    1 itself, in variables that ``ring``'s other variables (r and s among
+    them) are not, and those must sit at the same digits in ``target``.
+    Then the move keeps every other digit (the r-digit a + b and the slots
+    of a packed key too) and every coefficient, sends distinct keys to
+    distinct keys, and puts 0 or ±k, a stored exponent, in each digit of m;
+    ValueError otherwise."""
+    (name, image), *more = binding.items()
+    i = ring.index.get(name)
+    if more or i is None or name in ("r", "s"):
+        raise ValueError(f"cannot move the keys of {binding}: bind one variable of {ring} other than r and s")
+    target, terms = image.ring, image._num
+    (m, c), *more = terms.items() if image.den_is_one() and terms else ((0, 0),)
+    digits = _unpack_exps(m, target.nvars)
+    kept = [j for j, u in enumerate(ring.names) if u != name]
+    if (
+        more
+        or c != 1
+        or not any(digits)
+        or any(abs(d) > 1 for d in digits)
+        or [target.index.get(ring.names[j]) for j in kept] != kept
+        or any(digits[j] for j in kept)
+    ):
+        raise ValueError(
+            f"cannot move the keys of {name} to {image}: it must be a monomial with coefficient 1 and "
+            f"exponents -1, 0 or 1, in variables other than those {ring} keeps"
+        )
+    shift = _BITS * i
+    return target, (shift, _spread(_HALF, i + 1), m - (1 << shift))
+
+
+def _moved(terms: dict, move: tuple[int, int, int]) -> dict:
+    """``terms`` with each key e moved to e + k·delta, k its digit at the
+    move's shift (``_key_move``)."""
+    shift, bias, delta = move
+    return {e + ((e + bias >> shift & _MASK) - _HALF) * delta: c for e, c in terms.items()}
+
+
+def pair_actions(
+    n: int, placed: Sequence[tuple[SMatrix, tuple[int, int]]], at: Sequence[Mapping[str, Scalar]] | None = None
+) -> tuple["PairAction", ...]:
     """The actions of the operators ``placed``, (a, factors) pairs of an
     operator on V⊗V (dim V = n) and the factors (1, 2), (2, 3) or (1, 3) of
     V⊗V⊗V it acts on, as one chain: each distinct operator is cleared
@@ -529,7 +586,16 @@ def pair_actions(n: int, placed: Sequence[tuple[SMatrix, tuple[int, int]]]) -> t
     coefficient (M < 2^(B−1)).  The step is the gcd of the cleared
     operators' exponents of s (2 where they are all whole powers), so that
     no slot between two used ones is always empty; it divides each σ, so
-    it divides every exponent of s after the shift too."""
+    it divides every exponent of s after the shift too.
+
+    ``at``, when given, holds one binding per placement, {v: m} as for
+    ``SMatrix.substituted``, and the action placed is then that of
+    a.substituted({v: m}, m.ring), built with no substitution: the keys of
+    a's one packing, and the terms of its clearing polynomial L, are moved
+    by ``_key_move``.  The move keeps every coefficient, every exponent of
+    s and distinct terms distinct, so a.substituted has a's column norms,
+    step and σ, and L(m) clears it: the packing and the actions are those
+    that the substituted operators, placed as they are, would get."""
     for a, factors in placed:
         if factors not in ((1, 2), (2, 3), (1, 3)):
             raise ValueError(f"factors must be (1, 2), (2, 3) or (1, 3), got {factors}")
@@ -551,7 +617,19 @@ def pair_actions(n: int, placed: Sequence[tuple[SMatrix, tuple[int, int]]]) -> t
             j: [(row, pack_terms(ring, {e + s: x for e, x in t.items()} if s else t, packing)) for row, t in col]
             for j, col in c.columns.items()
         }
-    return tuple(PairAction(ring, n, factors, packing, packed[id(a)], cleared[id(a)].clear) for a, factors in placed)
+    if at is None:
+        return tuple(PairAction(ring, n, factors, packing, packed[id(a)], cleared[id(a)].clear) for a, factors in placed)
+    if len(at) != len(placed):
+        raise ValueError(f"{len(at)} bindings for {len(placed)} placed operators")
+    actions = []
+    for (a, factors), binding in zip(placed, at):
+        target, move = _key_move(ring, binding)
+        if actions and target is not actions[0].ring:
+            raise ValueError("mixing images in different rings in one chain")
+        columns = {j: [(row, _moved(t, move)) for row, t in col] for j, col in packed[id(a)].items()}
+        clear = Scalar(target, _moved(cleared[id(a)].clear._num, move), target._one_den, _raw=True)
+        actions.append(PairAction(target, n, factors, packing, columns, clear))
+    return tuple(actions)
 
 
 class PairAction:

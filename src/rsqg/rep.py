@@ -5,7 +5,7 @@ algebra, and mechanical verification of all defining relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from fractions import Fraction
 
@@ -33,21 +33,21 @@ class _Module:
 
     def table(self, kind: str) -> dict[int, SMatrix]:
         """The generator table of ``kind``, one of ``KINDS``."""
-        return {"e": self.e, "f": self.f, "omega": self.omega, "omega-prime": self.omega_prime}[kind]
+        if kind not in KINDS:
+            raise KeyError(kind)
+        return getattr(self, kind.replace("-", "_"))
 
     @cached_property
-    def square(self) -> Representation:
-        """V⊗V for this module V, built by ``tensor_product`` on first use
-        and kept: every check on V⊗V reads this one."""
-        return tensor_product(self, self)
+    def square(self) -> TensorProduct:
+        """V⊗V for this module V, made on first use and kept: every check
+        on V⊗V reads this one."""
+        return TensorProduct(self, self)
 
 
 @dataclass
 class Representation(_Module):
     """Per-generator matrices of the first fundamental module, with the
-    ε-coordinate weight of each basis vector; on a tensor product
-    (``tensor_product``), whose weights no check reads, ``weights`` is
-    None."""
+    ε-coordinate weight of each basis vector."""
 
     rs: RootSystem
     ring: ScalarRing
@@ -56,7 +56,7 @@ class Representation(_Module):
     f: dict[int, SMatrix]
     omega: dict[int, SMatrix]
     omega_prime: dict[int, SMatrix]
-    weights: list[tuple[Fraction, ...]] | None
+    weights: list[tuple[Fraction, ...]]
 
     @property
     def family(self) -> str:
@@ -383,7 +383,7 @@ def coproduct(left, right, kind: str, i: int) -> SMatrix:
     left ⊗ right through Δ(e_i) = e_i⊗1 + ω_i⊗e_i, Δ(f_i) = 1⊗f_i + f_i⊗ω'_i,
     Δ(ω_i) = ω_i⊗ω_i and Δ(ω'_i) = ω'_i⊗ω'_i; left and right are modules of
     the same dimension with generator tables over the same nodes.  Called
-    only by ``tensor_product``."""
+    only by ``TensorProduct``."""
     if kind in ("omega", "omega-prime"):
         return kron(left.table(kind)[i], right.table(kind)[i])
     ident = SMatrix.identity(left.ring, left.N)
@@ -394,12 +394,28 @@ def coproduct(left, right, kind: str, i: int) -> SMatrix:
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def tensor_product(left, right) -> Representation:
+class TensorProduct(_Module):
     """left ⊗ right as a module over the same nodes, the one builder of
     tensor-product generator tables: every generator of ``KINDS`` acts
-    through ``coproduct``."""
-    tables = [{i: coproduct(left, right, kind, i) for i in left.e} for kind in KINDS]
-    return Representation(left.rs, left.ring, left.N * right.N, *tables, None)
+    through ``coproduct``, and the table of each kind is built, at every
+    node, on its first read and kept, so a check that reads Δ(e_i) and
+    Δ(ω_i) only builds no other table."""
+
+    def __init__(self, left, right):
+        self.rs, self.ring, self.N = left.rs, left.ring, left.N * right.N
+        # shallow copies, sharing the tables: a module keeps its square, and a
+        # square that referred to its module would make a cycle that keeps
+        # both alive past the case, until the cyclic garbage collector runs
+        self.left = replace(left)
+        self.right = self.left if right is left else replace(right)
+
+    def _coproducts(self, kind: str) -> dict[int, SMatrix]:
+        return {i: coproduct(self.left, self.right, kind, i) for i in self.left.e}
+
+    e = cached_property(lambda self: self._coproducts("e"))
+    f = cached_property(lambda self: self._coproducts("f"))
+    omega = cached_property(lambda self: self._coproducts("omega"))
+    omega_prime = cached_property(lambda self: self._coproducts("omega-prime"))
 
 
 def verify_highest_weight(rep: Representation) -> Report:

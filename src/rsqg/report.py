@@ -273,8 +273,7 @@ def yang_baxter_witness(rep, rhat: SMatrix, at: Sequence[Scalar] | None = None) 
     holds.  This is the one decider of the braid relation, where all three
     factors are R, and of the spectral YBE, where R̂ = R̂(z) and ``at`` =
     (x, xy, y), values of z in another ring: the factors are then R(x),
-    R(xy) and R(y), formed by the substitutions z ↦ x, xy, y, which are ring
-    maps.
+    R(xy) and R(y), the images of R(z) under the ring maps z ↦ x, xy, y.
 
     Both sides times the reversal S: v_a⊗v_b⊗v_c ↦ v_c⊗v_b⊗v_a are products
     of R̂₁₂ and R̂₂₃, so they are module maps of V⊗³ wherever R̂ commutes
@@ -291,17 +290,21 @@ def yang_baxter_witness(rep, rhat: SMatrix, at: Sequence[Scalar] | None = None) 
       so it holds for each of its images.
 
     A failing premise is the witness, prefixed "premise: ", and the sides
-    are not compared.  Otherwise one ``pair_actions`` call packs the chain
-    R₁₂, R₁₃, R₂₃ at one width B = M.bit_length() + 1, M the product of the
-    factors' largest column ℓ1 norms, which bounds every coefficient of
-    either side, so equal packed values are equal values (README, item 6);
+    are not compared.  Otherwise one ``pair_actions`` call clears and packs
+    R once and places it as R₁₂, R₁₃, R₂₃ at one width B = M.bit_length() +
+    1, M the product of the factors' largest column ℓ1 norms, which bounds
+    every coefficient of either side, so equal packed values are equal
+    values (README, item 6).  With ``at``, no factor is substituted: each
+    image z ↦ m is a monomial with coefficient 1 in x and y, which sends
+    distinct terms to distinct terms and keeps every coefficient and every
+    power of s, so R(m) packs as R(z) does with each key's z-digit k moved to
+    m^k, and B, the step and the clearing polynomials L(m) follow from R(z)'s.
     ``first_column_mismatch`` compares the chain with its reverse and names
     the first failing column and row as basis vectors."""
     w = generation_witness(rep) or commutation_witness(rep, rhat, ("e", "omega"))
     if w:
         return f"premise: {w}"
     r = compose_flip(rhat)
-    factors = (r,) * 3 if at is None else tuple(r.substituted({"z": z}, ring=z.ring) for z in at)
     n = rep.N
-    chain = pair_actions(n, tuple(zip(factors, ((1, 2), (1, 3), (2, 3)))))
+    chain = pair_actions(n, [(r, (1, 2)), (r, (1, 3)), (r, (2, 3))], None if at is None else [{"z": z} for z in at])
     return first_column_mismatch(chain, range((n - 1) * n * n, n**3))

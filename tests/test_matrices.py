@@ -585,3 +585,73 @@ def test_the_shift_of_s_is_in_the_clearing_polynomial(family, rank, chain):
         else:
             assert sigma > 0 and act.clear == ring.atom("s", sigma)
         assert _lowest(a.scale(act.clear), "s") == 0
+
+
+# -- substitution by moving packed keys ------------------------------------------------
+
+_PLACEMENTS = ((1, 2), (1, 3), (2, 3))
+
+
+def _images():
+    """The ring (r, s, x, y) and the images x, x·y, y of z."""
+    ring = rs_ring("x", "y")
+    x, y = ring.atom("x"), ring.atom("y")
+    return ring, (x, x * y, y)
+
+
+@pytest.mark.parametrize("change", ["R̂(z)", "R̂(z) + s·z·Id"])
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 3), ("D", 4)])
+def test_moved_key_actions_are_the_actions_of_the_substituted_operators(family, rank, change):
+    """R(z) packed once, its keys moved to x, x·y and y, gives dict for dict
+    the actions ``pair_actions`` builds from R(x), R(xy) and R(y),
+    substituted entry by entry: the same packing, the same clearing
+    polynomials (s^σ with σ > 0 in type A, 1 otherwise) and every column."""
+    rz = case(family, rank).rz
+    if change != "R̂(z)":
+        rz = rz + SMatrix.identity(rz.ring, rz.nrows).scale(rz.ring.mono(s=1) * rz.ring.atom("z"))
+    n = isqrt(rz.nrows)
+    r_x, r_y, r_xy = spectral_factors(rz)
+    expected = pair_actions(n, list(zip((r_x, r_xy, r_y), _PLACEMENTS)))
+    ring, images = _images()
+    r = r_of(rz)
+    moved = pair_actions(n, [(r, f) for f in _PLACEMENTS], [{"z": m} for m in images])
+    for got, want in zip(moved, expected):
+        assert got.ring is want.ring is ring
+        assert (got.packing, got.strides, got.clear) == (want.packing, want.strides, want.clear)
+        assert got.columns == want.columns
+    assert (moved[0].clear == ring.one) == (family != "A")
+
+
+def test_a_key_move_needs_a_unit_monomial_image_in_new_variables():
+    """Only a monomial with coefficient 1 and exponents −1, 0 or 1, in
+    variables the operator's ring does not keep, is moved to: any other
+    image, a binding of r, s or of two variables, and a target ring that
+    moves r or s raise ValueError, and so do a binding count that is not
+    the placement count and images in two rings.  x⁻¹·y is moved to."""
+    from rsqg.scalars import ScalarRing, Variable
+
+    r = r_of(case("B", 2).rz)
+    n = isqrt(r.nrows)
+    ring, (x, _, y) = _images()
+    swapped = ScalarRing([Variable("s", 2), Variable("r", 2), "x"]).atom("x")
+    for binding in (
+        {"z": x + y},
+        {"z": ring.num(2) * x},
+        {"z": x * x},
+        {"z": ring.one},
+        {"z": ring.atom("r") * x},
+        {"z": x / (x + y)},
+        {"z": swapped},
+        {"s": x},
+        {"r": x},
+        {"w": x},
+        {"z": x, "r": y},
+    ):
+        with pytest.raises(ValueError, match="cannot move the keys"):
+            pair_actions(n, [(r, (1, 2))], [binding])
+    with pytest.raises(ValueError, match="2 bindings for 3"):
+        pair_actions(n, [(r, f) for f in _PLACEMENTS], [{"z": x}, {"z": y}])
+    with pytest.raises(ValueError, match="mixing images"):
+        pair_actions(n, [(r, (1, 2)), (r, (2, 3))], [{"z": x}, {"z": rs_ring("x").atom("x")}])
+    (act,) = pair_actions(n, [(r, (1, 2))], [{"z": x.inv() * y}])
+    assert act.ring is ring

@@ -11,7 +11,7 @@ from math import isqrt
 
 import pytest
 
-from conftest import r_of, z_range
+from conftest import generating_columns, matrix_form_witness, r_of, spectral_factors, v3_sides, z_range
 from rsqg import affine, cli, embed, pairing, rep
 from rsqg.catalogue import CATALOGUE, CaseContext
 from rsqg.embed import modified_generators, verify_dj_relations
@@ -272,6 +272,27 @@ def test_perturbed_rz_fails_spectral_ybe_with_a_basis_witness(family, rank, chan
     if change is _plus_identity:
         assert int(match[1]) == ctx.zrep.N
     assert match[2] != match[3]
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2)])
+def test_a_wrong_key_move_fails_spectral_ybe_with_a_column_witness(family, rank):
+    """The decider forms R(x), R(xy) and R(y) by moving the packed keys of
+    R(z) to the images x, x·y and y.  With x in place of x·y on factors
+    (1, 3), the certified R̂(z) fails on a generating column, with the
+    witness of the V⊗³ matrices R₁₂(x)R₁₃(x)R₂₃(y) and R₂₃(y)R₁₃(x)R₁₂(x)."""
+    from rsqg.report import yang_baxter_witness
+    from rsqg.scalars import rs_ring
+
+    ctx = CaseContext(family, rank)
+    ring = rs_ring("x", "y")
+    x, y = ring.atom("x"), ring.atom("y")
+    assert yang_baxter_witness(ctx.zrep, ctx.rz, (x, x * y, y)) == ""
+    witness = yang_baxter_witness(ctx.zrep, ctx.rz, (x, x, y))
+    match = re.fullmatch(GENERATING, witness)
+    assert match, witness
+    assert int(match[1]) == ctx.zrep.N and match[2] != match[3]
+    r_x, r_y, _ = spectral_factors(ctx.rz)
+    assert witness == matrix_form_witness(*v3_sides(r_x, r_x, r_y), generating_columns(ctx.zrep.N))
 
 
 BRAID_CASES = [("A", 2), ("B", 2), ("C", 3), ("D", 4)]

@@ -216,3 +216,23 @@ def test_serre_computes_each_binomial_once(monkeypatch):
     monkeypatch.setattr(rep_module, "rs_binomial", counting)
     assert verify_finite_relations(build_fundamental("B", 3)).ok()
     assert len(calls) == len(set(calls)) == 11
+
+
+@pytest.mark.parametrize("build", [build_fundamental, build_evaluation], ids=["fundamental", "evaluation"])
+def test_a_module_and_its_square_are_freed_by_reference_counting(build):
+    """A module keeps its tensor square, and the square refers back to no
+    module that keeps it, so with the cyclic garbage collector off both are
+    freed as soon as the last reference to the module goes: no case's
+    modules outlive it."""
+    import gc
+    import weakref
+
+    module = build("B", 2)
+    module.square.e, module.square.omega
+    refs = [weakref.ref(module), weakref.ref(module.square)]
+    gc.disable()
+    try:
+        del module
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -30,7 +30,7 @@ from conftest import (
 from rsqg import affine, report, rmatrix
 from rsqg.gauge import Inconsistent, monomial_gauge, solve_exact
 from rsqg.matrices import SMatrix, pair_actions
-from rsqg.rep import Representation
+from rsqg.rep import TensorProduct
 from rsqg.report import first_column_mismatch, first_mismatch, product_mismatch
 from rsqg.scalars import rs_ring
 
@@ -135,7 +135,7 @@ def test_passing_cartan_items_of_the_intertwiners_form_no_product(monkeypatch, f
     rep, rhat, operators = ctx.rep, ctx.rhat, ctx.intertwiner
     kinds: list[str] = []
     products: Counter = Counter()
-    table, matmul = Representation.table, SMatrix.__matmul__
+    table, matmul = TensorProduct.table, SMatrix.__matmul__
 
     def traced_table(self, kind):
         kinds.append(kind)
@@ -145,7 +145,7 @@ def test_passing_cartan_items_of_the_intertwiners_form_no_product(monkeypatch, f
         products[kinds[-1] if kinds else None] += 1
         return matmul(a, b)
 
-    monkeypatch.setattr(Representation, "table", traced_table)
+    monkeypatch.setattr(TensorProduct, "table", traced_table)
     monkeypatch.setattr(SMatrix, "__matmul__", traced_matmul)
     items = rmatrix.check_intertwining(rep, rhat).items + affine.check_affine_intertwiner(family, rank, operators).items
     assert [it.name for it in items if not it.ok] == []

@@ -84,7 +84,9 @@ def test_each_tensor_table_is_built_once_per_case(monkeypatch):
     once: V⊗V of the fundamental module (``serre``, ``highest-weight``,
     ``intertwining`` and ``dj-serre`` read it), E⊗E of the evaluation module
     (``affine-serre``), and V(x)⊗V(y) and V(y)⊗V(x) of the affine
-    intertwiner; each product has all four kinds on all its nodes."""
+    intertwiner.  Each kind is built on all the nodes of a product when it
+    is first read: V⊗V and the intertwiner's products read all four kinds,
+    E⊗E only e and f."""
     calls: Counter = Counter()
     coproduct = rep.coproduct
 
@@ -97,14 +99,14 @@ def test_each_tensor_table_is_built_once_per_case(monkeypatch):
     assert set(calls.values()) == {1}
     products = Counter((module, left == right) for module, left, right, _, _ in calls)
     n = 2
-    assert products == {("V", True): 4 * n, ("evaluation", True): 4 * (n + 1), ("evaluation", False): 8 * (n + 1)}
+    assert products == {("V", True): 4 * n, ("evaluation", True): 2 * (n + 1), ("evaluation", False): 8 * (n + 1)}
 
 
 def test_coproduct_is_reached_only_through_tensor_product(monkeypatch):
     """Over a --long case, which runs every check, no ``coproduct`` call
-    comes from outside ``tensor_product``."""
+    comes from outside ``TensorProduct``'s table builder."""
     inside, stray, seen = [0], [], [0]
-    coproduct, tensor_product = rep.coproduct, rep.tensor_product
+    coproduct, tables = rep.coproduct, rep.TensorProduct._coproducts
 
     def watched_coproduct(left, right, kind, i):
         seen[0] += 1
@@ -112,25 +114,27 @@ def test_coproduct_is_reached_only_through_tensor_product(monkeypatch):
             stray.append((kind, i))
         return coproduct(left, right, kind, i)
 
-    def counted_tensor_product(left, right):
+    def counted_tables(product, kind):
         inside[0] += 1
         try:
-            return tensor_product(left, right)
+            return tables(product, kind)
         finally:
             inside[0] -= 1
 
     _wrap_everywhere(monkeypatch, coproduct, watched_coproduct)
-    _wrap_everywhere(monkeypatch, tensor_product, counted_tensor_product)
+    monkeypatch.setattr(rep.TensorProduct, "_coproducts", counted_tables)
     assert cli._certify_one(("B", 2, True)).ok()
     assert seen[0] and stray == []
 
 
 def test_desk_suite_coproduct_calls(monkeypatch):
-    """``certify-all --max-rank 3`` builds 88 V⊗V tables: 4n per case, and
-    4n more for the module over the z ring of A2 and C2, whose square the
-    spectral YBE's premise reads; and 300 on evaluation modules, 12(n + 1)
-    per case: E⊗E and the intertwiner's two products (229 and 250 while each
-    check built its own)."""
+    """``certify-all --max-rank 3`` builds 80 V⊗V tables: 4n per case, and
+    2n more for the module over the z ring of A2 and C2, whose square the
+    spectral YBE's premise reads for Δ(e_i) and Δ(ω_i) only; and 250 on
+    evaluation modules, 10(n + 1) per case: e and f on E⊗E and all four
+    kinds on the intertwiner's two products (229 and 250 while each check
+    built its own, 88 and 300 while a tensor product built all four kinds
+    at once)."""
     import contextlib
     import io
 
@@ -138,7 +142,7 @@ def test_desk_suite_coproduct_calls(monkeypatch):
     monkeypatch.setenv("RSQG_JOBS", "1")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(["certify-all", "--max-rank", "3"]) == 0
-    assert calls == {"V": 88, "evaluation": 300}
+    assert calls == {"V": 80, "evaluation": 250}
 
 
 def test_dj_serre_forms_no_modified_cartan_on_the_square(monkeypatch):
@@ -193,7 +197,7 @@ def test_a_type_rhat_is_built_once_per_ring(monkeypatch):
 def test_spectral_operators_are_built_once_per_long_case(monkeypatch):
     """In a --long case: R̂(z) over the z ring, once, which the spectral YBE
     reads as the other affine checks do, and the intertwiner's R̂(x/y),
-    once; the YBE's R(x), R(y) and R(xy) are substitutions in R(z)."""
+    once; the YBE's R(x), R(y) and R(xy) are actions moved from R(z)'s."""
     calls = _count_calls(
         monkeypatch, ((affine.affine_rhat, lambda r, z=None: (r.ring.names, str(z))),)
     )
@@ -203,6 +207,24 @@ def test_spectral_operators_are_built_once_per_long_case(monkeypatch):
         (rs_ring("z").names, "None"): 1,
         (xya.names, str(xya.atom("x") * xya.atom("y").inv())): 1,
     }
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("D", 3)])
+def test_spectral_ybe_clears_one_operator_and_substitutes_nothing(monkeypatch, family, rank):
+    """``check_spectral_ybe``, building its module and R̂(z) as the
+    benchmark's spectral-long runs it, clears and packs R(z) once
+    (``matrices._cleared``) and forms R(x), R(xy) and R(y) from it by
+    moving keys: no ``SMatrix.substituted`` and no ``scalars.substitute``
+    call."""
+    from rsqg import matrices, scalars
+
+    calls = _count_calls(
+        monkeypatch,
+        ((matrices._cleared, lambda a: ("_cleared", a.ring.names)), (scalars.substitute, lambda *a, **k: "substitute")),
+    )
+    monkeypatch.setattr(matrices.SMatrix, "substituted", lambda *a, **k: calls.update(["substituted"]))
+    assert affine.check_spectral_ybe(family, rank).ok()
+    assert calls == {("_cleared", rs_ring("z").names): 1}
 
 
 def test_closed_forms_are_computed_once_per_case(monkeypatch):
@@ -314,7 +336,7 @@ def test_braid_builds_no_v3_matrix(monkeypatch, family, rank):
 
         return fail
 
-    ctx.rep.square  # the case's tensor square, built by kron before the check
+    ctx.rep.square.e, ctx.rep.square.omega  # the tables the premise reads, built by kron before the check
     _wrap_everywhere(monkeypatch, matrices.kron, forbidden("kron"))
     monkeypatch.setattr(SMatrix, "__init__", recorded_init)
     monkeypatch.setattr(PairAction, "__call__", lambda self, vec: calls.update(["apply"]) or apply(self, vec))
