@@ -14,7 +14,7 @@ from .matrices import SMatrix, compose_flip, tensor_units
 from .rep import KAPPA, KINDS, EvaluationRep, Representation, TensorProduct, _evaluation, build_evaluation, build_fundamental
 from .report import Report, basis_vector, first_mismatch, product_mismatch, yang_baxter_witness
 from .rmatrix import CoefficientTables, eigenvalues
-from .scalars import Scalar, ScalarRing, _packed_exp_ranges, rs_ring
+from .scalars import Scalar, ScalarRing, _packed_exp_range, rs_ring
 
 
 def xi_constant(family: str, rank: int, ring: ScalarRing) -> Scalar:
@@ -286,7 +286,7 @@ def check_spectral_ybe(family: str, rank: int, rep: Representation | None = None
             rep = build_fundamental(family, rank, rs_ring("z"))
         if rz is None:
             rz = affine_rhat(rep)
-        excess = _degree_excess(compose_flip(rz), {"z": 1 if family == "A" else 2})
+        excess = _degree_excess(compose_flip(rz), "z", 1 if family == "A" else 2)
         if excess:
             it.witness = f"R(z): {excess}"
         else:
@@ -301,31 +301,25 @@ def check_spectral_ybe(family: str, rank: int, rep: Representation | None = None
 # ---------------------------------------------------------------------------
 
 
-def _degree_excess(m: SMatrix, limits: dict[str, int]) -> str:
+def _degree_excess(m: SMatrix, name: str, limit: int) -> str:
     """The first entry of ``m`` (in storage order), an operator on V⊗V, that
-    is not a polynomial in each of the one or two named variables of degree
-    ≤ its limit: a denominator or a negative power gives "row v_a⊗v_b,
-    column v_c⊗v_d is not polynomial in z", a degree above the limit "row
-    v_a⊗v_b, column v_c⊗v_d has z-degree d"; "" when every entry is within
-    its limits.  Both variables' exponents are read off each numerator's
-    digits in one pass."""
-    names = list(limits)
-    if not 1 <= len(names) <= 2:
-        raise ValueError(f"one or two variables, not {names}")
-    x, y = names[0], names[-1]
-    ix, iy = m.ring.index[x], m.ring.index[y]
+    is not a polynomial in the variable ``name`` of degree ≤ ``limit``: a
+    denominator or a negative power gives "row v_a⊗v_b, column v_c⊗v_d is
+    not polynomial in z", a degree above the limit "row v_a⊗v_b, column
+    v_c⊗v_d has z-degree d"; "" when every entry is within the limit.  The
+    exponents are read off each numerator's digits in one pass."""
+    index = m.ring.index[name]
     N = isqrt(m.nrows)
     for i, row in m.rows.items():
         for j, v in row.items():
-            spans = _packed_exp_ranges(v._num, ix, iy) if v._num else ((0, 0), (0, 0))
-            for name, (lowest, degree) in zip((x, y), spans):
-                if not v.den_is_one() or lowest < 0:
-                    fault = f"is not polynomial in {name}"
-                elif degree > limits[name]:
-                    fault = f"has {name}-degree {degree}"
-                else:
-                    continue
-                return f"row {basis_vector(i, N, 2)}, column {basis_vector(j, N, 2)} {fault}"
+            lowest, degree = _packed_exp_range(v._num, index) if v._num else (0, 0)
+            if not v.den_is_one() or lowest < 0:
+                fault = f"is not polynomial in {name}"
+            elif degree > limit:
+                fault = f"has {name}-degree {degree}"
+            else:
+                continue
+            return f"row {basis_vector(i, N, 2)}, column {basis_vector(j, N, 2)} {fault}"
     return ""
 
 
@@ -335,7 +329,7 @@ def check_degree_bounds(rep: Representation, rz: SMatrix) -> Report:
     degree ≤ 1 (A) or ≤ 2 (B/C/D)."""
     out = Report()
     with out.timed("z-degree-bound", rep.family, rep.n) as it:
-        it.witness = _degree_excess(rz, {"z": 1 if rep.family == "A" else 2})
+        it.witness = _degree_excess(rz, "z", 1 if rep.family == "A" else 2)
     return out
 
 

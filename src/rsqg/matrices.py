@@ -4,40 +4,37 @@ Tensor convention: the basis vector v_i ⊗ v_j of V ⊗ V (1-indexed) is
 flattened to index (i-1)*N + j, and (X ⊗ Y)(v_a ⊗ v_b) = Xv_a ⊗ Yv_b.
 
 Products run below the Scalar interface, in one kernel
-(``_combine_columns``): Σ c·v over the columns of an operator, where both
-factors of a product are Laurent polynomials (the ring's shared unit
-denominator), adds the term products of each output entry in place into one
-raw term dict (one int add per monomial product on the packed exponents
-that Scalars store) and passes a unit factor's partner through
-unmultiplied.  This saves a Scalar, a dict and an accumulator copy per
-product, which, not the sparse structure, was most of a product's time.  A
-product with a denominator goes through Scalar arithmetic and joins its
-entry with one ``+``.
+(``_combine_columns``), on Laurent polynomials only, as every operator of
+the paper is: Σ c·v over the columns of an operator adds the term products
+of each output entry in place into one raw term dict (one int add per
+monomial product on the packed exponents that Scalars store) and passes a
+unit factor's partner through unmultiplied.  This saves a Scalar, a dict
+and an accumulator copy per product, which, not the sparse structure, was
+most of a product's time.  An entry with a denominator that a product
+multiplies raises ValueError naming it.
 
-Its values are kernel values: a Laurent polynomial is its Scalar's own term
-dict, read with no copy, and any other value is its Scalar.  ``A @ B`` is
-one call over a flat index (row i of A·B is Σ_k a_ik·(row k of B), placed
-at i·ncols), and ``mat_vec`` is one call over the columns of its operator;
-both wrap their results once (``scalar_of``), after the range check,
-skipping ``_make`` because a sum of Laurent polynomials is canonical
-already.
+Its values are term dicts, a Scalar's own read with no copy.  ``A @ B``
+is one call over a flat index (row i of A·B is Σ_k a_ik·(row k of B),
+placed at i·ncols), and ``mat_vec`` is one call over the columns of its
+operator; both wrap their results once (``scalar_of``), after the range
+check, skipping ``_make`` because a sum of Laurent polynomials is
+canonical already.
 
 ``PairAction`` (an operator on two factors of V⊗V⊗V, applied to one sparse
 vector at a time, and the only way rsqg acts on V⊗V⊗V) is one call per
 vector, on values packed along s: a term c·r^a s^b·m is keyed by
 r^(a+b)·m and adds c·2^(B·b/h) to its key's int (``pack_terms``), once the
-operator's clearing polynomial has made every b ≥ 0.  Keys add and ints
-multiply, so the same kernel and the same term-pair loop run on them, on
-about a quarter of the terms of the homogeneous R-matrix entries.  A chain
-of actions builds no Scalar; ``read_back`` reads a packed value as one,
-exactly at the width B that ``pair_actions`` proves for the chain.
-``kron`` shares the partner of ``ring.one``; Scalars are immutable, so
-sharing is safe.
+operator's shift s^σ has made every b ≥ 0.  Keys add and ints multiply, so
+the same kernel and the same term-pair loop run on them, on about a quarter
+of the terms of the homogeneous R-matrix entries.  A chain of actions
+builds no Scalar; ``read_back`` reads a packed value as one, exactly at the
+width B that ``pair_actions`` proves for the chain.  ``kron`` shares the
+partner of ``ring.one``; Scalars are immutable, so sharing is safe.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .scalars import (
@@ -49,6 +46,7 @@ from .scalars import (
     _check,
     _paddto,
     _pmuladd,
+    _pshift,
     _spread,
     _unpack_exps,
     scalar_from_json,
@@ -177,8 +175,8 @@ class SMatrix:
     def __matmul__(self, other: "SMatrix") -> "SMatrix":
         """A·B in one ``_combine_columns`` call: row i of A·B is
         Σ_k a_ik·(row k of B), placed at i·ncols on one flat index, and the
-        result is split back into rows, each Laurent entry wrapped once it
-        passes the range check."""
+        result is split back into rows, each entry wrapped once it passes the
+        range check."""
         _same_ring(self, other)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
@@ -303,37 +301,41 @@ def compose_flip(a: SMatrix, diagonal: Sequence[Scalar] | None = None) -> SMatri
 # ---------------------------------------------------------------------------
 
 
-def scalar_of(ring: ScalarRing, x) -> Scalar:
-    """The Scalar of a kernel value: a Laurent term dict is wrapped on the
-    ring's shared unit denominator once its terms pass the range check, and
-    a Scalar is itself."""
-    return Scalar(ring, _check(x, ring), ring._one_den, _raw=True) if type(x) is dict else x
+def scalar_of(ring: ScalarRing, terms: dict) -> Scalar:
+    """The Scalar of a Laurent term dict, wrapped on the ring's shared unit
+    denominator once its terms pass the range check."""
+    return Scalar(ring, _check(terms, ring), ring._one_den, _raw=True)
 
 
-def _columns(a: SMatrix) -> dict[int, list[tuple[int, object]]]:
-    """The stored entries of ``a`` by column, as kernel values: j -> [(i,
-    a_ij), ...], a Laurent a_ij as its own term dict."""
+def _not_laurent(v: Scalar) -> ValueError:
+    return ValueError(f"matrix products take Laurent polynomials only, not {v}")
+
+
+def _columns(a: SMatrix) -> dict[int, list[tuple[int, dict]]]:
+    """The stored entries of ``a`` by column, as term dicts: j -> [(i,
+    a_ij), ...]; ValueError for an entry with a denominator."""
     one_den = a.ring._one_den
-    cols: dict[int, list[tuple[int, object]]] = {}
+    cols: dict[int, list[tuple[int, dict]]] = {}
     for i, row in a.rows.items():
         for j, v in row.items():
-            cols.setdefault(j, []).append((i, v._num if v._den is one_den else v))
+            if v._den is not one_den:
+                raise _not_laurent(v)
+            cols.setdefault(j, []).append((i, v._num))
     return cols
 
 
-def _combine_columns(ring: ScalarRing, parts: Iterable[tuple[object, int, Iterable]]) -> dict[int, object]:
+def _combine_columns(ring: ScalarRing, parts: Iterable[tuple[object, int, Iterable]]) -> dict[int, dict]:
     """Σ c·v placed at index base + offset, over (v, base, column) in
     ``parts`` and (offset, c) in each column: the sparse vector of a mat-vec,
-    zero entries dropped.  v and the column entries are kernel values or
-    Scalars (a Laurent Scalar is read as its term dict, so a row of an
-    ``SMatrix`` is a column as it is), and every result is a kernel value.
-    Laurent products accumulate in place on raw term dicts (``_pmuladd``,
-    one int add per monomial product), a unit factor passes its partner's
-    terms through, and a product with a denominator goes through Scalar
-    arithmetic and is read back as its term dict if its entry ends up
-    Laurent.  So each value has one form, and ``==`` on two results is value
-    equality.  Packed values (``PairAction``) are term dicts to it: their
-    keys add and their ints multiply in the same loop.
+    zero entries dropped.  v and the column entries are Laurent term dicts
+    or Laurent Scalars, read as their term dicts (so a row of an ``SMatrix``
+    is a column as it is); a Scalar with a denominator among them raises
+    ValueError naming it.  Products accumulate in place on raw term dicts
+    (``_pmuladd``, one int add per monomial product) and a unit factor
+    passes its partner's terms through, so every result is a term dict and
+    ``==`` on two results is value equality.  Packed values
+    (``PairAction``) are term dicts to it: their keys add and their ints
+    multiply in the same loop.
 
     A result is not range-checked until it becomes a Scalar (``scalar_of``
     or ``read_back``): each of its exponents is a sum of one exponent per
@@ -344,21 +346,18 @@ def _combine_columns(ring: ScalarRing, parts: Iterable[tuple[object, int, Iterab
     one_den = ring._one_den
     unit = ring.one._num
     acc: dict[int, dict] = {}
-    rest: dict[int, Scalar] = {}
     for v, base, column in parts:
-        if type(v) is Scalar and v._den is one_den:
+        if type(v) is not dict:
+            if v._den is not one_den:
+                raise _not_laurent(v)
             v = v._num
-        laurent_v = type(v) is dict
-        unit_v = laurent_v and v == unit
+        unit_v = v == unit
         for off, c in column:
+            if type(c) is not dict:
+                if c._den is not one_den:
+                    raise _not_laurent(c)
+                c = c._num
             i = base + off
-            if not laurent_v or type(c) is not dict:
-                if laurent_v and c._den is one_den:
-                    c = c._num
-                else:
-                    p = scalar_of(ring, c) * scalar_of(ring, v)
-                    rest[i] = rest[i] + p if i in rest else p
-                    continue
             t = acc.get(i)
             if t is None:
                 t = acc[i] = {}
@@ -368,15 +367,7 @@ def _combine_columns(ring: ScalarRing, parts: Iterable[tuple[object, int, Iterab
                 _paddto(t, v)
             else:
                 _pmuladd(t, c, v)
-    out: dict[int, object] = {i: t for i, t in acc.items() if t}
-    for i, p in rest.items():
-        if i in out:
-            p = scalar_of(ring, out[i]) + p
-        if p.is_zero():
-            out.pop(i, None)
-        else:
-            out[i] = p._num if p._den is one_den else p
-    return out
+    return {i: t for i, t in acc.items() if t}
 
 
 def mat_vec(a: SMatrix, vec: dict[int, Scalar]) -> dict[int, Scalar]:
@@ -399,9 +390,9 @@ def mat_vec(a: SMatrix, vec: dict[int, Scalar]) -> dict[int, Scalar]:
 # packed values unchanged.  Every operator the Yang–Baxter decider multiplies
 # is homogeneous in (r^½, s^½), so the terms of one entry with one monomial in
 # the other variables share a key: a few ints stand for many terms.  Each
-# operator is packed after clearing (``_cleared``), which makes its powers of
-# s nonnegative.  The README (item 6) states the read-back lemma and the
-# width it needs.
+# operator is packed times its shift s^σ (``_cleared``), which makes its
+# powers of s nonnegative.  The README (item 6) states the read-back lemma
+# and the width it needs.
 #
 # A substitution v ↦ w, w a monomial with coefficient 1 in variables that the
 # operator's ring does not keep, commutes with this packing: it sends a term
@@ -409,8 +400,8 @@ def mat_vec(a: SMatrix, vec: dict[int, Scalar]) -> dict[int, Scalar]:
 # distinct terms to distinct terms, with the same coefficient and the same b.
 # So the packed a(w) is the packed a with k·(w − v) added to each key whose
 # v-digit is k, as packed exponents (``_key_move``): its column norms, step
-# and σ are a's, and L(w) clears it.  The spectral YBE packs R(z) once and
-# moves its keys to those of R(x), R(xy) and R(y).
+# and shift s^σ are a's.  The spectral YBE packs R(z) once and moves its keys
+# to those of R(x), R(xy) and R(y).
 
 
 def _key_slots(ring: ScalarRing, exps: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -480,18 +471,16 @@ def unpack_terms(ring: ScalarRing, packed: dict, packing: Packing) -> dict:
 
 
 class _Cleared(NamedTuple):
-    """An operator a on V⊗V made integral, with no negative power of s:
-    ``clear`` is L = L₀·s^σ, where the Laurent polynomial L₀ clears the
-    denominators of a's entries and coefficients and σ is minus the
-    smallest exponent of s in L₀·a (L is ``ring.one`` for the spectral
-    R-matrices).  ``columns`` are those of L₀·a as term dicts (j -> [(i,
-    terms)], stored zeros dropped); ``pair_actions`` multiplies each entry
-    by s^σ (packed exponent ``shift``) only as it packs it, so no copy of a
-    shared operator's terms is held.  ``step`` is the gcd of their
-    exponents of s, and ``norm`` their largest column ℓ1 norm (the sum of
-    the sizes of a column's coefficients)."""
+    """An operator a on V⊗V, whose entries are Laurent polynomials with int
+    coefficients, read for packing: ``shift`` is the packed exponent of
+    s^σ, σ minus the smallest exponent of s in a's entries (0 for the
+    spectral R-matrices), so that s^σ·a has no negative power of s.
+    ``columns`` are a's as term dicts (j -> [(i, terms)], stored zeros
+    dropped); ``pair_actions`` multiplies each entry by s^σ only as it packs
+    it, so no copy of a shared operator's terms is held.  ``step`` is the
+    gcd of their exponents of s, and ``norm`` their largest column ℓ1 norm
+    (the sum of the sizes of a column's coefficients)."""
 
-    clear: Scalar
     shift: int
     step: int
     columns: dict[int, list[tuple[int, dict]]]
@@ -499,31 +488,25 @@ class _Cleared(NamedTuple):
 
 
 def _cleared(a: SMatrix) -> _Cleared:
+    """``a`` read for packing; ValueError for an entry with a denominator or
+    a coefficient that is not an int (its norm is then not an int)."""
     ring = a.ring
     one_den = ring._one_den
-    entries = [(i, j, v) for i, row in a.rows.items() for j, v in row.items() if v]
-    clear = ring.one
-    integral = all(v._den is one_den and all(type(c) is int for c in v._num.values()) for _, _, v in entries)
-    if not integral:
-        for den in {frozenset(v._den.items()): v._den for _, _, v in entries if v._den is not one_den}.values():
-            clear = clear * Scalar(ring, den, one_den, _raw=True)
-        entries = [(i, j, v * clear) for i, j, v in entries]
-        k = lcm(1, *(c.denominator for _, _, v in entries for c in v._num.values()))
-        if k != 1:
-            clear = clear * k
-            entries = [(i, j, v * k) for i, j, v in entries]
-    exps = {b for _, _, v in entries for _, b in _key_slots(ring, v._num)}
-    shift = -min(exps, default=0) << _BITS * ring.index["s"]
-    if shift:
-        clear = clear * Scalar(ring, {shift: 1}, one_den, _raw=True)
     columns: dict[int, list[tuple[int, dict]]] = {}
     norms: dict[int, int] = {}
-    for i, j, v in entries:
-        # an integral coefficient may be stored as a Fraction
-        terms = v._num if integral else {e: int(c) for e, c in v._num.items()}
-        columns.setdefault(j, []).append((i, terms))
-        norms[j] = norms.get(j, 0) + sum(map(abs, terms.values()))
-    return _Cleared(clear, shift, gcd(*exps), columns, max(norms.values(), default=0))
+    exps: set[int] = set()
+    for i, row in a.rows.items():
+        for j, v in row.items():
+            terms = v._num
+            norm = sum(map(abs, terms.values()))
+            if v._den is not one_den or type(norm) is not int:
+                raise ValueError(f"the Yang–Baxter decider takes Laurent polynomials with int coefficients, not {v}")
+            if terms:
+                columns.setdefault(j, []).append((i, terms))
+                norms[j] = norms.get(j, 0) + norm
+                exps.update(b for _, b in _key_slots(ring, terms))
+    shift = -min(exps, default=0) << _BITS * ring.index["s"]
+    return _Cleared(shift, gcd(*exps), columns, max(norms.values(), default=0))
 
 
 def _key_move(ring: ScalarRing, binding: Mapping[str, Scalar]) -> tuple[ScalarRing, tuple[int, int, int]]:
@@ -539,7 +522,8 @@ def _key_move(ring: ScalarRing, binding: Mapping[str, Scalar]) -> tuple[ScalarRi
     Then the move keeps every other digit (the r-digit a + b and the slots
     of a packed key too) and every coefficient, sends distinct keys to
     distinct keys, and puts 0 or ±k, a stored exponent, in each digit of m;
-    ValueError otherwise."""
+    ValueError otherwise.  s keeps its digit, so a shift s^σ (``_cleared``)
+    is the same packed exponent in ``target``."""
     (name, image), *more = binding.items()
     i = ring.index.get(name)
     if more or i is None or name in ("r", "s"):
@@ -576,26 +560,28 @@ def pair_actions(
 ) -> tuple["PairAction", ...]:
     """The actions of the operators ``placed``, (a, factors) pairs of an
     operator on V⊗V (dim V = n) and the factors (1, 2), (2, 3) or (1, 3) of
-    V⊗V⊗V it acts on, as one chain: each distinct operator is cleared
-    (``_cleared``) and packed once, all at one width and step.
+    V⊗V⊗V it acts on, as one chain: each distinct operator is read
+    (``_cleared``) and packed times its shift s^σ once, all at one width and
+    step.  Every entry must be a Laurent polynomial with int coefficients;
+    ValueError naming the first that is not.
 
     The width is B = M.bit_length() + 1 for M the product, one factor per
     placed operator, of their largest column ℓ1 norms (taken as 1 where it
     is 0): no coefficient of a value of the chain exceeds M in size, and
     B is the narrowest width whose balanced digits hold every such
-    coefficient (M < 2^(B−1)).  The step is the gcd of the cleared
-    operators' exponents of s (2 where they are all whole powers), so that
-    no slot between two used ones is always empty; it divides each σ, so
-    it divides every exponent of s after the shift too.
+    coefficient (M < 2^(B−1)).  The step is the gcd of the operators'
+    exponents of s (2 where they are all whole powers), so that no slot
+    between two used ones is always empty; it divides each σ, so it divides
+    every exponent of s after the shift too.
 
     ``at``, when given, holds one binding per placement, {v: m} as for
     ``SMatrix.substituted``, and the action placed is then that of
     a.substituted({v: m}, m.ring), built with no substitution: the keys of
-    a's one packing, and the terms of its clearing polynomial L, are moved
-    by ``_key_move``.  The move keeps every coefficient, every exponent of
-    s and distinct terms distinct, so a.substituted has a's column norms,
-    step and σ, and L(m) clears it: the packing and the actions are those
-    that the substituted operators, placed as they are, would get."""
+    a's one packing are moved by ``_key_move``.  The move keeps every
+    coefficient, every exponent of s and distinct terms distinct, so
+    a.substituted has a's column norms, step and shift: the packing and the
+    actions are those that the substituted operators, placed as they are,
+    would get."""
     for a, factors in placed:
         if factors not in ((1, 2), (2, 3), (1, 3)):
             raise ValueError(f"factors must be (1, 2), (2, 3) or (1, 3), got {factors}")
@@ -610,15 +596,12 @@ def pair_actions(
     for a in ops:
         m *= cleared[id(a)].norm
     packing = Packing(max(m, 1).bit_length() + 1, gcd(*(c.step for c in cleared.values())) or 1)
-    packed = {}
-    for i, c in cleared.items():
-        s = c.shift
-        packed[i] = {
-            j: [(row, pack_terms(ring, {e + s: x for e, x in t.items()} if s else t, packing)) for row, t in col]
-            for j, col in c.columns.items()
-        }
+    packed = {
+        i: {j: [(row, pack_terms(ring, _pshift(t, c.shift), packing)) for row, t in col] for j, col in c.columns.items()}
+        for i, c in cleared.items()
+    }
     if at is None:
-        return tuple(PairAction(ring, n, factors, packing, packed[id(a)], cleared[id(a)].clear) for a, factors in placed)
+        return tuple(PairAction(ring, n, factors, packing, packed[id(a)], cleared[id(a)].shift) for a, factors in placed)
     if len(at) != len(placed):
         raise ValueError(f"{len(at)} bindings for {len(placed)} placed operators")
     actions = []
@@ -627,8 +610,7 @@ def pair_actions(
         if actions and target is not actions[0].ring:
             raise ValueError("mixing images in different rings in one chain")
         columns = {j: [(row, _moved(t, move)) for row, t in col] for j, col in packed[id(a)].items()}
-        clear = Scalar(target, _moved(cleared[id(a)].clear._num, move), target._one_den, _raw=True)
-        actions.append(PairAction(target, n, factors, packing, columns, clear))
+        actions.append(PairAction(target, n, factors, packing, columns, cleared[id(a)].shift))
     return tuple(actions)
 
 
@@ -639,29 +621,27 @@ class PairAction:
     of one chain, and ``act(vec)`` is A·vec.
 
     Each column of the operator is stored once, with its rows turned into
-    offsets on V⊗V⊗V and its entries packed along s (``pack_terms``) by
-    ``packing``, after clearing: ``clear`` is one Laurent polynomial L with
-    every entry of L·a a Laurent polynomial with int coefficients and no
-    negative power of s (``_cleared``).  Applying it reads the column of the
-    two acted-on digits and places each entry beside the untouched digit, in
-    ``_combine_columns``.  No V⊗³ matrix is built: neither ``kron(a, Id)``
-    nor the flip conjugation that moves A onto factors 1 and 3.
+    offsets on V⊗V⊗V and its entries, times s^σ, packed along s
+    (``pack_terms``) by ``packing``: ``shift`` is the packed exponent of
+    s^σ, which leaves no negative power of s (``_cleared``).  Applying it
+    reads the column of the two acted-on digits and places each entry beside
+    the untouched digit, in ``_combine_columns``.  No V⊗³ matrix is built:
+    neither ``kron(a, Id)`` nor the flip conjugation that moves A onto
+    factors 1 and 3.
 
     A chain of actions, the last one read as a column (``column``), gives
-    the packed values of L·(A⋯)·v_k, with L the product of the actions'
-    ``clear``; ``read_back`` reads such a value as a Scalar."""
+    the packed values of s^Σσ·(A⋯)·v_k, with Σσ the sum of the actions'
+    shifts; ``read_back`` reads such a value as a Scalar."""
 
-    __slots__ = ("ring", "n", "strides", "columns", "packing", "clear")
+    __slots__ = ("ring", "n", "strides", "columns", "packing", "shift")
 
-    def __init__(
-        self, ring: ScalarRing, n: int, factors: tuple[int, int], packing: Packing, columns: dict, clear: Scalar
-    ):
+    def __init__(self, ring: ScalarRing, n: int, factors: tuple[int, int], packing: Packing, columns: dict, shift: int):
         si, sj = (n ** (3 - f) for f in factors)
         self.ring = ring
         self.n = n
         self.strides = (si, sj)
         self.packing = packing
-        self.clear = clear
+        self.shift = shift
         self.columns = {j: [((i // n) * si + (i % n) * sj, v) for i, v in col] for j, col in columns.items()}
 
     def column(self, k: int) -> dict[int, dict]:
@@ -692,12 +672,9 @@ class PairAction:
 def read_back(chain: Sequence[PairAction], x: dict) -> Scalar:
     """The Scalar of a packed value of a product of the actions of one
     ``pair_actions`` call, each once, in any order, applied to v_k: its
-    unpacked terms over the product of the actions' clearing polynomials."""
+    unpacked terms shifted back by the sum of the actions' shifts."""
     ring = chain[0].ring
-    clear = ring.one
-    for op in chain:
-        clear = clear * op.clear
-    return scalar_of(ring, unpack_terms(ring, x, chain[0].packing)) / clear
+    return scalar_of(ring, _pshift(unpack_terms(ring, x, chain[0].packing), -sum(op.shift for op in chain)))
 
 
 def vec_scale(vec: dict[int, Scalar], c: Scalar) -> dict[int, Scalar]:

@@ -167,15 +167,11 @@ def build_fundamental(family: str, rank: int, ring: ScalarRing | None = None) ->
 
 
 def _cartan_commute(mod) -> str:
-    """The ω_i and ω'_j commute pairwise (decided on their diagonals by
-    ``product_mismatch``), and each is invertible: diagonal, with every
-    diagonal entry a unit of the Laurent ring, a nonzero constant times a
-    monomial."""
+    """The ω_i and ω'_j commute pairwise and each is invertible: each is
+    diagonal, with every diagonal entry a unit of the Laurent ring, a
+    nonzero constant times a monomial, and diagonal matrices commute."""
     w = ""
     for i in mod.omega:
-        for j in mod.omega:
-            for a, b in ((mod.omega[i], mod.omega[j]), (mod.omega[i], mod.omega_prime[j]), (mod.omega_prime[i], mod.omega_prime[j])):
-                w = w or product_mismatch((a, b), (b, a), mod.N)
         for name, m in ((f"omega[{i}]", mod.omega[i]), (f"omega'[{i}]", mod.omega_prime[i])):
             w = w or _not_a_unit_diagonal(name, m, mod.N)
     return w
@@ -560,12 +556,9 @@ def verify_affine_relations(erep: EvaluationRep) -> Report:
         it.witness = _cartan_commute(erep)
 
     with out.timed("affine-central", fam, n) as it:
+        # γ = γ′ = c·Id commute with every generator, so that is all there is to check
         c_id = SMatrix.identity(ring, erep.N).scale(erep.c)
-        w = first_mismatch(erep.gamma, c_id, erep.N) or first_mismatch(erep.gamma_prime, c_id, erep.N)
-        for g in [*erep.e.values(), *erep.f.values()]:
-            w = w or product_mismatch((erep.gamma, g), (g, erep.gamma), erep.N)
-            w = w or product_mismatch((erep.gamma_prime, g), (g, erep.gamma_prime), erep.N)
-        it.witness = w
+        it.witness = first_mismatch(erep.gamma, c_id, erep.N) or first_mismatch(erep.gamma_prime, c_id, erep.N)
 
     with out.timed("affine-cartan-conj", fam, n) as it:
         it.witness = _cartan_conj(erep, aff.omega, prime=False) or _cartan_conj(erep, aff.omega, prime=True)

@@ -120,11 +120,11 @@ def basis_vector(k: int, n: int, power: int) -> str:
     return "⊗".join(reversed(digits))
 
 
-def first_mismatch(a: SMatrix, b: SMatrix, n: int | None = None) -> str:
+def first_mismatch(a: SMatrix, b: SMatrix, n: int) -> str:
     """Coordinates and both values of the first differing entry (grlex row
-    order); with ``n`` = dim V, the row and column are named as basis
-    vectors: v_a for operators on V, v_a⊗v_b for operators on V ⊗ V, told
-    apart by the size of ``a``.
+    order), the row and column named as basis vectors, with ``n`` = dim V:
+    v_a for operators on V, v_a⊗v_b for operators on V ⊗ V, told apart by
+    the size of ``a``.
 
     Scalars are canonical, so equal entries are equal as stored and ``a == b``
     settles a match without the subtraction; a stored explicit zero only
@@ -135,14 +135,10 @@ def first_mismatch(a: SMatrix, b: SMatrix, n: int | None = None) -> str:
     if d.is_zero():
         return ""
     i, j, _ = d.entries()[0]
-    if n is None:
-        where = f"entry ({i},{j})"
-    else:
-        power = {n: 1, n * n: 2}.get(a.nrows)
-        if power is None:
-            raise ValueError(f"a {a.nrows}x{a.ncols} matrix acts on neither V nor V ⊗ V with dim V = {n}")
-        where = f"row {basis_vector(i, n, power)}, column {basis_vector(j, n, power)}"
-    return f"{where}: LHS {a.get(i, j)} vs RHS {b.get(i, j)}"
+    power = {n: 1, n * n: 2}.get(a.nrows)
+    if power is None:
+        raise ValueError(f"a {a.nrows}x{a.ncols} matrix acts on neither V nor V ⊗ V with dim V = {n}")
+    return f"row {basis_vector(i, n, power)}, column {basis_vector(j, n, power)}: LHS {a.get(i, j)} vs RHS {b.get(i, j)}"
 
 
 def _diagonal(a: SMatrix) -> dict[int, Scalar] | None:
@@ -153,7 +149,7 @@ def _diagonal(a: SMatrix) -> dict[int, Scalar] | None:
 
 
 def product_mismatch(
-    lhs: tuple[SMatrix, SMatrix], rhs: tuple[SMatrix, SMatrix], n: int | None = None, c: Scalar | None = None
+    lhs: tuple[SMatrix, SMatrix], rhs: tuple[SMatrix, SMatrix], n: int, c: Scalar | None = None
 ) -> str:
     """The witness of lhs[0]·lhs[1] = c·rhs[0]·rhs[1] (no scaling when ``c``
     is None): ``first_mismatch`` of the two products.
@@ -197,8 +193,8 @@ def first_column_mismatch(chain: Sequence[PairAction], columns: Iterable[int]) -
     one basis vector v_a⊗v_b⊗v_c at a time, the rightmost action's result
     read as a stored column, so no V⊗³ matrix is built.  The sides multiply
     the same packed actions (``matrices.PairAction``), so they share one
-    packing and one clearing polynomial, and their packed values are
-    compared as they are; only the values a witness prints become Scalars.
+    packing and one shift of s, and their packed values are compared as
+    they are; only the values a witness prints become Scalars.
 
     The first column whose sides differ is named with its first differing
     row and both sides' values there; "" when every column passes."""
@@ -290,15 +286,15 @@ def yang_baxter_witness(rep, rhat: SMatrix, at: Sequence[Scalar] | None = None) 
       so it holds for each of its images.
 
     A failing premise is the witness, prefixed "premise: ", and the sides
-    are not compared.  Otherwise one ``pair_actions`` call clears and packs
-    R once and places it as R₁₂, R₁₃, R₂₃ at one width B = M.bit_length() +
-    1, M the product of the factors' largest column ℓ1 norms, which bounds
-    every coefficient of either side, so equal packed values are equal
-    values (README, item 6).  With ``at``, no factor is substituted: each
+    are not compared.  Otherwise one ``pair_actions`` call packs R once,
+    times its shift s^σ, and places it as R₁₂, R₁₃, R₂₃ at one width
+    B = M.bit_length() + 1, M the product of the factors' largest column ℓ1
+    norms, which bounds every coefficient of either side, so equal packed
+    values are equal values (README, item 6).  With ``at``, no factor is substituted: each
     image z ↦ m is a monomial with coefficient 1 in x and y, which sends
     distinct terms to distinct terms and keeps every coefficient and every
     power of s, so R(m) packs as R(z) does with each key's z-digit k moved to
-    m^k, and B, the step and the clearing polynomials L(m) follow from R(z)'s.
+    m^k, and B, the step and the shift follow from R(z)'s.
     ``first_column_mismatch`` compares the chain with its reverse and names
     the first failing column and row as basis vectors."""
     w = generation_witness(rep) or commutation_witness(rep, rhat, ("e", "omega"))

@@ -60,17 +60,18 @@ shared unit denominator, and its term dict is shared and never changed, like
 every Scalar's.
 
 Sparse matrix products and mat-vecs skip it too: they run one kernel,
-``matrices._combine_columns``.  Each output entry sums its Laurent products
-in place on one raw term dict, with ``_paddto`` and the term-pair product
-loop ``_pmuladd``; a unit factor passes the other factor's terms through,
-with no exponent adds.  A sum of Laurent polynomials is canonical, so the
-nonzero dict becomes a Scalar as it is once its terms pass the range check.
-That saves a Scalar, a dict and an accumulator copy per product, which is
-where matmul time went.  ``_pmuladd`` is the one term-pair product loop:
-Scalar products, powers, the sparse kernel and exact division all run it,
-and so does the Yang–Baxter decider, on values that ``matrices`` packs
-along s (keys are packed exponents and coefficients are ints, so the loop
-reads them as it reads term dicts).
+``matrices._combine_columns``, on Laurent polynomials only.  Each output
+entry sums its products in place on one raw term dict, with ``_paddto`` and
+the term-pair product loop ``_pmuladd``; a unit factor passes the other
+factor's terms through, with no exponent adds.  A sum of Laurent
+polynomials is canonical, so the nonzero dict becomes a Scalar as it is
+once its terms pass the range check.  That saves a Scalar, a dict and an
+accumulator copy per product, which is where matmul time went.
+``_pmuladd`` is the one term-pair product loop: Scalar products, powers,
+the sparse kernel and exact division all run it, and so does the
+Yang–Baxter decider, on values that ``matrices`` packs along s (keys are
+packed exponents and coefficients are ints, so the loop reads them as it
+reads term dicts).
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -290,33 +291,19 @@ def _check(terms: dict, ring: ScalarRing) -> dict:
     return terms
 
 
-def _packed_exp_ranges(a: dict, i: int, j: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Smallest and largest exponents of variable slots i and j over the
-    nonempty packed term dict a, read off its digits in one pass: biasing
-    digits 0…max(i, j) by 2^31 makes each one nonnegative, so no borrow
-    crosses between them."""
-    bias = _spread(_HALF, max(i, j) + 1)
-    si, sj = _BITS * i, _BITS * j
-    lo_i = lo_j = _MASK
-    hi_i = hi_j = 0
-    for p in a:
-        p += bias
-        d = p >> si & _MASK
-        if d < lo_i:
-            lo_i = d
-        if d > hi_i:
-            hi_i = d
-        d = p >> sj & _MASK
-        if d < lo_j:
-            lo_j = d
-        if d > hi_j:
-            hi_j = d
-    return (lo_i - _HALF, hi_i - _HALF), (lo_j - _HALF, hi_j - _HALF)
+def _packed_exp_range(a: dict, i: int) -> tuple[int, int]:
+    """Smallest and largest exponents of variable slot i over the nonempty
+    packed term dict a, read off its digits in one pass: biasing digits
+    0…i by 2^31 makes each one nonnegative, so no borrow crosses between
+    them."""
+    bias, shift = _spread(_HALF, i + 1), _BITS * i
+    digits = [p + bias >> shift & _MASK for p in a]
+    return min(digits) - _HALF, max(digits) - _HALF
 
 
 def _min_exps(a: dict, nv: int) -> int:
     """The packed vector of the per-variable smallest exponents over the
-    nonempty term dict a, read off its digits like ``_packed_exp_ranges``."""
+    nonempty term dict a, read off its digits like ``_packed_exp_range``."""
     bias = _spread(_HALF, nv)
     shifts = range(0, _BITS * nv, _BITS)
     lo = [_MASK] * nv

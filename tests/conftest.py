@@ -18,7 +18,7 @@ from rsqg.rep import build_evaluation, build_fundamental
 from rsqg.rmatrix import theta_nilpotent
 from rsqg.rootdata import build_root_system, omega_pairing
 from rsqg.rootvec import build_root_vector_matrices
-from rsqg.scalars import _packed_exp_ranges, rs_ring
+from rsqg.scalars import _packed_exp_range, rs_ring
 
 
 @lru_cache(maxsize=None)
@@ -196,7 +196,7 @@ def z_range(v, name: str) -> tuple[int, int]:
     if not v._num:
         return 0, 0
     i = v.ring.index[name]
-    return _packed_exp_ranges(v._num, i, i)[0]
+    return _packed_exp_range(v._num, i)
 
 
 # -- the denominators the scalar kernel accepts ---------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import case, denominators, flip_map, r_of, spectral_factors, v3_sides
+from conftest import case, flip_map, r_of, spectral_factors, v3_sides
 from rsqg import matrices
 from rsqg.matrices import (
     Packing,
@@ -35,7 +36,7 @@ def R():
 
 
 def _scalars(ring, vec: dict) -> dict:
-    """A vector of kernel values read as Scalars."""
+    """A vector of term dicts read as Scalars."""
     return {i: scalar_of(ring, x) for i, x in vec.items()}
 
 
@@ -171,27 +172,30 @@ def test_sum_stores_no_zero_from_either_operand(R):
 _RINGS = [rs_ring(), rs_ring("x", "y")]
 
 
-def _laurent(ring, max_terms):
+_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+_INTS = (1, -1, 2, -3)
+
+
+def _laurent(ring, max_terms, coeffs=_COEFFS):
     """Laurent polynomials over a small exponent box, so that products of
     different entries often share exponents and cancel."""
     exps = st.tuples(*[st.integers(-1, 1)] * ring.nvars)
-    coeff = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
-    terms = st.dictionaries(exps, coeff, min_size=1, max_size=max_terms)
+    terms = st.dictionaries(exps, st.sampled_from(coeffs), min_size=1, max_size=max_terms)
     return terms.map(ring.poly)
 
 
-def _entries(ring):
-    """Units (the ring's own ``one`` and equal copies), monomials, Laurent
-    polynomials and rational functions, with int and Fraction coefficients."""
+def _entries(ring, coeffs=_COEFFS):
+    """Units (the ring's own ``one`` and equal copies), monomials and
+    Laurent polynomials, with coefficients from ``coeffs`` (by default int
+    and Fraction ones)."""
     units = st.sampled_from([ring.one, ring.num(1), ring.mono()])
-    laurent = _laurent(ring, 3)
-    rational = st.tuples(laurent, denominators(ring)).map(lambda nd: nd[0] / ring.poly(nd[1]))
-    return st.one_of(units, _laurent(ring, 1), laurent, laurent.map(lambda v: -v), rational)
+    laurent = _laurent(ring, 3, coeffs)
+    return st.one_of(units, _laurent(ring, 1, coeffs), laurent, laurent.map(lambda v: -v))
 
 
-def _matrix(draw, ring, nrows, ncols):
+def _matrix(draw, ring, nrows, ncols, coeffs=_COEFFS):
     cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
-    entries = draw(st.dictionaries(cells, _entries(ring), max_size=nrows * ncols))
+    entries = draw(st.dictionaries(cells, _entries(ring, coeffs), max_size=nrows * ncols))
     return SMatrix.from_entries(ring, nrows, ncols, [(i, j, v) for (i, j), v in entries.items()])
 
 
@@ -215,13 +219,12 @@ def _expected_rows(nrows, ncols, entry) -> dict:
 
 def _assert_stored_form(m: SMatrix) -> None:
     """No empty row, no zero entry, no zero coefficient in an entry, and every
-    Laurent entry holds the ring's shared unit denominator."""
+    entry holds the ring's shared unit denominator."""
     for row in m.rows.values():
         assert row
         for v in row.values():
             assert v._num and all(v._num.values())
-            if v.den_is_one():
-                assert v._den is m.ring._one_den
+            assert v._den is m.ring._one_den
 
 
 @settings(max_examples=150, deadline=None)
@@ -277,7 +280,7 @@ def test_matmul_cancellation_stores_nothing(ring):
 def test_unit_factor_passes_the_other_coefficients_through(R, unit):
     u = R.one if unit == "one" else R.num(1)
     p = R.mono(3, r=1) - R.mono(Fraction(1, 2), s=-1)
-    q = p / (R.mono(r=1) - R.mono(s=1))
+    q = R.mono(r=-1) + R.mono(Fraction(-2, 3), s=2)
     left = SMatrix.from_entries(R, 1, 2, [(0, 0, u), (0, 1, p)])
     right = SMatrix.from_entries(R, 2, 2, [(0, 0, p), (0, 1, q), (1, 1, u)])
     assert (left @ right).rows == {0: {0: p, 1: q + p}}
@@ -293,7 +296,7 @@ def test_one_sparse_product_kernel(R, monkeypatch):
     kernel = matrices._combine_columns
     monkeypatch.setattr(matrices, "_combine_columns", lambda *args: calls.append(1) or kernel(*args))
     r, s = R.mono(r=1), R.mono(s=1)
-    a = SMatrix.from_entries(R, 2, 3, [(0, 0, r), (0, 2, r + s), (1, 1, R.one), (1, 2, s / (r - s))])
+    a = SMatrix.from_entries(R, 2, 3, [(0, 0, r), (0, 2, r + s), (1, 1, R.one), (1, 2, s * (r - s))])
     b = SMatrix.from_entries(R, 3, 2, [(0, 1, s), (1, 0, r * r), (2, 0, R.one), (2, 1, r - s)])
     for x, y in ((a, b), (SMatrix.zero(R, 2, 3), b), (a, SMatrix.zero(R, 3, 2))):
         calls.clear()
@@ -308,6 +311,32 @@ def test_one_sparse_product_kernel(R, monkeypatch):
         if isinstance(fn, ast.FunctionDef) and fn.name != "_combine_columns":
             names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
             assert not names & {"_pmuladd", "_paddto"}, fn.name
+
+
+def test_products_refuse_an_entry_with_a_denominator(R):
+    """Products take Laurent polynomials only: ``A @ B`` with an entry over
+    r − s in either factor, ``mat_vec`` with it in the operator or the
+    vector, and ``pair_actions`` with it in an operator raise ValueError
+    naming it, and so does ``pair_actions`` on a Fraction coefficient, which
+    it cannot pack."""
+    r, s = R.mono(r=1), R.mono(s=1)
+    bad = s / (r - s)
+    a = SMatrix.from_entries(R, 4, 4, [(0, 0, r), (1, 2, bad), (3, 3, R.one)])
+    ident = SMatrix.identity(R, 4)
+    named = f"Laurent polynomials only, not {re.escape(str(bad))}$"
+    for product in (
+        lambda: a @ ident,
+        lambda: ident @ a,
+        lambda: mat_vec(a, {2: R.one}),
+        lambda: mat_vec(ident, {1: bad}),
+    ):
+        with pytest.raises(ValueError, match=named):
+            product()
+    with pytest.raises(ValueError, match=f"int coefficients, not {re.escape(str(bad))}$"):
+        pair_actions(2, [(a, (1, 2))])
+    half = R.mono(Fraction(1, 2), r=1)
+    with pytest.raises(ValueError, match=f"int coefficients, not {re.escape(str(half))}$"):
+        pair_actions(2, [(SMatrix.from_entries(R, 4, 4, [(1, 2, half)]), (1, 2))])
 
 
 # -- mat-vec and the action on two of three factors ------------------------------
@@ -359,14 +388,14 @@ _FACTOR_PAIRS = ((1, 2), (2, 3), (1, 3))
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_pair_action_on_random_vectors(data):
-    """Random operators A and B on V ⊗ V (dim V from 1 to 3) with
-    denominators, fractions and unit entries: A on each pair of factors,
-    applied to every column of B on a random pair, is read back as the
-    product of the V⊗³ matrices, with both operators cleared and packed at
-    the width ``pair_actions`` proves for the chain."""
+    """Random operators A and B on V ⊗ V (dim V from 1 to 3) with int
+    coefficients, negative powers of s and unit entries: A on each pair of
+    factors, applied to every column of B on a random pair, is read back as
+    the product of the V⊗³ matrices, with both operators shifted and packed
+    at the width ``pair_actions`` proves for the chain."""
     ring = data.draw(st.sampled_from(_RINGS))
     n = data.draw(st.integers(1, 3))
-    a, b = _matrix(data.draw, ring, n * n, n * n), _matrix(data.draw, ring, n * n, n * n)
+    a, b = (_matrix(data.draw, ring, n * n, n * n, _INTS) for _ in range(2))
     inner = data.draw(st.sampled_from(_FACTOR_PAIRS))
     ref_b = _three_factor_references(b, n)[inner]
     for factors, ref in _three_factor_references(a, n).items():
@@ -381,11 +410,11 @@ def test_pair_action_on_random_vectors(data):
 @given(st.data())
 def test_column_read_is_the_action_on_a_basis_vector(data):
     """The stored-column read equals the action on the packed basis vector
-    for every basis vector, on random operators with denominators and unit
-    entries, for all three factor pairs."""
+    for every basis vector, on random operators with negative powers of s
+    and unit entries, for all three factor pairs."""
     ring = data.draw(st.sampled_from(_RINGS))
     n = data.draw(st.integers(1, 3))
-    a = _matrix(data.draw, ring, n * n, n * n)
+    a = _matrix(data.draw, ring, n * n, n * n, _INTS)
     for factors in _FACTOR_PAIRS:
         (act,) = pair_actions(n, [(a, factors)])
         for k in range(n**3):
@@ -504,8 +533,8 @@ def test_a_chain_with_a_zero_operator_packs_at_width_two(R):
 )
 def test_left_side_coefficients_are_within_the_proven_bound(family, rank, chain):
     """Every coefficient of every entry of both sides of the spectral YBE,
-    and of the braid relation for R = R̂∘τ, whose clearing polynomial is
-    s^σ, built as V⊗³ matrices by kron and the flip, has size at most M,
+    and of the braid relation for R = R̂∘τ, whose shift is s^σ with σ > 0,
+    built as V⊗³ matrices by kron and the flip, has size at most M,
     the product of the factors' largest column ℓ1 norms, and the chain is
     packed at width M.bit_length() + 1."""
     if chain == "spectral":
@@ -528,30 +557,26 @@ def test_left_side_coefficients_are_within_the_proven_bound(family, rank, chain)
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_packed_kernel_is_the_entrywise_sum_of_products(data):
-    """``_combine_columns`` on vectors and columns of kernel values (units,
-    zeros, denominators) against entrywise Scalar sums, with two entries
-    whose denominators cancel to a Laurent polynomial: q·(p/q) = p and
-    v·(p/q) + v·(lq - p)/q = l·v.  A Laurent value comes out as its term
-    dict, any other as a Scalar with a denominator, so ``==`` is value
-    equality."""
+    """``_combine_columns`` on vectors and columns of Laurent values (units
+    and zeros among them), each given as its Scalar or as its term dict,
+    against entrywise Scalar sums, with two products that cancel but for
+    l·v: v·p + v·(l - p).  Every value comes out as a term dict with no
+    zero coefficient, so ``==`` is value equality."""
     ring = data.draw(st.sampled_from(_RINGS))
     vector = st.one_of(_entries(ring), st.just(ring.zero))
     column = st.lists(st.tuples(st.integers(0, 3), _entries(ring)), max_size=4)
     parts = data.draw(st.lists(st.tuples(vector, st.integers(0, 3), column), max_size=4))
     p, l, v = data.draw(_laurent(ring, 3)), data.draw(_laurent(ring, 2)), data.draw(vector)
-    q = ring.poly(data.draw(denominators(ring, forms=(1, 2))))
-    parts += [(q, 0, [(0, p / q)]), (v, 0, [(1, p / q), (1, (l * q - p) / q)])]
+    parts += [(v, 0, [(1, p), (1, l - p)])]
     expect = {}
     for x, base, col in parts:
         for off, c in col:
             expect[base + off] = expect.get(base + off, ring.zero) + c * x
     expect = {i: x for i, x in expect.items() if not x.is_zero()}
-    kernel = lambda x: x._num if x.den_is_one() else x
+    kernel = lambda x: x._num if data.draw(st.booleans()) else x
     got = _combine_columns(ring, [(kernel(x), base, [(off, kernel(c)) for off, c in col]) for x, base, col in parts])
     assert _scalars(ring, got) == expect
-    for i, x in got.items():
-        assert (type(x) is dict) == expect[i].den_is_one()
-        assert (x and all(x.values())) if type(x) is dict else not x.den_is_one()
+    assert all(type(x) is dict and x and all(x.values()) for x in got.values())
 
 
 def _lowest(a: SMatrix, var: str) -> int:
@@ -565,12 +590,12 @@ def _lowest(a: SMatrix, var: str) -> int:
     "family,rank,chain",
     [("B", 2, "spectral"), ("C", 3, "spectral"), ("D", 4, "spectral"), ("B", 2, "braid"), ("B", 6, "braid")],
 )
-def test_the_shift_of_s_is_in_the_clearing_polynomial(family, rank, chain):
-    """The spectral operators' powers of s are nonnegative, so their
-    clearing polynomial L is ``ring.one``.  R = R̂∘τ has negative powers of
-    s, so every action of the braid chain has L = s^σ, σ minus R's smallest
-    exponent of s; ``pack_terms``, which rejects a negative slot, then packs
-    every term, and the cleared operator's smallest exponent of s is 0."""
+def test_the_shift_of_s_makes_every_power_of_s_nonnegative(family, rank, chain):
+    """The spectral operators' powers of s are nonnegative, so their shift
+    is 0.  R = R̂∘τ has negative powers of s, so every action of the braid
+    chain has the shift s^σ, σ minus R's smallest exponent of s;
+    ``pack_terms``, which rejects a negative slot, then packs every term,
+    and the shifted operator's smallest exponent of s is 0."""
     if chain == "spectral":
         r_x, r_y, r_xy = spectral_factors(case(family, rank).rz)
         ops = (r_x, r_xy, r_y)
@@ -580,11 +605,9 @@ def test_the_shift_of_s_is_in_the_clearing_polynomial(family, rank, chain):
     acts = pair_actions(isqrt(ops[0].nrows), list(zip(ops, ((1, 2), (1, 3), (2, 3)))))
     for a, act in zip(ops, acts):
         sigma = -_lowest(a, "s")
-        if chain == "spectral":
-            assert sigma == 0 and act.clear is ring.one
-        else:
-            assert sigma > 0 and act.clear == ring.atom("s", sigma)
-        assert _lowest(a.scale(act.clear), "s") == 0
+        assert sigma == 0 if chain == "spectral" else sigma > 0
+        assert {act.shift: 1} == ring.atom("s", sigma)._num
+        assert _lowest(a.scale(ring.atom("s", sigma)), "s") == 0
 
 
 # -- substitution by moving packed keys ------------------------------------------------
@@ -604,8 +627,8 @@ def _images():
 def test_moved_key_actions_are_the_actions_of_the_substituted_operators(family, rank, change):
     """R(z) packed once, its keys moved to x, x·y and y, gives dict for dict
     the actions ``pair_actions`` builds from R(x), R(xy) and R(y),
-    substituted entry by entry: the same packing, the same clearing
-    polynomials (s^σ with σ > 0 in type A, 1 otherwise) and every column."""
+    substituted entry by entry: the same packing, the same shifts (s^σ with
+    σ > 0 in type A, 0 otherwise) and every column."""
     rz = case(family, rank).rz
     if change != "R̂(z)":
         rz = rz + SMatrix.identity(rz.ring, rz.nrows).scale(rz.ring.mono(s=1) * rz.ring.atom("z"))
@@ -617,9 +640,9 @@ def test_moved_key_actions_are_the_actions_of_the_substituted_operators(family, 
     moved = pair_actions(n, [(r, f) for f in _PLACEMENTS], [{"z": m} for m in images])
     for got, want in zip(moved, expected):
         assert got.ring is want.ring is ring
-        assert (got.packing, got.strides, got.clear) == (want.packing, want.strides, want.clear)
+        assert (got.packing, got.strides, got.shift) == (want.packing, want.strides, want.shift)
         assert got.columns == want.columns
-    assert (moved[0].clear == ring.one) == (family != "A")
+    assert (moved[0].shift == 0) == (family != "A")
 
 
 def test_a_key_move_needs_a_unit_monomial_image_in_new_variables():

@@ -111,21 +111,29 @@ def test_perturbed_module_fails_the_item(relations, item, table, node, change, f
     assert items[item].witness
 
 
+@pytest.mark.parametrize("fault", ["non-unit", "off-diagonal"])
 @pytest.mark.parametrize("table,label", [("omega", "omega"), ("omega_prime", "omega'")])
 @pytest.mark.parametrize("relations,item,node", [("finite", "cartan-commute", 1), ("affine", "affine-cartan-commute", 0)])
 @pytest.mark.parametrize("family,rank", CASES)
-def test_non_unit_cartan_entry_fails_cartan_commute(relations, item, node, table, label, family, rank):
+def test_cartan_commute_names_a_non_unit_or_off_diagonal_entry(relations, item, node, table, label, family, rank, fault):
     """ω_i (or ω′_i) with its first diagonal entry times 1 + r is still
     diagonal, so it commutes with every ω_j and ω′_j, but it is not
-    invertible over the Laurent ring: the item fails and names the entry."""
+    invertible over the Laurent ring; with an entry off the diagonal it is
+    not diagonal, and the item forms no product to find that out.  Either
+    way the item fails and names the entry."""
     build, verify = RELATIONS[relations]
     mod = build(family, rank)
     gens = getattr(mod, table)
     v = gens[node].get(0, 0)
-    gens[node] = _add(gens[node], 0, 0, v * mod.ring.mono(r=1))
+    if fault == "non-unit":
+        gens[node] = _add(gens[node], 0, 0, v * mod.ring.mono(r=1))
+        witness = f"{label}[{node}] on v_1 is {v * (mod.ring.one + mod.ring.mono(r=1))}, not a unit of the Laurent ring"
+    else:
+        gens[node] = _off_diagonal(gens[node])
+        witness = f"{label}[{node}] has an entry off the diagonal at row v_1, column v_2"
     items = {it.name: it for it in verify(mod).items}
     assert not items[item].ok
-    assert items[item].witness == f"{label}[{node}] on v_1 is {v * (mod.ring.one + mod.ring.mono(r=1))}, not a unit of the Laurent ring"
+    assert items[item].witness == witness
 
 
 # -- operator certificates -----------------------------------------------------

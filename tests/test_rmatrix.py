@@ -4,6 +4,7 @@ braid, minimal polynomial, and one-parameter specialization."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from conftest import (
     rvm,
     v3_sides,
 )
+from rsqg.catalogue import CaseContext, run_group
 from rsqg.matrices import SMatrix, kron
 from rsqg.pairing import PairingContext
 from rsqg.rmatrix import (
@@ -329,7 +331,7 @@ def _stored_entry_times_r(m: SMatrix, index: int) -> SMatrix:
     return m + SMatrix.from_entries(m.ring, m.nrows, m.ncols, [(i, j, v * (m.ring.mono(r=1) - m.ring.one))])
 
 
-BRAID_CHANGES = ["none", "first entry times r", "last entry times r", "plus identity", "over r - s", "over 2r + 2s, plus identity"]
+BRAID_CHANGES = ["none", "first entry times r", "last entry times r", "plus identity"]
 
 
 @pytest.mark.parametrize("change", BRAID_CHANGES)
@@ -337,19 +339,11 @@ BRAID_CHANGES = ["none", "first entry times r", "last entry times r", "plus iden
 def test_columnwise_braid_matches_the_matrix_form(family, rank, change):
     """The check's verdict is the verdict of the V⊗³ matrix products of
     R = R̂∘τ, on R̂, on R̂ with its first or last stored entry times r, which
-    fails the premise on V⊗V, on R̂ + Id, which passes it and fails with the
-    matrix form's witness on the generating columns v_N⊗v_b⊗v_c, and on R̂
-    over a denominator (both sides scale by its cube, so the relation
-    holds), perturbed or not: the decider clears the denominator and the
-    fractions before it packs."""
+    fails the premise on V⊗V, and on R̂ + Id, which passes it and fails with
+    the matrix form's witness on the generating columns v_N⊗v_b⊗v_c."""
     c = case(family, rank)
     N, rhat = c.rep.N, c.rhat
     ring = rhat.ring
-    r, s = ring.mono(r=1), ring.mono(s=1)
-    if change.startswith("over r - s"):
-        rhat = rhat.scale((r - s).inv())
-    elif change.startswith("over 2r + 2s"):
-        rhat = rhat.scale((r * 2 + s * 2).inv())
     if "times r" in change:
         rhat = _stored_entry_times_r(rhat, -1 if change.startswith("last") else 0)
     if "plus identity" in change:
@@ -358,13 +352,44 @@ def test_columnwise_braid_matches_the_matrix_form(family, rank, change):
     sides = _v3_sides(rhat, N)
     lhs, rhs = sides["ybe-left"], sides["ybe-right"]
     assert item.ok == (matrix_form_witness(lhs, rhs, range(N**3)) == "")
-    assert item.ok == (change in ("none", "over r - s"))
+    assert item.ok == (change == "none")
     if "times r" in change:
         assert item.witness.startswith("premise: Δ(")
     else:
         assert item.witness == matrix_form_witness(lhs, rhs, generating_columns(N))
     if (family, rank, change) == ("B", 2, "plus identity"):
         assert item.witness.startswith("column v_5⊗v_1⊗v_1, row v_1⊗v_1⊗v_5: LHS ")
+
+
+@pytest.mark.parametrize("change", ["over r - s", "over 2r + 2s, plus identity", "first entry over r - s"])
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 3), ("D", 4)])
+def test_columnwise_braid_refuses_an_operator_with_a_denominator(family, rank, change):
+    """R̂ over a denominator, plus Id or not, and R̂ with only its first stored
+    entry over r − s are not Laurent operators, the only kind products take:
+    ``check_braid`` raises ValueError naming an entry with a denominator (the
+    one entry, where there is one), and through ``catalogue.run_group`` the
+    braid item fails with that error as its witness."""
+    c = case(family, rank)
+    N, rhat = c.rep.N, c.rhat
+    ring = rhat.ring
+    r, s = ring.mono(r=1), ring.mono(s=1)
+    if change == "first entry over r - s":
+        i, j, v = rhat.entries()[0]
+        rhat = rhat + SMatrix.from_entries(ring, N * N, N * N, [(i, j, v / (r - s) - v)])
+        named = re.escape(str(rhat.get(i, j)))
+    else:
+        rhat = rhat.scale((r - s).inv() if change == "over r - s" else (r * 2 + s * 2).inv())
+        named = ""
+    if "plus identity" in change:
+        rhat = rhat + SMatrix.identity(ring, N * N)
+    refusal = f"matrix products take Laurent polynomials only, not {named}"
+    with pytest.raises(ValueError, match=refusal):
+        check_braid(c.rep, rhat)
+    ctx = CaseContext(family, rank)
+    ctx.rhat = rhat
+    (item,) = run_group("rmatrix", ctx, ["braid"]).items
+    assert (item.name, item.ok) == ("braid", False)
+    assert re.match(f"raised ValueError: {refusal}", item.witness)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3)])
